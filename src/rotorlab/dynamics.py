@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_triangular
 
 from . import jets
 from .degeneracy import DOF5, DOF6, POLE_MARGIN, ChartState, chart_lagrangian, chart_vectors
@@ -52,7 +53,9 @@ SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
 
 
 class SingularHessianError(RuntimeError):
-    """Raised when the velocity Hessian degenerates during integration."""
+    """Raised when the velocity Hessian degenerates during integration, or
+    when the integrator stalls because its step size collapses (the equations
+    of motion H qddot = Z become singular along the path)."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -253,33 +256,39 @@ def _hessian_and_force(F: FForm, q, qd, dof):
     return H, Z
 
 
-def _qr_solve(H, Z, cond_tol, state_dump):
+def _active(H, Z):
+    """Mask of coordinates that are not entirely inert (zero Hessian row and
+    zero force, e.g. the null-direction angles of the point particle)."""
+    absH = np.abs(H)
+    inert_tol = 1e-14 * max(float(np.max(absH)), 1e-300)
+    return (np.max(absH, axis=1) > inert_tol) | (np.abs(Z) > inert_tol)
+
+
+def _qr_solve(H, Z, cond_tol, t, q, qd):
     """Solve H qddot = Z by QR with condition monitoring.
 
-    Coordinates that are entirely inert (zero Hessian row/column and zero
-    force, e.g. the null-direction angles of the point particle) are frozen
-    at qddot = 0 instead of tripping the singularity guard.
+    Inert coordinates (see ``_active``) are frozen at qddot = 0 instead of
+    tripping the singularity guard.  ``t, q, qd`` identify the state in the
+    error raised on a singular Hessian.
     """
-    scale = max(float(np.max(np.abs(H))), 1e-300)
-    inert_tol = 1e-14 * scale
-    active = [i for i in range(len(Z))
-              if np.max(np.abs(H[i])) > inert_tol or abs(Z[i]) > inert_tol]
+    active = _active(H, Z)
     qdd = np.zeros(len(Z))
-    if not active:
+    if not active.any():
         return qdd
-    Ha = H[np.ix_(active, active)]
-    Za = Z[active]
+    if active.all():
+        Ha, Za = H, Z
+    else:
+        idx = np.flatnonzero(active)
+        Ha, Za = H[np.ix_(idx, idx)], Z[idx]
     Qm, R = np.linalg.qr(Ha)
     diag = np.abs(np.diag(R))
     if diag.min() <= cond_tol * max(diag.max(), 1e-300):
         raise SingularHessianError(
             f"velocity Hessian singular (R diagonal ratio "
             f"{diag.min() / max(diag.max(), 1e-300):.3e})",
-            state=state_dump,
+            state={"t": t, "q": list(q), "qd": list(qd)},
         )
-    from scipy.linalg import solve_triangular
-
-    qdd[active] = solve_triangular(R, Qm.T @ Za)
+    qdd[active] = solve_triangular(R, Qm.T @ Za, check_finite=False)
     return qdd
 
 
@@ -301,7 +310,7 @@ class IntegratedTrajectory(Trajectory):
     def accel(self, t: float) -> np.ndarray:
         q, qd = self.chart(t)
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
-        return _qr_solve(H, Z, self.cond_tol, {"t": t, "q": list(q), "qd": list(qd)})
+        return _qr_solve(H, Z, self.cond_tol, t, q, qd)
 
     def jets(self, t: float):
         q, qd = self.chart(t)
@@ -343,24 +352,25 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
     # coordinates absent from the Lagrangian (e.g. the angles of the point
     # particle) are pure gauge and are held fixed from the start
     H, Z = _hessian_and_force(F, q0, qd0, dof)
-    scale = max(float(np.max(np.abs(H))), 1e-300)
-    inert = [i for i in range(n)
-             if np.max(np.abs(H[i])) <= 1e-14 * scale and abs(Z[i]) <= 1e-14 * scale]
     qd0 = qd0.copy()
-    qd0[inert] = 0.0
+    qd0[~_active(H, Z)] = 0.0
     H, Z = _hessian_and_force(F, q0, qd0, dof)
-    _qr_solve(H, Z, cond_tol, {"t": t_span[0], "q": list(q0), "qd": list(qd0)})
+    _qr_solve(H, Z, cond_tol, t_span[0], q0, qd0)
 
     def rhs(t, y):
         q, qd = y[:n], y[n:]
         H, Z = _hessian_and_force(F, q, qd, dof)
-        qdd = _qr_solve(H, Z, cond_tol, {"t": t, "q": list(q), "qd": list(qd)})
+        qdd = _qr_solve(H, Z, cond_tol, t, q, qd)
         return np.concatenate([qd, qdd])
 
     sol = solve_ivp(rhs, t_span, np.concatenate([q0, qd0]), method="RK45",
                     rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
-        raise RuntimeError(f"integration failed: {sol.message}")
+        y = sol.y[:, -1]
+        raise SingularHessianError(
+            f"integration failed at t = {sol.t[-1]:.6g}: {sol.message}",
+            state={"t": float(sol.t[-1]), "q": list(y[:n]), "qd": list(y[n:])},
+        )
     return IntegratedTrajectory(F=F, dof=tuple(dof), sol=sol.sol,
                                 t_span=tuple(t_span), cond_tol=cond_tol)
 
@@ -386,22 +396,29 @@ def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> 
 
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
-    """PP and WW along an integrated trajectory, with max relative drift."""
+    """PP and WW along an integrated trajectory, with max relative drift.
+
+    The drift is relative to the initial value, floored at rounding of the
+    physical scale (M^2 for PP, M^4 ell^2 for WW), so that a Casimir that is
+    identically zero, like WW of the point particle, does not divide by noise.
+    """
     pps, wws = [], []
     for t in times:
         c = traj.momenta(t).casimirs()
         pps.append(c.PP)
         wws.append(c.WW)
     pps, wws = np.array(pps), np.array(wws)
+    M, ell = traj.F.M, traj.F.ell
+    eps = np.finfo(float).eps
 
-    def rel_drift(v):
-        return float(np.max(np.abs(v - v[0])) / max(abs(v[0]), 1e-300))
+    def rel_drift(v, scale):
+        return float(np.max(np.abs(v - v[0])) / max(abs(v[0]), eps * scale))
 
     return {
         "PP": pps,
         "WW": wws,
-        "PP_drift": rel_drift(pps),
-        "WW_drift": rel_drift(wws),
+        "PP_drift": rel_drift(pps, M**2),
+        "WW_drift": rel_drift(wws, M**4 * ell**2),
     }
 
 

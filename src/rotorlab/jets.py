@@ -5,6 +5,12 @@ variables.  All arithmetic propagates derivatives exactly (to rounding), which
 is what the Hessian, momentum and Euler-Lagrange machinery rely on.  Plain
 floats pass through the module-level math functions unchanged, so numerical
 kernels can be written once and evaluated either on numbers or on jets.
+
+A plain-number operand of ``+ - * /`` shifts the value or scales the whole
+jet; it is never promoted to a zero-derivative jet.  A result may share its
+``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), and the
+jets returned by ``variables`` share one Hessian array.  This is safe because
+no jet is ever written in place: treat ``g`` and ``h`` as read-only.
 """
 
 from __future__ import annotations
@@ -29,15 +35,21 @@ __all__ = [
 ]
 
 
+_NUMBER = (int, float, np.integer, np.floating)
+
+
 class Jet:
-    """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n)."""
+    """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n).
+
+    ``g`` and ``h`` must be float arrays; they are stored as given.
+    """
 
     __slots__ = ("f", "g", "h")
 
     def __init__(self, f, g, h):
         self.f = float(f)
-        self.g = np.asarray(g, dtype=float)
-        self.h = np.asarray(h, dtype=float)
+        self.g = g
+        self.h = h
 
     @property
     def n(self):
@@ -48,18 +60,12 @@ class Jet:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return constant(float(other), self.n)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.f + o.f, self.g + o.g, self.h + o.h)
+        if isinstance(other, Jet):
+            return Jet(self.f + other.f, self.g + other.g, self.h + other.h)
+        if isinstance(other, _NUMBER):
+            return Jet(self.f + float(other), self.g, self.h)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -67,38 +73,46 @@ class Jet:
         return Jet(-self.f, -self.g, -self.h)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet(self.f - o.f, self.g - o.g, self.h - o.h)
+        if isinstance(other, Jet):
+            return Jet(self.f - other.f, self.g - other.g, self.h - other.h)
+        if isinstance(other, _NUMBER):
+            return Jet(self.f - float(other), self.g, self.h)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        if isinstance(other, _NUMBER):
+            return Jet(float(other) - self.f, -self.g, -self.h)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        h = self.h * o.f + o.h * self.f
-        h = h + np.outer(self.g, o.g) + np.outer(o.g, self.g)
-        return Jet(self.f * o.f, self.f * o.g + o.f * self.g, h)
+        if isinstance(other, Jet):
+            # h = self.h o.f + o.h self.f + g o.g^T + o.g g^T, summed in that order
+            t = self.g[:, None] * other.g
+            h = self.h * other.f
+            h += other.h * self.f
+            h += t
+            h += t.T
+            return Jet(self.f * other.f, self.f * other.g + other.f * self.g, h)
+        if isinstance(other, _NUMBER):
+            c = float(other)
+            return Jet(self.f * c, self.g * c, self.h * c)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * _chain(o, 1.0 / o.f, -1.0 / o.f**2, 2.0 / o.f**3)
+        if isinstance(other, Jet):
+            return self * _chain(other, 1.0 / other.f, -1.0 / other.f**2,
+                                 2.0 / other.f**3)
+        if isinstance(other, _NUMBER):
+            return self * (1.0 / float(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        if isinstance(other, _NUMBER):
+            return _chain(self, 1.0 / self.f, -1.0 / self.f**2,
+                          2.0 / self.f**3) * float(other)
+        return NotImplemented
 
     def __pow__(self, p):
         if isinstance(p, Jet):
@@ -151,7 +165,8 @@ class Jet:
 def variables(*vals):
     """Seed independent jet variables from numeric values."""
     n = len(vals)
-    return [Jet(v, np.eye(n)[i], np.zeros((n, n))) for i, v in enumerate(vals)]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return [Jet(v, eye[i], zero) for i, v in enumerate(vals)]
 
 
 def constant(v, n):
@@ -165,14 +180,21 @@ def value(x):
 
 def _chain(u, f, f1, f2):
     """Compose a scalar function (value f, derivatives f1, f2) with jet u."""
-    return Jet(f, f1 * u.g, f1 * u.h + f2 * np.outer(u.g, u.g))
+    g = u.g
+    h = f1 * u.h
+    h += f2 * (g[:, None] * g)
+    return Jet(f, f1 * g, h)
 
 
 def _chain2(ux, uy, f, fx, fy, fxx, fyy, fxy):
-    g = fx * ux.g + fy * uy.g
-    h = fx * ux.h + fy * uy.h
-    h = h + fxx * np.outer(ux.g, ux.g) + fyy * np.outer(uy.g, uy.g)
-    h = h + fxy * (np.outer(ux.g, uy.g) + np.outer(uy.g, ux.g))
+    gx, gy = ux.g, uy.g
+    g = fx * gx + fy * gy
+    h = fx * ux.h
+    h += fy * uy.h
+    h += fxx * (gx[:, None] * gx)
+    h += fyy * (gy[:, None] * gy)
+    t = gx[:, None] * gy
+    h += fxy * (t + t.T)
     return Jet(f, g, h)
 
 

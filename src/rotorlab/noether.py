@@ -19,7 +19,7 @@ import numpy as np
 from . import jets
 from .fform import FForm, PQPoint, lagrangian_from_vectors, pq_from_jet
 from .invariants import KinematicJet
-from .minkowski import DomainError, dot, epsilon_contract, four
+from .minkowski import _EPS, METRIC, DomainError, dot
 
 __all__ = [
     "CasimirPair",
@@ -58,34 +58,12 @@ def _raise_index(p_lower):
 
 def pauli_lubanski(M: np.ndarray, P: np.ndarray) -> np.ndarray:
     """W^mu = -1/2 eps^{mu alpha beta gamma} M_{alpha beta} P_gamma."""
-    eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    M_low = eta @ M @ eta
-    W = np.zeros(4)
-    # reuse the rank-3 contraction: eps^{mu a b g} u_a v_b P_g summed over M = sum u^v^
-    # direct component sum is simplest and exact
-    import itertools
-
-    def eps(i, j, k, l):
-        perm = (i, j, k, l)
-        if len(set(perm)) < 4:
-            return 0
-        s = 1
-        p = list(perm)
-        for x in range(4):
-            for y in range(x + 1, 4):
-                if p[x] > p[y]:
-                    s = -s
-        return s
-
-    P_low = eta @ P
-    for mu in range(4):
-        acc = 0.0
-        for a, b, g in itertools.product(range(4), repeat=3):
-            e = eps(mu, a, b, g)
-            if e:
-                acc += e * M_low[a, b] * P_low[g]
-        W[mu] = -0.5 * acc
-    return W
+    M_low = METRIC @ M @ METRIC
+    P_low = METRIC @ P
+    acc = [0.0, 0.0, 0.0, 0.0]
+    for (mu, a, b, g), sign in _EPS:
+        acc[mu] += sign * M_low[a, b] * P_low[g]
+    return -0.5 * np.array(acc)
 
 
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:

@@ -89,6 +89,14 @@ def test_simulate_degenerate_form_aborts(capsys):
     assert "singular" in capsys.readouterr().err
 
 
+def test_simulate_integration_failure_exits_2(capsys):
+    # the step size of RK45 collapses as the Hessian of 1 + Q + P^2 degenerates
+    code = main(["simulate", "--f", "1+Q+P^2", "--periods", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: integration failed") and "Traceback" not in err
+
+
 def test_freemotion_writes_trajectory(tmp_path, capsys):
     out_file = os.path.join(tmp_path, "traj.csv")
     code, out = run(capsys, "freemotion", "--phase", "t", "--tmax", "10",

@@ -140,6 +140,21 @@ def test_integrated_casimirs_depend_on_initial_data():
     assert abs(w1 - w2) > 0.1 * abs(w1)
 
 
+def test_casimir_drift_floors_at_physical_scale():
+    # WW of the point particle is identically 0: its drift is measured against
+    # rounding of M^4 ell^2, not against a 1e-300 floor
+    pp = builtin("point_particle", M=1.7, ell=0.8)
+    st = ChartState(theta=1.1, phi=0.4, v=(0.05, -0.03, 0.02), thetadot=0.3, phidot=0.7)
+    d = casimir_drift(integrate(pp, st, (0.0, 9.0)), np.linspace(0.0, 9.0, 20))
+    assert d["PP_drift"] < 1e-6 and d["WW_drift"] < 1e-6
+    # Casimirs above rounding keep the plain relative drift, bit for bit
+    fq = builtin("fq", f=lambda q: q)
+    d = casimir_drift(integrate(fq, st, (0.0, 3.0)), np.linspace(0.0, 3.0, 10))
+    for key in ("PP", "WW"):
+        v = d[key]
+        assert d[key + "_drift"] == float(np.max(np.abs(v - v[0])) / abs(v[0]))
+
+
 def test_point_particle_moves_straight_with_frozen_k():
     pp = builtin("point_particle")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),

@@ -1,5 +1,9 @@
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorlab import jets
 
@@ -116,3 +120,76 @@ def test_sqrt_of_negative_rejected():
     (x,) = jets.variables(-1.0)
     with pytest.raises(ValueError):
         jets.sqrt(x)
+
+
+# -- the number fast paths and the in-place product, against the generic path --
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+nonzero = finite.filter(lambda v: abs(v) > 1e-2)
+
+
+@st.composite
+def jet_strategy(draw, n=None, f=finite):
+    if n is None:
+        n = draw(st.integers(1, 4))
+    g = np.array(draw(st.lists(finite, min_size=n, max_size=n)))
+    a = np.array(draw(st.lists(finite, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return jets.Jet(draw(f), g, a + a.T)
+
+
+@st.composite
+def jet_pair(draw, f=finite):
+    n = draw(st.integers(1, 4))
+    return draw(jet_strategy(n=n, f=f)), draw(jet_strategy(n=n, f=nonzero))
+
+
+BINARY_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def assert_same_jet(a, b):
+    assert a.f == b.f
+    assert np.array_equal(a.g, b.g) and np.array_equal(a.h, b.h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=jet_strategy(f=nonzero), k=st.integers(-50, 50).filter(bool), c=nonzero)
+def test_number_operand_matches_constant_jet(x, k, c):
+    for num in (k, c, np.float64(c)):
+        const = jets.constant(float(num), x.n)
+        for op in BINARY_OPS:
+            assert_same_jet(op(x, num), op(x, const))
+            assert_same_jet(op(num, x), op(const, x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=jet_pair(f=nonzero), c=nonzero)
+def test_operations_leave_operands_unchanged(pair, c):
+    x, y = pair
+    before = [(z.f, z.g.copy(), z.h.copy()) for z in (x, y)]
+    for op in BINARY_OPS:
+        for a, b in ((x, y), (y, x), (x, c), (c, x), (y, c), (c, y)):
+            op(a, b)
+    for fn in (operator.neg, abs, lambda z: z**3, lambda z: z**-2, jets.sin, jets.cos):
+        fn(x), fn(y)
+    jets.atan2(x, y), jets.atan2(1.0, y)
+    for (f0, g0, h0), z in zip(before, (x, y)):
+        assert z.f == f0 and np.array_equal(z.g, g0) and np.array_equal(z.h, h0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=jet_pair())
+def test_jet_product_matches_outer_formula(pair):
+    x, y = pair
+    z = x * y
+    s = x.h * y.f + y.h * x.f
+    t = np.outer(x.g, y.g)
+    assert z.f == x.f * y.f
+    assert np.array_equal(z.g, x.f * y.g + y.f * x.g)
+    assert np.array_equal(z.h, s + t + np.outer(y.g, x.g))
+    # h_ij and h_ji add the two cross terms in opposite order, so the product
+    # is symmetric to rounding, and exactly when both Hessians vanish
+    bound = 4 * np.finfo(float).eps * (np.abs(s) + np.abs(t) + np.abs(t.T))
+    assert np.all(np.abs(z.h - z.h.T) <= bound)
+    zero = np.zeros_like(x.h)
+    w = jets.Jet(x.f, x.g, zero) * jets.Jet(y.f, y.g, zero)
+    assert np.array_equal(w.h, w.h.T)

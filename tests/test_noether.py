@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_jet
 from rotorlab.invariants import random_kinematic_jet
-from rotorlab.minkowski import DomainError, dot
+from rotorlab.minkowski import DomainError, bivector, dot, epsilon_contract
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
     casimirs_closed_form,
@@ -11,6 +13,7 @@ from rotorlab.noether import (
     fundamental_residuals,
     momenta,
     momenta_from_vectors,
+    pauli_lubanski,
 )
 
 
@@ -50,6 +53,39 @@ def test_pauli_lubanski_orthogonal_to_momentum():
             ms = momenta(F, J)
             scale = max(abs(dot(ms.P, ms.P)), 1.0)
             assert abs(dot(ms.W, ms.P)) < 1e-10 * scale
+
+
+def _pauli_lubanski_loop(M, P):
+    """Reference: the component sum over all index triples, sign by counting."""
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    M_low, P_low = eta @ M @ eta, eta @ P
+
+    def eps(*perm):
+        if len(set(perm)) < 4:
+            return 0
+        return (-1) ** sum(perm[x] > perm[y] for x in range(4) for y in range(x + 1, 4))
+
+    W = np.zeros(4)
+    for mu in range(4):
+        acc = 0.0
+        for a, b, g in itertools.product(range(4), repeat=3):
+            e = eps(mu, a, b, g)
+            if e:
+                acc += e * M_low[a, b] * P_low[g]
+        W[mu] = -0.5 * acc
+    return W
+
+
+def test_pauli_lubanski_is_minus_epsilon_contract():
+    # for M = x^P - P^x + k^pi - pi^k the orbital term drops out of W
+    rng = np.random.default_rng(4)
+    for _ in range(50):
+        x, P, k, pi = rng.normal(size=(4, 4))
+        M = bivector(x, P, k, pi)
+        W = pauli_lubanski(M, P)
+        assert np.array_equal(W, _pauli_lubanski_loop(M, P))
+        scale = np.max(np.abs(M)) * np.max(np.abs(P))
+        assert np.allclose(W, -epsilon_contract(k, pi, P), rtol=0.0, atol=1e-14 * scale)
 
 
 def test_static_point_particle_has_rest_momentum():
