@@ -12,14 +12,13 @@ whose kinematical prefactor must come out independent of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, lagrangian_from_vectors
+from .fform import FForm, PQPoint, builtin, lagrangian_from_vectors, pq_from_vectors
 from .minkowski import DomainError, four
-from .noether import casimirs_closed_form
 
 __all__ = [
     "DOF5",
@@ -99,22 +98,27 @@ def chart_lagrangian(F: FForm, q, qd, dof):
 @dataclass(frozen=True)
 class HessianReport:
     matrix: np.ndarray
-    singular_values: np.ndarray
-    rank: int
+    singular_values: np.ndarray  # descending
+    rank: int  # singular values above RANK_TOL * the largest
     det: float
-    det_threshold: float
     dof: tuple
 
     @property
     def is_singular(self) -> bool:
-        return abs(self.det) <= self.det_threshold
+        return self.rank < len(self.dof)
+
+    @property
+    def margin(self) -> float:
+        """sigma_min / (RANK_TOL sigma_max): at most 1 iff the Hessian is singular."""
+        sv = self.singular_values
+        return float(sv[-1] / (RANK_TOL * max(sv[0], 1e-300)))
 
     def as_dict(self) -> dict:
         return {
             "dof": len(self.dof),
             "rank": self.rank,
             "det": self.det,
-            "det_threshold": self.det_threshold,
+            "margin": self.margin,
             "singular": self.is_singular,
             "singular_values": list(self.singular_values),
         }
@@ -131,10 +135,8 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
     H = L.h
     sv = np.linalg.svd(H, compute_uv=False)
     rank = int(np.sum(sv > RANK_TOL * max(sv[0], 1e-300)))
-    det = float(np.linalg.det(H))
-    thr = RANK_TOL * float(np.prod(np.maximum(sv, 1.0)))
-    return HessianReport(matrix=H, singular_values=sv, rank=rank, det=det,
-                         det_threshold=thr, dof=tuple(dof))
+    return HessianReport(matrix=H, singular_values=sv, rank=rank,
+                         det=float(np.linalg.det(H)), dof=tuple(dof))
 
 
 def jacobian_pq(F: FForm, at: PQPoint) -> float:
@@ -181,19 +183,12 @@ def relation_check(forms, state: ChartState, dof=DOF6, tol=1e-8) -> list:
     xdot, k, kdot = chart_vectors(*state.coords(dof), dof)
     out = []
     for F in forms:
-        from .fform import pq_from_jet
-        from .invariants import KinematicJet
-
-        xx = float(xdot[0] ** 2 - xdot[1] ** 2 - xdot[2] ** 2 - xdot[3] ** 2)
-        kx = float(xdot[0] * k[0] - xdot[1] * k[1] - xdot[2] * k[2] - xdot[3] * k[3])
-        P = F.ell * float(kdot[0] * xdot[0] - kdot[1] * xdot[1]
-                          - kdot[2] * xdot[2] - kdot[3] * xdot[3]) / (kx * np.sqrt(xx))
-        Q = -(F.ell**2) * float(kdot[0] ** 2 - kdot[1] ** 2 - kdot[2] ** 2
-                                - kdot[3] ** 2) / kx**2
+        at = pq_from_vectors(xdot, k, kdot, F.ell)
+        P, Q = at.P, at.Q
         v = F.eval(P, Q)
         num = v.F - P * v.F_P
         den = v.F_P * (P**2 + Q) - P * v.F
-        jac = jacobian_pq(F, PQPoint(P, Q))
+        jac = jacobian_pq(F, at)
         scale = max(abs(v.F), 1.0)
         H = hessian(F, state, dof)
         if abs(den) <= tol * scale or abs(num) <= tol * scale:
@@ -231,13 +226,8 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0, M: float = 1.0,
 
     ``f`` is a generic callable with two derivatives (jet-compatible).
     """
-    from .fform import builtin
-
     F = builtin("fq", f=f, M=M, ell=ell)
-    xdot, k, kdot = chart_vectors(*state.coords(DOF5), DOF5)
-    kx = float(xdot[0] * k[0] - xdot[1] * k[1] - xdot[2] * k[2] - xdot[3] * k[3])
-    Q = -(ell**2) * float(kdot[0] ** 2 - kdot[1] ** 2 - kdot[2] ** 2
-                          - kdot[3] ** 2) / kx**2
+    Q = pq_from_vectors(*chart_vectors(*state.coords(DOF5), DOF5), ell).Q
     (qj,) = jets.variables(Q)
     fj = f(qj)
     if not isinstance(fj, jets.Jet):

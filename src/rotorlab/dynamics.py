@@ -25,7 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
 from . import jets
-from .degeneracy import DOF5, DOF6, POLE_MARGIN, ChartState, chart_lagrangian, chart_vectors
+from .degeneracy import DOF5, POLE_MARGIN, ChartState, chart_lagrangian
 from .fform import FForm
 from .minkowski import DomainError, dot, epsilon_contract, four
 from .noether import FUNDAMENTAL_WW_FACTOR, momenta_from_vectors
@@ -41,8 +41,11 @@ __all__ = [
     "integrate",
     "angular_speed",
     "speed_to_Q",
+    "trajectory_samples",
     "conservation_drift",
+    "charge_drift",
     "casimir_drift",
+    "casimir_series",
     "indeterminacy_demo",
     "export_trajectory",
     "rest_frame_params",
@@ -130,16 +133,21 @@ class Trajectory:
         raise NotImplementedError
 
     def x(self, t: float) -> np.ndarray:
-        return np.array([jets.value(c) for c in self.jets(t)[0]])
+        return jets.split(self.jets(t)[0])[0]
 
     def k(self, t: float) -> np.ndarray:
-        return np.array([jets.value(c) for c in self.jets(t)[1]])
+        return jets.split(self.jets(t)[1])[0]
 
     def xdot(self, t: float) -> np.ndarray:
-        return np.array([c.g[0] for c in self.jets(t)[0]])
+        return jets.split(self.jets(t)[0])[1]
 
     def kdot(self, t: float) -> np.ndarray:
-        return np.array([c.g[0] for c in self.jets(t)[1]])
+        return jets.split(self.jets(t)[1])[1]
+
+    def momenta(self, F: FForm, t: float):
+        """Noether momenta of F at t."""
+        (xv, xd), (kv, kd) = map(jets.split, self.jets(t))
+        return momenta_from_vectors(F, xd, kv, kd, x=xv)
 
 
 @dataclass(frozen=True)
@@ -228,6 +236,11 @@ def _lab_chart_jets(x, k, dof):
 def el_residuals(F: FForm, traj: Trajectory, t: float, dof=DOF5) -> ELReport:
     """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation."""
     x, k = traj.jets(t)
+    return _el_report(F, x, k, dof)
+
+
+def _el_report(F: FForm, x, k, dof) -> ELReport:
+    """``el_residuals`` from the trajectory jets x(t), k(t)."""
     q, qd, qdd = _lab_chart_jets(x, k, dof)
     n = len(dof)
     vs = jets.variables(*q, *qd)
@@ -332,14 +345,6 @@ class IntegratedTrajectory(Trajectory):
         k[3] = K * ct
         return x, k
 
-    def momenta(self, t: float):
-        x, k = self.jets(t)
-        xv = np.array([jets.value(c) for c in x])
-        kv = np.array([jets.value(c) for c in k])
-        xd = np.array([c.g[0] for c in x])
-        kd = np.array([c.g[0] for c in k])
-        return momenta_from_vectors(self.F, xd, kv, kd, x=xv)
-
 
 def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
               rtol: float = 1e-10, atol: float = 1e-12,
@@ -378,37 +383,53 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
 # -- conserved charges along trajectories ------------------------------------
 
 
+def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> list:
+    """(t, x, k, EL report, Noether momenta) per time, from one trajectory
+    query each; x and k are the values of the four-vectors."""
+    out = []
+    for t in times:
+        x, k = traj.jets(t)
+        (xv, xd), (kv, kd) = map(jets.split, (x, k))
+        out.append((float(t), xv, kv, _el_report(F, x, k, dof),
+                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
+    return out
+
+
 def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> dict:
     """Max relative deviation of recomputed Noether P, W from the inputs."""
+    return charge_drift(p, [traj.momenta(F, t) for t in times])
+
+
+def charge_drift(p: SolutionParams, momenta) -> dict:
+    """Max relative deviation of the Noether P, W in ``momenta`` from p.P, p.W."""
     scale_P = max(np.max(np.abs(p.P)), 1e-300)
     scale_W = max(np.max(np.abs(p.W)), 1e-300)
     dP = dW = 0.0
-    for t in times:
-        x, k = traj.jets(t)
-        xv = np.array([jets.value(c) for c in x])
-        kv = np.array([jets.value(c) for c in k])
-        xd = np.array([c.g[0] for c in x])
-        kd = np.array([c.g[0] for c in k])
-        ms = momenta_from_vectors(F, xd, kv, kd, x=xv)
+    for ms in momenta:
         dP = max(dP, float(np.max(np.abs(ms.P - p.P))) / scale_P)
         dW = max(dW, float(np.max(np.abs(ms.W - p.W))) / scale_W)
-    return {"P_drift": dP, "W_drift": dW, "points": len(list(times))}
+    return {"P_drift": dP, "W_drift": dW, "points": len(momenta)}
 
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
-    """PP and WW along an integrated trajectory, with max relative drift.
+    """PP and WW along an integrated trajectory, with max relative drift."""
+    return casimir_series(traj.F, [traj.momenta(traj.F, t) for t in times])
+
+
+def casimir_series(F: FForm, momenta) -> dict:
+    """PP and WW of each of ``momenta``, with max relative drift.
 
     The drift is relative to the initial value, floored at rounding of the
     physical scale (M^2 for PP, M^4 ell^2 for WW), so that a Casimir that is
     identically zero, like WW of the point particle, does not divide by noise.
     """
     pps, wws = [], []
-    for t in times:
-        c = traj.momenta(t).casimirs()
+    for ms in momenta:
+        c = ms.casimirs()
         pps.append(c.PP)
         wws.append(c.WW)
     pps, wws = np.array(pps), np.array(wws)
-    M, ell = traj.F.M, traj.F.ell
+    M, ell = F.M, F.ell
     eps = np.finfo(float).eps
 
     def rel_drift(v, scale):
@@ -500,21 +521,15 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
 # -- trajectory export --------------------------------------------------------
 
 
-def export_trajectory(path, F: FForm, traj: Trajectory, times, dof=DOF5) -> None:
-    """Delimited text: t, x0..x3, k0..k3, EL residual norm, PP, WW per row."""
+def export_trajectory(path, samples) -> None:
+    """Delimited text from ``trajectory_samples``: t, x0..x3, k0..k3, EL
+    residual norm, PP, WW per row."""
     cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
             "el_residual_norm", "PP", "WW"]
     lines = [",".join(cols)]
-    for t in times:
-        x, k = traj.jets(t)
-        xv = [jets.value(c) for c in x]
-        kv = [jets.value(c) for c in k]
-        xd = np.array([c.g[0] for c in x])
-        kd = np.array([c.g[0] for c in k])
-        rep = el_residuals(F, traj, t, dof)
-        ms = momenta_from_vectors(F, xd, np.array(kv), kd, x=np.array(xv))
+    for t, xv, kv, rep, ms in samples:
         c = ms.casimirs()
-        row = [float(t), *xv, *kv, float(np.linalg.norm(rep.residuals)), c.PP, c.WW]
+        row = [t, *xv, *kv, float(np.linalg.norm(rep.residuals)), c.PP, c.WW]
         lines.append(",".join(f"{v:.17g}" for v in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -14,7 +14,7 @@ expressions over P, Q, nu with + - * / ^ and sqrt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "FForm",
     "ParseError",
     "pq_from_jet",
+    "pq_from_vectors",
     "parse_f",
     "parse_phase",
     "builtin",
@@ -84,27 +85,22 @@ class FForm:
             return FFormValue(float(out), 0.0, 0.0, 0.0, 0.0, 0.0)
         return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
 
-    def with_params(self, M=None, ell=None, nu=None) -> "FForm":
-        kw = {}
-        if M is not None:
-            kw["M"] = M
-        if ell is not None:
-            kw["ell"] = ell
-        if nu is not None:
-            kw["nu"] = nu
-        return replace(self, **kw)
-
 
 def pq_from_jet(J: KinematicJet, ell: float) -> PQPoint:
+    """(P, Q) of a kinematic jet; see ``pq_from_vectors``."""
+    return pq_from_vectors(J.xdot, J.k, J.kdot, ell)
+
+
+def pq_from_vectors(xdot, k, kdot, ell: float) -> PQPoint:
     """P = ell kd.x / (k.x sqrt(x.x)), Q = -ell^2 kd.kd / (k.x)^2."""
-    xx = dot(J.xdot, J.xdot)
-    kx = dot(J.k, J.xdot)
+    xx = dot(xdot, xdot)
+    kx = dot(k, xdot)
     if xx <= 0.0:
         raise DomainError(f"xdot.xdot = {xx} must be positive")
     if kx <= 0.0:
         raise DomainError(f"k.xdot = {kx} must be positive")
-    P = ell * dot(J.kdot, J.xdot) / (kx * np.sqrt(xx))
-    Q = -(ell**2) * dot(J.kdot, J.kdot) / kx**2
+    P = ell * dot(kdot, xdot) / (kx * np.sqrt(xx))
+    Q = -(ell**2) * dot(kdot, kdot) / kx**2
     return PQPoint(P=float(P), Q=float(Q))
 
 
@@ -179,7 +175,10 @@ class _Parser:
         return tok
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", 0) from None
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
@@ -236,6 +235,15 @@ class _Parser:
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 
+def _evaluate(tree, env):
+    """``_eval_node``, with overflow, a zero divisor inside the jets, or a tree
+    too deep to recurse through reported as a DomainError."""
+    try:
+        return _eval_node(tree, env)
+    except (ArithmeticError, RecursionError) as exc:
+        raise DomainError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def _eval_node(node, env):
     kind = node[0]
     if kind == "num":
@@ -254,9 +262,12 @@ def _eval_node(node, env):
         b = _eval_node(node[2], env)
         b = jets.value(b)
         try:
-            return a**b
+            out = a**b
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
+        if isinstance(out, complex):
+            raise DomainError(f"{a} ^ {b} is not real")
+        return out
     b = _eval_node(node[2], env)
     if kind == "+":
         return a + b
@@ -276,11 +287,11 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
     tree = _Parser(expr).parse()
 
     def func(P, Q, _tree=tree):
-        return _eval_node(_tree, {"P": P, "Q": Q, "nu": nu})
+        return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
 
     def domain(P, Q, _tree=tree):
         try:
-            _eval_node(_tree, {"P": float(P), "Q": float(Q), "nu": nu})
+            _evaluate(_tree, {"P": float(P), "Q": float(Q), "nu": nu})
         except DomainError:
             return False
         return True
@@ -291,7 +302,7 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
 def parse_phase(expr: str):
     """Compile an expression over t into a jet-generic scalar function."""
     tree = _Parser(expr, names=("t",)).parse()
-    return lambda t, _tree=tree: _eval_node(_tree, {"t": t})
+    return lambda t, _tree=tree: _evaluate(_tree, {"t": t})
 
 
 # -- builtins ----------------------------------------------------------------

@@ -118,11 +118,6 @@ class BasicScalars:
     a_mdot: float
     b_mdot: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a_kdot, self.b_kdot, self.k_xdot, self.a_xdot,
-                         self.b_xdot, self.a_bdot, self.m_kdot, self.m_xdot,
-                         self.a_mdot, self.b_mdot])
-
 
 def basic_scalars(J: KinematicJet) -> BasicScalars:
     return BasicScalars(
@@ -377,15 +372,10 @@ def jet_from_angle_paths(theta, phi, psi, Phi, xdot, tau: float) -> KinematicJet
     (t,) = jets.variables(tau)
     k, m, a, b = tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t))
 
-    def split(vec):
-        val = np.array([jets.value(c) for c in vec])
-        der = np.array([c.g[0] if isinstance(c, jets.Jet) else 0.0 for c in vec])
-        return val, der
-
-    kv, kd = split(k)
-    mv, md = split(m)
-    av, ad = split(a)
-    bv, bd = split(b)
+    kv, kd = jets.split(k)
+    mv, md = jets.split(m)
+    av, ad = jets.split(a)
+    bv, bd = jets.split(b)
     xd = np.asarray(xdot(tau) if callable(xdot) else xdot, dtype=float)
     return KinematicJet(xdot=xd, k=kv, m=mv, a=av, b=bv,
                         kdot=kd, mdot=md, adot=ad, bdot=bd)
@@ -448,15 +438,10 @@ def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
     a = [zero] + avec
     b = [zero] + bvec
 
-    def split(vec):
-        val = np.array([jets.value(c) for c in vec])
-        der = np.array([c.g[0] if isinstance(c, jets.Jet) else 0.0 for c in vec])
-        return val, der
-
-    kv, kd = split(k)
-    mv, md = split(m)
-    av, ad = split(a)
-    bv, bd = split(b)
+    kv, kd = jets.split(k)
+    mv, md = jets.split(m)
+    av, ad = jets.split(a)
+    bv, bd = jets.split(b)
     J = KinematicJet(xdot=random_timelike(rng), k=kv, m=mv, a=av, b=bv,
                      kdot=kd, mdot=md, adot=ad, bdot=bd)
     return J.validate()

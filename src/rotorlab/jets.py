@@ -24,6 +24,7 @@ __all__ = [
     "variables",
     "constant",
     "value",
+    "split",
     "sqrt",
     "sin",
     "cos",
@@ -176,6 +177,14 @@ def constant(v, n):
 def value(x):
     """Numeric value of a jet or plain number."""
     return x.f if isinstance(x, Jet) else float(x)
+
+
+def split(vec):
+    """Values and first derivatives of jets in one parameter, as two float
+    arrays; a plain-number entry has derivative 0."""
+    val = np.array([value(c) for c in vec])
+    der = np.array([c.g[0] if isinstance(c, Jet) else 0.0 for c in vec])
+    return val, der
 
 
 def _chain(u, f, f1, f2):

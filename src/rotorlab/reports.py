@@ -9,6 +9,7 @@ explicit command-line flags.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -83,8 +84,10 @@ class RunConfig:
     out: str = ""
 
     def __post_init__(self):
-        if self.M <= 0.0 or self.ell <= 0.0:
-            raise ValueError(f"M = {self.M} and ell = {self.ell} must be positive")
+        if not (0.0 < self.M < math.inf and 0.0 < self.ell < math.inf
+                and math.isfinite(self.nu)):
+            raise ValueError(f"M = {self.M} and ell = {self.ell} must be positive "
+                             f"and nu = {self.nu} finite")
 
     def tolerance(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))

@@ -1,43 +1,23 @@
 """Acceptance suite: one check per criterion, each printing a pass/fail line.
 
-All checks are property- or oracle-based and run at desk scale.
+All checks are property- or oracle-based and run at desk scale.  Checks that
+``rotorlab verify`` also runs take their residual from the same ``cli`` function.
 """
 
 import numpy as np
-import pytest
 
-from rotorlab import jets
-from rotorlab.degeneracy import (
-    DOF5,
-    DOF6,
-    ChartState,
-    fq_det_formula,
-    hessian,
-    random_chart_state,
-    relation_check,
-)
-from rotorlab.dynamics import (
-    angular_speed,
-    casimir_drift,
-    conservation_drift,
-    el_residuals,
-    free_motion,
-    indeterminacy_demo,
-    integrate,
-    rest_frame_params,
-    speed_to_Q,
-)
-from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_jet
+from rotorlab import cli, jets
+from rotorlab.degeneracy import ChartState, fq_det_formula, random_chart_state
+from rotorlab.dynamics import casimir_drift, free_motion, integrate, rest_frame_params
+from rotorlab.fform import builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import (
     GaugeJet,
     basic_scalars,
     gauge_jet_transform,
-    iota,
     random_kinematic_jet,
     reproduce_invariant_count,
 )
-from rotorlab.minkowski import dot, gram_det
-from rotorlab.noether import casimirs_closed_form, fundamental_residuals, momenta
+from rotorlab.reports import RunConfig
 from rotorlab.spinor import spinor_from_angles, tetrad
 
 
@@ -48,25 +28,13 @@ def report(n, name, residual, tolerance):
     assert ok, f"criterion {n} ({name}): {residual} > {tolerance}"
 
 
-PRODUCTS = [
-    ("k", "k", 0.0), ("m", "m", 0.0), ("k", "m", 2.0),
-    ("a", "a", -1.0), ("b", "b", -1.0), ("a", "b", 0.0),
-    ("k", "a", 0.0), ("k", "b", 0.0), ("m", "a", 0.0), ("m", "b", 0.0),
-]
-
-
 def test_01_tetrad_algebra():
     rng = np.random.default_rng(101)
-    worst_rel, worst_gram = 0.0, 0.0
-    for _ in range(1000):
-        T = tetrad(spinor_from_angles(
+    worst_rel, worst_gram = cli.tetrad_residuals(
+        tetrad(spinor_from_angles(
             rng.uniform(0.02, np.pi - 0.02), rng.uniform(0, 2 * np.pi),
             rng.uniform(0.1, 8.0), rng.uniform(0, 4 * np.pi)))
-        vs = dict(zip("kmab", T.vectors()))
-        scale = max(abs(dot(vs["k"], vs["m"])), 1.0)
-        worst_rel = max(worst_rel, max(
-            abs(dot(vs[u], vs[v]) - want) / scale for u, v, want in PRODUCTS))
-        worst_gram = max(worst_gram, abs(gram_det(*T.vectors()) + 4.0))
+        for _ in range(1000))
     report(1, "tetrad scalar products", worst_rel, 1e-12)
     report(1, "tetrad gram determinant", worst_gram, 1e-11)
 
@@ -78,13 +46,10 @@ def test_02_gauge_invariance_and_shift_table():
         J = random_kinematic_jet(rng)
         al, be = rng.uniform(-2, 2, 2)
         ald, bed = rng.uniform(-1, 1, 2)
-        base = iota(J)
-        shifted_jet = gauge_jet_transform(J, GaugeJet(al, be, ald, bed))
-        shifted = iota(shifted_jet)
-        scale = np.maximum(np.abs(base), 1.0)
-        worst_inv = max(worst_inv, float(np.max(np.abs(shifted - base) / scale)))
+        G = GaugeJet(al, be, ald, bed)
+        worst_inv = max(worst_inv, cli.gauge_residual(J, G))
 
-        s, t = basic_scalars(J), basic_scalars(shifted_jet)
+        s, t = basic_scalars(J), basic_scalars(gauge_jet_transform(J, G))
         expected = [
             (t.a_kdot, s.a_kdot),
             (t.b_kdot, s.b_kdot),
@@ -108,94 +73,42 @@ def test_02_gauge_invariance_and_shift_table():
 
 
 def test_03_invariant_counting():
-    gap = 0
-    for seed in range(6):
-        rep = reproduce_invariant_count(seed)
-        gap += (abs(rep.rank - 5) + abs(rep.nullity - 10)
-                + abs(rep.zero_combos - 2) + abs(rep.functional_rank - 3)
-                + abs(rep.total_independent - 6))
+    gap = sum(cli.count_gap(reproduce_invariant_count(seed)) for seed in range(6))
     report(3, "invariant counting (5, 10, 2, 3)", float(gap), 0.0)
 
 
 def test_04_fundamental_conditions():
-    forms = [builtin("rotator_f")]
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        forms.append(builtin("starlike", signs=signs))
-    for nu in (-1.0, -0.3, 0.0, 0.5, 2.0):
-        forms.append(builtin("nu_family", nu=nu))
-    worst = 0.0
-    for F in forms:
-        grid = [PQPoint(P, Q)
-                for P in np.linspace(-0.9, 0.9, 20)
-                for Q in np.linspace(0.05, 4.0, 20)
-                if F.in_domain(P, Q)]
-        res = fundamental_residuals(F, grid)
-        worst = max(worst, res["max_PP_residual"], res["max_WW_residual"])
+    worst = max(cli.fundamental_residual(F, 20)[0]
+                for F in cli.fundamental_forms(RunConfig()))
     report(4, "fixed mass and spin conditions", worst, 1e-10)
 
 
 def test_05_noether_crosscheck():
     rng = np.random.default_rng(105)
-    forms = [builtin("point_particle"), builtin("rotator_f"),
-             builtin("fq", f=lambda q: q),
-             builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q)]
-    for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        forms.append(builtin("starlike", signs=signs))
-    for nu in (-1.0, -0.3, 0.0, 0.5, 2.0):
-        forms.append(builtin("nu_family", nu=nu))
-    worst_cross, worst_wp = 0.0, 0.0
-    for _ in range(100):
-        J = random_kinematic_jet(rng)
-        for F in forms:
-            at = pq_from_jet(J, F.ell)
-            if not F.in_domain(at.P, at.Q):
-                continue
-            ms = momenta(F, J)
-            got = ms.casimirs()
-            want = casimirs_closed_form(F, at)
-            worst_cross = max(
-                worst_cross,
-                abs(got.PP - want.PP) / max(abs(want.PP), 1.0),
-                abs(got.WW - want.WW) / max(abs(want.WW), 1.0))
-            worst_wp = max(worst_wp,
-                           abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
+    forms = cli.fundamental_forms(RunConfig()) + [
+        builtin("point_particle"), builtin("fq", f=lambda q: q),
+        builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q)]
+    worst_cross, worst_wp = cli.noether_residuals(
+        forms, [random_kinematic_jet(rng) for _ in range(100)])
     report(5, "Noether vs closed-form Casimirs", worst_cross, 1e-9)
     report(5, "W.P orthogonality", worst_wp, 1e-10)
 
 
 def test_06_degeneracy():
     rng = np.random.default_rng(106)
-    states = [random_chart_state(rng) for _ in range(10)]
-    worst_singular, rank_gap = 0.0, 0
-    for st in states:
-        for F, dof in ((builtin("rotator_f"), DOF5),
-                       (builtin("nu_family", nu=0.4), DOF5),
-                       (builtin("starlike"), DOF6)):
-            rep = hessian(F, st, dof)
-            worst_singular = max(worst_singular, abs(rep.det) / rep.det_threshold)
-        rank_gap = max(rank_gap,
-                       abs(hessian(builtin("nu_family", nu=0.4), st, DOF5).rank - 4))
-    min_margin = np.inf
-    for st in states:
-        for expr in ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)"):
-            rep = hessian(parse_f(expr), st, DOF5)
-            min_margin = min(min_margin, abs(rep.det) / rep.det_threshold)
+    worst_singular, rank_gap, nondeg = cli.hessian_margins(
+        [random_chart_state(rng) for _ in range(10)])
     report(6, "fundamental families degenerate", worst_singular, 1.0)
     report(6, "nu-family Hessian rank 4", float(rank_gap), 0.0)
-    report(6, "generic f(Q) nondegenerate", 1.0 / min_margin, 1.0)
+    report(6, "generic f(Q) nondegenerate", nondeg, 1.0)
 
 
 def test_07_hessian_jacobian_relation():
     rng = np.random.default_rng(107)
-    forms = [parse_f(e) for e in ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2",
-                                  "sqrt(1+P^2+Q)", "(1+Q)*(1+P^2)")]
-    worst = 0.0
-    for _ in range(10):
-        st = random_chart_state(rng)
-        entries = [e for e in relation_check(forms, st, DOF6) if e.admissible]
-        assert len(entries) >= 5
-        ks = np.array([e.K for e in entries])
-        worst = max(worst, float(np.max(np.abs(ks - ks[0])) / abs(ks[0])))
+    worst, admissible = cli.relation_spread(
+        [parse_f(e) for e in cli.RELATION_FORMS],
+        [random_chart_state(rng) for _ in range(10)])
+    assert min(admissible) >= 5
     report(7, "kinematical factor form-independent", worst, 1e-7)
 
 
@@ -225,25 +138,12 @@ def test_08_fq_determinant_formula():
 
 
 def test_09_free_motion_indeterminism():
-    rot = builtin("rotator_f")
-    phases = [
-        lambda t: t,
-        lambda t: t + 0.1 * (t - jets.sin(t)),
-        lambda t: t + 0.2 * jets.sin(0.5 * t) * jets.sin(0.5 * t),
-    ]
-    base = rest_frame_params(phases[0])
     times = np.linspace(0.0, 5.0, 60)
-    demo = indeterminacy_demo(phases, base, times, rot)
-    drift = 0.0
-    for phase in phases:
-        p = rest_frame_params(phase)
-        d = conservation_drift(p, free_motion(p), times[::6], rot)
-        drift = max(drift, d["P_drift"], d["W_drift"])
-    report(9, "Euler-Lagrange residuals on exact solutions",
-           demo["max_el_residual"], 1e-8)
+    el, drift, div_gap, _ = cli.free_motion_residuals(
+        builtin("rotator_f"), cli.FREE_MOTION_PHASES, times, times[::6])
+    report(9, "Euler-Lagrange residuals on exact solutions", el, 1e-8)
     report(9, "conserved charge drift", drift, 1e-9)
-    report(9, "trajectory divergence from one initial state",
-           max(0.0, 0.05 - demo["divergence"]), 0.0)
+    report(9, "trajectory divergence from one initial state", div_gap, 0.0)
 
 
 def test_10_nondegenerate_integration():
@@ -267,10 +167,7 @@ def test_11_angular_speed_identity():
     for w in (0.2, 0.5, 1.0, 1.5):
         traj = free_motion(rest_frame_params(lambda t, w=w: w * t))
         x, k = traj.jets(0.4)
-        kv = np.array([jets.value(c) for c in k])
-        kd = np.array([c.g[0] for c in k])
-        xd = np.array([c.g[0] for c in x])
-        Q = -dot(kd, kd) / dot(kv, xd) ** 2
-        worst = max(worst, abs(angular_speed(Q, 1.0) - w),
-                    abs(speed_to_Q(w, 1.0) - Q))
+        (_, xd), (kv, kd) = jets.split(x), jets.split(k)
+        Q = pq_from_vectors(xd, kv, kd, 1.0).Q
+        worst = max(worst, cli.angular_speed_residual(w, Q, 1.0))
     report(11, "angular speed of the null direction", worst, 1e-10)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorlab.cli import main
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
@@ -10,6 +14,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected the arguments
+        return exc.code
 
 
 def test_verify_tetrad_passes(capsys):
@@ -64,10 +75,19 @@ def test_fundamental_check_nu_family(capsys):
 
 def test_hessian_rank_four(capsys):
     code, out = run(capsys, "hessian", "--f", "nu_family", "--nu", "0.3",
-                    "--state", "random", "--seed", "3")
+                    "--seed", "3")
     assert code == 0
     assert "inputs.rank = 4" in out
     assert "inputs.singular = true" in out
+
+
+@pytest.mark.parametrize("seed", [3, 7, 18, 35])
+def test_verify_degeneracy_passes_at_small_determinants(capsys, seed):
+    # generic f(Q) Hessians at these seeds have |det| down to 5e-23 but
+    # sigma_min / sigma_max of at least 7e-5: nondegenerate
+    code, out = run(capsys, "verify", "--suite", "degeneracy", "--seed", str(seed))
+    assert code == 0
+    assert "status = fail" not in out
 
 
 def test_relation_consistency(capsys):
@@ -154,3 +174,45 @@ def test_load_config_rejects_bad_lines(tmp_path):
         fh.write("not a key value line\n")
     with pytest.raises(ValueError):
         load_config(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hessian", "--f", "Q", "--state", "bogus"],
+    ["fundamental-check", "--f", "nu_family", "--grid", "0"],
+    ["relation", "--states", "0"],
+    ["simulate", "--periods", "0"],
+    ["simulate", "--periods", "-1"],
+    ["simulate", "--periods", "inf"],
+    ["freemotion", "--samples", "0"],
+    ["casimir", "--f", "Q", "--Q", "nan"],
+    ["casimir", "--f", "Q", "--P", "inf"],
+    ["casimir", "--f", "Q", "--M", "nan"],
+    ["casimir", "--f", "6^2398"],
+    ["casimir", "--f", "exp(Q)", "--Q", "1000"],
+    ["casimir", "--f", "0^-1"],
+    ["casimir", "--f", "(" * 2000 + "Q" + ")" * 2000],
+    ["casimir", "--f", "+".join(["Q"] * 2000)],
+])
+def test_bad_input_exits_2(capsys, argv):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+_leaves = st.sampled_from(["P", "Q", "nu", "0", "1", "2.5", "-1", "6", "1e308",
+                           "1e-320", "2398"])
+_expressions = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+    st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "-"]), sub)
+    .map(lambda t: f"{t[0]}({t[1]})"),
+), max_leaves=10)
+_text = st.text(alphabet="PQnu0123456789.e+-*/^() sqrtxpinco,", max_size=24)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(expr=st.one_of(_expressions, _text), Q=st.sampled_from(["0", "1e-3", "1", "1000"]))
+def test_casimir_fuzz_exit_codes(expr, Q):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = exit_code(["casimir", f"--f={expr}", "--Q", Q])
+    assert code in (0, 1, 2)

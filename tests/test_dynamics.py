@@ -8,6 +8,7 @@ from rotorlab.degeneracy import ChartState
 from rotorlab.dynamics import (
     SingularHessianError,
     SolutionParams,
+    Trajectory,
     angular_speed,
     casimir_drift,
     conservation_drift,
@@ -18,6 +19,7 @@ from rotorlab.dynamics import (
     integrate,
     rest_frame_params,
     speed_to_Q,
+    trajectory_samples,
 )
 from rotorlab.fform import builtin, parse_f
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
@@ -196,7 +198,15 @@ def test_export_trajectory(tmp_path):
     path = os.path.join(tmp_path, "traj.csv")
     p = rest_frame_params(lambda t: t)
     times = np.linspace(0.0, 2.0, 5)
-    export_trajectory(path, ROT, free_motion(p), times)
+    traj, queries = free_motion(p), []
+
+    class Counting(Trajectory):
+        def jets(self, t):
+            queries.append(t)
+            return traj.jets(t)
+
+    export_trajectory(path, trajectory_samples(ROT, Counting(), times))
+    assert queries == list(times)  # one trajectory query per row
     lines = open(path).read().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
@@ -206,3 +216,4 @@ def test_export_trajectory(tmp_path):
     assert row[0] == 0.0
     assert row[10] == pytest.approx(1.0, rel=1e-12)   # PP
     assert row[11] == pytest.approx(-0.25, rel=1e-12)  # WW
+
