@@ -355,7 +355,10 @@ def cmd_casimir(args, cfg: RunConfig):
         "PP_residual": abs(c.PP / pp_target - 1.0),
         "WW_residual": abs(c.WW / ww_target - 1.0),
     }
-    return [Report("casimir", 0.0, 0.0, cfg.seed, inputs)]
+    # the check is that every computed value is a number: an overflow in F
+    # or its partials makes the Casimirs inf or nan
+    finite = all(math.isfinite(x) for x in (v.F, v.F_P, v.F_Q, c.PP, c.WW))
+    return [Report("casimir", 0.0 if finite else math.inf, 0.0, cfg.seed, inputs)]
 
 
 def cmd_fundamental_check(args, cfg: RunConfig):

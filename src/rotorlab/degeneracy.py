@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, builtin, lagrangian_from_vectors, pq_from_vectors
+from .fform import FForm, PQPoint, builtin, lagrangian_from_scalars, pq_from_vectors
 from .minkowski import DomainError, four
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "ChartState",
     "HessianReport",
     "chart_vectors",
+    "chart_scalars",
     "chart_lagrangian",
     "hessian",
     "jacobian_pq",
@@ -90,9 +91,38 @@ def chart_vectors(q, qd, dof):
     return xdot, k, kdot
 
 
+def chart_scalars(q, qd, dof):
+    """(xdot.xdot, k.xdot, kdot.xdot, kdot.kdot) from chart coordinates in
+    closed form; generic over floats and jets.
+
+    With xdot = (1, v), k = K (1, n) and n.n = 1, n.ndot = 0:
+
+        xdot.xdot = 1 - |v|^2,           k.xdot = K (1 - n.v),
+        kdot.xdot = Kdot (1 - n.v) - K ndot.v,
+        kdot.kdot = -K^2 (thetadot^2 + sin^2(theta) phidot^2).
+
+    ``chart_vectors`` followed by four ``dot``s gives the same scalars to
+    rounding, at about twice the cost.
+    """
+    theta, phi = q[3], q[4]
+    v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
+    st, ct = jets.sin(theta), jets.cos(theta)
+    sp, cp = jets.sin(phi), jets.cos(phi)
+    a = cp * v1 + sp * v2
+    s = st * phd
+    # ndot = thetadot d n/d theta + phidot d n/d phi
+    ndv = thd * (ct * a - st * v3) + s * (cp * v2 - sp * v1)
+    w = 1.0 - (st * a + ct * v3)
+    nd2 = thd * thd + s * s
+    xx = 1.0 - (v1 * v1 + v2 * v2 + v3 * v3)
+    if len(dof) == 6:
+        K, Kd = q[5], qd[5]
+        return xx, K * w, Kd * w - K * ndv, -(K * K) * nd2
+    return xx, w, -ndv, -nd2
+
+
 def chart_lagrangian(F: FForm, q, qd, dof):
-    xdot, k, kdot = chart_vectors(q, qd, dof)
-    return lagrangian_from_vectors(F, xdot, k, kdot)
+    return lagrangian_from_scalars(F, *chart_scalars(q, qd, dof))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "lagrangian_density",
     "lagrangian_from_vectors",
+    "lagrangian_from_scalars",
     "rescaling_shift_check",
 ]
 
@@ -380,15 +381,20 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
 
 def lagrangian_from_vectors(F: FForm, xdot, k, kdot):
     """L = -M sqrt(x.x) F(P, Q) from raw (xdot, k, kdot); jet-generic."""
-    xx = dot(xdot, xdot)
-    kx = dot(k, xdot)
+    return lagrangian_from_scalars(F, dot(xdot, xdot), dot(k, xdot),
+                                   dot(kdot, xdot), dot(kdot, kdot))
+
+
+def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
+    """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
+    kdot.xdot and kdot.kdot; jet-generic."""
     if jets.value(xx) <= 0.0:
         raise DomainError("xdot.xdot must be positive")
     if jets.value(kx) <= 0.0:
         raise DomainError("k.xdot must be positive")
     rt = jets.sqrt(xx)
-    P = F.ell * dot(kdot, xdot) / (kx * rt)
-    Q = -(F.ell**2) * dot(kdot, kdot) / (kx * kx)
+    P = F.ell * kdx / (kx * rt)
+    Q = -(F.ell**2) * kdkd / (kx * kx)
     if not F.in_domain(jets.value(P), jets.value(Q)):
         raise DomainError(
             f"(P, Q) = ({jets.value(P)}, {jets.value(Q)}) outside domain of {F.name}")

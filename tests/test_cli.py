@@ -103,6 +103,15 @@ def test_simulate_conservation(capsys):
     assert "status = pass" in out
 
 
+@pytest.mark.parametrize("form", ["Q*1e308*10", "1e200*Q^2"])
+def test_casimir_fails_on_non_finite_values(capsys, form):
+    # F overflows in the first form; F is finite but PP and WW overflow in
+    # the second
+    code, out = run(capsys, "casimir", "--f", form)
+    assert code == 1
+    assert "status = fail" in out and "residual = inf" in out
+
+
 def test_simulate_degenerate_form_aborts(capsys):
     code = main(["simulate", "--f", "rotator"])
     assert code == 2
@@ -110,7 +119,7 @@ def test_simulate_degenerate_form_aborts(capsys):
 
 
 def test_simulate_integration_failure_exits_2(capsys):
-    # the step size of RK45 collapses as the Hessian of 1 + Q + P^2 degenerates
+    # the integrator's step size collapses as the Hessian of 1 + Q + P^2 degenerates
     code = main(["simulate", "--f", "1+Q+P^2", "--periods", "1"])
     err = capsys.readouterr().err
     assert code == 2

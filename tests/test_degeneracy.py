@@ -6,6 +6,7 @@ from rotorlab.degeneracy import (
     DOF5,
     DOF6,
     ChartState,
+    chart_scalars,
     chart_vectors,
     fq_det_formula,
     hessian,
@@ -30,6 +31,34 @@ def test_chart_vectors_are_consistent():
             assert xdot[0] == 1.0
             if len(dof) == 5:
                 assert k[0] == 1.0
+
+
+def _rel_gap(got, want, scale):
+    return float(np.max(np.abs(np.asarray(got) - want))) / max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6])
+def test_chart_scalars_match_dots_of_chart_vectors(dof):
+    """The closed-form scalars equal the four dots of ``chart_vectors``, on
+    floats and on jets seeded in every coordinate and velocity: the value to
+    rounding of the dot's largest term, g and h to rounding of their largest
+    entry."""
+    rng = np.random.default_rng(21)
+    n = len(dof)
+    for _ in range(50):
+        q, qd = random_chart_state(rng).coords(dof)
+        vs = jets.variables(*q, *qd)
+        for q_, qd_ in ((q, qd), (vs[:n], vs[n:])):
+            xdot, k, kdot = chart_vectors(q_, qd_, dof)
+            pairs = ((xdot, xdot), (k, xdot), (kdot, xdot), (kdot, kdot))
+            for (u, v), got in zip(pairs, chart_scalars(q_, qd_, dof)):
+                want = dot(u, v)
+                terms = sum(abs(jets.value(a) * jets.value(b)) for a, b in zip(u, v))
+                assert _rel_gap(jets.value(got), jets.value(want), terms) <= 1e-14
+                if isinstance(want, jets.Jet):
+                    assert want.n == 2 * n
+                    assert _rel_gap(got.g, want.g, np.max(np.abs(want.g))) <= 1e-14
+                    assert _rel_gap(got.h, want.h, np.max(np.abs(want.h))) <= 1e-14
 
 
 def test_pole_states_rejected():

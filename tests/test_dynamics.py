@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from rotorlab import jets
-from rotorlab.degeneracy import ChartState
+from rotorlab import dynamics, jets
+from rotorlab.degeneracy import DOF5, DOF6, ChartState
 from rotorlab.dynamics import (
     SingularHessianError,
     SolutionParams,
@@ -157,6 +157,30 @@ def test_casimir_drift_floors_at_physical_scale():
         assert d[key + "_drift"] == float(np.max(np.abs(v - v[0])) / abs(v[0]))
 
 
+@pytest.mark.parametrize("dof", [DOF5, DOF6])
+def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
+    """IntegratedTrajectory.momenta reads the chart state only; its P and W
+    equal those of the jets path, which also solves for the acceleration."""
+    fq = builtin("fq", f=lambda q: q * q)
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
+                    thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
+    traj = integrate(fq, st, (0.0, 2.0), dof=dof)
+    calls = []
+    real = dynamics._hessian_and_force
+    monkeypatch.setattr(dynamics, "_hessian_and_force",
+                        lambda *a: calls.append(a) or real(*a))
+    for t in (0.0, 0.7, 2.0):
+        got = traj.momenta(fq, t)
+        assert not calls
+        want = Trajectory.momenta(traj, fq, t)
+        assert calls
+        calls.clear()
+        # the two routes round kdot differently; over 41 times the gap is at
+        # most 4e-15 (DOF5) and 1.6e-14 (DOF6) relative
+        for a, b in ((got.P, want.P), (got.W, want.W), (got.M, want.M)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
 def test_point_particle_moves_straight_with_frozen_k():
     pp = builtin("point_particle")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
@@ -173,16 +197,21 @@ def test_rotator_integration_aborts_immediately():
     assert e.value.state is not None and "q" in e.value.state
 
 
-def test_indeterminacy_demo():
+def test_indeterminacy_demo(monkeypatch):
     phases = [
         lambda t: t,
         bent_phase,
         lambda t: t + 0.2 * jets.sin(0.5 * t) * jets.sin(0.5 * t),
     ]
+    queries = []
+    real = dynamics.FreeMotionTrajectory.jets
+    monkeypatch.setattr(dynamics.FreeMotionTrajectory, "jets",
+                        lambda self, t: queries.append(t) or real(self, t))
     base = rest_frame_params(phases[0])
     rep = indeterminacy_demo(phases, base, np.linspace(0.0, 5.0, 40), ROT)
     assert rep["max_el_residual"] < 1e-8
     assert rep["divergence"] > 0.05
+    assert len(queries) == len(phases) * 40  # one query per phase and time
 
 
 def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
