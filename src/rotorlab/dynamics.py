@@ -34,6 +34,7 @@ __all__ = [
     "SolutionParams",
     "FreeMotionTrajectory",
     "IntegratedTrajectory",
+    "SpanSolution",
     "SingularHessianError",
     "ELReport",
     "free_motion",
@@ -305,18 +306,42 @@ def _qr_solve(H, Z, cond_tol, t, q, qd):
     return qdd
 
 
+class SpanSolution:
+    """A scipy OdeSolution held to the span it covers.
+
+    A time outside [t_min, t_max] reads the state at the nearer end, as
+    np.interp does, instead of extrapolating the last step's polynomial: for
+    DOP853 that extrapolation can leave the light cone within a period.
+    """
+
+    def __init__(self, sol):
+        self._sol = sol
+        self.ts = sol.ts
+        self.t_min, self.t_max = sol.t_min, sol.t_max
+
+    def __call__(self, t):
+        return self._sol(np.clip(t, self.t_min, self.t_max))
+
+
 @dataclass(frozen=True)
 class IntegratedTrajectory(Trajectory):
-    """Lab-time solution of H qddot = Z; t is lab time x^0."""
+    """Lab-time solution of H qddot = Z; t is lab time x^0.
+
+    ``chart`` and everything built on it raise ValueError outside the
+    integrated span."""
 
     F: FForm
     dof: tuple
-    sol: object  # scipy OdeSolution (dense output)
+    sol: SpanSolution  # dense output
     t_span: tuple
     cond_tol: float = 1e-12
 
     def chart(self, t: float):
-        y = self.sol(float(t))
+        t = float(t)
+        if not self.sol.t_min <= t <= self.sol.t_max:
+            raise ValueError(f"t = {t} outside the integrated span "
+                             f"[{self.sol.t_min}, {self.sol.t_max}]")
+        y = self.sol(t)
         n = len(self.dof)
         return y[:n], y[n:]
 
@@ -391,7 +416,7 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
             f"integration failed at t = {sol.t[-1]:.6g}: {sol.message}",
             state={"t": float(sol.t[-1]), "q": list(y[:n]), "qd": list(y[n:])},
         )
-    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=sol.sol,
+    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=SpanSolution(sol.sol),
                                 t_span=tuple(t_span), cond_tol=cond_tol)
 
 

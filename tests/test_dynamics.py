@@ -181,6 +181,24 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+def test_integrated_trajectory_stays_in_its_span():
+    """The dense output holds its end states outside the integrated span
+    instead of extrapolating (the DOP853 polynomial of the last step reads
+    |v|^2 = 1.05 at twice this span); chart queries there raise."""
+    fq = builtin("fq", f=lambda q: q)
+    st = ChartState(theta=1.2, phi=0.3, v=(0.05, 0.0, -0.04),
+                    thetadot=0.3, phidot=0.7)
+    t_end = 2 * np.pi / st.phidot
+    traj = integrate(fq, st, (0.0, t_end))
+    assert np.array_equal(traj.sol(2 * t_end), traj.sol(t_end))
+    assert np.array_equal(traj.sol(-1.0), traj.sol(0.0))
+    assert np.sum(traj.sol(2 * t_end)[5:8] ** 2) < 1.0
+    assert np.array_equal(traj.chart(t_end)[0], traj.sol(t_end)[:5])
+    for t in (-1e-9, t_end * (1 + 1e-12), 2 * t_end):
+        with pytest.raises(ValueError, match="outside the integrated span"):
+            traj.chart(t)
+
+
 def test_point_particle_moves_straight_with_frozen_k():
     pp = builtin("point_particle")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
