@@ -9,94 +9,4 @@ exact free motion plus numerical integration (``dynamics``).  ``cli`` exposes
 the whole stack as a command-line tool; ``reports`` holds the report plumbing.
 """
 
-from .minkowski import (
-    DomainError,
-    METRIC,
-    dot,
-    epsilon_contract,
-    four,
-    gram_det,
-    lorentz_matrix,
-    lorentz_transform,
-)
-from .spinor import (
-    Spinor,
-    Tetrad,
-    gauge_transform,
-    mate,
-    null_vector,
-    phase_rotate,
-    spinor_from_angles,
-    tetrad,
-    tetrad_from_angles,
-)
-from .invariants import (
-    BasicScalars,
-    CountReport,
-    GaugeJet,
-    KinematicJet,
-    basic_scalars,
-    capital_invariants,
-    gauge_jet_transform,
-    identity_checks,
-    iota,
-    phase_rotate_jet,
-    random_kinematic_jet,
-    reproduce_invariant_count,
-    special_gauge_jet,
-)
-from .fform import (
-    BUILTIN_NAMES,
-    FForm,
-    FFormValue,
-    ParseError,
-    PQPoint,
-    builtin,
-    lagrangian_density,
-    parse_f,
-    parse_phase,
-    pq_from_jet,
-)
-from .noether import (
-    CasimirPair,
-    MomentumSet,
-    casimirs_closed_form,
-    casimirs_special_S,
-    fundamental_residuals,
-    momenta,
-    momenta_from_vectors,
-    pauli_lubanski,
-)
-from .degeneracy import (
-    DOF5,
-    DOF6,
-    ChartState,
-    FqDetResult,
-    HessianReport,
-    RelationEntry,
-    fq_det_formula,
-    hessian,
-    jacobian_pq,
-    random_chart_state,
-    relation_check,
-)
-from .dynamics import (
-    ELReport,
-    FreeMotionTrajectory,
-    IntegratedTrajectory,
-    SingularHessianError,
-    SolutionParams,
-    angular_speed,
-    casimir_drift,
-    conservation_drift,
-    el_residuals,
-    export_trajectory,
-    free_motion,
-    indeterminacy_demo,
-    integrate,
-    rest_frame_params,
-    speed_to_Q,
-)
-from .reports import Report, RunConfig, all_pass, load_config, render_reports
-
 __version__ = "0.1.0"

@@ -219,26 +219,32 @@ def count_gap(rep) -> int:
 
 # -- verification suites ------------------------------------------------------
 
+# samples drawn per suite from the run's seed
+TETRAD_SPINORS = 200
+INVARIANT_JETS = 60
+CASIMIR_JETS = 25
+DEGENERACY_STATES = 4
 
-def suite_tetrad(cfg: RunConfig, n: int = 200):
+
+def suite_tetrad(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     worst_rel, worst_gram = tetrad_residuals(
         tetrad(spinor_from_angles(
             rng.uniform(0.05, np.pi - 0.05), rng.uniform(0, 2 * np.pi),
             rng.uniform(0.2, 5.0), rng.uniform(0, 4 * np.pi)))
-        for _ in range(n))
+        for _ in range(TETRAD_SPINORS))
     return [
         Report("tetrad-relations", worst_rel, cfg.tolerance("tetrad", 1e-12),
-               cfg.seed, {"spinors": n}),
+               cfg.seed, {"spinors": TETRAD_SPINORS}),
         Report("tetrad-gram-det", worst_gram, cfg.tolerance("gram", 1e-11),
-               cfg.seed, {"spinors": n}),
+               cfg.seed, {"spinors": TETRAD_SPINORS}),
     ]
 
 
-def suite_invariants(cfg: RunConfig, n: int = 60):
+def suite_invariants(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     worst_gauge, worst_ident = 0.0, 0.0
-    for _ in range(n):
+    for _ in range(INVARIANT_JETS):
         J = random_kinematic_jet(rng)
         G = GaugeJet(alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2),
                      alphadot=rng.uniform(-1, 1), betadot=rng.uniform(-1, 1))
@@ -247,45 +253,45 @@ def suite_invariants(cfg: RunConfig, n: int = 60):
                           max(abs(v) for v in identity_checks(J).values()))
     return [
         Report("gauge-invariance", worst_gauge, cfg.tolerance("gauge", 1e-10),
-               cfg.seed, {"jets": n}),
+               cfg.seed, {"jets": INVARIANT_JETS}),
         Report("scalar-identities", worst_ident, cfg.tolerance("identities", 1e-10),
-               cfg.seed, {"jets": n}),
+               cfg.seed, {"jets": INVARIANT_JETS}),
     ]
 
 
-def suite_casimir(cfg: RunConfig, n: int = 25):
+def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
     worst_fund = max(fundamental_residual(F, 12)[0] for F in fundamental)
     forms = fundamental + [builtin("point_particle"), builtin("fq", f=lambda q: q)]
     worst_cross, worst_wp = noether_residuals(
-        forms, [random_kinematic_jet(rng) for _ in range(n)])
+        forms, [random_kinematic_jet(rng) for _ in range(CASIMIR_JETS)])
     return [
         Report("fundamental-conditions", worst_fund,
                cfg.tolerance("fundamental", 1e-10), cfg.seed,
                {"forms": len(fundamental)}),
         Report("noether-crosscheck", worst_cross, cfg.tolerance("noether", 1e-9),
-               cfg.seed, {"jets": n}),
+               cfg.seed, {"jets": CASIMIR_JETS}),
         Report("wp-orthogonality", worst_wp, cfg.tolerance("wp", 1e-10),
-               cfg.seed, {"jets": n}),
+               cfg.seed, {"jets": CASIMIR_JETS}),
     ]
 
 
-def suite_degeneracy(cfg: RunConfig, n_states: int = 4):
+def suite_degeneracy(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    states = [random_chart_state(rng) for _ in range(n_states)]
+    states = [random_chart_state(rng) for _ in range(DEGENERACY_STATES)]
     worst_singular, rank_gap, nondeg = hessian_margins(states)
     forms = [parse_f(e) for e in RELATION_FORMS[:5]]
     spread, _ = relation_spread(forms, states)
     return [
         Report("degenerate-hessians", worst_singular, 1.0, cfg.seed,
-               {"states": n_states, "forms": 3}),
+               {"states": DEGENERACY_STATES, "forms": 3}),
         Report("nu-family-rank-4", float(rank_gap), 0.0, cfg.seed,
-               {"states": n_states}),
+               {"states": DEGENERACY_STATES}),
         Report("nondegenerate-dets", nondeg, 1.0, cfg.seed,
-               {"states": n_states, "forms": 4}),
+               {"states": DEGENERACY_STATES, "forms": 4}),
         Report("relation-consistency", spread, cfg.tolerance("relation", 1e-7),
-               cfg.seed, {"states": n_states, "forms": len(forms)}),
+               cfg.seed, {"states": DEGENERACY_STATES, "forms": len(forms)}),
     ]
 
 
@@ -376,7 +382,10 @@ def cmd_hessian(args, cfg: RunConfig):
     rep = hessian(F, state, dof)
     inputs = {"form": F.name, "dof": len(dof), "rank": rep.rank, "det": rep.det,
               "singular": rep.is_singular}
-    return [Report("hessian", 0.0, 0.0, cfg.seed, inputs)]
+    # as for ``casimir``: the check is that the Hessian and its determinant
+    # are numbers
+    finite = np.isfinite(rep.matrix).all() and math.isfinite(rep.det)
+    return [Report("hessian", 0.0 if finite else math.inf, 0.0, cfg.seed, inputs)]
 
 
 def cmd_relation(args, cfg: RunConfig):

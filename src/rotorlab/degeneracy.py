@@ -42,6 +42,9 @@ DOF6 = ("x1", "x2", "x3", "theta", "phi", "K")
 
 RANK_TOL = 1e-10
 POLE_MARGIN = 1e-3
+ADMISSIBLE_TOL = 1e-8  # relative size below which a relation factor is degenerate
+BRACKET_TOL = 1e-10  # |B(Q)| below which the f(Q) formula gives no K
+MAX_SPEED = 0.4  # a random chart state has |v_i| <= MAX_SPEED / sqrt(3)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,10 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
     qj = list(q)  # coordinates enter as plain values
     L = chart_lagrangian(F, qj, vs, dof)
     H = L.h
-    sv = np.linalg.svd(H, compute_uv=False)
+    # an F that overflows leaves non-finite entries, which the SVD rejects:
+    # the singular values of such an H are NaN, and its rank 0
+    finite = np.isfinite(H).all()
+    sv = np.linalg.svd(H, compute_uv=False) if finite else np.full(n, np.nan)
     rank = int(np.sum(sv > RANK_TOL * max(sv[0], 1e-300)))
     return HessianReport(matrix=H, singular_values=sv, rank=rank,
                          det=float(np.linalg.det(H)), dof=tuple(dof))
@@ -203,7 +209,7 @@ class RelationEntry:
     K: float = float("nan")
 
 
-def relation_check(forms, state: ChartState, dof=DOF6, tol=1e-8) -> list:
+def relation_check(forms, state: ChartState, dof=DOF6) -> list:
     """Extract the kinematical factor K = det H / (middle * jacobian) per form.
 
     Forms for which the middle ratio or the Casimir Jacobian degenerates at
@@ -221,12 +227,12 @@ def relation_check(forms, state: ChartState, dof=DOF6, tol=1e-8) -> list:
         jac = jacobian_pq(F, at)
         scale = max(abs(v.F), 1.0)
         H = hessian(F, state, dof)
-        if abs(den) <= tol * scale or abs(num) <= tol * scale:
+        if abs(den) <= ADMISSIBLE_TOL * scale or abs(num) <= ADMISSIBLE_TOL * scale:
             out.append(RelationEntry(form=F.name, admissible=False,
                                      reason="middle ratio degenerate",
                                      det_hessian=H.det, jacobian=jac))
             continue
-        if abs(jac) <= tol * max(abs(H.det), 1.0):
+        if abs(jac) <= ADMISSIBLE_TOL * max(abs(H.det), 1.0):
             out.append(RelationEntry(form=F.name, admissible=False,
                                      reason="Casimir Jacobian degenerate",
                                      det_hessian=H.det, middle=num / den, jacobian=jac))
@@ -245,13 +251,9 @@ class FqDetResult:
     direct_det: float       # det of the 5-dof Hessian
     K: float                # direct / formula, when B != 0
 
-    def as_dict(self) -> dict:
-        return {"Q": self.Q, "bracket": self.bracket, "formula": self.formula,
-                "direct_det": self.direct_det, "K": self.K}
 
-
-def fq_det_formula(f, state: ChartState, ell: float = 1.0, M: float = 1.0,
-                   bracket_tol=1e-10) -> FqDetResult:
+def fq_det_formula(f, state: ChartState, ell: float = 1.0,
+                   M: float = 1.0) -> FqDetResult:
     """Closed-form 5-dof determinant structure for F = f(Q).
 
     ``f`` is a generic callable with two derivatives (jet-compatible).
@@ -268,13 +270,13 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0, M: float = 1.0,
     bracket = 1.0 + 2.0 * Q * (fp / fv + fpp / fp)
     formula = fv**3 * fp**2 * bracket
     direct = hessian(F, state, DOF5).det
-    K = direct / formula if abs(bracket) > bracket_tol else float("nan")
+    K = direct / formula if abs(bracket) > BRACKET_TOL else float("nan")
     return FqDetResult(Q=Q, bracket=bracket, formula=formula, direct_det=direct, K=K)
 
 
-def random_chart_state(rng, speed=0.4) -> ChartState:
+def random_chart_state(rng) -> ChartState:
     """Generic state away from chart poles, with subluminal xdot."""
-    v = rng.uniform(-speed, speed, 3) / np.sqrt(3.0)
+    v = rng.uniform(-MAX_SPEED, MAX_SPEED, 3) / np.sqrt(3.0)
     return ChartState(
         theta=rng.uniform(0.4, np.pi - 0.4),
         phi=rng.uniform(0.0, 2 * np.pi),

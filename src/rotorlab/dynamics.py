@@ -54,6 +54,9 @@ __all__ = [
 
 PARAM_TOL = 1e-12
 SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
+MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
+RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
+COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
 
 
 class SingularHessianError(RuntimeError):
@@ -100,8 +103,8 @@ class SolutionParams:
             "NP": dot(self.N, self.P) / M,
         }
 
-    def validate(self, tol: float = PARAM_TOL) -> "SolutionParams":
-        bad = {k: v for k, v in self.residuals().items() if abs(v) > tol}
+    def validate(self) -> "SolutionParams":
+        bad = {k: v for k, v in self.residuals().items() if abs(v) > PARAM_TOL}
         if bad:
             raise DomainError(f"solution parameters violate constraints: {bad}")
         return self
@@ -111,20 +114,18 @@ class SolutionParams:
         return epsilon_contract(self.N, self.W, self.P) / (0.5 * self.M**3 * self.ell)
 
     def phase_jet(self, t: float) -> jets.Jet:
+        """The phase at t as a jet in t, its speed |phidot| checked against the
+        admissibility band (0, 2/ell)."""
         (tj,) = jets.variables(float(t))
         ph = self.phase(tj)
         if not isinstance(ph, jets.Jet):
             ph = jets.constant(float(ph), 1)
-        return ph
-
-    def check_speed(self, t: float) -> float:
-        """|phidot| at t, enforcing the admissibility band (0, 2/ell)."""
-        pd = self.phase_jet(t).g[0]
+        pd = ph.g[0]
         if not SPEED_FLOOR * (2.0 / self.ell) < abs(pd) < 2.0 / self.ell:
             raise DomainError(
                 f"phase speed {pd} at t = {t} outside (0, {2.0 / self.ell})"
             )
-        return pd
+        return ph
 
 
 class Trajectory:
@@ -157,8 +158,8 @@ class FreeMotionTrajectory(Trajectory):
 
     def jets(self, t: float):
         p = self.params
-        sgn = np.sign(p.check_speed(t))
         ph = p.phase_jet(t)
+        sgn = np.sign(ph.g[0])
         s, c = jets.sin(ph), jets.cos(ph)
         (tj,) = jets.variables(float(t))
         E = p.axis()
@@ -278,7 +279,7 @@ def _active(H, Z):
     return (np.max(absH, axis=1) > inert_tol) | (np.abs(Z) > inert_tol)
 
 
-def _qr_solve(H, Z, cond_tol, t, q, qd):
+def _qr_solve(H, Z, t, q, qd):
     """Solve H qddot = Z by QR with condition monitoring.
 
     Inert coordinates (see ``_active``) are frozen at qddot = 0 instead of
@@ -296,7 +297,7 @@ def _qr_solve(H, Z, cond_tol, t, q, qd):
         Ha, Za = H[np.ix_(idx, idx)], Z[idx]
     Qm, R = np.linalg.qr(Ha)
     diag = np.abs(np.diag(R))
-    if diag.min() <= cond_tol * max(diag.max(), 1e-300):
+    if diag.min() <= COND_TOL * max(diag.max(), 1e-300):
         raise SingularHessianError(
             f"velocity Hessian singular (R diagonal ratio "
             f"{diag.min() / max(diag.max(), 1e-300):.3e})",
@@ -333,8 +334,6 @@ class IntegratedTrajectory(Trajectory):
     F: FForm
     dof: tuple
     sol: SpanSolution  # dense output
-    t_span: tuple
-    cond_tol: float = 1e-12
 
     def chart(self, t: float):
         t = float(t)
@@ -348,7 +347,7 @@ class IntegratedTrajectory(Trajectory):
     def accel(self, t: float) -> np.ndarray:
         q, qd = self.chart(t)
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
-        return _qr_solve(H, Z, self.cond_tol, t, q, qd)
+        return _qr_solve(H, Z, t, q, qd)
 
     def momenta(self, F: FForm, t: float):
         """Noether momenta of F at t, from the chart state alone: unlike
@@ -378,9 +377,7 @@ class IntegratedTrajectory(Trajectory):
         return x, k
 
 
-def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
-              rtol: float = 1e-10, atol: float = 1e-12,
-              cond_tol: float = 1e-12) -> IntegratedTrajectory:
+def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTrajectory:
     """Adaptive solution of H qddot = Z in the lab-time chart.
 
     The integrator is DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand
@@ -400,24 +397,23 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5,
     qd0 = qd0.copy()
     qd0[~_active(H, Z)] = 0.0
     H, Z = _hessian_and_force(F, q0, qd0, dof)
-    _qr_solve(H, Z, cond_tol, t_span[0], q0, qd0)
+    _qr_solve(H, Z, t_span[0], q0, qd0)
 
     def rhs(t, y):
         q, qd = y[:n], y[n:]
         H, Z = _hessian_and_force(F, q, qd, dof)
-        qdd = _qr_solve(H, Z, cond_tol, t, q, qd)
+        qdd = _qr_solve(H, Z, t, q, qd)
         return np.concatenate([qd, qdd])
 
     sol = solve_ivp(rhs, t_span, np.concatenate([q0, qd0]), method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True)
+                    rtol=RTOL, atol=ATOL, dense_output=True)
     if not sol.success:
         y = sol.y[:, -1]
         raise SingularHessianError(
             f"integration failed at t = {sol.t[-1]:.6g}: {sol.message}",
             state={"t": float(sol.t[-1]), "q": list(y[:n]), "qd": list(y[n:])},
         )
-    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=SpanSolution(sol.sol),
-                                t_span=tuple(t_span), cond_tol=cond_tol)
+    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=SpanSolution(sol.sol))
 
 
 # -- conserved charges along trajectories ------------------------------------
@@ -507,7 +503,7 @@ def speed_to_Q(phidot: float, ell: float = 1.0) -> float:
 
 
 def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
-                       dof=DOF5, match_tol: float = 1e-12) -> dict:
+                       dof=DOF5) -> dict:
     """Several admissible phases sharing (phi(0), phidot(0)): same initial
     lab-time state, residual-clean trajectories, divergent subsequent motion.
 
@@ -522,16 +518,11 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
     for phase in phases:
         p = SolutionParams(P=base.P, W=base.W, N=base.N, phase=phase,
                            x0=base.x0, M=base.M, ell=base.ell)
-        (tj,) = jets.variables(float(times[0]))
-        ph = phase(tj)
+        ph = p.phase_jet(times[0])
         if ref_j is None:
-            ref_j = (jets.value(ph), ph.g[0])
-        else:
-            if abs(jets.value(ph) - ref_j[0]) > match_tol or \
-               abs(ph.g[0] - ref_j[1]) > match_tol:
-                raise DomainError("phase functions do not share initial data")
-        for t in times:
-            p.check_speed(t)
+            ref_j = (ph.f, ph.g[0])
+        elif abs(ph.f - ref_j[0]) > MATCH_TOL or abs(ph.g[0] - ref_j[1]) > MATCH_TOL:
+            raise DomainError("phase functions do not share initial data")
         traj = free_motion(p)
         xk = [traj.jets(t) for t in times]
         max_rel = max(_el_report(F, x, k, dof).max_relative for x, k in xk)

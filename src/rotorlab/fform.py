@@ -30,6 +30,7 @@ __all__ = [
     "ParseError",
     "pq_from_jet",
     "pq_from_vectors",
+    "pq_from_scalars",
     "parse_f",
     "parse_phase",
     "builtin",
@@ -37,7 +38,6 @@ __all__ = [
     "lagrangian_density",
     "lagrangian_from_vectors",
     "lagrangian_from_scalars",
-    "rescaling_shift_check",
 ]
 
 
@@ -93,16 +93,22 @@ def pq_from_jet(J: KinematicJet, ell: float) -> PQPoint:
 
 
 def pq_from_vectors(xdot, k, kdot, ell: float) -> PQPoint:
-    """P = ell kd.x / (k.x sqrt(x.x)), Q = -ell^2 kd.kd / (k.x)^2."""
-    xx = dot(xdot, xdot)
-    kx = dot(k, xdot)
-    if xx <= 0.0:
-        raise DomainError(f"xdot.xdot = {xx} must be positive")
-    if kx <= 0.0:
-        raise DomainError(f"k.xdot = {kx} must be positive")
-    P = ell * dot(kdot, xdot) / (kx * np.sqrt(xx))
-    Q = -(ell**2) * dot(kdot, kdot) / kx**2
+    """(P, Q) from raw (xdot, k, kdot); see ``pq_from_scalars``."""
+    _, P, Q = pq_from_scalars(dot(xdot, xdot), dot(k, xdot), dot(kdot, xdot),
+                              dot(kdot, kdot), ell)
     return PQPoint(P=float(P), Q=float(Q))
+
+
+def pq_from_scalars(xx, kx, kdx, kdkd, ell: float):
+    """(sqrt(x.x), P, Q) from the scalar products xdot.xdot, k.xdot,
+    kdot.xdot and kdot.kdot, with P = ell kd.x / (k.x sqrt(x.x)) and
+    Q = -ell^2 kd.kd / (k.x)^2; jet-generic."""
+    if jets.value(xx) <= 0.0:
+        raise DomainError(f"xdot.xdot = {jets.value(xx)} must be positive")
+    if jets.value(kx) <= 0.0:
+        raise DomainError(f"k.xdot = {jets.value(kx)} must be positive")
+    rt = jets.sqrt(xx)
+    return rt, ell * kdx / (kx * rt), -(ell**2) * kdkd / (kx * kx)
 
 
 # -- expression parser -------------------------------------------------------
@@ -388,13 +394,7 @@ def lagrangian_from_vectors(F: FForm, xdot, k, kdot):
 def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
     kdot.xdot and kdot.kdot; jet-generic."""
-    if jets.value(xx) <= 0.0:
-        raise DomainError("xdot.xdot must be positive")
-    if jets.value(kx) <= 0.0:
-        raise DomainError("k.xdot must be positive")
-    rt = jets.sqrt(xx)
-    P = F.ell * kdx / (kx * rt)
-    Q = -(F.ell**2) * kdkd / (kx * kx)
+    rt, P, Q = pq_from_scalars(xx, kx, kdx, kdkd, F.ell)
     if not F.in_domain(jets.value(P), jets.value(Q)):
         raise DomainError(
             f"(P, Q) = ({jets.value(P)}, {jets.value(Q)}) outside domain of {F.name}")
@@ -403,23 +403,3 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
 
 def lagrangian_density(F: FForm, J: KinematicJet) -> float:
     return float(lagrangian_from_vectors(F, J.xdot, J.k, J.kdot))
-
-
-def rescaling_shift_check(F: FForm, jet_path, psi_path, taus) -> np.ndarray:
-    """Residual of L[x, e^psi k] - L[x, k] + M ell nu psid at each tau.
-
-    ``jet_path(tau)`` returns a KinematicJet, ``psi_path`` is a jet-generic
-    callable.  Vanishes identically for the nu-family (and the rotator at
-    nu = 0, where L itself is rescaling-invariant).
-    """
-    out = []
-    for tau in np.atleast_1d(taus):
-        J = jet_path(tau)
-        (t,) = jets.variables(float(tau))
-        pj = psi_path(t)
-        psi, psid = (pj.f, pj.g[0]) if isinstance(pj, jets.Jet) else (float(pj), 0.0)
-        e = np.exp(psi)
-        L0 = lagrangian_from_vectors(F, J.xdot, J.k, J.kdot)
-        L1 = lagrangian_from_vectors(F, J.xdot, e * J.k, e * (J.kdot + psid * J.k))
-        out.append(L1 - L0 + F.M * F.ell * F.nu * psid)
-    return np.array(out)

@@ -8,7 +8,7 @@ the counting argument that fixes the number of independent invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,10 @@ __all__ = [
     "random_kinematic_jet",
     "special_gauge_jet",
 ]
+
+
+JET_TOL = 1e-10  # largest tetrad-relation residual of a valid jet, per unit scale
+COUNT_SAMPLES = 60  # scalar points of the invariant count
 
 
 @dataclass(frozen=True)
@@ -81,10 +85,10 @@ class KinematicJet:
             "d(bm)": dot(b, md) + dot(m, bd),
         }
 
-    def validate(self, tol=1e-10):
+    def validate(self):
         res = self.constraint_residuals()
         worst = max(abs(v) for v in res.values())
-        if worst > tol * self.scale():
+        if worst > JET_TOL * self.scale():
             raise DomainError(f"inconsistent kinematic jet, residual {worst}")
         if dot(self.xdot, self.xdot) <= 0.0:
             raise DomainError("xdot must be timelike")
@@ -274,11 +278,8 @@ class CountReport:
     functional_rank: int
     total_independent: int
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-def reproduce_invariant_count(seed: int, samples: int = 60) -> CountReport:
+def reproduce_invariant_count(seed: int) -> CountReport:
     """Reproduce the invariant-counting argument at random scalar points.
 
     Reports the rank/nullity of the condition system, the number of nullspace
@@ -295,8 +296,8 @@ def reproduce_invariant_count(seed: int, samples: int = 60) -> CountReport:
             if abs(s[2]) > 0.3:  # keep k.xdot away from degeneracy
                 return s
 
-    points = [sample_point() for _ in range(max(samples, 50))]
-    ranks = {_rank(_condition_matrix(s)) for s in points[: min(10, len(points))]}
+    points = [sample_point() for _ in range(COUNT_SAMPLES)]
+    ranks = {_rank(_condition_matrix(s)) for s in points[:10]}
     if len(ranks) != 1:
         raise RuntimeError(f"condition-matrix rank is not constant: {ranks}")
     rank = ranks.pop()

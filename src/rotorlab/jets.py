@@ -29,8 +29,6 @@ __all__ = [
     "sin",
     "cos",
     "exp",
-    "log",
-    "tanh",
     "acos",
     "atan2",
 ]
@@ -235,22 +233,6 @@ def exp(x):
         return math.exp(x)
     e = math.exp(x.f)
     return _chain(x, e, e, e)
-
-
-def log(x):
-    if not isinstance(x, Jet):
-        return math.log(x)
-    if x.f <= 0.0:
-        raise ValueError("log needs a positive argument")
-    return _chain(x, math.log(x.f), 1.0 / x.f, -1.0 / x.f**2)
-
-
-def tanh(x):
-    if not isinstance(x, Jet):
-        return math.tanh(x)
-    t = math.tanh(x.f)
-    s = 1.0 - t * t
-    return _chain(x, t, s, -2.0 * t * s)
 
 
 def acos(x):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, lagrangian_from_vectors, pq_from_jet
+from .fform import FForm, PQPoint, lagrangian_from_vectors
 from .invariants import KinematicJet
-from .minkowski import _EPS, METRIC, DomainError, dot
+from .minkowski import DomainError, bivector, dot, epsilon_contract, lower
 
 __all__ = [
     "CasimirPair",
@@ -52,20 +52,6 @@ class MomentumSet:
         return CasimirPair(PP=float(dot(self.P, self.P)), WW=float(dot(self.W, self.W)))
 
 
-def _raise_index(p_lower):
-    return np.array([p_lower[0], -p_lower[1], -p_lower[2], -p_lower[3]])
-
-
-def pauli_lubanski(M: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """W^mu = -1/2 eps^{mu alpha beta gamma} M_{alpha beta} P_gamma."""
-    M_low = METRIC @ M @ METRIC
-    P_low = METRIC @ P
-    acc = [0.0, 0.0, 0.0, 0.0]
-    for (mu, a, b, g), sign in _EPS:
-        acc[mu] += sign * M_low[a, b] * P_low[g]
-    return -0.5 * np.array(acc)
-
-
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
@@ -74,22 +60,14 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
     """
     if x is None:
         x = np.zeros(4)
-    x = np.asarray(x, dtype=float)
     k_v = np.asarray(k_v, dtype=float)
-
     vs = jets.variables(*xdot_v, *kdot_v)
-    xdot = np.empty(4, dtype=object)
-    kdot = np.empty(4, dtype=object)
-    xdot[:] = vs[:4]
-    kdot[:] = vs[4:]
-    L = lagrangian_from_vectors(F, xdot, k_v, kdot)
-    p_x = L.g[:4]  # dL/d(xdot^mu), lower index
-    p_k = L.g[4:]
-    P = -_raise_index(p_x)
-    pi = -_raise_index(p_k)
-    Mb = np.outer(x, P) - np.outer(P, x) + np.outer(k_v, pi) - np.outer(pi, k_v)
-    W = pauli_lubanski(Mb, P)
-    return MomentumSet(P=P, pi=pi, M=Mb, W=W)
+    L = lagrangian_from_vectors(F, vs[:4], k_v, vs[4:])
+    # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index
+    P, pi = -lower(L.g[:4]), -lower(L.g[4:])
+    # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out
+    W = -epsilon_contract(k_v, pi, P)
+    return MomentumSet(P=P, pi=pi, M=bivector(x, P, k_v, pi), W=W)
 
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 __all__ = [
     "Report",
@@ -81,7 +81,6 @@ class RunConfig:
     nu: float = 0.0
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
-    out: str = ""
 
     def __post_init__(self):
         if not (0.0 < self.M < math.inf and 0.0 < self.ell < math.inf
@@ -93,13 +92,8 @@ class RunConfig:
         return float(self.tolerances.get(name, default))
 
 
-def _parse_value(key, raw):
-    raw = raw.strip()
-    if key == "seed":
-        return int(raw)
-    if key == "out":
-        return raw
-    return float(raw)
+# config-file keys besides tolerance.<name>, with their parsers
+_KEYS = {"M": float, "ell": float, "nu": float, "seed": int}
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
@@ -116,8 +110,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 key, raw = (s.strip() for s in line.split("=", 1))
                 if key.startswith("tolerance."):
                     data["tolerances"][key[len("tolerance."):]] = float(raw)
+                elif key in _KEYS:
+                    data[key] = _KEYS[key](raw)
                 else:
-                    data[key] = _parse_value(key, raw)
+                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     if SEED_ENV_VAR in os.environ:
         data["seed"] = int(os.environ[SEED_ENV_VAR])
     for key, val in (overrides or {}).items():

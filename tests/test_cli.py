@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -103,11 +104,17 @@ def test_simulate_conservation(capsys):
     assert "status = pass" in out
 
 
-@pytest.mark.parametrize("form", ["Q*1e308*10", "1e200*Q^2"])
-def test_casimir_fails_on_non_finite_values(capsys, form):
-    # F overflows in the first form; F is finite but PP and WW overflow in
-    # the second
-    code, out = run(capsys, "casimir", "--f", form)
+@pytest.mark.parametrize("argv", [
+    pytest.param(["casimir", "--f", "Q*1e308*10"], id="Q*1e308*10"),
+    pytest.param(["casimir", "--f", "1e200*Q^2"], id="1e200*Q^2"),
+    pytest.param(["hessian", "--f", "1e300*Q^3"], id="hessian-1e300*Q^3"),
+    pytest.param(["hessian", "--f", "Q*1e308*10"], id="hessian-Q*1e308*10"),
+])
+def test_casimir_fails_on_non_finite_values(capsys, argv):
+    # F overflows in Q*1e308*10, so its partials, Casimirs and Hessian are
+    # not numbers; F is finite but PP and WW overflow in 1e200*Q^2, and the
+    # Hessian determinant in 1e300*Q^3
+    code, out = run(capsys, *argv)
     assert code == 1
     assert "status = fail" in out and "residual = inf" in out
 
@@ -177,12 +184,18 @@ def test_report_status_rule():
     assert "name = x" in doc and "inputs.n = 2" in doc
 
 
-def test_load_config_rejects_bad_lines(tmp_path):
+@pytest.mark.parametrize("line", ["not a key value line", "foo = 1", "out = x.csv"],
+                         ids=["no-equals", "unknown-key", "out-key"])
+def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     path = os.path.join(tmp_path, "bad.cfg")
     with open(path, "w") as fh:
-        fh.write("not a key value line\n")
-    with pytest.raises(ValueError):
+        fh.write(f"seed = 1\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: ")) as exc:
         load_config(path)
+    if "=" in line:  # the error names the unknown key
+        assert repr(line.split("=")[0].strip()) in str(exc.value)
+    assert main(["count-invariants", "--config", path]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,7 +21,7 @@ from rotorlab.dynamics import (
     speed_to_Q,
     trajectory_samples,
 )
-from rotorlab.fform import builtin, parse_f
+from rotorlab.fform import builtin
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 
 ROT = builtin("rotator_f")

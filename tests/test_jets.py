@@ -62,8 +62,6 @@ def test_elementary_functions_match_finite_differences():
         (jets.sin, np.sin, (-3.0, 3.0)),
         (jets.cos, np.cos, (-3.0, 3.0)),
         (jets.exp, np.exp, (-2.0, 2.0)),
-        (jets.log, np.log, (0.1, 5.0)),
-        (jets.tanh, np.tanh, (-2.0, 2.0)),
         (jets.acos, np.arccos, (-0.9, 0.9)),
     ]
     for jf, nf, (lo, hi) in cases:

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_jet
+from rotorlab import jets
+from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
+                            pq_from_jet)
 from rotorlab.invariants import random_kinematic_jet
-from rotorlab.minkowski import DomainError, bivector, dot, epsilon_contract
+from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
     casimirs_closed_form,
@@ -13,7 +15,6 @@ from rotorlab.noether import (
     fundamental_residuals,
     momenta,
     momenta_from_vectors,
-    pauli_lubanski,
 )
 
 
@@ -77,15 +78,41 @@ def _pauli_lubanski_loop(M, P):
 
 
 def test_pauli_lubanski_is_minus_epsilon_contract():
-    # for M = x^P - P^x + k^pi - pi^k the orbital term drops out of W
+    # momenta take W = -eps(k, pi, P); the full sum over M = x^P - P^x +
+    # k^pi - pi^k agrees, since the orbital term drops out
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        x, P, k, pi = rng.normal(size=(4, 4))
-        M = bivector(x, P, k, pi)
-        W = pauli_lubanski(M, P)
-        assert np.array_equal(W, _pauli_lubanski_loop(M, P))
-        scale = np.max(np.abs(M)) * np.max(np.abs(P))
-        assert np.allclose(W, -epsilon_contract(k, pi, P), rtol=0.0, atol=1e-14 * scale)
+    for _ in range(20):
+        J = random_kinematic_jet(rng)
+        x = rng.normal(size=4)
+        for F in all_forms():
+            at = pq_from_jet(J, F.ell)
+            if not F.in_domain(at.P, at.Q):
+                continue
+            ms = momenta(F, J, x=x)
+            scale = np.max(np.abs(ms.M)) * np.max(np.abs(ms.P))
+            gap = np.max(np.abs(ms.W - _pauli_lubanski_loop(ms.M, ms.P)))
+            assert gap <= 1e-14 * scale
+
+
+def test_lagrangian_is_euler_homogeneous_in_the_velocities():
+    # L is homogeneous of degree 1 in v = (xdot, kdot): g.v = L and H v = 0,
+    # each to rounding of its largest term
+    rng = np.random.default_rng(12)
+    pairs = 0
+    for _ in range(24):
+        J = random_kinematic_jet(rng)
+        v = np.concatenate([J.xdot, J.kdot])
+        vs = jets.variables(*v)
+        for F in all_forms():
+            at = pq_from_jet(J, F.ell)
+            if not F.in_domain(at.P, at.Q):
+                continue
+            L = lagrangian_from_vectors(F, vs[:4], J.k, vs[4:])
+            terms = max(np.max(np.abs(L.g * v)), abs(L.f))
+            assert abs(L.g @ v - L.f) <= 1e-13 * terms
+            assert np.max(np.abs(L.h @ v)) <= 1e-13 * np.max(np.abs(L.h * v))
+            pairs += 1
+    assert pairs >= 200
 
 
 def test_static_point_particle_has_rest_momentum():
