@@ -19,11 +19,14 @@ import numpy as np
 from . import jets
 from .fform import FForm, PQPoint, builtin, lagrangian_from_scalars, pq_from_vectors
 from .minkowski import DomainError, four
+from .noether import casimirs_from_partials
+from .spinor import null_from_angles
 
 __all__ = [
     "DOF5",
     "DOF6",
     "ChartState",
+    "check_off_pole",
     "HessianReport",
     "chart_vectors",
     "chart_scalars",
@@ -69,9 +72,14 @@ class ChartState:
         return np.array(q, dtype=float), np.array(qd, dtype=float)
 
     def check_pole(self):
-        if min(abs(self.theta), abs(np.pi - self.theta)) < POLE_MARGIN:
-            raise DomainError(f"theta = {self.theta} too close to a chart pole")
+        check_off_pole(self.theta)
         return self
+
+
+def check_off_pole(theta: float) -> None:
+    """Raise DomainError if theta lies within POLE_MARGIN of a chart pole."""
+    if min(abs(theta), abs(np.pi - theta)) < POLE_MARGIN:
+        raise DomainError(f"theta = {theta} too close to a chart pole")
 
 
 def chart_vectors(q, qd, dof):
@@ -81,16 +89,14 @@ def chart_vectors(q, qd, dof):
     Kd = qd[5] if len(dof) == 6 else 0.0
     st, ct = jets.sin(theta), jets.cos(theta)
     sp, cp = jets.sin(phi), jets.cos(phi)
-    n = [st * cp, st * sp, ct]
     n_th = [ct * cp, ct * sp, -st]
     n_ph = [-st * sp, st * cp, 0.0 * st]
     nd = [n_th[i] * qd[3] + n_ph[i] * qd[4] for i in range(3)]
     xdot = four(1.0 + 0.0 * qd[0], qd[0], qd[1], qd[2])
-    k = four(K + 0.0 * theta, K * n[0], K * n[1], K * n[2])
-    kdot = four(Kd + 0.0 * qd[3],
-                Kd * n[0] + K * nd[0],
-                Kd * n[1] + K * nd[1],
-                Kd * n[2] + K * nd[2])
+    k = null_from_angles(theta, phi, K)
+    # kdot = Kdot (1, n) + K (0, ndot)
+    kr = null_from_angles(theta, phi, Kd)
+    kdot = four(kr[0], kr[1] + K * nd[0], kr[2] + K * nd[1], kr[3] + K * nd[2])
     return xdot, k, kdot
 
 
@@ -176,26 +182,17 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
 
 
 def jacobian_pq(F: FForm, at: PQPoint) -> float:
-    """det d(PP, WW)/d(P, Q), from the closed-form Casimirs by exact chain rule."""
-    P, Q = at.P, at.Q
-    v = F.eval(P, Q)
-    Fv, FP, FQ, FPP, FPQ, FQQ = v
-    A = Fv - P * FP
-    A_P = -P * FPP
-    A_Q = FQ - P * FPQ
-    B = A - 4.0 * Q * FQ
-    B_P = A_P - 4.0 * Q * FPQ
-    B_Q = A_Q - 4.0 * FQ - 4.0 * Q * FQQ
-    M2 = F.M**2
-    PP_P = M2 * (A_P * B + A * B_P - Q * 2.0 * FP * FPP)
-    PP_Q = M2 * (A_Q * B + A * B_Q - FP**2 - Q * 2.0 * FP * FPQ)
-    C = FP**2 + 2.0 * FQ * A
-    C_P = 2.0 * FP * FPP + 2.0 * (FPQ * A + FQ * A_P)
-    C_Q = 2.0 * FP * FPQ + 2.0 * (FQQ * A + FQ * A_Q)
-    M4L2 = F.M**4 * F.ell**2
-    WW_P = -M4L2 * Q * 2.0 * C * C_P
-    WW_Q = -M4L2 * (C**2 + Q * 2.0 * C * C_Q)
-    return float(PP_P * WW_Q - PP_Q * WW_P)
+    """det d(PP, WW)/d(P, Q): the closed-form Casimirs on first-order jets in
+    (P, Q), whose gradients come from the partials of F."""
+    v = F.eval(at.P, at.Q)
+    P, Q = jets.variables(at.P, at.Q)
+    h = np.zeros((2, 2))  # second derivatives are not needed
+    PP, WW = casimirs_from_partials(
+        F, P, Q,
+        jets.Jet(v.F, np.array([v.F_P, v.F_Q]), h),
+        jets.Jet(v.F_P, np.array([v.F_PP, v.F_PQ]), h),
+        jets.Jet(v.F_Q, np.array([v.F_PQ, v.F_QQ]), h))
+    return float(PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0])
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,11 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
 from . import jets
-from .degeneracy import DOF5, POLE_MARGIN, ChartState, chart_lagrangian, chart_vectors
+from .degeneracy import DOF5, ChartState, chart_lagrangian, chart_vectors, check_off_pole
 from .fform import FForm
 from .minkowski import DomainError, dot, epsilon_contract, four
 from .noether import FUNDAMENTAL_WW_FACTOR, momenta_from_vectors
+from .spinor import angles_from_null, null_from_angles
 
 __all__ = [
     "SolutionParams",
@@ -134,18 +135,6 @@ class Trajectory:
     def jets(self, t: float):
         raise NotImplementedError
 
-    def x(self, t: float) -> np.ndarray:
-        return jets.split(self.jets(t)[0])[0]
-
-    def k(self, t: float) -> np.ndarray:
-        return jets.split(self.jets(t)[1])[0]
-
-    def xdot(self, t: float) -> np.ndarray:
-        return jets.split(self.jets(t)[0])[1]
-
-    def kdot(self, t: float) -> np.ndarray:
-        return jets.split(self.jets(t)[1])[1]
-
     def momenta(self, F: FForm, t: float):
         """Noether momenta of F at t."""
         (xv, xd), (kv, kd) = map(jets.split, self.jets(t))
@@ -218,14 +207,11 @@ def _lab_chart_jets(x, k, dof):
     Td, Tdd = x[0].g[0], x[0].h[0, 0]
     if Td <= 0.0:
         raise DomainError(f"lab time not increasing: dx0/dt = {Td}")
-    n3 = [k[i + 1] / k[0] for i in range(3)]
-    theta = jets.acos(n3[2])
-    if min(abs(jets.value(theta)), np.pi - abs(jets.value(theta))) < POLE_MARGIN:
-        raise DomainError(f"theta = {jets.value(theta)} too close to a chart pole")
-    phi = jets.atan2(n3[1], n3[0])
+    theta, phi, K = angles_from_null(k)
+    check_off_pole(jets.value(theta))
     coords = [x[1], x[2], x[3], theta, phi]
     if len(dof) == 6:
-        coords.append(k[0])
+        coords.append(K)
     q, qd, qdd = [], [], []
     for c in coords:
         f, g, h = jets.value(c), c.g[0], c.h[0, 0]
@@ -362,19 +348,8 @@ class IntegratedTrajectory(Trajectory):
         qj = [jets.Jet(q[i], np.array([qd[i]]), np.array([[qdd[i]]]))
               for i in range(len(q))]
         tj = jets.Jet(float(t), np.array([1.0]), np.zeros((1, 1)))
-        theta, phi = qj[3], qj[4]
-        K = qj[5] if len(self.dof) == 6 else jets.constant(1.0, 1)
-        st, ct = jets.sin(theta), jets.cos(theta)
-        sp, cp = jets.sin(phi), jets.cos(phi)
-        x = np.empty(4, dtype=object)
-        k = np.empty(4, dtype=object)
-        x[0] = tj
-        x[1:] = qj[:3]
-        k[0] = K
-        k[1] = K * st * cp
-        k[2] = K * st * sp
-        k[3] = K * ct
-        return x, k
+        K = qj[5] if len(self.dof) == 6 else 1.0
+        return four(tj, *qj[:3]), null_from_angles(qj[3], qj[4], K)
 
 
 def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTrajectory:

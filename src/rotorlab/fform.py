@@ -21,21 +21,18 @@ import numpy as np
 
 from . import jets
 from .minkowski import DomainError, dot
-from .invariants import KinematicJet
 
 __all__ = [
     "PQPoint",
     "FFormValue",
     "FForm",
     "ParseError",
-    "pq_from_jet",
     "pq_from_vectors",
     "pq_from_scalars",
     "parse_f",
     "parse_phase",
     "builtin",
     "BUILTIN_NAMES",
-    "lagrangian_density",
     "lagrangian_from_vectors",
     "lagrangian_from_scalars",
 ]
@@ -85,11 +82,6 @@ class FForm:
         if not isinstance(out, jets.Jet):
             return FFormValue(float(out), 0.0, 0.0, 0.0, 0.0, 0.0)
         return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
-
-
-def pq_from_jet(J: KinematicJet, ell: float) -> PQPoint:
-    """(P, Q) of a kinematic jet; see ``pq_from_vectors``."""
-    return pq_from_vectors(J.xdot, J.k, J.kdot, ell)
 
 
 def pq_from_vectors(xdot, k, kdot, ell: float) -> PQPoint:
@@ -399,7 +391,3 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
         raise DomainError(
             f"(P, Q) = ({jets.value(P)}, {jets.value(Q)}) outside domain of {F.name}")
     return -F.M * rt * F.func(P, Q)
-
-
-def lagrangian_density(F: FForm, J: KinematicJet) -> float:
-    return float(lagrangian_from_vectors(F, J.xdot, J.k, J.kdot))

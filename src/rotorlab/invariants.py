@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
+from .fform import pq_from_scalars
 from .minkowski import DomainError, dot, four
-from .spinor import tetrad_from_angles
+from .spinor import (Tetrad, gauge_transform, null_from_angles, phase_rotate,
+                     tetrad_from_angles, tetrad_relations)
 
 __all__ = [
     "KinematicJet",
@@ -62,28 +64,12 @@ class KinematicJet:
         """Tetrad relations and their parameter-derivatives (should all vanish)."""
         k, m, a, b = self.k, self.m, self.a, self.b
         kd, md, ad, bd = self.kdot, self.mdot, self.adot, self.bdot
-        return {
-            "kk": dot(k, k),
-            "mm": dot(m, m),
-            "km-2": dot(k, m) - 2.0,
-            "aa+1": dot(a, a) + 1.0,
-            "bb+1": dot(b, b) + 1.0,
-            "ab": dot(a, b),
-            "ak": dot(a, k),
-            "bk": dot(b, k),
-            "am": dot(a, m),
-            "bm": dot(b, m),
-            "d(kk)": 2.0 * dot(k, kd),
-            "d(mm)": 2.0 * dot(m, md),
-            "d(km)": dot(k, md) + dot(m, kd),
-            "d(aa)": 2.0 * dot(a, ad),
-            "d(bb)": 2.0 * dot(b, bd),
-            "d(ab)": dot(a, bd) + dot(b, ad),
-            "d(ak)": dot(a, kd) + dot(k, ad),
-            "d(bk)": dot(b, kd) + dot(k, bd),
-            "d(am)": dot(a, md) + dot(m, ad),
-            "d(bm)": dot(b, md) + dot(m, bd),
-        }
+        return {**tetrad_relations(k, m, a, b),
+                "d(kk)": 2.0 * dot(k, kd), "d(mm)": 2.0 * dot(m, md),
+                "d(km)": dot(k, md) + dot(m, kd), "d(aa)": 2.0 * dot(a, ad),
+                "d(bb)": 2.0 * dot(b, bd), "d(ab)": dot(a, bd) + dot(b, ad),
+                "d(ak)": dot(a, kd) + dot(k, ad), "d(bk)": dot(b, kd) + dot(k, bd),
+                "d(am)": dot(a, md) + dot(m, ad), "d(bm)": dot(b, md) + dot(m, bd)}
 
     def validate(self):
         res = self.constraint_residuals()
@@ -143,12 +129,9 @@ def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
     al, be, ald, bed = G.alpha, G.beta, G.alphadot, G.betadot
     k, m, a, b = J.k, J.m, J.a, J.b
     kd, md, ad, bd = J.kdot, J.mdot, J.adot, J.bdot
+    T = gauge_transform(Tetrad(k, m, a, b), al, be)
     return KinematicJet(
-        xdot=J.xdot,
-        k=k,
-        m=m + 2 * al * a + 2 * be * b + (al**2 + be**2) * k,
-        a=a + al * k,
-        b=b + be * k,
+        xdot=J.xdot, k=k, m=T.m, a=T.a, b=T.b,
         kdot=kd,
         mdot=(md + 2 * ald * a + 2 * al * ad + 2 * bed * b + 2 * be * bd
               + 2 * (al * ald + be * bed) * k + (al**2 + be**2) * kd),
@@ -160,11 +143,10 @@ def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
 def phase_rotate_jet(J: KinematicJet, delta: float, deltadot: float = 0.0) -> KinematicJet:
     """Rotate (a, b) through delta with rotation rate deltadot."""
     c, s = np.cos(delta), np.sin(delta)
-    a = c * J.a - s * J.b
-    b = s * J.a + c * J.b
+    T = phase_rotate(Tetrad(J.k, J.m, J.a, J.b), delta)
     adot = c * J.adot - s * J.bdot + deltadot * (-s * J.a - c * J.b)
     bdot = s * J.adot + c * J.bdot + deltadot * (c * J.a - s * J.b)
-    return KinematicJet(xdot=J.xdot, k=J.k, m=J.m, a=a, b=b,
+    return KinematicJet(xdot=J.xdot, k=J.k, m=J.m, a=T.a, b=T.b,
                         kdot=J.kdot, mdot=J.mdot, adot=adot, bdot=bdot)
 
 
@@ -178,21 +160,12 @@ def iota(J: KinematicJet) -> np.ndarray:
     return np.array([i1, i2, i3, i4, i5, i6])
 
 
-def capital_invariants(J: KinematicJet, ell: float) -> np.ndarray:
-    """Reparametrization-invariant set (I0, I1, I2, I3, I4)."""
-    xx = dot(J.xdot, J.xdot)
-    kx = dot(J.k, J.xdot)
-    if xx <= 0.0:
-        raise DomainError(f"xdot.xdot = {xx} must be positive")
-    if kx <= 0.0:
-        raise DomainError(f"k.xdot = {kx} must be positive")
-    rt = np.sqrt(xx)
-    i = iota(J)
-    I1 = -dot(J.kdot, J.kdot) / kx**2
-    I2 = i[5] / (kx * rt)
-    I3 = dot(J.kdot, J.xdot) / (kx * rt)
-    I4 = kx / rt
-    return np.array([xx, I1, I2, I3, I4])
+def capital_invariants(J: KinematicJet) -> np.ndarray:
+    """Reparametrization-invariant set (I0, I1, I2, I3, I4); I1 and I3 are
+    Q and P at ell = 1."""
+    xx, kx = dot(J.xdot, J.xdot), dot(J.k, J.xdot)
+    rt, I3, I1 = pq_from_scalars(xx, kx, dot(J.kdot, J.xdot), dot(J.kdot, J.kdot), 1.0)
+    return np.array([xx, I1, iota(J)[5] / (kx * rt), I3, kx / rt])
 
 
 def identity_checks(J: KinematicJet, special_gauge: bool = False) -> dict:
@@ -363,6 +336,13 @@ def reproduce_invariant_count(seed: int) -> CountReport:
 # -- jet construction -------------------------------------------------------
 
 
+def _jet_from_tetrad(xdot, k, m, a, b) -> KinematicJet:
+    """Kinematic jet from a tetrad whose entries are jets in one parameter."""
+    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
+    return KinematicJet(xdot=np.asarray(xdot, dtype=float), k=kv, m=mv, a=av, b=bv,
+                        kdot=kd, mdot=md, adot=ad, bdot=bd)
+
+
 def jet_from_angle_paths(theta, phi, psi, Phi, xdot, tau: float) -> KinematicJet:
     """Kinematic jet at parameter ``tau`` from angle paths.
 
@@ -371,15 +351,8 @@ def jet_from_angle_paths(theta, phi, psi, Phi, xdot, tau: float) -> KinematicJet
     four-vector or a callable returning one.
     """
     (t,) = jets.variables(tau)
-    k, m, a, b = tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t))
-
-    kv, kd = jets.split(k)
-    mv, md = jets.split(m)
-    av, ad = jets.split(a)
-    bv, bd = jets.split(b)
-    xd = np.asarray(xdot(tau) if callable(xdot) else xdot, dtype=float)
-    return KinematicJet(xdot=xd, k=kv, m=mv, a=av, b=bv,
-                        kdot=kd, mdot=md, adot=ad, bdot=bd)
+    return _jet_from_tetrad(xdot(tau) if callable(xdot) else xdot,
+                            *tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t)))
 
 
 def _random_path(rng, lo, hi, rate=1.0):
@@ -433,16 +406,6 @@ def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
             avec[2] * n[0] - avec[0] * n[2],
             avec[0] * n[1] - avec[1] * n[0]]
 
-    zero = 0.0 * K
-    k = [K, K * n[0], K * n[1], K * n[2]]
     m = [1.0 / K, -n[0] / K, -n[1] / K, -n[2] / K]
-    a = [zero] + avec
-    b = [zero] + bvec
-
-    kv, kd = jets.split(k)
-    mv, md = jets.split(m)
-    av, ad = jets.split(a)
-    bv, bd = jets.split(b)
-    J = KinematicJet(xdot=random_timelike(rng), k=kv, m=mv, a=av, b=bv,
-                     kdot=kd, mdot=md, adot=ad, bdot=bd)
-    return J.validate()
+    return _jet_from_tetrad(random_timelike(rng), null_from_angles(th, ph, K), m,
+                            [0.0 * K] + avec, [0.0 * K] + bvec).validate()

@@ -25,6 +25,7 @@ __all__ = [
     "CasimirPair",
     "MomentumSet",
     "momenta",
+    "casimirs_from_partials",
     "casimirs_closed_form",
     "casimirs_special_S",
     "fundamental_residuals",
@@ -75,11 +76,18 @@ def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
     return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
 
 
+def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
+    """(PP, WW) in closed form from F's value ``Fv`` and partials ``FP``,
+    ``FQ`` at (P, Q); jet-generic."""
+    A = Fv - P * FP
+    PP = F.M**2 * (A * (A - 4.0 * Q * FQ) - Q * FP**2)
+    WW = -(F.M**4) * F.ell**2 * Q * (FP**2 + 2.0 * FQ * A) ** 2
+    return PP, WW
+
+
 def casimirs_closed_form(F: FForm, at: PQPoint) -> CasimirPair:
     v = F.eval(at.P, at.Q)
-    A = v.F - at.P * v.F_P
-    PP = F.M**2 * (A * (A - 4.0 * at.Q * v.F_Q) - at.Q * v.F_P**2)
-    WW = -(F.M**4) * F.ell**2 * at.Q * (v.F_P**2 + 2.0 * v.F_Q * A) ** 2
+    PP, WW = casimirs_from_partials(F, at.P, at.Q, v.F, v.F_P, v.F_Q)
     return CasimirPair(PP=float(PP), WW=float(WW))
 
 

@@ -80,7 +80,6 @@ class RunConfig:
     ell: float = 1.0
     nu: float = 0.0
     seed: int = 0
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0.0 < self.M < math.inf and 0.0 < self.ell < math.inf
@@ -88,17 +87,14 @@ class RunConfig:
             raise ValueError(f"M = {self.M} and ell = {self.ell} must be positive "
                              f"and nu = {self.nu} finite")
 
-    def tolerance(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
 
-
-# config-file keys besides tolerance.<name>, with their parsers
+# config-file keys, with their parsers
 _KEYS = {"M": float, "ell": float, "nu": float, "seed": int}
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
     """Defaults <- config file <- ROTORLAB_SEED <- explicit overrides."""
-    data = {"tolerances": {}}
+    data = {}
     if path:
         with open(path) as fh:
             for lineno, line in enumerate(fh, 1):
@@ -108,12 +104,9 @@ def load_config(path=None, overrides=None) -> RunConfig:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, raw = (s.strip() for s in line.split("=", 1))
-                if key.startswith("tolerance."):
-                    data["tolerances"][key[len("tolerance."):]] = float(raw)
-                elif key in _KEYS:
-                    data[key] = _KEYS[key](raw)
-                else:
+                if key not in _KEYS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                data[key] = _KEYS[key](raw)
     if SEED_ENV_VAR in os.environ:
         data["seed"] = int(os.environ[SEED_ENV_VAR])
     for key, val in (overrides or {}).items():

@@ -8,7 +8,9 @@ spinor built from angles follows the explicit parametrization
 
 whose mate in components is tau = (-conj(kappa^1), conj(kappa^0)) / (kappa^+ kappa).
 ``tetrad_from_angles`` computes the same tetrad through generic arithmetic so
-it can be fed jets (for exact parameter-derivatives of tetrad paths).
+it can be fed jets (for exact parameter-derivatives of tetrad paths), and
+``null_from_angles`` / ``angles_from_null`` map the null vector
+k = K (1, n(theta, phi)) to and from its chart angles.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = [
     "gauge_transform",
     "phase_rotate",
     "tetrad_from_angles",
+    "tetrad_relations",
+    "null_from_angles",
+    "angles_from_null",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -88,22 +93,15 @@ def spinor_from_angles(theta: float, phi: float, psi: float, Phi: float) -> Spin
     )
 
 
-def _pauli(xi: Spinor, eta: Spinor):
-    """s^mu = xi^+ sigma^mu eta as four complex numbers."""
-    a0, a1 = np.conj(xi.c0), np.conj(xi.c1)
-    return np.array(
-        [
-            a0 * eta.c0 + a1 * eta.c1,
-            a0 * eta.c1 + a1 * eta.c0,
-            -1j * a0 * eta.c1 + 1j * a1 * eta.c0,
-            a0 * eta.c0 - a1 * eta.c1,
-        ]
-    )
+def _pairs(kappa: Spinor):
+    """The components of a spinor as (re, im) pairs."""
+    return tuple((complex(c).real, complex(c).imag) for c in (kappa.c0, kappa.c1))
 
 
 def null_vector(kappa: Spinor) -> np.ndarray:
     """k^mu = kappa^+ sigma^mu kappa; null and future-pointing."""
-    return np.real(_pauli(kappa, kappa))
+    kap = _pairs(kappa)
+    return _four_part(_pauli_pairs(kap, kap), 0)
 
 
 def mate(kappa: Spinor) -> Spinor:
@@ -117,14 +115,15 @@ def mate(kappa: Spinor) -> Spinor:
 def tetrad(kappa: Spinor) -> Tetrad:
     if kappa.norm_sq == 0.0:
         raise DomainError("zero spinor generates no tetrad")
-    tau = mate(kappa)
-    t = _pauli(tau, kappa)
-    return Tetrad(
-        k=null_vector(kappa),
-        m=null_vector(tau),
-        a=np.real(t),
-        b=np.imag(t),
-    )
+    return Tetrad(*_tetrad_from_pairs(_pairs(kappa), _pairs(mate(kappa))))
+
+
+def tetrad_relations(k, m, a, b) -> dict:
+    """The ten scalar products of a null tetrad minus their required values
+    (k.m = 2, a.a = b.b = -1, all others 0); jet-generic."""
+    return {"kk": dot(k, k), "mm": dot(m, m), "km-2": dot(k, m) - 2.0,
+            "aa+1": dot(a, a) + 1.0, "bb+1": dot(b, b) + 1.0, "ab": dot(a, b),
+            "ak": dot(a, k), "bk": dot(b, k), "am": dot(a, m), "bm": dot(b, m)}
 
 
 def gauge_transform(T: Tetrad, alpha: float, beta: float) -> Tetrad:
@@ -162,14 +161,23 @@ def _cadd(x, y):
 def _pauli_pairs(xi, eta):
     """xi^+ sigma^mu eta on (re, im) component pairs; generic scalars."""
     a0, a1 = _cconj(xi[0]), _cconj(xi[1])
-    s0 = _cadd(_cmul(a0, eta[0]), _cmul(a1, eta[1]))
-    s1 = _cadd(_cmul(a0, eta[1]), _cmul(a1, eta[0]))
-    # -i*a0*eta1 + i*a1*eta0
-    p, q = _cmul(a0, eta[1]), _cmul(a1, eta[0])
-    s2 = (p[1] - q[1], q[0] - p[0])
-    s3 = (_cmul(a0, eta[0])[0] - _cmul(a1, eta[1])[0],
-          _cmul(a0, eta[0])[1] - _cmul(a1, eta[1])[1])
-    return s0, s1, s2, s3
+    p00, p11 = _cmul(a0, eta[0]), _cmul(a1, eta[1])
+    p01, p10 = _cmul(a0, eta[1]), _cmul(a1, eta[0])
+    s2 = (p01[1] - p10[1], p10[0] - p01[0])  # -i a0 eta1 + i a1 eta0
+    return _cadd(p00, p11), _cadd(p01, p10), s2, (p00[0] - p11[0], p00[1] - p11[1])
+
+
+def _four_part(s, part):
+    """The real (part 0) or imaginary (part 1) parts of four (re, im) pairs."""
+    return four(*(z[part] for z in s))
+
+
+def _tetrad_from_pairs(kap, tau):
+    """(k, m, a, b) from a spinor and its mate as (re, im) pairs: k and m are
+    kap^+ sigma kap and tau^+ sigma tau, a + i b is tau^+ sigma kap."""
+    t = _pauli_pairs(tau, kap)
+    return (_four_part(_pauli_pairs(kap, kap), 0), _four_part(_pauli_pairs(tau, tau), 0),
+            _four_part(t, 0), _four_part(t, 1))
 
 
 def tetrad_from_angles(theta, phi, psi, Phi):
@@ -195,12 +203,22 @@ def tetrad_from_angles(theta, phi, psi, Phi):
         _cmul(emP, _cmul(em, (-inv_r * s, 0.0 * s))),
         _cmul(emP, _cmul(ep, (inv_r * c, 0.0 * c))),
     )
+    return _tetrad_from_pairs(kap, tau)
 
-    kk = _pauli_pairs(kap, kap)
-    mm = _pauli_pairs(tau, tau)
-    tt = _pauli_pairs(tau, kap)
-    k = four(*[z[0] for z in kk])
-    m = four(*[z[0] for z in mm])
-    a = four(*[z[0] for z in tt])
-    b = four(*[z[1] for z in tt])
-    return k, m, a, b
+
+# -- the null vector in chart angles ----------------------------------------
+
+
+def null_from_angles(theta, phi, K):
+    """k = K (1, sin(theta) cos(phi), sin(theta) sin(phi), cos(theta));
+    accepts floats or jets."""
+    st = jets.sin(theta)
+    return four(K + 0.0 * theta, K * (st * jets.cos(phi)), K * (st * jets.sin(phi)),
+                K * jets.cos(theta))
+
+
+def angles_from_null(k):
+    """(theta, phi, K) with ``null_from_angles(theta, phi, K) == k``, theta in
+    [0, pi] and phi in (-pi, pi]; accepts floats or jets."""
+    n1, n2, n3 = k[1] / k[0], k[2] / k[0], k[3] / k[0]
+    return jets.acos(n3), jets.atan2(n2, n1), k[0]

@@ -7,10 +7,10 @@ from rotorlab.fform import (
     ParseError,
     PQPoint,
     builtin,
-    lagrangian_density,
+    lagrangian_from_vectors,
     parse_f,
     parse_phase,
-    pq_from_jet,
+    pq_from_vectors,
 )
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError
@@ -118,14 +118,16 @@ def test_unknown_builtin_rejected():
 
 
 def test_pq_from_rotator_point(rotator_jet):
-    at = pq_from_jet(rotator_jet, ell=1.0)
+    J = rotator_jet
+    at = pq_from_vectors(J.xdot, J.k, J.kdot, ell=1.0)
     assert at.P == pytest.approx(0.0, abs=1e-14)
     assert at.Q == pytest.approx(4.0)
 
 
 def test_lagrangian_density_at_rotator_point(rotator_jet):
     F = builtin("rotator_f")
-    assert lagrangian_density(F, rotator_jet) == pytest.approx(-1.5)
+    J = rotator_jet
+    assert lagrangian_from_vectors(F, J.xdot, J.k, J.kdot) == pytest.approx(-1.5)
 
 
 def test_lagrangian_requires_timelike_and_forward():
@@ -135,7 +137,7 @@ def test_lagrangian_requires_timelike_and_forward():
     bad = J.__class__(xdot=np.array([0.1, 1.0, 0.0, 0.0]), k=J.k, m=J.m, a=J.a,
                       b=J.b, kdot=J.kdot, mdot=J.mdot, adot=J.adot, bdot=J.bdot)
     with pytest.raises(DomainError):
-        lagrangian_density(F, bad)
+        lagrangian_from_vectors(F, bad.xdot, bad.k, bad.kdot)
 
 
 def test_negative_Q_rejected():

@@ -84,7 +84,7 @@ def test_special_gauge_required_for_extra_identity():
 
 def test_capital_invariants_at_rotator_point(rotator_jet):
     rotator_jet.validate()
-    I = capital_invariants(rotator_jet, ell=1.0)
+    I = capital_invariants(rotator_jet)
     assert I[0] == pytest.approx(0.75)          # xdot.xdot
     assert I[1] == pytest.approx(4.0)           # -kdot.kdot / (k.xdot)^2
     assert I[3] == pytest.approx(0.0, abs=1e-14)

@@ -5,7 +5,7 @@ import pytest
 
 from rotorlab import jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
-                            pq_from_jet)
+                            pq_from_vectors)
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import (
@@ -35,7 +35,7 @@ def test_noether_casimirs_match_closed_form():
     for _ in range(40):
         J = random_kinematic_jet(rng)
         for F in forms:
-            at = pq_from_jet(J, F.ell)
+            at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
                 continue
             got = momenta(F, J).casimirs()
@@ -85,7 +85,7 @@ def test_pauli_lubanski_is_minus_epsilon_contract():
         J = random_kinematic_jet(rng)
         x = rng.normal(size=4)
         for F in all_forms():
-            at = pq_from_jet(J, F.ell)
+            at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
                 continue
             ms = momenta(F, J, x=x)
@@ -104,7 +104,7 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
         v = np.concatenate([J.xdot, J.kdot])
         vs = jets.variables(*v)
         for F in all_forms():
-            at = pq_from_jet(J, F.ell)
+            at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
                 continue
             L = lagrangian_from_vectors(F, vs[:4], J.k, vs[4:])

@@ -6,8 +6,10 @@ from rotorlab.cli import tetrad_residuals
 from rotorlab.minkowski import DomainError, dot, gram_det
 from rotorlab.spinor import (
     Spinor,
+    angles_from_null,
     gauge_transform,
     mate,
+    null_from_angles,
     null_vector,
     phase_rotate,
     spinor_from_angles,
@@ -51,6 +53,33 @@ def test_tetrad_scalar_products_and_gram():
         T = tetrad(spinor_from_angles(*random_angles(rng)))
         assert tetrad_residuals([T])[0] < 0.5e-12
         assert gram_det(*T.vectors()) == pytest.approx(-4.0, abs=1e-11)
+
+
+def test_null_from_angles_is_the_null_vector_of_the_spinor():
+    # K (1, n(theta, phi)) is kappa^+ sigma kappa for the spinor of magnitude
+    # sqrt(K) at the same angles, whatever its phase; angles_from_null inverts it
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        th, ph, K, Ph = random_angles(rng)
+        k = null_from_angles(th, ph, K)
+        gap = np.max(np.abs(k - null_vector(spinor_from_angles(th, ph, K, Ph))))
+        assert gap <= 2e-15 * K
+        th2, ph2, K2 = angles_from_null(k)
+        assert abs(th2 - th) <= 2e-15 / np.sin(th)
+        assert abs(np.angle(np.exp(1j * (ph2 - ph)))) <= 2e-15 / np.sin(th)
+        assert K2 == K
+
+
+def test_angles_from_null_inverts_null_from_angles_on_jets():
+    # the roundtrip is the identity, so its Jacobian is 1 and its Hessian 0
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        th, ph, K, _ = random_angles(rng)
+        vs = jets.variables(th, ph - np.pi, K)
+        for got, want in zip(angles_from_null(null_from_angles(*vs)), vs):
+            assert abs(got.f - want.f) <= 2e-15 / np.sin(th) * max(want.f, 1.0)
+            assert np.max(np.abs(got.g - want.g)) <= 4e-15 / np.sin(th) ** 2
+            assert np.max(np.abs(got.h)) <= 2e-14 / np.sin(th) ** 3
 
 
 def test_null_vector_future_pointing():
