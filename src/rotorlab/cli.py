@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("freemotion", parents=[common])
     p.add_argument("--phase", default="t")
-    p.add_argument("--tmax", type=float, default=20.0)
+    p.add_argument("--tmax", type=_finite_float, default=20.0)
     p.add_argument("--samples", type=_positive_int, default=81)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_freemotion)

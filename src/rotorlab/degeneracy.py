@@ -76,14 +76,16 @@ class ChartState:
         return self
 
 
-def check_off_pole(theta: float) -> None:
-    """Raise DomainError if theta lies within POLE_MARGIN of a chart pole."""
-    if min(abs(theta), abs(np.pi - theta)) < POLE_MARGIN:
-        raise DomainError(f"theta = {theta} too close to a chart pole")
+def check_off_pole(theta) -> None:
+    """Raise DomainError if theta, or an entry of a batch of them, lies within
+    POLE_MARGIN of a chart pole."""
+    jets.raise_where(np.minimum(abs(theta), abs(np.pi - theta)) < POLE_MARGIN,
+                     DomainError, "theta = {} too close to a chart pole", theta)
 
 
 def chart_vectors(q, qd, dof):
-    """(xdot, k, kdot) from chart coordinates; generic over floats and jets."""
+    """(xdot, k, kdot) from chart coordinates; generic over floats, jets and
+    batches of either (rows of (n, B) arrays give (4, B) vectors)."""
     theta, phi = q[3], q[4]
     K = q[5] if len(dof) == 6 else 1.0
     Kd = qd[5] if len(dof) == 6 else 0.0
@@ -102,7 +104,7 @@ def chart_vectors(q, qd, dof):
 
 def chart_scalars(q, qd, dof):
     """(xdot.xdot, k.xdot, kdot.xdot, kdot.kdot) from chart coordinates in
-    closed form; generic over floats and jets.
+    closed form; generic over floats, jets and batches of either.
 
     With xdot = (1, v), k = K (1, n) and n.n = 1, n.ndot = 0:
 

@@ -14,6 +14,10 @@ second-order phase data.
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
 H qddot = Z per step with a QR solve and condition monitoring.
+
+Trajectory queries accept a time or an array of times.  An array is one pass
+of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
+times each, so their memory does not grow with the number of samples.
 """
 
 from __future__ import annotations
@@ -58,6 +62,18 @@ SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
 MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
 COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
+CHUNK = 128  # times per batched trajectory query in the passes along a trajectory
+
+
+def _times(t):
+    """A time as a float, or times as a float array."""
+    return np.asarray(t, dtype=float) if np.ndim(t) else float(t)
+
+
+def _chunks(times):
+    """Consecutive arrays of at most CHUNK of ``times``."""
+    times = np.asarray(list(times), dtype=float)
+    return [times[i:i + CHUNK] for i in range(0, len(times), CHUNK)]
 
 
 class SingularHessianError(RuntimeError):
@@ -114,29 +130,34 @@ class SolutionParams:
         """Second rotation axis E, orthonormal mate of N in the spin plane."""
         return epsilon_contract(self.N, self.W, self.P) / (0.5 * self.M**3 * self.ell)
 
-    def phase_jet(self, t: float) -> jets.Jet:
+    def phase_jet(self, t) -> jets.Jet:
         """The phase at t as a jet in t, its speed |phidot| checked against the
-        admissibility band (0, 2/ell)."""
-        (tj,) = jets.variables(float(t))
+        admissibility band (0, 2/ell); batched, and checked at every time, for
+        an array of times."""
+        t = _times(t)
+        (tj,) = jets.variables(t)
         ph = self.phase(tj)
         if not isinstance(ph, jets.Jet):
-            ph = jets.constant(float(ph), 1)
+            ph = jets.constant(float(ph) + 0.0 * t, 1)
         pd = ph.g[0]
-        if not SPEED_FLOOR * (2.0 / self.ell) < abs(pd) < 2.0 / self.ell:
-            raise DomainError(
-                f"phase speed {pd} at t = {t} outside (0, {2.0 / self.ell})"
-            )
+        hi = 2.0 / self.ell
+        jets.raise_where(np.logical_not((SPEED_FLOOR * hi < abs(pd)) & (abs(pd) < hi)),
+                         DomainError, f"phase speed {{}} at t = {{}} outside (0, {hi})",
+                         pd, t)
         return ph
 
 
 class Trajectory:
-    """Map t -> (x, k) with exact first and second derivative queries."""
+    """Map t -> (x, k) with exact first and second derivative queries.
 
-    def jets(self, t: float):
+    ``jets`` returns x(t) and k(t) as four-vectors of jets in t, batched over
+    t when t is an array of times."""
+
+    def jets(self, t):
         raise NotImplementedError
 
-    def momenta(self, F: FForm, t: float):
-        """Noether momenta of F at t."""
+    def momenta(self, F: FForm, t):
+        """Noether momenta of F at t (a batched set for an array of times)."""
         (xv, xd), (kv, kd) = map(jets.split, self.jets(t))
         return momenta_from_vectors(F, xd, kv, kd, x=xv)
 
@@ -145,12 +166,13 @@ class Trajectory:
 class FreeMotionTrajectory(Trajectory):
     params: SolutionParams
 
-    def jets(self, t: float):
+    def jets(self, t):
         p = self.params
+        t = _times(t)
         ph = p.phase_jet(t)
         sgn = np.sign(ph.g[0])
         s, c = jets.sin(ph), jets.cos(ph)
-        (tj,) = jets.variables(float(t))
+        (tj,) = jets.variables(t)
         E = p.axis()
         x = np.empty(4, dtype=object)
         k = np.empty(4, dtype=object)
@@ -185,28 +207,36 @@ def rest_frame_params(phase, M: float = 1.0, ell: float = 1.0,
 
 @dataclass(frozen=True)
 class ELReport:
+    """EL residuals per chart coordinate at one time, or at a batch of B
+    times: then ``residuals`` is (n, B) and ``scale`` and the maxima (B,)."""
+
     residuals: np.ndarray
     scale: float
     dof: tuple
 
     @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals)))
+    def max_abs(self):
+        return np.max(np.abs(self.residuals), axis=0)
 
     @property
-    def max_relative(self) -> float:
+    def max_relative(self):
         return self.max_abs / self.scale
+
+    def entries(self) -> list:
+        """The single-time reports of a batch, in batch order."""
+        return [ELReport(residuals=self.residuals[:, b], scale=self.scale[b], dof=self.dof)
+                for b in range(self.residuals.shape[1])]
 
 
 def _lab_chart_jets(x, k, dof):
     """Chart coordinates q(T) as jets in lab time T = x^0.
 
     Input components are second-order jets in the trajectory parameter; the
-    chain rule converts their derivatives to lab-time derivatives.
+    chain rule converts their derivatives to lab-time derivatives.  Batched
+    jets give (n, B) arrays.
     """
     Td, Tdd = x[0].g[0], x[0].h[0, 0]
-    if Td <= 0.0:
-        raise DomainError(f"lab time not increasing: dx0/dt = {Td}")
+    jets.raise_where(Td <= 0.0, DomainError, "lab time not increasing: dx0/dt = {}", Td)
     theta, phi, K = angles_from_null(k)
     check_off_pole(jets.value(theta))
     coords = [x[1], x[2], x[3], theta, phi]
@@ -217,31 +247,32 @@ def _lab_chart_jets(x, k, dof):
         f, g, h = jets.value(c), c.g[0], c.h[0, 0]
         q.append(f)
         qd.append(g / Td)
-        qdd.append((h * Td - g * Tdd) / Td**3)
+        qdd.append((h * Td - g * Tdd) / jets.power(Td, 3))
     return np.array(q), np.array(qd), np.array(qdd)
 
 
-def el_residuals(F: FForm, traj: Trajectory, t: float, dof=DOF5) -> ELReport:
-    """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation."""
+def el_residuals(F: FForm, traj: Trajectory, t, dof=DOF5) -> ELReport:
+    """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation;
+    one batched report for an array of times."""
     x, k = traj.jets(t)
     return _el_report(F, x, k, dof)
 
 
 def _el_report(F: FForm, x, k, dof) -> ELReport:
-    """``el_residuals`` from the trajectory jets x(t), k(t)."""
+    """``el_residuals`` from the trajectory jets x(t), k(t).
+
+    Residual i is sum_j H_{v_i v_j} qdd_j + sum_j H_{v_i q_j} qd_j - dL/dq_i,
+    added term by term in that order; its scale is the largest of those
+    terms over i."""
     q, qd, qdd = _lab_chart_jets(x, k, dof)
     n = len(dof)
     vs = jets.variables(*q, *qd)
     L = chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
-    res = np.zeros(n)
-    scale = 0.0
-    for i in range(n):
-        acc = np.dot(L.h[n + i, n:], qdd) + np.dot(L.h[n + i, :n], qd)
-        terms = np.abs(np.concatenate([L.h[n + i, n:] * qdd,
-                                       L.h[n + i, :n] * qd, [L.g[i]]]))
-        scale = max(scale, float(np.max(terms)))
-        res[i] = acc - L.g[i]
-    return ELReport(residuals=res, scale=max(scale, 1e-300), dof=tuple(dof))
+    hv = L.h[n:]  # rows of the velocities
+    terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
+    res = sum(terms[:n]) + sum(terms[n:]) - L.g[:n]
+    scale = np.max(np.abs(np.stack(terms + [L.g[:n]])), axis=(0, 1))
+    return ELReport(residuals=res, scale=np.maximum(scale, 1e-300), dof=tuple(dof))
 
 
 # -- numerical integration of nondegenerate members -------------------------
@@ -321,33 +352,41 @@ class IntegratedTrajectory(Trajectory):
     dof: tuple
     sol: SpanSolution  # dense output
 
-    def chart(self, t: float):
-        t = float(t)
-        if not self.sol.t_min <= t <= self.sol.t_max:
-            raise ValueError(f"t = {t} outside the integrated span "
-                             f"[{self.sol.t_min}, {self.sol.t_max}]")
+    def chart(self, t):
+        """(q, qd) at t: (n,) arrays, or (n, B) for an array of B times."""
+        t = _times(t)
+        jets.raise_where(np.logical_not((self.sol.t_min <= t) & (t <= self.sol.t_max)),
+                         ValueError, f"t = {{}} outside the integrated span "
+                         f"[{self.sol.t_min}, {self.sol.t_max}]", t)
         y = self.sol(t)
         n = len(self.dof)
         return y[:n], y[n:]
 
-    def accel(self, t: float) -> np.ndarray:
-        q, qd = self.chart(t)
+    def accel(self, t) -> np.ndarray:
+        """qdd at t, or at each of an array of times."""
+        t = _times(t)
+        return self._accel(t, *self.chart(t))
+
+    def _accel(self, t, q, qd):
+        if np.ndim(t):  # the velocity Hessian takes one state per solve
+            return np.stack([self._accel(*s) for s in zip(t, q.T, qd.T)], axis=-1)
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
         return _qr_solve(H, Z, t, q, qd)
 
-    def momenta(self, F: FForm, t: float):
+    def momenta(self, F: FForm, t):
         """Noether momenta of F at t, from the chart state alone: unlike
         ``jets``, this solves for no acceleration."""
+        t = _times(t)
         q, qd = self.chart(t)
         xd, kv, kd = chart_vectors(q, qd, self.dof)
-        return momenta_from_vectors(F, xd, kv, kd, x=four(float(t), *q[:3]))
+        return momenta_from_vectors(F, xd, kv, kd, x=four(t, *q[:3]))
 
-    def jets(self, t: float):
+    def jets(self, t):
+        t = _times(t)
         q, qd = self.chart(t)
-        qdd = self.accel(t)
-        qj = [jets.Jet(q[i], np.array([qd[i]]), np.array([[qdd[i]]]))
-              for i in range(len(q))]
-        tj = jets.Jet(float(t), np.array([1.0]), np.zeros((1, 1)))
+        qdd = self._accel(t, q, qd)
+        qj = [jets.Jet(q[i], qd[i][None], qdd[i][None, None]) for i in range(len(q))]
+        (tj,) = jets.variables(t)
         K = qj[5] if len(self.dof) == 6 else 1.0
         return four(tj, *qj[:3]), null_from_angles(qj[3], qj[4], K)
 
@@ -395,20 +434,26 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
 
 
 def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> list:
-    """(t, x, k, EL report, Noether momenta) per time, from one trajectory
-    query each; x and k are the values of the four-vectors."""
+    """(t, x, k, EL report, Noether momenta) per time, from one batched
+    trajectory query per CHUNK times; x and k are the values of the
+    four-vectors."""
     out = []
-    for t in times:
-        x, k = traj.jets(t)
+    for ts in _chunks(times):
+        x, k = traj.jets(ts)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        out.append((float(t), xv, kv, _el_report(F, x, k, dof),
-                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
+        out += zip(ts.tolist(), xv.T, kv.T, _el_report(F, x, k, dof).entries(),
+                   momenta_from_vectors(F, xd, kv, kd, x=xv).entries())
     return out
+
+
+def _momenta_along(traj: Trajectory, F: FForm, times) -> list:
+    """Noether momenta of F per time, from one batched query per CHUNK times."""
+    return [ms for ts in _chunks(times) for ms in traj.momenta(F, ts).entries()]
 
 
 def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> dict:
     """Max relative deviation of recomputed Noether P, W from the inputs."""
-    return charge_drift(p, [traj.momenta(F, t) for t in times])
+    return charge_drift(p, _momenta_along(traj, F, times))
 
 
 def charge_drift(p: SolutionParams, momenta) -> dict:
@@ -424,7 +469,7 @@ def charge_drift(p: SolutionParams, momenta) -> dict:
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
     """PP and WW along an integrated trajectory, with max relative drift."""
-    return casimir_series(traj.F, [traj.momenta(traj.F, t) for t in times])
+    return casimir_series(traj.F, _momenta_along(traj, traj.F, times))
 
 
 def casimir_series(F: FForm, momenta) -> dict:
@@ -482,8 +527,8 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
     """Several admissible phases sharing (phi(0), phidot(0)): same initial
     lab-time state, residual-clean trajectories, divergent subsequent motion.
 
-    Each trajectory is queried once per time; its EL residuals, initial chart
-    state and positions all come from those jets.
+    Each trajectory is queried once per CHUNK times; its EL residuals,
+    initial chart state and positions all come from those jets.
     """
     times = np.asarray(list(times), dtype=float)
     ref_j = None
@@ -499,11 +544,15 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
         elif abs(ph.f - ref_j[0]) > MATCH_TOL or abs(ph.g[0] - ref_j[1]) > MATCH_TOL:
             raise DomainError("phase functions do not share initial data")
         traj = free_motion(p)
-        xk = [traj.jets(t) for t in times]
-        max_rel = max(_el_report(F, x, k, dof).max_relative for x, k in xk)
+        max_rel, xs = 0.0, []
+        for ts in _chunks(times):
+            x, k = traj.jets(ts)
+            max_rel = max(max_rel, float(np.max(_el_report(F, x, k, dof).max_relative)))
+            if not xs:  # the chart state at times[0]
+                charts.append([a[:, 0] for a in _lab_chart_jets(x, k, dof)[:2]])
+            xs.append(jets.split(x)[0])
         entries.append({"max_el_residual": max_rel})
-        charts.append(_lab_chart_jets(*xk[0], dof)[:2])
-        positions.append(np.array([jets.split(x)[0] for x, _ in xk]))
+        positions.append(np.concatenate(xs, axis=1))
     q0, qd0 = charts[0]
     for q, qd in charts[1:]:
         state_gap = max(np.max(np.abs(q - q0)), np.max(np.abs(qd - qd0)))

@@ -4,7 +4,9 @@ P and Q are the two reparametrization-invariant, scale-free combinations of a
 null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
 (M, ell, nu) and a domain predicate; first and second partials come from
-forward-mode differentiation, exact to rounding.
+forward-mode differentiation, exact to rounding.  The Lagrangian and its
+scalars take batched jets or arrays as well (see ``jets``), and a domain
+predicate then answers per batch entry.
 
 Builtins cover the point particle, the f(Q) rotator subfamily, the two
 closed-form families satisfying the fixed mass/spin conditions, and the
@@ -66,13 +68,16 @@ class FForm:
     M: float = 1.0
     ell: float = 1.0
     nu: float = 0.0
+    # (P, Q) -> whether F is defined there: a bool, or a bool array for arrays
     domain: Callable = field(default=lambda P, Q: Q >= 0.0)
 
     def __call__(self, P, Q):
         return self.func(P, Q)
 
-    def in_domain(self, P: float, Q: float) -> bool:
-        return bool(self.domain(P, Q))
+    def in_domain(self, P, Q) -> bool:
+        """Whether (P, Q), or every entry of a batch of them, lies in the domain."""
+        ok = self.domain(P, Q)
+        return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
 
     def eval(self, P: float, Q: float) -> FFormValue:
         if not self.in_domain(P, Q):
@@ -95,10 +100,9 @@ def pq_from_scalars(xx, kx, kdx, kdkd, ell: float):
     """(sqrt(x.x), P, Q) from the scalar products xdot.xdot, k.xdot,
     kdot.xdot and kdot.kdot, with P = ell kd.x / (k.x sqrt(x.x)) and
     Q = -ell^2 kd.kd / (k.x)^2; jet-generic."""
-    if jets.value(xx) <= 0.0:
-        raise DomainError(f"xdot.xdot = {jets.value(xx)} must be positive")
-    if jets.value(kx) <= 0.0:
-        raise DomainError(f"k.xdot = {jets.value(kx)} must be positive")
+    xxv, kxv = jets.value(xx), jets.value(kx)
+    jets.raise_where(xxv <= 0.0, DomainError, "xdot.xdot = {} must be positive", xxv)
+    jets.raise_where(kxv <= 0.0, DomainError, "k.xdot = {} must be positive", kxv)
     rt = jets.sqrt(xx)
     return rt, ell * kdx / (kx * rt), -(ell**2) * kdkd / (kx * kx)
 
@@ -259,7 +263,9 @@ def _eval_node(node, env):
     a = _eval_node(node[1], env)
     if kind == "^":
         b = _eval_node(node[2], env)
-        b = jets.value(b)
+        if isinstance(b, jets.Jet):
+            # its derivatives would be dropped: a^b is differentiated in a only
+            raise DomainError("an exponent must not depend on the variables")
         try:
             out = a**b
         except ValueError as exc:
@@ -275,8 +281,7 @@ def _eval_node(node, env):
     if kind == "*":
         return a * b
     if kind == "/":
-        if jets.value(b) == 0.0:
-            raise DomainError("division by zero")
+        jets.raise_where(jets.value(b) == 0.0, DomainError, "division by zero")
         return a / b
     raise AssertionError(f"bad node {node!r}")
 
@@ -288,12 +293,18 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
     def func(P, Q, _tree=tree):
         return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
 
-    def domain(P, Q, _tree=tree):
+    def defined(P, Q):
         try:
-            _evaluate(_tree, {"P": float(P), "Q": float(Q), "nu": nu})
+            _evaluate(tree, {"P": float(P), "Q": float(Q), "nu": nu})
         except DomainError:
             return False
         return True
+
+    def domain(P, Q):
+        if isinstance(P, np.ndarray) or isinstance(Q, np.ndarray):
+            # a batch: entry by entry, as floats
+            return np.array([defined(p, q) for p, q in np.broadcast(P, Q)])
+        return defined(P, Q)
 
     return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell, nu=nu, domain=domain)
 
@@ -336,7 +347,7 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
             return s1 * jets.sqrt((1.0 + s2 * jets.sqrt(Q)) * (1.0 + P * P / Q))
 
         def domain(P, Q):
-            return Q > 0.0 and 1.0 + s2 * np.sqrt(Q) > 0.0
+            return (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) > 0.0)
 
         return FForm(func=func, name=f"starlike[{s1:+d},{s2:+d}]", M=M, ell=ell,
                      domain=domain)
@@ -346,7 +357,7 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
             return _nu * P + s1 * jets.sqrt(1.0 + s2 * jets.sqrt(Q) - _nu**2 * Q)
 
         def domain(P, Q, _nu=nu):
-            return Q > 0.0 and 1.0 + s2 * np.sqrt(Q) - _nu**2 * Q > 0.0
+            return (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) - _nu**2 * Q > 0.0)
 
         return FForm(func=func, name=f"nu_family[{nu},{s1:+d},{s2:+d}]",
                      M=M, ell=ell, nu=nu, domain=domain)
@@ -387,7 +398,7 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
     kdot.xdot and kdot.kdot; jet-generic."""
     rt, P, Q = pq_from_scalars(xx, kx, kdx, kdkd, F.ell)
-    if not F.in_domain(jets.value(P), jets.value(Q)):
-        raise DomainError(
-            f"(P, Q) = ({jets.value(P)}, {jets.value(Q)}) outside domain of {F.name}")
+    Pv, Qv = jets.value(P), jets.value(Q)
+    jets.raise_where(np.logical_not(F.domain(Pv, Qv)), DomainError,
+                     f"(P, Q) = ({{}}, {{}}) outside domain of {F.name}", Pv, Qv)
     return -F.M * rt * F.func(P, Q)

@@ -221,16 +221,15 @@ def _shifted(Jv, u, alpha, beta):
 
 
 def _condition_matrix(s):
-    """5x15 matrix of the alpha/beta monomial conditions at scalar point s."""
+    """5x15 matrix of the alpha/beta monomial conditions at scalar point s.
+
+    Column r fits the monomial coefficients to the change of feature r at the
+    six (alpha, beta) nodes: the r-th row of the feature-difference table."""
     u, Jv = s[:3], s[3:]
+    base = _features(Jv)
+    diffs = np.array([_features(_shifted(Jv, u, a, b)) - base for a, b in _AB_NODES])
     cols = np.empty((15, 5))
-    for r in range(15):
-        V = np.zeros(15)
-        V[r] = 1.0
-        vals = np.array([
-            V @ (_features(_shifted(Jv, u, a, b)) - _features(Jv))
-            for a, b in _AB_NODES
-        ])
+    for r, vals in enumerate(np.ascontiguousarray(diffs.T)):
         cols[r] = _AB_PINV @ vals
     return cols.T
 

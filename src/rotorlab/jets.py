@@ -6,6 +6,18 @@ is what the Hessian, momentum and Euler-Lagrange machinery rely on.  Plain
 floats pass through the module-level math functions unchanged, so numerical
 kernels can be written once and evaluated either on numbers or on jets.
 
+A jet may also carry a batch of B expansions in the same variables (the
+vector forward mode of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+SIAM 2008, ch. 3).  The batch axis comes last: ``f`` is a float or a ``(B,)``
+array, ``g`` is ``(n,)`` or ``(n, B)`` and ``h`` is ``(n, n)`` or
+``(n, n, B)``.  Every operation is one formula that broadcasts over the
+trailing axis, and each batch entry is bit-identical to the same operation on
+unbatched jets: the elementary functions whose numpy versions round
+differently from ``math`` (``exp``, ``acos``, ``atan2`` and real powers) are
+evaluated entry by entry through ``math``.  Plain numbers are likewise floats
+or arrays of the batch shape, and the operands of one operation share one
+batch shape.
+
 A plain-number operand of ``+ - * /`` shifts the value or scales the whole
 jet; it is never promoted to a zero-derivative jet.  A result may share its
 ``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), and the
@@ -25,6 +37,8 @@ __all__ = [
     "constant",
     "value",
     "split",
+    "raise_where",
+    "power",
     "sqrt",
     "sin",
     "cos",
@@ -34,19 +48,76 @@ __all__ = [
 ]
 
 
+_ARRAY = np.ndarray
 _NUMBER = (int, float, np.integer, np.floating)
 
 
+def _each(fn, nin):
+    """``fn`` from ``math`` on floats, and entry by entry on arrays."""
+    ufunc = np.frompyfunc(fn, nin, 1)
+
+    def apply(x, *rest):
+        if isinstance(x, _ARRAY):
+            return ufunc(x, *rest).astype(float)
+        return fn(x, *rest)
+
+    return apply
+
+
+_power_each = np.frompyfunc(pow, 2, 1)
+
+
+def power(x, p):
+    """x ** p as Python computes it on floats, on a float or on each entry of
+    an array (numpy's power rounds differently)."""
+    return _power_each(x, p).astype(float) if isinstance(x, _ARRAY) else x ** p
+
+
+def _vectorized(fn, ufunc):
+    """``fn`` from ``math`` on floats, the numpy ufunc that matches it bit for
+    bit on arrays."""
+    return lambda x: ufunc(x) if isinstance(x, _ARRAY) else fn(x)
+
+
+_sqrt = _vectorized(math.sqrt, np.sqrt)
+_sin = _vectorized(math.sin, np.sin)
+_cos = _vectorized(math.cos, np.cos)
+# np.exp, np.arccos and np.arctan2 miss math's result by 1 ulp on some inputs
+_exp = _each(math.exp, 1)
+_acos = _each(math.acos, 1)
+_atan2 = _each(math.atan2, 2)
+
+
+def raise_where(bad, error, message, *values):
+    """Raise ``error(message.format(*values))`` where ``bad`` holds.
+
+    ``bad`` is a bool, or a bool array of the batch shape; then each of
+    ``values`` is an array of that shape, the message names the values at
+    the first entry where ``bad`` holds, and ends with that entry's index.
+    """
+    if isinstance(bad, _ARRAY):
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        raise error(message.format(*(v[i] for v in values)) + f" (batch entry {i})")
+    if bad:
+        raise error(message.format(*values))
+
+
 class Jet:
-    """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n).
+    """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n),
+    each with a trailing batch axis when batched.
 
     ``g`` and ``h`` must be float arrays; they are stored as given.
     """
 
     __slots__ = ("f", "g", "h")
+    # numpy hands binary operations with a jet operand back to the jet
+    __array_ufunc__ = None
 
     def __init__(self, f, g, h):
-        self.f = float(f)
+        # an unbatched value stays a Python float: numpy scalars are slower
+        self.f = f if type(f) is float else (f if isinstance(f, _ARRAY) else float(f))
         self.g = g
         self.h = h
 
@@ -59,11 +130,20 @@ class Jet:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _batch(self, other):
+        """An array operand: a plain number per batch entry."""
+        if other.shape != np.shape(self.f):
+            raise ValueError(f"operand of shape {other.shape} does not match "
+                             f"the batch shape {np.shape(self.f)}")
+        return other
+
     def __add__(self, other):
         if isinstance(other, Jet):
             return Jet(self.f + other.f, self.g + other.g, self.h + other.h)
         if isinstance(other, _NUMBER):
             return Jet(self.f + float(other), self.g, self.h)
+        if isinstance(other, _ARRAY):
+            return Jet(self.f + self._batch(other), self.g, self.h)
         return NotImplemented
 
     __radd__ = __add__
@@ -76,11 +156,15 @@ class Jet:
             return Jet(self.f - other.f, self.g - other.g, self.h - other.h)
         if isinstance(other, _NUMBER):
             return Jet(self.f - float(other), self.g, self.h)
+        if isinstance(other, _ARRAY):
+            return Jet(self.f - self._batch(other), self.g, self.h)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
             return Jet(float(other) - self.f, -self.g, -self.h)
+        if isinstance(other, _ARRAY):
+            return Jet(self._batch(other) - self.f, -self.g, -self.h)
         return NotImplemented
 
     def __mul__(self, other):
@@ -90,27 +174,32 @@ class Jet:
             h = self.h * other.f
             h += other.h * self.f
             h += t
-            h += t.T
+            h += t.swapaxes(0, 1)
             return Jet(self.f * other.f, self.f * other.g + other.f * self.g, h)
         if isinstance(other, _NUMBER):
             c = float(other)
-            return Jet(self.f * c, self.g * c, self.h * c)
-        return NotImplemented
+        elif isinstance(other, _ARRAY):
+            c = self._batch(other)
+        else:
+            return NotImplemented
+        return Jet(self.f * c, self.g * c, self.h * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return self * _chain(other, 1.0 / other.f, -1.0 / other.f**2,
-                                 2.0 / other.f**3)
+            return self * _reciprocal(other)
         if isinstance(other, _NUMBER):
             return self * (1.0 / float(other))
+        if isinstance(other, _ARRAY):
+            return self * (1.0 / self._batch(other))
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _NUMBER):
-            return _chain(self, 1.0 / self.f, -1.0 / self.f**2,
-                          2.0 / self.f**3) * float(other)
+            return _reciprocal(self) * float(other)
+        if isinstance(other, _ARRAY):
+            return _reciprocal(self) * self._batch(other)
         return NotImplemented
 
     def __pow__(self, p):
@@ -122,26 +211,24 @@ class Jet:
         if p == int(p) and abs(p) <= 64:
             k = int(p)
             if k == 0:
-                return constant(1.0, self.n)
+                return constant(_full(self.f, 1.0), self.n)
             if k < 0:
                 return 1.0 / (self ** (-k))
             out = self
             for _ in range(k - 1):
                 out = out * self
             return out
-        if self.f <= 0.0:
-            raise ValueError(f"x**{p} needs x > 0, got x={self.f}")
+        raise_where(self.f <= 0.0, ValueError, f"x**{p} needs x > 0, got x={{}}", self.f)
         return _chain(
             self,
-            self.f**p,
-            p * self.f ** (p - 1.0),
-            p * (p - 1.0) * self.f ** (p - 2.0),
+            power(self.f, p),
+            p * power(self.f, p - 1.0),
+            p * (p - 1.0) * power(self.f, p - 2.0),
         )
 
     def __abs__(self):
-        if self.f == 0.0:
-            raise ValueError("abs() is not differentiable at 0")
-        return self if self.f > 0.0 else -self
+        raise_where(self.f == 0.0, ValueError, "abs() is not differentiable at 0")
+        return self * np.sign(self.f)
 
     # -- comparisons on values (handy for domain checks) ------------------
 
@@ -162,26 +249,41 @@ class Jet:
 
 
 def variables(*vals):
-    """Seed independent jet variables from numeric values."""
+    """Seed independent jet variables from numeric values: floats, or arrays
+    of one batch shape (a batch of seeds per variable)."""
     n = len(vals)
-    eye, zero = np.eye(n), np.zeros((n, n))
+    shape = getattr(vals[0], "shape", ()) if n else ()
+    eye = np.multiply.outer(np.eye(n), np.ones(shape)) if shape else np.eye(n)
+    zero = np.zeros((n, n) + shape)
     return [Jet(v, eye[i], zero) for i, v in enumerate(vals)]
 
 
 def constant(v, n):
-    return Jet(v, np.zeros(n), np.zeros((n, n)))
+    """A jet of value ``v`` (a float or a batch array) in n variables, with
+    zero derivatives."""
+    shape = np.shape(v)
+    return Jet(v, np.zeros((n,) + shape), np.zeros((n, n) + shape))
+
+
+def _full(like, v):
+    """The float v, or v at every entry of a batch shaped like ``like``."""
+    return np.full(like.shape, v) if isinstance(like, _ARRAY) else v
 
 
 def value(x):
-    """Numeric value of a jet or plain number."""
-    return x.f if isinstance(x, Jet) else float(x)
+    """Numeric value of a jet or plain number: a float, or a float array for
+    a batch."""
+    if isinstance(x, Jet):
+        return x.f
+    return x if isinstance(x, _ARRAY) else float(x)
 
 
 def split(vec):
     """Values and first derivatives of jets in one parameter, as two float
-    arrays; a plain-number entry has derivative 0."""
+    arrays, of shape (len(vec),) or (len(vec), B); a plain-number entry has
+    derivative 0.  The entries share one batch shape."""
     val = np.array([value(c) for c in vec])
-    der = np.array([c.g[0] if isinstance(c, Jet) else 0.0 for c in vec])
+    der = np.array([c.g[0] if isinstance(c, Jet) else _full(value(c), 0.0) for c in vec])
     return val, der
 
 
@@ -201,62 +303,66 @@ def _chain2(ux, uy, f, fx, fy, fxx, fyy, fxy):
     h += fxx * (gx[:, None] * gx)
     h += fyy * (gy[:, None] * gy)
     t = gx[:, None] * gy
-    h += fxy * (t + t.T)
+    h += fxy * (t + t.swapaxes(0, 1))
     return Jet(f, g, h)
+
+
+def _reciprocal(u):
+    return _chain(u, 1.0 / u.f, -1.0 / power(u.f, 2), 2.0 / power(u.f, 3))
 
 
 def sqrt(x):
     if not isinstance(x, Jet):
-        if x < 0.0:
-            raise ValueError(f"sqrt of negative value {x}")
-        return math.sqrt(x)
-    if x.f <= 0.0:
-        raise ValueError(f"sqrt needs a positive argument, got {x.f}")
-    r = math.sqrt(x.f)
+        raise_where(x < 0.0, ValueError, "sqrt of negative value {}", x)
+        return _sqrt(x)
+    raise_where(x.f <= 0.0, ValueError, "sqrt needs a positive argument, got {}", x.f)
+    r = _sqrt(x.f)
     return _chain(x, r, 0.5 / r, -0.25 / (r * x.f))
 
 
 def sin(x):
     if not isinstance(x, Jet):
-        return math.sin(x)
-    return _chain(x, math.sin(x.f), math.cos(x.f), -math.sin(x.f))
+        return _sin(x)
+    s = _sin(x.f)
+    return _chain(x, s, _cos(x.f), -s)
 
 
 def cos(x):
     if not isinstance(x, Jet):
-        return math.cos(x)
-    return _chain(x, math.cos(x.f), -math.sin(x.f), -math.cos(x.f))
+        return _cos(x)
+    c = _cos(x.f)
+    return _chain(x, c, -_sin(x.f), -c)
 
 
 def exp(x):
     if not isinstance(x, Jet):
-        return math.exp(x)
-    e = math.exp(x.f)
+        return _exp(x)
+    e = _exp(x.f)
     return _chain(x, e, e, e)
 
 
 def acos(x):
     if not isinstance(x, Jet):
-        return math.acos(x)
-    if not -1.0 < x.f < 1.0:
-        raise ValueError("acos is differentiable only on (-1, 1)")
+        return _acos(x)
+    raise_where(np.logical_not((-1.0 < x.f) & (x.f < 1.0)), ValueError,
+                "acos is differentiable only on (-1, 1), got {}", x.f)
     s = 1.0 - x.f * x.f
-    return _chain(x, math.acos(x.f), -1.0 / math.sqrt(s), -x.f / s**1.5)
+    return _chain(x, _acos(x.f), -1.0 / _sqrt(s), -x.f / power(s, 1.5))
 
 
 def atan2(y, x):
     if not isinstance(y, Jet) and not isinstance(x, Jet):
-        return math.atan2(y, x)
+        return _atan2(y, x)
     if not isinstance(y, Jet):
-        y = constant(y, x.n)
+        y = constant(_full(x.f, y), x.n)
     if not isinstance(x, Jet):
-        x = constant(x, y.n)
+        x = constant(_full(y.f, x), y.n)
     d = x.f * x.f + y.f * y.f
-    if d == 0.0:
-        raise ValueError("atan2 undefined at the origin")
-    f = math.atan2(y.f, x.f)
+    raise_where(d == 0.0, ValueError, "atan2 undefined at the origin")
+    f = _atan2(y.f, x.f)
     fx, fy = -y.f / d, x.f / d
-    fxx = 2.0 * x.f * y.f / d**2
+    d2 = power(d, 2)
+    fxx = 2.0 * x.f * y.f / d2
     fyy = -fxx
-    fxy = (y.f * y.f - x.f * x.f) / d**2
+    fxy = (y.f * y.f - x.f * x.f) / d2
     return _chain2(x, y, f, fx, fy, fxx, fyy, fxy)

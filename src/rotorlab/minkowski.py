@@ -2,8 +2,9 @@
 
 Conventions fixed here and used everywhere else: metric diag(1, -1, -1, -1)
 and Levi-Civita orientation eps^{0123} = +1.  Vectors are length-4 sequences;
-all kernels are written component-wise so they accept plain floats or
-:class:`rotorlab.jets.Jet` entries alike.
+all kernels are written component-wise so they accept plain floats,
+:class:`rotorlab.jets.Jet` entries, or (B,) float arrays (a batch of B
+vectors stored as a (4, B) array, the batch axis last) alike.
 """
 
 from __future__ import annotations
@@ -32,11 +33,17 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+_REAL = (int, float, np.integer, np.floating)
+
+
 def four(c0, c1, c2, c3):
-    """Pack components into a four-vector array (object dtype if jet-valued)."""
+    """Pack components into a four-vector array: (4,) floats, (4, B) floats if
+    a component is a (B,) array, or object dtype if jet-valued."""
     comps = [c0, c1, c2, c3]
-    if all(isinstance(c, (int, float, np.integer, np.floating)) for c in comps):
+    if all(isinstance(c, _REAL) for c in comps):
         return np.array(comps, dtype=float)
+    if all(isinstance(c, _REAL + (np.ndarray,)) for c in comps):
+        return np.array(np.broadcast_arrays(*comps), dtype=float)
     out = np.empty(4, dtype=object)
     out[:] = comps
     return out
@@ -115,15 +122,21 @@ def gram_det(k, m, a, b):
     return float(np.linalg.det(G))
 
 
+def _outer(u, v):
+    """u^mu v^nu, per batch entry for (4, B) arrays."""
+    return u[:, None] * v
+
+
 def bivector(u, p, k=None, pi=None):
-    """Angular-momentum style bivector M^{mu nu} = u^p^ - p^u^ (+ k^pi^ - pi^k^)."""
+    """Angular-momentum style bivector M^{mu nu} = u^p^ - p^u^ (+ k^pi^ - pi^k^);
+    (4, 4, B) for (4, B) vectors."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    M = np.outer(u, p) - np.outer(p, u)
+    M = _outer(u, p) - _outer(p, u)
     if k is not None:
         k = np.asarray(k, dtype=float)
         pi = np.asarray(pi, dtype=float)
-        M += np.outer(k, pi) - np.outer(pi, k)
+        M += _outer(k, pi) - _outer(pi, k)
     return M
 
 

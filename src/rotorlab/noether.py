@@ -44,24 +44,34 @@ class CasimirPair:
 
 @dataclass(frozen=True)
 class MomentumSet:
+    """Noether charges at one instant, or at a batch of B instants: then each
+    array has a trailing batch axis, (4, B) and (4, 4, B)."""
+
     P: np.ndarray
     pi: np.ndarray
     M: np.ndarray  # angular momentum bivector M^{mu nu}
     W: np.ndarray  # Pauli-Lubanski vector
 
     def casimirs(self) -> CasimirPair:
+        """PP and WW of a single instant."""
         return CasimirPair(PP=float(dot(self.P, self.P)), WW=float(dot(self.W, self.W)))
+
+    def entries(self) -> list:
+        """The single-instant sets of a batch, in batch order."""
+        return [MomentumSet(P=self.P[:, b], pi=self.pi[:, b], M=self.M[:, :, b],
+                            W=self.W[:, b]) for b in range(self.P.shape[1])]
 
 
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
     ``x`` defaults to the origin; it shifts the angular momentum by an
-    orbital piece but leaves W unchanged.
+    orbital piece but leaves W unchanged.  (4, B) arrays give the batched
+    charges of B instants in one pass.
     """
-    if x is None:
-        x = np.zeros(4)
     k_v = np.asarray(k_v, dtype=float)
+    if x is None:
+        x = np.zeros(k_v.shape)
     vs = jets.variables(*xdot_v, *kdot_v)
     L = lagrangian_from_vectors(F, vs[:4], k_v, vs[4:])
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index

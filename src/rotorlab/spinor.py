@@ -211,7 +211,7 @@ def tetrad_from_angles(theta, phi, psi, Phi):
 
 def null_from_angles(theta, phi, K):
     """k = K (1, sin(theta) cos(phi), sin(theta) sin(phi), cos(theta));
-    accepts floats or jets."""
+    accepts floats, jets or batches of either."""
     st = jets.sin(theta)
     return four(K + 0.0 * theta, K * (st * jets.cos(phi)), K * (st * jets.sin(phi)),
                 K * jets.cos(theta))
@@ -219,6 +219,6 @@ def null_from_angles(theta, phi, K):
 
 def angles_from_null(k):
     """(theta, phi, K) with ``null_from_angles(theta, phi, K) == k``, theta in
-    [0, pi] and phi in (-pi, pi]; accepts floats or jets."""
+    [0, pi] and phi in (-pi, pi]; accepts floats, jets or batches of either."""
     n1, n2, n3 = k[1] / k[0], k[2] / k[0], k[3] / k[0]
     return jets.acos(n3), jets.atan2(n2, n1), k[0]

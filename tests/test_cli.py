@@ -211,12 +211,20 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["simulate", "--periods", "-1"],
     ["simulate", "--periods", "inf"],
     ["freemotion", "--samples", "0"],
+    ["freemotion", "--tmax", "nan"],
+    ["freemotion", "--tmax", "inf"],
+    # a phase that fails at one time of the batch: division by zero, overflow,
+    # the square root of a negative number
+    ["freemotion", "--phase", "t+0.01/(t-1)", "--tmax", "2", "--samples", "3"],
+    ["freemotion", "--phase", "t+exp(t*800)*0", "--tmax", "2", "--samples", "3"],
+    ["freemotion", "--phase", "t+0.1*sqrt(t-1)", "--tmax", "2", "--samples", "3"],
     ["casimir", "--f", "Q", "--Q", "nan"],
     ["casimir", "--f", "Q", "--P", "inf"],
     ["casimir", "--f", "Q", "--M", "nan"],
     ["casimir", "--f", "6^2398"],
     ["casimir", "--f", "exp(Q)", "--Q", "1000"],
     ["casimir", "--f", "0^-1"],
+    ["casimir", "--f", "Q^P"],  # the exponent's derivatives would be dropped
     ["casimir", "--f", "(" * 2000 + "Q" + ")" * 2000],
     ["casimir", "--f", "+".join(["Q"] * 2000)],
 ])

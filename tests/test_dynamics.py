@@ -21,8 +21,10 @@ from rotorlab.dynamics import (
     speed_to_Q,
     trajectory_samples,
 )
-from rotorlab.fform import builtin
+from rotorlab.cli import FREE_MOTION_PHASES
+from rotorlab.fform import builtin, parse_f
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
+from rotorlab.noether import momenta_from_vectors
 
 ROT = builtin("rotator_f")
 
@@ -237,10 +239,13 @@ def test_indeterminacy_demo(monkeypatch):
     monkeypatch.setattr(dynamics.FreeMotionTrajectory, "jets",
                         lambda self, t: queries.append(t) or real(self, t))
     base = rest_frame_params(phases[0])
-    rep = indeterminacy_demo(phases, base, np.linspace(0.0, 5.0, 40), ROT)
+    times = np.linspace(0.0, 5.0, 40)
+    rep = indeterminacy_demo(phases, base, times, ROT)
     assert rep["max_el_residual"] < 1e-8
     assert rep["divergence"] > 0.05
-    assert len(queries) == len(phases) * 40  # one query per phase and time
+    # one batched query per phase: the 40 times fit in one chunk
+    assert len(queries) == len(phases)
+    assert all(np.array_equal(q, times) for q in queries)
 
 
 def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
@@ -264,7 +269,12 @@ def test_export_trajectory(tmp_path):
             return traj.jets(t)
 
     export_trajectory(path, trajectory_samples(ROT, Counting(), times))
-    assert queries == list(times)  # one trajectory query per row
+    # one batched trajectory query for the 5 rows
+    assert len(queries) == 1 and np.array_equal(queries[0], times)
+    queries.clear()
+    samples = trajectory_samples(ROT, Counting(), np.linspace(0.0, 2.0, dynamics.CHUNK + 1))
+    assert len(samples) == dynamics.CHUNK + 1
+    assert [len(q) for q in queries] == [dynamics.CHUNK, 1]  # one query per chunk
     lines = open(path).read().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
@@ -275,3 +285,52 @@ def test_export_trajectory(tmp_path):
     assert row[10] == pytest.approx(1.0, rel=1e-12)   # PP
     assert row[11] == pytest.approx(-0.25, rel=1e-12)  # WW
 
+
+
+def per_time_samples(F, traj, times, dof=DOF5):
+    """The samples of ``trajectory_samples``, one trajectory query per time."""
+    out = []
+    for t in times:
+        x, k = traj.jets(t)
+        (xv, xd), (kv, kd) = map(jets.split, (x, k))
+        out.append((float(t), xv, kv, dynamics._el_report(F, x, k, dof),
+                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
+    return out
+
+
+def _integrated_q():
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
+    return parse_f("Q"), integrate(parse_f("Q"), st, (0.0, 9.0)), 9.0
+
+
+@pytest.mark.parametrize("case", ["phase0", "phase1", "phase2", "integrated-Q"])
+def test_batched_samples_equal_per_time_samples(case):
+    """One query per chunk gives, bit for bit, the samples of one query per
+    time: the three dynamics-suite phases and an integrated Q trajectory."""
+    if case == "integrated-Q":
+        F, traj, t_end = _integrated_q()
+    else:
+        F, t_end = ROT, 20.0
+        traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[int(case[-1])]))
+    times = np.linspace(0.0, t_end, 100)
+    got, want = trajectory_samples(F, traj, times), per_time_samples(F, traj, times)
+    assert len(got) == len(want) == 100
+    for (t, xv, kv, rep, ms), (t0, xv0, kv0, rep0, ms0) in zip(got, want):
+        assert t == t0 and np.array_equal(xv, xv0) and np.array_equal(kv, kv0)
+        assert np.array_equal(rep.residuals, rep0.residuals) and rep.scale == rep0.scale
+        for name in ("P", "pi", "M", "W"):
+            assert np.array_equal(getattr(ms, name), getattr(ms0, name))
+
+
+def test_batched_queries_check_every_time():
+    """The phase-speed and span checks of a batched query hold at every time,
+    and name the first that fails."""
+    traj = free_motion(rest_frame_params(lambda t: 0.5 * t * t))
+    with pytest.raises(DomainError, match=r"at t = 2\.0 outside .* \(batch entry 2\)"):
+        traj.jets(np.array([0.5, 1.0, 2.0, 3.0]))
+    _, traj, t_end = _integrated_q()
+    with pytest.raises(ValueError, match=r"outside the integrated span .* \(batch entry 1\)"):
+        traj.chart(np.array([0.0, t_end + 1.0]))
+    q, qd = traj.chart(np.array([0.0, t_end]))
+    assert np.array_equal(q[:, 1], traj.chart(t_end)[0])
+    assert np.array_equal(traj.accel(np.array([1.0, 2.0]))[:, 1], traj.accel(2.0))

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from rotorlab.invariants import (
+    _AB_NODES,
+    _AB_PINV,
     GaugeJet,
+    _condition_matrix,
+    _features,
+    _shifted,
     capital_invariants,
     gauge_jet_transform,
     identity_checks,
@@ -91,3 +96,25 @@ def test_capital_invariants_at_rotator_point(rotator_jet):
     assert I[4] == pytest.approx(1.0 / np.sqrt(3.0))
 
 
+
+
+def test_condition_matrix_matches_one_hot_loop():
+    """The feature-difference table, computed once per point, gives the
+    condition matrix bit for bit as the loop that re-evaluated it for each
+    one-hot coefficient vector V and kept V @ diff."""
+
+    def one_hot_loop(s):
+        u, Jv = s[:3], s[3:]
+        cols = np.empty((15, 5))
+        for r in range(15):
+            V = np.zeros(15)
+            V[r] = 1.0
+            vals = np.array([V @ (_features(_shifted(Jv, u, a, b)) - _features(Jv))
+                             for a, b in _AB_NODES])
+            cols[r] = _AB_PINV @ vals
+        return cols.T
+
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        s = rng.uniform(-2.0, 2.0, 8)
+        assert np.array_equal(_condition_matrix(s), one_hot_loop(s))

@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorlab import jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_vectors)
 from rotorlab.invariants import random_kinematic_jet
-from rotorlab.minkowski import DomainError, dot
+from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
     casimirs_closed_form,
@@ -180,3 +182,40 @@ def test_special_S_needs_positive_Q():
 
 def test_ww_factor_constant():
     assert FUNDAMENTAL_WW_FACTOR == -0.25
+
+
+# the gate of the covariance test: a transformed charge may miss its
+# transform by this much relative to the largest term that enters it.  For W
+# = -eps(k, pi, P), whose terms can cancel to 1e-8 of their size at small Q,
+# that term is at most max|k| max|pi| max|P|.
+COVARIANCE_TOL = 1e-9
+_speed = st.floats(-0.5, 0.5)  # |v| <= 0.87: gamma up to 2
+_angle = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), boost=st.tuples(_speed, _speed, _speed),
+       rotation=st.tuples(_angle, _angle, _angle))
+def test_noether_charges_are_lorentz_covariant(seed, boost, rotation):
+    """Momenta of the transformed (xdot, k, kdot, x) are Lambda P, Lambda W
+    and Lambda M Lambda^T, and PP and WW are unchanged, for every builtin form."""
+    L = lorentz_matrix(boost, rotation)
+    aL = np.abs(L)
+    rows = np.max(aL.sum(axis=1))  # largest |Lambda V| for max|V| = 1
+    rng = np.random.default_rng(seed)
+    J = random_kinematic_jet(rng)
+    x = rng.uniform(-1.0, 1.0, 4)
+    for F in all_forms():
+        at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
+        if not F.in_domain(at.P, at.Q):
+            continue
+        ms = momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
+        mt = momenta_from_vectors(F, L @ J.xdot, L @ J.k, L @ J.kdot, x=L @ x)
+        w_term = max(np.max(np.abs(k)) * np.max(np.abs(m.pi)) * np.max(np.abs(m.P))
+                     for k, m in ((J.k, ms), (L @ J.k, mt)))
+        assert np.max(np.abs(mt.P - L @ ms.P)) <= COVARIANCE_TOL * np.max(aL @ np.abs(ms.P))
+        assert np.max(np.abs(mt.W - L @ ms.W)) <= COVARIANCE_TOL * rows * w_term
+        assert (np.max(np.abs(mt.M - L @ ms.M @ L.T))
+                <= COVARIANCE_TOL * np.max(aL @ np.abs(ms.M) @ aL.T))
+        assert abs(dot(mt.P, mt.P) - dot(ms.P, ms.P)) <= COVARIANCE_TOL * np.sum(ms.P**2)
+        assert abs(dot(mt.W, mt.W) - dot(ms.W, ms.W)) <= COVARIANCE_TOL * w_term**2
