@@ -286,7 +286,6 @@ def test_export_trajectory(tmp_path):
     assert row[11] == pytest.approx(-0.25, rel=1e-12)  # WW
 
 
-
 def per_time_samples(F, traj, times, dof=DOF5):
     """The samples of ``trajectory_samples``, one trajectory query per time."""
     out = []
@@ -299,16 +298,24 @@ def per_time_samples(F, traj, times, dof=DOF5):
 
 
 def _integrated_q():
+    F = parse_f("Q")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
-    return parse_f("Q"), integrate(parse_f("Q"), st, (0.0, 9.0)), 9.0
+    return F, integrate(F, st, (0.0, 9.0)), 9.0
 
 
-@pytest.mark.parametrize("case", ["phase0", "phase1", "phase2", "integrated-Q"])
+@pytest.mark.parametrize("case", ["phase0", "phase1", "phase2", "boosted", "integrated-Q"])
 def test_batched_samples_equal_per_time_samples(case):
     """One query per chunk gives, bit for bit, the samples of one query per
-    time: the three dynamics-suite phases and an integrated Q trajectory."""
+    time: the three dynamics-suite phases, the second of them boosted (so
+    that dx0/dt varies), and an integrated Q trajectory."""
     if case == "integrated-Q":
         F, traj, t_end = _integrated_q()
+    elif case == "boosted":
+        L = lorentz_matrix(boost=(0.3, -0.1, 0.2), rotation=(0.0, 0.0, 0.7))
+        p0 = rest_frame_params(FREE_MOTION_PHASES[1])
+        F, t_end = ROT, 20.0
+        traj = free_motion(SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N,
+                                          phase=p0.phase))
     else:
         F, t_end = ROT, 20.0
         traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[int(case[-1])]))
