@@ -41,10 +41,11 @@ from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
                     parse_phase, pq_from_vectors)
 from .invariants import (
     GaugeJet,
+    draw_kinematic_path,
     gauge_jet_transform,
     identity_checks,
     iota,
-    random_kinematic_jet,
+    kinematic_jets,
     reproduce_invariant_count,
 )
 from .minkowski import DomainError, dot, gram_det
@@ -90,19 +91,24 @@ CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
 
 # -- checks: residuals from given samples; the suites below draw the samples
-# from the run's seed, tests/test_acceptance.py draws its own ----------------
+# from the run's seed, tests/test_acceptance.py draws its own.  Each worst
+# case is a numpy maximum, so a NaN residual is the worst case and fails -----
+
+
+def _worst(residuals) -> float:
+    """The largest residual, NaN if any is NaN, and 0 for no residuals."""
+    return float(np.max(residuals, initial=0.0))
 
 
 def tetrad_residuals(tetrads):
     """Worst error of the ten tetrad scalar products and of the Gram determinant."""
-    worst_rel, worst_gram = 0.0, 0.0
+    rel, gram = [], []
     for T in tetrads:
         k, m, a, b = T.vectors()
-        scale = max(abs(dot(k, m)), 1.0)
-        worst_rel = max(worst_rel, max(abs(v) / scale
-                                       for v in tetrad_relations(k, m, a, b).values()))
-        worst_gram = max(worst_gram, abs(gram_det(k, m, a, b) + 4.0))
-    return worst_rel, worst_gram
+        rel.append(np.abs(list(tetrad_relations(k, m, a, b).values()))
+                   / max(abs(dot(k, m)), 1.0))
+        gram.append(abs(gram_det(k, m, a, b) + 4.0))
+    return _worst(rel), _worst(gram)
 
 
 def gauge_residual(J, G: GaugeJet) -> float:
@@ -123,27 +129,25 @@ def fundamental_forms(cfg: RunConfig):
 
 
 def domain_grid(F: FForm, n: int = 20):
-    """The points of an n x n (P, Q) grid inside the domain of F."""
-    pts = []
-    for P in np.linspace(-0.9, 0.9, n):
-        for Q in np.linspace(0.05, 4.0, n):
-            if F.in_domain(P, Q):
-                pts.append(PQPoint(float(P), float(Q)))
-    return pts
+    """The points of an n x n (P, Q) grid inside the domain of F, P-major."""
+    P, Q = (g.ravel() for g in np.meshgrid(np.linspace(-0.9, 0.9, n),
+                                           np.linspace(0.05, 4.0, n), indexing="ij"))
+    inside = np.broadcast_to(F.domain(P, Q), P.shape)
+    return [PQPoint(float(p), float(q)) for p, q in zip(P[inside], Q[inside])]
 
 
 def fundamental_residual(F: FForm, n: int):
     """Worst relative miss of the fixed PP and WW over the domain grid of F, and
     the number of grid points."""
     res = fundamental_residuals(F, domain_grid(F, n))
-    return max(res["max_PP_residual"], res["max_WW_residual"]), res["points"]
+    return _worst([res["max_PP_residual"], res["max_WW_residual"]]), res["points"]
 
 
-def noether_residuals(forms, kinematic_jets):
+def noether_residuals(forms, samples):
     """Worst relative gap between Noether and closed-form Casimirs, and worst
-    relative W.P, over the (jet, form) pairs inside the form's domain."""
-    worst_cross, worst_wp = 0.0, 0.0
-    for J in kinematic_jets:
+    relative W.P, over the (kinematic jet, form) pairs inside the form's domain."""
+    cross, wp = [], []
+    for J in samples:
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
@@ -151,11 +155,10 @@ def noether_residuals(forms, kinematic_jets):
             ms = momenta(F, J)
             got = ms.casimirs()
             want = casimirs_closed_form(F, at)
-            worst_cross = max(worst_cross,
-                              abs(got.PP - want.PP) / max(abs(want.PP), 1.0),
-                              abs(got.WW - want.WW) / max(abs(want.WW), 1.0))
-            worst_wp = max(worst_wp, abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
-    return worst_cross, worst_wp
+            cross += [abs(got.PP - want.PP) / max(abs(want.PP), 1.0),
+                      abs(got.WW - want.WW) / max(abs(want.WW), 1.0)]
+            wp.append(abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
+    return _worst(cross), _worst(wp)
 
 
 def hessian_margins(states):
@@ -255,14 +258,14 @@ def suite_tetrad(cfg: RunConfig):
 
 def suite_invariants(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    worst_gauge, worst_ident = 0.0, 0.0
+    paths, gauges = [], []
     for _ in range(INVARIANT_JETS):
-        J = random_kinematic_jet(rng)
-        G = GaugeJet(alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2),
-                     alphadot=rng.uniform(-1, 1), betadot=rng.uniform(-1, 1))
-        worst_gauge = max(worst_gauge, gauge_residual(J, G))
-        worst_ident = max(worst_ident,
-                          max(abs(v) for v in identity_checks(J).values()))
+        paths.append(draw_kinematic_path(rng))
+        gauges.append(GaugeJet(alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2),
+                               alphadot=rng.uniform(-1, 1), betadot=rng.uniform(-1, 1)))
+    samples = kinematic_jets(paths)
+    worst_gauge = _worst([gauge_residual(J, G) for J, G in zip(samples, gauges)])
+    worst_ident = _worst([np.abs(list(identity_checks(J).values())) for J in samples])
     return [
         Report("gauge-invariance", worst_gauge, GAUGE_TOL,
                cfg.seed, {"jets": INVARIANT_JETS}),
@@ -274,10 +277,10 @@ def suite_invariants(cfg: RunConfig):
 def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
-    worst_fund = max(fundamental_residual(F, 12)[0] for F in fundamental)
+    worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
     forms = fundamental + [builtin("point_particle"), builtin("fq", f=lambda q: q)]
     worst_cross, worst_wp = noether_residuals(
-        forms, [random_kinematic_jet(rng) for _ in range(CASIMIR_JETS)])
+        forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(CASIMIR_JETS)]))
     return [
         Report("fundamental-conditions", worst_fund, FUNDAMENTAL_TOL, cfg.seed,
                {"forms": len(fundamental)}),

@@ -8,7 +8,7 @@ the counting argument that fixes the number of independent invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,7 +30,9 @@ __all__ = [
     "identity_checks",
     "CountReport",
     "reproduce_invariant_count",
-    "jet_from_angle_paths",
+    "KinematicPath",
+    "draw_kinematic_path",
+    "kinematic_jets",
     "random_kinematic_jet",
     "special_gauge_jet",
 ]
@@ -42,7 +44,8 @@ COUNT_SAMPLES = 60  # scalar points of the invariant count
 
 @dataclass(frozen=True)
 class KinematicJet:
-    """Values and first parameter-derivatives of (x, k, m, a, b) at one instant."""
+    """Values and first parameter-derivatives of (x, k, m, a, b) at one
+    instant, or at a batch of B instants: then each array is (4, B)."""
 
     xdot: np.ndarray
     k: np.ndarray
@@ -54,11 +57,15 @@ class KinematicJet:
     adot: np.ndarray
     bdot: np.ndarray
 
-    def scale(self) -> float:
-        """Magnitude reference for residual tolerances."""
-        vs = [self.xdot, self.k, self.m, self.a, self.b,
-              self.kdot, self.mdot, self.adot, self.bdot]
-        return max(1.0, max(float(np.max(np.abs(v))) for v in vs)) ** 2
+    def entries(self) -> list:
+        """The single-instant jets of a batch, in batch order."""
+        vs = [getattr(self, f.name) for f in fields(self)]
+        return [KinematicJet(*(v[:, i] for v in vs)) for i in range(self.k.shape[1])]
+
+    def scale(self):
+        """Magnitude reference for residual tolerances, one per entry of a batch."""
+        vs = np.stack([getattr(self, f.name) for f in fields(self)])
+        return np.maximum(1.0, np.max(np.abs(vs), axis=(0, 1))) ** 2
 
     def constraint_residuals(self) -> dict:
         """Tetrad relations and their parameter-derivatives (should all vanish)."""
@@ -72,14 +79,15 @@ class KinematicJet:
                 "d(am)": dot(a, md) + dot(m, ad), "d(bm)": dot(b, md) + dot(m, bd)}
 
     def validate(self):
-        res = self.constraint_residuals()
-        worst = max(abs(v) for v in res.values())
-        if worst > JET_TOL * self.scale():
-            raise DomainError(f"inconsistent kinematic jet, residual {worst}")
-        if dot(self.xdot, self.xdot) <= 0.0:
-            raise DomainError("xdot must be timelike")
-        if dot(self.k, self.xdot) <= 0.0:
-            raise DomainError("k.xdot must be positive")
+        """This jet, if it satisfies the tetrad relations (a NaN does not) and
+        xdot is timelike with k.xdot > 0; a batch is checked entry by entry."""
+        worst = np.max(np.abs(list(self.constraint_residuals().values())), axis=0)
+        jets.raise_where(np.logical_not(worst <= JET_TOL * self.scale()), DomainError,
+                         "inconsistent kinematic jet, residual {}", worst)
+        jets.raise_where(dot(self.xdot, self.xdot) <= 0.0, DomainError,
+                         "xdot must be timelike")
+        jets.raise_where(dot(self.k, self.xdot) <= 0.0, DomainError,
+                         "k.xdot must be positive")
         return self
 
 
@@ -333,37 +341,27 @@ def reproduce_invariant_count(seed: int) -> CountReport:
 
 
 # -- jet construction -------------------------------------------------------
+#
+# A random jet is drawn first, as a KinematicPath of plain numbers, and built
+# afterwards: ``kinematic_jets`` evaluates the paths of a whole batch in one
+# pass of batched jets, each entry bit-identical to a pass of its own.
+
+# (lo, hi, rate) of the four angle paths of a random kinematic jet: theta,
+# phi, psi (which stays positive for all t) and Phi
+KINEMATIC_RANGES = ((0.4, np.pi - 0.4, 1.0), (0.0, 2 * np.pi, 1.0),
+                    (0.6, 3.0, 0.5), (0.0, 4 * np.pi, 1.0))
+# theta, phi, the angle gamma of a in the plane normal to n, and log K
+SPECIAL_GAUGE_RANGES = ((0.4, np.pi - 0.4, 1.0), (0.0, 2 * np.pi, 1.0),
+                        (0.0, 2 * np.pi, 1.0), (-0.7, 0.7, 1.0))
 
 
-def _jet_from_tetrad(xdot, k, m, a, b) -> KinematicJet:
-    """Kinematic jet from a tetrad whose entries are jets in one parameter."""
-    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
-    return KinematicJet(xdot=np.asarray(xdot, dtype=float), k=kv, m=mv, a=av, b=bv,
-                        kdot=kd, mdot=md, adot=ad, bdot=bd)
+@dataclass(frozen=True)
+class KinematicPath:
+    """Four angle paths base + amp sin(freq t + off), one row
+    (base, amp, freq, off) each, and a constant timelike xdot."""
 
-
-def jet_from_angle_paths(theta, phi, psi, Phi, xdot, tau: float) -> KinematicJet:
-    """Kinematic jet at parameter ``tau`` from angle paths.
-
-    ``theta``, ``phi``, ``psi``, ``Phi`` are callables accepting a jet-valued
-    parameter (use functions from :mod:`rotorlab.jets`); ``xdot`` is either a
-    four-vector or a callable returning one.
-    """
-    (t,) = jets.variables(tau)
-    return _jet_from_tetrad(xdot(tau) if callable(xdot) else xdot,
-                            *tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t)))
-
-
-def _random_path(rng, lo, hi, rate=1.0):
-    base = rng.uniform(lo, hi)
-    amp = rate * rng.uniform(0.05, 0.4)
-    freq = rng.uniform(0.5, 2.0)
-    off = rng.uniform(0.0, 2 * np.pi)
-
-    def path(t):
-        return base + amp * jets.sin(freq * t + off)
-
-    return path
+    angles: np.ndarray  # (4, 4)
+    xdot: np.ndarray  # (4,)
 
 
 def random_timelike(rng, rapidity_max=1.2):
@@ -374,26 +372,46 @@ def random_timelike(rng, rapidity_max=1.2):
     return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
 
 
+def draw_kinematic_path(rng, ranges=KINEMATIC_RANGES) -> KinematicPath:
+    """Random angle paths within ``ranges``, then a random timelike xdot."""
+    angles = [(rng.uniform(lo, hi), rate * rng.uniform(0.05, 0.4),
+               rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * np.pi))
+              for lo, hi, rate in ranges]
+    return KinematicPath(np.array(angles), random_timelike(rng))
+
+
+def _angles_at(paths, tau: float):
+    """The four angles of every path at ``tau``, as jets in tau batched over
+    the paths."""
+    rows = np.stack([p.angles for p in paths], axis=-1)  # (4, 4, B)
+    (t,) = jets.variables(np.full(len(paths), float(tau)))
+    return [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
+
+
+def _jets_from_tetrad(paths, k, m, a, b) -> list:
+    """The single-instant jets, validated, of a tetrad whose entries are jets
+    in one parameter batched over the paths, with the paths' xdot."""
+    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
+    xdot = np.stack([p.xdot for p in paths], axis=-1)
+    return KinematicJet(xdot=xdot, k=kv, m=mv, a=av, b=bv, kdot=kd, mdot=md,
+                        adot=ad, bdot=bd).validate().entries()
+
+
+def kinematic_jets(paths, tau: float = 0.0) -> list:
+    """The kinematic jets of drawn paths at parameter ``tau``, in one pass."""
+    return _jets_from_tetrad(paths, *tetrad_from_angles(*_angles_at(paths, tau)))
+
+
 def random_kinematic_jet(rng, tau: float = 0.0) -> KinematicJet:
     """Consistent random jet from a random analytic spinor path."""
-    theta = _random_path(rng, 0.4, np.pi - 0.4)
-    phi = _random_path(rng, 0.0, 2 * np.pi)
-    psi = _random_path(rng, 0.6, 3.0, rate=0.5)  # stays positive for all t
-    Phi = _random_path(rng, 0.0, 4 * np.pi)
-    J = jet_from_angle_paths(theta, phi, psi, Phi, random_timelike(rng), tau)
-    return J.validate()
+    return kinematic_jets([draw_kinematic_path(rng)], tau)[0]
 
 
 def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
     """Random jet in the gauge k=K[1,n], m=[1,-n]/K, a=[0,a_], b=[0,a_ x n]."""
-    theta = _random_path(rng, 0.4, np.pi - 0.4)
-    phi = _random_path(rng, 0.0, 2 * np.pi)
-    gamma = _random_path(rng, 0.0, 2 * np.pi)
-    logK = _random_path(rng, -0.7, 0.7)
-
-    (t,) = jets.variables(tau)
-    th, ph, ga = theta(t), phi(t), gamma(t)
-    K = jets.exp(logK(t))
+    path = draw_kinematic_path(rng, SPECIAL_GAUGE_RANGES)
+    th, ph, ga, logK = _angles_at([path], tau)
+    K = jets.exp(logK)
     st, ct = jets.sin(th), jets.cos(th)
     sp, cp = jets.sin(ph), jets.cos(ph)
     n = [st * cp, st * sp, ct]
@@ -406,5 +424,5 @@ def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
             avec[0] * n[1] - avec[1] * n[0]]
 
     m = [1.0 / K, -n[0] / K, -n[1] / K, -n[2] / K]
-    return _jet_from_tetrad(random_timelike(rng), null_from_angles(th, ph, K), m,
-                            [0.0 * K] + avec, [0.0 * K] + bvec).validate()
+    return _jets_from_tetrad([path], null_from_angles(th, ph, K), m,
+                             [0.0 * K] + avec, [0.0 * K] + bvec)[0]

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dataclasses
+
+import numpy as np
+
+from rotorlab import cli, noether
 from rotorlab.cli import main
+from rotorlab.noether import CasimirPair
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
 
 
@@ -90,6 +96,51 @@ def test_verify_degeneracy_passes_at_small_determinants(capsys, seed):
     code, out = run(capsys, "verify", "--suite", "degeneracy", "--seed", str(seed))
     assert code == 0
     assert "status = fail" not in out
+
+
+def _with_nan(x):
+    """A copy of x with NaN in its first entry, or NaN for a float."""
+    x = np.array(x, dtype=float)
+    x.flat[0] = np.nan
+    return x if x.ndim else float(x)
+
+
+# (suite, check, owner, function, poison): the second call of the function
+# returns poison(its result), a NaN in one sample of the check
+NAN_PLANTS = [
+    ("tetrad", "tetrad-relations", cli, "tetrad_relations",
+     lambda d: {**d, "kk": np.nan}),
+    ("tetrad", "tetrad-gram-det", cli, "gram_det", _with_nan),
+    ("invariants", "gauge-invariance", cli, "iota", _with_nan),
+    ("invariants", "scalar-identities", cli, "identity_checks",
+     lambda d: {**d, "kdkd+ak2+bk2": np.nan}),
+    ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
+     lambda c: (_with_nan(c[0]), c[1])),
+    ("casimir", "noether-crosscheck", cli, "casimirs_closed_form",
+     lambda c: CasimirPair(PP=np.nan, WW=c.WW)),
+    ("casimir", "wp-orthogonality", cli, "momenta",
+     lambda ms: dataclasses.replace(ms, W=_with_nan(ms.W))),
+]
+
+
+@pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
+                         ids=[p[1] for p in NAN_PLANTS])
+def test_a_nan_sample_fails_its_check(capsys, monkeypatch, suite, check, owner, name,
+                                      poison):
+    original = getattr(owner, name)
+    calls = []
+
+    def planted(*args, **kwargs):
+        calls.append(name)
+        out = original(*args, **kwargs)
+        return poison(out) if len(calls) == 2 else out
+
+    monkeypatch.setattr(owner, name, planted)
+    code, out = run(capsys, "verify", "--suite", suite, "--seed", "0")
+    assert len(calls) >= 2
+    assert code == 1
+    block = next(b for b in out.split("\n\n") if f"name = {check}\n" in b)
+    assert "status = fail" in block and "residual = nan" in block
 
 
 def test_relation_consistency(capsys):

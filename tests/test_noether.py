@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorlab import jets
+from rotorlab import cli, jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_vectors)
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
+from rotorlab.reports import RunConfig
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
     casimirs_closed_form,
@@ -161,6 +162,42 @@ def test_fundamental_residuals_rejects_out_of_domain():
     F = builtin("starlike", signs=(1, -1))
     with pytest.raises(DomainError):
         fundamental_residuals(F, [PQPoint(0.0, 9.0)])
+    grid = [PQPoint(0.1, 0.5), PQPoint(0.2, 9.0), PQPoint(0.3, 16.0)]
+    with pytest.raises(DomainError, match=r"grid point \(0\.2, 9\.0\) outside domain "
+                                          r"of starlike\[\+1,-1\] \(batch entry 1\)"):
+        fundamental_residuals(F, grid)
+
+
+def _reference_domain_grid(F, n):
+    return [PQPoint(float(P), float(Q)) for P in np.linspace(-0.9, 0.9, n)
+            for Q in np.linspace(0.05, 4.0, n) if F.in_domain(P, Q)]
+
+
+def _reference_fundamental_residuals(F, grid):
+    """The largest relative miss of PP and WW, one point at a time."""
+    pp_res, ww_res = 0.0, 0.0
+    for pt in grid:
+        c = casimirs_closed_form(F, pt)
+        pp_res = max(pp_res, abs(c.PP / F.M**2 - 1.0))
+        ww_res = max(ww_res, abs(c.WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0))
+    return {"form": F.name, "points": len(grid), "max_PP_residual": pp_res,
+            "max_WW_residual": ww_res}
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(M=1.3, ell=0.7)])
+def test_fundamental_residuals_equal_per_point_loop(cfg):
+    """The batched grid pass gives the per-point residuals exactly, on the
+    same points in the same order."""
+    forms = cli.fundamental_forms(cfg) + [
+        builtin("point_particle", M=cfg.M, ell=cfg.ell),
+        builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q, M=cfg.M, ell=cfg.ell),
+        parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)")]
+    for F in forms:
+        for n in (1, 5, 12, 20):
+            grid = cli.domain_grid(F, n)
+            assert grid == _reference_domain_grid(F, n)
+            assert fundamental_residuals(F, grid) == _reference_fundamental_residuals(F, grid)
+    assert fundamental_residuals(forms[0], []) == _reference_fundamental_residuals(forms[0], [])
 
 
 def test_special_S_family_matches_closed_form():
