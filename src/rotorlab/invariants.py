@@ -63,9 +63,10 @@ class KinematicJet:
         return [KinematicJet(*(v[:, i] for v in vs)) for i in range(self.k.shape[1])]
 
     def scale(self):
-        """Magnitude reference for residual tolerances, one per entry of a batch."""
+        """Magnitude reference for residual tolerances, one per entry of a
+        batch (squared as a float is, see ``jets.power``)."""
         vs = np.stack([getattr(self, f.name) for f in fields(self)])
-        return np.maximum(1.0, np.max(np.abs(vs), axis=(0, 1))) ** 2
+        return jets.power(np.maximum(1.0, np.max(np.abs(vs), axis=(0, 1))), 2)
 
     def constraint_residuals(self) -> dict:
         """Tetrad relations and their parameter-derivatives (should all vanish)."""

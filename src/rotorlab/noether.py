@@ -88,10 +88,13 @@ def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
 
 def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
     """(PP, WW) in closed form from F's value ``Fv`` and partials ``FP``,
-    ``FQ`` at (P, Q); jet-generic."""
+    ``FQ`` at (P, Q); jet-generic, and each entry of arrays is the float
+    result (squares through ``jets.power``: numpy squares arrays as x * x,
+    Python floats through pow, which can differ by 1 ulp)."""
     A = Fv - P * FP
-    PP = F.M**2 * (A * (A - 4.0 * Q * FQ) - Q * FP**2)
-    WW = -(F.M**4) * F.ell**2 * Q * (FP**2 + 2.0 * FQ * A) ** 2
+    FP2 = jets.power(FP, 2)
+    PP = F.M**2 * (A * (A - 4.0 * Q * FQ) - Q * FP2)
+    WW = -(F.M**4) * F.ell**2 * Q * jets.power(FP2 + 2.0 * FQ * A, 2)
     return PP, WW
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rotorlab import cli, jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_vectors)
-from rotorlab.invariants import random_kinematic_jet
+from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
@@ -35,8 +35,7 @@ def all_forms():
 def test_noether_casimirs_match_closed_form():
     rng = np.random.default_rng(0)
     forms = all_forms()
-    for _ in range(40):
-        J = random_kinematic_jet(rng)
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(40)]):
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
@@ -51,8 +50,7 @@ def test_noether_casimirs_match_closed_form():
 
 def test_pauli_lubanski_orthogonal_to_momentum():
     rng = np.random.default_rng(1)
-    for _ in range(30):
-        J = random_kinematic_jet(rng)
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]):
         for F in (builtin("rotator_f"), builtin("fq", f=lambda q: q * q)):
             ms = momenta(F, J)
             scale = max(abs(dot(ms.P, ms.P)), 1.0)
@@ -102,8 +100,7 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
     # each to rounding of its largest term
     rng = np.random.default_rng(12)
     pairs = 0
-    for _ in range(24):
-        J = random_kinematic_jet(rng)
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(24)]):
         v = np.concatenate([J.xdot, J.kdot])
         vs = jets.variables(*v)
         for F in all_forms():
@@ -193,7 +190,7 @@ def test_fundamental_residuals_equal_per_point_loop(cfg):
         builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q, M=cfg.M, ell=cfg.ell),
         parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)")]
     for F in forms:
-        for n in (1, 5, 12, 20):
+        for n in (1, 7, 12):
             grid = cli.domain_grid(F, n)
             assert grid == _reference_domain_grid(F, n)
             assert fundamental_residuals(F, grid) == _reference_fundamental_residuals(F, grid)
