@@ -221,7 +221,7 @@ def _stack(samples):
     (lambda J: replace(J, adot=np.full(4, np.nan)), "inconsistent kinematic jet"),
     (lambda J: replace(J, xdot=np.array([0.5, 1.0, 0.0, 0.0])), "xdot must be timelike"),
     (lambda J: replace(J, xdot=-J.xdot), "k.xdot must be positive"),
-])
+], ids=["inconsistent", "nan", "spacelike", "past-pointing"])
 def test_a_bad_batch_entry_raises(bad, message):
     rng = np.random.default_rng(7)
     samples = [random_kinematic_jet(rng) for _ in range(4)]
