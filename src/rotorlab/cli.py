@@ -8,6 +8,7 @@ exits 0 iff every check in the invocation passes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -167,14 +168,15 @@ def hessian_margins(states):
     singular = [(builtin("rotator_f"), DOF5), (builtin("nu_family", nu=0.4), DOF5),
                 (builtin("starlike"), DOF6)]
     nondeg = [parse_f(e) for e in ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)")]
-    worst_singular, rank_gap, min_margin = 0.0, 0, np.inf
+    singular_margins, rank_gap, margins = [], 0, []
     for st in states:
         reps = [hessian(F, st, dof) for F, dof in singular]
-        worst_singular = max(worst_singular, *(r.margin for r in reps))
+        singular_margins += [r.margin for r in reps]
         rank_gap = max(rank_gap, abs(reps[1].rank - 4))
-        for F in nondeg:
-            min_margin = min(min_margin, hessian(F, st, DOF5).margin)
-    return worst_singular, rank_gap, 1.0 / max(min_margin, 1e-300)
+        margins += [hessian(F, st, DOF5).margin for F in nondeg]
+    min_margin = np.min(margins, initial=np.inf)
+    return (_worst(singular_margins), rank_gap,
+            float(1.0 / np.maximum(min_margin, 1e-300)))
 
 
 RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
@@ -184,14 +186,13 @@ RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
 def relation_spread(forms, states):
     """Largest relative spread of the kinematical factor K over the admissible
     forms at each state, and the number of admissible forms per state."""
-    spread, admissible = 0.0, []
+    spreads, admissible = [], []
     for st in states:
         ks = np.array([e.K for e in relation_check(forms, st, DOF6) if e.admissible])
         admissible.append(len(ks))
         if len(ks) >= 2:
-            spread = max(spread, float(np.max(np.abs(ks - ks[0]))
-                                       / max(abs(ks[0]), 1e-300)))
-    return spread, admissible
+            spreads.append(np.max(np.abs(ks - ks[0])) / np.maximum(abs(ks[0]), 1e-300))
+    return _worst(spreads), admissible
 
 
 FREE_MOTION_PHASES = (
@@ -208,19 +209,19 @@ def free_motion_residuals(F: FForm, phases, times, drift_times):
     DIVERGENCE_TARGET, and the divergence."""
     base = rest_frame_params(phases[0], M=F.M, ell=F.ell)
     demo = indeterminacy_demo(phases, base, times, F)
-    drift = 0.0
+    drifts = []
     for phase in phases:
         p = rest_frame_params(phase, M=F.M, ell=F.ell)
         d = conservation_drift(p, free_motion(p), drift_times, F)
-        drift = max(drift, d["P_drift"], d["W_drift"])
+        drifts += [d["P_drift"], d["W_drift"]]
     divergence = demo["divergence"]
-    return (demo["max_el_residual"], drift,
-            max(0.0, DIVERGENCE_TARGET - divergence), divergence)
+    return (demo["max_el_residual"], _worst(drifts),
+            _worst([DIVERGENCE_TARGET - divergence]), divergence)
 
 
 def angular_speed_residual(w: float, Q: float, ell: float) -> float:
     """Gap of the identity that the null direction turns at speed w at Q."""
-    return max(abs(angular_speed(Q, ell) - w), abs(speed_to_Q(w, ell) - Q))
+    return _worst([abs(angular_speed(Q, ell) - w), abs(speed_to_Q(w, ell) - Q)])
 
 
 COUNT_EXPECTED = {"rank": 5, "nullity": 10, "zero_combos": 2, "functional_rank": 3,
@@ -315,8 +316,8 @@ def suite_dynamics(cfg: RunConfig):
     el, drift, div_gap, divergence = free_motion_residuals(
         rot, FREE_MOTION_PHASES, times, times[::8])
     speeds = (0.2, 0.5, 1.0, 1.5)
-    worst_speed = max(angular_speed_residual(w, speed_to_Q(w, cfg.ell), cfg.ell)
-                      for w in speeds)
+    worst_speed = _worst([angular_speed_residual(w, speed_to_Q(w, cfg.ell), cfg.ell)
+                          for w in speeds])
     return [
         Report("free-motion-el-residuals", el, EL_TOL, cfg.seed,
                {"phases": len(FREE_MOTION_PHASES)}),
@@ -384,6 +385,8 @@ def cmd_casimir(args, cfg: RunConfig):
 def cmd_fundamental_check(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
     worst, points = fundamental_residual(F, args.grid)
+    if not points:  # no grid point inside the domain: nothing was checked
+        worst = math.inf
     return [Report("fundamental-check", worst, FUNDAMENTAL_TOL,
                    cfg.seed, {"form": F.name, "points": points})]
 
@@ -426,10 +429,10 @@ def cmd_simulate(args, cfg: RunConfig):
     if args.out:
         samples = trajectory_samples(F, traj, times)
         export_trajectory(args.out, samples)
-        d = casimir_series(F, [ms for *_, ms in samples])
+        d = casimir_series(F, samples.momenta)
     else:
         d = casimir_drift(traj, times)
-    worst = max(d["PP_drift"], d["WW_drift"])
+    worst = _worst([d["PP_drift"], d["WW_drift"]])
     inputs = {"form": F.name, "periods": args.periods,
               "PP0": float(d["PP"][0]), "WW0": float(d["WW"][0]),
               "PP_drift": d["PP_drift"], "WW_drift": d["WW_drift"]}
@@ -442,14 +445,14 @@ def cmd_freemotion(args, cfg: RunConfig):
     p = rest_frame_params(phase, M=cfg.M, ell=cfg.ell)
     samples = trajectory_samples(F, free_motion(p),
                                  np.linspace(0.0, args.tmax, args.samples))
-    worst_el = max(rep.max_relative for _, _, _, rep, _ in samples)
-    d = charge_drift(p, [ms for *_, ms in samples])
+    worst_el = float(np.max(samples.el.max_relative))
+    d = charge_drift(p, samples.momenta)
     if args.out:
         export_trajectory(args.out, samples)
     return [
         Report("freemotion-el-residuals", worst_el, EL_TOL,
                cfg.seed, {"phase": args.phase, "tmax": args.tmax}),
-        Report("freemotion-conservation", max(d["P_drift"], d["W_drift"]),
+        Report("freemotion-conservation", _worst([d["P_drift"], d["W_drift"]]),
                DRIFT_TOL, cfg.seed, {"phase": args.phase}),
     ]
 
@@ -492,58 +495,64 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common])
     p.add_argument("--suite", default="all", help=f"{SUITES + ('all',)}")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("casimir", parents=[common])
     p.add_argument("--f", required=True)
     p.add_argument("--P", type=_finite_float, default=0.0)
     p.add_argument("--Q", type=_finite_float, default=1.0)
-    p.set_defaults(func=cmd_casimir)
+    p.set_defaults(func="cmd_casimir")
 
     p = sub.add_parser("fundamental-check", parents=[common])
     p.add_argument("--f", required=True)
     p.add_argument("--grid", type=_positive_int, default=20)
-    p.set_defaults(func=cmd_fundamental_check)
+    p.set_defaults(func="cmd_fundamental_check")
 
     p = sub.add_parser("hessian", parents=[common])
     p.add_argument("--f", required=True)
     p.add_argument("--dof", type=int, choices=(5, 6), default=5)
-    p.set_defaults(func=cmd_hessian)
+    p.set_defaults(func="cmd_hessian")
 
     p = sub.add_parser("relation", parents=[common])
     p.add_argument("--forms", nargs="*", default=None)
     p.add_argument("--states", type=_positive_int, default=5)
-    p.set_defaults(func=cmd_relation)
+    p.set_defaults(func="cmd_relation")
 
     p = sub.add_parser("simulate", parents=[common])
     p.add_argument("--f", default="Q")
     p.add_argument("--periods", type=_positive_float, default=10.0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func="cmd_simulate")
 
     p = sub.add_parser("freemotion", parents=[common])
     p.add_argument("--phase", default="t")
     p.add_argument("--tmax", type=_finite_float, default=20.0)
     p.add_argument("--samples", type=_positive_int, default=81)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_freemotion)
+    p.set_defaults(func="cmd_freemotion")
 
     p = sub.add_parser("count-invariants", parents=[common])
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func="cmd_count")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It names each subcommand's
+    ``cmd_*`` function, which ``main`` looks up in this module at call time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {k: getattr(args, k) for k in ("M", "ell", "nu", "seed")}
     try:
         cfg = load_config(args.config, overrides)
         # an overflowing form shows up as a non-finite residual in the report,
         # so its floating-point warnings are not printed as well
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            reports = args.func(args, cfg)
+            reports = globals()[args.func](args, cfg)
     except (DomainError, ParseError, SingularHessianError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

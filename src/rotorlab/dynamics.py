@@ -17,12 +17,14 @@ H qddot = Z per step with a QR solve and condition monitoring.
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
-times each, so their memory does not grow with the number of samples.
+times each, so their memory does not grow with the number of samples.  The
+samples of such a pass stay one batched record, reduced and written as
+columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -32,7 +34,7 @@ from . import jets
 from .degeneracy import DOF5, ChartState, chart_lagrangian, chart_vectors, check_off_pole
 from .fform import FForm
 from .minkowski import DomainError, dot, epsilon_contract, four
-from .noether import FUNDAMENTAL_WW_FACTOR, momenta_from_vectors
+from .noether import FUNDAMENTAL_WW_FACTOR, MomentumSet, momenta_from_vectors
 from .spinor import angles_from_null, null_from_angles
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "SpanSolution",
     "SingularHessianError",
     "ELReport",
+    "TrajectorySamples",
     "free_motion",
     "el_residuals",
     "integrate",
@@ -221,11 +224,6 @@ class ELReport:
     @property
     def max_relative(self):
         return self.max_abs / self.scale
-
-    def entries(self) -> list:
-        """The single-time reports of a batch, in batch order."""
-        return [ELReport(residuals=self.residuals[:, b], scale=self.scale[b], dof=self.dof)
-                for b in range(self.residuals.shape[1])]
 
 
 def _lab_chart_jets(x, k, dof):
@@ -433,22 +431,45 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
 # -- conserved charges along trajectories ------------------------------------
 
 
-def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> list:
-    """(t, x, k, EL report, Noether momenta) per time, from one batched
-    trajectory query per CHUNK times; x and k are the values of the
-    four-vectors."""
-    out = []
+@dataclass(frozen=True)
+class TrajectorySamples:
+    """A trajectory at B times: ``t`` (B,), the values ``x`` and ``k`` of the
+    four-vectors (4, B), the batched EL report and Noether momenta."""
+
+    t: np.ndarray
+    x: np.ndarray
+    k: np.ndarray
+    el: ELReport
+    momenta: MomentumSet
+
+
+def _joined(parts):
+    """One record from the records of consecutive batches: each array field
+    concatenated along its trailing batch axis, other fields from the first."""
+    def join(values):
+        v = values[0]
+        if isinstance(v, np.ndarray):
+            return np.concatenate(values, axis=-1)
+        return _joined(values) if is_dataclass(v) else v
+    return replace(parts[0], **{f.name: join([getattr(p, f.name) for p in parts])
+                                for f in fields(parts[0])})
+
+
+def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> TrajectorySamples:
+    """The samples at ``times``, from one batched trajectory query per CHUNK
+    times."""
+    parts = []
     for ts in _chunks(times):
         x, k = traj.jets(ts)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        out += zip(ts.tolist(), xv.T, kv.T, _el_report(F, x, k, dof).entries(),
-                   momenta_from_vectors(F, xd, kv, kd, x=xv).entries())
-    return out
+        parts.append(TrajectorySamples(ts, xv, kv, _el_report(F, x, k, dof),
+                                       momenta_from_vectors(F, xd, kv, kd, x=xv)))
+    return _joined(parts)
 
 
-def _momenta_along(traj: Trajectory, F: FForm, times) -> list:
-    """Noether momenta of F per time, from one batched query per CHUNK times."""
-    return [ms for ts in _chunks(times) for ms in traj.momenta(F, ts).entries()]
+def _momenta_along(traj: Trajectory, F: FForm, times) -> MomentumSet:
+    """Noether momenta of F at ``times``, one batched query per CHUNK times."""
+    return _joined([traj.momenta(F, ts) for ts in _chunks(times)])
 
 
 def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> dict:
@@ -456,15 +477,14 @@ def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> 
     return charge_drift(p, _momenta_along(traj, F, times))
 
 
-def charge_drift(p: SolutionParams, momenta) -> dict:
-    """Max relative deviation of the Noether P, W in ``momenta`` from p.P, p.W."""
+def charge_drift(p: SolutionParams, momenta: MomentumSet) -> dict:
+    """Max relative deviation of the batched Noether P, W from p.P, p.W; a NaN
+    is the max."""
     scale_P = max(np.max(np.abs(p.P)), 1e-300)
     scale_W = max(np.max(np.abs(p.W)), 1e-300)
-    dP = dW = 0.0
-    for ms in momenta:
-        dP = max(dP, float(np.max(np.abs(ms.P - p.P))) / scale_P)
-        dW = max(dW, float(np.max(np.abs(ms.W - p.W))) / scale_W)
-    return {"P_drift": dP, "W_drift": dW, "points": len(momenta)}
+    dP = float(np.max(np.abs(momenta.P - p.P[:, None]))) / scale_P
+    dW = float(np.max(np.abs(momenta.W - p.W[:, None]))) / scale_W
+    return {"P_drift": dP, "W_drift": dW, "points": momenta.P.shape[1]}
 
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
@@ -472,19 +492,16 @@ def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
     return casimir_series(traj.F, _momenta_along(traj, traj.F, times))
 
 
-def casimir_series(F: FForm, momenta) -> dict:
-    """PP and WW of each of ``momenta``, with max relative drift.
+def casimir_series(F: FForm, momenta: MomentumSet) -> dict:
+    """PP and WW at each instant of the batched ``momenta``, with max relative
+    drift.
 
     The drift is relative to the initial value, floored at rounding of the
     physical scale (M^2 for PP, M^4 ell^2 for WW), so that a Casimir that is
     identically zero, like WW of the point particle, does not divide by noise.
     """
-    pps, wws = [], []
-    for ms in momenta:
-        c = ms.casimirs()
-        pps.append(c.PP)
-        wws.append(c.WW)
-    pps, wws = np.array(pps), np.array(wws)
+    c = momenta.casimirs()
+    pps, wws = c.PP, c.WW
     M, ell = F.M, F.ell
     eps = np.finfo(float).eps
 
@@ -544,27 +561,27 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
         elif abs(ph.f - ref_j[0]) > MATCH_TOL or abs(ph.g[0] - ref_j[1]) > MATCH_TOL:
             raise DomainError("phase functions do not share initial data")
         traj = free_motion(p)
-        max_rel, xs = 0.0, []
+        rel, xs = [], []
         for ts in _chunks(times):
             x, k = traj.jets(ts)
-            max_rel = max(max_rel, float(np.max(_el_report(F, x, k, dof).max_relative)))
+            rel.append(_el_report(F, x, k, dof).max_relative)
             if not xs:  # the chart state at times[0]
                 charts.append([a[:, 0] for a in _lab_chart_jets(x, k, dof)[:2]])
             xs.append(jets.split(x)[0])
-        entries.append({"max_el_residual": max_rel})
+        entries.append({"max_el_residual": float(np.max(np.concatenate(rel)))})
         positions.append(np.concatenate(xs, axis=1))
     q0, qd0 = charts[0]
     for q, qd in charts[1:]:
         state_gap = max(np.max(np.abs(q - q0)), np.max(np.abs(qd - qd0)))
         if state_gap > 1e-10:
             raise DomainError(f"initial chart states differ by {state_gap}")
-    divergence = 0.0
-    for xs in positions[1:]:
-        divergence = max(divergence, float(np.max(np.abs(xs - positions[0]))))
+    # numpy maxima, so that a NaN is the max
+    divergence = float(np.max([np.max(np.abs(xs - positions[0])) for xs in positions[1:]],
+                              initial=0.0))
     return {
         "phases": len(phases),
         "entries": entries,
-        "max_el_residual": max(e["max_el_residual"] for e in entries),
+        "max_el_residual": float(np.max([e["max_el_residual"] for e in entries])),
         "divergence": divergence,
         "window": (float(times[0]), float(times[-1])),
     }
@@ -573,15 +590,17 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
 # -- trajectory export --------------------------------------------------------
 
 
-def export_trajectory(path, samples) -> None:
+def export_trajectory(path, samples: TrajectorySamples) -> None:
     """Delimited text from ``trajectory_samples``: t, x0..x3, k0..k3, EL
     residual norm, PP, WW per row."""
     cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
             "el_residual_norm", "PP", "WW"]
-    lines = [",".join(cols)]
-    for t, xv, kv, rep, ms in samples:
-        c = ms.casimirs()
-        row = [t, *xv, *kv, float(np.linalg.norm(rep.residuals)), c.PP, c.WW]
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    c = samples.momenta.casimirs()
+    # the norm of each residual column: a batched norm(axis=0) sums in
+    # another order and moves the last digit of some rows
+    norms = [np.linalg.norm(r) for r in samples.el.residuals.T]
+    table = np.vstack([samples.t, samples.x, samples.k, norms, c.PP, c.WW])
+    fmt = ",".join(["{:.17g}"] * len(cols))
+    lines = [",".join(cols)] + [fmt.format(*r) for r in table.T.tolist()]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

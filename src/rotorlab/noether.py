@@ -53,13 +53,10 @@ class MomentumSet:
     W: np.ndarray  # Pauli-Lubanski vector
 
     def casimirs(self) -> CasimirPair:
-        """PP and WW of a single instant."""
-        return CasimirPair(PP=float(dot(self.P, self.P)), WW=float(dot(self.W, self.W)))
-
-    def entries(self) -> list:
-        """The single-instant sets of a batch, in batch order."""
-        return [MomentumSet(P=self.P[:, b], pi=self.pi[:, b], M=self.M[:, :, b],
-                            W=self.W[:, b]) for b in range(self.P.shape[1])]
+        """PP and WW: floats at one instant, (B,) arrays for a batch, each
+        entry the float result."""
+        return CasimirPair(PP=jets.value(dot(self.P, self.P)),
+                           WW=jets.value(dot(self.W, self.W)))
 
 
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:

@@ -81,6 +81,14 @@ def test_fundamental_check_nu_family(capsys):
     assert "status = pass" in out
 
 
+def test_fundamental_check_fails_on_an_empty_grid(capsys):
+    # no grid point lies inside the domain Q < 0 of sqrt(-Q): nothing is checked
+    code, out = run(capsys, "fundamental-check", "--f", "sqrt(-Q)")
+    assert code == 1
+    assert "status = fail" in out and "residual = inf" in out
+    assert "inputs.points = 0" in out
+
+
 def test_hessian_rank_four(capsys):
     code, out = run(capsys, "hessian", "--f", "nu_family", "--nu", "0.3",
                     "--seed", "3")
@@ -105,8 +113,14 @@ def _with_nan(x):
     return x if x.ndim else float(x)
 
 
+def _nan_singular_values(rep):
+    """A Hessian report whose margin is NaN."""
+    return dataclasses.replace(rep, singular_values=_with_nan(rep.singular_values))
+
+
 # (suite, check, owner, function, poison): the second call of the function
-# returns poison(its result), a NaN in one sample of the check
+# (or the call POISONED_CALL names) returns poison(its result), a NaN in one
+# sample of the check
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": np.nan}),
@@ -120,7 +134,17 @@ NAN_PLANTS = [
      lambda c: CasimirPair(PP=np.nan, WW=c.WW)),
     ("casimir", "wp-orthogonality", cli, "momenta",
      lambda ms: dataclasses.replace(ms, W=_with_nan(ms.W))),
+    ("degeneracy", "degenerate-hessians", cli, "hessian", _nan_singular_values),
+    ("degeneracy", "nondegenerate-dets", cli, "hessian", _nan_singular_values),
+    ("degeneracy", "relation-consistency", cli, "relation_check",
+     lambda entries: [dataclasses.replace(e, K=np.nan) for e in entries]),
+    ("dynamics", "free-motion-conservation", cli, "conservation_drift",
+     lambda d: {**d, "W_drift": np.nan}),
+    ("dynamics", "angular-speed-identity", cli, "angular_speed", _with_nan),
 ]
+# each state of the degeneracy suite takes three singular Hessians, then the
+# nondegenerate ones: the fourth call is the first nondegenerate Hessian
+POISONED_CALL = {"nondegenerate-dets": 4}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
@@ -129,15 +153,16 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, suite, check, owner, 
                                       poison):
     original = getattr(owner, name)
     calls = []
+    at = POISONED_CALL.get(check, 2)
 
     def planted(*args, **kwargs):
         calls.append(name)
         out = original(*args, **kwargs)
-        return poison(out) if len(calls) == 2 else out
+        return poison(out) if len(calls) == at else out
 
     monkeypatch.setattr(owner, name, planted)
     code, out = run(capsys, "verify", "--suite", suite, "--seed", "0")
-    assert len(calls) >= 2
+    assert len(calls) >= at
     assert code == 1
     block = next(b for b in out.split("\n\n") if f"name = {check}\n" in b)
     assert "status = fail" in block and "residual = nan" in block
@@ -199,6 +224,24 @@ def test_freemotion_writes_trajectory(tmp_path, capsys):
     lines = open(out_file).read().strip().split("\n")
     assert lines[0].startswith("t,x0")
     assert len(lines) == 22
+
+
+def test_parser_is_built_once_and_dispatches_at_call_time(capsys, monkeypatch):
+    """One parser per process; each call looks up the current ``cmd_*``
+    function, so a replacement made between calls is the one that runs."""
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    for name in ("first", "second"):
+        monkeypatch.setattr(cli, "cmd_count",
+                            lambda args, cfg, name=name: [Report(name, 0.0, 0.0)])
+        code, out = run(capsys, "count-invariants")
+        assert code == 0 and f"name = {name}\n" in out
+    assert len(built) == 1
+    # a bad flag after a successful call is still rejected by argparse
+    assert exit_code(["count-invariants", "--bogus"]) == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
 def test_seed_from_environment(capsys, monkeypatch):

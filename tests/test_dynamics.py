@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from rotorlab import dynamics, jets
+from rotorlab import cli, dynamics, jets
 from rotorlab.degeneracy import DOF5, DOF6, ChartState
 from rotorlab.dynamics import (
     SingularHessianError,
@@ -22,9 +22,10 @@ from rotorlab.dynamics import (
     trajectory_samples,
 )
 from rotorlab.cli import FREE_MOTION_PHASES
-from rotorlab.fform import builtin, parse_f
+from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.noether import momenta_from_vectors
+from rotorlab.reports import Report, render_reports
 
 ROT = builtin("rotator_f")
 
@@ -257,6 +258,32 @@ def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
         indeterminacy_demo([lambda t: 3.0 * t, lambda t: 3.0 * t], base, times, ROT)
 
 
+def per_time_samples(F, traj, times, dof=DOF5):
+    """(t, x, k, EL report, momenta) per time, one trajectory query per time:
+    the reference for the columns of ``trajectory_samples``."""
+    out = []
+    for t in times:
+        x, k = traj.jets(t)
+        (xv, xd), (kv, kd) = map(jets.split, (x, k))
+        out.append((float(t), xv, kv, dynamics._el_report(F, x, k, dof),
+                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
+    return out
+
+
+def per_row_export(path, samples):
+    """The per-row writer of ``per_time_samples``: the reference for the bytes
+    of ``export_trajectory``."""
+    cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
+            "el_residual_norm", "PP", "WW"]
+    lines = [",".join(cols)]
+    for t, xv, kv, rep, ms in samples:
+        c = ms.casimirs()
+        row = [t, *xv, *kv, float(np.linalg.norm(rep.residuals)), c.PP, c.WW]
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def test_export_trajectory(tmp_path):
     path = os.path.join(tmp_path, "traj.csv")
     p = rest_frame_params(lambda t: t)
@@ -272,9 +299,14 @@ def test_export_trajectory(tmp_path):
     # one batched trajectory query for the 5 rows
     assert len(queries) == 1 and np.array_equal(queries[0], times)
     queries.clear()
-    samples = trajectory_samples(ROT, Counting(), np.linspace(0.0, 2.0, dynamics.CHUNK + 1))
-    assert len(samples) == dynamics.CHUNK + 1
+    B = dynamics.CHUNK + 1
+    samples = trajectory_samples(ROT, Counting(), np.linspace(0.0, 2.0, B))
     assert [len(q) for q in queries] == [dynamics.CHUNK, 1]  # one query per chunk
+    # one record: the chunks joined along the trailing batch axis
+    ms, el = samples.momenta, samples.el
+    assert samples.t.shape == (B,) and samples.x.shape == samples.k.shape == (4, B)
+    assert el.residuals.shape == (5, B) and el.scale.shape == (B,)
+    assert ms.P.shape == ms.pi.shape == ms.W.shape == (4, B) and ms.M.shape == (4, 4, B)
     lines = open(path).read().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
@@ -284,17 +316,75 @@ def test_export_trajectory(tmp_path):
     assert row[0] == 0.0
     assert row[10] == pytest.approx(1.0, rel=1e-12)   # PP
     assert row[11] == pytest.approx(-0.25, rel=1e-12)  # WW
+    ref = os.path.join(tmp_path, "ref.csv")
+    per_row_export(ref, per_time_samples(ROT, traj, times))
+    assert open(path).read() == open(ref).read()
 
 
-def per_time_samples(F, traj, times, dof=DOF5):
-    """The samples of ``trajectory_samples``, one trajectory query per time."""
-    out = []
-    for t in times:
-        x, k = traj.jets(t)
-        (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        out.append((float(t), xv, kv, dynamics._el_report(F, x, k, dof),
-                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
-    return out
+# the phases of the dynamics suite, as ``--phase`` expressions
+EXPORT_PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
+
+
+@pytest.mark.parametrize("units", [(), ("--M", "1.3", "--ell", "0.7")],
+                         ids=["defaults", "M1.3-ell0.7"])
+@pytest.mark.parametrize("phase", range(3))
+def test_freemotion_export_equals_per_row_reference(tmp_path, capsys, phase, units):
+    """``freemotion --out`` writes, byte for byte, the report and the CSV of
+    one query per time, per-row reductions and the per-row writer."""
+    expr = EXPORT_PHASES[phase]
+    path, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    code = cli.main(["freemotion", "--phase", expr, "--seed", "0", "--out", str(path),
+                     *units])
+    doc = capsys.readouterr().out
+    M, ell = (1.3, 0.7) if units else (1.0, 1.0)
+    F = builtin("rotator_f", M=M, ell=ell)
+    p = rest_frame_params(parse_phase(expr), M=M, ell=ell)
+    samples = per_time_samples(F, free_motion(p), np.linspace(0.0, 20.0, 81))
+    per_row_export(ref, samples)
+    dP = dW = 0.0
+    for *_, ms in samples:
+        dP = max(dP, float(np.max(np.abs(ms.P - p.P))) / max(np.max(np.abs(p.P)), 1e-300))
+        dW = max(dW, float(np.max(np.abs(ms.W - p.W))) / max(np.max(np.abs(p.W)), 1e-300))
+    worst_el = max(rep.max_relative for *_, rep, _ in samples)
+    want = render_reports([
+        Report("freemotion-el-residuals", worst_el, cli.EL_TOL, 0,
+               {"phase": expr, "tmax": 20.0}),
+        Report("freemotion-conservation", max(dP, dW), cli.DRIFT_TOL, 0, {"phase": expr}),
+    ])
+    assert code == 0 and doc == want
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_simulate_export_equals_per_row_reference(tmp_path, capsys, monkeypatch):
+    """``simulate --out`` writes, byte for byte, the report and the CSV of one
+    query per time, per-row Casimirs and the per-row writer."""
+    runs = []
+    real = cli.integrate
+
+    def recorded(F, state, span):
+        runs.append((F, span[1], real(F, state, span)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(cli, "integrate", recorded)
+    path, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+    code = cli.main(["simulate", "--f", "Q", "--periods", "1", "--seed", "0",
+                     "--out", str(path)])
+    doc = capsys.readouterr().out
+    ((F, t_end, traj),) = runs
+    samples = per_time_samples(F, traj, np.linspace(0.0, t_end, 50))
+    per_row_export(ref, samples)
+    pps = np.array([ms.casimirs().PP for *_, ms in samples])
+    wws = np.array([ms.casimirs().WW for *_, ms in samples])
+    eps = np.finfo(float).eps
+    pp_drift = float(np.max(np.abs(pps - pps[0])) / max(abs(pps[0]), eps * F.M**2))
+    ww_drift = float(np.max(np.abs(wws - wws[0]))
+                     / max(abs(wws[0]), eps * F.M**4 * F.ell**2))
+    want = render_reports([Report(
+        "conservation-drift", max(pp_drift, ww_drift), cli.CONSERVATION_TOL, 0,
+        {"form": F.name, "periods": 1.0, "PP0": float(pps[0]), "WW0": float(wws[0]),
+         "PP_drift": pp_drift, "WW_drift": ww_drift})])
+    assert code == 0 and doc == want
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def _integrated_q():
@@ -321,12 +411,14 @@ def test_batched_samples_equal_per_time_samples(case):
         traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[int(case[-1])]))
     times = np.linspace(0.0, t_end, 100)
     got, want = trajectory_samples(F, traj, times), per_time_samples(F, traj, times)
-    assert len(got) == len(want) == 100
-    for (t, xv, kv, rep, ms), (t0, xv0, kv0, rep0, ms0) in zip(got, want):
-        assert t == t0 and np.array_equal(xv, xv0) and np.array_equal(kv, kv0)
-        assert np.array_equal(rep.residuals, rep0.residuals) and rep.scale == rep0.scale
+    assert got.t.shape == (len(want),) == (100,)
+    for b, (t0, xv0, kv0, rep0, ms0) in enumerate(want):
+        assert got.t[b] == t0
+        assert np.array_equal(got.x[:, b], xv0) and np.array_equal(got.k[:, b], kv0)
+        assert np.array_equal(got.el.residuals[:, b], rep0.residuals)
+        assert got.el.scale[b] == rep0.scale
         for name in ("P", "pi", "M", "W"):
-            assert np.array_equal(getattr(ms, name), getattr(ms0, name))
+            assert np.array_equal(getattr(got.momenta, name)[..., b], getattr(ms0, name))
 
 
 def test_batched_queries_check_every_time():
