@@ -74,8 +74,10 @@ def _times(t):
 
 
 def _chunks(times):
-    """Consecutive arrays of at most CHUNK of ``times``."""
+    """Consecutive arrays of at most CHUNK of ``times``, at least one time."""
     times = np.asarray(list(times), dtype=float)
+    if not len(times):
+        raise ValueError("no times to sample")
     return [times[i:i + CHUNK] for i in range(0, len(times), CHUNK)]
 
 

@@ -307,6 +307,11 @@ def test_export_trajectory(tmp_path):
     assert samples.t.shape == (B,) and samples.x.shape == samples.k.shape == (4, B)
     assert el.residuals.shape == (5, B) and el.scale.shape == (B,)
     assert ms.P.shape == ms.pi.shape == ms.W.shape == (4, B) and ms.M.shape == (4, 4, B)
+    # no times, no record: a drift over no samples would read 0
+    for sample in (lambda: trajectory_samples(ROT, traj, []),
+                   lambda: conservation_drift(p, traj, [], ROT)):
+        with pytest.raises(ValueError, match="no times to sample"):
+            sample()
     lines = open(path).read().strip().split("\n")
     header = lines[0].split(",")
     assert header == ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
