@@ -31,7 +31,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_triangular
 
 from . import jets
-from .degeneracy import DOF5, ChartState, chart_lagrangian, chart_vectors, check_off_pole
+from .degeneracy import DOF5, ChartState, chart_lagrangian, check_off_pole
 from .fform import FForm
 from .minkowski import DomainError, dot, epsilon_contract, four
 from .noether import FUNDAMENTAL_WW_FACTOR, MomentumSet, momenta_from_vectors
@@ -51,10 +51,8 @@ __all__ = [
     "angular_speed",
     "speed_to_Q",
     "trajectory_samples",
-    "conservation_drift",
     "charge_drift",
     "casimir_drift",
-    "casimir_series",
     "indeterminacy_demo",
     "export_trajectory",
     "rest_frame_params",
@@ -161,11 +159,6 @@ class Trajectory:
     def jets(self, t):
         raise NotImplementedError
 
-    def momenta(self, F: FForm, t):
-        """Noether momenta of F at t (a batched set for an array of times)."""
-        (xv, xd), (kv, kd) = map(jets.split, self.jets(t))
-        return momenta_from_vectors(F, xd, kv, kd, x=xv)
-
 
 @dataclass(frozen=True)
 class FreeMotionTrajectory(Trajectory):
@@ -193,15 +186,14 @@ def free_motion(params: SolutionParams) -> FreeMotionTrajectory:
     return FreeMotionTrajectory(params.validate())
 
 
-def rest_frame_params(phase, M: float = 1.0, ell: float = 1.0,
-                      x0=(0.0, 0.0, 0.0, 0.0)) -> SolutionParams:
-    """Canonical center-of-momentum parameters: spin along z, N along x."""
+def rest_frame_params(phase, M: float = 1.0, ell: float = 1.0) -> SolutionParams:
+    """Canonical center-of-momentum parameters: spin along z, N along x, the
+    worldline through the origin at t = 0."""
     return SolutionParams(
         P=four(M, 0.0, 0.0, 0.0),
         W=four(0.0, 0.0, 0.0, 0.5 * M**2 * ell),
         N=four(0.0, 1.0, 0.0, 0.0),
         phase=phase,
-        x0=np.asarray(x0, dtype=float),
         M=M,
         ell=ell,
     )
@@ -254,17 +246,16 @@ def _lab_chart_jets(x, k, dof):
 def el_residuals(F: FForm, traj: Trajectory, t, dof=DOF5) -> ELReport:
     """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation;
     one batched report for an array of times."""
-    x, k = traj.jets(t)
-    return _el_report(F, x, k, dof)
+    return _el_report(F, *_lab_chart_jets(*traj.jets(t), dof), dof)
 
 
-def _el_report(F: FForm, x, k, dof) -> ELReport:
-    """``el_residuals`` from the trajectory jets x(t), k(t).
+def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
+    """``el_residuals`` from the lab-chart state (q, qd, qdd) of
+    ``_lab_chart_jets``.
 
     Residual i is sum_j H_{v_i v_j} qdd_j + sum_j H_{v_i q_j} qd_j - dL/dq_i,
     added term by term in that order; its scale is the largest of those
     terms over i."""
-    q, qd, qdd = _lab_chart_jets(x, k, dof)
     n = len(dof)
     vs = jets.variables(*q, *qd)
     L = chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
@@ -373,22 +364,29 @@ class IntegratedTrajectory(Trajectory):
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
         return _qr_solve(H, Z, t, q, qd)
 
-    def momenta(self, F: FForm, t):
-        """Noether momenta of F at t, from the chart state alone: unlike
-        ``jets``, this solves for no acceleration."""
-        t = _times(t)
-        q, qd = self.chart(t)
-        xd, kv, kd = chart_vectors(q, qd, self.dof)
-        return momenta_from_vectors(F, xd, kv, kd, x=four(t, *q[:3]))
-
-    def jets(self, t):
-        t = _times(t)
-        q, qd = self.chart(t)
-        qdd = self._accel(t, q, qd)
+    def _vectors(self, t, q, qd, qdd):
+        """x and k as four-vectors of jets in t, from the chart state with
+        second derivatives qdd."""
         qj = [jets.Jet(q[i], qd[i][None], qdd[i][None, None]) for i in range(len(q))]
         (tj,) = jets.variables(t)
         K = qj[5] if len(self.dof) == 6 else 1.0
         return four(tj, *qj[:3]), null_from_angles(qj[3], qj[4], K)
+
+    def jets(self, t):
+        t = _times(t)
+        q, qd = self.chart(t)
+        return self._vectors(t, q, qd, self._accel(t, q, qd))
+
+    def momenta(self, F: FForm, t):
+        """Noether momenta of F at t, from the chart state alone.  They read
+        the first derivatives of the ``jets`` vectors, which a jet computes
+        without its Hessian, so a zero acceleration gives the same momenta bit
+        for bit and none is solved."""
+        t = _times(t)
+        q, qd = self.chart(t)
+        x, k = self._vectors(t, q, qd, np.zeros_like(q))
+        (xv, xd), (kv, kd) = map(jets.split, (x, k))
+        return momenta_from_vectors(F, xd, kv, kd, x=xv)
 
 
 def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTrajectory:
@@ -436,11 +434,14 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
 @dataclass(frozen=True)
 class TrajectorySamples:
     """A trajectory at B times: ``t`` (B,), the values ``x`` and ``k`` of the
-    four-vectors (4, B), the batched EL report and Noether momenta."""
+    four-vectors (4, B), the lab-chart state ``q`` and ``qd`` (n, B), the
+    batched EL report and Noether momenta."""
 
     t: np.ndarray
     x: np.ndarray
     k: np.ndarray
+    q: np.ndarray
+    qd: np.ndarray
     el: ELReport
     momenta: MomentumSet
 
@@ -463,20 +464,11 @@ def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> Trajector
     parts = []
     for ts in _chunks(times):
         x, k = traj.jets(ts)
+        q, qd, qdd = _lab_chart_jets(x, k, dof)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        parts.append(TrajectorySamples(ts, xv, kv, _el_report(F, x, k, dof),
+        parts.append(TrajectorySamples(ts, xv, kv, q, qd, _el_report(F, q, qd, qdd, dof),
                                        momenta_from_vectors(F, xd, kv, kd, x=xv)))
     return _joined(parts)
-
-
-def _momenta_along(traj: Trajectory, F: FForm, times) -> MomentumSet:
-    """Noether momenta of F at ``times``, one batched query per CHUNK times."""
-    return _joined([traj.momenta(F, ts) for ts in _chunks(times)])
-
-
-def conservation_drift(p: SolutionParams, traj: Trajectory, times, F: FForm) -> dict:
-    """Max relative deviation of recomputed Noether P, W from the inputs."""
-    return charge_drift(p, _momenta_along(traj, F, times))
 
 
 def charge_drift(p: SolutionParams, momenta: MomentumSet) -> dict:
@@ -490,31 +482,25 @@ def charge_drift(p: SolutionParams, momenta: MomentumSet) -> dict:
 
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
-    """PP and WW along an integrated trajectory, with max relative drift."""
-    return casimir_series(traj.F, _momenta_along(traj, traj.F, times))
-
-
-def casimir_series(F: FForm, momenta: MomentumSet) -> dict:
-    """PP and WW at each instant of the batched ``momenta``, with max relative
-    drift.
+    """PP and WW of traj.F along an integrated trajectory at ``times``, one
+    batched momenta query per CHUNK times, with max relative drift.
 
     The drift is relative to the initial value, floored at rounding of the
     physical scale (M^2 for PP, M^4 ell^2 for WW), so that a Casimir that is
     identically zero, like WW of the point particle, does not divide by noise.
     """
-    c = momenta.casimirs()
-    pps, wws = c.PP, c.WW
-    M, ell = F.M, F.ell
+    F = traj.F
+    c = _joined([traj.momenta(F, ts) for ts in _chunks(times)]).casimirs()
     eps = np.finfo(float).eps
 
     def rel_drift(v, scale):
         return float(np.max(np.abs(v - v[0])) / max(abs(v[0]), eps * scale))
 
     return {
-        "PP": pps,
-        "WW": wws,
-        "PP_drift": rel_drift(pps, M**2),
-        "WW_drift": rel_drift(wws, M**4 * ell**2),
+        "PP": c.PP,
+        "WW": c.WW,
+        "PP_drift": rel_drift(c.PP, F.M**2),
+        "WW_drift": rel_drift(c.WW, F.M**4 * F.ell**2),
     }
 
 
@@ -546,46 +532,39 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
     """Several admissible phases sharing (phi(0), phidot(0)): same initial
     lab-time state, residual-clean trajectories, divergent subsequent motion.
 
-    Each trajectory is queried once per CHUNK times; its EL residuals,
-    initial chart state and positions all come from those jets.
+    Each trajectory is one ``trajectory_samples`` record, returned under
+    ``samples``; its EL residuals, initial chart state and positions all come
+    from that record.
     """
-    times = np.asarray(list(times), dtype=float)
     ref_j = None
-    entries = []
-    charts = []
-    positions = []
+    samples = []
     for phase in phases:
         p = SolutionParams(P=base.P, W=base.W, N=base.N, phase=phase,
                            x0=base.x0, M=base.M, ell=base.ell)
-        ph = p.phase_jet(times[0])
+        s = trajectory_samples(F, free_motion(p), times, dof)
+        ph = p.phase_jet(s.t[0])
         if ref_j is None:
             ref_j = (ph.f, ph.g[0])
         elif abs(ph.f - ref_j[0]) > MATCH_TOL or abs(ph.g[0] - ref_j[1]) > MATCH_TOL:
             raise DomainError("phase functions do not share initial data")
-        traj = free_motion(p)
-        rel, xs = [], []
-        for ts in _chunks(times):
-            x, k = traj.jets(ts)
-            rel.append(_el_report(F, x, k, dof).max_relative)
-            if not xs:  # the chart state at times[0]
-                charts.append([a[:, 0] for a in _lab_chart_jets(x, k, dof)[:2]])
-            xs.append(jets.split(x)[0])
-        entries.append({"max_el_residual": float(np.max(np.concatenate(rel)))})
-        positions.append(np.concatenate(xs, axis=1))
-    q0, qd0 = charts[0]
-    for q, qd in charts[1:]:
-        state_gap = max(np.max(np.abs(q - q0)), np.max(np.abs(qd - qd0)))
+        samples.append(s)
+    s0 = samples[0]
+    for s in samples[1:]:
+        state_gap = max(np.max(np.abs(s.q[:, 0] - s0.q[:, 0])),
+                        np.max(np.abs(s.qd[:, 0] - s0.qd[:, 0])))
         if state_gap > 1e-10:
             raise DomainError(f"initial chart states differ by {state_gap}")
+    entries = [{"max_el_residual": float(np.max(s.el.max_relative))} for s in samples]
     # numpy maxima, so that a NaN is the max
-    divergence = float(np.max([np.max(np.abs(xs - positions[0])) for xs in positions[1:]],
+    divergence = float(np.max([np.max(np.abs(s.x - s0.x)) for s in samples[1:]],
                               initial=0.0))
     return {
         "phases": len(phases),
         "entries": entries,
+        "samples": samples,
         "max_el_residual": float(np.max([e["max_el_residual"] for e in entries])),
         "divergence": divergence,
-        "window": (float(times[0]), float(times[-1])),
+        "window": (float(s0.t[0]), float(s0.t[-1])),
     }
 
 

@@ -40,6 +40,8 @@ __all__ = [
 
 JET_TOL = 1e-10  # largest tetrad-relation residual of a valid jet, per unit scale
 COUNT_SAMPLES = 60  # scalar points of the invariant count
+RANK_REL = 1e-8  # least singular value counted in a rank, relative to the largest
+RAPIDITY_MAX = 1.2  # largest rapidity of a random timelike xdot
 
 
 @dataclass(frozen=True)
@@ -243,11 +245,11 @@ def _condition_matrix(s):
     return cols.T
 
 
-def _rank(M, rel=1e-8):
+def _rank(M):
     sv = np.linalg.svd(M, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rel * sv[0]))
+    return int(np.sum(sv > RANK_REL * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -365,8 +367,8 @@ class KinematicPath:
     xdot: np.ndarray  # (4,)
 
 
-def random_timelike(rng, rapidity_max=1.2):
-    eta = rng.uniform(0.0, rapidity_max)
+def random_timelike(rng):
+    eta = rng.uniform(0.0, RAPIDITY_MAX)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     scale = rng.uniform(0.5, 2.0)

@@ -64,13 +64,9 @@ def _each(fn, nin):
     return apply
 
 
-_power_each = np.frompyfunc(pow, 2, 1)
-
-
-def power(x, p):
-    """x ** p as Python computes it on floats, on a float or on each entry of
-    an array (numpy's power rounds differently)."""
-    return _power_each(x, p).astype(float) if isinstance(x, _ARRAY) else x ** p
+# x ** p as Python computes it on floats, on a float or on each entry of an
+# array (numpy's power rounds differently)
+power = _each(pow, 2)
 
 
 def _vectorized(fn, ufunc):

@@ -140,5 +140,5 @@ def bivector(u, p, k=None, pi=None):
     return M
 
 
-def is_antisymmetric(M, tol=0.0):
-    return np.max(np.abs(M + M.T)) <= tol
+def is_antisymmetric(M):
+    return np.max(np.abs(M + M.T)) == 0.0

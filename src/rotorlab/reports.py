@@ -86,6 +86,12 @@ class RunConfig:
                 and math.isfinite(self.nu)):
             raise ValueError(f"M = {self.M} and ell = {self.ell} must be positive "
                              f"and nu = {self.nu} finite")
+        # the mass and spin scales M^2 and M^4 ell^2, with the powers they are
+        # computed from: float ** raises on overflow and a zero scale divides
+        M2, ell2 = self.M * self.M, self.ell * self.ell
+        if not all(0.0 < s < math.inf for s in (M2, M2 * M2, ell2, M2 * M2 * ell2)):
+            raise ValueError(f"M = {self.M} and ell = {self.ell} put the scales "
+                             f"M^2 and M^4 ell^2 outside the floating-point range")
 
 
 # config-file keys, with their parsers

@@ -138,7 +138,7 @@ NAN_PLANTS = [
     ("degeneracy", "nondegenerate-dets", cli, "hessian", _nan_singular_values),
     ("degeneracy", "relation-consistency", cli, "relation_check",
      lambda entries: [dataclasses.replace(e, K=np.nan) for e in entries]),
-    ("dynamics", "free-motion-conservation", cli, "conservation_drift",
+    ("dynamics", "free-motion-conservation", cli, "charge_drift",
      lambda d: {**d, "W_drift": np.nan}),
     ("dynamics", "angular-speed-identity", cli, "angular_speed", _with_nan),
 ]
@@ -179,6 +179,16 @@ def test_simulate_conservation(capsys):
     assert code == 0
     assert "conservation-drift" in out
     assert "status = pass" in out
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("form", ["Q", "Q^2"])
+def test_simulate_report_does_not_depend_on_out(tmp_path, capsys, form, seed):
+    argv = ["simulate", "--f", form, "--periods", "1", "--seed", seed]
+    plain = run(capsys, *argv)
+    path = tmp_path / "traj.csv"
+    assert run(capsys, *argv, "--out", str(path)) == plain
+    assert plain[0] == 0 and path.read_text().count("\n") == 51
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,6 +331,12 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["casimir", "--f", "Q^P"],  # the exponent's derivatives would be dropped
     ["casimir", "--f", "(" * 2000 + "Q" + ")" * 2000],
     ["casimir", "--f", "+".join(["Q"] * 2000)],
+    # scales M^2 or M^4 ell^2 outside the floating-point range
+    ["freemotion", "--M", "1e160"],
+    ["verify", "--suite", "casimir", "--M", "1e200"],
+    ["casimir", "--f", "rotator", "--M", "1e200"],
+    ["simulate", "--M", "1e200", "--periods", "0.1"],
+    ["casimir", "--f", "rotator", "--M", "1e-100"],
 ])
 def test_bad_input_exits_2(capsys, argv):
     assert exit_code(argv) == 2
@@ -344,4 +360,22 @@ def test_casimir_fuzz_exit_codes(expr, Q):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = exit_code(["casimir", f"--f={expr}", "--Q", Q])
+    assert code in (0, 1, 2)
+
+
+_log_scale = st.floats(-300.0, 300.0).map(lambda e: repr(10.0 ** e))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(M=_log_scale, ell=_log_scale,
+       argv=st.sampled_from([["casimir", "--f", "rotator"], ["casimir", "--f", "Q^2+P"],
+                             ["casimir", "--f", "starlike"], ["hessian", "--f", "rotator"],
+                             ["fundamental-check", "--f", "nu_family", "--grid", "3"],
+                             ["freemotion", "--samples", "3", "--tmax", "1"]]))
+def test_scale_fuzz_exit_codes(M, ell, argv):
+    """Any M and ell from 1e-300 to 1e300 exit 0, 1 or 2, never by an
+    exception."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = exit_code([*argv, "--M", M, "--ell", ell])
     assert code in (0, 1, 2)

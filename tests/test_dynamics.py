@@ -11,7 +11,7 @@ from rotorlab.dynamics import (
     Trajectory,
     angular_speed,
     casimir_drift,
-    conservation_drift,
+    charge_drift,
     el_residuals,
     export_trajectory,
     free_motion,
@@ -75,7 +75,9 @@ def test_el_residuals_nonzero_for_other_system():
 
 def test_noether_charges_conserved_along_free_motion():
     p = rest_frame_params(bent_phase)
-    d = conservation_drift(p, free_motion(p), np.linspace(0.0, 20.0, 21), ROT)
+    samples = trajectory_samples(ROT, free_motion(p), np.linspace(0.0, 20.0, 21))
+    d = charge_drift(p, samples.momenta)
+    assert d["points"] == 21
     assert d["P_drift"] < 1e-9
     assert d["W_drift"] < 1e-9
 
@@ -171,8 +173,9 @@ def test_casimir_drift_floors_at_physical_scale():
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6])
 def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
-    """IntegratedTrajectory.momenta reads the chart state only; its P and W
-    equal those of the jets path, which also solves for the acceleration."""
+    """IntegratedTrajectory.momenta reads the chart state only; its momenta
+    equal, bit for bit, those of ``trajectory_samples``, which also solves for
+    the acceleration."""
     fq = builtin("fq", f=lambda q: q * q)
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
@@ -181,16 +184,16 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     real = dynamics._hessian_and_force
     monkeypatch.setattr(dynamics, "_hessian_and_force",
                         lambda *a: calls.append(a) or real(*a))
-    for t in (0.0, 0.7, 2.0):
+    times = np.linspace(0.0, 2.0, 41)
+    for t in (*times[[0, 14, -1]], times):
         got = traj.momenta(fq, t)
         assert not calls
-        want = Trajectory.momenta(traj, fq, t)
+        want = trajectory_samples(fq, traj, np.atleast_1d(t), dof).momenta
         assert calls
         calls.clear()
-        # the two routes round kdot differently; over 41 times the gap is at
-        # most 4e-15 (DOF5) and 1.6e-14 (DOF6) relative
-        for a, b in ((got.P, want.P), (got.W, want.W), (got.M, want.M)):
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+        for name in ("P", "pi", "M", "W"):
+            b = getattr(want, name)
+            assert np.array_equal(getattr(got, name), b if np.ndim(t) else b[..., 0])
 
 
 def test_integrated_trajectory_stays_in_its_span():
@@ -265,8 +268,8 @@ def per_time_samples(F, traj, times, dof=DOF5):
     for t in times:
         x, k = traj.jets(t)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        out.append((float(t), xv, kv, dynamics._el_report(F, x, k, dof),
-                    momenta_from_vectors(F, xd, kv, kd, x=xv)))
+        rep = dynamics._el_report(F, *dynamics._lab_chart_jets(x, k, dof), dof)
+        out.append((float(t), xv, kv, rep, momenta_from_vectors(F, xd, kv, kd, x=xv)))
     return out
 
 
@@ -307,9 +310,13 @@ def test_export_trajectory(tmp_path):
     assert samples.t.shape == (B,) and samples.x.shape == samples.k.shape == (4, B)
     assert el.residuals.shape == (5, B) and el.scale.shape == (B,)
     assert ms.P.shape == ms.pi.shape == ms.W.shape == (4, B) and ms.M.shape == (4, 4, B)
+    assert samples.q.shape == samples.qd.shape == (5, B)
     # no times, no record: a drift over no samples would read 0
+    short = integrate(parse_f("Q"), ChartState(theta=1.1, phi=0.3, thetadot=0.4,
+                                               phidot=0.7), (0.0, 0.1))
     for sample in (lambda: trajectory_samples(ROT, traj, []),
-                   lambda: conservation_drift(p, traj, [], ROT)):
+                   lambda: indeterminacy_demo([p.phase], p, [], ROT),
+                   lambda: casimir_drift(short, [])):
         with pytest.raises(ValueError, match="no times to sample"):
             sample()
     lines = open(path).read().strip().split("\n")
