@@ -22,24 +22,6 @@ from .minkowski import DomainError, four
 from .noether import casimirs_from_partials
 from .spinor import null_from_angles
 
-__all__ = [
-    "DOF5",
-    "DOF6",
-    "ChartState",
-    "check_off_pole",
-    "HessianReport",
-    "chart_vectors",
-    "chart_scalars",
-    "chart_lagrangian",
-    "hessian",
-    "jacobian_pq",
-    "RelationEntry",
-    "relation_check",
-    "FqDetResult",
-    "fq_det_formula",
-    "random_chart_state",
-]
-
 DOF5 = ("x1", "x2", "x3", "theta", "phi")
 DOF6 = ("x1", "x2", "x3", "theta", "phi", "K")
 
@@ -153,16 +135,6 @@ class HessianReport:
         """sigma_min / (RANK_TOL sigma_max): at most 1 iff the Hessian is singular."""
         sv = self.singular_values
         return float(sv[-1] / (RANK_TOL * max(sv[0], 1e-300)))
-
-    def as_dict(self) -> dict:
-        return {
-            "dof": len(self.dof),
-            "rank": self.rank,
-            "det": self.det,
-            "margin": self.margin,
-            "singular": self.is_singular,
-            "singular_values": list(self.singular_values),
-        }
 
 
 def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:

@@ -37,27 +37,6 @@ from .minkowski import DomainError, dot, epsilon_contract, four
 from .noether import FUNDAMENTAL_WW_FACTOR, MomentumSet, momenta_from_vectors
 from .spinor import angles_from_null, null_from_angles
 
-__all__ = [
-    "SolutionParams",
-    "FreeMotionTrajectory",
-    "IntegratedTrajectory",
-    "SpanSolution",
-    "SingularHessianError",
-    "ELReport",
-    "TrajectorySamples",
-    "free_motion",
-    "el_residuals",
-    "integrate",
-    "angular_speed",
-    "speed_to_Q",
-    "trajectory_samples",
-    "charge_drift",
-    "casimir_drift",
-    "indeterminacy_demo",
-    "export_trajectory",
-    "rest_frame_params",
-]
-
 PARAM_TOL = 1e-12
 SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
 MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
@@ -353,11 +332,6 @@ class IntegratedTrajectory(Trajectory):
         n = len(self.dof)
         return y[:n], y[n:]
 
-    def accel(self, t) -> np.ndarray:
-        """qdd at t, or at each of an array of times."""
-        t = _times(t)
-        return self._accel(t, *self.chart(t))
-
     def _accel(self, t, q, qd):
         if np.ndim(t):  # the velocity Hessian takes one state per solve
             return np.stack([self._accel(*s) for s in zip(t, q.T, qd.T)], axis=-1)
@@ -554,17 +528,13 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
                         np.max(np.abs(s.qd[:, 0] - s0.qd[:, 0])))
         if state_gap > 1e-10:
             raise DomainError(f"initial chart states differ by {state_gap}")
-    entries = [{"max_el_residual": float(np.max(s.el.max_relative))} for s in samples]
     # numpy maxima, so that a NaN is the max
     divergence = float(np.max([np.max(np.abs(s.x - s0.x)) for s in samples[1:]],
                               initial=0.0))
     return {
-        "phases": len(phases),
-        "entries": entries,
         "samples": samples,
-        "max_el_residual": float(np.max([e["max_el_residual"] for e in entries])),
+        "max_el_residual": float(np.max([np.max(s.el.max_relative) for s in samples])),
         "divergence": divergence,
-        "window": (float(s0.t[0]), float(s0.t[-1])),
     }
 
 

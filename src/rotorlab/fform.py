@@ -24,21 +24,6 @@ import numpy as np
 from . import jets
 from .minkowski import DomainError, dot
 
-__all__ = [
-    "PQPoint",
-    "FFormValue",
-    "FForm",
-    "ParseError",
-    "pq_from_vectors",
-    "pq_from_scalars",
-    "parse_f",
-    "parse_phase",
-    "builtin",
-    "BUILTIN_NAMES",
-    "lagrangian_from_vectors",
-    "lagrangian_from_scalars",
-]
-
 
 @dataclass(frozen=True)
 class PQPoint:

@@ -18,25 +18,6 @@ from .minkowski import DomainError, dot, four
 from .spinor import (Tetrad, gauge_transform, null_from_angles, phase_rotate,
                      tetrad_from_angles, tetrad_relations)
 
-__all__ = [
-    "KinematicJet",
-    "GaugeJet",
-    "BasicScalars",
-    "basic_scalars",
-    "gauge_jet_transform",
-    "phase_rotate_jet",
-    "iota",
-    "capital_invariants",
-    "identity_checks",
-    "CountReport",
-    "reproduce_invariant_count",
-    "KinematicPath",
-    "draw_kinematic_path",
-    "kinematic_jets",
-    "random_kinematic_jet",
-    "special_gauge_jet",
-]
-
 
 JET_TOL = 1e-10  # largest tetrad-relation residual of a valid jet, per unit scale
 COUNT_SAMPLES = 60  # scalar points of the invariant count

@@ -31,22 +31,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "Jet",
-    "variables",
-    "constant",
-    "value",
-    "split",
-    "raise_where",
-    "power",
-    "sqrt",
-    "sin",
-    "cos",
-    "exp",
-    "acos",
-    "atan2",
-]
-
 
 _ARRAY = np.ndarray
 _NUMBER = (int, float, np.integer, np.floating)
@@ -199,10 +183,6 @@ class Jet:
         return NotImplemented
 
     def __pow__(self, p):
-        if isinstance(p, Jet):
-            if p.g.any() or p.h.any():
-                raise ValueError("jet-valued exponents are not supported")
-            p = p.f
         p = float(p)
         if p == int(p) and abs(p) <= 64:
             k = int(p)
@@ -225,20 +205,6 @@ class Jet:
     def __abs__(self):
         raise_where(self.f == 0.0, ValueError, "abs() is not differentiable at 0")
         return self * np.sign(self.f)
-
-    # -- comparisons on values (handy for domain checks) ------------------
-
-    def __lt__(self, other):
-        return self.f < value(other)
-
-    def __le__(self, other):
-        return self.f <= value(other)
-
-    def __gt__(self, other):
-        return self.f > value(other)
-
-    def __ge__(self, other):
-        return self.f >= value(other)
 
     def __float__(self):
         raise TypeError("refusing to silently drop derivatives; use jets.value()")

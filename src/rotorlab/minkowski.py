@@ -13,19 +13,6 @@ import itertools
 
 import numpy as np
 
-__all__ = [
-    "DomainError",
-    "four",
-    "dot",
-    "lower",
-    "epsilon_contract",
-    "lorentz_matrix",
-    "lorentz_transform",
-    "gram_det",
-    "bivector",
-    "is_antisymmetric",
-]
-
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
@@ -138,7 +125,3 @@ def bivector(u, p, k=None, pi=None):
         pi = np.asarray(pi, dtype=float)
         M += _outer(k, pi) - _outer(pi, k)
     return M
-
-
-def is_antisymmetric(M):
-    return np.max(np.abs(M + M.T)) == 0.0

@@ -21,17 +21,6 @@ from .fform import FForm, PQPoint, lagrangian_from_vectors
 from .invariants import KinematicJet
 from .minkowski import DomainError, bivector, dot, epsilon_contract, lower
 
-__all__ = [
-    "CasimirPair",
-    "MomentumSet",
-    "momenta",
-    "casimirs_from_partials",
-    "casimirs_closed_form",
-    "casimirs_special_S",
-    "fundamental_residuals",
-    "FUNDAMENTAL_WW_FACTOR",
-]
-
 # target values of the fixed mass/spin conditions: PP = M^2, WW = -1/4 M^4 ell^2
 FUNDAMENTAL_WW_FACTOR = -0.25
 

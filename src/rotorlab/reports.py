@@ -13,15 +13,6 @@ import math
 import os
 from dataclasses import dataclass, field
 
-__all__ = [
-    "Report",
-    "RunConfig",
-    "SEED_ENV_VAR",
-    "load_config",
-    "render_reports",
-    "all_pass",
-]
-
 SEED_ENV_VAR = "ROTORLAB_SEED"
 
 

@@ -22,21 +22,6 @@ import numpy as np
 from . import jets
 from .minkowski import DomainError, dot, four
 
-__all__ = [
-    "Spinor",
-    "Tetrad",
-    "spinor_from_angles",
-    "null_vector",
-    "mate",
-    "tetrad",
-    "gauge_transform",
-    "phase_rotate",
-    "tetrad_from_angles",
-    "tetrad_relations",
-    "null_from_angles",
-    "angles_from_null",
-]
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -57,10 +42,6 @@ class Spinor:
         """sqrt(kappa^+ kappa)."""
         return float(np.sqrt(self.norm_sq))
 
-    def phase_shifted(self, chi: float) -> "Spinor":
-        z = np.exp(1j * chi)
-        return Spinor(z * self.c0, z * self.c1)
-
 
 @dataclass(frozen=True)
 class Tetrad:
@@ -73,13 +54,6 @@ class Tetrad:
 
     def vectors(self):
         return self.k, self.m, self.a, self.b
-
-    def expand(self, v):
-        """Reconstruct v from its tetrad scalar products."""
-        k, m, a, b = self.vectors()
-        return (
-            0.5 * dot(m, v) * k + 0.5 * dot(k, v) * m - dot(a, v) * a - dot(b, v) * b
-        )
 
 
 def spinor_from_angles(theta: float, phi: float, psi: float, Phi: float) -> Spinor:

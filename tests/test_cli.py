@@ -31,10 +31,24 @@ def exit_code(argv):
         return exc.code
 
 
-def test_verify_tetrad_passes(capsys):
-    code, out = run(capsys, "verify", "--suite", "tetrad", "--seed", "7")
+# the checks of ``verify --suite all``, suite by suite in registry order
+VERIFY_CHECKS = (
+    "tetrad-relations", "tetrad-gram-det",
+    "gauge-invariance", "scalar-identities",
+    "fundamental-conditions", "noether-crosscheck", "wp-orthogonality",
+    "degenerate-hessians", "nu-family-rank-4", "nondegenerate-dets", "relation-consistency",
+    "free-motion-el-residuals", "free-motion-conservation", "indeterminism-divergence",
+    "angular-speed-identity",
+    "count-invariants",
+)
+
+
+@pytest.mark.parametrize("suite, count", [("tetrad", 2), ("all", 16)])
+def test_verify_tetrad_passes(capsys, suite, count):
+    code, out = run(capsys, "verify", "--suite", suite, "--seed", "7")
     assert code == 0
-    assert out.count("[check]") == 2
+    assert out.count("[check]") == count
+    assert re.findall(r"^name = (.*)$", out, re.M) == list(VERIFY_CHECKS[:count])
     assert "status = fail" not in out
 
 
@@ -226,12 +240,12 @@ def test_simulate_integration_failure_exits_2(capsys):
 
 
 def test_freemotion_writes_trajectory(tmp_path, capsys):
-    out_file = os.path.join(tmp_path, "traj.csv")
+    out_file = tmp_path / "traj.csv"
     code, out = run(capsys, "freemotion", "--phase", "t", "--tmax", "10",
-                    "--samples", "21", "--out", out_file)
+                    "--samples", "21", "--out", str(out_file))
     assert code == 0
     assert "status = fail" not in out
-    lines = open(out_file).read().strip().split("\n")
+    lines = out_file.read_text().strip().split("\n")
     assert lines[0].startswith("t,x0")
     assert len(lines) == 22
 
@@ -273,9 +287,9 @@ def test_config_file_and_flag_override(tmp_path, capsys):
 
 
 def test_report_out_file(tmp_path, capsys):
-    path = os.path.join(tmp_path, "report.txt")
-    _, out = run(capsys, "count-invariants", "--report-out", path)
-    assert open(path).read() == out
+    path = tmp_path / "report.txt"
+    _, out = run(capsys, "count-invariants", "--report-out", str(path))
+    assert path.read_text() == out
 
 
 def test_run_config_validation():
@@ -317,6 +331,7 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["freemotion", "--samples", "0"],
     ["freemotion", "--tmax", "nan"],
     ["freemotion", "--tmax", "inf"],
+    ["freemotion", "--phase", "1"],  # a constant phase: the null direction never turns
     # a phase that fails at one time of the batch: division by zero, overflow,
     # the square root of a negative number
     ["freemotion", "--phase", "t+0.01/(t-1)", "--tmax", "2", "--samples", "3"],
@@ -329,6 +344,7 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["casimir", "--f", "exp(Q)", "--Q", "1000"],
     ["casimir", "--f", "0^-1"],
     ["casimir", "--f", "Q^P"],  # the exponent's derivatives would be dropped
+    ["casimir", "--f", "Q#"],  # a character the tokenizer does not know
     ["casimir", "--f", "(" * 2000 + "Q" + ")" * 2000],
     ["casimir", "--f", "+".join(["Q"] * 2000)],
     # scales M^2 or M^4 ell^2 outside the floating-point range

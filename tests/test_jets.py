@@ -98,6 +98,9 @@ def test_integer_and_real_powers():
     frac = x**0.5
     assert frac.f == pytest.approx(np.sqrt(1.7))
     assert frac.g[0] == pytest.approx(0.5 / np.sqrt(1.7))
+    # a jet exponent would lose its derivatives: refused, not taken as a number
+    with pytest.raises(TypeError, match="derivatives"):
+        x ** jets.constant(2.0, 1)
 
 
 def test_functions_pass_floats_through():
