@@ -55,7 +55,7 @@ from .noether import (
     momenta,
 )
 from .reports import Report, RunConfig, all_pass, load_config, render_reports
-from .spinor import spinor_from_angles, tetrad, tetrad_relations
+from .spinor import tetrad_from_angles, tetrad_relations
 
 _ALIASES = {"rotator": "rotator_f", "point": "point_particle"}
 
@@ -96,15 +96,12 @@ def _worst(residuals) -> float:
     return float(np.max(residuals, initial=0.0))
 
 
-def tetrad_residuals(tetrads):
-    """Worst error of the ten tetrad scalar products and of the Gram determinant."""
-    rel, gram = [], []
-    for T in tetrads:
-        k, m, a, b = T.vectors()
-        rel.append(np.abs(list(tetrad_relations(k, m, a, b).values()))
-                   / max(abs(dot(k, m)), 1.0))
-        gram.append(abs(gram_det(k, m, a, b) + 4.0))
-    return _worst(rel), _worst(gram)
+def tetrad_residuals(k, m, a, b):
+    """Worst error of the ten tetrad scalar products and of the Gram determinant
+    of a tetrad, or of a batch of tetrads as (4, B) arrays."""
+    rel = (np.abs(list(tetrad_relations(k, m, a, b).values()))
+           / np.maximum(np.abs(dot(k, m)), 1.0))
+    return _worst(rel), _worst(np.abs(gram_det(k, m, a, b) + 4.0))
 
 
 def gauge_residual(J, G: GaugeJet) -> float:
@@ -238,11 +235,10 @@ DEGENERACY_STATES = 4
 
 def suite_tetrad(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    worst_rel, worst_gram = tetrad_residuals(
-        tetrad(spinor_from_angles(
-            rng.uniform(0.05, np.pi - 0.05), rng.uniform(0, 2 * np.pi),
-            rng.uniform(0.2, 5.0), rng.uniform(0, 4 * np.pi)))
-        for _ in range(TETRAD_SPINORS))
+    angles = np.array([(rng.uniform(0.05, np.pi - 0.05), rng.uniform(0, 2 * np.pi),
+                        rng.uniform(0.2, 5.0), rng.uniform(0, 4 * np.pi))
+                       for _ in range(TETRAD_SPINORS)])
+    worst_rel, worst_gram = tetrad_residuals(*tetrad_from_angles(*angles.T))
     return [
         Report("tetrad-relations", worst_rel, TETRAD_TOL, cfg.seed,
                {"spinors": TETRAD_SPINORS}),
@@ -273,7 +269,8 @@ def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
     worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
-    forms = fundamental + [builtin("point_particle"), builtin("fq", f=lambda q: q)]
+    forms = fundamental + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
+                           builtin("fq", f=lambda q: q, M=cfg.M, ell=cfg.ell)]
     worst_cross, worst_wp = noether_residuals(
         forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(CASIMIR_JETS)]))
     return [

@@ -52,15 +52,17 @@ class KinematicJet:
         return jets.power(np.maximum(1.0, np.max(np.abs(vs), axis=(0, 1))), 2)
 
     def constraint_residuals(self) -> dict:
-        """Tetrad relations and their parameter-derivatives (should all vanish)."""
-        k, m, a, b = self.k, self.m, self.a, self.b
-        kd, md, ad, bd = self.kdot, self.mdot, self.adot, self.bdot
-        return {**tetrad_relations(k, m, a, b),
-                "d(kk)": 2.0 * dot(k, kd), "d(mm)": 2.0 * dot(m, md),
-                "d(km)": dot(k, md) + dot(m, kd), "d(aa)": 2.0 * dot(a, ad),
-                "d(bb)": 2.0 * dot(b, bd), "d(ab)": dot(a, bd) + dot(b, ad),
-                "d(ak)": dot(a, kd) + dot(k, ad), "d(bk)": dot(b, kd) + dot(k, bd),
-                "d(am)": dot(a, md) + dot(m, ad), "d(bm)": dot(b, md) + dot(m, bd)}
+        """Tetrad relations and their parameter-derivatives (should all vanish),
+        from the relations of the first-order jets v + vdot t at t = 0."""
+        (t,) = jets.variables(0.0 * self.k[0])
+
+        def path(v, vdot):
+            return [v[i] + vdot[i] * t for i in range(4)]
+
+        rel = tetrad_relations(path(self.k, self.kdot), path(self.m, self.mdot),
+                               path(self.a, self.adot), path(self.b, self.bdot))
+        return {**{name: r.f for name, r in rel.items()},
+                **{f"d({name})": r.g[0] for name, r in rel.items()}}
 
     def validate(self):
         """This jet, if it satisfies the tetrad relations (a NaN does not) and

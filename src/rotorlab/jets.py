@@ -279,7 +279,9 @@ def sqrt(x):
         return _sqrt(x)
     raise_where(x.f <= 0.0, ValueError, "sqrt needs a positive argument, got {}", x.f)
     r = _sqrt(x.f)
-    return _chain(x, r, 0.5 / r, -0.25 / (r * x.f))
+    # a numpy quotient, so that where r * x.f underflows to 0 the second
+    # derivative of a float is -inf, as it is for a batch entry
+    return _chain(x, r, 0.5 / r, np.float64(-0.25) / (r * x.f))
 
 
 def sin(x):

@@ -103,10 +103,11 @@ def lorentz_transform(v, boost=(0.0, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)):
 
 
 def gram_det(k, m, a, b):
-    """Determinant of the 4x4 matrix of mutual scalar products."""
+    """Determinant of the 4x4 matrix of mutual scalar products; one per batch
+    entry for (4, B) vectors."""
     vs = [k, m, a, b]
     G = np.array([[dot(u, v) for v in vs] for u in vs], dtype=float)
-    return float(np.linalg.det(G))
+    return np.linalg.det(np.moveaxis(G, (0, 1), (-2, -1)))
 
 
 def _outer(u, v):

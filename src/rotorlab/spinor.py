@@ -1,4 +1,4 @@
-"""Spinors, mate spinors and the null tetrad (k, m, a, b) they generate.
+"""The null tetrad (k, m, a, b) that a spinor and its mate generate.
 
 Pauli matrices are taken in the standard basis (sigma^0 = identity).  The
 spinor built from angles follows the explicit parametrization
@@ -6,11 +6,13 @@ spinor built from angles follows the explicit parametrization
     kappa = exp(i Phi/2) sqrt(Psi) [exp(-i phi/2) cos(theta/2),
                                     exp( i phi/2) sin(theta/2)],
 
-whose mate in components is tau = (-conj(kappa^1), conj(kappa^0)) / (kappa^+ kappa).
-``tetrad_from_angles`` computes the same tetrad through generic arithmetic so
-it can be fed jets (for exact parameter-derivatives of tetrad paths), and
-``null_from_angles`` / ``angles_from_null`` map the null vector
-k = K (1, n(theta, phi)) to and from its chart angles.
+whose mate in components is tau = (-conj(kappa^1), conj(kappa^0)) / (kappa^+ kappa),
+so that kappa^0 tau^1 - kappa^1 tau^0 = 1.  ``tetrad_from_angles`` forms
+k = kappa^+ sigma kappa, m = tau^+ sigma tau and a + i b = tau^+ sigma kappa
+with each complex number held as a (re, im) pair of generic scalars, so it
+takes floats, batches of floats or jets (for exact parameter-derivatives of
+tetrad paths) alike.  ``null_from_angles`` / ``angles_from_null`` map the
+null vector k = K (1, n(theta, phi)) to and from its chart angles.
 """
 
 from __future__ import annotations
@@ -20,27 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .minkowski import DomainError, dot, four
-
-TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class Spinor:
-    """Two complex components."""
-
-    c0: complex
-    c1: complex
-
-    @property
-    def norm_sq(self) -> float:
-        """kappa^+ kappa."""
-        return abs(self.c0) ** 2 + abs(self.c1) ** 2
-
-    @property
-    def magnitude(self) -> float:
-        """sqrt(kappa^+ kappa)."""
-        return float(np.sqrt(self.norm_sq))
+from .minkowski import dot, four
 
 
 @dataclass(frozen=True)
@@ -54,42 +36,6 @@ class Tetrad:
 
     def vectors(self):
         return self.k, self.m, self.a, self.b
-
-
-def spinor_from_angles(theta: float, phi: float, psi: float, Phi: float) -> Spinor:
-    if psi <= 0.0:
-        raise DomainError(f"spinor magnitude must be positive, got {psi}")
-    Phi = Phi % (2.0 * TWO_PI)
-    pref = np.exp(0.5j * Phi) * np.sqrt(psi)
-    return Spinor(
-        pref * np.exp(-0.5j * phi) * np.cos(0.5 * theta),
-        pref * np.exp(0.5j * phi) * np.sin(0.5 * theta),
-    )
-
-
-def _pairs(kappa: Spinor):
-    """The components of a spinor as (re, im) pairs."""
-    return tuple((complex(c).real, complex(c).imag) for c in (kappa.c0, kappa.c1))
-
-
-def null_vector(kappa: Spinor) -> np.ndarray:
-    """k^mu = kappa^+ sigma^mu kappa; null and future-pointing."""
-    kap = _pairs(kappa)
-    return _four_part(_pauli_pairs(kap, kap), 0)
-
-
-def mate(kappa: Spinor) -> Spinor:
-    """Canonical mate tau with kappa^0 tau^1 - kappa^1 tau^0 = 1."""
-    n = kappa.norm_sq
-    if n == 0.0:
-        raise DomainError("zero spinor has no mate")
-    return Spinor(-np.conj(kappa.c1) / n, np.conj(kappa.c0) / n)
-
-
-def tetrad(kappa: Spinor) -> Tetrad:
-    if kappa.norm_sq == 0.0:
-        raise DomainError("zero spinor generates no tetrad")
-    return Tetrad(*_tetrad_from_pairs(_pairs(kappa), _pairs(mate(kappa))))
 
 
 def tetrad_relations(k, m, a, b) -> dict:
@@ -117,7 +63,7 @@ def phase_rotate(T: Tetrad, delta: float) -> Tetrad:
     return Tetrad(k=T.k, m=T.m, a=c * T.a - s * T.b, b=s * T.a + c * T.b)
 
 
-# -- generic (jet-compatible) tetrad construction --------------------------
+# -- the tetrad from angle data --------------------------------------------
 
 
 def _cmul(x, y):
@@ -146,16 +92,9 @@ def _four_part(s, part):
     return four(*(z[part] for z in s))
 
 
-def _tetrad_from_pairs(kap, tau):
-    """(k, m, a, b) from a spinor and its mate as (re, im) pairs: k and m are
-    kap^+ sigma kap and tau^+ sigma tau, a + i b is tau^+ sigma kap."""
-    t = _pauli_pairs(tau, kap)
-    return (_four_part(_pauli_pairs(kap, kap), 0), _four_part(_pauli_pairs(tau, tau), 0),
-            _four_part(t, 0), _four_part(t, 1))
-
-
 def tetrad_from_angles(theta, phi, psi, Phi):
-    """Tetrad (k, m, a, b) from angle data; accepts floats or jets.
+    """Tetrad (k, m, a, b) from angle data; accepts floats, jets or batches
+    of either.
 
     Returns four four-vectors whose entries match the scalar type of the
     inputs, so feeding jets yields exact tetrad derivatives along a path.
@@ -177,7 +116,9 @@ def tetrad_from_angles(theta, phi, psi, Phi):
         _cmul(emP, _cmul(em, (-inv_r * s, 0.0 * s))),
         _cmul(emP, _cmul(ep, (inv_r * c, 0.0 * c))),
     )
-    return _tetrad_from_pairs(kap, tau)
+    t = _pauli_pairs(tau, kap)
+    return (_four_part(_pauli_pairs(kap, kap), 0), _four_part(_pauli_pairs(tau, tau), 0),
+            _four_part(t, 0), _four_part(t, 1))
 
 
 # -- the null vector in chart angles ----------------------------------------

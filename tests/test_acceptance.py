@@ -19,7 +19,7 @@ from rotorlab.invariants import (
     reproduce_invariant_count,
 )
 from rotorlab.reports import RunConfig
-from rotorlab.spinor import spinor_from_angles, tetrad
+from rotorlab.spinor import tetrad_from_angles
 
 
 def report(n, name, residual, tolerance):
@@ -31,11 +31,10 @@ def report(n, name, residual, tolerance):
 
 def test_01_tetrad_algebra():
     rng = np.random.default_rng(101)
-    worst_rel, worst_gram = cli.tetrad_residuals(
-        tetrad(spinor_from_angles(
-            rng.uniform(0.02, np.pi - 0.02), rng.uniform(0, 2 * np.pi),
-            rng.uniform(0.1, 8.0), rng.uniform(0, 4 * np.pi)))
-        for _ in range(1000))
+    angles = np.array([(rng.uniform(0.02, np.pi - 0.02), rng.uniform(0, 2 * np.pi),
+                        rng.uniform(0.1, 8.0), rng.uniform(0, 4 * np.pi))
+                       for _ in range(1000)])
+    worst_rel, worst_gram = cli.tetrad_residuals(*tetrad_from_angles(*angles.T))
     report(1, "tetrad scalar products", worst_rel, 1e-12)
     report(1, "tetrad gram determinant", worst_gram, 1e-11)
 

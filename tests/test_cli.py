@@ -120,6 +120,31 @@ def test_verify_degeneracy_passes_at_small_determinants(capsys, seed):
     assert "status = fail" not in out
 
 
+# README: at these seeds `wp-orthogonality` fails from the rounding of the
+# epsilon contraction that forms W (ROADMAP item 6)
+@pytest.mark.xfail(strict=True, reason="the rounding of the epsilon contraction "
+                   "that forms W fails wp-orthogonality on well-conditioned samples")
+@pytest.mark.parametrize("seed", [94, 142, 161, 333, 406, 514, 631, 636, 761])
+def test_verify_casimir_passes_at_every_seed(capsys, seed):
+    code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
+    assert code == 0
+
+
+def test_verify_casimir_forms_take_the_run_scales(capsys, monkeypatch):
+    scales, names = set(), set()
+    original = cli.momenta
+
+    def recording(F, J):
+        scales.add((F.M, F.ell))
+        names.add(F.name)
+        return original(F, J)
+
+    monkeypatch.setattr(cli, "momenta", recording)
+    run(capsys, "verify", "--suite", "casimir", "--M", "2", "--ell", "0.5")
+    assert {"point_particle", "fq"} <= names
+    assert scales == {(2.0, 0.5)}
+
+
 def _with_nan(x):
     """A copy of x with NaN in its first entry, or NaN for a float."""
     x = np.array(x, dtype=float)
@@ -134,10 +159,11 @@ def _nan_singular_values(rep):
 
 # (suite, check, owner, function, poison): the second call of the function
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
-# sample of the check
+# sample of the check; the tetrad suite calls its two functions once, on the
+# whole batch
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
-     lambda d: {**d, "kk": np.nan}),
+     lambda d: {**d, "kk": _with_nan(d["kk"])}),
     ("tetrad", "tetrad-gram-det", cli, "gram_det", _with_nan),
     ("invariants", "gauge-invariance", cli, "iota", _with_nan),
     ("invariants", "scalar-identities", cli, "identity_checks",
@@ -158,7 +184,7 @@ NAN_PLANTS = [
 ]
 # each state of the degeneracy suite takes three singular Hessians, then the
 # nondegenerate ones: the fourth call is the first nondegenerate Hessian
-POISONED_CALL = {"nondegenerate-dets": 4}
+POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "nondegenerate-dets": 4}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
@@ -210,11 +236,14 @@ def test_simulate_report_does_not_depend_on_out(tmp_path, capsys, form, seed):
     pytest.param(["casimir", "--f", "1e200*Q^2"], id="1e200*Q^2"),
     pytest.param(["hessian", "--f", "1e300*Q^3"], id="hessian-1e300*Q^3"),
     pytest.param(["hessian", "--f", "Q*1e308*10"], id="hessian-Q*1e308*10"),
+    pytest.param(["hessian", "--f", "rotator", "--M", "1631524070317519.8",
+                  "--ell", "1.3967714046445984e-114"], id="hessian-sqrt-underflow"),
 ])
 def test_casimir_fails_on_non_finite_values(capsys, argv):
     # F overflows in Q*1e308*10, so its partials, Casimirs and Hessian are
     # not numbers; F is finite but PP and WW overflow in 1e200*Q^2, and the
-    # Hessian determinant in 1e300*Q^3.  The report says so, and no
+    # Hessian determinant in 1e300*Q^3; at these scales the second derivative
+    # of sqrt(Q) underflows to -inf.  The report says so, and no
     # floating-point warning reaches stderr.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -269,6 +269,16 @@ def test_batched_functions_match_entries(batches, p):
     assert_entries(jets.atan2(-0.5, u), [jets.atan2(-0.5, a) for a in uni])
 
 
+def test_sqrt_second_derivative_is_minus_inf_where_it_underflows():
+    # below about 1e-215, r * x underflows to 0 in -0.25 / (r * x): the
+    # quotient is -inf for a float as for a batch entry, not an error
+    xs = [jets.variables(v)[0] for v in (1e-220, 4.0)]
+    with np.errstate(divide="ignore"):
+        entries = [jets.sqrt(x) for x in xs]
+        assert_entries(jets.sqrt(stack(xs)), entries)
+    assert entries[0].h[0, 0] == -np.inf and entries[0].f == np.sqrt(1e-220)
+
+
 def test_batched_domain_errors_name_the_first_failing_entry():
     x = stack([jets.variables(v)[0] for v in (4.0, -1.0, -2.0)])
     with pytest.raises(ValueError, match=r"got -1\.0 \(batch entry 1\)"):
