@@ -28,7 +28,7 @@ RAPIDITY_MAX = 1.2  # largest rapidity of a random timelike xdot
 @dataclass(frozen=True)
 class KinematicJet:
     """Values and first parameter-derivatives of (x, k, m, a, b) at one
-    instant, or at a batch of B instants: then each array is (4, B)."""
+    instant, as (4,) arrays, or at a batch of B instants, as (4, B) arrays."""
 
     xdot: np.ndarray
     k: np.ndarray
@@ -53,14 +53,8 @@ class KinematicJet:
 
     def constraint_residuals(self) -> dict:
         """Tetrad relations and their parameter-derivatives (should all vanish),
-        from the relations of the first-order jets v + vdot t at t = 0."""
-        (t,) = jets.variables(0.0 * self.k[0])
-
-        def path(v, vdot):
-            return [v[i] + vdot[i] * t for i in range(4)]
-
-        rel = tetrad_relations(path(self.k, self.kdot), path(self.m, self.mdot),
-                               path(self.a, self.adot), path(self.b, self.bdot))
+        from the relations of the lifted tetrad."""
+        rel = tetrad_relations(*_lift(self)[1].vectors())
         return {**{name: r.f for name, r in rel.items()},
                 **{f"d({name})": r.g[0] for name, r in rel.items()}}
 
@@ -77,9 +71,26 @@ class KinematicJet:
         return self
 
 
+def _lift(J: KinematicJet):
+    """The parameter t, at 0, and the tetrad of J as first-order jets
+    v + vdot t in t, batched as J is."""
+    (t,) = jets.variables(0.0 * J.k[0])
+    pairs = ((J.k, J.kdot), (J.m, J.mdot), (J.a, J.adot), (J.b, J.bdot))
+    return t, Tetrad(*(four(*(v[i] + vd[i] * t for i in range(4))) for v, vd in pairs))
+
+
+def _unlift(xdot, k, m, a, b) -> KinematicJet:
+    """The kinematic jet of a tetrad whose entries are jets in one parameter
+    (a plain-number entry has rate 0)."""
+    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
+    return KinematicJet(xdot=xdot, k=kv, m=mv, a=av, b=bv, kdot=kd, mdot=md,
+                        adot=ad, bdot=bd)
+
+
 @dataclass(frozen=True)
 class GaugeJet:
-    """Gauge parameters and their parameter-derivatives."""
+    """Gauge parameters and their parameter-derivatives: floats, or (B,)
+    arrays for a batch of kinematic jets."""
 
     alpha: float
     beta: float
@@ -120,28 +131,15 @@ def basic_scalars(J: KinematicJet) -> BasicScalars:
 
 def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
     """Apply the (alpha, beta) gauge shift with parameter-dependent rates."""
-    al, be, ald, bed = G.alpha, G.beta, G.alphadot, G.betadot
-    k, m, a, b = J.k, J.m, J.a, J.b
-    kd, md, ad, bd = J.kdot, J.mdot, J.adot, J.bdot
-    T = gauge_transform(Tetrad(k, m, a, b), al, be)
-    return KinematicJet(
-        xdot=J.xdot, k=k, m=T.m, a=T.a, b=T.b,
-        kdot=kd,
-        mdot=(md + 2 * ald * a + 2 * al * ad + 2 * bed * b + 2 * be * bd
-              + 2 * (al * ald + be * bed) * k + (al**2 + be**2) * kd),
-        adot=ad + ald * k + al * kd,
-        bdot=bd + bed * k + be * kd,
-    )
+    t, T = _lift(J)
+    return _unlift(J.xdot, *gauge_transform(T, G.alpha + G.alphadot * t,
+                                            G.beta + G.betadot * t).vectors())
 
 
-def phase_rotate_jet(J: KinematicJet, delta: float, deltadot: float = 0.0) -> KinematicJet:
+def phase_rotate_jet(J: KinematicJet, delta, deltadot=0.0) -> KinematicJet:
     """Rotate (a, b) through delta with rotation rate deltadot."""
-    c, s = np.cos(delta), np.sin(delta)
-    T = phase_rotate(Tetrad(J.k, J.m, J.a, J.b), delta)
-    adot = c * J.adot - s * J.bdot + deltadot * (-s * J.a - c * J.b)
-    bdot = s * J.adot + c * J.bdot + deltadot * (c * J.a - s * J.b)
-    return KinematicJet(xdot=J.xdot, k=J.k, m=J.m, a=T.a, b=T.b,
-                        kdot=J.kdot, mdot=J.mdot, adot=adot, bdot=bdot)
+    t, T = _lift(J)
+    return _unlift(J.xdot, *phase_rotate(T, delta + deltadot * t).vectors())
 
 
 def iota(J: KinematicJet) -> np.ndarray:
@@ -173,9 +171,8 @@ def identity_checks(J: KinematicJet, special_gauge: bool = False) -> dict:
         - (0.5 * s.k_xdot * s.m_kdot - s.a_kdot * s.a_xdot - s.b_kdot * s.b_xdot),
     }
     if special_gauge:
-        a0 = abs(J.a[0]) + abs(J.b[0])
-        if a0 > 1e-9 * J.scale():
-            raise DomainError("jet is not in the special gauge a=[0,a_], b=[0,a_ x n]")
+        jets.raise_where(abs(J.a[0]) + abs(J.b[0]) > 1e-9 * J.scale(), DomainError,
+                         "jet is not in the special gauge a=[0,a_], b=[0,a_ x n]")
         out["am.bk-ak.bm"] = s.a_mdot * s.b_kdot - s.a_kdot * s.b_mdot
     return out
 
@@ -374,23 +371,16 @@ def _angles_at(paths, tau: float):
     return [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
 
 
-def _jets_from_tetrad(paths, k, m, a, b) -> list:
-    """The single-instant jets, validated, of a tetrad whose entries are jets
-    in one parameter batched over the paths, with the paths' xdot."""
-    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
+def kinematic_jets(paths, tau: float = 0.0) -> KinematicJet:
+    """The kinematic jets of drawn paths at parameter ``tau``, in one pass:
+    one validated batch, in the order of the paths."""
     xdot = np.stack([p.xdot for p in paths], axis=-1)
-    return KinematicJet(xdot=xdot, k=kv, m=mv, a=av, b=bv, kdot=kd, mdot=md,
-                        adot=ad, bdot=bd).validate().entries()
-
-
-def kinematic_jets(paths, tau: float = 0.0) -> list:
-    """The kinematic jets of drawn paths at parameter ``tau``, in one pass."""
-    return _jets_from_tetrad(paths, *tetrad_from_angles(*_angles_at(paths, tau)))
+    return _unlift(xdot, *tetrad_from_angles(*_angles_at(paths, tau))).validate()
 
 
 def random_kinematic_jet(rng, tau: float = 0.0) -> KinematicJet:
     """Consistent random jet from a random analytic spinor path."""
-    return kinematic_jets([draw_kinematic_path(rng)], tau)[0]
+    return kinematic_jets([draw_kinematic_path(rng)], tau).entries()[0]
 
 
 def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
@@ -410,5 +400,5 @@ def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
             avec[0] * n[1] - avec[1] * n[0]]
 
     m = [1.0 / K, -n[0] / K, -n[1] / K, -n[2] / K]
-    return _jets_from_tetrad([path], null_from_angles(th, ph, K), m,
-                             [0.0 * K] + avec, [0.0 * K] + bvec)[0]
+    return _unlift(path.xdot[:, None], null_from_angles(th, ph, K), m, [0.0 * K] + avec,
+                   [0.0 * K] + bvec).validate().entries()[0]

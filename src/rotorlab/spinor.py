@@ -46,21 +46,23 @@ def tetrad_relations(k, m, a, b) -> dict:
             "ak": dot(a, k), "bk": dot(b, k), "am": dot(a, m), "bm": dot(b, m)}
 
 
-def gauge_transform(T: Tetrad, alpha: float, beta: float) -> Tetrad:
-    """Shift a, b, m along k; all scalar products are preserved."""
+def gauge_transform(T: Tetrad, alpha, beta) -> Tetrad:
+    """Shift a, b, m along k; all scalar products are preserved.  Component by
+    component, so alpha, beta and T may be floats, batches or jets."""
     k, m, a, b = T.vectors()
-    return Tetrad(
-        k=k,
-        m=m + 2.0 * alpha * a + 2.0 * beta * b + (alpha**2 + beta**2) * k,
-        a=a + alpha * k,
-        b=b + beta * k,
-    )
+    s = alpha**2 + beta**2
+    return Tetrad(k, four(*(m[i] + 2.0 * alpha * a[i] + 2.0 * beta * b[i] + s * k[i]
+                            for i in range(4))),
+                  four(*(a[i] + alpha * k[i] for i in range(4))),
+                  four(*(b[i] + beta * k[i] for i in range(4))))
 
 
-def phase_rotate(T: Tetrad, delta: float) -> Tetrad:
-    """Rotate (a, b) in their spacelike plane; k, m unchanged."""
-    c, s = np.cos(delta), np.sin(delta)
-    return Tetrad(k=T.k, m=T.m, a=c * T.a - s * T.b, b=s * T.a + c * T.b)
+def phase_rotate(T: Tetrad, delta) -> Tetrad:
+    """Rotate (a, b) in their spacelike plane; k, m unchanged.  As generic as
+    ``gauge_transform``."""
+    c, s, a, b = jets.cos(delta), jets.sin(delta), T.a, T.b
+    return Tetrad(T.k, T.m, four(*(c * a[i] - s * b[i] for i in range(4))),
+                  four(*(s * a[i] + c * b[i] for i in range(4))))
 
 
 # -- the tetrad from angle data --------------------------------------------

@@ -160,14 +160,14 @@ def _nan_singular_values(rep):
 # (suite, check, owner, function, poison): the second call of the function
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
 # sample of the check; the tetrad suite calls its two functions once, on the
-# whole batch
+# whole batch, and so does the invariants suite with identity_checks
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": _with_nan(d["kk"])}),
     ("tetrad", "tetrad-gram-det", cli, "gram_det", _with_nan),
     ("invariants", "gauge-invariance", cli, "iota", _with_nan),
     ("invariants", "scalar-identities", cli, "identity_checks",
-     lambda d: {**d, "kdkd+ak2+bk2": np.nan}),
+     lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
     ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "noether-crosscheck", cli, "casimirs_closed_form",
@@ -184,7 +184,8 @@ NAN_PLANTS = [
 ]
 # each state of the degeneracy suite takes three singular Hessians, then the
 # nondegenerate ones: the fourth call is the first nondegenerate Hessian
-POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "nondegenerate-dets": 4}
+POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
+                 "nondegenerate-dets": 4}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
@@ -212,6 +213,15 @@ def test_relation_consistency(capsys):
     code, out = run(capsys, "relation", "--states", "3", "--seed", "2")
     assert code == 0
     assert "status = pass" in out
+
+
+@pytest.mark.parametrize("forms", [["Q"], ["0", "0"]], ids=["Q", "0-0"])
+def test_relation_fails_when_no_state_compares_two_forms(capsys, forms):
+    # no state has two admissible forms, so no spread was measured
+    code, out = run(capsys, "relation", "--forms", *forms)
+    assert code == 1
+    assert "status = fail" in out and "residual = inf" in out
+    assert "inputs.admissible = 0" in out
 
 
 def test_simulate_conservation(capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from rotorlab import jets
+from rotorlab import fform, jets
 from rotorlab.fform import (
     BUILTIN_NAMES,
     ParseError,
@@ -14,6 +16,7 @@ from rotorlab.fform import (
 )
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError
+from test_cli import _expressions
 
 
 def fd_partials(F, P, Q, h=1e-6):
@@ -143,3 +146,75 @@ def test_lagrangian_requires_timelike_and_forward():
 def test_negative_Q_rejected():
     with pytest.raises(DomainError):
         PQPoint(0.0, -1.0)
+
+
+# -- forward-mode partials against central differences on random expression
+# trees, compared wherever the values are finite and two step sizes agree.
+# A tree is compared only where each of its subtrees has a value of 0 or of a
+# magnitude in FD_RANGE: a larger one can absorb a variable in rounding, as in
+# sin(P + 1e308), whose float values do not depend on P although its jet
+# does, and a smaller nonzero one can make the jets' rates cancel to
+# rounding, as in P/P near P = 0 ---
+
+FD_STEPS = (1e-4, 5e-5)
+FD_AGREE = 1e-6  # largest gap of the two central differences compared, per unit scale
+FD_TOL = 1e-5  # largest gap of a partial from the finer difference, per unit scale
+FD_RANGE = (1e-6, 1e6)
+FD_DRAWS = {"expr": _expressions, "P": st.floats(-0.9, 0.9), "Q": st.floats(0.05, 4.0)}
+FD_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _subtree_values(node, env):
+    """The float value of every subtree of a parsed expression."""
+    out = [fform._evaluate(node, env)]
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            out += _subtree_values(child, env)
+    return out
+
+
+def _central(F, P, Q, dP, dQ):
+    """Central difference of F along (dP, dQ), over the step as rounded."""
+    lo, hi = (P - dP, Q - dQ), (P + dP, Q + dQ)
+    return (F(*hi) - F(*lo)) / ((hi[0] - lo[0]) + (hi[1] - lo[1]))
+
+
+def _check_partials(expr, P, Q):
+    F = parse_f(expr)
+    with np.errstate(all="ignore"):
+        try:
+            tree = fform._Parser(expr).parse()
+            values = _subtree_values(tree, {"P": P, "Q": Q, "nu": 0.0})
+            v = F.eval(P, Q)
+            diffs = [[_central(F, P, Q, h * (i == 0), h * (i == 1)) for h in FD_STEPS]
+                     for i in range(2)]
+        except DomainError:
+            return
+    if not all(x == 0.0 or FD_RANGE[0] <= abs(x) <= FD_RANGE[1] for x in values):
+        return
+    for got, (coarse, fine) in zip((v.F_P, v.F_Q), diffs):
+        scale = max(1.0, abs(fine))
+        finite = np.isfinite([v.F, got, coarse, fine]).all()
+        if finite and abs(coarse - fine) <= FD_AGREE * scale:
+            assert abs(got - fine) <= FD_TOL * scale, (expr, P, Q, got, fine)
+
+
+@FD_SETTINGS
+@given(**FD_DRAWS)
+def test_partials_match_central_differences(expr, P, Q):
+    _check_partials(expr, P, Q)
+
+
+def test_central_differences_reject_a_sign_flip_in_sin(monkeypatch):
+    def flipped(x):  # jets.sin with the sign of its first derivative flipped
+        if not isinstance(x, jets.Jet):
+            return jets.sin(x)
+        s = jets.sin(x.f)
+        return jets._chain(x, s, -jets.cos(x.f), -s)
+
+    monkeypatch.setitem(fform._FUNCTIONS, "sin", flipped)
+    # the same draws, stopping at the first failure instead of shrinking it
+    planted = given(**FD_DRAWS)(_check_partials)
+    planted = settings(FD_SETTINGS, phases=[Phase.generate])(planted)
+    with pytest.raises(AssertionError):
+        planted()

@@ -34,49 +34,55 @@ def test_random_jets_satisfy_constraints():
         special_gauge_jet(rng).validate()
 
 
+def _draw(rng, n, draw_more):
+    """n kinematic jets, as one batch, with draw_more(rng) drawn after each
+    jet's path (the draw order of a loop over single jets)."""
+    paths, more = [], []
+    for _ in range(n):
+        paths.append(draw_kinematic_path(rng))
+        more.append(draw_more(rng))
+    return kinematic_jets(paths), np.array(more).T
+
+
+def _close(got, want, rel, abs_):
+    """pytest.approx(want, rel=rel, abs=abs_) == got, entry by entry."""
+    return np.all(np.abs(got - want) <= np.maximum(rel * np.abs(want), abs_))
+
+
 def test_iota_gauge_invariant():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        J = random_kinematic_jet(rng)
-        base = iota(J)
-        G = GaugeJet(alpha=rng.uniform(-2, 2), beta=rng.uniform(-2, 2),
-                     alphadot=rng.uniform(-1, 1), betadot=rng.uniform(-1, 1))
-        shifted = iota(gauge_jet_transform(J, G))
-        assert np.allclose(shifted, base, rtol=1e-10,
-                           atol=1e-10 * max(np.abs(base).max(), 1.0))
+    J, gauges = _draw(np.random.default_rng(1), 50,
+                      lambda rng: [*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
+    base = iota(J)
+    shifted = iota(gauge_jet_transform(J, GaugeJet(*gauges)))
+    # np.allclose(shifted, base, rtol=1e-10, atol=...) for each jet
+    atol = 1e-10 * np.maximum(np.abs(base).max(axis=0), 1.0)
+    assert np.all(np.abs(shifted - base) <= atol + 1e-10 * np.abs(base))
 
 
 def test_phase_rotation_acts_as_doublet():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        J = random_kinematic_jet(rng)
-        delta = rng.uniform(-3, 3)
-        base = iota(J)
-        rot = iota(phase_rotate_jet(J, delta))
-        c, s = np.cos(delta), np.sin(delta)
-        assert rot[0] == pytest.approx(c * base[0] - s * base[1], rel=1e-10, abs=1e-12)
-        assert rot[1] == pytest.approx(s * base[0] + c * base[1], rel=1e-10, abs=1e-12)
-        assert np.allclose(rot[2:], base[2:], rtol=1e-10, atol=1e-12)
+    J, delta = _draw(np.random.default_rng(3), 20, lambda rng: rng.uniform(-3, 3))
+    base = iota(J)
+    rot = iota(phase_rotate_jet(J, delta))
+    c, s = np.cos(delta), np.sin(delta)
+    assert _close(rot[0], c * base[0] - s * base[1], 1e-10, 1e-12)
+    assert _close(rot[1], s * base[0] + c * base[1], 1e-10, 1e-12)
+    assert np.allclose(rot[2:], base[2:], rtol=1e-10, atol=1e-12)
 
 
 def test_time_dependent_phase_shifts_iota6():
     # the unit-norm constraint a.a = -1 forces the rate term to enter with
     # a minus sign: iota6 -> iota6 - iota3 * deltadot
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        J = random_kinematic_jet(rng)
-        deltadot = rng.uniform(-2, 2)
-        base = iota(J)
-        rot = iota(phase_rotate_jet(J, 0.0, deltadot))
-        assert rot[5] == pytest.approx(base[5] - base[2] * deltadot,
-                                       rel=1e-10, abs=1e-12)
+    J, deltadot = _draw(np.random.default_rng(4), 20, lambda rng: rng.uniform(-2, 2))
+    base = iota(J)
+    rot = iota(phase_rotate_jet(J, 0.0, deltadot))
+    assert _close(rot[5], base[5] - base[2] * deltadot, 1e-10, 1e-12)
 
 
 def test_identity_checks_vanish():
     rng = np.random.default_rng(5)
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]):
-        for name, val in identity_checks(J).items():
-            assert abs(val) < 1e-10 * max(J.scale() ** 2, 1.0), name
+    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(30)])
+    for name, val in identity_checks(J).items():
+        assert np.all(np.abs(val) < 1e-10 * np.maximum(J.scale() ** 2, 1.0)), name
     for _ in range(10):
         J = special_gauge_jet(rng)
         res = identity_checks(J, special_gauge=True)
@@ -92,6 +98,34 @@ def test_special_gauge_required_for_extra_identity():
     shifted = gauge_jet_transform(J, G)
     with pytest.raises(DomainError):
         identity_checks(shifted, special_gauge=True)
+
+
+def test_special_gauge_check_names_the_batch_entry():
+    rng = np.random.default_rng(14)
+    samples = [special_gauge_jet(rng) for _ in range(4)]
+    batched = identity_checks(_stack(samples), special_gauge=True)
+    for i, J in enumerate(samples):
+        for name, val in identity_checks(J, special_gauge=True).items():
+            assert batched[name][i] == val, name
+    samples[2] = gauge_jet_transform(samples[2], GaugeJet(alpha=1.0, beta=0.5))
+    with pytest.raises(DomainError, match=r"special gauge.*\(batch entry 2\)"):
+        identity_checks(_stack(samples), special_gauge=True)
+
+
+def test_batched_transforms_equal_single_jet_calls():
+    """Each entry of a batched gauge shift or phase rotation, with nonzero
+    rates, is bit-identical to the call on that entry alone."""
+    rng = np.random.default_rng(13)
+    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(8)])
+    G = GaugeJet(*rng.uniform(-2, 2, (4, 8)))
+    delta, deltadot = rng.uniform(-3, 3, (2, 8))
+    shifted = gauge_jet_transform(J, G).entries()
+    rotated = phase_rotate_jet(J, delta, deltadot).entries()
+    for i, Ji in enumerate(J.entries()):
+        Gi = GaugeJet(*(float(getattr(G, f.name)[i]) for f in fields(GaugeJet)))
+        _assert_same_jets([gauge_jet_transform(Ji, Gi),
+                           phase_rotate_jet(Ji, float(delta[i]), float(deltadot[i]))],
+                          [shifted[i], rotated[i]])
 
 
 def test_capital_invariants_at_rotator_point(rotator_jet):
@@ -194,7 +228,7 @@ def test_kinematic_jets_equal_per_jet_loop(size):
     for seed, tau in enumerate((0.0, 0.37, -1.2)):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = [_reference_kinematic_jet(ref_rng, tau) for _ in range(size)]
-        got = kinematic_jets([draw_kinematic_path(rng) for _ in range(size)], tau)
+        got = kinematic_jets([draw_kinematic_path(rng) for _ in range(size)], tau).entries()
         _assert_same_jets(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)

@@ -35,7 +35,7 @@ def all_forms():
 def test_noether_casimirs_match_closed_form():
     rng = np.random.default_rng(0)
     forms = all_forms()
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(40)]):
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(40)]).entries():
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not F.in_domain(at.P, at.Q):
@@ -50,7 +50,7 @@ def test_noether_casimirs_match_closed_form():
 
 def test_pauli_lubanski_orthogonal_to_momentum():
     rng = np.random.default_rng(1)
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]):
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]).entries():
         for F in (builtin("rotator_f"), builtin("fq", f=lambda q: q * q)):
             ms = momenta(F, J)
             scale = max(abs(dot(ms.P, ms.P)), 1.0)
@@ -100,7 +100,7 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
     # each to rounding of its largest term
     rng = np.random.default_rng(12)
     pairs = 0
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(24)]):
+    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(24)]).entries():
         v = np.concatenate([J.xdot, J.kdot])
         vs = jets.variables(*v)
         for F in all_forms():

@@ -128,6 +128,26 @@ def test_phase_rotate_preserves_products_and_k_m():
     assert np.allclose(R.a, np.cos(1.3) * T.a - np.sin(1.3) * T.b)
 
 
+def test_transforms_of_a_batch_equal_the_vector_formulas():
+    """The component-wise gauge shift and phase rotation give the vector
+    formulas bit for bit on a (4, B) batch, and on each entry alone."""
+    rng = np.random.default_rng(15)
+    T = Tetrad(*tetrad_from_angles(*np.array([random_angles(rng) for _ in range(6)]).T))
+    al, be, de = rng.uniform(-3, 3, (3, 6))
+    G, R = gauge_transform(T, al, be), phase_rotate(T, de)
+    assert np.array_equal(G.m, T.m + 2.0 * al * T.a + 2.0 * be * T.b
+                          + (al**2 + be**2) * T.k)
+    assert np.array_equal(G.a, T.a + al * T.k) and np.array_equal(G.b, T.b + be * T.k)
+    assert np.array_equal(R.a, np.cos(de) * T.a - np.sin(de) * T.b)
+    assert np.array_equal(R.b, np.sin(de) * T.a + np.cos(de) * T.b)
+    for i in range(6):
+        Ti = Tetrad(*(v[:, i] for v in T.vectors()))
+        for got, want in ((gauge_transform(Ti, float(al[i]), float(be[i])), G),
+                          (phase_rotate(Ti, float(de[i])), R)):
+            for u, v in zip(got.vectors(), want.vectors()):
+                assert np.array_equal(u, v[:, i])
+
+
 def test_tetrad_expansion_reconstructs_vectors():
     rng = np.random.default_rng(12)
     k, m, a, b = tetrad_from_angles(*random_angles(rng))
