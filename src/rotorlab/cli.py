@@ -541,17 +541,17 @@ def main(argv=None) -> int:
         # so its floating-point warnings are not printed as well
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             reports = globals()[args.func](args, cfg)
+        doc = render_reports(reports)
+        if args.report_out:
+            with open(args.report_out, "w") as fh:
+                fh.write(doc)
     except (DomainError, ParseError, SingularHessianError, ValueError, OSError,
             ArithmeticError) as exc:
         # an ArithmeticError is a float division by zero or a ** overflow: an
         # input whose scales leave the floating-point range at some step
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    doc = render_reports(reports)
     sys.stdout.write(doc)
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(doc)
     return 0 if all_pass(reports) else 1
 
 

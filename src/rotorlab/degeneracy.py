@@ -155,10 +155,9 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
                          det=float(np.linalg.det(H)), dof=tuple(dof))
 
 
-def jacobian_pq(F: FForm, at: PQPoint) -> float:
+def jacobian_pq(F: FForm, at: PQPoint, v) -> float:
     """det d(PP, WW)/d(P, Q): the closed-form Casimirs on first-order jets in
-    (P, Q), whose gradients come from the partials of F."""
-    v = F.eval(at.P, at.Q)
+    (P, Q), whose gradients come from the partials ``v = F.eval(P, Q)``."""
     P, Q = jets.variables(at.P, at.Q)
     h = np.zeros((2, 2))  # second derivatives are not needed
     PP, WW = casimirs_from_partials(
@@ -195,7 +194,7 @@ def relation_check(forms, state: ChartState, dof=DOF6) -> list:
         v = F.eval(P, Q)
         num = v.F - P * v.F_P
         den = v.F_P * (P**2 + Q) - P * v.F
-        jac = jacobian_pq(F, at)
+        jac = jacobian_pq(F, at, v)
         scale = max(abs(v.F), 1.0)
         H = hessian(F, state, dof)
         if abs(den) <= ADMISSIBLE_TOL * scale or abs(num) <= ADMISSIBLE_TOL * scale:

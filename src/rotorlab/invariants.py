@@ -162,13 +162,11 @@ def capital_invariants(J: KinematicJet) -> np.ndarray:
 
 def identity_checks(J: KinematicJet, special_gauge: bool = False) -> dict:
     """Residuals of the tetrad-decomposition identities among the scalars."""
-    s = basic_scalars(J)
+    s, i = basic_scalars(J), iota(J)
     out = {
         "kdkd+ak2+bk2": dot(J.kdot, J.kdot) + s.a_kdot**2 + s.b_kdot**2,
-        "xx-decomposition": dot(J.xdot, J.xdot)
-        - (s.k_xdot * s.m_xdot - s.a_xdot**2 - s.b_xdot**2),
-        "kdx-decomposition": dot(J.kdot, J.xdot)
-        - (0.5 * s.k_xdot * s.m_kdot - s.a_kdot * s.a_xdot - s.b_kdot * s.b_xdot),
+        "xx-decomposition": dot(J.xdot, J.xdot) - i[3],
+        "kdx-decomposition": dot(J.kdot, J.xdot) - i[4],
     }
     if special_gauge:
         jets.raise_where(abs(J.a[0]) + abs(J.b[0]) > 1e-9 * J.scale(), DomainError,
@@ -185,44 +183,37 @@ def identity_checks(J: KinematicJet, special_gauge: bool = False) -> dict:
 # with 15 coefficients V = (c_1..c_5, d_11..d_44).  Requiring the coefficients
 # of alpha, beta, alpha^2, beta^2, alpha*beta in G(shifted) - G to vanish gives
 # a 5x15 linear system A(s) V = 0 whose entries depend on the scalar point s.
-# The nullspace is computed over the field of functions of s by eliminating a
-# fixed generic pivot set, so each nullspace vector is itself a function of s.
+# Each feature of the shifted scalars is quadratic in (alpha, beta), so these
+# coefficients are read off exactly from second-order jets in (alpha, beta)
+# at 0.  The nullspace is computed over the field of functions of s by
+# eliminating a fixed generic pivot set, so each nullspace vector is itself a
+# function of s.
 
 _D_IDX = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-_AB_NODES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (1.0, -1.0)]
-_AB_PINV = np.linalg.pinv(np.array([[a, b, a * a, b * b, a * b] for a, b in _AB_NODES]))
 
 
-def _features(Jv):
-    out = list(Jv)
-    for i, j in _D_IDX:
-        out.append(Jv[i] * Jv[j])
-    return np.array(out)
+def _features(Jv) -> list:
+    """The 15 ansatz features of the five scalars ``Jv``: numbers, arrays or
+    jets."""
+    return list(Jv) + [Jv[i] * Jv[j] for i, j in _D_IDX]
 
 
-def _shifted(Jv, u, alpha, beta):
-    u1, u2, u3 = u
-    return Jv + np.array([
-        alpha * u3,
-        beta * u3,
-        -alpha * u2 + beta * u1,
-        2 * alpha * u1 + 2 * beta * u2,
-        2 * alpha * Jv[0] + 2 * beta * Jv[1] + (alpha**2 + beta**2) * u3,
-    ])
-
-
-def _condition_matrix(s):
-    """5x15 matrix of the alpha/beta monomial conditions at scalar point s.
-
-    Column r fits the monomial coefficients to the change of feature r at the
-    six (alpha, beta) nodes: the r-th row of the feature-difference table."""
-    u, Jv = s[:3], s[3:]
-    base = _features(Jv)
-    diffs = np.array([_features(_shifted(Jv, u, a, b)) - base for a, b in _AB_NODES])
-    cols = np.empty((15, 5))
-    for r, vals in enumerate(np.ascontiguousarray(diffs.T)):
-        cols[r] = _AB_PINV @ vals
-    return cols.T
+def _condition_matrices(points):
+    """(B, 5, 15) matrices of the alpha/beta monomial conditions at the B
+    scalar points, the rows of ``points``, from one pass of jets batched over
+    them: row order alpha, beta, alpha^2, beta^2, alpha*beta."""
+    u1, u2, u3, *Jv = points.T
+    alpha, beta = jets.variables(0.0 * u1, 0.0 * u1)
+    shifted = [
+        Jv[0] + alpha * u3,
+        Jv[1] + beta * u3,
+        Jv[2] - alpha * u2 + beta * u1,
+        Jv[3] + 2 * alpha * u1 + 2 * beta * u2,
+        Jv[4] + 2 * alpha * Jv[0] + 2 * beta * Jv[1] + (alpha**2 + beta**2) * u3,
+    ]
+    cols = [(F.g[0], F.g[1], 0.5 * F.h[0, 0], 0.5 * F.h[1, 1], F.h[0, 1])
+            for F in _features(shifted)]
+    return np.array(cols).transpose(2, 1, 0)
 
 
 def _rank(M):
@@ -259,37 +250,31 @@ def reproduce_invariant_count(seed: int) -> CountReport:
             if abs(s[2]) > 0.3:  # keep k.xdot away from degeneracy
                 return s
 
-    points = [sample_point() for _ in range(COUNT_SAMPLES)]
-    ranks = {_rank(_condition_matrix(s)) for s in points[:10]}
+    points = np.array([sample_point() for _ in range(COUNT_SAMPLES)])
+    A = _condition_matrices(points)
+    ranks = {_rank(M) for M in A[:10]}
     if len(ranks) != 1:
         raise RuntimeError(f"condition-matrix rank is not constant: {ranks}")
     rank = ranks.pop()
 
     # fixed pivot set: leftmost independent columns at a generic point, i.e.
     # the pivots a row-reduction in the natural coefficient order would use
-    A0 = _condition_matrix(points[0])
     pivots = []
     for c in range(15):
         trial = pivots + [c]
-        if np.linalg.matrix_rank(A0[:, trial], tol=1e-10) == len(trial):
+        if np.linalg.matrix_rank(A[0][:, trial], tol=1e-10) == len(trial):
             pivots.append(c)
         if len(pivots) == rank:
             break
     free = [c for c in range(15) if c not in pivots]
 
-    def null_basis(s):
-        A = _condition_matrix(s)
-        X = np.linalg.solve(A[:, pivots], -A[:, free])
-        N = np.zeros((15, len(free)))
-        for r, fc in enumerate(free):
-            N[fc, r] = 1.0
-            N[pivots, r] = X[:, r]
-        return N
+    # null bases N(s), (B, 15, nullity): the free coefficients one-hot, the
+    # pivot coefficients solved for
+    N = np.zeros((len(points), 15, len(free)))
+    N[:, free, range(len(free))] = 1.0
+    N[:, pivots] = np.linalg.solve(A[:, :, pivots], -A[:, :, free])
 
-    def invariants_at(s):
-        return _features(s[3:]) @ null_basis(s)
-
-    G = np.vstack([invariants_at(s) for s in points])
+    G = np.einsum("kb,bkr->br", np.array(_features(points[:, 3:].T)), N)
     G = G / np.linalg.norm(G, axis=1, keepdims=True)
     surv_rank = _rank(G)
     zero_combos = G.shape[1] - surv_rank
@@ -300,18 +285,8 @@ def reproduce_invariant_count(seed: int) -> CountReport:
 
     # functional rank: gradients of the surviving invariants with respect to
     # the five gauge-shifted scalars, coefficient functions held fixed
-    s0 = points[0]
-    W = null_basis(s0) @ combos  # 15 x surv_rank coefficient vectors
-    grads = np.zeros((surv_rank, 5))
-    Jv = s0[3:]
-    for r in range(surv_rank):
-        V = W[:, r]
-        g = V[:5].copy()
-        for idx, (i, j) in enumerate(_D_IDX):
-            g[i] += V[5 + idx] * Jv[j]
-            g[j] += V[5 + idx] * Jv[i]
-        grads[r] = g
-    functional_rank = _rank(grads)
+    dfeat = np.array([F.g for F in _features(jets.variables(*points[0, 3:]))])
+    functional_rank = _rank((N[0] @ combos).T @ dfeat)
 
     return CountReport(
         seed=seed,

@@ -392,6 +392,9 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["casimir", "--f", "rotator", "--M", "1e200"],
     ["simulate", "--M", "1e200", "--periods", "0.1"],
     ["casimir", "--f", "rotator", "--M", "1e-100"],
+    # a report file that cannot be written: a missing directory, a directory
+    ["count-invariants", "--report-out", "/nonexistent/dir/x"],
+    ["count-invariants", "--report-out", "."],
 ])
 def test_bad_input_exits_2(capsys, argv):
     assert exit_code(argv) == 2

@@ -109,7 +109,7 @@ def test_jacobian_pq_matches_finite_differences():
             JPP = (pw(P + h, Q) - pw(P - h, Q)) / (2 * h)
             JQQ = (pw(P, Q + h) - pw(P, Q - h)) / (2 * h)
             fd = JPP[0] * JQQ[1] - JQQ[0] * JPP[1]
-            got = jacobian_pq(F, PQPoint(P, Q))
+            got = jacobian_pq(F, PQPoint(P, Q), F.eval(P, Q))
             assert got == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 

@@ -5,13 +5,10 @@ import pytest
 
 from rotorlab import jets
 from rotorlab.invariants import (
-    _AB_NODES,
-    _AB_PINV,
     GaugeJet,
     KinematicJet,
-    _condition_matrix,
+    _condition_matrices,
     _features,
-    _shifted,
     capital_invariants,
     draw_kinematic_path,
     gauge_jet_transform,
@@ -137,28 +134,40 @@ def test_capital_invariants_at_rotator_point(rotator_jet):
     assert I[4] == pytest.approx(1.0 / np.sqrt(3.0))
 
 
+# the (alpha, beta) nodes of the reference fit, and its monomial pseudo-inverse
+_AB_NODES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.0), (0.0, 2.0), (1.0, -1.0)]
+_AB_PINV = np.linalg.pinv(np.array([[a, b, a * a, b * b, a * b] for a, b in _AB_NODES]))
 
 
-def test_condition_matrix_matches_one_hot_loop():
-    """The feature-difference table, computed once per point, gives the
-    condition matrix bit for bit as the loop that re-evaluated it for each
-    one-hot coefficient vector V and kept V @ diff."""
+def _six_node_fit(s):
+    """The condition matrix at scalar point s by a least-squares fit of the
+    monomials alpha, beta, alpha^2, beta^2, alpha*beta to the change of each
+    feature at six (alpha, beta) nodes."""
+    (u1, u2, u3), Jv = s[:3], s[3:]
 
-    def one_hot_loop(s):
-        u, Jv = s[:3], s[3:]
-        cols = np.empty((15, 5))
-        for r in range(15):
-            V = np.zeros(15)
-            V[r] = 1.0
-            vals = np.array([V @ (_features(_shifted(Jv, u, a, b)) - _features(Jv))
-                             for a, b in _AB_NODES])
-            cols[r] = _AB_PINV @ vals
-        return cols.T
+    def shifted(alpha, beta):
+        return Jv + np.array([
+            alpha * u3,
+            beta * u3,
+            -alpha * u2 + beta * u1,
+            2 * alpha * u1 + 2 * beta * u2,
+            2 * alpha * Jv[0] + 2 * beta * Jv[1] + (alpha**2 + beta**2) * u3,
+        ])
 
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        s = rng.uniform(-2.0, 2.0, 8)
-        assert np.array_equal(_condition_matrix(s), one_hot_loop(s))
+    base = np.array(_features(Jv))
+    diffs = np.array([np.array(_features(shifted(a, b))) - base for a, b in _AB_NODES])
+    return _AB_PINV @ diffs
+
+
+def test_condition_matrices_match_six_node_fit():
+    """The monomial coefficients read off second-order jets agree with the
+    six-node polynomial fit to rounding, at every point of one batch."""
+    points = np.random.default_rng(12).uniform(-2.0, 2.0, (50, 8))
+    got = _condition_matrices(points)
+    assert got.shape == (50, 5, 15)
+    for A, s in zip(got, points):
+        ref = _six_node_fit(s)
+        assert np.max(np.abs(A - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 # -- the batched construction against one pass of unbatched jets per jet -----
