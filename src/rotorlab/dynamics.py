@@ -338,11 +338,12 @@ class IntegratedTrajectory(Trajectory):
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
         return _qr_solve(H, Z, t, q, qd)
 
-    def _vectors(self, t, q, qd, qdd):
+    def _vectors(self, t, q, qd, qdd=None):
         """x and k as four-vectors of jets in t, from the chart state with
-        second derivatives qdd."""
-        qj = [jets.Jet(q[i], qd[i][None], qdd[i][None, None]) for i in range(len(q))]
-        (tj,) = jets.variables(t)
+        second derivatives qdd; first-order jets without qdd."""
+        qj = [jets.Jet(q[i], qd[i][None], None if qdd is None else qdd[i][None, None])
+              for i in range(len(q))]
+        (tj,) = jets.variables(t, order=1 if qdd is None else 2)
         K = qj[5] if len(self.dof) == 6 else 1.0
         return four(tj, *qj[:3]), null_from_angles(qj[3], qj[4], K)
 
@@ -352,13 +353,12 @@ class IntegratedTrajectory(Trajectory):
         return self._vectors(t, q, qd, self._accel(t, q, qd))
 
     def momenta(self, F: FForm, t):
-        """Noether momenta of F at t, from the chart state alone.  They read
-        the first derivatives of the ``jets`` vectors, which a jet computes
-        without its Hessian, so a zero acceleration gives the same momenta bit
-        for bit and none is solved."""
+        """Noether momenta of F at t, from the chart state alone: they read
+        only the first derivatives of the ``jets`` vectors, so first-order
+        jets carry them and no acceleration is solved."""
         t = _times(t)
         q, qd = self.chart(t)
-        x, k = self._vectors(t, q, qd, np.zeros_like(q))
+        x, k = self._vectors(t, q, qd)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
         return momenta_from_vectors(F, xd, kv, kd, x=xv)
 

@@ -74,7 +74,7 @@ class KinematicJet:
 def _lift(J: KinematicJet):
     """The parameter t, at 0, and the tetrad of J as first-order jets
     v + vdot t in t, batched as J is."""
-    (t,) = jets.variables(0.0 * J.k[0])
+    (t,) = jets.variables(0.0 * J.k[0], order=1)
     pairs = ((J.k, J.kdot), (J.m, J.mdot), (J.a, J.adot), (J.b, J.bdot))
     return t, Tetrad(*(four(*(v[i] + vd[i] * t for i in range(4))) for v, vd in pairs))
 
@@ -339,10 +339,10 @@ def draw_kinematic_path(rng, ranges=KINEMATIC_RANGES) -> KinematicPath:
 
 
 def _angles_at(paths, tau: float):
-    """The four angles of every path at ``tau``, as jets in tau batched over
-    the paths."""
+    """The four angles of every path at ``tau``, as first-order jets in tau
+    batched over the paths."""
     rows = np.stack([p.angles for p in paths], axis=-1)  # (4, 4, B)
-    (t,) = jets.variables(np.full(len(paths), float(tau)))
+    (t,) = jets.variables(np.full(len(paths), float(tau)), order=1)
     return [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
 
 

@@ -6,6 +6,15 @@ is what the Hessian, momentum and Euler-Lagrange machinery rely on.  Plain
 floats pass through the module-level math functions unchanged, so numerical
 kernels can be written once and evaluated either on numbers or on jets.
 
+A jet may also be first order: ``variables(..., order=1)`` seeds jets whose
+``h`` is ``None``, and the result of an operation is truncated to the lowest
+order among its jet operands, so every operation on a first-order jet skips
+its Hessian terms (Taylor propagation to a chosen degree, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  The value and
+gradient formulas do not depend on the order, so ``f`` and ``g`` are the
+same bit for bit at either order.  A first-order Hessian was never formed:
+reading an entry of ``None`` raises, it never reads as zero.
+
 A jet may also carry a batch of B expansions in the same variables (the
 vector forward mode of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 SIAM 2008, ch. 3).  The batch axis comes last: ``f`` is a float or a ``(B,)``
@@ -21,8 +30,9 @@ batch shape.
 A plain-number operand of ``+ - * /`` shifts the value or scales the whole
 jet; it is never promoted to a zero-derivative jet.  A result may share its
 ``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), and the
-jets returned by ``variables`` share one Hessian array.  This is safe because
-no jet is ever written in place: treat ``g`` and ``h`` as read-only.
+second-order jets returned by ``variables`` share one Hessian array.  This is
+safe because no jet is ever written in place: treat ``g`` and ``h`` as
+read-only.
 """
 
 from __future__ import annotations
@@ -86,9 +96,11 @@ def raise_where(bad, error, message, *values):
 
 class Jet:
     """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n),
-    each with a trailing batch axis when batched.
+    each with a trailing batch axis when batched; a first-order jet has
+    ``h = None``.
 
-    ``g`` and ``h`` must be float arrays; they are stored as given.
+    ``g`` and ``h`` must be float arrays (or ``h`` None); they are stored as
+    given.
     """
 
     __slots__ = ("f", "g", "h")
@@ -119,7 +131,8 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.f + other.f, self.g + other.g, self.h + other.h)
+            h = None if self.h is None or other.h is None else self.h + other.h
+            return Jet(self.f + other.f, self.g + other.g, h)
         if isinstance(other, _NUMBER):
             return Jet(self.f + float(other), self.g, self.h)
         if isinstance(other, _ARRAY):
@@ -129,11 +142,12 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.f, -self.g, -self.h)
+        return Jet(-self.f, -self.g, _negated(self.h))
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.f - other.f, self.g - other.g, self.h - other.h)
+            h = None if self.h is None or other.h is None else self.h - other.h
+            return Jet(self.f - other.f, self.g - other.g, h)
         if isinstance(other, _NUMBER):
             return Jet(self.f - float(other), self.g, self.h)
         if isinstance(other, _ARRAY):
@@ -142,27 +156,30 @@ class Jet:
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
-            return Jet(float(other) - self.f, -self.g, -self.h)
+            return Jet(float(other) - self.f, -self.g, _negated(self.h))
         if isinstance(other, _ARRAY):
-            return Jet(self._batch(other) - self.f, -self.g, -self.h)
+            return Jet(self._batch(other) - self.f, -self.g, _negated(self.h))
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, Jet):
+            g = self.f * other.g + other.f * self.g
+            if self.h is None or other.h is None:
+                return Jet(self.f * other.f, g, None)
             # h = self.h o.f + o.h self.f + g o.g^T + o.g g^T, summed in that order
             t = self.g[:, None] * other.g
             h = self.h * other.f
             h += other.h * self.f
             h += t
             h += t.swapaxes(0, 1)
-            return Jet(self.f * other.f, self.f * other.g + other.f * self.g, h)
+            return Jet(self.f * other.f, g, h)
         if isinstance(other, _NUMBER):
             c = float(other)
         elif isinstance(other, _ARRAY):
             c = self._batch(other)
         else:
             return NotImplemented
-        return Jet(self.f * c, self.g * c, self.h * c)
+        return Jet(self.f * c, self.g * c, _scaled(self.h, c))
 
     __rmul__ = __mul__
 
@@ -187,7 +204,7 @@ class Jet:
         if p == int(p) and abs(p) <= 64:
             k = int(p)
             if k == 0:
-                return constant(_full(self.f, 1.0), self.n)
+                return _zero_rate(self, _full(self.f, 1.0))
             if k < 0:
                 return 1.0 / (self ** (-k))
             out = self
@@ -210,13 +227,17 @@ class Jet:
         raise TypeError("refusing to silently drop derivatives; use jets.value()")
 
 
-def variables(*vals):
+def variables(*vals, order=2):
     """Seed independent jet variables from numeric values: floats, or arrays
-    of one batch shape (a batch of seeds per variable)."""
+    of one batch shape (a batch of seeds per variable).  ``order=1`` seeds
+    first-order jets (``h`` is None), for callers that read only ``f`` and
+    ``g``."""
+    if order not in (1, 2):
+        raise ValueError(f"a jet has order 1 or 2, not {order!r}")
     n = len(vals)
     shape = getattr(vals[0], "shape", ()) if n else ()
     eye = np.multiply.outer(np.eye(n), np.ones(shape)) if shape else np.eye(n)
-    zero = np.zeros((n, n) + shape)
+    zero = np.zeros((n, n) + shape) if order == 2 else None
     return [Jet(v, eye[i], zero) for i, v in enumerate(vals)]
 
 
@@ -225,6 +246,23 @@ def constant(v, n):
     zero derivatives."""
     shape = np.shape(v)
     return Jet(v, np.zeros((n,) + shape), np.zeros((n, n) + shape))
+
+
+def _zero_rate(u, v):
+    """A jet of value ``v`` with zero derivatives, of the width and order of
+    the jet ``u``."""
+    shape = np.shape(v)
+    h = None if u.h is None else np.zeros((u.n, u.n) + shape)
+    return Jet(v, np.zeros((u.n,) + shape), h)
+
+
+def _scaled(h, c):
+    """A Hessian times a number, or None for a first-order jet."""
+    return None if h is None else h * c
+
+
+def _negated(h):
+    return None if h is None else -h
 
 
 def _full(like, v):
@@ -252,6 +290,8 @@ def split(vec):
 def _chain(u, f, f1, f2):
     """Compose a scalar function (value f, derivatives f1, f2) with jet u."""
     g = u.g
+    if u.h is None:
+        return Jet(f, f1 * g, None)
     h = f1 * u.h
     h += f2 * (g[:, None] * g)
     return Jet(f, f1 * g, h)
@@ -260,6 +300,8 @@ def _chain(u, f, f1, f2):
 def _chain2(ux, uy, f, fx, fy, fxx, fyy, fxy):
     gx, gy = ux.g, uy.g
     g = fx * gx + fy * gy
+    if ux.h is None or uy.h is None:
+        return Jet(f, g, None)
     h = fx * ux.h
     h += fy * uy.h
     h += fxx * (gx[:, None] * gx)
@@ -318,9 +360,9 @@ def atan2(y, x):
     if not isinstance(y, Jet) and not isinstance(x, Jet):
         return _atan2(y, x)
     if not isinstance(y, Jet):
-        y = constant(_full(x.f, y), x.n)
+        y = _zero_rate(x, _full(x.f, y))
     if not isinstance(x, Jet):
-        x = constant(_full(y.f, x), y.n)
+        x = _zero_rate(y, _full(y.f, x))
     d = x.f * x.f + y.f * y.f
     raise_where(d == 0.0, ValueError, "atan2 undefined at the origin")
     f = _atan2(y.f, x.f)

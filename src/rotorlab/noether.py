@@ -58,7 +58,7 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
     k_v = np.asarray(k_v, dtype=float)
     if x is None:
         x = np.zeros(k_v.shape)
-    vs = jets.variables(*xdot_v, *kdot_v)
+    vs = jets.variables(*xdot_v, *kdot_v, order=1)
     L = lagrangian_from_vectors(F, vs[:4], k_v, vs[4:])
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index
     P, pi = -lower(L.g[:4]), -lower(L.g[4:])

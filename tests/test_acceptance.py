@@ -88,7 +88,7 @@ def test_05_noether_crosscheck():
         builtin("point_particle"), builtin("fq", f=lambda q: q),
         builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q)]
     worst_cross, worst_wp = cli.noether_residuals(
-        forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(100)]).entries())
+        forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(100)]))
     report(5, "Noether vs closed-form Casimirs", worst_cross, 1e-9)
     report(5, "W.P orthogonality", worst_wp, 1e-10)
 

@@ -14,7 +14,10 @@ import numpy as np
 
 from rotorlab import cli, noether
 from rotorlab.cli import main
-from rotorlab.noether import CasimirPair
+from rotorlab.fform import builtin, parse_f, pq_from_vectors
+from rotorlab.invariants import draw_kinematic_path, kinematic_jets
+from rotorlab.minkowski import dot
+from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
 
 
@@ -145,6 +148,75 @@ def test_verify_casimir_forms_take_the_run_scales(capsys, monkeypatch):
     assert scales == {(2.0, 0.5)}
 
 
+# momenta calls of `verify --suite casimir`, one per in-domain (jet, form)
+# pair; perfbench's verify-sweep captures cli.momenta and oracle-checks every
+# 5th call on a single jet, so the calls, their order and count must stay
+CASIMIR_MOMENTA_CALLS = {0: 299, 1: 297, 2: 299, 3: 300}
+
+
+def _casimir_samples(seed, extra_forms=()):
+    """The forms and the batch of kinematic jets of the casimir suite at seed."""
+    rng = np.random.default_rng(seed)
+    forms = cli.fundamental_forms(RunConfig()) + [
+        builtin("point_particle"), builtin("fq", f=lambda q: q), *extra_forms]
+    return forms, kinematic_jets([draw_kinematic_path(rng)
+                                  for _ in range(cli.CASIMIR_JETS)])
+
+
+def _in_domain_pairs(forms, samples):
+    """(jet, form) pairs inside the form's domain, jet-major, each form at its
+    jet's (P, Q) from the unbatched jet."""
+    for J in samples.entries():
+        for F in forms:
+            at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
+            if F.in_domain(at.P, at.Q):
+                yield J, F, at
+
+
+@pytest.mark.parametrize("seed", sorted(CASIMIR_MOMENTA_CALLS))
+def test_casimir_suite_takes_momenta_one_jet_at_a_time(capsys, monkeypatch, seed):
+    calls = []
+    original = cli.momenta
+
+    def recording(F, J):
+        calls.append((J, F.name))
+        return original(F, J)
+
+    monkeypatch.setattr(cli, "momenta", recording)
+    code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
+    assert code == 0
+    want = [(J, F.name) for J, F, _ in _in_domain_pairs(*_casimir_samples(seed))]
+    assert len(calls) == len(want) == CASIMIR_MOMENTA_CALLS[seed]
+    for (J, name), (want_J, want_name) in zip(calls, want):
+        assert J.k.shape == (4,) and name == want_name
+        for f in dataclasses.fields(J):
+            assert np.array_equal(getattr(J, f.name), getattr(want_J, f.name))
+
+
+def _noether_residuals_per_pair(forms, samples):
+    """``cli.noether_residuals`` as a loop over the (jet, form) pairs, the
+    closed form taken pair by pair: the reference for the batched one."""
+    cross, wp = [], []
+    for J, F, at in _in_domain_pairs(forms, samples):
+        ms = noether.momenta(F, J)
+        got = ms.casimirs()
+        want = casimirs_closed_form(F, at)
+        cross += [abs(got.PP - want.PP) / max(abs(want.PP), 1.0),
+                  abs(got.WW - want.WW) / max(abs(want.WW), 1.0)]
+        wp.append(abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
+    return float(np.max(cross, initial=0.0)), float(np.max(wp, initial=0.0))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_noether_residuals_match_the_per_pair_loop(seed):
+    # two more forms: one S(Q) member, and one defined only for Q <= 0.03,
+    # so that a parsed domain masks about half of the batch
+    forms, samples = _casimir_samples(seed, (builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q),
+                                             parse_f("sqrt(0.03 - Q)")))
+    got = cli.noether_residuals(forms, samples)
+    assert got == _noether_residuals_per_pair(forms, samples)
+
+
 def _with_nan(x):
     """A copy of x with NaN in its first entry, or NaN for a float."""
     x = np.array(x, dtype=float)
@@ -160,7 +232,8 @@ def _nan_singular_values(rep):
 # (suite, check, owner, function, poison): the second call of the function
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
 # sample of the check; the tetrad suite calls its two functions once, on the
-# whole batch, and so does the invariants suite with identity_checks
+# whole batch, and so does the invariants suite with identity_checks; the
+# casimir suite takes the closed form once per form, on its in-domain jets
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -170,8 +243,8 @@ NAN_PLANTS = [
      lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
     ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
-    ("casimir", "noether-crosscheck", cli, "casimirs_closed_form",
-     lambda c: CasimirPair(PP=np.nan, WW=c.WW)),
+    ("casimir", "noether-crosscheck", cli, "casimirs_from_partials",
+     lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "wp-orthogonality", cli, "momenta",
      lambda ms: dataclasses.replace(ms, W=_with_nan(ms.W))),
     ("degeneracy", "degenerate-hessians", cli, "hessian", _nan_singular_values),

@@ -171,24 +171,28 @@ def test_casimir_drift_floors_at_physical_scale():
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6])
 def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
-    """IntegratedTrajectory.momenta reads the chart state only; its momenta
-    equal, bit for bit, those of ``trajectory_samples``, which also solves for
-    the acceleration."""
+    """IntegratedTrajectory.momenta reads the chart state only, through
+    first-order jets; its momenta equal, bit for bit, those of
+    ``trajectory_samples``, whose second-order jets carry the acceleration."""
     fq = builtin("fq", f=lambda q: q * q)
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
     traj = integrate(fq, st, (0.0, 2.0), dof=dof)
-    calls = []
-    real = dynamics._hessian_and_force
-    monkeypatch.setattr(dynamics, "_hessian_and_force",
-                        lambda *a: calls.append(a) or real(*a))
+    orders = []
+    real = dynamics.IntegratedTrajectory._vectors
+
+    def recorded(*args):
+        x, k = real(*args)
+        orders.append({1 if c.h is None else 2 for c in (*x, *k) if isinstance(c, jets.Jet)})
+        return x, k
+
+    monkeypatch.setattr(dynamics.IntegratedTrajectory, "_vectors", recorded)
     times = np.linspace(0.0, 2.0, 41)
     for t in (*times[[0, 14, -1]], times):
         got = traj.momenta(fq, t)
-        assert not calls
         want = trajectory_samples(fq, traj, np.atleast_1d(t), dof).momenta
-        assert calls
-        calls.clear()
+        assert orders == [{1}, {2}]
+        orders.clear()
         for name in ("P", "pi", "M", "W"):
             b = getattr(want, name)
             assert np.array_equal(getattr(got, name), b if np.ndim(t) else b[..., 0])

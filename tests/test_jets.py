@@ -36,6 +36,9 @@ def test_variables_seed_identity():
     assert x.f == 2.0 and y.f == 3.0
     assert np.array_equal(x.g, [1.0, 0.0]) and np.array_equal(y.g, [0.0, 1.0])
     assert not x.h.any() and not y.h.any()
+    # second order unless asked otherwise, for batches too
+    x, y = jets.variables(np.array([1.0, 2.0, 3.0]), np.zeros(3))
+    assert x.h.shape == (2, 2, 3) and not x.h.any() and not y.h.any()
 
 
 def test_arithmetic_matches_finite_differences():
@@ -291,3 +294,72 @@ def test_batched_domain_errors_name_the_first_failing_entry():
         abs(x + 2.0)
     with pytest.raises(ValueError, match=r"batch entry 0"):
         jets.atan2(x * 0.0, x * 0.0)
+
+
+# -- first-order jets against second-order ones --------------------------------
+
+
+def first_order(x):
+    """The first-order jet with the value and gradient of x."""
+    return jets.Jet(x.f, x.g, None)
+
+
+def assert_first_order_matches(fn, *args):
+    """fn with any nonempty set of its jet arguments cut to first order gives a
+    first-order jet with the value and gradient of fn on the arguments."""
+    want = fn(*args)
+    at = [i for i, a in enumerate(args) if isinstance(a, jets.Jet)]
+    for mask in range(1, 2 ** len(at)):
+        cut = [i for b, i in enumerate(at) if mask >> b & 1]
+        got = fn(*(first_order(a) if i in cut else a for i, a in enumerate(args)))
+        assert got.h is None
+        assert np.array_equal(got.f, want.f) and np.array_equal(got.g, want.g)
+
+
+def test_first_order_hessian_is_never_read():
+    x, y = jets.variables(2.0, 3.0, order=1)
+    assert x.h is None and np.array_equal(x.g, [1.0, 0.0])
+    for z in (x, jets.sin(x * y) + 1.0, x ** 0):
+        with pytest.raises(TypeError):
+            z.h[0, 0]
+    (b,) = jets.variables(np.array([1.0, 2.0]), order=1)
+    with pytest.raises(TypeError):
+        (b * b).h[0, 0]
+    with pytest.raises(ValueError, match="order 1 or 2"):
+        jets.variables(1.0, order=3)
+
+
+def test_second_order_with_first_order_is_first_order():
+    (u,) = jets.variables(1.5)
+    (v,) = jets.variables(0.5, order=1)
+    for z in (u + v, v - u, u * v, v / u, jets.atan2(u, v), jets.atan2(v, u)):
+        assert z.h is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=jet_batches(2, (finite, nonzero)), c=nonzero)
+def test_first_order_arithmetic_keeps_value_and_gradient(batches, c):
+    xs, ys = batches
+    cs = c * np.arange(1.0, len(xs) + 1.0)
+    for x, y, cc in ((stack(xs), stack(ys), cs), (xs[0], ys[0], c)):
+        for op in BINARY_OPS:
+            for args in ((x, y), (x, c), (c, y), (x, cc), (cc, y)):
+                assert_first_order_matches(op, *args)
+        for fn in (operator.neg, abs, lambda z: z ** -2, lambda z: z ** 0,
+                   lambda z: z ** 3):
+            assert_first_order_matches(fn, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=jet_batches(3, (positive, unit, moderate)), p=st.sampled_from([0.5, 1.5, -0.7]))
+def test_first_order_functions_keep_value_and_gradient(batches, p):
+    pos, uni, mod = batches
+    for x, u, m in ((stack(pos), stack(uni), stack(mod)), (pos[0], uni[0], mod[0])):
+        assert_first_order_matches(lambda z: z ** p, x)
+        assert_first_order_matches(jets.sqrt, x)
+        assert_first_order_matches(jets.acos, u)
+        for fn in (jets.sin, jets.cos, jets.exp):
+            assert_first_order_matches(fn, m)
+        assert_first_order_matches(jets.atan2, m, x)
+        assert_first_order_matches(jets.atan2, m, 1.5)
+        assert_first_order_matches(jets.atan2, -0.5, u)
