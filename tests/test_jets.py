@@ -306,7 +306,8 @@ def first_order(x):
 
 def assert_first_order_matches(fn, *args):
     """fn with any nonempty set of its jet arguments cut to first order gives a
-    first-order jet with the value and gradient of fn on the arguments."""
+    first-order jet with the value and gradient of fn on the arguments; a
+    proper subset mixes first- with second-order operands."""
     want = fn(*args)
     at = [i for i, a in enumerate(args) if isinstance(a, jets.Jet)]
     for mask in range(1, 2 ** len(at)):
@@ -327,13 +328,6 @@ def test_first_order_hessian_is_never_read():
         (b * b).h[0, 0]
     with pytest.raises(ValueError, match="order 1 or 2"):
         jets.variables(1.0, order=3)
-
-
-def test_second_order_with_first_order_is_first_order():
-    (u,) = jets.variables(1.5)
-    (v,) = jets.variables(0.5, order=1)
-    for z in (u + v, v - u, u * v, v / u, jets.atan2(u, v), jets.atan2(v, u)):
-        assert z.h is None
 
 
 @settings(max_examples=60, deadline=None)
