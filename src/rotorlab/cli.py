@@ -22,6 +22,7 @@ from .degeneracy import (
     hessian,
     random_chart_state,
     relation_check,
+    stack_states,
 )
 from .dynamics import (
     SingularHessianError,
@@ -172,17 +173,15 @@ def noether_residuals(forms, samples):
 def hessian_margins(states):
     """Worst Hessian margin of the fundamental families, gap of the nu-family
     rank from 4, and inverse least margin of four generic f(Q) members."""
-    singular = [(builtin("rotator_f"), DOF5), (builtin("nu_family", nu=0.4), DOF5),
-                (builtin("starlike"), DOF6)]
-    nondeg = [parse_f(e) for e in ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)")]
-    singular_margins, rank_gap, margins = [], 0, []
-    for st in states:
-        reps = [hessian(F, st, dof) for F, dof in singular]
-        singular_margins += [r.margin for r in reps]
-        rank_gap = max(rank_gap, abs(reps[1].rank - 4))
-        margins += [hessian(F, st, DOF5).margin for F in nondeg]
+    batch = stack_states(states)
+    singular = [hessian(F, batch, dof) for F, dof in (
+        (builtin("rotator_f"), DOF5), (builtin("nu_family", nu=0.4), DOF5),
+        (builtin("starlike"), DOF6))]
+    margins = [hessian(parse_f(e), batch, DOF5).margin
+               for e in ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)")]
+    rank_gap = int(np.max(np.abs(singular[1].rank - 4), initial=0))
     min_margin = np.min(margins, initial=np.inf)
-    return (_worst(singular_margins), rank_gap,
+    return (_worst([r.margin for r in singular]), rank_gap,
             float(1.0 / np.maximum(min_margin, 1e-300)))
 
 
@@ -193,13 +192,14 @@ RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
 def relation_spread(forms, states):
     """Largest relative spread of the kinematical factor K over the admissible
     forms at each state, and the number of admissible forms per state."""
-    spreads, admissible = [], []
-    for st in states:
-        ks = np.array([e.K for e in relation_check(forms, st, DOF6) if e.admissible])
-        admissible.append(len(ks))
-        if len(ks) >= 2:
-            spreads.append(np.max(np.abs(ks - ks[0])) / np.maximum(abs(ks[0]), 1e-300))
-    return (_worst(spreads) if spreads else math.inf), admissible  # inf: none compared
+    admissible, K = relation_check(forms, stack_states(states), DOF6)
+    counts = admissible.sum(axis=0)
+    states_ = np.arange(len(states))
+    K0 = K[np.argmax(admissible, axis=0), states_]  # the first admissible K per state
+    dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
+    spreads = (dev / np.maximum(abs(K0), 1e-300))[counts >= 2]
+    # inf: no state compared two forms
+    return (_worst(spreads) if spreads.size else math.inf), counts.tolist()
 
 
 FREE_MOTION_PHASES = (

@@ -1,9 +1,12 @@
 """Velocity Hessians of the Lagrange density and the Casimir-Jacobian link.
 
-Degrees of freedom are counted in the lab-time gauge (worldline parameter
-= x^0), with the null direction in spherical angles.  The five-coordinate
-chart (x1, x2, x3, theta, phi) gauge-fixes the null-vector amplitude to
-k^0 = 1; the six-coordinate chart adds the amplitude K.  The central check is
+The layer takes a batch of chart states (``stack_states``) in one pass of
+batched jets, each entry bit-identical to the state on its own; ``hessian``
+also takes a single state.  Degrees of freedom are counted in the lab-time
+gauge (worldline parameter = x^0), with the null direction in spherical
+angles.  The five-coordinate chart (x1, x2, x3, theta, phi) gauge-fixes the
+null-vector amplitude to k^0 = 1; the six-coordinate chart adds the
+amplitude K.  The central check is
 
     det H = K_factor * (F - P F_P) / (F_P (P^2 + Q) - P F) * d(PP, WW)/d(P, Q)
 
@@ -12,13 +15,13 @@ whose kinematical prefactor must come out independent of F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, builtin, lagrangian_from_scalars, pq_from_vectors
-from .minkowski import DomainError, four
+from .fform import FForm, builtin, lagrangian_from_scalars, pq_from_scalars, pq_from_vectors
+from .minkowski import DomainError, dot, four
 from .noether import casimirs_from_partials
 from .spinor import null_from_angles
 
@@ -34,7 +37,8 @@ MAX_SPEED = 0.4  # a random chart state has |v_i| <= MAX_SPEED / sqrt(3)
 
 @dataclass(frozen=True)
 class ChartState:
-    """Lab-time gauge coordinates and velocities (x-position is cyclic)."""
+    """Lab-time gauge coordinates and velocities (x-position is cyclic); with
+    (B,) arrays for fields, a batch of B states."""
 
     theta: float
     phi: float
@@ -46,6 +50,7 @@ class ChartState:
     x: tuple = (0.0, 0.0, 0.0)
 
     def coords(self, dof):
+        """(q, qd), each (n,), or (n, B) for a batch."""
         q = [*self.x, self.theta, self.phi]
         qd = [*self.v, self.thetadot, self.phidot]
         if len(dof) == 6:
@@ -56,6 +61,15 @@ class ChartState:
     def check_pole(self):
         check_off_pole(self.theta)
         return self
+
+
+def stack_states(states) -> ChartState:
+    """The batch of the given states, in order."""
+    out = {}
+    for f in fields(ChartState):
+        a = np.array([getattr(s, f.name) for s in states], dtype=float).T
+        out[f.name] = tuple(a) if a.ndim == 2 else a  # v and x: three (B,) rows
+    return ChartState(**out)
 
 
 def check_off_pole(theta) -> None:
@@ -120,97 +134,88 @@ def chart_lagrangian(F: FForm, q, qd, dof):
 
 @dataclass(frozen=True)
 class HessianReport:
-    matrix: np.ndarray
+    """The velocity Hessian at one state; for a batch, every field but ``dof``
+    has a leading batch axis."""
+
+    matrix: np.ndarray  # (n, n), or (B, n, n)
     singular_values: np.ndarray  # descending
     rank: int  # singular values above RANK_TOL * the largest
     det: float
     dof: tuple
 
     @property
-    def is_singular(self) -> bool:
+    def is_singular(self):
         return self.rank < len(self.dof)
 
     @property
-    def margin(self) -> float:
+    def margin(self):
         """sigma_min / (RANK_TOL sigma_max): at most 1 iff the Hessian is singular."""
         sv = self.singular_values
-        return float(sv[-1] / (RANK_TOL * max(sv[0], 1e-300)))
+        m = sv[..., -1] / (RANK_TOL * np.maximum(sv[..., 0], 1e-300))
+        return m if m.ndim else float(m)
 
 
 def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
-    """Exact second-derivative matrix of L with respect to the velocities."""
+    """Exact second-derivative matrix of L with respect to the velocities, at
+    one state or at each state of a batch."""
     state.check_pole()
     q, qd = state.coords(dof)
-    n = len(dof)
-    vs = jets.variables(*qd)
-    qj = list(q)  # coordinates enter as plain values
-    L = chart_lagrangian(F, qj, vs, dof)
-    H = L.h
+    # coordinates enter as plain values
+    H = chart_lagrangian(F, list(q), jets.variables(*qd), dof).h
+    stack = np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]  # one state: a batch of one
     # an F that overflows leaves non-finite entries, which the SVD rejects:
     # the singular values of such an H are NaN, and its rank 0
-    finite = np.isfinite(H).all()
-    sv = np.linalg.svd(H, compute_uv=False) if finite else np.full(n, np.nan)
-    rank = int(np.sum(sv > RANK_TOL * max(sv[0], 1e-300)))
-    return HessianReport(matrix=H, singular_values=sv, rank=rank,
-                         det=float(np.linalg.det(H)), dof=tuple(dof))
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    sv = np.full(stack.shape[:2], np.nan)
+    sv[finite] = np.linalg.svd(stack[finite], compute_uv=False)
+    rank = np.sum(sv > RANK_TOL * np.maximum(sv[:, :1], 1e-300), axis=1)
+    det = np.linalg.det(stack)
+    if q.ndim == 1:
+        stack, sv, rank, det = H, sv[0], int(rank[0]), float(det[0])
+    return HessianReport(matrix=stack, singular_values=sv, rank=rank, det=det,
+                         dof=tuple(dof))
 
 
-def jacobian_pq(F: FForm, at: PQPoint, v) -> float:
+def jacobian_pq(F: FForm, P, Q, v):
     """det d(PP, WW)/d(P, Q): the closed-form Casimirs on first-order jets in
     (P, Q), whose gradients come from the partials ``v = F.eval(P, Q)``."""
-    P, Q = jets.variables(at.P, at.Q)
-    h = np.zeros((2, 2))  # second derivatives are not needed
+    P, Q = jets.variables(P, Q, order=1)
     PP, WW = casimirs_from_partials(
         F, P, Q,
-        jets.Jet(v.F, np.array([v.F_P, v.F_Q]), h),
-        jets.Jet(v.F_P, np.array([v.F_PP, v.F_PQ]), h),
-        jets.Jet(v.F_Q, np.array([v.F_PQ, v.F_QQ]), h))
-    return float(PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0])
+        jets.Jet(v.F, np.array([v.F_P, v.F_Q]), None),
+        jets.Jet(v.F_P, np.array([v.F_PP, v.F_PQ]), None),
+        jets.Jet(v.F_Q, np.array([v.F_PQ, v.F_QQ]), None))
+    return PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0]
 
 
-@dataclass(frozen=True)
-class RelationEntry:
-    form: str
-    admissible: bool
-    reason: str = ""
-    det_hessian: float = 0.0
-    middle: float = 0.0
-    jacobian: float = 0.0
-    K: float = float("nan")
+def relation_check(forms, state: ChartState, dof=DOF6):
+    """The kinematical factor K = det H / (middle * jacobian) of each form at
+    each state of a batch: (admissible, K), each of shape (len(forms), B).
 
-
-def relation_check(forms, state: ChartState, dof=DOF6) -> list:
-    """Extract the kinematical factor K = det H / (middle * jacobian) per form.
-
-    Forms for which the middle ratio or the Casimir Jacobian degenerates at
-    the state's (P, Q) are flagged inadmissible instead of dividing by ~0.
-    All admissible K values at one state must coincide (F-independence).
+    Where the middle ratio or the Casimir Jacobian of a form degenerates at a
+    state's (P, Q), the form is inadmissible and its K is NaN, instead of a
+    quotient by ~0.  All admissible K values at one state must coincide
+    (F-independence).
     """
     xdot, k, kdot = chart_vectors(*state.coords(dof), dof)
-    out = []
+    scalars = dot(xdot, xdot), dot(k, xdot), dot(kdot, xdot), dot(kdot, kdot)
+    admissible, Ks = [], []
     for F in forms:
-        at = pq_from_vectors(xdot, k, kdot, F.ell)
-        P, Q = at.P, at.Q
+        _, P, Q = pq_from_scalars(*scalars, F.ell)
         v = F.eval(P, Q)
         num = v.F - P * v.F_P
-        den = v.F_P * (P**2 + Q) - P * v.F
-        jac = jacobian_pq(F, at, v)
-        scale = max(abs(v.F), 1.0)
-        H = hessian(F, state, dof)
-        if abs(den) <= ADMISSIBLE_TOL * scale or abs(num) <= ADMISSIBLE_TOL * scale:
-            out.append(RelationEntry(form=F.name, admissible=False,
-                                     reason="middle ratio degenerate",
-                                     det_hessian=H.det, jacobian=jac))
-            continue
-        if abs(jac) <= ADMISSIBLE_TOL * max(abs(H.det), 1.0):
-            out.append(RelationEntry(form=F.name, admissible=False,
-                                     reason="Casimir Jacobian degenerate",
-                                     det_hessian=H.det, middle=num / den, jacobian=jac))
-            continue
-        K = H.det / ((num / den) * jac)
-        out.append(RelationEntry(form=F.name, admissible=True, det_hessian=H.det,
-                                 middle=num / den, jacobian=jac, K=K))
-    return out
+        den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
+        jac = jacobian_pq(F, P, Q, v)
+        det = hessian(F, state, dof).det
+        tol = ADMISSIBLE_TOL * np.maximum(abs(v.F), 1.0)
+        # a NaN factor leaves the form admissible, so that K shows it
+        ok = ~((abs(den) <= tol) | (abs(num) <= tol)
+               | (abs(jac) <= ADMISSIBLE_TOL * np.maximum(abs(det), 1.0)))
+        K = np.full(ok.shape, np.nan)
+        K[ok] = det[ok] / ((num[ok] / den[ok]) * jac[ok])
+        admissible.append(ok)
+        Ks.append(K)
+    return np.array(admissible), np.array(Ks)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ class FForm:
             raise DomainError(f"(P, Q) = ({P}, {Q}) outside domain of {self.name}")
         pj, qj = jets.variables(P, Q)
         out = self.func(pj, qj)
-        if not isinstance(out, jets.Jet):
-            return FFormValue(float(out), 0.0, 0.0, 0.0, 0.0, 0.0)
+        if not isinstance(out, jets.Jet):  # F does not depend on P or Q
+            c = float(out)
+            out = jets.constant(np.full(np.shape(pj.f), c) if np.ndim(pj.f) else c, 2)
         return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
 
 

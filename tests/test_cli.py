@@ -250,15 +250,17 @@ NAN_PLANTS = [
     ("degeneracy", "degenerate-hessians", cli, "hessian", _nan_singular_values),
     ("degeneracy", "nondegenerate-dets", cli, "hessian", _nan_singular_values),
     ("degeneracy", "relation-consistency", cli, "relation_check",
-     lambda entries: [dataclasses.replace(e, K=np.nan) for e in entries]),
+     lambda r: (r[0], _with_nan(r[1]))),
     ("dynamics", "free-motion-conservation", cli, "charge_drift",
      lambda d: {**d, "W_drift": np.nan}),
     ("dynamics", "angular-speed-identity", cli, "angular_speed", _with_nan),
 ]
-# each state of the degeneracy suite takes three singular Hessians, then the
-# nondegenerate ones: the fourth call is the first nondegenerate Hessian
+# the degeneracy suite takes the Hessians of three singular forms over its
+# batch of states, then those of the nondegenerate ones: the fourth call is
+# the first nondegenerate form; it calls relation_check once, and the NaN
+# lands in the first form's K at the first state
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "nondegenerate-dets": 4}
+                 "nondegenerate-dets": 4, "relation-consistency": 1}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,

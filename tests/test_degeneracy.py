@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rotorlab import jets
 from rotorlab.degeneracy import (
+    ADMISSIBLE_TOL,
     DOF5,
     DOF6,
     ChartState,
@@ -13,8 +16,10 @@ from rotorlab.degeneracy import (
     jacobian_pq,
     random_chart_state,
     relation_check,
+    stack_states,
 )
-from rotorlab.fform import PQPoint, builtin, parse_f
+from rotorlab.cli import RELATION_FORMS
+from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_vectors
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 
@@ -109,15 +114,16 @@ def test_jacobian_pq_matches_finite_differences():
             JPP = (pw(P + h, Q) - pw(P - h, Q)) / (2 * h)
             JQQ = (pw(P, Q + h) - pw(P, Q - h)) / (2 * h)
             fd = JPP[0] * JQQ[1] - JQQ[0] * JPP[1]
-            got = jacobian_pq(F, PQPoint(P, Q), F.eval(P, Q))
+            got = jacobian_pq(F, P, Q, F.eval(P, Q))
             assert got == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_relation_flags_degenerate_jacobian():
     rng = np.random.default_rng(5)
     st = random_chart_state(rng)
-    entries = relation_check([parse_f("Q")], st, DOF6)
-    assert not entries[0].admissible
+    admissible, K = relation_check([parse_f("Q")], stack_states([st]), DOF6)
+    assert admissible.shape == K.shape == (1, 1)
+    assert not admissible[0, 0] and np.isnan(K[0, 0])
 
 
 def test_fq_determinant_bracket_values():
@@ -159,3 +165,95 @@ def test_hessian_report_of_rotator_is_singular():
     rng = np.random.default_rng(9)
     rep = hessian(builtin("rotator_f"), random_chart_state(rng), DOF5)
     assert len(rep.dof) == 5 and rep.rank == 4 and rep.is_singular
+
+
+HESSIAN_FORMS = [builtin("rotator_f"), builtin("nu_family", nu=0.4), builtin("starlike"),
+                 parse_f("Q^2"), parse_f("sqrt(1+P^2+Q)")]
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6])
+@pytest.mark.parametrize("F", HESSIAN_FORMS, ids=[F.name for F in HESSIAN_FORMS])
+def test_batched_hessian_matches_each_state(F, dof):
+    rng = np.random.default_rng(10)
+    states = [random_chart_state(rng) for _ in range(6)]
+    batch = hessian(F, stack_states(states), dof)
+    n = len(dof)
+    assert batch.matrix.shape == (6, n, n) and batch.singular_values.shape == (6, n)
+    for i, st in enumerate(states):
+        one = hessian(F, st, dof)
+        assert np.array_equal(batch.matrix[i], one.matrix)
+        assert np.array_equal(batch.singular_values[i], one.singular_values)
+        assert batch.det[i] == one.det and batch.rank[i] == one.rank
+        assert batch.margin[i] == one.margin and batch.is_singular[i] == one.is_singular
+    assert type(one.rank) is int and type(one.det) is float
+    assert type(one.margin) is float and type(one.is_singular) is bool
+
+
+def test_batched_hessian_isolates_an_overflowing_entry():
+    rng = np.random.default_rng(11)
+    states = [random_chart_state(rng) for _ in range(3)]
+    # F = 1e290 Q^4 overflows at Q ~ 1e5 only
+    states[1] = dataclasses.replace(states[1], thetadot=300.0)
+    F = parse_f("1e290*Q^4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = hessian(F, stack_states(states), DOF5)
+        alone = [hessian(F, st, DOF5) for st in (states[0], states[2])]
+    assert not np.isfinite(rep.matrix[1]).all()
+    assert np.isnan(rep.singular_values[1]).all() and rep.rank[1] == 0
+    for i, one in zip((0, 2), alone):
+        assert np.isfinite(one.singular_values).all()
+        assert np.array_equal(rep.singular_values[i], one.singular_values)
+        assert rep.rank[i] == one.rank == 5
+
+
+def test_pole_state_in_a_batch_names_its_entry():
+    rng = np.random.default_rng(12)
+    states = [random_chart_state(rng), ChartState(theta=np.pi, phi=0.0),
+              random_chart_state(rng)]
+    with pytest.raises(DomainError, match=r"batch entry 1\)"):
+        hessian(builtin("rotator_f"), stack_states(states), DOF6)
+
+
+def test_stack_states_keeps_each_state():
+    rng = np.random.default_rng(13)
+    states = [random_chart_state(rng) for _ in range(3)]
+    batch = stack_states(states)
+    for dof in (DOF5, DOF6):
+        q, qd = batch.coords(dof)
+        for i, st in enumerate(states):
+            q1, qd1 = st.coords(dof)
+            assert np.array_equal(q[:, i], q1) and np.array_equal(qd[:, i], qd1)
+
+
+def _relation_per_state(forms, st):
+    """Reference for ``relation_check``: one state and one form at a time, on
+    floats."""
+    xdot, k, kdot = chart_vectors(*st.coords(DOF6), DOF6)
+    admissible, Ks = [], []
+    for F in forms:
+        at = pq_from_vectors(xdot, k, kdot, F.ell)
+        P, Q = at.P, at.Q
+        v = F.eval(P, Q)
+        num = v.F - P * v.F_P
+        den = v.F_P * (P**2 + Q) - P * v.F
+        jac = jacobian_pq(F, P, Q, v)
+        det = hessian(F, st, DOF6).det
+        tol = ADMISSIBLE_TOL * max(abs(v.F), 1.0)
+        ok = not (abs(den) <= tol or abs(num) <= tol
+                  or abs(jac) <= ADMISSIBLE_TOL * max(abs(det), 1.0))
+        admissible.append(ok)
+        Ks.append(det / ((num / den) * jac) if ok else np.nan)
+    return admissible, Ks
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_relation_check_matches_the_per_state_loop(seed):
+    # "Q" and "0" are inadmissible everywhere
+    forms = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
+    rng = np.random.default_rng(seed)
+    states = [random_chart_state(rng) for _ in range(5)]
+    admissible, K = relation_check(forms, stack_states(states), DOF6)
+    want = [_relation_per_state(forms, st) for st in states]
+    assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
+    assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)
+    assert admissible[:-2].sum() >= 2 * len(states) and not admissible[-2:].any()
