@@ -20,10 +20,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jets
-from .fform import FForm, builtin, lagrangian_from_scalars, pq_from_scalars, pq_from_vectors
-from .minkowski import DomainError, dot, four
+from .fform import FForm, builtin, lagrangian_from_scalars, pq_from_scalars
+from .minkowski import DomainError
 from .noether import casimirs_from_partials
-from .spinor import null_from_angles
 
 DOF5 = ("x1", "x2", "x3", "theta", "phi")
 DOF6 = ("x1", "x2", "x3", "theta", "phi", "K")
@@ -79,25 +78,6 @@ def check_off_pole(theta) -> None:
                      DomainError, "theta = {} too close to a chart pole", theta)
 
 
-def chart_vectors(q, qd, dof):
-    """(xdot, k, kdot) from chart coordinates; generic over floats, jets and
-    batches of either (rows of (n, B) arrays give (4, B) vectors)."""
-    theta, phi = q[3], q[4]
-    K = q[5] if len(dof) == 6 else 1.0
-    Kd = qd[5] if len(dof) == 6 else 0.0
-    st, ct = jets.sin(theta), jets.cos(theta)
-    sp, cp = jets.sin(phi), jets.cos(phi)
-    n_th = [ct * cp, ct * sp, -st]
-    n_ph = [-st * sp, st * cp, 0.0 * st]
-    nd = [n_th[i] * qd[3] + n_ph[i] * qd[4] for i in range(3)]
-    xdot = four(1.0 + 0.0 * qd[0], qd[0], qd[1], qd[2])
-    k = null_from_angles(theta, phi, K)
-    # kdot = Kdot (1, n) + K (0, ndot)
-    kr = null_from_angles(theta, phi, Kd)
-    kdot = four(kr[0], kr[1] + K * nd[0], kr[2] + K * nd[1], kr[3] + K * nd[2])
-    return xdot, k, kdot
-
-
 def chart_scalars(q, qd, dof):
     """(xdot.xdot, k.xdot, kdot.xdot, kdot.kdot) from chart coordinates in
     closed form; generic over floats, jets and batches of either.
@@ -107,9 +87,6 @@ def chart_scalars(q, qd, dof):
         xdot.xdot = 1 - |v|^2,           k.xdot = K (1 - n.v),
         kdot.xdot = Kdot (1 - n.v) - K ndot.v,
         kdot.kdot = -K^2 (thetadot^2 + sin^2(theta) phidot^2).
-
-    ``chart_vectors`` followed by four ``dot``s gives the same scalars to
-    rounding, at about twice the cost.
     """
     theta, phi = q[3], q[4]
     v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
@@ -197,8 +174,7 @@ def relation_check(forms, state: ChartState, dof=DOF6):
     quotient by ~0.  All admissible K values at one state must coincide
     (F-independence).
     """
-    xdot, k, kdot = chart_vectors(*state.coords(dof), dof)
-    scalars = dot(xdot, xdot), dot(k, xdot), dot(kdot, xdot), dot(kdot, kdot)
+    scalars = chart_scalars(*state.coords(dof), dof)
     admissible, Ks = [], []
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
@@ -234,7 +210,7 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0,
     ``f`` is a generic callable with two derivatives (jet-compatible).
     """
     F = builtin("fq", f=f, M=M, ell=ell)
-    Q = pq_from_vectors(*chart_vectors(*state.coords(DOF5), DOF5), ell).Q
+    Q = float(pq_from_scalars(*chart_scalars(*state.coords(DOF5), DOF5), ell)[2])
     (qj,) = jets.variables(Q)
     fj = f(qj)
     if not isinstance(fj, jets.Jet):

@@ -10,7 +10,6 @@ from rotorlab.degeneracy import (
     DOF6,
     ChartState,
     chart_scalars,
-    chart_vectors,
     fq_det_formula,
     hessian,
     jacobian_pq,
@@ -19,9 +18,29 @@ from rotorlab.degeneracy import (
     stack_states,
 )
 from rotorlab.cli import RELATION_FORMS
-from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_vectors
-from rotorlab.minkowski import DomainError, dot
+from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_scalars
+from rotorlab.minkowski import DomainError, dot, four
 from rotorlab.noether import casimirs_closed_form
+from rotorlab.spinor import null_from_angles
+
+
+def chart_vectors(q, qd, dof):
+    """Reference for ``chart_scalars``: (xdot, k, kdot) from chart coordinates,
+    built as vectors; generic over floats and jets."""
+    theta, phi = q[3], q[4]
+    K = q[5] if len(dof) == 6 else 1.0
+    Kd = qd[5] if len(dof) == 6 else 0.0
+    st, ct = jets.sin(theta), jets.cos(theta)
+    sp, cp = jets.sin(phi), jets.cos(phi)
+    n_th = [ct * cp, ct * sp, -st]
+    n_ph = [-st * sp, st * cp, 0.0 * st]
+    nd = [n_th[i] * qd[3] + n_ph[i] * qd[4] for i in range(3)]
+    xdot = four(1.0 + 0.0 * qd[0], qd[0], qd[1], qd[2])
+    k = null_from_angles(theta, phi, K)
+    # kdot = Kdot (1, n) + K (0, ndot)
+    kr = null_from_angles(theta, phi, Kd)
+    kdot = four(kr[0], kr[1] + K * nd[0], kr[2] + K * nd[1], kr[3] + K * nd[2])
+    return xdot, k, kdot
 
 
 def test_chart_vectors_are_consistent():
@@ -228,11 +247,10 @@ def test_stack_states_keeps_each_state():
 def _relation_per_state(forms, st):
     """Reference for ``relation_check``: one state and one form at a time, on
     floats."""
-    xdot, k, kdot = chart_vectors(*st.coords(DOF6), DOF6)
+    scalars = chart_scalars(*st.coords(DOF6), DOF6)
     admissible, Ks = [], []
     for F in forms:
-        at = pq_from_vectors(xdot, k, kdot, F.ell)
-        P, Q = at.P, at.Q
+        _, P, Q = pq_from_scalars(*scalars, F.ell)
         v = F.eval(P, Q)
         num = v.F - P * v.F_P
         den = v.F_P * (P**2 + Q) - P * v.F
