@@ -191,14 +191,13 @@ RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
 
 def relation_spread(forms, states):
     """Largest relative spread of the kinematical factor K over the admissible
-    forms at each state, and the number of admissible forms per state."""
+    forms at each state (inf if no state has two), and the number of
+    admissible forms per state."""
     admissible, K = relation_check(forms, stack_states(states), DOF6)
     counts = admissible.sum(axis=0)
-    states_ = np.arange(len(states))
-    K0 = K[np.argmax(admissible, axis=0), states_]  # the first admissible K per state
+    K0 = K[np.argmax(admissible, axis=0), np.arange(len(states))]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
     spreads = (dev / np.maximum(abs(K0), 1e-300))[counts >= 2]
-    # inf: no state compared two forms
     return (_worst(spreads) if spreads.size else math.inf), counts.tolist()
 
 

@@ -64,11 +64,9 @@ class ChartState:
 
 def stack_states(states) -> ChartState:
     """The batch of the given states, in order."""
-    out = {}
-    for f in fields(ChartState):
-        a = np.array([getattr(s, f.name) for s in states], dtype=float).T
-        out[f.name] = tuple(a) if a.ndim == 2 else a  # v and x: three (B,) rows
-    return ChartState(**out)
+    cols = (np.array([getattr(s, f.name) for s in states], dtype=float).T
+            for f in fields(ChartState))
+    return ChartState(*(tuple(a) if a.ndim == 2 else a for a in cols))  # v, x: (3, B)
 
 
 def check_off_pole(theta) -> None:
@@ -111,13 +109,12 @@ def chart_lagrangian(F: FForm, q, qd, dof):
 
 @dataclass(frozen=True)
 class HessianReport:
-    """The velocity Hessian at one state; for a batch, every field but ``dof``
-    has a leading batch axis."""
+    """The velocity Hessian at one state, or at each state of a batch."""
 
     matrix: np.ndarray  # (n, n), or (B, n, n)
-    singular_values: np.ndarray  # descending
-    rank: int  # singular values above RANK_TOL * the largest
-    det: float
+    singular_values: np.ndarray  # descending; (n,), or (B, n)
+    rank: int  # singular values above RANK_TOL * the largest; or (B,)
+    det: float  # or (B,)
     dof: tuple
 
     @property
@@ -137,8 +134,7 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
     one state or at each state of a batch."""
     state.check_pole()
     q, qd = state.coords(dof)
-    # coordinates enter as plain values
-    H = chart_lagrangian(F, list(q), jets.variables(*qd), dof).h
+    H = chart_lagrangian(F, list(q), jets.variables(*qd), dof).h  # q as plain values
     stack = np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]  # one state: a batch of one
     # an F that overflows leaves non-finite entries, which the SVD rejects:
     # the singular values of such an H are NaN, and its rank 0
@@ -175,7 +171,7 @@ def relation_check(forms, state: ChartState, dof=DOF6):
     (F-independence).
     """
     scalars = chart_scalars(*state.coords(dof), dof)
-    admissible, Ks = [], []
+    out = []
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
         v = F.eval(P, Q)
@@ -189,9 +185,8 @@ def relation_check(forms, state: ChartState, dof=DOF6):
                | (abs(jac) <= ADMISSIBLE_TOL * np.maximum(abs(det), 1.0)))
         K = np.full(ok.shape, np.nan)
         K[ok] = det[ok] / ((num[ok] / den[ok]) * jac[ok])
-        admissible.append(ok)
-        Ks.append(K)
-    return np.array(admissible), np.array(Ks)
+        out.append((ok, K))
+    return tuple(map(np.array, zip(*out)))
 
 
 @dataclass(frozen=True)
