@@ -13,17 +13,20 @@ second-order phase data.
 
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
-H qddot = Z per step with a QR solve and condition monitoring.
+H qddot = Z per step with a QR solve and condition monitoring.  L depends on
+the worldline only through its velocity, so the positions x1..x3 are cyclic:
+the chart jets seed only the coordinates that L reads.
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
 times each, so their memory does not grow with the number of samples.  The
-samples of such a pass stay one batched record, reduced and written as
-columns.
+samples of such a pass stay one batched record, reduced as columns, and
+the CSV is formatted once from the columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -222,6 +225,24 @@ def _lab_chart_jets(x, k, dof):
     return np.array(q), np.array(qd), np.array(qdd)
 
 
+def _chart_derivatives(F: FForm, q, qd, dof):
+    """dL/dq (n,) and the velocity rows of L's Hessian (n, 2n), with columns
+    (q, qd); a trailing batch axis for a batch of states.
+
+    L reads the worldline only through its velocity, so x1..x3 are cyclic:
+    they pass as plain values, the jets seed only q[3:] and qd, and their
+    columns hold exact zeros."""
+    n = len(dof)
+    vs = jets.variables(*q[3:], *qd)
+    L = chart_lagrangian(F, [*q[:3], *vs[:n - 3]], vs[n - 3:], dof)
+    shape = np.shape(L.f)
+    dq = np.zeros((n,) + shape)
+    dq[3:] = L.g[:n - 3]
+    hv = np.zeros((n, 2 * n) + shape)
+    hv[:, 3:] = L.h[n - 3:]
+    return dq, hv
+
+
 def el_residuals(F: FForm, traj: Trajectory, t, dof=DOF5) -> ELReport:
     """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation;
     one batched report for an array of times."""
@@ -236,12 +257,10 @@ def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
     added term by term in that order; its scale is the largest of those
     terms over i."""
     n = len(dof)
-    vs = jets.variables(*q, *qd)
-    L = chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
-    hv = L.h[n:]  # rows of the velocities
+    dq, hv = _chart_derivatives(F, q, qd, dof)
     terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
-    res = sum(terms[:n]) + sum(terms[n:]) - L.g[:n]
-    scale = np.max(np.abs(np.stack(terms + [L.g[:n]])), axis=(0, 1))
+    res = sum(terms[:n]) + sum(terms[n:]) - dq
+    scale = np.max(np.abs(np.stack(terms + [dq])), axis=(0, 1))
     return ELReport(residuals=res, scale=np.maximum(scale, 1e-300), dof=tuple(dof))
 
 
@@ -249,13 +268,19 @@ def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
 
 
 def _hessian_and_force(F: FForm, q, qd, dof):
-    """Velocity Hessian H and force vector Z with H qddot = Z."""
+    """Velocity Hessian H and force vector Z with H qddot = Z: (n, n) and (n,),
+    or (n, n, B) and (n, B) for a batch of B states.
+
+    Each state's Z is formed from a contiguous copy of its own rows, so that
+    its matmul sees the layout of the state on its own and rounds alike."""
     n = len(dof)
-    vs = jets.variables(*q, *qd)
-    L = chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
-    H = L.h[n:, n:]
-    Z = L.g[:n] - L.h[n:, :n] @ np.asarray(qd, dtype=float)
-    return H, Z
+    dq, hv = _chart_derivatives(F, q, qd, dof)
+    if np.ndim(q) == 1:
+        return hv[:, n:], dq - hv[:, :n] @ qd
+    Z = np.empty_like(dq)
+    for b in range(Z.shape[1]):
+        Z[:, b] = dq[:, b] - np.ascontiguousarray(hv[..., b])[:, :n] @ qd[:, b]
+    return hv[:, n:], Z
 
 
 def _active(H, Z):
@@ -333,9 +358,10 @@ class IntegratedTrajectory(Trajectory):
         return y[:n], y[n:]
 
     def _accel(self, t, q, qd):
-        if np.ndim(t):  # the velocity Hessian takes one state per solve
-            return np.stack([self._accel(*s) for s in zip(t, q.T, qd.T)], axis=-1)
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
+        if np.ndim(t):  # one jet pass over the batch, one solve per state
+            return np.stack([_qr_solve(H[..., b], Z[:, b], t[b], q[:, b], qd[:, b])
+                             for b in range(len(t))], axis=-1)
         return _qr_solve(H, Z, t, q, qd)
 
     def _vectors(self, t, q, qd, qdd=None):
@@ -547,11 +573,12 @@ def export_trajectory(path, samples: TrajectorySamples) -> None:
     cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
             "el_residual_norm", "PP", "WW"]
     c = samples.momenta.casimirs()
-    # the norm of each residual column: a batched norm(axis=0) sums in
-    # another order and moves the last digit of some rows
-    norms = [np.linalg.norm(r) for r in samples.el.residuals.T]
+    # the norm of each residual column as np.linalg.norm takes it, a dot of the
+    # contiguous column: a batched norm(axis=0) sums in another order and
+    # moves the last digit of some rows
+    norms = [math.sqrt(r.dot(r)) for r in np.ascontiguousarray(samples.el.residuals.T)]
     table = np.vstack([samples.t, samples.x, samples.k, norms, c.PP, c.WW])
-    fmt = ",".join(["{:.17g}"] * len(cols))
-    lines = [",".join(cols)] + [fmt.format(*r) for r in table.T.tolist()]
+    # one format over the whole table: %.17g writes what "{:.17g}" writes
+    rows = (",".join(["%.17g"] * len(cols)) + "\n") * table.shape[1]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(cols) + "\n" + rows % tuple(table.T.ravel().tolist()))

@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rotorlab import cli, dynamics, jets
-from rotorlab.degeneracy import DOF5, DOF6, ChartState
+from rotorlab.degeneracy import (
+    DOF5,
+    DOF6,
+    ChartState,
+    chart_lagrangian,
+    chart_scalars,
+    random_chart_state,
+    stack_states,
+)
 from rotorlab.dynamics import (
     SingularHessianError,
     SolutionParams,
@@ -451,3 +461,160 @@ def test_batched_queries_check_every_time():
         return traj._accel(t, *traj.chart(t))
 
     assert np.array_equal(accel(np.array([1.0, 2.0]))[:, 1], accel(2.0))
+
+
+def test_batched_accel_is_one_jet_pass_and_a_solve_per_state(monkeypatch):
+    """An array of times solves its accelerations from one jet pass, with one
+    QR solve per state, bit-identical to each time on its own; a singular
+    Hessian names the state of the first failing entry, as a single time does."""
+    F, traj, t_end = _integrated_q()
+    times = np.linspace(0.0, t_end, 7)
+    q, qd = traj.chart(times)
+    want = np.stack([traj._accel(t, *traj.chart(t)) for t in times], axis=-1)
+    calls = {"_chart_derivatives": 0, "_qr_solve": 0}
+    for name in calls:
+        real = getattr(dynamics, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(dynamics, name, counted)
+    assert np.array_equal(traj._accel(times, q, qd), want)
+    assert calls == {"_chart_derivatives": 1, "_qr_solve": 7}
+    singular = replace(traj, F=ROT)  # the rotator's velocity Hessian is singular
+    with pytest.raises(SingularHessianError) as one:
+        singular._accel(times[0], q[:, 0], qd[:, 0])
+    with pytest.raises(SingularHessianError) as batch:
+        singular._accel(times, q, qd)
+    assert str(batch.value) == str(one.value) and batch.value.state == one.value.state
+
+
+# -- the cyclic positions: jets in all 2n chart coordinates as the reference --
+
+
+def all_seeded_lagrangian(F, q, qd, dof):
+    """L on jets seeded in all 2n chart coordinates, x1..x3 included."""
+    n = len(dof)
+    vs = jets.variables(*q, *qd)
+    return chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
+
+
+def all_seeded_hessian_and_force(F, q, qd, dof):
+    """H and Z of one state from the all-seeded L."""
+    n = len(dof)
+    L = all_seeded_lagrangian(F, q, qd, dof)
+    return L.h[n:, n:], L.g[:n] - L.h[n:, :n] @ np.asarray(qd, dtype=float)
+
+
+def all_seeded_el_report(F, q, qd, qdd, dof):
+    """EL residuals and scale from the all-seeded L, summed as ``_el_report``
+    sums them."""
+    n = len(dof)
+    L = all_seeded_lagrangian(F, q, qd, dof)
+    hv = L.h[n:]
+    terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
+    res = sum(terms[:n]) + sum(terms[n:]) - L.g[:n]
+    scale = np.max(np.abs(np.stack(terms + [L.g[:n]])), axis=(0, 1))
+    return res, np.maximum(scale, 1e-300)
+
+
+@pytest.mark.parametrize("expr", ["rotator", "Q^2", "1+Q+P^2"])
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+@pytest.mark.parametrize("states", [1, 4])
+def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
+    """Jets seeded only in q[3:] and qd give, bit for bit, the H, Z and EL
+    report of jets seeded in all 2n chart coordinates, for one state and for
+    each state of a batch."""
+    F = ROT if expr == "rotator" else parse_f(expr)
+    rng = np.random.default_rng([len(dof), states])
+    batch = [random_chart_state(rng) for _ in range(states)]
+    n = len(dof)
+    qdd = rng.uniform(-1.0, 1.0, (n, states))
+    if states == 1:
+        q, qd = batch[0].coords(dof)
+        qdd = qdd[:, 0]
+    else:
+        q, qd = stack_states(batch).coords(dof)
+    H, Z = dynamics._hessian_and_force(F, q, qd, dof)
+    rep = dynamics._el_report(F, q, qd, qdd, dof)
+    res, scale = all_seeded_el_report(F, q, qd, qdd, dof)
+    assert np.isfinite(res).all() and np.isfinite(H).all()
+    assert np.array_equal(rep.residuals, res) and np.array_equal(rep.scale, scale)
+    for b in range(states):
+        qb, qdb = (q, qd) if states == 1 else (q[:, b], qd[:, b])
+        Hb, Zb = all_seeded_hessian_and_force(F, qb, qdb, dof)
+        got = (H, Z) if states == 1 else (H[..., b], Z[:, b])
+        assert np.array_equal(got[0], Hb) and np.array_equal(got[1], Zb)
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+def test_chart_scalars_do_not_read_the_positions(dof):
+    """L reads the worldline only through its velocity: chart_scalars is the
+    same with x1..x3 NaN, on floats and on jets."""
+    rng = np.random.default_rng(3)
+    q, qd = stack_states([random_chart_state(rng) for _ in range(3)]).coords(dof)
+    blind = q.copy()
+    blind[:3] = np.nan
+    n = len(dof)
+
+    def parts(pos):
+        """The scalars on floats, then the f, g and h of each on jets seeded in
+        q[3:] and qd, with the positions ``pos``."""
+        vs = jets.variables(*q[3:], *qd)
+        on_jets = chart_scalars([*pos[:3], *vs[:n - 3]], vs[n - 3:], dof)
+        return [*chart_scalars(pos, qd, dof), *(getattr(s, a) for s in on_jets for a in "fgh")]
+
+    for got, want in zip(parts(blind), parts(q), strict=True):
+        assert np.isfinite(want).all() and np.array_equal(got, want)
+
+
+# -- the columnar CSV writer ---------------------------------------------------
+
+
+def per_row_writer(path, samples):
+    """``export_trajectory`` row by row: one np.linalg.norm per residual
+    column and one str.format per row, the reference for its bytes."""
+    cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
+            "el_residual_norm", "PP", "WW"]
+    c = samples.momenta.casimirs()
+    norms = [np.linalg.norm(r) for r in samples.el.residuals.T]
+    table = np.vstack([samples.t, samples.x, samples.k, norms, c.PP, c.WW])
+    fmt = ",".join(["{:.17g}"] * len(cols))
+    lines = [",".join(cols)] + [fmt.format(*r) for r in table.T.tolist()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("count", [1, 100, 300])  # 300 rows span three chunks
+@pytest.mark.parametrize("phase", range(3))
+def test_columnar_export_equals_per_row_writer(tmp_path, phase, count):
+    """The columnar writer's CSV is byte-identical to the per-row writer's."""
+    traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[phase]))
+    samples = trajectory_samples(ROT, traj, np.linspace(0.0, 20.0, count))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_trajectory(got, samples)
+    per_row_writer(want, samples)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == count + 1
+
+
+def test_columnar_export_writes_nonfinite_and_signed_zero_alike(tmp_path):
+    """NaN, +-inf and -0.0 in the times and in residual columns are written
+    as the per-row writer writes them."""
+    s = trajectory_samples(ROT, free_motion(rest_frame_params(FREE_MOTION_PHASES[1])),
+                           np.linspace(0.0, 20.0, 10))
+    t = s.t.copy()
+    t[:4] = [np.nan, np.inf, -np.inf, -0.0]
+    res = s.el.residuals.copy()
+    res[:, 5] = [np.nan, np.inf, -np.inf, -0.0, 2.0]
+    res[:, 6] = -0.0
+    res[:, 7] = [np.inf, -np.inf, -0.0, 0.0, 1.0]
+    planted = replace(s, t=t, el=replace(s.el, residuals=res))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    export_trajectory(got, planted)
+    per_row_writer(want, planted)
+    assert got.read_bytes() == want.read_bytes()
+    rows = [r.split(",") for r in got.read_text().splitlines()[1:]]
+    assert [r[0] for r in rows[:4]] == ["nan", "inf", "-inf", "-0"]
+    assert [r[9] for r in rows[5:8]] == ["nan", "0", "inf"]
