@@ -268,19 +268,10 @@ def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
 
 
 def _hessian_and_force(F: FForm, q, qd, dof):
-    """Velocity Hessian H and force vector Z with H qddot = Z: (n, n) and (n,),
-    or (n, n, B) and (n, B) for a batch of B states.
-
-    Each state's Z is formed from a contiguous copy of its own rows, so that
-    its matmul sees the layout of the state on its own and rounds alike."""
+    """Velocity Hessian H and force vector Z with H qddot = Z."""
     n = len(dof)
     dq, hv = _chart_derivatives(F, q, qd, dof)
-    if np.ndim(q) == 1:
-        return hv[:, n:], dq - hv[:, :n] @ qd
-    Z = np.empty_like(dq)
-    for b in range(Z.shape[1]):
-        Z[:, b] = dq[:, b] - np.ascontiguousarray(hv[..., b])[:, :n] @ qd[:, b]
-    return hv[:, n:], Z
+    return hv[:, n:], dq - hv[:, :n] @ np.asarray(qd, dtype=float)
 
 
 def _active(H, Z):
@@ -358,10 +349,9 @@ class IntegratedTrajectory(Trajectory):
         return y[:n], y[n:]
 
     def _accel(self, t, q, qd):
+        if np.ndim(t):  # the velocity Hessian takes one state per solve
+            return np.stack([self._accel(*s) for s in zip(t, q.T, qd.T)], axis=-1)
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
-        if np.ndim(t):  # one jet pass over the batch, one solve per state
-            return np.stack([_qr_solve(H[..., b], Z[:, b], t[b], q[:, b], qd[:, b])
-                             for b in range(len(t))], axis=-1)
         return _qr_solve(H, Z, t, q, qd)
 
     def _vectors(self, t, q, qd, qdd=None):
