@@ -13,7 +13,9 @@ second-order phase data.
 
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
-H qddot = Z per step with a QR solve and condition monitoring.  L depends on
+H qddot = Z per step with a QR solve and condition monitoring.  scipy is
+imported only by the integration (``integrate`` and ``_qr_solve``), so the
+free-motion and residual queries start without it.  L depends on
 the worldline only through its velocity, so the positions x1..x3 are cyclic:
 the chart jets seed only the coordinates that L reads.
 
@@ -30,8 +32,6 @@ import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import solve_triangular
 
 from . import jets
 from .degeneracy import DOF5, ChartState, chart_lagrangian, check_off_pole
@@ -287,8 +287,12 @@ def _qr_solve(H, Z, t, q, qd):
 
     Inert coordinates (see ``_active``) are frozen at qddot = 0 instead of
     tripping the singularity guard.  ``t, q, qd`` identify the state in the
-    error raised on a singular Hessian.
+    error raised on a singular Hessian, and on one that cannot be solved in
+    floating point: a QR or an acceleration that overflows to inf or NaN,
+    which would stall the integrator's step-size loop.
     """
+    from scipy.linalg import solve_triangular
+
     active = _active(H, Z)
     qdd = np.zeros(len(Z))
     if not active.any():
@@ -298,15 +302,24 @@ def _qr_solve(H, Z, t, q, qd):
     else:
         idx = np.flatnonzero(active)
         Ha, Za = H[np.ix_(idx, idx)], Z[idx]
-    Qm, R = np.linalg.qr(Ha)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= COND_TOL * max(diag.max(), 1e-300):
-        raise SingularHessianError(
-            f"velocity Hessian singular (R diagonal ratio "
-            f"{diag.min() / max(diag.max(), 1e-300):.3e})",
-            state={"t": t, "q": list(q), "qd": list(qd)},
-        )
-    qdd[active] = solve_triangular(R, Qm.T @ Za, check_finite=False)
+    state = {"t": t, "q": list(q), "qd": list(qd)}
+    # an overflow in the QR or the solve leaves a non-finite R diagonal or
+    # acceleration, which raises below, so its warnings are not printed as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        Qm, R = np.linalg.qr(Ha)
+        diag = np.abs(np.diag(R))
+        if not np.isfinite(diag).all():
+            raise SingularHessianError("velocity Hessian not solvable in floating point "
+                                       "(R diagonal not finite)", state=state)
+        # written so that a NaN fails it
+        if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
+            raise SingularHessianError(
+                f"velocity Hessian singular (R diagonal ratio "
+                f"{diag.min() / max(diag.max(), 1e-300):.3e})", state=state)
+        qdd[active] = solve_triangular(R, Qm.T @ Za, check_finite=False)
+    if not np.isfinite(qdd).all():
+        raise SingularHessianError("velocity Hessian not solvable in floating point "
+                                   "(acceleration not finite)", state=state)
     return qdd
 
 
@@ -389,6 +402,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     velocity Hessian and a QR solve.  A singular Hessian, at the start or
     along the path, or a collapsing step size raises SingularHessianError.
     """
+    from scipy.integrate import solve_ivp
+
     initial.check_pole()
     q0, qd0 = initial.coords(dof)
     n = len(dof)

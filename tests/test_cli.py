@@ -1,8 +1,12 @@
 import contextlib
 import io
+import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +16,7 @@ import dataclasses
 
 import numpy as np
 
+import rotorlab
 from rotorlab import cli, noether
 from rotorlab.cli import main
 from rotorlab.fform import builtin, parse_f, pq_from_vectors
@@ -351,6 +356,53 @@ def test_simulate_integration_failure_exits_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: integration failed") and "Traceback" not in err
+
+
+def run_fresh(*args):
+    """A fresh interpreter on this checkout's rotorlab, however pytest was
+    started; a timeout, so that a hang fails instead of stalling the run."""
+    env = {**os.environ, "PYTHONPATH": str(Path(rotorlab.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("form", ["1e308", "(6)+(((Q)+(1e308))/(-1))"])
+def test_simulate_unsolvable_hessian_exits_2(form):
+    # the QR of H overflows at t = 0, and a NaN acceleration used to stall DOP853
+    proc = run_fresh("-m", "rotorlab.cli", "simulate", "--f", form, "--periods", "0.05")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+from rotorlab import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+before = scipy_modules()
+simulate = run(["simulate", "--periods", "0.05"])
+print(json.dumps({"codes": codes, "before": before, "simulate": simulate,
+                  "after": "scipy" in scipy_modules()}))
+"""
+
+
+def test_only_simulate_loads_scipy():
+    commands = [["verify", "--suite", "all", "--seed", "0"], ["freemotion", "--samples", "3"],
+                ["casimir", "--f", "Q"], ["hessian", "--f", "Q"], ["relation", "--states", "1"],
+                ["fundamental-check", "--f", "rotator", "--grid", "3"], ["count-invariants"]]
+    proc = run_fresh("-c", STARTUP_PROBE, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["codes"] == [0] * len(commands)
+    assert got["before"] == []
+    assert got["simulate"] == 0 and got["after"]
 
 
 def test_freemotion_writes_trajectory(tmp_path, capsys):

@@ -244,6 +244,20 @@ def test_rotator_integration_aborts_immediately():
     assert e.value.state is not None and "q" in e.value.state
 
 
+def test_qr_solve_raises_where_the_qr_overflows():
+    # the start of simulate --f 1e308 at seed 0: H holds entries near 1e308 and
+    # Z = 0, the QR overflows and the solved acceleration would be NaN, on
+    # which the integrator's step-size loop never ends
+    st = ChartState(theta=1.78, phi=1.70, v=(-0.092, -0.097, 0.063),
+                    thetadot=0.47, phidot=0.74)
+    q, qd = st.coords(DOF5)
+    H, Z = dynamics._hessian_and_force(parse_f("1e308"), q, qd, DOF5)
+    assert np.isfinite(H).all() and np.max(np.abs(H)) > 1e307 and not Z.any()
+    with pytest.raises(SingularHessianError, match="not solvable in floating point") as e:
+        dynamics._qr_solve(H, Z, 0.0, q, qd)
+    assert e.value.state == {"t": 0.0, "q": list(q), "qd": list(qd)}
+
+
 def test_indeterminacy_demo(monkeypatch):
     phases = [
         lambda t: t,
