@@ -282,6 +282,12 @@ def _active(H, Z):
     return (np.max(absH, axis=1) > inert_tol) | (np.abs(Z) > inert_tol)
 
 
+def _hessian_error(why, t, q, qd):
+    """The SingularHessianError of ``_qr_solve`` at the state (t, q, qd)."""
+    return SingularHessianError(f"velocity Hessian {why}",
+                                state={"t": t, "q": list(q), "qd": list(qd)})
+
+
 def _qr_solve(H, Z, t, q, qd):
     """Solve H qddot = Z by QR with condition monitoring.
 
@@ -302,24 +308,22 @@ def _qr_solve(H, Z, t, q, qd):
     else:
         idx = np.flatnonzero(active)
         Ha, Za = H[np.ix_(idx, idx)], Z[idx]
-    state = {"t": t, "q": list(q), "qd": list(qd)}
     # an overflow in the QR or the solve leaves a non-finite R diagonal or
     # acceleration, which raises below, so its warnings are not printed as well
     with np.errstate(over="ignore", invalid="ignore"):
         Qm, R = np.linalg.qr(Ha)
         diag = np.abs(np.diag(R))
-        if not np.isfinite(diag).all():
-            raise SingularHessianError("velocity Hessian not solvable in floating point "
-                                       "(R diagonal not finite)", state=state)
-        # written so that a NaN fails it
+        # written so that a NaN fails it, and an inf
         if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
-            raise SingularHessianError(
-                f"velocity Hessian singular (R diagonal ratio "
-                f"{diag.min() / max(diag.max(), 1e-300):.3e})", state=state)
+            if not np.isfinite(diag).all():
+                raise _hessian_error("not solvable in floating point "
+                                     "(R diagonal not finite)", t, q, qd)
+            raise _hessian_error(f"singular (R diagonal ratio "
+                                 f"{diag.min() / max(diag.max(), 1e-300):.3e})", t, q, qd)
         qdd[active] = solve_triangular(R, Qm.T @ Za, check_finite=False)
     if not np.isfinite(qdd).all():
-        raise SingularHessianError("velocity Hessian not solvable in floating point "
-                                   "(acceleration not finite)", state=state)
+        raise _hessian_error("not solvable in floating point "
+                             "(acceleration not finite)", t, q, qd)
     return qdd
 
 

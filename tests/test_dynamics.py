@@ -244,16 +244,28 @@ def test_rotator_integration_aborts_immediately():
     assert e.value.state is not None and "q" in e.value.state
 
 
-def test_qr_solve_raises_where_the_qr_overflows():
-    # the start of simulate --f 1e308 at seed 0: H holds entries near 1e308 and
-    # Z = 0, the QR overflows and the solved acceleration would be NaN, on
-    # which the integrator's step-size loop never ends
-    st = ChartState(theta=1.78, phi=1.70, v=(-0.092, -0.097, 0.063),
-                    thetadot=0.47, phidot=0.74)
-    q, qd = st.coords(DOF5)
-    H, Z = dynamics._hessian_and_force(parse_f("1e308"), q, qd, DOF5)
-    assert np.isfinite(H).all() and np.max(np.abs(H)) > 1e307 and not Z.any()
-    with pytest.raises(SingularHessianError, match="not solvable in floating point") as e:
+def _overflowing_system(case):
+    """(H, Z, q, qd) whose QR overflows: the start of simulate --f 1e308 at
+    seed 0, where H holds entries near 1e308, Z = 0 and the solved acceleration
+    is NaN; and a finite H whose first column's norm overflows R."""
+    if case == "acceleration":
+        st = ChartState(theta=1.78, phi=1.70, v=(-0.092, -0.097, 0.063),
+                        thetadot=0.47, phidot=0.74)
+        q, qd = st.coords(DOF5)
+        H, Z = dynamics._hessian_and_force(parse_f("1e308"), q, qd, DOF5)
+        assert np.max(np.abs(H)) > 1e307 and not Z.any()
+        return H, Z, q, qd
+    H = np.array([[1.5e308, 1.0, 0.0], [1.5e308, 0.0, 1.0], [1.5e308, 1.0, 1.0]])
+    return H, np.ones(3), np.zeros(3), np.zeros(3)
+
+
+@pytest.mark.parametrize("case", ["acceleration", "R diagonal"])
+def test_qr_solve_raises_where_the_qr_overflows(case):
+    # a NaN acceleration passed to DOP853 stalls its step-size loop for good
+    H, Z, q, qd = _overflowing_system(case)
+    assert np.isfinite(H).all()
+    with pytest.raises(SingularHessianError,
+                       match=rf"not solvable in floating point \({case} not finite\)") as e:
         dynamics._qr_solve(H, Z, 0.0, q, qd)
     assert e.value.state == {"t": 0.0, "q": list(q), "qd": list(qd)}
 
