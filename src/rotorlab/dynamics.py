@@ -62,9 +62,10 @@ def _chunks(times):
 
 
 class SingularHessianError(RuntimeError):
-    """Raised when the velocity Hessian degenerates during integration, or
-    when the integrator stalls because its step size collapses (the equations
-    of motion H qddot = Z become singular along the path)."""
+    """Raised when the velocity Hessian degenerates during integration, when
+    it cannot be solved in floating point, or when the integrator stalls
+    because its step size collapses (the equations of motion H qddot = Z
+    become singular along the path)."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -313,7 +314,7 @@ def _qr_solve(H, Z, t, q, qd):
     with np.errstate(over="ignore", invalid="ignore"):
         Qm, R = np.linalg.qr(Ha)
         diag = np.abs(np.diag(R))
-        # written so that a NaN fails it, and an inf
+        # written so that a NaN or an inf fails it
         if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
             if not np.isfinite(diag).all():
                 raise _hessian_error("not solvable in floating point "
