@@ -244,15 +244,10 @@ def _chart_derivatives(F: FForm, q, qd, dof):
     return dq, hv
 
 
-def el_residuals(F: FForm, traj: Trajectory, t, dof=DOF5) -> ELReport:
-    """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation;
-    one batched report for an array of times."""
-    return _el_report(F, *_lab_chart_jets(*traj.jets(t), dof), dof)
-
-
 def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
-    """``el_residuals`` from the lab-chart state (q, qd, qdd) of
-    ``_lab_chart_jets``.
+    """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation,
+    at the lab-chart state (q, qd, qdd) of ``_lab_chart_jets``; one batched
+    report for a batch of times.
 
     Residual i is sum_j H_{v_i v_j} qdd_j + sum_j H_{v_i q_j} qd_j - dL/dq_i,
     added term by term in that order; its scale is the largest of those

@@ -15,8 +15,7 @@ import numpy as np
 from . import jets
 from .fform import pq_from_scalars
 from .minkowski import DomainError, dot, four
-from .spinor import (Tetrad, gauge_transform, null_from_angles, phase_rotate,
-                     tetrad_from_angles, tetrad_relations)
+from .spinor import Tetrad, gauge_transform, tetrad_from_angles, tetrad_relations
 
 
 JET_TOL = 1e-10  # largest tetrad-relation residual of a valid jet, per unit scale
@@ -136,12 +135,6 @@ def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
                                             G.beta + G.betadot * t).vectors())
 
 
-def phase_rotate_jet(J: KinematicJet, delta, deltadot=0.0) -> KinematicJet:
-    """Rotate (a, b) through delta with rotation rate deltadot."""
-    t, T = _lift(J)
-    return _unlift(J.xdot, *phase_rotate(T, delta + deltadot * t).vectors())
-
-
 def iota(J: KinematicJet) -> np.ndarray:
     """The six functionally independent gauge-invariant scalars."""
     s = basic_scalars(J)
@@ -160,19 +153,19 @@ def capital_invariants(J: KinematicJet) -> np.ndarray:
     return np.array([xx, I1, iota(J)[5] / (kx * rt), I3, kx / rt])
 
 
-def identity_checks(J: KinematicJet, special_gauge: bool = False) -> dict:
-    """Residuals of the tetrad-decomposition identities among the scalars."""
+def identity_checks(J: KinematicJet) -> dict:
+    """Residuals of the tetrad-decomposition identities among the scalars,
+    and of am.bk - ak.bm = 0, which holds in the special gauge that
+    ``tetrad_from_angles`` builds (a^0 = b^0 = 0, guarded here)."""
+    jets.raise_where(abs(J.a[0]) + abs(J.b[0]) > 1e-9 * J.scale(), DomainError,
+                     "jet is not in the special gauge a^0 = b^0 = 0")
     s, i = basic_scalars(J), iota(J)
-    out = {
+    return {
         "kdkd+ak2+bk2": dot(J.kdot, J.kdot) + s.a_kdot**2 + s.b_kdot**2,
         "xx-decomposition": dot(J.xdot, J.xdot) - i[3],
         "kdx-decomposition": dot(J.kdot, J.xdot) - i[4],
+        "am.bk-ak.bm": s.a_mdot * s.b_kdot - s.a_kdot * s.b_mdot,
     }
-    if special_gauge:
-        jets.raise_where(abs(J.a[0]) + abs(J.b[0]) > 1e-9 * J.scale(), DomainError,
-                         "jet is not in the special gauge a=[0,a_], b=[0,a_ x n]")
-        out["am.bk-ak.bm"] = s.a_mdot * s.b_kdot - s.a_kdot * s.b_mdot
-    return out
 
 
 # -- invariant counting -----------------------------------------------------
@@ -308,9 +301,6 @@ def reproduce_invariant_count(seed: int) -> CountReport:
 # phi, psi (which stays positive for all t) and Phi
 KINEMATIC_RANGES = ((0.4, np.pi - 0.4, 1.0), (0.0, 2 * np.pi, 1.0),
                     (0.6, 3.0, 0.5), (0.0, 4 * np.pi, 1.0))
-# theta, phi, the angle gamma of a in the plane normal to n, and log K
-SPECIAL_GAUGE_RANGES = ((0.4, np.pi - 0.4, 1.0), (0.0, 2 * np.pi, 1.0),
-                        (0.0, 2 * np.pi, 1.0), (-0.7, 0.7, 1.0))
 
 
 @dataclass(frozen=True)
@@ -330,50 +320,27 @@ def random_timelike(rng):
     return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
 
 
-def draw_kinematic_path(rng, ranges=KINEMATIC_RANGES) -> KinematicPath:
-    """Random angle paths within ``ranges``, then a random timelike xdot."""
+def draw_kinematic_path(rng) -> KinematicPath:
+    """Random angle paths within ``KINEMATIC_RANGES``, then a random timelike
+    xdot."""
     angles = [(rng.uniform(lo, hi), rate * rng.uniform(0.05, 0.4),
                rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * np.pi))
-              for lo, hi, rate in ranges]
+              for lo, hi, rate in KINEMATIC_RANGES]
     return KinematicPath(np.array(angles), random_timelike(rng))
 
 
-def _angles_at(paths, tau: float):
-    """The four angles of every path at ``tau``, as first-order jets in tau
-    batched over the paths."""
+def kinematic_jets(paths, tau: float = 0.0) -> KinematicJet:
+    """The kinematic jets of drawn paths at parameter ``tau``, in one pass of
+    first-order jets in tau batched over the paths: one validated batch, in
+    the order of the paths."""
     rows = np.stack([p.angles for p in paths], axis=-1)  # (4, 4, B)
     (t,) = jets.variables(np.full(len(paths), float(tau)), order=1)
-    return [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
-
-
-def kinematic_jets(paths, tau: float = 0.0) -> KinematicJet:
-    """The kinematic jets of drawn paths at parameter ``tau``, in one pass:
-    one validated batch, in the order of the paths."""
+    angles = [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
     xdot = np.stack([p.xdot for p in paths], axis=-1)
-    return _unlift(xdot, *tetrad_from_angles(*_angles_at(paths, tau))).validate()
+    return _unlift(xdot, *tetrad_from_angles(*angles)).validate()
 
 
 def random_kinematic_jet(rng, tau: float = 0.0) -> KinematicJet:
     """Consistent random jet from a random analytic spinor path."""
     return kinematic_jets([draw_kinematic_path(rng)], tau).entries()[0]
 
-
-def special_gauge_jet(rng, tau: float = 0.0) -> KinematicJet:
-    """Random jet in the gauge k=K[1,n], m=[1,-n]/K, a=[0,a_], b=[0,a_ x n]."""
-    path = draw_kinematic_path(rng, SPECIAL_GAUGE_RANGES)
-    th, ph, ga, logK = _angles_at([path], tau)
-    K = jets.exp(logK)
-    st, ct = jets.sin(th), jets.cos(th)
-    sp, cp = jets.sin(ph), jets.cos(ph)
-    n = [st * cp, st * sp, ct]
-    e_th = [ct * cp, ct * sp, -st]
-    e_ph = [-sp, cp, 0.0 * sp]
-    cg, sg = jets.cos(ga), jets.sin(ga)
-    avec = [cg * e_th[i] + sg * e_ph[i] for i in range(3)]
-    bvec = [avec[1] * n[2] - avec[2] * n[1],
-            avec[2] * n[0] - avec[0] * n[2],
-            avec[0] * n[1] - avec[1] * n[0]]
-
-    m = [1.0 / K, -n[0] / K, -n[1] / K, -n[2] / K]
-    return _unlift(path.xdot[:, None], null_from_angles(th, ph, K), m, [0.0 * K] + avec,
-                   [0.0 * K] + bvec).validate().entries()[0]

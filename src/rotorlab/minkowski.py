@@ -98,10 +98,6 @@ def lorentz_matrix(boost=(0.0, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)):
     return L
 
 
-def lorentz_transform(v, boost=(0.0, 0.0, 0.0), rotation=(0.0, 0.0, 0.0)):
-    return lorentz_matrix(boost, rotation) @ np.asarray(v, dtype=float)
-
-
 def gram_det(k, m, a, b):
     """Determinant of the 4x4 matrix of mutual scalar products; one per batch
     entry for (4, B) vectors."""

@@ -13,6 +13,12 @@ with each complex number held as a (re, im) pair of generic scalars, so it
 takes floats, batches of floats or jets (for exact parameter-derivatives of
 tetrad paths) alike.  ``null_from_angles`` / ``angles_from_null`` map the
 null vector k = K (1, n(theta, phi)) to and from its chart angles.
+
+Every tetrad it builds is in the special gauge: with k = K (1, n) and
+K = Psi, m = (1, -n) / K, a = (0, a_) and b = (0, n x a_), so a^0 and b^0
+and their rates along any path vanish.  The phase Phi is the rotation
+angle of (a, b): Phi + delta gives (cos(delta) a - sin(delta) b,
+sin(delta) a + cos(delta) b), with k and m unchanged.
 """
 
 from __future__ import annotations
@@ -55,14 +61,6 @@ def gauge_transform(T: Tetrad, alpha, beta) -> Tetrad:
                             for i in range(4))),
                   four(*(a[i] + alpha * k[i] for i in range(4))),
                   four(*(b[i] + beta * k[i] for i in range(4))))
-
-
-def phase_rotate(T: Tetrad, delta) -> Tetrad:
-    """Rotate (a, b) in their spacelike plane; k, m unchanged.  As generic as
-    ``gauge_transform``."""
-    c, s, a, b = jets.cos(delta), jets.sin(delta), T.a, T.b
-    return Tetrad(T.k, T.m, four(*(c * a[i] - s * b[i] for i in range(4))),
-                  four(*(s * a[i] + c * b[i] for i in range(4))))
 
 
 # -- the tetrad from angle data --------------------------------------------

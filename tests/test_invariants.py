@@ -2,6 +2,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotorlab import jets
 from rotorlab.invariants import (
@@ -15,30 +17,42 @@ from rotorlab.invariants import (
     identity_checks,
     iota,
     kinematic_jets,
-    phase_rotate_jet,
     random_kinematic_jet,
     random_timelike,
-    special_gauge_jet,
 )
 from rotorlab.minkowski import DomainError
-from rotorlab.spinor import null_from_angles, tetrad_from_angles
+from rotorlab.spinor import tetrad_from_angles
 
 
 def test_random_jets_satisfy_constraints():
     rng = np.random.default_rng(0)
     for _ in range(30):
         random_kinematic_jet(rng).validate()
-        special_gauge_jet(rng).validate()
 
 
-def _draw(rng, n, draw_more):
-    """n kinematic jets, as one batch, with draw_more(rng) drawn after each
-    jet's path (the draw order of a loop over single jets)."""
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), tau=st.floats(-3.0, 3.0))
+def test_kinematic_jets_are_in_the_special_gauge(seed, tau):
+    """k = K (1, n), m = (1, -n) / K, a = (0, a_) and b = (0, n x a_), with
+    a^0 and b^0 constant along the path, for every entry of a batch."""
+    rng = np.random.default_rng(seed)
+    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(40)], tau)
+    K, n = J.k[0], J.k[1:] / J.k[0]
+    for v in (J.a[0], J.b[0], J.adot[0], J.bdot[0]):
+        assert np.max(np.abs(v)) <= 1e-15
+    assert np.max(np.abs(J.m * K - np.vstack([np.ones_like(K), -n]))) <= 4e-15
+    assert np.max(np.abs(J.b[1:] - np.cross(n, J.a[1:], axis=0))) <= 2e-15
+
+
+def _draw(seed, n, draw_more):
+    """n kinematic paths, with draw_more(rng) drawn after each path (the draw
+    order of a loop over single jets)."""
+    rng = np.random.default_rng(seed)
     paths, more = [], []
     for _ in range(n):
         paths.append(draw_kinematic_path(rng))
         more.append(draw_more(rng))
-    return kinematic_jets(paths), np.array(more).T
+    return paths, np.array(more).T
 
 
 def _close(got, want, rel, abs_):
@@ -47,8 +61,8 @@ def _close(got, want, rel, abs_):
 
 
 def test_iota_gauge_invariant():
-    J, gauges = _draw(np.random.default_rng(1), 50,
-                      lambda rng: [*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
+    paths, gauges = _draw(1, 50, lambda rng: [*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
+    J = kinematic_jets(paths)
     base = iota(J)
     shifted = iota(gauge_jet_transform(J, GaugeJet(*gauges)))
     # np.allclose(shifted, base, rtol=1e-10, atol=...) for each jet
@@ -56,10 +70,31 @@ def test_iota_gauge_invariant():
     assert np.all(np.abs(shifted - base) <= atol + 1e-10 * np.abs(base))
 
 
+def _phase_shifted(paths, delta, deltadot=0.0):
+    """``kinematic_jets(paths)`` with each spinor phase path Phi(t) shifted
+    to Phi(t) + delta + deltadot t: (a, b) turned through delta at the rate
+    deltadot."""
+    rows = np.stack([p.angles for p in paths], axis=-1)
+    (t,) = jets.variables(np.zeros(len(paths)), order=1)
+    th, ph, psi, Phi = (base + amp * jets.sin(freq * t + off)
+                        for base, amp, freq, off in rows)
+    xdot = np.stack([p.xdot for p in paths], axis=-1)
+    return _reference_jet(xdot, *tetrad_from_angles(th, ph, psi, Phi + delta + deltadot * t))
+
+
+def _draw_shifted(seed, n, draw_more):
+    """n kinematic jets, and the same jets with phases shifted by the
+    (delta, deltadot) of draw_more(rng), drawn after each jet's path."""
+    paths, shift = _draw(seed, n, draw_more)
+    J = kinematic_jets(paths)
+    _assert_same_jets(_phase_shifted(paths, 0.0).entries(), J.entries())
+    return J, _phase_shifted(paths, *shift), shift
+
+
 def test_phase_rotation_acts_as_doublet():
-    J, delta = _draw(np.random.default_rng(3), 20, lambda rng: rng.uniform(-3, 3))
+    J, R, (delta, _) = _draw_shifted(3, 20, lambda rng: (rng.uniform(-3, 3), 0.0))
     base = iota(J)
-    rot = iota(phase_rotate_jet(J, delta))
+    rot = iota(R)
     c, s = np.cos(delta), np.sin(delta)
     assert _close(rot[0], c * base[0] - s * base[1], 1e-10, 1e-12)
     assert _close(rot[1], s * base[0] + c * base[1], 1e-10, 1e-12)
@@ -69,23 +104,19 @@ def test_phase_rotation_acts_as_doublet():
 def test_time_dependent_phase_shifts_iota6():
     # the unit-norm constraint a.a = -1 forces the rate term to enter with
     # a minus sign: iota6 -> iota6 - iota3 * deltadot
-    J, deltadot = _draw(np.random.default_rng(4), 20, lambda rng: rng.uniform(-2, 2))
+    J, R, (_, deltadot) = _draw_shifted(4, 20, lambda rng: (0.0, rng.uniform(-2, 2)))
     base = iota(J)
-    rot = iota(phase_rotate_jet(J, 0.0, deltadot))
+    rot = iota(R)
     assert _close(rot[5], base[5] - base[2] * deltadot, 1e-10, 1e-12)
 
 
 def test_identity_checks_vanish():
     rng = np.random.default_rng(5)
     J = kinematic_jets([draw_kinematic_path(rng) for _ in range(30)])
-    for name, val in identity_checks(J).items():
+    res = identity_checks(J)
+    assert "am.bk-ak.bm" in res
+    for name, val in res.items():
         assert np.all(np.abs(val) < 1e-10 * np.maximum(J.scale() ** 2, 1.0)), name
-    for _ in range(10):
-        J = special_gauge_jet(rng)
-        res = identity_checks(J, special_gauge=True)
-        assert "am.bk-ak.bm" in res
-        for name, val in res.items():
-            assert abs(val) < 1e-10 * max(J.scale() ** 2, 1.0), name
 
 
 def test_special_gauge_required_for_extra_identity():
@@ -94,35 +125,31 @@ def test_special_gauge_required_for_extra_identity():
     G = GaugeJet(alpha=1.0, beta=0.5)
     shifted = gauge_jet_transform(J, G)
     with pytest.raises(DomainError):
-        identity_checks(shifted, special_gauge=True)
+        identity_checks(shifted)
 
 
 def test_special_gauge_check_names_the_batch_entry():
     rng = np.random.default_rng(14)
-    samples = [special_gauge_jet(rng) for _ in range(4)]
-    batched = identity_checks(_stack(samples), special_gauge=True)
+    samples = [random_kinematic_jet(rng) for _ in range(4)]
+    batched = identity_checks(_stack(samples))
     for i, J in enumerate(samples):
-        for name, val in identity_checks(J, special_gauge=True).items():
+        for name, val in identity_checks(J).items():
             assert batched[name][i] == val, name
     samples[2] = gauge_jet_transform(samples[2], GaugeJet(alpha=1.0, beta=0.5))
     with pytest.raises(DomainError, match=r"special gauge.*\(batch entry 2\)"):
-        identity_checks(_stack(samples), special_gauge=True)
+        identity_checks(_stack(samples))
 
 
 def test_batched_transforms_equal_single_jet_calls():
-    """Each entry of a batched gauge shift or phase rotation, with nonzero
-    rates, is bit-identical to the call on that entry alone."""
+    """Each entry of a batched gauge shift, with nonzero rates, is
+    bit-identical to the call on that entry alone."""
     rng = np.random.default_rng(13)
     J = kinematic_jets([draw_kinematic_path(rng) for _ in range(8)])
     G = GaugeJet(*rng.uniform(-2, 2, (4, 8)))
-    delta, deltadot = rng.uniform(-3, 3, (2, 8))
     shifted = gauge_jet_transform(J, G).entries()
-    rotated = phase_rotate_jet(J, delta, deltadot).entries()
     for i, Ji in enumerate(J.entries()):
         Gi = GaugeJet(*(float(getattr(G, f.name)[i]) for f in fields(GaugeJet)))
-        _assert_same_jets([gauge_jet_transform(Ji, Gi),
-                           phase_rotate_jet(Ji, float(delta[i]), float(deltadot[i]))],
-                          [shifted[i], rotated[i]])
+        _assert_same_jets([gauge_jet_transform(Ji, Gi)], [shifted[i]])
 
 
 def test_capital_invariants_at_rotator_point(rotator_jet):
@@ -198,29 +225,6 @@ def _reference_kinematic_jet(rng, tau):
     return _reference_jet(xdot, *tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t)))
 
 
-def _reference_special_gauge_jet(rng, tau):
-    theta = _reference_path(rng, 0.4, np.pi - 0.4)
-    phi = _reference_path(rng, 0.0, 2 * np.pi)
-    gamma = _reference_path(rng, 0.0, 2 * np.pi)
-    logK = _reference_path(rng, -0.7, 0.7)
-    (t,) = jets.variables(tau)
-    th, ph, ga = theta(t), phi(t), gamma(t)
-    K = jets.exp(logK(t))
-    st, ct = jets.sin(th), jets.cos(th)
-    sp, cp = jets.sin(ph), jets.cos(ph)
-    n = [st * cp, st * sp, ct]
-    e_th = [ct * cp, ct * sp, -st]
-    e_ph = [-sp, cp, 0.0 * sp]
-    cg, sg = jets.cos(ga), jets.sin(ga)
-    avec = [cg * e_th[i] + sg * e_ph[i] for i in range(3)]
-    bvec = [avec[1] * n[2] - avec[2] * n[1],
-            avec[2] * n[0] - avec[0] * n[2],
-            avec[0] * n[1] - avec[1] * n[0]]
-    m = [1.0 / K, -n[0] / K, -n[1] / K, -n[2] / K]
-    return _reference_jet(random_timelike(rng), null_from_angles(th, ph, K), m,
-                          [0.0 * K] + avec, [0.0 * K] + bvec)
-
-
 def _assert_same_jets(got, want):
     assert len(got) == len(want)
     for J, R in zip(got, want):
@@ -243,15 +247,6 @@ def test_kinematic_jets_equal_per_jet_loop(size):
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
     _assert_same_jets([random_kinematic_jet(rng, 0.5)],
                       [_reference_kinematic_jet(ref_rng, 0.5)])
-
-
-def test_special_gauge_jet_equals_path_closures():
-    for seed in range(6):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for tau in (0.0, 0.37, -1.2):
-            _assert_same_jets([special_gauge_jet(rng, tau)],
-                              [_reference_special_gauge_jet(ref_rng, tau)])
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def _stack(samples):

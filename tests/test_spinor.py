@@ -9,7 +9,6 @@ from rotorlab.spinor import (
     angles_from_null,
     gauge_transform,
     null_from_angles,
-    phase_rotate,
     tetrad_from_angles,
 )
 
@@ -119,33 +118,33 @@ def test_gauge_transform_preserves_products():
         assert np.array_equal(G.k, T.k)
 
 
-def test_phase_rotate_preserves_products_and_k_m():
+def test_phase_shift_rotates_a_b_as_a_doublet():
+    # Phi + delta turns (a, b) through delta and leaves k and m alone
     rng = np.random.default_rng(6)
-    T = Tetrad(*tetrad_from_angles(*random_angles(rng)))
-    R = phase_rotate(T, 1.3)
-    assert tetrad_residuals(*R.vectors())[0] < 0.5e-12
-    assert np.array_equal(R.k, T.k) and np.array_equal(R.m, T.m)
-    assert np.allclose(R.a, np.cos(1.3) * T.a - np.sin(1.3) * T.b)
+    th, ph, psi, Ph = np.array([random_angles(rng) for _ in range(50)]).T
+    delta = rng.uniform(-3, 3, 50)
+    k, m, a, b = tetrad_from_angles(th, ph, psi, Ph)
+    R = tetrad_from_angles(th, ph, psi, Ph + delta)
+    c, s = np.cos(delta), np.sin(delta)
+    for got, want in zip(R, (k, m, c * a - s * b, s * a + c * b)):
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.maximum(np.abs(want), 1.0).max()
 
 
 def test_transforms_of_a_batch_equal_the_vector_formulas():
-    """The component-wise gauge shift and phase rotation give the vector
-    formulas bit for bit on a (4, B) batch, and on each entry alone."""
+    """The component-wise gauge shift gives the vector formulas bit for bit
+    on a (4, B) batch, and on each entry alone."""
     rng = np.random.default_rng(15)
     T = Tetrad(*tetrad_from_angles(*np.array([random_angles(rng) for _ in range(6)]).T))
-    al, be, de = rng.uniform(-3, 3, (3, 6))
-    G, R = gauge_transform(T, al, be), phase_rotate(T, de)
+    al, be = rng.uniform(-3, 3, (2, 6))
+    G = gauge_transform(T, al, be)
     assert np.array_equal(G.m, T.m + 2.0 * al * T.a + 2.0 * be * T.b
                           + (al**2 + be**2) * T.k)
     assert np.array_equal(G.a, T.a + al * T.k) and np.array_equal(G.b, T.b + be * T.k)
-    assert np.array_equal(R.a, np.cos(de) * T.a - np.sin(de) * T.b)
-    assert np.array_equal(R.b, np.sin(de) * T.a + np.cos(de) * T.b)
     for i in range(6):
         Ti = Tetrad(*(v[:, i] for v in T.vectors()))
-        for got, want in ((gauge_transform(Ti, float(al[i]), float(be[i])), G),
-                          (phase_rotate(Ti, float(de[i])), R)):
-            for u, v in zip(got.vectors(), want.vectors()):
-                assert np.array_equal(u, v[:, i])
+        got = gauge_transform(Ti, float(al[i]), float(be[i]))
+        for u, v in zip(got.vectors(), G.vectors()):
+            assert np.array_equal(u, v[:, i])
 
 
 def test_tetrad_expansion_reconstructs_vectors():
