@@ -46,6 +46,12 @@ MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to t
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
 COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
 CHUNK = 128  # times per batched trajectory query in the passes along a trajectory
+# the integrator's budget of right-hand-side calls: a floor for any span plus a
+# rate per unit of lab time.  Measured runs that finish take at most 600 calls
+# over a span of 5 and 120 calls per unit of lab time (cos(Q) over 10 periods);
+# an oscillatory form such as 2.5 Q - sin(2398 P) takes about 10^5.
+RHS_CALLS_FLOOR = 2000
+RHS_CALLS_PER_TIME = 1000
 
 
 def _times(t):
@@ -65,7 +71,8 @@ class SingularHessianError(RuntimeError):
     """Raised when the velocity Hessian degenerates during integration, when
     it cannot be solved in floating point, or when the integrator stalls
     because its step size collapses (the equations of motion H qddot = Z
-    become singular along the path)."""
+    become singular along the path) or because it spends its budget of
+    right-hand-side calls."""
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -278,6 +285,10 @@ def _active(H, Z):
     return (np.max(absH, axis=1) > inert_tol) | (np.abs(Z) > inert_tol)
 
 
+def _floats(v):
+    return "[" + ", ".join(f"{x:.6g}" for x in v) + "]"
+
+
 def _hessian_error(why, t, q, qd):
     """The SingularHessianError of ``_qr_solve`` at the state (t, q, qd)."""
     return SingularHessianError(f"velocity Hessian {why}",
@@ -400,7 +411,10 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     its 7th-order dense output.  At rtol = 1e-10 it takes about a fifth of the
     steps of a 5(4) pair and half its right-hand-side calls, and each call is a
     velocity Hessian and a QR solve.  A singular Hessian, at the start or
-    along the path, or a collapsing step size raises SingularHessianError.
+    along the path, a collapsing step size, or more right-hand-side calls than
+    RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per unit of the span raises
+    SingularHessianError; the budget counts calls, not seconds, so whether a
+    run finishes does not depend on the machine.
     """
     from scipy.integrate import solve_ivp
 
@@ -415,9 +429,20 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     qd0[~_active(H, Z)] = 0.0
     H, Z = _hessian_and_force(F, q0, qd0, dof)
     _qr_solve(H, Z, t_span[0], q0, qd0)
+    span = abs(t_span[1] - t_span[0])
+    budget = RHS_CALLS_FLOOR + RHS_CALLS_PER_TIME * span
+    calls = 0
 
     def rhs(t, y):
+        nonlocal calls
         q, qd = y[:n], y[n:]
+        if calls >= budget:
+            raise SingularHessianError(
+                f"integration stopped at t = {t:.6g} after {calls} right-hand-side "
+                f"calls, the budget for a lab-time span of {span:.6g}: "
+                f"q = {_floats(q)}, qd = {_floats(qd)}",
+                state={"t": t, "q": list(q), "qd": list(qd)})
+        calls += 1
         H, Z = _hessian_and_force(F, q, qd, dof)
         qdd = _qr_solve(H, Z, t, q, qd)
         return np.concatenate([qd, qdd])

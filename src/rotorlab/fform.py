@@ -380,6 +380,37 @@ def lagrangian_from_vectors(F: FForm, xdot, k, kdot):
                                    dot(kdot, xdot), dot(kdot, kdot))
 
 
+# The rates of the factors of the scalar products u.v = k.x, x.x, kd.x and
+# kd.kd in the eight velocity slots (xdot, kdot), per product and term a:
+# _DV holds dv^a, _DU holds du^a (k is constant, so k.x has no du^a).
+_RATE_X, _RATE_KD = np.eye(4, 8), np.eye(4, 8, 4)
+_DV = np.array([_RATE_X, _RATE_X, _RATE_X, _RATE_KD])
+_DU = np.array([_RATE_X, _RATE_KD, _RATE_KD])
+
+
+def velocity_scalars(xdot, k, kdot):
+    """xdot.xdot, k.xdot, kdot.xdot and kdot.kdot as first-order jets in the
+    eight velocities (xdot, kdot), with k held constant; (4, B) arrays give
+    batched jets.
+
+    The gradients are seeded in closed form, and bit for bit as jet
+    arithmetic on ``variables(*xdot, *kdot, order=1)`` computes them, signed
+    zeros included: term a of u.v has the gradient u^a dv^a + v^a du^a (k.x
+    only k^a dx^a), and the terms are subtracted in the order of ``dot``.
+    The values are the float ``dot``'s products and differences.
+    """
+    xdot, k, kdot = (np.asarray(v, dtype=float) for v in (xdot, k, kdot))
+    u = np.array([k, xdot, kdot, kdot])
+    v = np.array([xdot, xdot, xdot, kdot])
+    batch = (...,) + (None,) * (u.ndim - 2)  # the selectors take the batch axis
+    g = u[:, :, None] * _DV[batch]
+    g[1:] += v[1:, :, None] * _DU[batch]
+    # ((t0 - t1) - t2) - t3 over the terms, as dot subtracts them
+    f, g = np.subtract.reduce(u * v, axis=1), np.subtract.reduce(g, axis=1)
+    kx, xx, kdx, kdkd = (jets.Jet(f[i], g[i], None) for i in range(4))
+    return xx, kx, kdx, kdkd
+
+
 def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
     kdot.xdot and kdot.kdot; jet-generic."""

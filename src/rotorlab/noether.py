@@ -2,7 +2,12 @@
 
 Momenta are velocity-gradients of the Lagrange density computed by
 forward-mode differentiation, with the overall sign fixed so the point
-particle at rest has positive energy.  The closed-form expressions
+particle at rest has positive energy.  L reads the velocities (xdot, kdot)
+only through the four scalar products xdot.xdot, k.xdot, kdot.xdot and
+kdot.kdot, so those are seeded in closed form as first-order jets in the
+eight velocities (``fform.velocity_scalars``), bit for bit the jets that
+seeding the velocities and taking the products by jet arithmetic gives.
+The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, lagrangian_from_vectors
+from .fform import FForm, PQPoint, lagrangian_from_scalars, velocity_scalars
 from .invariants import KinematicJet
 from .minkowski import DomainError, bivector, dot, epsilon_contract, lower
 
@@ -51,15 +56,16 @@ class MomentumSet:
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
-    ``x`` defaults to the origin; it shifts the angular momentum by an
-    orbital piece but leaves W unchanged.  (4, B) arrays give the batched
-    charges of B instants in one pass.
+    P and pi are the gradients of L in xdot and kdot, through the four scalar
+    products seeded in closed form (see ``fform.velocity_scalars``).  ``x``
+    defaults to the origin; it shifts the angular momentum by an orbital
+    piece but leaves W unchanged.  (4, B) arrays give the batched charges of
+    B instants in one pass.
     """
     k_v = np.asarray(k_v, dtype=float)
     if x is None:
         x = np.zeros(k_v.shape)
-    vs = jets.variables(*xdot_v, *kdot_v, order=1)
-    L = lagrangian_from_vectors(F, vs[:4], k_v, vs[4:])
+    L = lagrangian_from_scalars(F, *velocity_scalars(xdot_v, k_v, kdot_v))
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index
     P, pi = -lower(L.g[:4]), -lower(L.g[4:])
     # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out

@@ -384,6 +384,16 @@ def test_simulate_unsolvable_hessian_exits_2(form):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_simulate_oscillatory_form_spends_its_budget_and_exits_2():
+    # DOP853 creeps along this form at about 10^5 right-hand-side calls per
+    # unit of lab time; it used to run for minutes
+    proc = run_fresh("-m", "rotorlab.cli", "simulate", "--f",
+                     "((2.5)*(Q))-(sin((2398)*(P)))", "--periods", "0.05")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: integration stopped at t = ")
+    assert "right-hand-side calls" in proc.stderr and "Traceback" not in proc.stderr
+
+
 STARTUP_PROBE = """
 import contextlib, io, json, sys
 from rotorlab import cli

@@ -247,6 +247,18 @@ def test_rotator_integration_aborts_immediately():
     assert e.value.state is not None and "q" in e.value.state
 
 
+def test_integration_budget_scales_with_the_span(monkeypatch):
+    # Q over a lab time of 2 takes a few hundred right-hand-side calls
+    F, st = parse_f("Q"), ChartState(theta=1.1, phi=0.3, thetadot=0.4, phidot=0.7)
+    monkeypatch.setattr(dynamics, "RHS_CALLS_FLOOR", 50)
+    monkeypatch.setattr(dynamics, "RHS_CALLS_PER_TIME", 25)
+    with pytest.raises(SingularHessianError, match="after 100 right-hand-side calls") as e:
+        integrate(F, st, (0.0, 2.0))
+    assert 0.0 < e.value.state["t"] < 2.0 and len(e.value.state["qd"]) == 5
+    monkeypatch.setattr(dynamics, "RHS_CALLS_PER_TIME", 10**4)
+    assert integrate(F, st, (0.0, 2.0)).sol.t_max == 2.0
+
+
 def _overflowing_system(case):
     """(H, Z, q, qd) whose QR overflows: the start of simulate --f 1e308 at
     seed 0, where H holds entries near 1e308, Z = 0 and the solved acceleration

@@ -9,10 +9,12 @@ from rotorlab import cli, jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_vectors)
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
-from rotorlab.minkowski import DomainError, dot, lorentz_matrix
+from rotorlab.minkowski import (DomainError, bivector, dot, epsilon_contract, lorentz_matrix,
+                                lower)
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
+    MomentumSet,
     casimirs_closed_form,
     casimirs_special_S,
     fundamental_residuals,
@@ -113,6 +115,63 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
             assert np.max(np.abs(L.h @ v)) <= 1e-13 * np.max(np.abs(L.h * v))
             pairs += 1
     assert pairs >= 200
+
+
+def _momenta_by_jet_arithmetic(F, xdot, k, kdot):
+    """The momenta with the eight velocities seeded as jet variables and the
+    four scalar products taken by jet arithmetic."""
+    vs = jets.variables(*xdot, *kdot, order=1)
+    L = lagrangian_from_vectors(F, vs[:4], k, vs[4:])
+    P, pi = -lower(L.g[:4]), -lower(L.g[4:])
+    return MomentumSet(P=P, pi=pi, M=bivector(np.zeros(k.shape), P, k, pi),
+                       W=-epsilon_contract(k, pi, P))
+
+
+def _outcome(fn, F, xdot, k, kdot):
+    """The momenta, or the message of the DomainError raised instead."""
+    try:
+        return fn(F, xdot, k, kdot)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _assert_same_bits(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("P", "pi", "M", "W"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
+    """``momenta_from_vectors`` seeds the four scalar products in closed form;
+    P, pi, M and W, signed zeros included, and every DomainError message are
+    those of the eight velocities seeded as jets, one jet at a time and as a
+    batch, for the casimir suite's jets and forms and the relation forms."""
+    cfg = RunConfig()
+    forms = [*cli.fundamental_forms(cfg), builtin("point_particle"),
+             builtin("fq", f=lambda q: q), *map(parse_f, cli.RELATION_FORMS)]
+    # the rotator point has exact zeros in xdot, k and kdot
+    J = rotator_jet
+    cases = [(J.xdot, J.k, J.kdot), (J.xdot[:, None], J.k[:, None], J.kdot[:, None])]
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+        cases += [(S.xdot, S.k, S.kdot), *((e.xdot, e.k, e.kdot) for e in S.entries())]
+    assert len(cases) == 2 + 8 * (1 + cli.CASIMIR_JETS)
+    outside = 0
+    for xdot, k, kdot in cases:
+        for F in forms:
+            want = _outcome(_momenta_by_jet_arithmetic, F, xdot, k, kdot)
+            _assert_same_bits(_outcome(momenta_from_vectors, F, xdot, k, kdot), want)
+            outside += isinstance(want, str)
+    assert outside > 0
+    # a spacelike velocity fails in both before the form is read
+    xdot = np.array([0.1, 1.0, 0.0, 0.0])
+    want = _outcome(_momenta_by_jet_arithmetic, forms[0], xdot, J.k, J.kdot)
+    assert "xdot.xdot" in want
+    assert _outcome(momenta_from_vectors, forms[0], xdot, J.k, J.kdot) == want
 
 
 def test_static_point_particle_has_rest_momentum():
