@@ -11,6 +11,12 @@ amplitude K.  The central check is
     det H = K_factor * (F - P F_P) / (F_P (P^2 + Q) - P F) * d(PP, WW)/d(P, Q)
 
 whose kinematical prefactor must come out independent of F.
+
+L reads a chart state only through four scalar products, ``chart_scalars``.
+``chart_scalar_jets`` gives them as second-order jets whose gradients and
+Hessians are written out in closed form, so jet arithmetic runs only from
+the scalars to L; ``hessian`` takes their velocity block, and the
+integrator's right-hand side (``dynamics``) all of them.
 """
 
 from __future__ import annotations
@@ -103,6 +109,113 @@ def chart_scalars(q, qd, dof):
     return xx, w, -ndv, -nd2
 
 
+# The DOF5 chart scalars 0: xx, 1: w = k.xdot, 2: u = kdot.xdot, 3: z =
+# kdot.kdot, and their variables (q[3:], qd) in ``chart_scalar_jets``:
+_TH, _PH, _V1, _V2, _V3, _THD, _PHD = range(7)
+# the nonzero first and second derivatives, (scalar, variable[, variable]),
+# each Hessian pair once; ``chart_scalar_jets`` lists the values in this order
+_GRADIENT = ((0, _V1), (0, _V2), (0, _V3),
+             (1, _TH), (1, _PH), (1, _V1), (1, _V2), (1, _V3),
+             (2, _TH), (2, _PH), (2, _V1), (2, _V2), (2, _V3), (2, _THD), (2, _PHD),
+             (3, _TH), (3, _THD), (3, _PHD))
+_HESSIAN = ((1, _TH, _TH), (1, _TH, _PH), (1, _PH, _PH), (1, _TH, _V1), (1, _TH, _V2),
+            (1, _TH, _V3), (1, _PH, _V1), (1, _PH, _V2),
+            (2, _TH, _TH), (2, _TH, _PH), (2, _PH, _PH), (2, _TH, _V1), (2, _TH, _V2),
+            (2, _TH, _V3), (2, _PH, _V1), (2, _PH, _V2),
+            (2, _TH, _THD), (2, _PH, _THD), (2, _V1, _THD), (2, _V2, _THD), (2, _V3, _THD),
+            (2, _TH, _PHD), (2, _PH, _PHD), (2, _V1, _PHD), (2, _V2, _PHD),
+            (3, _TH, _TH), (3, _TH, _PHD), (3, _PHD, _PHD))
+# the constant ones, -2: xx in each v_i twice, z in thetadot twice
+_HESSIAN_CONST = ((0, _V1, _V1), (0, _V2, _V2), (0, _V3, _V3), (3, _THD, _THD))
+
+
+def _flat(entries, shape):
+    """Flat indices of the (scalar, variable[, variable]) entries in an array
+    of ``shape``."""
+    return np.ravel_multi_index(tuple(zip(*entries)), shape)
+
+
+_G_AT = _flat(_GRADIENT, (4, 7))
+# each Hessian pair is written at (i, j) and at (j, i)
+_H_AT = _flat(_HESSIAN + tuple((s, j, i) for s, i, j in _HESSIAN), (4, 7, 7))
+_C_AT = _flat(_HESSIAN_CONST, (4, 7, 7))
+_DOF6_SLOTS = np.array([0, 1, 3, 4, 5, 6, 7])  # the DOF5 variables among DOF6's nine
+
+
+def chart_scalar_jets(q, qd, dof):
+    """``chart_scalars`` as second-order jets in the variables (q[3:], qd),
+    x1..x3 being cyclic; q and qd are (n,), or (n, B) for a batch.
+
+    The values are ``chart_scalars`` on floats, bit for bit.  The gradients
+    and Hessians are written out in closed form, so no jet arithmetic runs.
+    With n = (sin th cos ph, sin th sin ph, cos th), w = 1 - n.v, and
+    u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5, so the rates of
+    u in thetadot and phidot are those of w in theta and phi.  At DOF6 the
+    scalars are xx, K w, Kdot w + K u and K^2 z, whose jets follow from the
+    DOF5 ones by the product rule in K and Kdot.
+    """
+    th, ph = q[3], q[4]
+    v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
+    st, ct = jets.sin(th), jets.cos(th)
+    sp, cp = jets.sin(ph), jets.cos(ph)
+    a = cp * v1 + sp * v2
+    b = cp * v2 - sp * v1  # d a / d phi
+    nv = st * a + ct * v3  # n.v
+    c1 = ct * a - st * v3  # d (n.v) / d theta
+    base = chart_scalars(q, qd, DOF5)
+    shape = np.shape(base[0])
+    G = np.zeros((4, 7) + shape)
+    H = np.zeros((4, 7, 7) + shape)
+    G.reshape((-1,) + shape)[_G_AT] = (
+        -2.0 * v1, -2.0 * v2, -2.0 * v3,
+        -c1, -st * b, -st * cp, -st * sp, -ct,
+        thd * nv - phd * ct * b, phd * st * a - thd * ct * b,
+        phd * st * sp - thd * ct * cp, -(thd * ct * sp + phd * st * cp), thd * st,
+        -c1, -st * b,
+        -2.0 * st * ct * phd * phd, -2.0 * thd, -2.0 * st * st * phd)
+    h = (nv, -ct * b, st * a, -ct * cp, -ct * sp, st, st * sp, -st * cp,
+         -base[2], thd * st * b + phd * ct * a, thd * ct * a + phd * st * b,
+         thd * st * cp + phd * ct * sp, thd * st * sp - phd * ct * cp, thd * ct,
+         thd * ct * sp + phd * st * cp, phd * st * sp - thd * ct * cp,
+         # in thetadot and phidot: w's in theta and phi
+         nv, -ct * b, -ct * cp, -ct * sp, st,
+         -ct * b, st * a, st * sp, -st * cp,
+         -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
+    flat = H.reshape((-1,) + shape)
+    flat[_H_AT] = h + h
+    flat[_C_AT] = -2.0
+    values = base
+    if len(dof) == 6:
+        values = chart_scalars(q, qd, dof)
+        G, H = _amplitude_jets(G, H, base, q[5], qd[5])
+    return tuple(jets.Jet(f, G[k], H[k]) for k, f in enumerate(values))
+
+
+def _amplitude_jets(G, H, base, K, Kd):
+    """The DOF6 gradients and Hessians of (xx, K w, Kd w + K u, K^2 z), in
+    (theta, phi, K, v, thetadot, phidot, Kdot), from those (G, H) of the DOF5
+    scalars (xx, w, u, z) with values ``base``."""
+    _, w, u, z = base
+    iK, iKd = 2, 8
+    shape = G.shape[2:]
+    Ge = np.zeros((4, 9) + shape)
+    He = np.zeros((4, 9, 9) + shape)
+    Ge[:, _DOF6_SLOTS] = G
+    He[:, _DOF6_SLOTS[:, None], _DOF6_SLOTS] = H
+    G6 = np.stack([Ge[0], K * Ge[1], Kd * Ge[1] + K * Ge[2], (K * K) * Ge[3]])
+    H6 = np.stack([He[0], K * He[1], Kd * He[1] + K * He[2], (K * K) * He[3]])
+    G6[1, iK] += w
+    G6[2, iK] += u
+    G6[2, iKd] += w
+    G6[3, iK] += 2.0 * K * z
+    # the mixed second derivatives: a row and a column of each Hessian
+    for k, i, r in ((1, iK, Ge[1]), (2, iKd, Ge[1]), (2, iK, Ge[2]), (3, iK, 2.0 * K * Ge[3])):
+        H6[k, i] += r
+        H6[k, :, i] += r
+    H6[3, iK, iK] += 2.0 * z
+    return G6, H6
+
+
 def chart_lagrangian(F: FForm, q, qd, dof):
     return lagrangian_from_scalars(F, *chart_scalars(q, qd, dof))
 
@@ -134,7 +247,9 @@ def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
     one state or at each state of a batch."""
     state.check_pole()
     q, qd = state.coords(dof)
-    H = chart_lagrangian(F, list(q), jets.variables(*qd), dof).h  # q as plain values
+    m = len(dof) - 3  # the velocity block of the chart jets starts at m
+    H = lagrangian_from_scalars(F, *(jets.Jet(s.f, s.g[m:], s.h[m:, m:])
+                                     for s in chart_scalar_jets(q, qd, dof))).h
     stack = np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]  # one state: a batch of one
     # an F that overflows leaves non-finite entries, which the SVD rejects:
     # the singular values of such an H are NaN, and its rank 0

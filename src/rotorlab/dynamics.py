@@ -13,11 +13,14 @@ second-order phase data.
 
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
-H qddot = Z per step with a QR solve and condition monitoring.  scipy is
-imported only by the integration (``integrate`` and ``_qr_solve``), so the
-free-motion and residual queries start without it.  L depends on
-the worldline only through its velocity, so the positions x1..x3 are cyclic:
-the chart jets seed only the coordinates that L reads.
+H qddot = Z per step with a Householder QR from LAPACK and condition
+monitoring.  scipy is imported only by the integration (``integrate`` and
+``_qr_solve``), so the free-motion and residual queries start without it.
+L depends on the worldline only through its velocity, so the positions
+x1..x3 are cyclic: the chart jets are in the coordinates that L reads, and
+start from the closed-form jets of the four chart scalars
+(``degeneracy.chart_scalar_jets``), so jet arithmetic runs only from those
+scalars to L.
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
@@ -34,8 +37,8 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import jets
-from .degeneracy import DOF5, ChartState, chart_lagrangian, check_off_pole
-from .fform import FForm
+from .degeneracy import DOF5, ChartState, chart_scalar_jets, check_off_pole
+from .fform import FForm, lagrangian_from_scalars
 from .minkowski import DomainError, dot, epsilon_contract, four
 from .noether import FUNDAMENTAL_WW_FACTOR, MomentumSet, momenta_from_vectors
 from .spinor import angles_from_null, null_from_angles
@@ -238,11 +241,11 @@ def _chart_derivatives(F: FForm, q, qd, dof):
     (q, qd); a trailing batch axis for a batch of states.
 
     L reads the worldline only through its velocity, so x1..x3 are cyclic:
-    they pass as plain values, the jets seed only q[3:] and qd, and their
-    columns hold exact zeros."""
+    the jets are in q[3:] and qd only, and the columns of x1..x3 hold exact
+    zeros.  The four chart scalars enter as closed-form jets
+    (``chart_scalar_jets``), so jet arithmetic runs only from them to L."""
     n = len(dof)
-    vs = jets.variables(*q[3:], *qd)
-    L = chart_lagrangian(F, [*q[:3], *vs[:n - 3]], vs[n - 3:], dof)
+    L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
     shape = np.shape(L.f)
     dq = np.zeros((n,) + shape)
     dq[3:] = L.g[:n - 3]
@@ -280,9 +283,9 @@ def _hessian_and_force(F: FForm, q, qd, dof):
 def _active(H, Z):
     """Mask of coordinates that are not entirely inert (zero Hessian row and
     zero force, e.g. the null-direction angles of the point particle)."""
-    absH = np.abs(H)
-    inert_tol = 1e-14 * max(float(np.max(absH)), 1e-300)
-    return (np.max(absH, axis=1) > inert_tol) | (np.abs(Z) > inert_tol)
+    row = np.abs(H).max(axis=1)
+    inert_tol = 1e-14 * max(float(row.max()), 1e-300)
+    return (row > inert_tol) | (np.abs(Z) > inert_tol)
 
 
 def _floats(v):
@@ -303,8 +306,12 @@ def _qr_solve(H, Z, t, q, qd):
     error raised on a singular Hessian, and on one that cannot be solved in
     floating point: a QR or an acceleration that overflows to inf or NaN,
     which would stall the integrator's step-size loop.
+
+    The system is a few coordinates wide, so the solve calls LAPACK directly:
+    dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z and dtrtrs
+    solves the triangle, without the wrappers' checks and copies.
     """
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
     active = _active(H, Z)
     qdd = np.zeros(len(Z))
@@ -315,19 +322,17 @@ def _qr_solve(H, Z, t, q, qd):
     else:
         idx = np.flatnonzero(active)
         Ha, Za = H[np.ix_(idx, idx)], Z[idx]
-    # an overflow in the QR or the solve leaves a non-finite R diagonal or
-    # acceleration, which raises below, so its warnings are not printed as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        Qm, R = np.linalg.qr(Ha)
-        diag = np.abs(np.diag(R))
-        # written so that a NaN or an inf fails it
-        if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
-            if not np.isfinite(diag).all():
-                raise _hessian_error("not solvable in floating point "
-                                     "(R diagonal not finite)", t, q, qd)
-            raise _hessian_error(f"singular (R diagonal ratio "
-                                 f"{diag.min() / max(diag.max(), 1e-300):.3e})", t, q, qd)
-        qdd[active] = solve_triangular(R, Qm.T @ Za, check_finite=False)
+    qr, tau, _, _ = dgeqrf(Ha)
+    diag = np.abs(qr.diagonal())
+    # written so that a NaN or an inf fails it
+    if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
+        if not np.isfinite(diag).all():
+            raise _hessian_error("not solvable in floating point "
+                                 "(R diagonal not finite)", t, q, qd)
+        raise _hessian_error(f"singular (R diagonal ratio "
+                             f"{diag.min() / max(diag.max(), 1e-300):.3e})", t, q, qd)
+    qtz, _, _ = dormqr("L", "T", qr, tau, Za[:, None], 1)
+    qdd[active] = dtrtrs(qr, qtz)[0][:, 0]
     if not np.isfinite(qdd).all():
         raise _hessian_error("not solvable in floating point "
                              "(acceleration not finite)", t, q, qd)

@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, noether
+from rotorlab import cli, dynamics, noether
 from rotorlab.cli import main
 from rotorlab.fform import builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
@@ -566,6 +566,35 @@ def test_casimir_fuzz_exit_codes(expr, Q):
             contextlib.redirect_stderr(io.StringIO()):
         code = exit_code(["casimir", f"--f={expr}", "--Q", Q])
     assert code in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(expr=st.one_of(_expressions, _text), periods=st.sampled_from(["0.01", "0.05"]))
+def test_simulate_fuzz_exit_codes(expr, periods):
+    """simulate on any expression exits 0, 1 or 2 without a traceback, and
+    makes at most its budget of right-hand-side calls, plus the two of its
+    start-up check."""
+    spans, calls = [], [0]
+
+    def integrate(F, initial, t_span, *args):
+        spans.append(abs(t_span[1] - t_span[0]))
+        return dynamics.integrate(F, initial, t_span, *args)
+
+    def counted(*args):
+        calls[0] += 1
+        return hessian_and_force(*args)
+
+    hessian_and_force = dynamics._hessian_and_force
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.setattr(cli, "integrate", integrate)
+        mp.setattr(dynamics, "_hessian_and_force", counted)
+        code = exit_code(["simulate", f"--f={expr}", "--periods", periods])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    budget = [dynamics.RHS_CALLS_FLOOR + dynamics.RHS_CALLS_PER_TIME * s for s in spans]
+    assert calls[0] <= 2 + sum(budget)
 
 
 _log_scale = st.floats(-300.0, 300.0).map(lambda e: repr(10.0 ** e))

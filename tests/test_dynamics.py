@@ -9,6 +9,7 @@ from rotorlab.degeneracy import (
     DOF6,
     ChartState,
     chart_lagrangian,
+    chart_scalar_jets,
     chart_scalars,
     random_chart_state,
     stack_states,
@@ -285,6 +286,34 @@ def test_qr_solve_raises_where_the_qr_overflows(case):
     assert e.value.state == {"t": 0.0, "q": list(q), "qd": list(qd)}
 
 
+@pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
+def test_qr_solve_residual_is_at_rounding_level(expr):
+    """|H qddot - Z| <= 8 u (|H|_2 |qddot| + |Z|) on random nondegenerate
+    states, the backward error of a Householder QR solve; the worst over 512
+    states per form was 2.1 u."""
+    F = parse_f(expr)
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        q, qd = random_chart_state(rng).coords(DOF5)
+        H, Z = dynamics._hessian_and_force(F, q, qd, DOF5)
+        qdd = dynamics._qr_solve(H, Z, 0.0, q, qd)
+        scale = np.linalg.norm(H, 2) * np.linalg.norm(qdd) + np.linalg.norm(Z)
+        assert np.max(np.abs(H @ qdd - Z)) <= 8 * U * scale
+
+
+def test_qr_solve_freezes_inert_coordinates():
+    """The point particle's angles have zero Hessian rows and zero force: they
+    stay at qddot = 0 exactly, and the other coordinates solve their own block."""
+    q, qd = random_chart_state(np.random.default_rng(5)).coords(DOF5)
+    H, Z = dynamics._hessian_and_force(builtin("point_particle"), q, qd, DOF5)
+    assert not H[3:].any() and not H[:, 3:].any() and not Z.any()
+    assert same_bits(dynamics._qr_solve(H, Z, 0.0, q, qd)[3:], [0.0, 0.0])
+    Z = np.array([0.3, -0.2, 0.1, 0.0, 0.0])
+    qdd = dynamics._qr_solve(H, Z, 0.0, q, qd)
+    assert same_bits(qdd[3:], [0.0, 0.0])
+    assert np.allclose(H[:3, :3] @ qdd[:3], Z[:3], rtol=0.0, atol=1e-15)
+
+
 def test_indeterminacy_demo(monkeypatch):
     phases = [
         lambda t: t,
@@ -508,7 +537,13 @@ def test_batched_queries_check_every_time():
     assert np.array_equal(accel(np.array([1.0, 2.0]))[:, 1], accel(2.0))
 
 
-# -- the cyclic positions: jets in all 2n chart coordinates as the reference --
+# -- the closed-form chart jets: jets in all 2n chart coordinates as the reference --
+
+U = np.finfo(float).eps / 2  # the unit roundoff
+# |closed form - all-seeded jets| <= CHART_JET_BOUND u (row scale), for H, Z and
+# the EL residuals; the worst over the test's draws at seeds 0-63, for the
+# rotator, Q^2 and 1+Q+P^2 at DOF5 and DOF6, was 33 (H), 62 (Z) and 53 (EL)
+CHART_JET_BOUND = 128
 
 
 def same_bits(a, b):
@@ -525,51 +560,73 @@ def all_seeded_lagrangian(F, q, qd, dof):
     return chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
 
 
-def all_seeded_hessian_and_force(F, q, qd, dof):
-    """H and Z of one state from the all-seeded L."""
-    n = len(dof)
-    L = all_seeded_lagrangian(F, q, qd, dof)
-    return L.h[n:, n:], L.g[:n] - L.h[n:, :n] @ np.asarray(qd, dtype=float)
-
-
-def all_seeded_el_report(F, q, qd, qdd, dof):
-    """EL residuals and scale from the all-seeded L, summed as ``_el_report``
-    sums them."""
-    n = len(dof)
-    L = all_seeded_lagrangian(F, q, qd, dof)
-    hv = L.h[n:]
-    terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
-    res = sum(terms[:n]) + sum(terms[n:]) - L.g[:n]
-    scale = np.max(np.abs(np.stack(terms + [L.g[:n]])), axis=(0, 1))
-    return res, np.maximum(scale, 1e-300)
+def within_rounding(got, want, terms):
+    """|got - want| <= CHART_JET_BOUND u times the largest |term| of the row;
+    ``terms`` stacks the row's terms on axis 0, and a row of zero terms must
+    come out exactly."""
+    scale = np.max(np.abs(terms), axis=0)
+    return np.all(np.abs(got - want) <= CHART_JET_BOUND * U * scale)
 
 
 @pytest.mark.parametrize("expr", ["rotator", "Q^2", "1+Q+P^2"])
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
 @pytest.mark.parametrize("states", [1, 4])
 def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
-    """Jets seeded only in q[3:] and qd give, bit for bit, the EL report of
-    jets seeded in all 2n chart coordinates, for one state and for a batch,
-    and the H and Z of each of those states."""
+    """The closed-form chart jets, seeded only in q[3:] and qd, give the H, Z
+    and EL residuals of jets seeded in all 2n chart coordinates to within
+    CHART_JET_BOUND u of each row's scale; a batch gives each state's
+    derivatives and EL report bit for bit."""
     F = ROT if expr == "rotator" else parse_f(expr)
     rng = np.random.default_rng([len(dof), states])
     batch = [random_chart_state(rng) for _ in range(states)]
     n = len(dof)
     qdd = rng.uniform(-1.0, 1.0, (n, states))
-    if states == 1:
-        q, qd = batch[0].coords(dof)
-        qdd = qdd[:, 0]
-    else:
-        q, qd = stack_states(batch).coords(dof)
+    q, qd = stack_states(batch).coords(dof)
+    L = all_seeded_lagrangian(F, q, qd, dof)
+    hv, dq = L.h[n:], L.g[:n]
+    terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
     rep = dynamics._el_report(F, q, qd, qdd, dof)
-    res, scale = all_seeded_el_report(F, q, qd, qdd, dof)
+    res = sum(terms[:n]) + sum(terms[n:]) - dq
     assert np.isfinite(res).all()
-    assert same_bits(rep.residuals, res) and same_bits(rep.scale, scale)
-    for s in batch:
+    assert within_rounding(rep.residuals, res, np.stack(terms + [dq]))
+    for b, s in enumerate(batch):
         qb, qdb = s.coords(dof)
         H, Z = dynamics._hessian_and_force(F, qb, qdb, dof)
-        Hb, Zb = all_seeded_hessian_and_force(F, qb, qdb, dof)
-        assert np.isfinite(H).all() and same_bits(H, Hb) and same_bits(Z, Zb)
+        Hb, hvb, dqb = hv[:, n:, b], hv[..., b], dq[:, b]
+        Zb = dqb - hvb[:, :n] @ qdb
+        assert np.isfinite(H).all()
+        assert within_rounding(H, Hb, np.moveaxis(Hb, 1, 0))
+        assert within_rounding(Z, Zb, np.stack([dqb, *(-hvb[:, j] * qdb[j] for j in range(n))]))
+        one = dynamics._el_report(F, qb, qdb, qdd[:, b], dof)
+        assert same_bits(rep.residuals[:, b], one.residuals) and rep.scale[b] == one.scale
+        got = dynamics._chart_derivatives(F, qb, qdb, dof)
+        for whole, single in zip(dynamics._chart_derivatives(F, q, qd, dof), got):
+            assert same_bits(whole[..., b], single)
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+def test_chart_scalar_jets_match_jet_arithmetic(dof):
+    """``chart_scalar_jets`` has the values of ``chart_scalars`` on floats bit
+    for bit, and the gradients and Hessians of ``chart_scalars`` on jets
+    seeded in q[3:] and qd to within 8 u of each scalar's largest rate (the
+    worst over seeds 0-63 of such draws was 3.0 u); a batch gives each
+    state's jets bit for bit."""
+    rng = np.random.default_rng([7, len(dof)])
+    batch = [random_chart_state(rng) for _ in range(64)]
+    q, qd = stack_states(batch).coords(dof)
+    n = len(dof)
+    vs = jets.variables(*q[3:], *qd)
+    want = chart_scalars([*q[:3], *vs[:n - 3]], vs[n - 3:], dof)
+    got = chart_scalar_jets(q, qd, dof)
+    for g, w, f in zip(got, want, chart_scalars(q, qd, dof), strict=True):
+        assert same_bits(g.f, f)
+        scale = np.maximum(np.max(np.abs(w.g), axis=0), np.max(np.abs(w.h), axis=(0, 1)))
+        assert np.all(np.abs(g.g - w.g) <= 8 * U * scale)
+        assert np.all(np.abs(g.h - w.h) <= 8 * U * scale)
+    for b in (0, 17, 63):
+        for whole, single in zip(got, chart_scalar_jets(*batch[b].coords(dof), dof)):
+            assert whole.f[b] == single.f
+            assert same_bits(whole.g[..., b], single.g) and same_bits(whole.h[..., b], single.h)
 
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
