@@ -36,6 +36,7 @@ from rotorlab.noether import momenta_from_vectors
 from rotorlab.reports import Report, render_reports
 
 ROT = builtin("rotator_f")
+U = np.finfo(float).eps / 2  # the unit roundoff
 
 
 def bent_phase(t):
@@ -539,7 +540,6 @@ def test_batched_queries_check_every_time():
 
 # -- the closed-form chart jets: jets in all 2n chart coordinates as the reference --
 
-U = np.finfo(float).eps / 2  # the unit roundoff
 # |closed form - all-seeded jets| <= CHART_JET_BOUND u (row scale), for H, Z and
 # the EL residuals; the worst over the test's draws at seeds 0-63, for the
 # rotator, Q^2 and 1+Q+P^2 at DOF5 and DOF6, was 33 (H), 62 (Z) and 53 (EL)
