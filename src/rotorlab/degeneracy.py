@@ -14,9 +14,11 @@ whose kinematical prefactor must come out independent of F.
 
 L reads a chart state only through four scalar products, ``chart_scalars``.
 ``chart_scalar_jets`` gives them as second-order jets whose gradients and
-Hessians are written out in closed form, so jet arithmetic runs only from
-the scalars to L; ``hessian`` takes their velocity block, and the
-integrator's right-hand side (``dynamics``) all of them.
+Hessians are written out in closed form, and ``fform.lagrangian_from_scalars``
+carries them to L by one chain step through F's partials at (P, Q), so no
+jet arithmetic runs from the chart state to L; ``hessian`` takes their
+velocity block, and the integrator's right-hand side (``dynamics``) all of
+them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from . import jets
 from .fform import FForm, builtin, lagrangian_from_scalars, pq_from_scalars
 from .minkowski import DomainError
-from .noether import casimirs_from_partials
+from .noether import casimirs_from_partials, legendre_p
 
 DOF5 = ("x1", "x2", "x3", "theta", "phi")
 DOF6 = ("x1", "x2", "x3", "theta", "phi", "K")
@@ -147,7 +149,8 @@ def chart_scalar_jets(q, qd, dof):
     x1..x3 being cyclic; q and qd are (n,), or (n, B) for a batch.
 
     The values are ``chart_scalars`` on floats, bit for bit.  The gradients
-    and Hessians are written out in closed form, so no jet arithmetic runs.
+    and Hessians are written out in closed form, so no jet arithmetic runs;
+    ``lagrangian_from_scalars`` then takes L's chain step from them.
     With n = (sin th cos ph, sin th sin ph, cos th), w = 1 - n.v, and
     u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5, so the rates of
     u in thetadot and phidot are those of w in theta and phi.  At DOF6 the
@@ -290,7 +293,7 @@ def relation_check(forms, state: ChartState, dof=DOF6):
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
         v = F.eval(P, Q)
-        num = v.F - P * v.F_P
+        num = legendre_p(P, v.F, v.F_P)
         den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
         jac = jacobian_pq(F, P, Q, v)
         det = hessian(F, state, dof).det

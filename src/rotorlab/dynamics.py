@@ -17,10 +17,11 @@ H qddot = Z per step with a Householder QR from LAPACK and condition
 monitoring.  scipy is imported only by the integration (``integrate`` and
 ``_qr_solve``), so the free-motion and residual queries start without it.
 L depends on the worldline only through its velocity, so the positions
-x1..x3 are cyclic: the chart jets are in the coordinates that L reads, and
-start from the closed-form jets of the four chart scalars
-(``degeneracy.chart_scalar_jets``), so jet arithmetic runs only from those
-scalars to L.
+x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
+They are the closed-form jets of the four chart scalars
+(``degeneracy.chart_scalar_jets``), carried to L by one chain step through
+F's partials at (P, Q) (``fform.lagrangian_from_scalars``), so no jet
+arithmetic runs from the chart state to L.
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
@@ -243,7 +244,8 @@ def _chart_derivatives(F: FForm, q, qd, dof):
     L reads the worldline only through its velocity, so x1..x3 are cyclic:
     the jets are in q[3:] and qd only, and the columns of x1..x3 hold exact
     zeros.  The four chart scalars enter as closed-form jets
-    (``chart_scalar_jets``), so jet arithmetic runs only from them to L."""
+    (``chart_scalar_jets``), and L's derivatives are one chain step from
+    them (``lagrangian_from_scalars``)."""
     n = len(dof)
     L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
     shape = np.shape(L.f)
@@ -419,7 +421,9 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     along the path, a collapsing step size, or more right-hand-side calls than
     RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per unit of the span raises
     SingularHessianError; the budget counts calls, not seconds, so whether a
-    run finishes does not depend on the machine.
+    run finishes does not depend on the machine.  So does a start at which
+    every coordinate is inert (``_active``), as for F = 0: no coordinate is
+    integrated there, and no conserved charge would be checked.
     """
     from scipy.integrate import solve_ivp
 
@@ -430,8 +434,14 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     # coordinates absent from the Lagrangian (e.g. the angles of the point
     # particle) are pure gauge and are held fixed from the start
     H, Z = _hessian_and_force(F, q0, qd0, dof)
+    active = _active(H, Z)
+    if not active.any():  # e.g. F = 0: nothing would move, and nothing be checked
+        raise SingularHessianError(
+            f"every coordinate is inert for {F.name} (velocity Hessian and force "
+            f"vanish) at t = {t_span[0]:.6g}: q = {_floats(q0)}, qd = {_floats(qd0)}",
+            state={"t": t_span[0], "q": list(q0), "qd": list(qd0)})
     qd0 = qd0.copy()
-    qd0[~_active(H, Z)] = 0.0
+    qd0[~active] = 0.0
     H, Z = _hessian_and_force(F, q0, qd0, dof)
     _qr_solve(H, Z, t_span[0], q0, qd0)
     span = abs(t_span[1] - t_span[0])

@@ -4,9 +4,12 @@ P and Q are the two reparametrization-invariant, scale-free combinations of a
 null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
 (M, ell, nu) and a domain predicate; first and second partials come from
-forward-mode differentiation, exact to rounding.  The Lagrangian and its
-scalars take batched jets or arrays as well (see ``jets``), and a domain
-predicate then answers per batch entry.
+forward-mode differentiation, exact to rounding.  The Lagrangian reads the
+velocities only through four scalar products, and on jets of those it is
+differentiated once: F's partials at (P, Q), L's partials in the four
+scalars in closed form, and one chain step (``jets.compose``).  The
+Lagrangian and its scalars take batched jets or arrays as well (see
+``jets``), and a domain predicate then answers per batch entry.
 
 Builtins cover the point particle, the f(Q) rotator subfamily, the two
 closed-form families satisfying the fixed mass/spin conditions, and the
@@ -67,12 +70,18 @@ class FForm:
     def eval(self, P: float, Q: float) -> FFormValue:
         if not self.in_domain(P, Q):
             raise DomainError(f"(P, Q) = ({P}, {Q}) outside domain of {self.name}")
-        pj, qj = jets.variables(P, Q)
+        out = self._jet(P, Q)
+        return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
+
+    def _jet(self, P, Q, order=2):
+        """F as a jet in (P, Q) of the given order, at floats or batch arrays
+        (P, Q) taken to be inside the domain."""
+        pj, qj = jets.variables(P, Q, order=order)
         out = self.func(pj, qj)
         if not isinstance(out, jets.Jet):  # F does not depend on P or Q
             c = float(out)
             out = jets.constant(np.full(np.shape(pj.f), c) if np.ndim(pj.f) else c, 2)
-        return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
+        return out
 
 
 def pq_from_vectors(xdot, k, kdot, ell: float) -> PQPoint:
@@ -411,11 +420,72 @@ def velocity_scalars(xdot, k, kdot):
     return xx, kx, kdx, kdkd
 
 
+def _check_domain(F: FForm, P, Q):
+    jets.raise_where(np.logical_not(F.domain(P, Q)), DomainError,
+                     f"(P, Q) = ({{}}, {{}}) outside domain of {F.name}", P, Q)
+
+
 def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
-    kdot.xdot and kdot.kdot; jet-generic."""
-    rt, P, Q = pq_from_scalars(xx, kx, kdx, kdkd, F.ell)
-    Pv, Qv = jets.value(P), jets.value(Q)
-    jets.raise_where(np.logical_not(F.domain(Pv, Qv)), DomainError,
-                     f"(P, Q) = ({{}}, {{}}) outside domain of {F.name}", Pv, Qv)
-    return -F.M * rt * F.func(P, Q)
+    kdot.xdot and kdot.kdot: floats, batch arrays, or jets.
+
+    L reads the velocities only through these four scalars, so on jets it is
+    differentiated once.  F's value and partials come from its jet in (P, Q)
+    at the float (P, Q), as ``FForm.eval`` takes them.  With
+    c = ell / (kx sqrt(xx)) and e = -ell^2 / kx^2, the partials of P and Q in
+    s = (xx, kx, kdx, kdkd) are
+
+        dP/ds = (-P / 2xx, -P / kx, c, 0),    dQ/ds = (0, -2Q / kx, 0, e),
+
+    and the nonzero second partials are P_{xx xx} = 3P / 4xx^2,
+    P_{xx kx} = P / (2 xx kx), P_{xx kdx} = -c / 2xx, P_{kx kx} = 2P / kx^2,
+    P_{kx kdx} = -c / kx, Q_{kx kx} = 6Q / kx^2 and Q_{kx kdkd} = -2e / kx.
+    They give L's gradient and Hessian in s entry by entry, and one chain
+    step (``jets.compose``) carries those to the scalars' own variables; no
+    jet arithmetic runs through P and Q.  First-order scalars (the momenta)
+    take F's jet to first order and skip L's Hessian.
+    """
+    scalars = (xx, kx, kdx, kdkd)
+    if not any(isinstance(s, jets.Jet) for s in scalars):
+        rt, P, Q = pq_from_scalars(*scalars, F.ell)
+        _check_domain(F, P, Q)
+        return -F.M * rt * F.func(P, Q)
+    xx, kx, _, _ = values = [jets.value(s) for s in scalars]
+    rt, P, Q = pq_from_scalars(*values, F.ell)
+    _check_domain(F, P, Q)
+    second = all(not isinstance(s, jets.Jet) or s.h is not None for s in scalars)
+    Fj = F._jet(P, Q, order=2 if second else 1)
+    Fv, g, h = Fj.f, Fj.g, Fj.h
+    if g.ndim == 1:  # one state: Python floats, faster than numpy scalars
+        g, h = g.tolist(), None if h is None else h.tolist()
+    FP, FQ = g
+    a = -F.M
+    c = F.ell / (kx * rt)
+    e = -(F.ell**2) / (kx * kx)
+    p0, p1, q1 = -P / (2.0 * xx), -P / kx, -2.0 * Q / kx
+    # F's gradient in s
+    f0, f1, f2, f3 = FP * p0, FP * p1 + FQ * q1, FP * c, FQ * e
+    # L = a sqrt(xx) F, and sqrt(xx) has the derivatives 0.5 / rt, -0.25 / (rt xx)
+    art, ar1 = a * rt, a * (0.5 / rt)
+    d = (art * f0 + ar1 * Fv, art * f1, art * f2, art * f3)
+    D = None
+    if second:
+        (FPP, FPQ), (_, FQQ) = h
+        # F's Hessian in s, F_ij = p_i A_j + q_i B_j + F_P P_ij + F_Q Q_ij with
+        # A_j = F_PP p_j + F_PQ q_j and B_j = F_PQ p_j + F_QQ q_j; the terms
+        # F_P P_ij + F_Q Q_ij are written through the f_i
+        A0, A1, A2, A3 = FPP * p0, FPP * p1 + FPQ * q1, FPP * c, FPQ * e
+        B1, B2, B3 = FPQ * p1 + FQQ * q1, FPQ * c, FQQ * e
+        F00 = p0 * A0 - 1.5 * f0 / xx
+        F01 = p0 * A1 - f0 / kx
+        F02 = p0 * A2 - 0.5 * f2 / xx
+        F11 = p1 * A1 + q1 * B1 - (2.0 * f1 + FQ * q1) / kx
+        F12 = p1 * A2 + q1 * B2 - f2 / kx
+        F13 = p1 * A3 + q1 * B3 - 2.0 * f3 / kx
+        D00 = art * F00 + 2.0 * ar1 * f0 + (np.float64(-0.25) * a / (rt * xx)) * Fv
+        D01, D02, D03 = art * F01 + ar1 * f1, art * F02 + ar1 * f2, art * (p0 * A3) + ar1 * f3
+        D11, D12, D13 = art * F11, art * F12, art * F13
+        D22, D23, D33 = art * (c * A2), art * (c * A3), art * (e * B3)
+        D = ((D00, D01, D02, D03), (D01, D11, D12, D13),
+             (D02, D12, D22, D23), (D03, D13, D23, D33))
+    return jets.compose(scalars, a * rt * Fv, d, D)

@@ -7,7 +7,9 @@ only through the four scalar products xdot.xdot, k.xdot, kdot.xdot and
 kdot.kdot, so those are seeded in closed form as first-order jets in the
 eight velocities (``fform.velocity_scalars``), bit for bit the jets that
 seeding the velocities and taking the products by jet arithmetic gives.
-The closed-form expressions
+``fform.lagrangian_from_scalars`` carries them to L's gradient by one
+first-order chain step through F's partials at (P, Q).  The closed-form
+expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2
@@ -78,12 +80,19 @@ def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
     return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
 
 
+def legendre_p(P, Fv, FP):
+    """F - P F_P, F's Legendre transform in P up to sign, from F's value ``Fv``
+    and partial ``FP`` at P: the factor A of the closed-form Casimirs, and the
+    numerator of the Hessian-Casimir relation's middle ratio; jet-generic."""
+    return Fv - P * FP
+
+
 def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
     """(PP, WW) in closed form from F's value ``Fv`` and partials ``FP``,
     ``FQ`` at (P, Q); jet-generic, and each entry of arrays is the float
     result (squares through ``jets.power``: numpy squares arrays as x * x,
     Python floats through pow, which can differ by 1 ulp)."""
-    A = Fv - P * FP
+    A = legendre_p(P, Fv, FP)
     FP2 = jets.power(FP, 2)
     PP = F.M**2 * (A * (A - 4.0 * Q * FQ) - Q * FP2)
     WW = -(F.M**4) * F.ell**2 * Q * jets.power(FP2 + 2.0 * FQ * A, 2)

@@ -8,7 +8,6 @@ from rotorlab.degeneracy import (
     DOF5,
     DOF6,
     ChartState,
-    chart_lagrangian,
     chart_scalar_jets,
     chart_scalars,
     random_chart_state,
@@ -34,6 +33,7 @@ from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.noether import momenta_from_vectors
 from rotorlab.reports import Report, render_reports
+from test_fform import reference_lagrangian
 
 ROT = builtin("rotator_f")
 U = np.finfo(float).eps / 2  # the unit roundoff
@@ -542,7 +542,7 @@ def test_batched_queries_check_every_time():
 
 # |closed form - all-seeded jets| <= CHART_JET_BOUND u (row scale), for H, Z and
 # the EL residuals; the worst over the test's draws at seeds 0-63, for the
-# rotator, Q^2 and 1+Q+P^2 at DOF5 and DOF6, was 33 (H), 62 (Z) and 53 (EL)
+# rotator, Q^2 and 1+Q+P^2 at DOF5 and DOF6, was 10 (H), 14 (Z) and 19 (EL)
 CHART_JET_BOUND = 128
 
 
@@ -554,16 +554,33 @@ def same_bits(a, b):
 
 
 def all_seeded_lagrangian(F, q, qd, dof):
-    """L on jets seeded in all 2n chart coordinates, x1..x3 included."""
+    """L on jets seeded in all 2n chart coordinates, x1..x3 included, by jet
+    arithmetic through the chart scalars, P and Q: a path apart from
+    ``lagrangian_from_scalars``.  Also the scale of each entry of L's
+    gradient and Hessian: the larger of its magnitude and of its largest term
+    in the chain from the four scalars s, |dL/ds_k ds_k/dv| for the
+    gradient, |dL/ds_k d2s_k/dv dw| and |d2L/ds_k ds_l ds_k/dv ds_l/dw| for
+    the Hessian, with L's partials in s from jets seeded in s.  An entry
+    that vanishes identically, as dL/dK of an f(Q) member at DOF6, is
+    rounding left by cancelling terms of that size."""
     n = len(dof)
     vs = jets.variables(*q, *qd)
-    return chart_lagrangian(F, list(vs[:n]), list(vs[n:]), dof)
+    S = chart_scalars(list(vs[:n]), list(vs[n:]), dof)
+    ds = reference_lagrangian(F, *jets.variables(*(s.f for s in S)))
+    G, H = np.array([s.g for s in S]), np.array([s.h for s in S])
+    L = reference_lagrangian(F, *S)
+    gs = np.maximum(np.abs(L.g), np.max(np.abs(ds.g[:, None] * G), axis=0))
+    hs = np.maximum(np.abs(L.h), np.maximum(
+        np.max(np.abs(ds.g[:, None, None] * H), axis=0),
+        np.max(np.abs(ds.h[:, :, None, None] * G[:, None, :, None] * G[None, :, None, :]),
+               axis=(0, 1))))
+    return L, gs, hs
 
 
 def within_rounding(got, want, terms):
     """|got - want| <= CHART_JET_BOUND u times the largest |term| of the row;
-    ``terms`` stacks the row's terms on axis 0, and a row of zero terms must
-    come out exactly."""
+    ``terms`` stacks the row's term scales on axis 0, and a row of zero
+    scales must come out exactly."""
     scale = np.max(np.abs(terms), axis=0)
     return np.all(np.abs(got - want) <= CHART_JET_BOUND * U * scale)
 
@@ -574,29 +591,33 @@ def within_rounding(got, want, terms):
 def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
     """The closed-form chart jets, seeded only in q[3:] and qd, give the H, Z
     and EL residuals of jets seeded in all 2n chart coordinates to within
-    CHART_JET_BOUND u of each row's scale; a batch gives each state's
-    derivatives and EL report bit for bit."""
+    CHART_JET_BOUND u of each row's scale, the largest scale of its terms
+    (``all_seeded_lagrangian``); a batch gives each state's derivatives and
+    EL report bit for bit."""
     F = ROT if expr == "rotator" else parse_f(expr)
     rng = np.random.default_rng([len(dof), states])
     batch = [random_chart_state(rng) for _ in range(states)]
     n = len(dof)
     qdd = rng.uniform(-1.0, 1.0, (n, states))
     q, qd = stack_states(batch).coords(dof)
-    L = all_seeded_lagrangian(F, q, qd, dof)
+    L, gs, hs = all_seeded_lagrangian(F, q, qd, dof)
     hv, dq = L.h[n:], L.g[:n]
     terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
+    scales = ([hs[n:, n + j] * abs(qdd[j]) for j in range(n)]
+              + [hs[n:, j] * abs(qd[j]) for j in range(n)] + [gs[:n]])
     rep = dynamics._el_report(F, q, qd, qdd, dof)
     res = sum(terms[:n]) + sum(terms[n:]) - dq
     assert np.isfinite(res).all()
-    assert within_rounding(rep.residuals, res, np.stack(terms + [dq]))
+    assert within_rounding(rep.residuals, res, np.stack(scales))
     for b, s in enumerate(batch):
         qb, qdb = s.coords(dof)
         H, Z = dynamics._hessian_and_force(F, qb, qdb, dof)
         Hb, hvb, dqb = hv[:, n:, b], hv[..., b], dq[:, b]
         Zb = dqb - hvb[:, :n] @ qdb
         assert np.isfinite(H).all()
-        assert within_rounding(H, Hb, np.moveaxis(Hb, 1, 0))
-        assert within_rounding(Z, Zb, np.stack([dqb, *(-hvb[:, j] * qdb[j] for j in range(n))]))
+        assert within_rounding(H, Hb, np.moveaxis(hs[n:, n:, b], 1, 0))
+        assert within_rounding(Z, Zb, np.stack([gs[:n, b], *(hs[n:, j, b] * abs(qdb[j])
+                                                            for j in range(n))]))
         one = dynamics._el_report(F, qb, qdb, qdd[:, b], dof)
         assert same_bits(rep.residuals[:, b], one.residuals) and rep.scale[b] == one.scale
         got = dynamics._chart_derivatives(F, qb, qdb, dof)

@@ -4,14 +4,17 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rotorlab import fform, jets
+from rotorlab.degeneracy import DOF5, DOF6, chart_scalar_jets, random_chart_state, stack_states
 from rotorlab.fform import (
     BUILTIN_NAMES,
     ParseError,
     PQPoint,
     builtin,
+    lagrangian_from_scalars,
     lagrangian_from_vectors,
     parse_f,
     parse_phase,
+    pq_from_scalars,
     pq_from_vectors,
 )
 from rotorlab.invariants import random_kinematic_jet
@@ -141,6 +144,91 @@ def test_lagrangian_requires_timelike_and_forward():
                       b=J.b, kdot=J.kdot, mdot=J.mdot, adot=J.adot, bdot=J.bdot)
     with pytest.raises(DomainError):
         lagrangian_from_vectors(F, bad.xdot, bad.k, bad.kdot)
+
+
+# -- L's one chain step against jet arithmetic through P and Q ---------------
+
+U = np.finfo(float).eps / 2  # the unit roundoff
+# |chain step - reference| <= CHAIN_BOUND u (row scale) for L's value, gradient
+# and Hessian rows; the worst over seeds 0-63 of the test's draws was 4 u
+# (value), 9 u (gradient) and 25 u (Hessian rows)
+CHAIN_BOUND = 64
+CHAIN_FORMS = {
+    "rotator": builtin("rotator_f"),
+    "starlike": builtin("starlike"),
+    "nu_family": builtin("nu_family", nu=0.5, M=1.5, ell=0.7),
+    "constant": parse_f("2.5"),
+    "1+Q+P^2": parse_f("1+Q+P^2"),
+    "Q+P*Q": parse_f("Q+P*Q", M=0.8, ell=1.3),
+}
+
+
+def reference_lagrangian(F, xx, kx, kdx, kdkd):
+    """L = -M sqrt(xx) F(P, Q) by jet arithmetic through P and Q, the
+    reference for ``lagrangian_from_scalars``' chain step."""
+    _, P, Q = pq_from_scalars(xx, kx, kdx, kdkd, F.ell)
+    return -F.M * jets.sqrt(xx) * F.func(P, Q)
+
+
+def _entry(u, b):
+    """Batch entry b of the jet u."""
+    return jets.Jet(u.f[b], u.g[..., b], None if u.h is None else u.h[..., b])
+
+
+def _within(got, want, scale):
+    """|got - want| <= CHAIN_BOUND u scale, and exact where the scale is 0."""
+    return np.all(np.abs(got - want) <= CHAIN_BOUND * U * scale)
+
+
+@pytest.mark.parametrize("name", CHAIN_FORMS)
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_lagrangian_chain_step_matches_jet_arithmetic(name, dof, order):
+    """L on the chart scalars' jets (16 states), from F's partials at (P, Q)
+    and one chain step, against the reference.  The scales are the terms of
+    the chain sums, with L's partials in the four scalars taken from the
+    reference on jets seeded in the scalars: the value's scale is the largest
+    of |L|, |kdx dL/dkdx| and |kdkd dL/dkdkd|; the gradient's the largest
+    |dL/ds_i ds_i/dv|; Hessian row a's the largest |dL/ds_i d2s_i/dv_a dv_b|
+    and |d2L/ds_i ds_j ds_i/dv_a ds_j/dv_b|.  First-order scalars give a
+    first-order L, and each batch entry is the single state's L bit for bit."""
+    F = CHAIN_FORMS[name]
+    rng = np.random.default_rng([len(dof), order])
+    q, qd = stack_states([random_chart_state(rng) for _ in range(16)]).coords(dof)
+    scalars = chart_scalar_jets(q, qd, dof)
+    if order == 1:
+        scalars = [jets.Jet(s.f, s.g, None) for s in scalars]
+    got = lagrangian_from_scalars(F, *scalars)
+    want = reference_lagrangian(F, *scalars)
+    values = np.array([s.f for s in scalars])
+    ds = reference_lagrangian(F, *jets.variables(*values))
+    G = np.array([s.g for s in scalars])
+    assert _within(got.f, want.f, np.max(np.abs([want.f, *(ds.g[2:] * values[2:])]), axis=0))
+    assert _within(got.g, want.g, np.max(np.abs(ds.g[:, None] * G), axis=(0, 1)))
+    if order == 1:
+        assert got.h is None
+    else:
+        H = np.array([s.h for s in scalars])
+        first = np.abs(ds.g[:, None, None] * H).max(axis=(0, 2))
+        second = np.abs(ds.h[:, :, None, None] * G[:, None, :, None]
+                        * G[None, :, None, :]).max(axis=(0, 1, 3))
+        assert _within(got.h, want.h, np.maximum(first, second)[:, None])
+    for b in (0, 9, 15):
+        one = lagrangian_from_scalars(F, *(_entry(s, b) for s in scalars))
+        assert one.f == got.f[b] and np.array_equal(one.g, got.g[..., b])
+        assert (one.h is None) if order == 1 else np.array_equal(one.h, got.h[..., b])
+
+
+def test_lagrangian_chain_step_takes_constant_scalars():
+    """A plain-number scalar among jets is a constant, as in jet arithmetic."""
+    F = CHAIN_FORMS["1+Q+P^2"]
+    q, qd = random_chart_state(np.random.default_rng(5)).coords(DOF5)
+    xx, kx, kdx, kdkd = chart_scalar_jets(q, qd, DOF5)
+    got = lagrangian_from_scalars(F, xx, kx, kdx.f, kdkd)
+    want = reference_lagrangian(F, xx, kx, kdx.f, kdkd)
+    scale = max(abs(want.f), np.max(np.abs(want.g)), np.max(np.abs(want.h)))
+    assert np.allclose(got.g, want.g, rtol=0.0, atol=CHAIN_BOUND * U * scale)
+    assert np.allclose(got.h, want.h, rtol=0.0, atol=CHAIN_BOUND * U * scale)
 
 
 def test_negative_Q_rejected():
