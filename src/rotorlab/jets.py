@@ -27,8 +27,8 @@ evaluated entry by entry through ``math``.  Plain numbers are likewise floats
 or arrays of the batch shape, and the operands of one operation share one
 batch shape.
 
-``compose`` is the one multivariate composition: the jet of a function of
-m jets from the function's first and second partials, by one chain step.
+``compose`` gives the jet of a function of m jets from the function's first
+and second partials, by one chain step.
 
 A plain-number operand of ``+ - * /`` shifts the value or scales the whole
 jet; it is never promoted to a zero-derivative jet.  A result may share its
