@@ -329,8 +329,8 @@ def compose(inner, f, d, D):
     The sums over i run in index order, one term at a time, so each batch
     entry is bit-identical to the unbatched call and no temporary grows by a
     factor m.  The result is first order if any u_i is, and then ``D`` is
-    not read (it may be None).  A plain-number u_i is a constant: its rates
-    are zero.
+    not read (it may be None).  At least one u_i is a jet; a plain-number
+    u_i is a constant, whose rates are zero.
     """
     if not all(isinstance(u, Jet) for u in inner):
         like = next(u for u in inner if isinstance(u, Jet))

@@ -150,8 +150,8 @@ def test_lagrangian_requires_timelike_and_forward():
 
 U = np.finfo(float).eps / 2  # the unit roundoff
 # |chain step - reference| <= CHAIN_BOUND u (row scale) for L's value, gradient
-# and Hessian rows; the worst over seeds 0-63 of the test's draws was 4 u
-# (value), 9 u (gradient) and 25 u (Hessian rows)
+# and Hessian rows; the worst over 64 such draws per case (rng [seed, len(dof),
+# order], seeds 0-63) was 4 u (value), 9 u (gradient) and 25 u (Hessian rows)
 CHAIN_BOUND = 64
 CHAIN_FORMS = {
     "rotator": builtin("rotator_f"),

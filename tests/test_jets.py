@@ -357,3 +357,33 @@ def test_first_order_functions_keep_value_and_gradient(batches, p):
         assert_first_order_matches(jets.atan2, m, x)
         assert_first_order_matches(jets.atan2, m, 1.5)
         assert_first_order_matches(jets.atan2, -0.5, u)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_compose_is_the_chain_rule(order, batch):
+    """``compose`` on f(u, v, w) = u v + sin(w), with f's partials, is the jet
+    arithmetic of u * v + sin(w) to rounding, first or second order; a batch
+    entry is the unbatched call bit for bit, and a first-order result has no
+    Hessian."""
+    rng = np.random.default_rng([order, batch or 1])
+    shape = (3,) if batch is None else (3, batch)
+    x = jets.variables(*rng.uniform(-1.0, 1.0, shape), order=order)
+    u, v, w = x[0] * x[1] + x[2], jets.sin(x[0]) * x[2], x[1] * x[1] - x[0]
+    want = u * v + jets.sin(w)
+    sw, cw, z = jets.sin(w.f), jets.cos(w.f), 0.0 * u.f
+    got = jets.compose([u, v, w], u.f * v.f + sw, (v.f, u.f, cw),
+                       ((z, 1.0 + z, z), (1.0 + z, z, z), (z, z, -sw)))
+    assert np.allclose(got.g, want.g, rtol=0.0, atol=1e-14)
+    if order == 1:
+        assert got.h is None
+    else:
+        assert np.allclose(got.h, want.h, rtol=0.0, atol=1e-14)
+        assert np.array_equal(got.h, got.h.swapaxes(0, 1))
+    if batch is not None:
+        one = jets.compose(
+            [jets.Jet(a.f[2], a.g[..., 2], None if a.h is None else a.h[..., 2]) for a in (u, v, w)],
+            got.f[2], (v.f[2], u.f[2], cw[2]),
+            ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, -sw[2])))
+        assert np.array_equal(one.g, got.g[..., 2])
+        assert (one.h is None) if order == 1 else np.array_equal(one.h, got.h[..., 2])
