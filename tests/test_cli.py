@@ -600,37 +600,21 @@ def test_simulate_fuzz_exit_codes(expr, periods):
     assert calls[0] <= 2 + sum(budget)
 
 
-def _exit_code_and_stderr(argv):
+# hessian, relation and fundamental-check differentiate L by one chain step
+# from F's partials at (P, Q); the expressions make that step meet constant
+# forms, partials that overflow and 0 * inf.  A leading space keeps an
+# expression that starts with "-" from reading as an option of --forms.
+@settings(max_examples=350, deadline=None, derandomize=True)
+@given(expr=st.one_of(_expressions, _text),
+       argv=st.sampled_from([["hessian", "--f={}", "--dof", "5"],
+                             ["hessian", "--f={}", "--dof", "6"],
+                             ["relation", "--states", "2", "--forms", "Q+P*Q", " {}"],
+                             ["fundamental-check", "--f={}", "--grid", "4"]]))
+def test_chain_fuzz_exit_codes(expr, argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = exit_code(argv)
-    return code, err.getvalue()
-
-
-# hessian and relation differentiate L by one chain step from F's partials at
-# (P, Q); the expressions make that step meet constant forms, partials that
-# overflow and 0 * inf.  A leading space keeps an expression that starts with
-# "-" from reading as an option of --forms.
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(expr=st.one_of(_expressions, _text), dof=st.sampled_from(["5", "6"]))
-def test_hessian_fuzz_exit_codes(expr, dof):
-    code, err = _exit_code_and_stderr(["hessian", f"--f={expr}", "--dof", dof])
-    assert code in (0, 1, 2) and "Traceback" not in err
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(expr=st.one_of(_expressions, _text))
-def test_relation_fuzz_exit_codes(expr):
-    code, err = _exit_code_and_stderr(["relation", "--states", "2",
-                                       "--forms", "Q+P*Q", f" {expr}"])
-    assert code in (0, 1, 2) and "Traceback" not in err
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(expr=st.one_of(_expressions, _text))
-def test_fundamental_check_fuzz_exit_codes(expr):
-    code, err = _exit_code_and_stderr(["fundamental-check", f"--f={expr}", "--grid", "4"])
-    assert code in (0, 1, 2) and "Traceback" not in err
+        code = exit_code([a.format(expr) for a in argv])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
 
 
 _log_scale = st.floats(-300.0, 300.0).map(lambda e: repr(10.0 ** e))
