@@ -38,7 +38,7 @@ from .dynamics import (
     trajectory_samples,
 )
 from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
-                    parse_phase, pq_from_scalars)
+                    parse_phase, pq_from_scalars, scalar_products)
 from .invariants import (
     GaugeJet,
     draw_kinematic_path,
@@ -51,9 +51,8 @@ from .invariants import (
 from .minkowski import DomainError, dot, gram_det
 from .noether import (
     FUNDAMENTAL_WW_FACTOR,
-    casimirs_closed_form,
     casimirs_from_partials,
-    fundamental_residuals,
+    casimirs_where_defined,
     momenta,
 )
 from .reports import Report, RunConfig, all_pass, load_config, render_reports
@@ -123,19 +122,22 @@ def fundamental_forms(cfg: RunConfig):
     return forms
 
 
-def domain_grid(F: FForm, n: int = 20):
-    """The points of an n x n (P, Q) grid inside the domain of F, P-major."""
+def domain_grid(F: FForm, n: int):
+    """The P and Q arrays of the points of an n x n (P, Q) grid inside the
+    domain of F, P-major."""
     P, Q = (g.ravel() for g in np.meshgrid(np.linspace(-0.9, 0.9, n),
                                            np.linspace(0.05, 4.0, n), indexing="ij"))
-    inside = np.broadcast_to(F.domain(P, Q), P.shape)
-    return [PQPoint(float(p), float(q)) for p, q in zip(P[inside], Q[inside])]
+    inside = F.in_domain(P, Q)
+    return P[inside], Q[inside]
 
 
-def fundamental_residual(F: FForm, n: int):
-    """Worst relative miss of the fixed PP and WW over the domain grid of F, and
-    the number of grid points."""
-    res = fundamental_residuals(F, domain_grid(F, n))
-    return _worst([res["max_PP_residual"], res["max_WW_residual"]]), res["points"]
+def fundamental_residual(F: FForm, P, Q) -> float:
+    """Worst relative miss of the fixed PP and WW over (P, Q) arrays, which
+    must lie inside the domain of F."""
+    F.check_domain(P, Q)
+    _, PP, WW = casimirs_where_defined(F, P, Q)
+    return _worst([np.abs(PP / F.M**2 - 1.0),
+                   np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)])
 
 
 def noether_residuals(forms, samples):
@@ -145,18 +147,11 @@ def noether_residuals(forms, samples):
     ``samples`` is a batch of kinematic jets.  The closed form of each form is
     evaluated once over the batch; the momenta are taken one jet at a time,
     jet-major and form-minor, each pair's residuals the same as alone."""
-    scalars = (dot(samples.xdot, samples.xdot), dot(samples.k, samples.xdot),
-               dot(samples.kdot, samples.xdot), dot(samples.kdot, samples.kdot))
-    closed = []  # per form: the batch entries inside its domain, PP, WW there
+    scalars = scalar_products(samples.xdot, samples.k, samples.kdot)
+    closed = []  # per form: the batch entries inside its domain, PP and WW there
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
-        inside = np.broadcast_to(F.domain(P, Q), P.shape)
-        PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
-        if inside.any():
-            v = F.eval(P[inside], Q[inside])
-            PP[inside], WW[inside] = casimirs_from_partials(F, P[inside], Q[inside],
-                                                            v.F, v.F_P, v.F_Q)
-        closed.append((inside, PP, WW))
+        closed.append(casimirs_where_defined(F, P, Q))
     cross, wp = [], []
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):
@@ -282,7 +277,8 @@ def suite_invariants(cfg: RunConfig):
 def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
-    worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
+    worst_fund = _worst([fundamental_residual(F, *domain_grid(F, 12))
+                         for F in fundamental])
     forms = fundamental + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
                            builtin("fq", f=lambda q: q, M=cfg.M, ell=cfg.ell)]
     worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
@@ -371,29 +367,30 @@ def cmd_verify(args, cfg: RunConfig):
 def cmd_casimir(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
     v = F.eval(args.P, args.Q)
-    c = casimirs_closed_form(F, PQPoint(args.P, args.Q))
+    at = PQPoint(args.P, args.Q)  # Q >= 0, checked after the domain
+    PP, WW = map(float, casimirs_from_partials(F, at.P, at.Q, v.F, v.F_P, v.F_Q))
     pp_target = cfg.M**2
     ww_target = FUNDAMENTAL_WW_FACTOR * cfg.M**4 * cfg.ell**2
     inputs = {
         "form": F.name, "P": args.P, "Q": args.Q,
         "F": v.F, "F_P": v.F_P, "F_Q": v.F_Q,
-        "PP": c.PP, "WW": c.WW,
-        "PP_residual": abs(c.PP / pp_target - 1.0),
-        "WW_residual": abs(c.WW / ww_target - 1.0),
+        "PP": PP, "WW": WW,
+        "PP_residual": abs(PP / pp_target - 1.0),
+        "WW_residual": abs(WW / ww_target - 1.0),
     }
     # the check is that every computed value is a number: an overflow in F
     # or its partials makes the Casimirs inf or nan
-    finite = all(math.isfinite(x) for x in (v.F, v.F_P, v.F_Q, c.PP, c.WW))
+    finite = all(math.isfinite(x) for x in (v.F, v.F_P, v.F_Q, PP, WW))
     return [Report("casimir", 0.0 if finite else math.inf, 0.0, cfg.seed, inputs)]
 
 
 def cmd_fundamental_check(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
-    worst, points = fundamental_residual(F, args.grid)
-    if not points:  # no grid point inside the domain: nothing was checked
-        worst = math.inf
+    P, Q = domain_grid(F, args.grid)
+    # no grid point inside the domain: nothing was checked
+    worst = fundamental_residual(F, P, Q) if P.size else math.inf
     return [Report("fundamental-check", worst, FUNDAMENTAL_TOL,
-                   cfg.seed, {"form": F.name, "points": points})]
+                   cfg.seed, {"form": F.name, "points": P.size})]
 
 
 def cmd_hessian(args, cfg: RunConfig):
@@ -560,9 +557,10 @@ def main(argv=None) -> int:
             with open(args.report_out, "w") as fh:
                 fh.write(doc)
     except (DomainError, ParseError, SingularHessianError, ValueError, OSError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError) as exc:
         # an ArithmeticError is a float division by zero or a ** overflow: an
-        # input whose scales leave the floating-point range at some step
+        # input whose scales leave the floating-point range at some step; a
+        # MemoryError an input whose size cannot be allocated
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(doc)

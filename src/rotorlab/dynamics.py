@@ -572,8 +572,7 @@ def speed_to_Q(phidot: float, ell: float = 1.0) -> float:
 # -- one initial state, many solutions ---------------------------------------
 
 
-def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
-                       dof=DOF5) -> dict:
+def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm) -> dict:
     """Several admissible phases sharing (phi(0), phidot(0)): same initial
     lab-time state, residual-clean trajectories, divergent subsequent motion.
 
@@ -586,7 +585,7 @@ def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm,
     for phase in phases:
         p = SolutionParams(P=base.P, W=base.W, N=base.N, phase=phase,
                            x0=base.x0, M=base.M, ell=base.ell)
-        s = trajectory_samples(F, free_motion(p), times, dof)
+        s = trajectory_samples(F, free_motion(p), times)
         ph = p.phase_jet(s.t[0])
         if ref_j is None:
             ref_j = (ph.f, ph.g[0])

@@ -3,13 +3,13 @@
 P and Q are the two reparametrization-invariant, scale-free combinations of a
 null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
-(M, ell, nu) and a domain predicate; first and second partials come from
-forward-mode differentiation, exact to rounding.  The Lagrangian reads the
-velocities only through four scalar products, and on jets of those it is
-differentiated once: F's partials at (P, Q), L's partials in the four
-scalars in closed form, and one chain step (``jets.compose``).  The
-Lagrangian and its scalars take batched jets or arrays as well (see
-``jets``), and a domain predicate then answers per batch entry.
+(M, ell, nu) and a domain predicate, read through one mask and one raising
+check (``FForm.in_domain``, ``FForm.check_domain``) at a float or batch
+(P, Q); partials come from forward-mode differentiation, exact to rounding.
+The Lagrangian reads the velocities only through four scalar products
+(``scalar_products``), and on jets of those it is differentiated once: F's
+partials at (P, Q), L's partials in the four scalars in closed form, and one
+chain step (``jets.compose``).  It takes batched jets or arrays as well.
 
 Builtins cover the point particle, the f(Q) rotator subfamily, the two
 closed-form families satisfying the fixed mass/spin conditions, and the
@@ -62,14 +62,25 @@ class FForm:
     def __call__(self, P, Q):
         return self.func(P, Q)
 
-    def in_domain(self, P, Q) -> bool:
-        """Whether (P, Q), or every entry of a batch of them, lies in the domain."""
+    def in_domain(self, P, Q):
+        """Whether (P, Q) lies in the domain: a bool at a float (P, Q), and a
+        bool array of the batch shape when P is a batch array."""
         ok = self.domain(P, Q)
-        return bool(ok.all() if isinstance(ok, np.ndarray) else ok)
+        if isinstance(P, np.ndarray):  # a domain that ignores (P, Q) gives one bool
+            return ok if isinstance(ok, np.ndarray) else np.full(P.shape, bool(ok))
+        return bool(ok)
 
-    def eval(self, P: float, Q: float) -> FFormValue:
-        if not self.in_domain(P, Q):
-            raise DomainError(f"(P, Q) = ({P}, {Q}) outside domain of {self.name}")
+    def check_domain(self, P, Q):
+        """Raise a DomainError naming (P, Q), and for a batch the first entry
+        outside the domain and its index."""
+        inside = self.in_domain(P, Q)
+        jets.raise_where(~inside if isinstance(inside, np.ndarray) else not inside,
+                         DomainError, f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}",
+                         P, Q)
+
+    def eval(self, P, Q) -> FFormValue:
+        """F and its partials at (P, Q): floats, or arrays for batch arrays."""
+        self.check_domain(P, Q)
         out = self._jet(P, Q)
         return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
 
@@ -84,10 +95,15 @@ class FForm:
         return out
 
 
+def scalar_products(xdot, k, kdot):
+    """xdot.xdot, k.xdot, kdot.xdot and kdot.kdot, the four scalar products
+    that L reads; jet-generic, and per batch entry for (4, B) arrays."""
+    return dot(xdot, xdot), dot(k, xdot), dot(kdot, xdot), dot(kdot, kdot)
+
+
 def pq_from_vectors(xdot, k, kdot, ell: float) -> PQPoint:
     """(P, Q) from raw (xdot, k, kdot); see ``pq_from_scalars``."""
-    _, P, Q = pq_from_scalars(dot(xdot, xdot), dot(k, xdot), dot(kdot, xdot),
-                              dot(kdot, kdot), ell)
+    _, P, Q = pq_from_scalars(*scalar_products(xdot, k, kdot), ell)
     return PQPoint(P=float(P), Q=float(Q))
 
 
@@ -385,8 +401,7 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
 
 def lagrangian_from_vectors(F: FForm, xdot, k, kdot):
     """L = -M sqrt(x.x) F(P, Q) from raw (xdot, k, kdot); jet-generic."""
-    return lagrangian_from_scalars(F, dot(xdot, xdot), dot(k, xdot),
-                                   dot(kdot, xdot), dot(kdot, kdot))
+    return lagrangian_from_scalars(F, *scalar_products(xdot, k, kdot))
 
 
 # The rates of the factors of the scalar products u.v = k.x, x.x, kd.x and
@@ -420,11 +435,6 @@ def velocity_scalars(xdot, k, kdot):
     return xx, kx, kdx, kdkd
 
 
-def _check_domain(F: FForm, P, Q):
-    jets.raise_where(np.logical_not(F.domain(P, Q)), DomainError,
-                     f"(P, Q) = ({{}}, {{}}) outside domain of {F.name}", P, Q)
-
-
 def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
     kdot.xdot and kdot.kdot: floats, batch arrays, or jets.
@@ -448,11 +458,11 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     scalars = (xx, kx, kdx, kdkd)
     if not any(isinstance(s, jets.Jet) for s in scalars):
         rt, P, Q = pq_from_scalars(*scalars, F.ell)
-        _check_domain(F, P, Q)
+        F.check_domain(P, Q)
         return -F.M * rt * F.func(P, Q)
     xx, kx, _, _ = values = [jets.value(s) for s in scalars]
     rt, P, Q = pq_from_scalars(*values, F.ell)
-    _check_domain(F, P, Q)
+    F.check_domain(P, Q)
     second = all(not isinstance(s, jets.Jet) or s.h is not None for s in scalars)
     Fj = F._jet(P, Q, order=2 if second else 1)
     Fv, g, h = Fj.f, Fj.g, Fj.h

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jets
-from .fform import pq_from_scalars
+from .fform import pq_from_scalars, scalar_products
 from .minkowski import DomainError, dot, four
 from .spinor import Tetrad, gauge_transform, tetrad_from_angles, tetrad_relations
 
@@ -148,8 +148,8 @@ def iota(J: KinematicJet) -> np.ndarray:
 def capital_invariants(J: KinematicJet) -> np.ndarray:
     """Reparametrization-invariant set (I0, I1, I2, I3, I4); I1 and I3 are
     Q and P at ell = 1."""
-    xx, kx = dot(J.xdot, J.xdot), dot(J.k, J.xdot)
-    rt, I3, I1 = pq_from_scalars(xx, kx, dot(J.kdot, J.xdot), dot(J.kdot, J.kdot), 1.0)
+    xx, kx, kdx, kdkd = scalar_products(J.xdot, J.k, J.kdot)
+    rt, I3, I1 = pq_from_scalars(xx, kx, kdx, kdkd, 1.0)
     return np.array([xx, I1, iota(J)[5] / (kx * rt), I3, kx / rt])
 
 

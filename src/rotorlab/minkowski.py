@@ -111,14 +111,10 @@ def _outer(u, v):
     return u[:, None] * v
 
 
-def bivector(u, p, k=None, pi=None):
-    """Angular-momentum style bivector M^{mu nu} = u^p^ - p^u^ (+ k^pi^ - pi^k^);
+def bivector(u, p, k, pi):
+    """Angular-momentum style bivector M^{mu nu} = u^p^ - p^u^ + k^pi^ - pi^k^;
     (4, 4, B) for (4, B) vectors."""
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
+    u, p, k, pi = (np.asarray(v, dtype=float) for v in (u, p, k, pi))
     M = _outer(u, p) - _outer(p, u)
-    if k is not None:
-        k = np.asarray(k, dtype=float)
-        pi = np.asarray(pi, dtype=float)
-        M += _outer(k, pi) - _outer(pi, k)
+    M += _outer(k, pi) - _outer(pi, k)
     return M

@@ -14,7 +14,9 @@ expressions
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2
 
-serve as the analytic side of the dual check against the Noether route.
+serve as the analytic side of the dual check against the Noether route:
+at one (P, Q) (``casimirs_closed_form``), or over a batch of (P, Q) with NaN
+outside F's domain (``casimirs_where_defined``).
 """
 
 from __future__ import annotations
@@ -99,6 +101,19 @@ def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
     return PP, WW
 
 
+def casimirs_where_defined(F: FForm, P, Q):
+    """(inside, PP, WW) over a batch of (P, Q) arrays: the entries inside F's
+    domain, and the closed-form Casimirs there, NaN elsewhere; each entry the
+    float result."""
+    inside = F.in_domain(P, Q)
+    PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
+    if inside.any():
+        P, Q = P[inside], Q[inside]
+        v = F.eval(P, Q)
+        PP[inside], WW[inside] = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
+    return inside, PP, WW
+
+
 def casimirs_closed_form(F: FForm, at: PQPoint) -> CasimirPair:
     v = F.eval(at.P, at.Q)
     PP, WW = casimirs_from_partials(F, at.P, at.Q, v.F, v.F_P, v.F_Q)
@@ -118,27 +133,3 @@ def casimirs_special_S(S, Q: float, M: float = 1.0, ell: float = 1.0) -> Casimir
     PP = M**2 * s * (s - 4.0 * Q * sp)
     WW = -((2.0 * M**2 * ell * s * np.sqrt(Q) * sp) ** 2)
     return CasimirPair(PP=float(PP), WW=float(WW))
-
-
-def fundamental_residuals(F: FForm, grid) -> dict:
-    """Max deviation of (PP, WW) from the fixed-parameter targets over a grid
-    of (P, Q) points, in one batched pass; a NaN is the max."""
-    pp_target = F.M**2
-    ww_target = FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2
-    pts = [pt if isinstance(pt, PQPoint) else PQPoint(*pt) for pt in grid]
-    P = np.array([pt.P for pt in pts], dtype=float)
-    Q = np.array([pt.Q for pt in pts], dtype=float)
-    jets.raise_where(np.logical_not(F.domain(P, Q)), DomainError,
-                     f"grid point ({{}}, {{}}) outside domain of {F.name}", P, Q)
-    pp_res, ww_res = 0.0, 0.0
-    if pts:
-        v = F.eval(P, Q)
-        PP, WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
-        pp_res = float(np.max(np.abs(PP / pp_target - 1.0)))
-        ww_res = float(np.max(np.abs(WW / ww_target - 1.0)))
-    return {
-        "form": F.name,
-        "points": len(pts),
-        "max_PP_residual": pp_res,
-        "max_WW_residual": ww_res,
-    }

@@ -111,6 +111,38 @@ def test_fundamental_check_fails_on_an_empty_grid(capsys):
     assert "inputs.points = 0" in out
 
 
+def test_relation_domain_error_names_its_batch_entry(capsys):
+    # the forms are evaluated over the batch of states; the error names the
+    # first state outside the domain as a scalar (P, Q), not whole arrays
+    code = main(["relation", "--forms", "sqrt(0.03-Q)", "Q", "--states", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert re.fullmatch(r"error: \(P, Q\) = \(-?[0-9.e-]+, [0-9.e-]+\) outside domain of "
+                        r"parsed:sqrt\(0\.03-Q\) \(batch entry 0\)\n", captured.err)
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["fundamental-check", "--f", "rotator", "--grid", "1000000"], cli, "domain_grid"),
+    (["freemotion", "--samples", "1000000000000"], np, "linspace"),
+], ids=["fundamental-check", "freemotion"])
+def test_an_input_too_large_to_allocate_exits_2(capsys, monkeypatch, argv, owner, name):
+    # the allocation fails as numpy fails it, with a MemoryError, but without
+    # asking for the memory: an overcommitting host may grant it lazily
+    original = getattr(owner, name)
+
+    def refusing(*args, **kwargs):
+        sizes = [a for a in (*args, *kwargs.values()) if isinstance(a, int)]
+        if max(sizes, default=0) >= 1000000:
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, refusing)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_hessian_rank_four(capsys):
     code, out = run(capsys, "hessian", "--f", "nu_family", "--nu", "0.3",
                     "--seed", "3")
@@ -238,7 +270,8 @@ def _nan_singular_values(rep):
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
 # sample of the check; the tetrad suite calls its two functions once, on the
 # whole batch, and so does the invariants suite with identity_checks; the
-# casimir suite takes the closed form once per form, on its in-domain jets
+# casimir suite takes the closed form once per form, first on the domain grid
+# of each fundamental form, then on each form's in-domain jets
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -248,7 +281,7 @@ NAN_PLANTS = [
      lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
     ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
-    ("casimir", "noether-crosscheck", cli, "casimirs_from_partials",
+    ("casimir", "noether-crosscheck", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "wp-orthogonality", cli, "momenta",
      lambda ms: dataclasses.replace(ms, W=_with_nan(ms.W))),
@@ -263,9 +296,11 @@ NAN_PLANTS = [
 # the degeneracy suite takes the Hessians of three singular forms over its
 # batch of states, then those of the nondegenerate ones: the fourth call is
 # the first nondegenerate form; it calls relation_check once, and the NaN
-# lands in the first form's K at the first state
+# lands in the first form's K at the first state; the noether-crosscheck NaN
+# lands in the second form's closed form on the jets
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "nondegenerate-dets": 4, "relation-consistency": 1}
+                 "nondegenerate-dets": 4, "relation-consistency": 1,
+                 "noether-crosscheck": len(cli.fundamental_forms(RunConfig())) + 2}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,

@@ -78,6 +78,29 @@ def test_domain_respects_sqrt_and_division():
     assert not F.in_domain(0.0, 1.0)
 
 
+@pytest.mark.parametrize("F", [parse_f("sqrt(Q - 1)"), builtin("starlike", signs=(1, -1)),
+                               builtin("point_particle")], ids=lambda F: F.name)
+def test_domain_mask_takes_the_batch_shape(F):
+    # a bool at a float point, a bool array of the batch shape at arrays,
+    # entry by entry the float answer, also for a domain that ignores (P, Q)
+    P, Q = np.array([0.0, 0.3, -0.2, 0.1]), np.array([2.0, 0.5, 9.0, 1.5])
+    mask = F.in_domain(P, Q)
+    assert mask.dtype == bool and mask.shape == P.shape
+    assert mask.tolist() == [F.in_domain(p, q) for p, q in zip(P.tolist(), Q.tolist())]
+    assert all(type(F.in_domain(p, q)) is bool for p, q in zip(P.tolist(), Q.tolist()))
+
+
+def test_batch_eval_names_the_entry_outside_the_domain():
+    F = builtin("starlike", signs=(1, -1))
+    P, Q = np.array([0.1, 0.2, 0.3]), np.array([0.5, 9.0, 16.0])
+    with pytest.raises(DomainError, match=r"^\(P, Q\) = \(0\.2, 9\.0\) outside domain "
+                                          r"of starlike\[\+1,-1\] \(batch entry 1\)$"):
+        F.eval(P, Q)
+    with pytest.raises(DomainError, match=r"^\(P, Q\) = \(0\.2, 9\.0\) outside domain "
+                                          r"of starlike\[\+1,-1\]$"):
+        F.eval(0.2, 9.0)
+
+
 def test_eval_partials_match_finite_differences():
     rng = np.random.default_rng(0)
     forms = [parse_f("sqrt(1 + sqrt(Q))"), parse_f("Q + P*Q + P^2"),

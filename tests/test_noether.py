@@ -17,7 +17,7 @@ from rotorlab.noether import (
     MomentumSet,
     casimirs_closed_form,
     casimirs_special_S,
-    fundamental_residuals,
+    casimirs_where_defined,
     momenta,
     momenta_from_vectors,
 )
@@ -195,49 +195,64 @@ def test_angular_momentum_shifts_with_x_but_w_does_not():
     assert np.allclose(a.P, b.P)
 
 
+def _grid_arrays(points):
+    P, Q = np.array(points, dtype=float).reshape(-1, 2).T
+    return P, Q
+
+
 def test_fundamental_residuals_tiny_for_fundamental_forms():
-    grid = [PQPoint(P, Q) for P in np.linspace(-0.5, 0.5, 8)
-            for Q in np.linspace(0.1, 3.0, 8)]
+    grid = [(P, Q) for P in np.linspace(-0.5, 0.5, 8) for Q in np.linspace(0.1, 3.0, 8)]
     forms = [builtin("rotator_f")]
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.0):
         forms.append(builtin("nu_family", nu=nu))
     for F in forms:
-        pts = [p for p in grid if F.in_domain(p.P, p.Q)]
-        res = fundamental_residuals(F, pts)
-        assert res["max_PP_residual"] < 1e-10
-        assert res["max_WW_residual"] < 1e-10
+        pts = [(P, Q) for P, Q in grid if F.in_domain(P, Q)]
+        _, PP, WW = casimirs_where_defined(F, *_grid_arrays(pts))
+        assert np.max(np.abs(PP / F.M**2 - 1.0)) < 1e-10
+        assert np.max(np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)) < 1e-10
+        assert cli.fundamental_residual(F, *_grid_arrays(pts)) < 1e-10
 
 
 def test_fundamental_residuals_large_for_generic_form():
     F = parse_f("Q + P^2")
-    res = fundamental_residuals(F, [PQPoint(0.3, 1.5)])
-    assert max(res["max_PP_residual"], res["max_WW_residual"]) > 0.1
+    assert cli.fundamental_residual(F, *_grid_arrays([(0.3, 1.5)])) > 0.1
 
 
 def test_fundamental_residuals_rejects_out_of_domain():
     F = builtin("starlike", signs=(1, -1))
     with pytest.raises(DomainError):
-        fundamental_residuals(F, [PQPoint(0.0, 9.0)])
-    grid = [PQPoint(0.1, 0.5), PQPoint(0.2, 9.0), PQPoint(0.3, 16.0)]
-    with pytest.raises(DomainError, match=r"grid point \(0\.2, 9\.0\) outside domain "
+        cli.fundamental_residual(F, *_grid_arrays([(0.0, 9.0)]))
+    grid = _grid_arrays([(0.1, 0.5), (0.2, 9.0), (0.3, 16.0)])
+    with pytest.raises(DomainError, match=r"\(P, Q\) = \(0\.2, 9\.0\) outside domain "
                                           r"of starlike\[\+1,-1\] \(batch entry 1\)"):
-        fundamental_residuals(F, grid)
+        cli.fundamental_residual(F, *grid)
+
+
+def test_casimirs_where_defined_masks_the_batch():
+    # NaN outside the domain; inside, each entry is the closed form at its point
+    F = builtin("starlike", signs=(1, -1))
+    P, Q = _grid_arrays([(0.1, 0.5), (0.2, 9.0), (-0.3, 0.25)])
+    inside, PP, WW = casimirs_where_defined(F, P, Q)
+    assert inside.tolist() == [True, False, True]
+    assert np.isnan(PP[1]) and np.isnan(WW[1])
+    for i in (0, 2):
+        c = casimirs_closed_form(F, PQPoint(P[i], Q[i]))
+        assert (PP[i], WW[i]) == (c.PP, c.WW)
 
 
 def _reference_domain_grid(F, n):
-    return [PQPoint(float(P), float(Q)) for P in np.linspace(-0.9, 0.9, n)
+    return [(float(P), float(Q)) for P in np.linspace(-0.9, 0.9, n)
             for Q in np.linspace(0.05, 4.0, n) if F.in_domain(P, Q)]
 
 
-def _reference_fundamental_residuals(F, grid):
+def _reference_fundamental_residual(F, grid):
     """The largest relative miss of PP and WW, one point at a time."""
     pp_res, ww_res = 0.0, 0.0
     for pt in grid:
-        c = casimirs_closed_form(F, pt)
+        c = casimirs_closed_form(F, PQPoint(*pt))
         pp_res = max(pp_res, abs(c.PP / F.M**2 - 1.0))
         ww_res = max(ww_res, abs(c.WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0))
-    return {"form": F.name, "points": len(grid), "max_PP_residual": pp_res,
-            "max_WW_residual": ww_res}
+    return max(pp_res, ww_res)
 
 
 @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(M=1.3, ell=0.7)])
@@ -250,10 +265,12 @@ def test_fundamental_residuals_equal_per_point_loop(cfg):
         parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)")]
     for F in forms:
         for n in (1, 7, 12):
-            grid = cli.domain_grid(F, n)
+            P, Q = cli.domain_grid(F, n)
+            grid = list(zip(P.tolist(), Q.tolist()))
             assert grid == _reference_domain_grid(F, n)
-            assert fundamental_residuals(F, grid) == _reference_fundamental_residuals(F, grid)
-    assert fundamental_residuals(forms[0], []) == _reference_fundamental_residuals(forms[0], [])
+            assert cli.fundamental_residual(F, P, Q) == _reference_fundamental_residual(F, grid)
+    empty = _grid_arrays([])
+    assert cli.fundamental_residual(forms[0], *empty) == _reference_fundamental_residual(forms[0], [])
 
 
 def test_special_S_family_matches_closed_form():

@@ -1,8 +1,10 @@
 """No src function exists for the tests alone.
 
-Every module-level public function of ``src/rotorlab`` must be referenced
-somewhere in ``src/`` or ``perfbench/`` outside its own body, unless it is on
-the allow-list below, each entry with the reason it stays.
+Every module-level public function of ``src/rotorlab``, and every public
+method and property of its module-level classes, must be referenced somewhere
+in ``src/`` or ``perfbench/`` outside its own body, unless it is on the
+allow-list below, each entry with the reason it stays.  The scan goes by
+name, so a method counts as referenced when any attribute of that name is.
 """
 
 import ast
@@ -35,14 +37,22 @@ def _references(tree):
     return refs
 
 
+def _public_functions(tree):
+    """The module's public functions, and the public methods and properties
+    of its classes (a leading underscore, dunders included, marks private)."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (f for f in body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
 def _test_only_functions():
     refs, defs = Counter(), []
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         tree = ast.parse(path.read_text(), filename=str(path))
         refs += _references(tree)
         if path.parent == ROOT / "src" / "rotorlab":
-            defs += [node for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            defs += _public_functions(tree)
     return {d.name for d in defs if refs[d.name] - _references(d)[d.name] == 0}
 
 
