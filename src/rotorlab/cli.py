@@ -134,8 +134,8 @@ def domain_grid(F: FForm, n: int):
 def fundamental_residual(F: FForm, P, Q) -> float:
     """Worst relative miss of the fixed PP and WW over (P, Q) arrays, which
     must lie inside the domain of F."""
-    F.check_domain(P, Q)
-    _, PP, WW = casimirs_where_defined(F, P, Q)
+    v = F.eval(P, Q)
+    PP, WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
     return _worst([np.abs(PP / F.M**2 - 1.0),
                    np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)])
 

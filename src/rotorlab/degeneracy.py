@@ -138,9 +138,9 @@ def _flat(entries, shape):
 
 
 _G_AT = _flat(_GRADIENT, (4, 7))
-# each Hessian pair is written at (i, j) and at (j, i)
-_H_AT = _flat(_HESSIAN + tuple((s, j, i) for s, i, j in _HESSIAN), (4, 7, 7))
-_C_AT = _flat(_HESSIAN_CONST, (4, 7, 7))
+# each Hessian pair is written at (i, j) and at (j, i), then the constants
+_H_AT = _flat(_HESSIAN + tuple((s, j, i) for s, i, j in _HESSIAN) + _HESSIAN_CONST,
+              (4, 7, 7))
 _DOF6_SLOTS = np.array([0, 1, 3, 4, 5, 6, 7])  # the DOF5 variables among DOF6's nine
 
 
@@ -157,6 +157,9 @@ def chart_scalar_jets(q, qd, dof):
     scalars are xx, K w, Kdot w + K u and K^2 z, whose jets follow from the
     DOF5 ones by the product rule in K and Kdot.
     """
+    shape = np.shape(q)[1:]
+    if not shape:  # one state: Python floats, faster than numpy scalars
+        q, qd = np.asarray(q).tolist(), np.asarray(qd).tolist()
     th, ph = q[3], q[4]
     v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
     st, ct = jets.sin(th), jets.cos(th)
@@ -166,7 +169,6 @@ def chart_scalar_jets(q, qd, dof):
     nv = st * a + ct * v3  # n.v
     c1 = ct * a - st * v3  # d (n.v) / d theta
     base = chart_scalars(q, qd, DOF5)
-    shape = np.shape(base[0])
     G = np.zeros((4, 7) + shape)
     H = np.zeros((4, 7, 7) + shape)
     G.reshape((-1,) + shape)[_G_AT] = (
@@ -184,14 +186,11 @@ def chart_scalar_jets(q, qd, dof):
          nv, -ct * b, -ct * cp, -ct * sp, st,
          -ct * b, st * a, st * sp, -st * cp,
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
-    flat = H.reshape((-1,) + shape)
-    flat[_H_AT] = h + h
-    flat[_C_AT] = -2.0
-    values = base
+    H.reshape((-1,) + shape)[_H_AT] = h + h + (jets._full(st, -2.0),) * 4
     if len(dof) == 6:
-        values = chart_scalars(q, qd, dof)
         G, H = _amplitude_jets(G, H, base, q[5], qd[5])
-    return tuple(jets.Jet(f, G[k], H[k]) for k, f in enumerate(values))
+        base = chart_scalars(q, qd, dof)
+    return tuple(map(jets.Jet, base, G, H))
 
 
 def _amplitude_jets(G, H, base, K, Kd):

@@ -13,9 +13,11 @@ second-order phase data.
 
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
-H qddot = Z per step with a Householder QR from LAPACK and condition
-monitoring.  scipy is imported only by the integration (``integrate`` and
-``_qr_solve``), so the free-motion and residual queries start without it.
+H qddot = Z at each right-hand-side call, one state at a time, with a
+Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
+arrays of a few entries numpy's per-call overhead is most of a call's cost,
+so each stage of it makes few numpy calls.  scipy is imported only by the
+integration, so the free-motion and residual queries start without it.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
@@ -32,6 +34,7 @@ the CSV is formatted once from the columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -239,16 +242,13 @@ def _lab_chart_jets(x, k, dof):
 
 def _chart_derivatives(F: FForm, q, qd, dof):
     """dL/dq (n,) and the velocity rows of L's Hessian (n, 2n), with columns
-    (q, qd); a trailing batch axis for a batch of states.
-
-    L reads the worldline only through its velocity, so x1..x3 are cyclic:
-    the jets are in q[3:] and qd only, and the columns of x1..x3 hold exact
-    zeros.  The four chart scalars enter as closed-form jets
-    (``chart_scalar_jets``), and L's derivatives are one chain step from
-    them (``lagrangian_from_scalars``)."""
+    (q, qd); a trailing batch axis for a batch of states.  L reads the
+    worldline only through its velocity, so x1..x3 are cyclic: the chart
+    jets (``chart_scalar_jets``) are in q[3:] and qd only, and the columns of
+    x1..x3 hold exact zeros."""
     n = len(dof)
     L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
-    shape = np.shape(L.f)
+    shape = np.shape(q)[1:]
     dq = np.zeros((n,) + shape)
     dq[3:] = L.g[:n - 3]
     hv = np.zeros((n, 2 * n) + shape)
@@ -279,15 +279,22 @@ def _hessian_and_force(F: FForm, q, qd, dof):
     """Velocity Hessian H and force vector Z with H qddot = Z."""
     n = len(dof)
     dq, hv = _chart_derivatives(F, q, qd, dof)
-    return hv[:, n:], dq - hv[:, :n] @ np.asarray(qd, dtype=float)
+    # the product runs over the zero columns of x1..x3 too: over the two
+    # nonzero ones alone, BLAS rounds Z differently in most states
+    return hv[:, n:], dq - hv[:, :n] @ qd
 
 
-def _active(H, Z):
-    """Mask of coordinates that are not entirely inert (zero Hessian row and
-    zero force, e.g. the null-direction angles of the point particle)."""
-    row = np.abs(H).max(axis=1)
-    inert_tol = 1e-14 * max(float(row.max()), 1e-300)
-    return (row > inert_tol) | (np.abs(Z) > inert_tol)
+def _active(H, Z, t, q, qd):
+    """Which coordinates are not inert, as a list of bools: inert ones have a
+    Hessian row and a force of at most 1e-14 of H's largest entry, as the
+    point particle's angles.  A non-finite H or Z raises the error of
+    ``_qr_solve`` instead of failing every comparison and reading as inert."""
+    rows, force = np.abs(H).max(axis=1).tolist(), Z.tolist()
+    if not all(map(math.isfinite, rows + force)):
+        raise _hessian_error("not solvable in floating point (Hessian or force "
+                             "not finite)", t, q, qd)
+    tol = 1e-14 * max(max(rows), 1e-300)
+    return [r > tol or abs(z) > tol for r, z in zip(rows, force)]
 
 
 def _floats(v):
@@ -300,45 +307,51 @@ def _hessian_error(why, t, q, qd):
                                 state={"t": t, "q": list(q), "qd": list(qd)})
 
 
+@functools.cache
+def _lapack():
+    """The LAPACK routines of ``_qr_solve``, imported once, at the first solve."""
+    from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
+    return dgeqrf, dormqr, dtrtrs
+
+
 def _qr_solve(H, Z, t, q, qd):
     """Solve H qddot = Z by QR with condition monitoring.
 
     Inert coordinates (see ``_active``) are frozen at qddot = 0 instead of
     tripping the singularity guard.  ``t, q, qd`` identify the state in the
-    error raised on a singular Hessian, and on one that cannot be solved in
-    floating point: a QR or an acceleration that overflows to inf or NaN,
-    which would stall the integrator's step-size loop.
+    error raised on a singular Hessian, and on a system that cannot be solved
+    in floating point: a non-finite entry of H or Z, or a QR or an
+    acceleration that overflows to inf or NaN, any of which would stall the
+    integrator's step-size loop.
 
     The system is a few coordinates wide, so the solve calls LAPACK directly:
     dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z and dtrtrs
     solves the triangle, without the wrappers' checks and copies.
     """
-    from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
-
-    active = _active(H, Z)
-    qdd = np.zeros(len(Z))
-    if not active.any():
-        return qdd
-    if active.all():
-        Ha, Za = H, Z
-    else:
-        idx = np.flatnonzero(active)
-        Ha, Za = H[np.ix_(idx, idx)], Z[idx]
+    dgeqrf, dormqr, dtrtrs = _lapack()
+    active = _active(H, Z, t, q, qd)
+    if not any(active):
+        return np.zeros(len(Z))
+    idx = None if all(active) else np.flatnonzero(active)
+    Ha, Za = (H, Z) if idx is None else (H[np.ix_(idx, idx)], Z[idx])
     qr, tau, _, _ = dgeqrf(Ha)
-    diag = np.abs(qr.diagonal())
-    # written so that a NaN or an inf fails it
-    if not diag.min() > COND_TOL * max(diag.max(), 1e-300):
-        if not np.isfinite(diag).all():
-            raise _hessian_error("not solvable in floating point "
-                                 "(R diagonal not finite)", t, q, qd)
+    diag = [abs(r) for r in qr.diagonal().tolist()]
+    if not all(map(math.isfinite, diag)):
+        raise _hessian_error("not solvable in floating point "
+                             "(R diagonal not finite)", t, q, qd)
+    if not min(diag) > COND_TOL * max(max(diag), 1e-300):
         raise _hessian_error(f"singular (R diagonal ratio "
-                             f"{diag.min() / max(diag.max(), 1e-300):.3e})", t, q, qd)
+                             f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
     qtz, _, _ = dormqr("L", "T", qr, tau, Za[:, None], 1)
-    qdd[active] = dtrtrs(qr, qtz)[0][:, 0]
-    if not np.isfinite(qdd).all():
+    qdd = dtrtrs(qr, qtz)[0][:, 0]
+    if not all(map(math.isfinite, qdd.tolist())):
         raise _hessian_error("not solvable in floating point "
                              "(acceleration not finite)", t, q, qd)
-    return qdd
+    if idx is None:
+        return qdd
+    out = np.zeros(len(Z))
+    out[idx] = qdd
+    return out
 
 
 class SpanSolution:
@@ -417,9 +430,10 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     and Prince (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10), with
     its 7th-order dense output.  At rtol = 1e-10 it takes about a fifth of the
     steps of a 5(4) pair and half its right-hand-side calls, and each call is a
-    velocity Hessian and a QR solve.  A singular Hessian, at the start or
-    along the path, a collapsing step size, or more right-hand-side calls than
-    RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per unit of the span raises
+    velocity Hessian and a QR solve.  A Hessian that is singular or not
+    solvable in floating point, at the start or along the path (the first
+    call is at t0), a collapsing step size, or more right-hand-side calls
+    than RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per unit of the span raises
     SingularHessianError; the budget counts calls, not seconds, so whether a
     run finishes does not depend on the machine.  So does a start at which
     every coordinate is inert (``_active``), as for F = 0: no coordinate is
@@ -430,20 +444,15 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     initial.check_pole()
     q0, qd0 = initial.coords(dof)
     n = len(dof)
-    # fail fast on a degenerate system before spending integrator work;
     # coordinates absent from the Lagrangian (e.g. the angles of the point
     # particle) are pure gauge and are held fixed from the start
-    H, Z = _hessian_and_force(F, q0, qd0, dof)
-    active = _active(H, Z)
-    if not active.any():  # e.g. F = 0: nothing would move, and nothing be checked
+    active = _active(*_hessian_and_force(F, q0, qd0, dof), t_span[0], q0, qd0)
+    if not any(active):  # e.g. F = 0: nothing would move, and nothing be checked
         raise SingularHessianError(
             f"every coordinate is inert for {F.name} (velocity Hessian and force "
             f"vanish) at t = {t_span[0]:.6g}: q = {_floats(q0)}, qd = {_floats(qd0)}",
             state={"t": t_span[0], "q": list(q0), "qd": list(qd0)})
-    qd0 = qd0.copy()
-    qd0[~active] = 0.0
-    H, Z = _hessian_and_force(F, q0, qd0, dof)
-    _qr_solve(H, Z, t_span[0], q0, qd0)
+    qd0 = np.where(active, qd0, 0.0)
     span = abs(t_span[1] - t_span[0])
     budget = RHS_CALLS_FLOOR + RHS_CALLS_PER_TIME * span
     calls = 0
@@ -459,8 +468,7 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
                 state={"t": t, "q": list(q), "qd": list(qd)})
         calls += 1
         H, Z = _hessian_and_force(F, q, qd, dof)
-        qdd = _qr_solve(H, Z, t, q, qd)
-        return np.concatenate([qd, qdd])
+        return np.concatenate([qd, _qr_solve(H, Z, t, q, qd)])
 
     sol = solve_ivp(rhs, t_span, np.concatenate([q0, qd0]), method="DOP853",
                     rtol=RTOL, atol=ATOL, dense_output=True)

@@ -456,14 +456,13 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     take F's jet to first order and skip L's Hessian.
     """
     scalars = (xx, kx, kdx, kdkd)
-    if not any(isinstance(s, jets.Jet) for s in scalars):
-        rt, P, Q = pq_from_scalars(*scalars, F.ell)
-        F.check_domain(P, Q)
-        return -F.M * rt * F.func(P, Q)
-    xx, kx, _, _ = values = [jets.value(s) for s in scalars]
+    inner = [s for s in scalars if isinstance(s, jets.Jet)]
+    xx, kx, _, _ = values = [jets.value(s) for s in scalars] if inner else scalars
     rt, P, Q = pq_from_scalars(*values, F.ell)
     F.check_domain(P, Q)
-    second = all(not isinstance(s, jets.Jet) or s.h is not None for s in scalars)
+    if not inner:
+        return -F.M * rt * F.func(P, Q)
+    second = all(s.h is not None for s in inner)
     Fj = F._jet(P, Q, order=2 if second else 1)
     Fv, g, h = Fj.f, Fj.g, Fj.h
     if g.ndim == 1:  # one state: Python floats, faster than numpy scalars

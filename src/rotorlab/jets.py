@@ -32,14 +32,15 @@ and second partials, by one chain step.
 
 A plain-number operand of ``+ - * /`` shifts the value or scales the whole
 jet; it is never promoted to a zero-derivative jet.  A result may share its
-``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), and the
-second-order jets returned by ``variables`` share one Hessian array.  This is
-safe because no jet is ever written in place: treat ``g`` and ``h`` as
-read-only.
+``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), the jets
+returned by ``variables`` share one Hessian array, and unbatched seeds of one
+width share read-only arrays across calls.  This is safe because no jet is
+ever written in place: treat ``g`` and ``h`` as read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -239,9 +240,17 @@ def variables(*vals, order=2):
         raise ValueError(f"a jet has order 1 or 2, not {order!r}")
     n = len(vals)
     shape = getattr(vals[0], "shape", ()) if n else ()
-    eye = np.multiply.outer(np.eye(n), np.ones(shape)) if shape else np.eye(n)
-    zero = np.zeros((n, n) + shape) if order == 2 else None
-    return [Jet(v, eye[i], zero) for i, v in enumerate(vals)]
+    eye, zero = (np.multiply.outer(np.eye(n), np.ones(shape)), np.zeros((n, n) + shape)) \
+        if shape else _unbatched_seeds(n)
+    return [Jet(v, eye[i], zero if order == 2 else None) for i, v in enumerate(vals)]
+
+
+@functools.cache
+def _unbatched_seeds(n):
+    """The seeds of n unbatched variables, made once and read-only."""
+    eye, zero = np.eye(n), np.zeros((n, n))
+    eye.flags.writeable = zero.flags.writeable = False
+    return eye, zero
 
 
 def constant(v, n):
@@ -327,30 +336,29 @@ def compose(inner, f, d, D):
         g = sum_i d_i g_i,    h = sum_i d_i h_i + sum_ij D_ij g_i g_j^T.
 
     The sums over i run in index order, one term at a time, so each batch
-    entry is bit-identical to the unbatched call and no temporary grows by a
-    factor m.  The result is first order if any u_i is, and then ``D`` is
-    not read (it may be None).  At least one u_i is a jet; a plain-number
-    u_i is a constant, whose rates are zero.
+    entry is bit-identical to the unbatched call: the terms are stacked on a
+    leading axis, which ``np.add.reduce`` adds in index order where a term
+    has two or more entries or there are fewer than eight terms (numpy sums
+    pairwise only along a contiguous run of eight or more).  The result is
+    first order if any u_i is, and then ``D`` is not read (it may be None).
+    At least one u_i is a jet; a plain-number u_i is a constant, whose rates
+    are zero.
     """
     if not all(isinstance(u, Jet) for u in inner):
         like = next(u for u in inner if isinstance(u, Jet))
         zero = _zero_rate(like, like.f)  # only its rates are read
         inner = [u if isinstance(u, Jet) else zero for u in inner]
-    G = [u.g for u in inner]
     if any(u.h is None for u in inner):
-        g = d[0] * G[0]
-        for i in range(1, len(G)):
-            g += d[i] * G[i]
-        return Jet(f, g, None)
+        return Jet(f, np.add.reduce([di * u.g for di, u in zip(d, inner)]), None)
+    G = np.array([u.g for u in inner])
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i, D_i1, ..., D_im)
     W = np.array([(di, *Di) for di, Di in zip(d, D)])
-    gt = W[0][:, None] * G[0]
-    for i in range(1, len(G)):
-        gt += W[i][:, None] * G[i]
-    # sum_i d_i h_i + sum_ij D_ij g_i g_j^T = sum_i (d_i h_i + g_i t_i^T)
-    h = W[0, 0] * inner[0].h + G[0][:, None] * gt[1]
-    for i in range(1, len(G)):
-        h += W[i, 0] * inner[i].h + G[i][:, None] * gt[i + 1]
+    gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0)
+    # sum_i d_i h_i + sum_ij D_ij g_i g_j^T = sum_i (g_i t_i^T + d_i h_i)
+    T = G[:, :, None] * gt[1:, None]
+    for di, u, Ti in zip(d, inner, T):
+        Ti += di * u.h
+    h = np.add.reduce(T, axis=0)
     # made symmetric bit for bit, halved first so that it overflows only where h does
     h *= 0.5
     return Jet(f, gt[0], h + h.swapaxes(0, 1))

@@ -19,9 +19,9 @@ import numpy as np
 import rotorlab
 from rotorlab import cli, dynamics, noether
 from rotorlab.cli import main
-from rotorlab.fform import builtin, parse_f, pq_from_vectors
+from rotorlab.fform import FForm, builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
-from rotorlab.minkowski import dot
+from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
 
@@ -109,6 +109,25 @@ def test_fundamental_check_fails_on_an_empty_grid(capsys):
     assert code == 1
     assert "status = fail" in out and "residual = inf" in out
     assert "inputs.points = 0" in out
+
+
+def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
+    """One mask builds the grid and one check guards the partials; a point
+    outside the domain is named with its batch entry."""
+    calls = []
+    in_domain = FForm.in_domain
+
+    def counted(self, P, Q):
+        calls.append(np.shape(P))
+        return in_domain(self, P, Q)
+
+    monkeypatch.setattr(FForm, "in_domain", counted)
+    F = builtin("nu_family", nu=0.5)
+    P, Q = cli.domain_grid(F, 12)
+    assert cli.fundamental_residual(F, P, Q) < 1e-12
+    assert calls == [(144,), P.shape]
+    with pytest.raises(DomainError, match=r"outside domain .* \(batch entry 1\)"):
+        cli.fundamental_residual(F, np.array([0.0, 0.0]), np.array([1.0, 100.0]))
 
 
 def test_relation_domain_error_names_its_batch_entry(capsys):
@@ -271,7 +290,8 @@ def _nan_singular_values(rep):
 # sample of the check; the tetrad suite calls its two functions once, on the
 # whole batch, and so does the invariants suite with identity_checks; the
 # casimir suite takes the closed form once per form, first on the domain grid
-# of each fundamental form, then on each form's in-domain jets
+# of each fundamental form (in cli), then on each form's in-domain jets
+# (through noether.casimirs_where_defined)
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -279,7 +299,7 @@ NAN_PLANTS = [
     ("invariants", "gauge-invariance", cli, "iota", _with_nan),
     ("invariants", "scalar-identities", cli, "identity_checks",
      lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
-    ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
+    ("casimir", "fundamental-conditions", cli, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "noether-crosscheck", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
@@ -299,8 +319,7 @@ NAN_PLANTS = [
 # lands in the first form's K at the first state; the noether-crosscheck NaN
 # lands in the second form's closed form on the jets
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "nondegenerate-dets": 4, "relation-consistency": 1,
-                 "noether-crosscheck": len(cli.fundamental_forms(RunConfig())) + 2}
+                 "nondegenerate-dets": 4, "relation-consistency": 1}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
@@ -417,6 +436,15 @@ def test_simulate_unsolvable_hessian_exits_2(form):
     proc = run_fresh("-m", "rotorlab.cli", "simulate", "--f", form, "--periods", "0.05")
     assert proc.returncode == 2
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_simulate_non_finite_hessian_exits_2(capsys):
+    # F overflows to inf at the start state; its Hessian used to read as
+    # vanishing ("every coordinate is inert")
+    assert exit_code(["simulate", "--f", "Q*1e308*1e10", "--periods", "0.05"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: velocity Hessian not solvable in floating point")
+    assert "inert" not in err and "Traceback" not in err
 
 
 def test_simulate_oscillatory_form_spends_its_budget_and_exits_2():
@@ -587,13 +615,17 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
-_leaves = st.sampled_from(["P", "Q", "nu", "0", "1", "2.5", "-1", "6", "1e308",
-                           "1e-320", "2398"])
-_expressions = st.recursive(_leaves, lambda sub: st.one_of(
-    st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
-    st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "-"]), sub)
-    .map(lambda t: f"{t[0]}({t[1]})"),
-), max_leaves=10)
+def _expressions_over(*names):
+    leaves = st.sampled_from([*names, "0", "1", "2.5", "-1", "6", "1e308", "1e-320", "2398"])
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/^"), sub).map(lambda t: f"({t[0]}){t[1]}({t[2]})"),
+        st.tuples(st.sampled_from(["sqrt", "sin", "cos", "exp", "-"]), sub)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+    ), max_leaves=10)
+
+
+_expressions = _expressions_over("P", "Q", "nu")
+# the alphabet holds t too, so that the text also reads as a phase over t
 _text = st.text(alphabet="PQnu0123456789.e+-*/^() sqrtxpinco,", max_size=24)
 
 
@@ -610,8 +642,9 @@ def test_casimir_fuzz_exit_codes(expr, Q):
 @given(expr=st.one_of(_expressions, _text), periods=st.sampled_from(["0.01", "0.05"]))
 def test_simulate_fuzz_exit_codes(expr, periods):
     """simulate on any expression exits 0, 1 or 2 without a traceback, and
-    makes at most its budget of right-hand-side calls, plus the two of its
-    start-up check."""
+    makes at most its budget of right-hand-side calls, plus the one of its
+    start-up check; a run that finishes counted at least one, so the count
+    does watch the right-hand side."""
     spans, calls = [], [0]
 
     def integrate(F, initial, t_span, *args):
@@ -632,7 +665,17 @@ def test_simulate_fuzz_exit_codes(expr, periods):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     budget = [dynamics.RHS_CALLS_FLOOR + dynamics.RHS_CALLS_PER_TIME * s for s in spans]
-    assert calls[0] <= 2 + sum(budget)
+    assert calls[0] <= 1 + sum(budget)
+    assert code != 0 or calls[0] > 0
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(expr=st.one_of(_expressions_over("t"), _text))
+def test_freemotion_phase_fuzz_exit_codes(expr):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = exit_code(["freemotion", f"--phase={expr}", "--tmax", "3", "--samples", "4"])
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
 
 
 # hessian, relation and fundamental-check differentiate L by one chain step

@@ -287,6 +287,50 @@ def test_qr_solve_raises_where_the_qr_overflows(case):
     assert e.value.state == {"t": 0.0, "q": list(q), "qd": list(qd)}
 
 
+@pytest.mark.parametrize("where", ["H", "Z"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_qr_solve_raises_on_a_non_finite_system(where, bad):
+    # with a non-finite entry the inert test used to read every coordinate
+    # as inert and return a zero acceleration
+    H, Z = np.eye(5) + 0.1, np.ones(5)
+    if where == "H":
+        H[0, 0] = bad
+    else:
+        Z[0] = bad
+    q, qd = np.zeros(5), np.ones(5)
+    with pytest.raises(SingularHessianError, match=r"not solvable in floating point "
+                                                   r"\(Hessian or force not finite\)") as e:
+        dynamics._qr_solve(H, Z, 0.5, q, qd)
+    assert e.value.state == {"t": 0.5, "q": list(q), "qd": list(qd)}
+
+
+def test_integration_work_is_pinned(monkeypatch):
+    """Q over a lab time of 9 from a fixed state takes 527 right-hand-side
+    calls in 35 DOP853 steps, and evaluates H and Z once more, at the start:
+    an extra evaluation per call or per step fails here instead of hiding in
+    timing noise."""
+    import scipy.integrate
+
+    solve_ivp, calls, evaluations = scipy.integrate.solve_ivp, [0], [0]
+
+    def counted_solve_ivp(fun, *args, **kwargs):
+        def counted(t, y):
+            calls[0] += 1
+            return fun(t, y)
+        return solve_ivp(counted, *args, **kwargs)
+
+    def counted_evaluation(*args):
+        evaluations[0] += 1
+        return hessian_and_force(*args)
+
+    hessian_and_force = dynamics._hessian_and_force
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted_solve_ivp)
+    monkeypatch.setattr(dynamics, "_hessian_and_force", counted_evaluation)
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
+    traj = integrate(parse_f("Q"), st, (0.0, 9.0))
+    assert (calls[0], evaluations[0], len(traj.sol.ts)) == (527, 528, 36)
+
+
 @pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
 def test_qr_solve_residual_is_at_rounding_level(expr):
     """|H qddot - Z| <= 8 u (|H|_2 |qddot| + |Z|) on random nondegenerate

@@ -36,6 +36,10 @@ def test_variables_seed_identity():
     assert x.f == 2.0 and y.f == 3.0
     assert np.array_equal(x.g, [1.0, 0.0]) and np.array_equal(y.g, [0.0, 1.0])
     assert not x.h.any() and not y.h.any()
+    # unbatched seeds share one read-only identity and zero Hessian per width
+    assert x.g.base is jets.variables(5.0, 6.0)[0].g.base
+    with pytest.raises(ValueError, match="read-only"):
+        x.h[0, 0] = 1.0
     # second order unless asked otherwise, for batches too
     x, y = jets.variables(np.array([1.0, 2.0, 3.0]), np.zeros(3))
     assert x.h.shape == (2, 2, 3) and not x.h.any() and not y.h.any()
@@ -387,3 +391,42 @@ def test_compose_is_the_chain_rule(order, batch):
             ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, -sw[2])))
         assert np.array_equal(one.g, got.g[..., 2])
         assert (one.h is None) if order == 1 else np.array_equal(one.h, got.h[..., 2])
+
+
+def _compose_loop(inner, f, d, D):
+    """``compose`` at second order as a loop over the inner jets, one term of
+    each sum at a time: the reference for the order of its sums."""
+    g = d[0] * inner[0].g
+    t = [D[0][j] * inner[0].g for j in range(len(inner))]
+    for i in range(1, len(inner)):
+        g = g + d[i] * inner[i].g
+        t = [t[j] + D[i][j] * inner[i].g for j in range(len(inner))]
+    h = d[0] * inner[0].h + inner[0].g[:, None] * t[0]
+    for i in range(1, len(inner)):
+        h = h + (d[i] * inner[i].h + inner[i].g[:, None] * t[i])
+    h = h * 0.5
+    return g, h + h.swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_compose_sums_in_index_order(n, batch):
+    """``compose`` adds the terms of its sums in index order, bit for bit as
+    the loop over the inner jets, also where a jet has a single variable, and
+    at first order too."""
+    rng = np.random.default_rng([n, batch or 0])
+    shape = () if batch is None else (batch,)
+
+    def draw(*dims):  # magnitudes over 16 decades, so that the order shows
+        return rng.normal(size=dims + shape) * 10.0 ** rng.integers(-8, 8, size=dims + shape)
+
+    for _ in range(20):
+        inner = [jets.Jet(draw()[()] if batch is None else draw(), draw(n), draw(n, n))
+                 for _ in range(4)]
+        d = [draw()[()] if batch is None else draw() for _ in range(4)]
+        D = [[draw()[()] if batch is None else draw() for _ in range(4)] for _ in range(4)]
+        g, h = _compose_loop(inner, 1.0, d, D)
+        got = jets.compose(inner, 1.0, d, D)
+        assert np.array_equal(got.g, g) and np.array_equal(got.h, h)
+        first = jets.compose([jets.Jet(u.f, u.g, None) for u in inner], 1.0, d, None)
+        assert np.array_equal(first.g, g) and first.h is None
