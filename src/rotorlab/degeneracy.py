@@ -186,7 +186,7 @@ def chart_scalar_jets(q, qd, dof):
          nv, -ct * b, -ct * cp, -ct * sp, st,
          -ct * b, st * a, st * sp, -st * cp,
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
-    H.reshape((-1,) + shape)[_H_AT] = h + h + (jets._full(st, -2.0),) * 4
+    H.reshape((-1,) + shape)[_H_AT] = h + h + (np.full(shape, -2.0),) * 4
     if len(dof) == 6:
         G, H = _amplitude_jets(G, H, base, q[5], qd[5])
         base = chart_scalars(q, qd, dof)

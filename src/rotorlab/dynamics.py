@@ -242,10 +242,8 @@ def _lab_chart_jets(x, k, dof):
 
 def _chart_derivatives(F: FForm, q, qd, dof):
     """dL/dq (n,) and the velocity rows of L's Hessian (n, 2n), with columns
-    (q, qd); a trailing batch axis for a batch of states.  L reads the
-    worldline only through its velocity, so x1..x3 are cyclic: the chart
-    jets (``chart_scalar_jets``) are in q[3:] and qd only, and the columns of
-    x1..x3 hold exact zeros."""
+    (q, qd), and a trailing batch axis for a batch of states.  x1..x3 are
+    cyclic: the chart jets are in q[3:] and qd, and x1..x3's columns are 0."""
     n = len(dof)
     L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
     shape = np.shape(q)[1:]
@@ -286,7 +284,7 @@ def _hessian_and_force(F: FForm, q, qd, dof):
 
 def _active(H, Z, t, q, qd):
     """Which coordinates are not inert, as a list of bools: inert ones have a
-    Hessian row and a force of at most 1e-14 of H's largest entry, as the
+    Hessian row and a force of at most 1e-14 of H's largest entry, like the
     point particle's angles.  A non-finite H or Z raises the error of
     ``_qr_solve`` instead of failing every comparison and reading as inert."""
     rows, force = np.abs(H).max(axis=1).tolist(), Z.tolist()
@@ -328,13 +326,14 @@ def _qr_solve(H, Z, t, q, qd):
     dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z and dtrtrs
     solves the triangle, without the wrappers' checks and copies.
     """
-    dgeqrf, dormqr, dtrtrs = _lapack()
     active = _active(H, Z, t, q, qd)
-    if not any(active):
-        return np.zeros(len(Z))
-    idx = None if all(active) else np.flatnonzero(active)
-    Ha, Za = (H, Z) if idx is None else (H[np.ix_(idx, idx)], Z[idx])
-    qr, tau, _, _ = dgeqrf(Ha)
+    if not all(active):  # the active block alone; the inert rows stay at 0
+        qdd, idx = np.zeros(len(Z)), np.flatnonzero(active)
+        if len(idx):
+            qdd[idx] = _qr_solve(H[np.ix_(idx, idx)], Z[idx], t, q, qd)
+        return qdd
+    dgeqrf, dormqr, dtrtrs = _lapack()
+    qr, tau, _, _ = dgeqrf(H)
     diag = [abs(r) for r in qr.diagonal().tolist()]
     if not all(map(math.isfinite, diag)):
         raise _hessian_error("not solvable in floating point "
@@ -342,16 +341,12 @@ def _qr_solve(H, Z, t, q, qd):
     if not min(diag) > COND_TOL * max(max(diag), 1e-300):
         raise _hessian_error(f"singular (R diagonal ratio "
                              f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
-    qtz, _, _ = dormqr("L", "T", qr, tau, Za[:, None], 1)
+    qtz, _, _ = dormqr("L", "T", qr, tau, Z[:, None], 1)
     qdd = dtrtrs(qr, qtz)[0][:, 0]
     if not all(map(math.isfinite, qdd.tolist())):
         raise _hessian_error("not solvable in floating point "
                              "(acceleration not finite)", t, q, qd)
-    if idx is None:
-        return qdd
-    out = np.zeros(len(Z))
-    out[idx] = qdd
-    return out
+    return qdd
 
 
 class SpanSolution:

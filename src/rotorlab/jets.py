@@ -348,9 +348,13 @@ def compose(inner, f, d, D):
         like = next(u for u in inner if isinstance(u, Jet))
         zero = _zero_rate(like, like.f)  # only its rates are read
         inner = [u if isinstance(u, Jet) else zero for u in inner]
+    G = [u.g for u in inner]
     if any(u.h is None for u in inner):
-        return Jet(f, np.add.reduce([di * u.g for di, u in zip(d, inner)]), None)
-    G = np.array([u.g for u in inner])
+        g = d[0] * G[0]
+        for i in range(1, len(G)):
+            g += d[i] * G[i]
+        return Jet(f, g, None)
+    G = np.array(G)
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i, D_i1, ..., D_im)
     W = np.array([(di, *Di) for di, Di in zip(d, D)])
     gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0)
