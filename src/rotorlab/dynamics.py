@@ -506,9 +506,10 @@ def _joined(parts):
                                 for f in fields(parts[0])})
 
 
-def trajectory_samples(F: FForm, traj: Trajectory, times, dof=DOF5) -> TrajectorySamples:
-    """The samples at ``times``, from one batched trajectory query per CHUNK
-    times."""
+def trajectory_samples(F: FForm, traj: Trajectory, times) -> TrajectorySamples:
+    """The samples at ``times`` in the trajectory's chart (DOF5 for free
+    motion), from one batched trajectory query per CHUNK times."""
+    dof = getattr(traj, "dof", DOF5)
     parts = []
     for ts in _chunks(times):
         x, k = traj.jets(ts)

@@ -3,9 +3,10 @@
 P and Q are the two reparametrization-invariant, scale-free combinations of a
 null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
-(M, ell, nu) and a domain predicate, read through one mask and one raising
-check (``FForm.in_domain``, ``FForm.check_domain``) at a float or batch
-(P, Q); partials come from forward-mode differentiation, exact to rounding.
+(M, ell, nu).  ``FForm.eval`` gives F and its partials, exact to rounding, from
+one evaluation on jets at a float or batch (P, Q), after a builtin's domain
+predicate; an expression's domain is where it is twice differentiable, where
+that evaluation succeeds.  ``FForm.in_domain`` masks (P, Q) by the domain.
 The Lagrangian reads the velocities only through four scalar products
 (``scalar_products``), and on jets of those it is differentiated once: F's
 partials at (P, Q), L's partials in the four scalars in closed form, and one
@@ -19,7 +20,7 @@ expressions over P, Q, nu with + - * / ^ and sqrt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -49,22 +50,29 @@ class FFormValue(NamedTuple):
 
 @dataclass(frozen=True)
 class FForm:
-    """A member of the Lagrangian family with exact partials."""
+    """A member of the Lagrangian family with exact partials.  Its ``domain``
+    predicate is checked before F is evaluated; without one (an expression)
+    the domain is where F is twice differentiable: where its evaluation on
+    jets succeeds."""
 
     func: Callable  # (P, Q) -> scalar, generic over floats and jets
     name: str = "custom"
     M: float = 1.0
     ell: float = 1.0
     nu: float = 0.0
-    # (P, Q) -> whether F is defined there: a bool, or a bool array for arrays
-    domain: Callable = field(default=lambda P, Q: Q >= 0.0)
-
-    def __call__(self, P, Q):
-        return self.func(P, Q)
+    domain: Callable | None = None  # (P, Q) -> a bool, or a bool array for arrays
 
     def in_domain(self, P, Q):
         """Whether (P, Q) lies in the domain: a bool at a float (P, Q), and a
         bool array of the batch shape when P is a batch array."""
+        if self.domain is None:  # where F's evaluation succeeds, entry by entry
+            if isinstance(P, np.ndarray):
+                return np.frompyfunc(self.in_domain, 2, 1)(P, Q).astype(bool)
+            try:
+                self.func(*jets.variables(P, Q))
+            except DomainError:
+                return False
+            return True
         ok = self.domain(P, Q)
         if isinstance(P, np.ndarray):  # a domain that ignores (P, Q) gives one bool
             return ok if isinstance(ok, np.ndarray) else np.full(P.shape, bool(ok))
@@ -74,25 +82,28 @@ class FForm:
         """Raise a DomainError naming (P, Q), and for a batch the first entry
         outside the domain and its index."""
         inside = self.in_domain(P, Q)
-        jets.raise_where(~inside if isinstance(inside, np.ndarray) else not inside,
-                         DomainError, f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}",
-                         P, Q)
+        jets.raise_where(~inside if isinstance(inside, np.ndarray) else not inside, DomainError,
+                         f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}", P, Q)
 
-    def eval(self, P, Q) -> FFormValue:
-        """F and its partials at (P, Q): floats, or arrays for batch arrays."""
-        self.check_domain(P, Q)
-        out = self._jet(P, Q)
-        return FFormValue(out.f, out.g[0], out.g[1], out.h[0, 0], out.h[0, 1], out.h[1, 1])
-
-    def _jet(self, P, Q, order=2):
-        """F as a jet in (P, Q) of the given order, at floats or batch arrays
-        (P, Q) taken to be inside the domain."""
-        pj, qj = jets.variables(P, Q, order=order)
-        out = self.func(pj, qj)
+    def eval(self, P, Q, order=2) -> FFormValue:
+        """F and its partials at (P, Q) from one evaluation of F on jets of the
+        given order (at order 1 the second partials are None): floats, or
+        arrays for batch arrays.  Outside the domain it raises as
+        ``check_domain`` does."""
+        if self.domain is not None:
+            self.check_domain(P, Q)
+        try:
+            out = self.func(*jets.variables(P, Q, order=order))
+        except DomainError:
+            self.check_domain(P, Q)  # names (P, Q), or the first batch entry outside
+            raise
         if not isinstance(out, jets.Jet):  # F does not depend on P or Q
-            c = float(out)
-            out = jets.constant(np.full(np.shape(pj.f), c) if np.ndim(pj.f) else c, 2)
-        return out
+            c = np.full(np.shape(P), float(out)) if np.ndim(P) else float(out)
+            out = jets.constant(c, 2, order)
+        g, h = out.g, np.full((2, 2), None) if out.h is None else out.h
+        if g.ndim == 1:  # one state: Python floats, faster than numpy scalars
+            g, h = g.tolist(), h.tolist()
+        return FFormValue(out.f, *g, *h[0], h[1][1])
 
 
 def scalar_products(xdot, k, kdot):
@@ -304,20 +315,7 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
     def func(P, Q, _tree=tree):
         return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
 
-    def defined(P, Q):
-        try:
-            _evaluate(tree, {"P": float(P), "Q": float(Q), "nu": nu})
-        except DomainError:
-            return False
-        return True
-
-    def domain(P, Q):
-        if isinstance(P, np.ndarray) or isinstance(Q, np.ndarray):
-            # a batch: entry by entry, as floats
-            return np.array([defined(p, q) for p, q in np.broadcast(P, Q)])
-        return defined(P, Q)
-
-    return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell, nu=nu, domain=domain)
+    return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell, nu=nu)
 
 
 def parse_phase(expr: str):
@@ -343,12 +341,12 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
     s1, s2 = signs
 
     if name == "point_particle":
-        return FForm(func=lambda P, Q: 1.0 + 0.0 * P, name=name, M=M, ell=ell,
+        return FForm(func=lambda P, Q: 1.0, name=name, M=M, ell=ell,
                      domain=lambda P, Q: True)
 
     if name == "rotator_f":
         return FForm(
-            func=lambda P, Q: jets.sqrt(1.0 + jets.sqrt(Q)) + 0.0 * P,
+            func=lambda P, Q: jets.sqrt(1.0 + jets.sqrt(Q)),
             name=name, M=M, ell=ell,
             domain=lambda P, Q: Q > 0.0,
         )
@@ -388,7 +386,7 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
             raise ValueError("fq needs the f(Q) callable")
 
         def func(P, Q, _f=f):
-            return _f(Q) + 0.0 * P
+            return _f(Q)
 
         return FForm(func=func, name="fq", M=M, ell=ell,
                      domain=lambda P, Q: Q > 0.0)
@@ -440,8 +438,8 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     kdot.xdot and kdot.kdot: floats, batch arrays, or jets.
 
     L reads the velocities only through these four scalars, so on jets it is
-    differentiated once.  F's value and partials come from its jet in (P, Q)
-    at the float (P, Q), as ``FForm.eval`` takes them.  With
+    differentiated once.  F's value and partials come from ``FForm.eval`` at
+    the float (P, Q), the one evaluation of F and of its domain.  With
     c = ell / (kx sqrt(xx)) and e = -ell^2 / kx^2, the partials of P and Q in
     s = (xx, kx, kdx, kdkd) are
 
@@ -459,15 +457,10 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     inner = [s for s in scalars if isinstance(s, jets.Jet)]
     xx, kx, _, _ = values = [jets.value(s) for s in scalars] if inner else scalars
     rt, P, Q = pq_from_scalars(*values, F.ell)
-    F.check_domain(P, Q)
+    second = bool(inner) and all(s.h is not None for s in inner)
+    Fv, FP, FQ, FPP, FPQ, FQQ = F.eval(P, Q, order=2 if second else 1)
     if not inner:
-        return -F.M * rt * F.func(P, Q)
-    second = all(s.h is not None for s in inner)
-    Fj = F._jet(P, Q, order=2 if second else 1)
-    Fv, g, h = Fj.f, Fj.g, Fj.h
-    if g.ndim == 1:  # one state: Python floats, faster than numpy scalars
-        g, h = g.tolist(), None if h is None else h.tolist()
-    FP, FQ = g
+        return -F.M * rt * Fv
     a = -F.M
     c = F.ell / (kx * rt)
     e = -(F.ell**2) / (kx * kx)
@@ -479,7 +472,6 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     d = (art * f0 + ar1 * Fv, art * f1, art * f2, art * f3)
     D = None
     if second:
-        (FPP, FPQ), (_, FQQ) = h
         # F's Hessian in s, F_ij = p_i A_j + q_i B_j + F_P P_ij + F_Q Q_ij with
         # A_j = F_PP p_j + F_PQ q_j and B_j = F_PQ p_j + F_QQ q_j; the terms
         # F_P P_ij + F_Q Q_ij are written through the f_i

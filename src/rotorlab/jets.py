@@ -253,11 +253,11 @@ def _unbatched_seeds(n):
     return eye, zero
 
 
-def constant(v, n):
+def constant(v, n, order=2):
     """A jet of value ``v`` (a float or a batch array) in n variables, with
-    zero derivatives."""
+    zero derivatives, of the given order."""
     shape = np.shape(v)
-    return Jet(v, np.zeros((n,) + shape), np.zeros((n, n) + shape))
+    return Jet(v, np.zeros((n,) + shape), np.zeros((n, n) + shape) if order == 2 else None)
 
 
 def _zero_rate(u, v):
@@ -369,7 +369,10 @@ def compose(inner, f, d, D):
 
 
 def _reciprocal(u):
-    return _chain(u, 1.0 / u.f, -1.0 / power(u.f, 2), 2.0 / power(u.f, 3))
+    raise_where(u.f == 0.0, ZeroDivisionError, "float division by zero")  # as for a float
+    # numpy quotients: infinite, as in a batch, where a power of u.f underflows to 0
+    return _chain(u, 1.0 / u.f, np.float64(-1.0) / power(u.f, 2),
+                  np.float64(2.0) / power(u.f, 3))
 
 
 def sqrt(x):
@@ -386,6 +389,7 @@ def sqrt(x):
 def sin(x):
     if not isinstance(x, Jet):
         return _sin(x)
+    raise_where(np.isinf(x.f), ValueError, "math domain error")  # as math.sin at a float
     s = _sin(x.f)
     return _chain(x, s, _cos(x.f), -s)
 
@@ -393,6 +397,7 @@ def sin(x):
 def cos(x):
     if not isinstance(x, Jet):
         return _cos(x)
+    raise_where(np.isinf(x.f), ValueError, "math domain error")  # as math.cos at a float
     c = _cos(x.f)
     return _chain(x, c, -_sin(x.f), -c)
 

@@ -111,6 +111,15 @@ def test_fundamental_check_fails_on_an_empty_grid(capsys):
     assert "inputs.points = 0" in out
 
 
+@pytest.mark.parametrize("expr", ["sqrt(P)", "P^0.5"])
+def test_fundamental_check_masks_where_the_jets_fail(capsys, expr):
+    # an odd grid holds P = 0, where F has no derivative: the mask drops
+    # those points, as F's evaluation does, and the others are checked
+    code, out = run(capsys, "fundamental-check", "--f", expr, "--grid", "3")
+    assert code == 1
+    assert "status = fail" in out and "inputs.points = 3" in out
+
+
 def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
     """One mask builds the grid and one check guards the partials; a point
     outside the domain is named with its batch entry."""
@@ -680,14 +689,16 @@ def test_freemotion_phase_fuzz_exit_codes(expr):
 
 # hessian, relation and fundamental-check differentiate L by one chain step
 # from F's partials at (P, Q); the expressions make that step meet constant
-# forms, partials that overflow and 0 * inf.  A leading space keeps an
-# expression that starts with "-" from reading as an option of --forms.
+# forms, partials that overflow and 0 * inf; the odd grid holds P = 0, the
+# edge of many domains.  A leading space keeps an expression that starts
+# with "-" from reading as an option of --forms.
 @settings(max_examples=350, deadline=None, derandomize=True)
 @given(expr=st.one_of(_expressions, _text),
        argv=st.sampled_from([["hessian", "--f={}", "--dof", "5"],
                              ["hessian", "--f={}", "--dof", "6"],
                              ["relation", "--states", "2", "--forms", "Q+P*Q", " {}"],
-                             ["fundamental-check", "--f={}", "--grid", "4"]]))
+                             ["fundamental-check", "--f={}", "--grid", "4"],
+                             ["fundamental-check", "--f={}", "--grid", "3"]]))
 def test_chain_fuzz_exit_codes(expr, argv):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotorlab import cli, dynamics, jets
+from rotorlab import cli, dynamics, fform, jets
 from rotorlab.degeneracy import (
     DOF5,
     DOF6,
@@ -205,7 +205,7 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     times = np.linspace(0.0, 2.0, 41)
     for t in (*times[[0, 14, -1]], times):
         got = traj.momenta(fq, t)
-        want = trajectory_samples(fq, traj, np.atleast_1d(t), dof).momenta
+        want = trajectory_samples(fq, traj, np.atleast_1d(t)).momenta
         assert orders == [{1}, {2}]
         orders.clear()
         for name in ("P", "pi", "M", "W"):
@@ -329,6 +329,38 @@ def test_integration_work_is_pinned(monkeypatch):
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
     traj = integrate(parse_f("Q"), st, (0.0, 9.0))
     assert (calls[0], evaluations[0], len(traj.sol.ts)) == (527, 528, 36)
+
+
+def test_lagrangian_walks_a_parsed_form_once(monkeypatch):
+    """Each Lagrangian of an integration evaluates a parsed form's tree
+    once: one walk on jets is both its domain check and its partials."""
+    walks, lagrangians = [0], [0]
+    evaluate, lagrangian = fform._evaluate, dynamics.lagrangian_from_scalars
+
+    def counted_evaluate(*args):
+        walks[0] += 1
+        return evaluate(*args)
+
+    def counted_lagrangian(*args):
+        lagrangians[0] += 1
+        return lagrangian(*args)
+
+    monkeypatch.setattr(fform, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(dynamics, "lagrangian_from_scalars", counted_lagrangian)
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
+    integrate(parse_f("Q^2"), st, (0.0, 3.0))
+    assert lagrangians[0] > 100 and walks[0] == lagrangians[0]
+
+
+def test_samples_take_the_chart_of_the_integration():
+    """A trajectory integrated in DOF6 is sampled in DOF6, where its EL
+    residuals are at rounding level; read in DOF5 they were 0.2-1.1."""
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
+                    thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
+    traj = integrate(parse_f("Q+P*Q"), st, (0.0, 2.0), dof=DOF6)
+    el = trajectory_samples(traj.F, traj, np.linspace(0.0, 2.0, 9)).el
+    assert el.dof == DOF6
+    assert np.max(el.max_relative) <= 64 * U
 
 
 @pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from rotorlab import fform, jets
@@ -23,7 +23,7 @@ from test_cli import _expressions
 
 
 def fd_partials(F, P, Q, h=1e-6):
-    f = lambda p, q: F(p, q)
+    f = F.func
     FP = (f(P + h, Q) - f(P - h, Q)) / (2 * h)
     FQ = (f(P, Q + h) - f(P, Q - h)) / (2 * h)
     return FP, FQ
@@ -31,18 +31,18 @@ def fd_partials(F, P, Q, h=1e-6):
 
 def test_parser_values_and_precedence():
     F = parse_f("1 + 2*Q - Q/4")
-    assert F(0.0, 2.0) == pytest.approx(1 + 4 - 0.5)
+    assert F.func(0.0, 2.0) == pytest.approx(1 + 4 - 0.5)
     F = parse_f("2^3^2")  # right-associative
-    assert F(0.0, 1.0) == pytest.approx(512.0)
+    assert F.func(0.0, 1.0) == pytest.approx(512.0)
     F = parse_f("-Q^2")
-    assert F(0.0, 3.0) == pytest.approx(-9.0)
+    assert F.func(0.0, 3.0) == pytest.approx(-9.0)
     F = parse_f("sqrt(Q)*(2+Q)")
-    assert F(0.0, 4.0) == pytest.approx(12.0)
+    assert F.func(0.0, 4.0) == pytest.approx(12.0)
 
 
 def test_parser_nu_substitution():
     F = parse_f("nu*P + sqrt(1 + sqrt(Q) - nu^2*Q)", nu=0.5)
-    assert F(0.2, 0.3) == pytest.approx(
+    assert F.func(0.2, 0.3) == pytest.approx(
         0.5 * 0.2 + np.sqrt(1 + np.sqrt(0.3) - 0.25 * 0.3))
 
 
@@ -88,6 +88,48 @@ def test_domain_mask_takes_the_batch_shape(F):
     assert mask.dtype == bool and mask.shape == P.shape
     assert mask.tolist() == [F.in_domain(p, q) for p, q in zip(P.tolist(), Q.tolist())]
     assert all(type(F.in_domain(p, q)) is bool for p, q in zip(P.tolist(), Q.tolist()))
+
+
+# every builtin, with a smooth S and f for sqrtS and fq
+DOMAIN_BUILTINS = [
+    builtin("point_particle"), builtin("rotator_f"),
+    *(builtin("starlike", signs=s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))),
+    *(builtin("nu_family", nu=nu, signs=s) for nu in (0.0, 0.5, 2.0) for s in ((1, 1), (1, -1))),
+    builtin("sqrtS", S=lambda q: 1.0 + q), builtin("fq", f=jets.sqrt),
+]
+_EDGE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))  # 0, -0, subnormals, ...
+
+
+def _evaluates(F, P, Q):
+    try:
+        F.eval(P, Q)
+    except DomainError:
+        return False
+    return True
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(F=st.one_of(st.sampled_from(DOMAIN_BUILTINS), _expressions.map(parse_f)),
+       points=st.lists(st.tuples(_EDGE, _EDGE), min_size=1, max_size=3))
+# a batch entry where a float raises: 1/0, cos(inf), and x^-3 underflowing
+@example(F=parse_f("(P)^(-1)"), points=[(1.0, 1.0), (0.0, 1.0)])
+@example(F=parse_f("cos((1e308)*(10)*(P))"), points=[(0.0, 1.0), (0.5, 1.0)])
+@example(F=builtin("starlike"), points=[(0.3, 1.0), (0.3, 1e-200)])
+def test_domain_is_where_eval_returns(F, points):
+    """F.in_domain(P, Q) holds exactly where F.eval(P, Q) returns, for
+    builtins and expressions, at P = 0 and Q = 0 too; a batch mask is its
+    entries' answers, and a batch evaluates exactly when every entry does,
+    or names the first that does not."""
+    P, Q = (np.array(v) for v in zip(*points))
+    with np.errstate(all="ignore"):
+        ok = [_evaluates(F, p, q) for p, q in points]
+        assert [F.in_domain(p, q) for p, q in points] == ok
+        assert F.in_domain(P, Q).tolist() == ok
+        if all(ok):
+            F.eval(P, Q)
+        else:
+            with pytest.raises(DomainError, match=rf"\(batch entry {ok.index(False)}\)$"):
+                F.eval(P, Q)
 
 
 def test_batch_eval_names_the_entry_outside_the_domain():
@@ -287,7 +329,7 @@ def _subtree_values(node, env):
 def _central(F, P, Q, dP, dQ):
     """Central difference of F along (dP, dQ), over the step as rounded."""
     lo, hi = (P - dP, Q - dQ), (P + dP, Q + dQ)
-    return (F(*hi) - F(*lo)) / ((hi[0] - lo[0]) + (hi[1] - lo[1]))
+    return (F.func(*hi) - F.func(*lo)) / ((hi[0] - lo[0]) + (hi[1] - lo[1]))
 
 
 def _check_partials(expr, P, Q):

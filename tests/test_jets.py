@@ -286,6 +286,20 @@ def test_sqrt_second_derivative_is_minus_inf_where_it_underflows():
     assert entries[0].h[0, 0] == -np.inf and entries[0].f == np.sqrt(1e-220)
 
 
+def test_reciprocal_derivatives_are_infinite_where_they_underflow():
+    # below about 1e-108, x^3 underflows to 0 in 2 / x^3, and below about
+    # 1e-162 x^2 in -1 / x^2: the quotients are infinite for a float as for
+    # a batch entry, not an error (and inf * 0 makes a Hessian NaN)
+    xs = [jets.variables(v)[0] for v in (1e-200, 1e-120, 4.0)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entries = [1.0 / x for x in xs]
+        batched = 1.0 / stack(xs)
+    for b, e in enumerate(entries):
+        assert batched.f[b] == e.f and np.array_equal(batched.g[..., b], e.g)
+        assert np.array_equal(batched.h[..., b], e.h, equal_nan=True)
+    assert entries[0].g[0] == -np.inf and entries[1].h[0, 0] == np.inf
+
+
 def test_batched_domain_errors_name_the_first_failing_entry():
     x = stack([jets.variables(v)[0] for v in (4.0, -1.0, -2.0)])
     with pytest.raises(ValueError, match=r"got -1\.0 \(batch entry 1\)"):
@@ -298,6 +312,11 @@ def test_batched_domain_errors_name_the_first_failing_entry():
         abs(x + 2.0)
     with pytest.raises(ValueError, match=r"batch entry 0"):
         jets.atan2(x * 0.0, x * 0.0)
+    # where a float raises, so does a batch entry: sin at inf, 1 / 0
+    with pytest.raises(ValueError, match=r"math domain error \(batch entry 1\)"):
+        jets.sin(stack([jets.variables(v)[0] for v in (0.5, np.inf)]))
+    with pytest.raises(ZeroDivisionError, match=r"batch entry 2"):
+        1.0 / stack([jets.variables(v)[0] for v in (0.5, -1.0, 0.0)])
 
 
 # -- first-order jets against second-order ones --------------------------------
