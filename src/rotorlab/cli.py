@@ -369,7 +369,7 @@ def cmd_casimir(args, cfg: RunConfig):
     v = F.eval(args.P, args.Q)
     at = PQPoint(args.P, args.Q)  # Q >= 0, checked after the domain
     # numpy scalars: an overflow is an inf the check reports, not an OverflowError
-    PP, WW = map(float, casimirs_from_partials(F, at.P, at.Q, *np.float64(v[:3])))
+    PP, WW = map(float, casimirs_from_partials(F, at.P, at.Q, *map(np.float64, v[:3])))
     pp_target = cfg.M**2
     ww_target = FUNDAMENTAL_WW_FACTOR * cfg.M**4 * cfg.ell**2
     inputs = {

@@ -81,8 +81,8 @@ class FForm:
     def check_domain(self, P, Q):
         """Raise a DomainError naming (P, Q), and for a batch the first entry
         outside the domain and its index."""
-        inside = self.in_domain(P, Q)
-        jets.raise_where(~inside if isinstance(inside, np.ndarray) else not inside, DomainError,
+        ok = self.in_domain(P, Q)
+        jets.raise_where(~ok if isinstance(ok, np.ndarray) else not ok, DomainError,
                          f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}", P, Q)
 
     def eval(self, P, Q, order=2) -> FFormValue:
