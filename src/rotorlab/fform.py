@@ -100,9 +100,9 @@ class FForm:
         if not isinstance(out, jets.Jet):  # F does not depend on P or Q
             c = np.full(np.shape(P), float(out)) if np.ndim(P) else float(out)
             out = jets.constant(c, 2, order)
-        g, h = out.g, np.full((2, 2), None) if out.h is None else out.h
+        g, h = out.g, ((None, None),) * 2 if out.h is None else out.h
         if g.ndim == 1:  # one state: Python floats, faster than numpy scalars
-            g, h = g.tolist(), h.tolist()
+            g, h = g.tolist(), h if out.h is None else h.tolist()
         return FFormValue(out.f, *g, *h[0], h[1][1])
 
 
