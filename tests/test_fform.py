@@ -94,7 +94,8 @@ def test_domain_mask_takes_the_batch_shape(F):
 DOMAIN_BUILTINS = [
     builtin("point_particle"), builtin("rotator_f"),
     *(builtin("starlike", signs=s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))),
-    *(builtin("nu_family", nu=nu, signs=s) for nu in (0.0, 0.5, 2.0) for s in ((1, 1), (1, -1))),
+    *(builtin("nu_family", nu=nu, signs=s)
+      for nu in (0.0, 0.5, 2.0) for s in ((1, 1), (1, -1))),
     builtin("sqrtS", S=lambda q: 1.0 + q), builtin("fq", f=jets.sqrt),
 ]
 _EDGE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))  # 0, -0, subnormals, ...
@@ -111,7 +112,8 @@ def _evaluates(F, P, Q):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(F=st.one_of(st.sampled_from(DOMAIN_BUILTINS), _expressions.map(parse_f)),
        points=st.lists(st.tuples(_EDGE, _EDGE), min_size=1, max_size=3))
-# a batch entry where a float raises: 1/0, cos(inf), and x^-3 underflowing
+# where a batch entry and a float used to part: 1 / 0 and cos(inf) in a
+# batch, and a float Q whose cube underflows in P^2 / Q
 @example(F=parse_f("(P)^(-1)"), points=[(1.0, 1.0), (0.0, 1.0)])
 @example(F=parse_f("cos((1e308)*(10)*(P))"), points=[(0.0, 1.0), (0.5, 1.0)])
 @example(F=builtin("starlike"), points=[(0.3, 1.0), (0.3, 1e-200)])
