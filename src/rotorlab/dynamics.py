@@ -16,8 +16,10 @@ parameter = x^0) by exact forward-mode differentiation; integration solves
 H qddot = Z at each right-hand-side call, one state at a time, with a
 Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
 arrays of a few entries numpy's per-call overhead is most of a call's cost,
-so each stage of it makes few numpy calls.  scipy is imported only by the
-integration, so the free-motion and residual queries start without it.
+so each stage of it makes few numpy calls.  The integrator is rotorlab's
+own DOP853 (``dop853``), and scipy is imported only for those LAPACK
+routines, at the first solve, so every query but an integration starts
+without it.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from . import jets
+from . import dop853, jets
 from .degeneracy import DOF5, ChartState, chart_scalar_jets, check_off_pole
 from .fform import FForm, lagrangian_from_scalars
 from .minkowski import DomainError, dot, epsilon_contract, four
@@ -349,23 +351,6 @@ def _qr_solve(H, Z, t, q, qd):
     return qdd
 
 
-class SpanSolution:
-    """A scipy OdeSolution held to the span it covers.
-
-    A time outside [t_min, t_max] reads the state at the nearer end, as
-    np.interp does, instead of extrapolating the last step's polynomial: for
-    DOP853 that extrapolation can leave the light cone within a period.
-    """
-
-    def __init__(self, sol):
-        self._sol = sol
-        self.ts = sol.ts
-        self.t_min, self.t_max = sol.t_min, sol.t_max
-
-    def __call__(self, t):
-        return self._sol(np.clip(t, self.t_min, self.t_max))
-
-
 @dataclass(frozen=True)
 class IntegratedTrajectory(Trajectory):
     """Lab-time solution of H qddot = Z; t is lab time x^0.
@@ -375,7 +360,7 @@ class IntegratedTrajectory(Trajectory):
 
     F: FForm
     dof: tuple
-    sol: SpanSolution  # dense output
+    sol: dop853.DenseSolution  # dense output, held to the span
 
     def chart(self, t):
         """(q, qd) at t: (n,) arrays, or (n, B) for an array of B times."""
@@ -421,21 +406,22 @@ class IntegratedTrajectory(Trajectory):
 def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTrajectory:
     """Adaptive solution of H qddot = Z in the lab-time chart.
 
-    The integrator is DOP853, the explicit Runge-Kutta 8(5,3) pair of Dormand
-    and Prince (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10), with
-    its 7th-order dense output.  At rtol = 1e-10 it takes about a fifth of the
-    steps of a 5(4) pair and half its right-hand-side calls, and each call is a
-    velocity Hessian and a QR solve.  A Hessian that is singular or not
-    solvable in floating point, at the start or along the path (the first
-    call is at t0), a collapsing step size, or more right-hand-side calls
-    than RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per unit of the span raises
-    SingularHessianError; the budget counts calls, not seconds, so whether a
-    run finishes does not depend on the machine.  So does a start at which
-    every coordinate is inert (``_active``), as for F = 0: no coordinate is
-    integrated there, and no conserved charge would be checked.
+    The integrator is rotorlab's own DOP853 (``dop853.solve``), the explicit
+    Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer, Norsett & Wanner,
+    Solving ODEs I, 2nd ed., II.10), with its 7th-order dense output.  It
+    takes scipy 1.17.1's steps bit for bit without scipy.integrate; scipy is
+    loaded only for the LAPACK routines of ``_qr_solve``.  At rtol = 1e-10 it
+    takes about a fifth of the steps of a 5(4) pair and half its right-hand-
+    side calls, and each call is a velocity Hessian and a QR solve.  A Hessian
+    that is singular or not solvable in floating point, at the start or along
+    the path (the first call is at t0), a collapsing step size, or more
+    right-hand-side calls than RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per
+    unit of the span raises SingularHessianError; the budget counts calls,
+    not seconds, so whether a run finishes does not depend on the machine.
+    So does a start at which every coordinate is inert (``_active``), as for
+    F = 0: no coordinate is integrated there, and no conserved charge would be
+    checked.
     """
-    from scipy.integrate import solve_ivp
-
     initial.check_pole()
     q0, qd0 = initial.coords(dof)
     n = len(dof)
@@ -465,15 +451,13 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
         H, Z = _hessian_and_force(F, q, qd, dof)
         return np.concatenate([qd, _qr_solve(H, Z, t, q, qd)])
 
-    sol = solve_ivp(rhs, t_span, np.concatenate([q0, qd0]), method="DOP853",
-                    rtol=RTOL, atol=ATOL, dense_output=True)
-    if not sol.success:
-        y = sol.y[:, -1]
-        raise SingularHessianError(
-            f"integration failed at t = {sol.t[-1]:.6g}: {sol.message}",
-            state={"t": float(sol.t[-1]), "q": list(y[:n]), "qd": list(y[n:])},
-        )
-    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=SpanSolution(sol.sol))
+    try:
+        sol = dop853.solve(rhs, t_span, np.concatenate([q0, qd0]), RTOL, ATOL)
+    except dop853.StepSizeError as e:
+        why, t, y = e.args
+        raise SingularHessianError(f"integration failed at t = {t:.6g}: {why}", state={
+            "t": float(t), "q": list(y[:n]), "qd": list(y[n:])}) from None
+    return IntegratedTrajectory(F=F, dof=tuple(dof), sol=sol)
 
 
 # -- conserved charges along trajectories ------------------------------------

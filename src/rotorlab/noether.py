@@ -92,12 +92,14 @@ def legendre_p(P, Fv, FP):
 def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
     """(PP, WW) in closed form from F's value ``Fv`` and partials ``FP``,
     ``FQ`` at (P, Q); jet-generic, and each entry of arrays is the float
-    result (squares through ``jets.power``: numpy squares arrays as x * x,
-    Python floats through pow, which can differ by 1 ulp)."""
+    result.  Squares go through pow, not numpy's x * x, which can differ by 1
+    ulp: ``jets.power``, or ``np.float_power`` (pow on each entry) on arrays,
+    where a square that overflows reads inf, as on numpy floats."""
     A = legendre_p(P, Fv, FP)
-    FP2 = jets.power(FP, 2)
+    square = np.float_power if isinstance(FP, np.ndarray) else jets.power
+    FP2 = square(FP, 2)
     PP = F.M**2 * (A * (A - 4.0 * Q * FQ) - Q * FP2)
-    WW = -(F.M**4) * F.ell**2 * Q * jets.power(FP2 + 2.0 * FQ * A, 2)
+    WW = -(F.M**4) * F.ell**2 * Q * square(FP2 + 2.0 * FQ * A, 2)
     return PP, WW
 
 

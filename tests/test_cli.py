@@ -111,13 +111,20 @@ def test_fundamental_check_fails_on_an_empty_grid(capsys):
     assert "inputs.points = 0" in out
 
 
-@pytest.mark.parametrize("expr", ["sqrt(P)", "P^0.5"])
+@pytest.mark.parametrize("expr", ["sqrt(P)", "P^0.5", "1e100*P"])
 def test_fundamental_check_masks_where_the_jets_fail(capsys, expr):
     # an odd grid holds P = 0, where F has no derivative: the mask drops
-    # those points, as F's evaluation does, and the others are checked
+    # those points, as F's evaluation does, and the others are checked.
+    # 1e100*P keeps every point, and the squares in its Casimirs overflow:
+    # they read inf, as at one point in ``casimir``, instead of raising
+    # OverflowError (exit 2)
     code, out = run(capsys, "fundamental-check", "--f", expr, "--grid", "3")
     assert code == 1
-    assert "status = fail" in out and "inputs.points = 3" in out
+    assert "status = fail" in out
+    if expr == "1e100*P":
+        assert "residual = inf" in out and "inputs.points = 9" in out
+    else:
+        assert "inputs.points = 3" in out
 
 
 def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
@@ -481,11 +488,13 @@ codes = [run(argv) for argv in json.loads(sys.argv[1])]
 before = scipy_modules()
 simulate = run(["simulate", "--periods", "0.05"])
 print(json.dumps({"codes": codes, "before": before, "simulate": simulate,
-                  "after": "scipy" in scipy_modules()}))
+                  "after": scipy_modules()}))
 """
 
 
 def test_only_simulate_loads_scipy():
+    """The seven other commands load no scipy.  simulate loads scipy.linalg
+    for LAPACK's QR, and no scipy.integrate: the integrator is rotorlab's."""
     commands = [["verify", "--suite", "all", "--seed", "0"], ["freemotion", "--samples", "3"],
                 ["casimir", "--f", "Q"], ["hessian", "--f", "Q"], ["relation", "--states", "1"],
                 ["fundamental-check", "--f", "rotator", "--grid", "3"], ["count-invariants"]]
@@ -494,7 +503,8 @@ def test_only_simulate_loads_scipy():
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * len(commands)
     assert got["before"] == []
-    assert got["simulate"] == 0 and got["after"]
+    assert got["simulate"] == 0 and "scipy.linalg" in got["after"]
+    assert [m for m in got["after"] if m.split(".")[:2] == ["scipy", "integrate"]] == []
 
 
 def test_freemotion_writes_trajectory(tmp_path, capsys):

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotorlab import cli, dynamics, fform, jets
+from rotorlab import cli, dop853, dynamics, fform, jets
 from rotorlab.degeneracy import (
     DOF5,
     DOF6,
@@ -309,26 +309,62 @@ def test_integration_work_is_pinned(monkeypatch):
     calls in 35 DOP853 steps, and evaluates H and Z once more, at the start:
     an extra evaluation per call or per step fails here instead of hiding in
     timing noise."""
-    import scipy.integrate
+    solve, calls, evaluations = dop853.solve, [0], [0]
 
-    solve_ivp, calls, evaluations = scipy.integrate.solve_ivp, [0], [0]
-
-    def counted_solve_ivp(fun, *args, **kwargs):
+    def counted_solve(fun, *args):
         def counted(t, y):
             calls[0] += 1
             return fun(t, y)
-        return solve_ivp(counted, *args, **kwargs)
+        return solve(counted, *args)
 
     def counted_evaluation(*args):
         evaluations[0] += 1
         return hessian_and_force(*args)
 
     hessian_and_force = dynamics._hessian_and_force
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", counted_solve_ivp)
+    monkeypatch.setattr(dop853, "solve", counted_solve)
     monkeypatch.setattr(dynamics, "_hessian_and_force", counted_evaluation)
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
     traj = integrate(parse_f("Q"), st, (0.0, 9.0))
     assert (calls[0], evaluations[0], len(traj.sol.ts)) == (527, 528, 36)
+
+
+@pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
+def test_dop853_takes_the_steps_of_scipys(expr):
+    """rotorlab's DOP853 is a port of scipy's: the same tableau, entry for
+    entry, and for the same right-hand side the same calls, step ends and
+    dense output, bit for bit: at 400 times in the span, at every step end,
+    and outside the span, where both read the nearer end state."""
+    import scipy
+    from scipy.integrate import solve_ivp
+    from scipy.integrate._ivp import dop853_coefficients
+
+    why = f"the port follows scipy 1.17.1, and scipy {scipy.__version__} is installed"
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(dop853, name), getattr(dop853_coefficients, name)), \
+            f"tableau {name} differs: {why}"
+    F, st = parse_f(expr), ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
+                                      thetadot=0.4, phidot=0.7)
+    calls = {"scipy": [], "rotorlab": []}
+
+    def rhs(side):  # integrate's right-hand side, without its budget
+        def f(t, y):
+            calls[side].append(t)
+            H, Z = dynamics._hessian_and_force(F, y[:5], y[5:], DOF5)
+            return np.concatenate([y[5:], dynamics._qr_solve(H, Z, t, y[:5], y[5:])])
+        return f
+
+    y0, span = np.concatenate(st.coords(DOF5)), (0.0, 9.0)
+    want = solve_ivp(rhs("scipy"), span, y0, method="DOP853", rtol=dynamics.RTOL,
+                     atol=dynamics.ATOL, dense_output=True)
+    got = dop853.solve(rhs("rotorlab"), span, y0, dynamics.RTOL, dynamics.ATOL)
+    assert want.success and len(calls["scipy"]) == want.nfev, why
+    assert calls["rotorlab"] == calls["scipy"], f"right-hand-side calls differ: {why}"
+    assert np.array_equal(got.ts, want.t), f"step ends differ: {why}"
+    inside, outside = np.linspace(*span, 400), [-1.0, -1e-9, 9.0 * (1 + 1e-12), 18.0]
+    for t in (inside, want.t, *want.t, *outside):
+        assert np.array_equal(got(t), want.sol(np.clip(t, *span))), \
+            f"dense output differs at t = {t}: {why}"
 
 
 def test_lagrangian_walks_a_parsed_form_once(monkeypatch):
