@@ -76,16 +76,24 @@ def _chunks(times):
     return [times[i:i + CHUNK] for i in range(0, len(times), CHUNK)]
 
 
+_UNSOLVABLE = "velocity Hessian not solvable in floating point"
+
+
+def _floats(v):
+    return "[" + ", ".join(f"{x:.6g}" for x in v) + "]"
+
+
 class SingularHessianError(RuntimeError):
     """Raised when the velocity Hessian degenerates during integration, when
     it cannot be solved in floating point, or when the integrator stalls
     because its step size collapses (the equations of motion H qddot = Z
     become singular along the path) or because it spends its budget of
-    right-hand-side calls."""
+    right-hand-side calls.  The message says why and where the solve
+    stopped; ``state`` holds that (t, q, qd)."""
 
-    def __init__(self, message, state=None):
-        super().__init__(message)
-        self.state = state
+    def __init__(self, why, t, q, qd):
+        super().__init__(f"{why} at t = {t:.6g}: q = {_floats(q)}, qd = {_floats(qd)}")
+        self.state = {"t": float(t), "q": list(q), "qd": list(qd)}
 
 
 @dataclass(frozen=True)
@@ -291,20 +299,9 @@ def _active(H, Z, t, q, qd):
     ``_qr_solve`` instead of failing every comparison and reading as inert."""
     rows, force = np.abs(H).max(axis=1).tolist(), Z.tolist()
     if not all(map(math.isfinite, rows + force)):
-        raise _hessian_error("not solvable in floating point (Hessian or force "
-                             "not finite)", t, q, qd)
+        raise SingularHessianError(f"{_UNSOLVABLE} (Hessian or force not finite)", t, q, qd)
     tol = 1e-14 * max(max(rows), 1e-300)
     return [r > tol or abs(z) > tol for r, z in zip(rows, force)]
-
-
-def _floats(v):
-    return "[" + ", ".join(f"{x:.6g}" for x in v) + "]"
-
-
-def _hessian_error(why, t, q, qd):
-    """The SingularHessianError of ``_qr_solve`` at the state (t, q, qd)."""
-    return SingularHessianError(f"velocity Hessian {why}",
-                                state={"t": t, "q": list(q), "qd": list(qd)})
 
 
 @functools.cache
@@ -338,16 +335,14 @@ def _qr_solve(H, Z, t, q, qd):
     qr, tau, _, _ = dgeqrf(H)
     diag = [abs(r) for r in qr.diagonal().tolist()]
     if not all(map(math.isfinite, diag)):
-        raise _hessian_error("not solvable in floating point "
-                             "(R diagonal not finite)", t, q, qd)
+        raise SingularHessianError(f"{_UNSOLVABLE} (R diagonal not finite)", t, q, qd)
     if not min(diag) > COND_TOL * max(max(diag), 1e-300):
-        raise _hessian_error(f"singular (R diagonal ratio "
-                             f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
+        raise SingularHessianError(f"velocity Hessian singular (R diagonal ratio "
+                                   f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
     qtz, _, _ = dormqr("L", "T", qr, tau, Z[:, None], 1)
     qdd = dtrtrs(qr, qtz)[0][:, 0]
     if not all(map(math.isfinite, qdd.tolist())):
-        raise _hessian_error("not solvable in floating point "
-                             "(acceleration not finite)", t, q, qd)
+        raise SingularHessianError(f"{_UNSOLVABLE} (acceleration not finite)", t, q, qd)
     return qdd
 
 
@@ -429,10 +424,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     # particle) are pure gauge and are held fixed from the start
     active = _active(*_hessian_and_force(F, q0, qd0, dof), t_span[0], q0, qd0)
     if not any(active):  # e.g. F = 0: nothing would move, and nothing be checked
-        raise SingularHessianError(
-            f"every coordinate is inert for {F.name} (velocity Hessian and force "
-            f"vanish) at t = {t_span[0]:.6g}: q = {_floats(q0)}, qd = {_floats(qd0)}",
-            state={"t": t_span[0], "q": list(q0), "qd": list(qd0)})
+        raise SingularHessianError(f"every coordinate is inert for {F.name} (velocity "
+                                   "Hessian and force vanish)", t_span[0], q0, qd0)
     qd0 = np.where(active, qd0, 0.0)
     span = abs(t_span[1] - t_span[0])
     budget = RHS_CALLS_FLOOR + RHS_CALLS_PER_TIME * span
@@ -443,10 +436,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
         q, qd = y[:n], y[n:]
         if calls >= budget:
             raise SingularHessianError(
-                f"integration stopped at t = {t:.6g} after {calls} right-hand-side "
-                f"calls, the budget for a lab-time span of {span:.6g}: "
-                f"q = {_floats(q)}, qd = {_floats(qd)}",
-                state={"t": t, "q": list(q), "qd": list(qd)})
+                f"integration stopped after {calls} right-hand-side calls (the "
+                f"budget for a lab-time span of {span:.6g})", t, q, qd)
         calls += 1
         H, Z = _hessian_and_force(F, q, qd, dof)
         return np.concatenate([qd, _qr_solve(H, Z, t, q, qd)])
@@ -455,8 +446,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
         sol = dop853.solve(rhs, t_span, np.concatenate([q0, qd0]), RTOL, ATOL)
     except dop853.StepSizeError as e:
         why, t, y = e.args
-        raise SingularHessianError(f"integration failed at t = {t:.6g}: {why}", state={
-            "t": float(t), "q": list(y[:n]), "qd": list(y[n:])}) from None
+        raise SingularHessianError(f"integration failed ({why.rstrip('.')})",
+                                   t, y[:n], y[n:]) from None
     return IntegratedTrajectory(F=F, dof=tuple(dof), sol=sol)
 
 

@@ -3,10 +3,11 @@
 P and Q are the two reparametrization-invariant, scale-free combinations of a
 null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
-(M, ell, nu).  ``FForm.eval`` gives F and its partials, exact to rounding, from
-one evaluation on jets at a float or batch (P, Q), after a builtin's domain
-predicate; an expression's domain is where it is twice differentiable, where
-that evaluation succeeds.  ``FForm.in_domain`` masks (P, Q) by the domain.
+(M, ell); a parameter nu of F is bound into F itself.  ``FForm.eval`` gives
+F and its partials, exact to rounding, from one evaluation on jets at a float
+or batch (P, Q), after a builtin's domain predicate; an expression's domain
+is where it is twice differentiable, where that evaluation succeeds.
+``FForm.in_domain`` masks (P, Q) by the domain.
 The Lagrangian reads the velocities only through four scalar products
 (``scalar_products``), and on jets of those it is differentiated once: F's
 partials at (P, Q), L's partials in the four scalars in closed form, and one
@@ -59,7 +60,6 @@ class FForm:
     name: str = "custom"
     M: float = 1.0
     ell: float = 1.0
-    nu: float = 0.0
     domain: Callable | None = None  # (P, Q) -> a bool, or a bool array for arrays
 
     def in_domain(self, P, Q):
@@ -315,7 +315,7 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
     def func(P, Q, _tree=tree):
         return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
 
-    return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell, nu=nu)
+    return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell)
 
 
 def parse_phase(expr: str):
@@ -369,7 +369,7 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
             return (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) - _nu**2 * Q > 0.0)
 
         return FForm(func=func, name=f"nu_family[{nu},{s1:+d},{s2:+d}]",
-                     M=M, ell=ell, nu=nu, domain=domain)
+                     M=M, ell=ell, domain=domain)
 
     if name == "sqrtS":
         if S is None:

@@ -15,7 +15,7 @@ import numpy as np
 from . import jets
 from .fform import pq_from_scalars, scalar_products
 from .minkowski import DomainError, dot, four
-from .spinor import Tetrad, gauge_transform, tetrad_from_angles, tetrad_relations
+from .spinor import gauge_transform, tetrad_from_angles, tetrad_relations
 
 
 JET_TOL = 1e-10  # largest tetrad-relation residual of a valid jet, per unit scale
@@ -53,7 +53,7 @@ class KinematicJet:
     def constraint_residuals(self) -> dict:
         """Tetrad relations and their parameter-derivatives (should all vanish),
         from the relations of the lifted tetrad."""
-        rel = tetrad_relations(*_lift(self)[1].vectors())
+        rel = tetrad_relations(*_lift(self)[1])
         return {**{name: r.f for name, r in rel.items()},
                 **{f"d({name})": r.g[0] for name, r in rel.items()}}
 
@@ -71,11 +71,11 @@ class KinematicJet:
 
 
 def _lift(J: KinematicJet):
-    """The parameter t, at 0, and the tetrad of J as first-order jets
-    v + vdot t in t, batched as J is."""
+    """The parameter t, at 0, and the tetrad (k, m, a, b) of J as first-order
+    jets v + vdot t in t, batched as J is."""
     (t,) = jets.variables(0.0 * J.k[0], order=1)
     pairs = ((J.k, J.kdot), (J.m, J.mdot), (J.a, J.adot), (J.b, J.bdot))
-    return t, Tetrad(*(four(*(v[i] + vd[i] * t for i in range(4))) for v, vd in pairs))
+    return t, tuple(four(*(v[i] + vd[i] * t for i in range(4))) for v, vd in pairs)
 
 
 def _unlift(xdot, k, m, a, b) -> KinematicJet:
@@ -131,8 +131,8 @@ def basic_scalars(J: KinematicJet) -> BasicScalars:
 def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
     """Apply the (alpha, beta) gauge shift with parameter-dependent rates."""
     t, T = _lift(J)
-    return _unlift(J.xdot, *gauge_transform(T, G.alpha + G.alphadot * t,
-                                            G.beta + G.betadot * t).vectors())
+    return _unlift(J.xdot, *gauge_transform(*T, G.alpha + G.alphadot * t,
+                                            G.beta + G.betadot * t))
 
 
 def iota(J: KinematicJet) -> np.ndarray:

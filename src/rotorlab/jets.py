@@ -23,19 +23,22 @@ array, ``g`` is ``(n,)`` or ``(n, B)`` and ``h`` is ``(n, n)`` or
 trailing axis, and each batch entry is bit-identical to the same operation on
 unbatched jets: the elementary functions whose numpy versions round
 differently from ``math`` (``exp``, ``acos``, ``atan2`` and real powers) are
-evaluated entry by entry through ``math``.  Plain numbers are likewise floats
-or arrays of the batch shape, and the operands of one operation share one
-batch shape.
+evaluated entry by entry through ``math``.  The operands of one operation
+share one batch shape.
 
 ``compose`` gives the jet of a function of m jets from the function's first
 and second partials, by one chain step.
 
-A plain-number operand of ``+ - * /`` shifts the value or scales the whole
-jet; it is never promoted to a zero-derivative jet.  A result may share its
-``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), the jets
-returned by ``variables`` share one Hessian array, and unbatched seeds of one
-width share read-only arrays across calls.  This is safe because no jet is
-ever written in place: treat ``g`` and ``h`` as read-only.
+One rule admits a plain operand of ``+ - * /``, either side: an int, a float
+or a numpy scalar enters as its float, and an array as itself, one number
+per batch entry, if it has the jet's batch shape (any other shape raises
+ValueError); any other type is no operand (TypeError).  A plain operand
+shifts the value or scales the whole jet; it is never promoted to a
+zero-derivative jet.  A result may share its ``g`` and ``h`` arrays with an
+operand (``x + 1.0`` keeps ``x.g``), the jets returned by ``variables`` share
+one Hessian array, and unbatched seeds of one width share read-only arrays
+across calls.  This is safe because no jet is ever written in place: treat
+``g`` and ``h`` as read-only.
 """
 
 from __future__ import annotations
@@ -98,6 +101,19 @@ def raise_where(bad, error, message, *values):
         raise error(message.format(*values))
 
 
+def _plain(x, other):
+    """The non-jet operand ``other`` of the jet ``x``: a float for a number,
+    the array itself if it has x's batch shape, None for any other type."""
+    if isinstance(other, _NUMBER):
+        return float(other)
+    if isinstance(other, _ARRAY):
+        if other.shape != np.shape(x.f):
+            raise ValueError(f"operand of shape {other.shape} does not match "
+                             f"the batch shape {np.shape(x.f)}")
+        return other
+    return None
+
+
 class Jet:
     """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n),
     each with a trailing batch axis when batched; a first-order jet has
@@ -126,22 +142,12 @@ class Jet:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _batch(self, other):
-        """An array operand: a plain number per batch entry."""
-        if other.shape != np.shape(self.f):
-            raise ValueError(f"operand of shape {other.shape} does not match "
-                             f"the batch shape {np.shape(self.f)}")
-        return other
-
     def __add__(self, other):
         if isinstance(other, Jet):
             h = None if self.h is None or other.h is None else self.h + other.h
             return Jet(self.f + other.f, self.g + other.g, h)
-        if isinstance(other, _NUMBER):
-            return Jet(self.f + float(other), self.g, self.h)
-        if isinstance(other, _ARRAY):
-            return Jet(self.f + self._batch(other), self.g, self.h)
-        return NotImplemented
+        c = _plain(self, other)
+        return NotImplemented if c is None else Jet(self.f + c, self.g, self.h)
 
     __radd__ = __add__
 
@@ -152,18 +158,12 @@ class Jet:
         if isinstance(other, Jet):
             h = None if self.h is None or other.h is None else self.h - other.h
             return Jet(self.f - other.f, self.g - other.g, h)
-        if isinstance(other, _NUMBER):
-            return Jet(self.f - float(other), self.g, self.h)
-        if isinstance(other, _ARRAY):
-            return Jet(self.f - self._batch(other), self.g, self.h)
-        return NotImplemented
+        c = _plain(self, other)
+        return NotImplemented if c is None else Jet(self.f - c, self.g, self.h)
 
     def __rsub__(self, other):
-        if isinstance(other, _NUMBER):
-            return Jet(float(other) - self.f, -self.g, _negated(self.h))
-        if isinstance(other, _ARRAY):
-            return Jet(self._batch(other) - self.f, -self.g, _negated(self.h))
-        return NotImplemented
+        c = _plain(self, other)
+        return NotImplemented if c is None else Jet(c - self.f, -self.g, _negated(self.h))
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -177,31 +177,22 @@ class Jet:
             h += t
             h += t.swapaxes(0, 1)
             return Jet(self.f * other.f, g, h)
-        if isinstance(other, _NUMBER):
-            c = float(other)
-        elif isinstance(other, _ARRAY):
-            c = self._batch(other)
-        else:
+        c = _plain(self, other)
+        if c is None:
             return NotImplemented
-        return Jet(self.f * c, self.g * c, _scaled(self.h, c))
+        return Jet(self.f * c, self.g * c, None if self.h is None else self.h * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * _reciprocal(other)
-        if isinstance(other, _NUMBER):
-            return self * (1.0 / float(other))
-        if isinstance(other, _ARRAY):
-            return self * (1.0 / self._batch(other))
-        return NotImplemented
+        c = _plain(self, other)
+        return NotImplemented if c is None else self * (1.0 / c)
 
     def __rtruediv__(self, other):
-        if isinstance(other, _NUMBER):
-            return _reciprocal(self) * float(other)
-        if isinstance(other, _ARRAY):
-            return _reciprocal(self) * self._batch(other)
-        return NotImplemented
+        c = _plain(self, other)
+        return NotImplemented if c is None else _reciprocal(self) * c
 
     def __pow__(self, p):
         p = float(p)
@@ -266,11 +257,6 @@ def _zero_rate(u, v):
     shape = np.shape(v)
     h = None if u.h is None else np.zeros((u.n, u.n) + shape)
     return Jet(v, np.zeros((u.n,) + shape), h)
-
-
-def _scaled(h, c):
-    """A Hessian times a number, or None for a first-order jet."""
-    return None if h is None else h * c
 
 
 def _negated(h):

@@ -13,6 +13,8 @@ import itertools
 
 import numpy as np
 
+from .jets import _NUMBER
+
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
@@ -20,16 +22,13 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-_REAL = (int, float, np.integer, np.floating)
-
-
 def four(c0, c1, c2, c3):
     """Pack components into a four-vector array: (4,) floats, (4, B) floats if
     a component is a (B,) array, or object dtype if jet-valued."""
     comps = [c0, c1, c2, c3]
-    if all(isinstance(c, _REAL) for c in comps):
+    if all(isinstance(c, _NUMBER) for c in comps):
         return np.array(comps, dtype=float)
-    if all(isinstance(c, _REAL + (np.ndarray,)) for c in comps):
+    if all(isinstance(c, _NUMBER + (np.ndarray,)) for c in comps):
         return np.array(np.broadcast_arrays(*comps), dtype=float)
     out = np.empty(4, dtype=object)
     out[:] = comps

@@ -23,25 +23,8 @@ sin(delta) a + cos(delta) b), with k and m unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import jets
 from .minkowski import dot, four
-
-
-@dataclass(frozen=True)
-class Tetrad:
-    """Null tetrad: k, m null with k.m = 2; a, b unit spacelike."""
-
-    k: np.ndarray
-    m: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def vectors(self):
-        return self.k, self.m, self.a, self.b
 
 
 def tetrad_relations(k, m, a, b) -> dict:
@@ -52,15 +35,15 @@ def tetrad_relations(k, m, a, b) -> dict:
             "ak": dot(a, k), "bk": dot(b, k), "am": dot(a, m), "bm": dot(b, m)}
 
 
-def gauge_transform(T: Tetrad, alpha, beta) -> Tetrad:
-    """Shift a, b, m along k; all scalar products are preserved.  Component by
-    component, so alpha, beta and T may be floats, batches or jets."""
-    k, m, a, b = T.vectors()
+def gauge_transform(k, m, a, b, alpha, beta):
+    """The tetrad (k, m, a, b) with a, b, m shifted along k; all scalar
+    products are preserved.  Component by component, so alpha, beta and the
+    vectors may be floats, batches or jets."""
     s = alpha**2 + beta**2
-    return Tetrad(k, four(*(m[i] + 2.0 * alpha * a[i] + 2.0 * beta * b[i] + s * k[i]
-                            for i in range(4))),
-                  four(*(a[i] + alpha * k[i] for i in range(4))),
-                  four(*(b[i] + beta * k[i] for i in range(4))))
+    return (k, four(*(m[i] + 2.0 * alpha * a[i] + 2.0 * beta * b[i] + s * k[i]
+                      for i in range(4))),
+            four(*(a[i] + alpha * k[i] for i in range(4))),
+            four(*(b[i] + beta * k[i] for i in range(4))))
 
 
 # -- the tetrad from angle data --------------------------------------------

@@ -469,8 +469,43 @@ def test_simulate_oscillatory_form_spends_its_budget_and_exits_2():
     proc = run_fresh("-m", "rotorlab.cli", "simulate", "--f",
                      "((2.5)*(Q))-(sin((2398)*(P)))", "--periods", "0.05")
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: integration stopped at t = ")
-    assert "right-hand-side calls" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: integration stopped after ")
+    assert "right-hand-side calls" in proc.stderr and " at t = " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("form, why", [
+    ("1e308", "velocity Hessian not solvable in floating point (acceleration not finite)"),
+    ("Q*1e308*1e10", "velocity Hessian not solvable in floating point "
+                     "(Hessian or force not finite)"),
+    ("rotator", "velocity Hessian singular (R diagonal ratio "),
+    ("1+Q+P^2", "integration failed (Required step size is less than spacing "
+                "between numbers)"),
+    ("Q", "integration stopped after 100 right-hand-side calls (the budget for "),
+    ("0", "every coordinate is inert for parsed:0 (velocity Hessian and force vanish)"),
+])
+def test_every_stalled_solve_names_its_state(monkeypatch, capsys, form, why):
+    if form == "Q":  # a budget of 100 calls, spent long before --periods 1 ends
+        monkeypatch.setattr(dynamics, "RHS_CALLS_FLOOR", 100)
+        monkeypatch.setattr(dynamics, "RHS_CALLS_PER_TIME", 0)
+    raised = []
+
+    def integrate(*args):
+        try:
+            return dynamics.integrate(*args)
+        except dynamics.SingularHessianError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(cli, "integrate", integrate)
+    assert exit_code(["simulate", "--f", form, "--periods", "1"]) == 2
+    err = capsys.readouterr().err
+    (e,) = raised
+    assert err == f"error: {e}\n" and err.startswith(f"error: {why}")
+    s = e.state
+    assert err.endswith(f" at t = {s['t']:.6g}: q = {dynamics._floats(s['q'])}, "
+                        f"qd = {dynamics._floats(s['qd'])}\n")
+    assert isinstance(s["t"], float) and len(s["q"]) == len(s["qd"]) == 5
 
 
 STARTUP_PROBE = """

@@ -241,6 +241,30 @@ def test_batched_jets_keep_the_trailing_axis():
         jets.variables(1.0, 2.0)[0] * np.array([1.0, 2.0])
 
 
+def bits(u):
+    return [np.asarray(v).tobytes() for v in (u.f, u.g, u.h)]
+
+
+@pytest.mark.parametrize("op", BINARY_OPS)
+@pytest.mark.parametrize("reflected", [False, True], ids=["jet-left", "jet-right"])
+def test_plain_operands_follow_one_rule(op, reflected):
+    """A number enters ``+ - * /`` as its float, on either side; an array of
+    another batch shape is refused, and any other type is no operand."""
+    apply = (lambda x, c: op(c, x)) if reflected else op
+    x, _ = jets.variables(1.5, -0.25)
+    xb, _ = jets.variables(np.array([1.5, 2.0, 2.5]), np.zeros(3))
+    for u, wrong in ((x, np.ones(2)), (xb, np.ones(2)), (xb, np.ones((3, 1)))):
+        with pytest.raises(ValueError, match="does not match the batch shape"):
+            apply(u, wrong)
+    for junk in ([1.0], "2", None):
+        with pytest.raises(TypeError):
+            apply(x, junk)
+    for c in (True, np.int64(3), np.float64(-0.7)):
+        got, want = apply(x, c), apply(x, float(c))
+        assert type(got.f) is float and bits(got) == bits(want)
+        assert bits(apply(xb, c)) == bits(apply(xb, float(c)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(batches=jet_batches(2, (finite, nonzero)), c=nonzero)
 def test_batched_arithmetic_matches_entries(batches, c):
