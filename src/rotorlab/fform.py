@@ -15,12 +15,17 @@ chain step (``jets.compose``).  It takes batched jets or arrays as well.
 
 Builtins cover the point particle, the f(Q) rotator subfamily, the two
 closed-form families satisfying the fixed mass/spin conditions, and the
-distinguished sqrt(1 + P^2/Q) * S(Q) shape.  ``parse_f`` accepts user
-expressions over P, Q, nu with + - * / ^ and sqrt.
+distinguished sqrt(1 + P^2/Q) * S(Q) shape.  ``parse_f`` reads an expression
+over P, Q, nu, and ``parse_phase`` one over t, in Python's arithmetic grammar
+with ^ for powers: decimal numbers (read as floats), the names, + - * / ^,
+parentheses, and sqrt, sin, cos, exp; anything else is a ParseError.
 """
 
 from __future__ import annotations
 
+import ast
+import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -130,6 +135,10 @@ def pq_from_scalars(xx, kx, kdx, kdkd, ell: float):
 
 
 # -- expression parser -------------------------------------------------------
+# An expression is Python's arithmetic with ^ for powers.  ``_parse`` writes
+# ^ as ** and hands the text to ``ast.parse``; the tree it keeps holds decimal
+# numbers (as floats), the given names, + - * / ** and unary + -, and calls
+# of a bare ``_FUNCTIONS`` name on one argument.  Python never compiles it.
 
 
 class ParseError(ValueError):
@@ -138,126 +147,67 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "+-*/^(),":
-            tokens.append((c, c, i))
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                j += 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            try:
-                val = float(text[i:j])
-            except ValueError:
-                raise ParseError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(("num", val, i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(("end", None, n))
-    return tokens
-
-
 _FUNCTIONS = {"sqrt": jets.sqrt, "sin": jets.sin, "cos": jets.cos, "exp": jets.exp}
+# a character outside the language, or two *s in a row: Python's power, not ours
+_FOREIGN = re.compile(r"[^\sA-Za-z0-9.+\-*/^()]|\*\s*\*")
+# the zeros that lead an integer literal: Python refuses 01, read here as 1
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=[0-9]+(?![\w.]))")
+_NUMBER = re.compile(r"(?:[0-9]+\.?|[0-9]*\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-class _Parser:
-    def __init__(self, text: str, names=("P", "Q", "nu")):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.names = names
+def _parse(text: str, names):
+    """The checked ast of an expression over ``names``, its numbers floats.
+    A ParseError's position indexes ``text``."""
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ParseError(f"unexpected {text[bad.end() - 1]!r}", bad.end() - 1)
+    # one line, blanks for whitespace and leading zeros, then without its
+    # leading blanks and with ^ as **: column c of src is text[origin[c]]
+    src = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), re.sub(r"\s", " ", text))
+    lead = len(src) - len(src.lstrip())
+    origin = [i for i, c in enumerate(src) for _ in ("**" if c == "^" else c)]
+    origin = origin[lead:] + [len(text)]
+    src = src[lead:].replace("^", "**")
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(message, col):
+        return ParseError(message, origin[min(col, len(src))])
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def check(node):
+        if isinstance(node, ast.Constant):
+            number = src[node.col_offset:node.end_col_offset]
+            if not _NUMBER.fullmatch(number):
+                raise error(f"bad number {number!r}", node.col_offset)
+            node.value = float(number)
+        elif isinstance(node, ast.Name):
+            if node.id not in names:
+                raise error(f"unknown name {node.id!r}", node.col_offset)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            check(node.operand)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            check(node.left)
+            check(node.right)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.col_offset == node.col_offset  # not (sqrt)(Q)
+              and len(node.args) == 1):  # no = or ** in the text, so no keywords
+            if node.func.id not in _FUNCTIONS:
+                raise error(f"unknown function {node.func.id!r}", node.col_offset)
+            check(node.args[0])
+        else:
+            segment = text[origin[node.col_offset]:origin[node.end_col_offset]]
+            raise error(f"unexpected {segment!r}", node.col_offset)
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse(self):
-        try:
-            node = self.expr()
-        except RecursionError:
-            raise ParseError("expression nested too deeply", 0) from None
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in "+-":
-            op = self.next()[0]
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek()[0] in "*/":
-            op = self.next()[0]
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok[0] in "+-":
-            self.next()
-            node = self.unary()
-            return node if tok[0] == "+" else ("neg", node)
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            return ("^", base, self.unary())  # right-associative
-        return base
-
-    def atom(self):
-        tok = self.next()
-        if tok[0] == "num":
-            return ("num", tok[1])
-        if tok[0] == "name":
-            if self.peek()[0] == "(":
-                if tok[1] not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {tok[1]!r}", tok[2])
-                self.next()
-                arg = self.expr()
-                self.expect(")")
-                return ("call", tok[1], arg)
-            if tok[1] in self.names:
-                return ("var", tok[1])
-            raise ParseError(f"unknown name {tok[1]!r}", tok[2])
-        if tok[0] == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1or Q warns, and raises as a SyntaxError
+            tree = ast.parse(src, mode="eval").body
+        check(tree)
+    except SyntaxError as exc:
+        # an offset of 0 is the end of the text, as for '1 +'
+        raise error(exc.msg, exc.offset - 1 if exc.offset else len(src)) from None
+    except (RecursionError, MemoryError):  # MemoryError: the parser's stack overflowed
+        raise ParseError("expression nested too deeply", 0) from None
+    return tree
 
 
 def _evaluate(tree, env):
@@ -270,21 +220,23 @@ def _evaluate(tree, env):
 
 
 def _eval_node(node, env):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return env[node[1]]
-    if kind == "neg":
-        return -_eval_node(node[1], env)
-    if kind == "call":
+    kind = type(node)
+    if kind is ast.Constant:
+        return node.value
+    if kind is ast.Name:
+        return env[node.id]
+    if kind is ast.UnaryOp:
+        x = _eval_node(node.operand, env)
+        return -x if type(node.op) is ast.USub else x  # a Jet has no __pos__
+    if kind is ast.Call:
         try:
-            return _FUNCTIONS[node[1]](_eval_node(node[2], env))
+            return _FUNCTIONS[node.func.id](_eval_node(node.args[0], env))
         except ValueError as exc:
             raise DomainError(str(exc)) from exc
-    a = _eval_node(node[1], env)
-    if kind == "^":
-        b = _eval_node(node[2], env)
+    a = _eval_node(node.left, env)
+    b = _eval_node(node.right, env)
+    op = type(node.op)
+    if op is ast.Pow:
         if isinstance(b, jets.Jet):
             # its derivatives would be dropped: a^b is differentiated in a only
             raise DomainError("an exponent must not depend on the variables")
@@ -295,22 +247,19 @@ def _eval_node(node, env):
         if isinstance(out, complex):
             raise DomainError(f"{a} ^ {b} is not real")
         return out
-    b = _eval_node(node[2], env)
-    if kind == "+":
+    if op is ast.Add:
         return a + b
-    if kind == "-":
+    if op is ast.Sub:
         return a - b
-    if kind == "*":
+    if op is ast.Mult:
         return a * b
-    if kind == "/":
-        jets.raise_where(jets.value(b) == 0.0, DomainError, "division by zero")
-        return a / b
-    raise AssertionError(f"bad node {node!r}")
+    jets.raise_where(jets.value(b) == 0.0, DomainError, "division by zero")
+    return a / b  # ast.Div, the one operator left
 
 
 def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FForm:
     """Compile an expression over P, Q, nu into an FForm."""
-    tree = _Parser(expr).parse()
+    tree = _parse(expr, ("P", "Q", "nu"))
 
     def func(P, Q, _tree=tree):
         return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
@@ -320,7 +269,7 @@ def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FFo
 
 def parse_phase(expr: str):
     """Compile an expression over t into a jet-generic scalar function."""
-    tree = _Parser(expr, names=("t",)).parse()
+    tree = _parse(expr, ("t",))
     return lambda t, _tree=tree: _evaluate(_tree, {"t": t})
 
 

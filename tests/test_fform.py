@@ -1,3 +1,6 @@
+import ast
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -29,15 +32,24 @@ def fd_partials(F, P, Q, h=1e-6):
     return FP, FQ
 
 
+# text -> its exact value at (P, Q) = (0.5, 4.0)
+PARSED_VALUES = [
+    ("1 + 2*Q - Q/4", 8.0), ("sqrt(Q)*(2+Q)", 12.0),
+    ("2^3^2", 512.0), ("-2^2", -4.0), ("2^-1", 0.5), ("2^-2^2", 0.0625),  # ^ is right-associative
+    ("-Q^2", -16.0), ("P*Q^2", 8.0), ("1-2-3", -4.0), ("P/Q*2", 0.25),
+    ("01", 1.0), ("007", 7.0), ("1e-01", 0.1), (".5", 0.5), ("5.", 5.0), ("1E+2", 100.0),
+    ("sqrt (Q)", 2.0), ("+Q", 4.0), ("\t1 +\n 2*Q\t- Q/4\n", 8.0), (" \n -P", -0.5),
+]
+
+
 def test_parser_values_and_precedence():
-    F = parse_f("1 + 2*Q - Q/4")
-    assert F.func(0.0, 2.0) == pytest.approx(1 + 4 - 0.5)
-    F = parse_f("2^3^2")  # right-associative
-    assert F.func(0.0, 1.0) == pytest.approx(512.0)
-    F = parse_f("-Q^2")
-    assert F.func(0.0, 3.0) == pytest.approx(-9.0)
-    F = parse_f("sqrt(Q)*(2+Q)")
-    assert F.func(0.0, 4.0) == pytest.approx(12.0)
+    for text, want in PARSED_VALUES:
+        F = parse_f(text)
+        got = F.func(0.5, 4.0)
+        assert (got, type(got), F.eval(0.5, 4.0).F) == (want, float, want), text
+    for text in ("9^9^9", "2398^2398"):  # float powers: they overflow, not grow an int
+        with pytest.raises(DomainError, match="OverflowError"):
+            parse_f(text).func(0.5, 4.0)
 
 
 def test_parser_nu_substitution():
@@ -46,18 +58,20 @@ def test_parser_nu_substitution():
         0.5 * 0.2 + np.sqrt(1 + np.sqrt(0.3) - 0.25 * 0.3))
 
 
+PARSE_ERRORS = [
+    "1 + * Q", "foo(Q)", "R + Q", "1 + (Q", "Q Q", "P**2", "P* *2", "P//Q", "P%Q", "0x10",
+    "1_000", "1j", "True", "P if Q else 1", "P.real", "(P)(Q)", "(sqrt)(Q)", "sqrt(P, Q)",
+    "sqrt(x=P)", "sqrt(Q,)", "sqrt()", "abs(P)", "[P]", "P < Q", "lambda: P", '"P"', "\x00",
+    "1or Q", "(" * 300 + "P" + ")" * 300, "-" * 5000 + "P", "Q^" * 5000 + "Q",
+]
+
+
 def test_parser_errors_carry_positions():
-    with pytest.raises(ParseError) as e:
-        parse_f("1 + * Q")
-    assert "position" in str(e.value)
-    with pytest.raises(ParseError):
-        parse_f("foo(Q)")
-    with pytest.raises(ParseError):
-        parse_f("R + Q")
-    with pytest.raises(ParseError):
-        parse_f("1 + (Q")
-    with pytest.raises(ParseError):
-        parse_f("Q Q")
+    for text in PARSE_ERRORS:
+        with pytest.raises(ParseError) as e:
+            parse_f(text)
+        assert 0 <= e.value.pos < len(text), text[:20]
+        assert str(e.value).endswith(f" (at position {e.value.pos})")
 
 
 def test_parse_phase_over_t():
@@ -68,6 +82,30 @@ def test_parse_phase_over_t():
     assert out.g[0] == pytest.approx(1.0 + 0.1 * (1.0 - np.cos(2.0)))
     with pytest.raises(ParseError):
         parse_phase("P + t")
+
+
+# the CLI fuzz alphabet and characters that only Python reads, and words and
+# literals of Python that are not the language's
+_PYTHON_TEXT = st.one_of(
+    st.text(alphabet="PQnu0123456789.e+-*/^() sqrtxpinco,_jx#[]<=:'\";\t\n", max_size=24),
+    st.lists(st.sampled_from(["P", "Q", "nu", "sqrt", "(", ")", "^", "*", "**", "-", "+", "/",
+                              "//", "01", "1e-01", "0x10", "1_0", "1j", "2", " ", "\t", "\n",
+                              ",", ".", "if", "else", "or", "not", "in", "lambda", ":", "True",
+                              "..."]), max_size=12).map("".join),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=st.one_of(_expressions, _PYTHON_TEXT))
+@example(text="1or Q")  # Python warns on this text
+def test_parse_f_returns_a_form_or_raises_a_parse_error(text):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            assert isinstance(parse_f(text), fform.FForm)
+        except ParseError as e:
+            assert 0 <= e.pos <= len(text)
+    assert caught == []
 
 
 def test_domain_respects_sqrt_and_division():
@@ -320,12 +358,15 @@ FD_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
 
 def _subtree_values(node, env):
-    """The float value of every subtree of a parsed expression."""
-    out = [fform._evaluate(node, env)]
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            out += _subtree_values(child, env)
-    return out
+    """The float value of every subtree of a parsed expression; a call's
+    function name is not a subtree."""
+    if isinstance(node, ast.BinOp):
+        children = [node.left, node.right]
+    elif isinstance(node, ast.UnaryOp):
+        children = [node.operand]
+    else:
+        children = getattr(node, "args", [])  # a call's one argument
+    return [fform._evaluate(node, env), *(v for c in children for v in _subtree_values(c, env))]
 
 
 def _central(F, P, Q, dP, dQ):
@@ -338,7 +379,7 @@ def _check_partials(expr, P, Q):
     F = parse_f(expr)
     with np.errstate(all="ignore"):
         try:
-            tree = fform._Parser(expr).parse()
+            tree = fform._parse(expr, ("P", "Q", "nu"))
             values = _subtree_values(tree, {"P": P, "Q": Q, "nu": 0.0})
             v = F.eval(P, Q)
             diffs = [[_central(F, P, Q, h * (i == 0), h * (i == 1)) for h in FD_STEPS]
