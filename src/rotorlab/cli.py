@@ -31,7 +31,6 @@ from .dynamics import (
     charge_drift,
     export_trajectory,
     free_motion,
-    indeterminacy_demo,
     integrate,
     rest_frame_params,
     speed_to_Q,
@@ -84,6 +83,7 @@ RELATION_TOL = 1e-7  # relative spread of the kinematical factor over the forms
 EL_TOL = 1e-8  # relative Euler-Lagrange residual of a free motion
 DRIFT_TOL = 1e-9  # relative drift of the Noether P and W along a free motion
 SPEED_TOL = 1e-10  # angular speed against its Q inverse
+MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
 CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
 
@@ -205,18 +205,28 @@ DIVERGENCE_TARGET = 0.05
 
 
 def free_motion_residuals(F: FForm, phases, times):
-    """Free motions of F with phases sharing one initial state, each sampled
-    once at ``times``: worst EL residual, worst P and W drift, shortfall of
-    their divergence below DIVERGENCE_TARGET, and the divergence."""
-    base = rest_frame_params(phases[0], M=F.M, ell=F.ell)
-    demo = indeterminacy_demo(phases, base, times, F)
-    drifts = []
-    for samples in demo["samples"]:  # every phase has the P and W of base
-        d = charge_drift(base, samples.momenta)
-        drifts += [d["P_drift"], d["W_drift"]]
-    divergence = demo["divergence"]
-    return (demo["max_el_residual"], _worst(drifts),
-            _worst([DIVERGENCE_TARGET - divergence]), divergence)
+    """Rest-frame free motions of F, one ``trajectory_samples`` record per
+    phase at ``times``: worst EL residual, worst P and W drift, divergence
+    from the first phase's positions, and the records.  The phases must share
+    (phi, phidot) at the first time and so the initial chart state."""
+    params = [rest_frame_params(phase, M=F.M, ell=F.ell) for phase in phases]
+    samples = []
+    for p in params:
+        samples.append(trajectory_samples(F, free_motion(p), times))
+        if len(samples) > 1:  # (phi, phidot) at t0, against the first phase's
+            ref, ph = (r.phase_jet(samples[0].t[0]) for r in (params[0], p))
+            if abs(ph.f - ref.f) > MATCH_TOL or abs(ph.g[0] - ref.g[0]) > MATCH_TOL:
+                raise DomainError("phase functions do not share initial data")
+    s0 = samples[0]
+    for s in samples[1:]:
+        state_gap = max(np.max(np.abs(s.q[:, 0] - s0.q[:, 0])),
+                        np.max(np.abs(s.qd[:, 0] - s0.qd[:, 0])))
+        if state_gap > 1e-10:
+            raise DomainError(f"initial chart states differ by {state_gap}")
+    drifts = [charge_drift(p, s.momenta) for p, s in zip(params, samples)]
+    return (_worst([np.max(s.el.max_relative) for s in samples]),
+            _worst([d[k] for d in drifts for k in ("P_drift", "W_drift")]),
+            _worst([np.max(np.abs(s.x - s0.x)) for s in samples[1:]]), samples)
 
 
 def angular_speed_residual(w: float, Q: float, ell: float) -> float:
@@ -314,7 +324,8 @@ def suite_degeneracy(cfg: RunConfig):
 def suite_dynamics(cfg: RunConfig):
     rot = builtin("rotator_f", M=cfg.M, ell=cfg.ell)
     times = np.linspace(0.0, 20.0 * cfg.ell, 81)
-    el, drift, div_gap, divergence = free_motion_residuals(rot, FREE_MOTION_PHASES, times)
+    el, drift, divergence, _ = free_motion_residuals(rot, FREE_MOTION_PHASES, times)
+    div_gap = _worst([DIVERGENCE_TARGET - divergence])
     speeds = (0.2, 0.5, 1.0, 1.5)
     worst_speed = _worst([angular_speed_residual(w, speed_to_Q(w, cfg.ell), cfg.ell)
                           for w in speeds])
@@ -442,18 +453,15 @@ def cmd_simulate(args, cfg: RunConfig):
 def cmd_freemotion(args, cfg: RunConfig):
     phase = parse_phase(args.phase)
     F = builtin("rotator_f", M=cfg.M, ell=cfg.ell)
-    p = rest_frame_params(phase, M=cfg.M, ell=cfg.ell)
-    samples = trajectory_samples(F, free_motion(p),
-                                 np.linspace(0.0, args.tmax, args.samples))
-    worst_el = float(np.max(samples.el.max_relative))
-    d = charge_drift(p, samples.momenta)
+    el, drift, _, (samples,) = free_motion_residuals(
+        F, [phase], np.linspace(0.0, args.tmax, args.samples))
     if args.out:
         export_trajectory(args.out, samples)
     return [
-        Report("freemotion-el-residuals", worst_el, EL_TOL,
+        Report("freemotion-el-residuals", el, EL_TOL,
                cfg.seed, {"phase": args.phase, "tmax": args.tmax}),
-        Report("freemotion-conservation", _worst([d["P_drift"], d["W_drift"]]),
-               DRIFT_TOL, cfg.seed, {"phase": args.phase}),
+        Report("freemotion-conservation", drift, DRIFT_TOL, cfg.seed,
+               {"phase": args.phase}),
     ]
 
 

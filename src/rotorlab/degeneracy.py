@@ -15,10 +15,10 @@ whose kinematical prefactor must come out independent of F.
 L reads a chart state only through four scalar products, ``chart_scalars``.
 ``chart_scalar_jets`` gives them as second-order jets whose gradients and
 Hessians are written out in closed form, and ``fform.lagrangian_from_scalars``
-carries them to L by one chain step through F's partials at (P, Q), so no
-jet arithmetic runs from the chart state to L; ``hessian`` takes their
-velocity block, and the integrator's right-hand side (``dynamics``) all of
-them.
+carries them to L by one chain step through F's partials at (P, Q), so at
+DOF5 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
+products bring in the amplitude K); ``hessian`` takes their velocity block,
+and the integrator's right-hand side (``dynamics``) all of them.
 """
 
 from __future__ import annotations
@@ -131,17 +131,20 @@ _HESSIAN = ((1, _TH, _TH), (1, _TH, _PH), (1, _PH, _PH), (1, _TH, _V1), (1, _TH,
 _HESSIAN_CONST = ((0, _V1, _V1), (0, _V2, _V2), (0, _V3, _V3), (3, _THD, _THD))
 
 
-def _flat(entries, shape):
+def _flat(entries, width):
     """Flat indices of the (scalar, variable[, variable]) entries in an array
-    of ``shape``."""
-    return np.ravel_multi_index(tuple(zip(*entries)), shape)
+    of shape (4, width[, width]): width 7 at DOF5, and 9 at DOF6, where K and
+    Kdot take slots 2 and 8 and the DOF5 variables the others."""
+    slot = (0, 1, 3, 4, 5, 6, 7) if width == 9 else range(7)
+    cols = zip(*((s, *(slot[i] for i in v)) for s, *v in entries))
+    return np.ravel_multi_index(tuple(cols), (4,) + (width,) * (len(entries[0]) - 1))
 
 
-_G_AT = _flat(_GRADIENT, (4, 7))
-# each Hessian pair is written at (i, j) and at (j, i), then the constants
-_H_AT = _flat(_HESSIAN + tuple((s, j, i) for s, i, j in _HESSIAN) + _HESSIAN_CONST,
-              (4, 7, 7))
-_DOF6_SLOTS = np.array([0, 1, 3, 4, 5, 6, 7])  # the DOF5 variables among DOF6's nine
+# per width, the gradient entries, then each Hessian pair at (i, j) and at
+# (j, i) and the constants
+_AT = {w: (_flat(_GRADIENT, w),
+           _flat(_HESSIAN + tuple((s, j, i) for s, i, j in _HESSIAN) + _HESSIAN_CONST, w))
+       for w in (7, 9)}
 
 
 def chart_scalar_jets(q, qd, dof):
@@ -149,13 +152,14 @@ def chart_scalar_jets(q, qd, dof):
     x1..x3 being cyclic; q and qd are (n,), or (n, B) for a batch.
 
     The values are ``chart_scalars`` on floats, bit for bit.  The gradients
-    and Hessians are written out in closed form, so no jet arithmetic runs;
-    ``lagrangian_from_scalars`` then takes L's chain step from them.
-    With n = (sin th cos ph, sin th sin ph, cos th), w = 1 - n.v, and
-    u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5, so the rates of
-    u in thetadot and phidot are those of w in theta and phi.  At DOF6 the
-    scalars are xx, K w, Kdot w + K u and K^2 z, whose jets follow from the
-    DOF5 ones by the product rule in K and Kdot.
+    and Hessians of the DOF5 scalars are written out in closed form, so no
+    jet arithmetic runs at DOF5; ``lagrangian_from_scalars`` then takes L's
+    chain step from them.  With n = (sin th cos ph, sin th sin ph, cos th),
+    w = 1 - n.v, and u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5,
+    so the rates of u in thetadot and phidot are those of w in theta and phi.
+    At DOF6 the scalars are xx, K w, Kdot w + K u and K^2 z: four ``Jet``
+    products of the DOF5 jets, written at width 9, with the jets of K and
+    Kdot.
     """
     shape = np.shape(q)[1:]
     if not shape:  # one state: Python floats, faster than numpy scalars
@@ -169,9 +173,11 @@ def chart_scalar_jets(q, qd, dof):
     nv = st * a + ct * v3  # n.v
     c1 = ct * a - st * v3  # d (n.v) / d theta
     base = chart_scalars(q, qd, DOF5)
-    G = np.zeros((4, 7) + shape)
-    H = np.zeros((4, 7, 7) + shape)
-    G.reshape((-1,) + shape)[_G_AT] = (
+    width = 2 * len(dof) - 3
+    g_at, h_at = _AT[width]
+    G = np.zeros((4, width) + shape)
+    H = np.zeros((4, width, width) + shape)
+    G.reshape((-1,) + shape)[g_at] = (
         -2.0 * v1, -2.0 * v2, -2.0 * v3,
         -c1, -st * b, -st * cp, -st * sp, -ct,
         thd * nv - phd * ct * b, phd * st * a - thd * ct * b,
@@ -186,36 +192,12 @@ def chart_scalar_jets(q, qd, dof):
          nv, -ct * b, -ct * cp, -ct * sp, st,
          -ct * b, st * a, st * sp, -st * cp,
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
-    H.reshape((-1,) + shape)[_H_AT] = h + h + (np.full(shape, -2.0),) * 4
+    H.reshape((-1,) + shape)[h_at] = h + h + (np.full(shape, -2.0),) * 4
+    xx, w, u, z = map(jets.Jet, base, G, H)
     if len(dof) == 6:
-        G, H = _amplitude_jets(G, H, base, q[5], qd[5])
-        base = chart_scalars(q, qd, dof)
-    return tuple(map(jets.Jet, base, G, H))
-
-
-def _amplitude_jets(G, H, base, K, Kd):
-    """The DOF6 gradients and Hessians of (xx, K w, Kd w + K u, K^2 z), in
-    (theta, phi, K, v, thetadot, phidot, Kdot), from those (G, H) of the DOF5
-    scalars (xx, w, u, z) with values ``base``."""
-    _, w, u, z = base
-    iK, iKd = 2, 8
-    shape = G.shape[2:]
-    Ge = np.zeros((4, 9) + shape)
-    He = np.zeros((4, 9, 9) + shape)
-    Ge[:, _DOF6_SLOTS] = G
-    He[:, _DOF6_SLOTS[:, None], _DOF6_SLOTS] = H
-    G6 = np.stack([Ge[0], K * Ge[1], Kd * Ge[1] + K * Ge[2], (K * K) * Ge[3]])
-    H6 = np.stack([He[0], K * He[1], Kd * He[1] + K * He[2], (K * K) * He[3]])
-    G6[1, iK] += w
-    G6[2, iK] += u
-    G6[2, iKd] += w
-    G6[3, iK] += 2.0 * K * z
-    # the mixed second derivatives: a row and a column of each Hessian
-    for k, i, r in ((1, iK, Ge[1]), (2, iKd, Ge[1]), (2, iK, Ge[2]), (3, iK, 2.0 * K * Ge[3])):
-        H6[k, i] += r
-        H6[k, :, i] += r
-    H6[3, iK, iK] += 2.0 * z
-    return G6, H6
+        _, _, K, *_, Kd = jets.variables(*q[3:], *qd)
+        return xx, K * w, Kd * w + K * u, (K * K) * z
+    return xx, w, u, z
 
 
 def chart_lagrangian(F: FForm, q, qd, dof):

@@ -24,8 +24,8 @@ L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
 (``degeneracy.chart_scalar_jets``), carried to L by one chain step through
-F's partials at (P, Q) (``fform.lagrangian_from_scalars``), so no jet
-arithmetic runs from the chart state to L.
+F's partials at (P, Q) (``fform.lagrangian_from_scalars``), so at DOF5 no
+jet arithmetic runs from the chart state to L (at DOF6, four ``Jet`` products).
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
@@ -51,7 +51,6 @@ from .spinor import angles_from_null, null_from_angles
 
 PARAM_TOL = 1e-12
 SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
-MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
 COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
 CHUNK = 128  # times per batched trajectory query in the passes along a trajectory
@@ -157,19 +156,13 @@ class SolutionParams:
         return ph
 
 
-class Trajectory:
-    """Map t -> (x, k) with exact first and second derivative queries.
-
-    ``jets`` returns x(t) and k(t) as four-vectors of jets in t, batched over
-    t when t is an array of times."""
-
-    def jets(self, t):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class FreeMotionTrajectory(Trajectory):
+class FreeMotionTrajectory:
+    """The exact free motion of ``params``, in the DOF5 chart: ``jets`` returns
+    x(t) and k(t) as four-vectors of jets in t, batched over an array of t."""
+
     params: SolutionParams
+    dof = DOF5
 
     def jets(self, t):
         p = self.params
@@ -347,7 +340,7 @@ def _qr_solve(H, Z, t, q, qd):
 
 
 @dataclass(frozen=True)
-class IntegratedTrajectory(Trajectory):
+class IntegratedTrajectory:
     """Lab-time solution of H qddot = Z; t is lab time x^0.
 
     ``chart`` and everything built on it raise ValueError outside the
@@ -481,10 +474,10 @@ def _joined(parts):
                                 for f in fields(parts[0])})
 
 
-def trajectory_samples(F: FForm, traj: Trajectory, times) -> TrajectorySamples:
-    """The samples at ``times`` in the trajectory's chart (DOF5 for free
-    motion), from one batched trajectory query per CHUNK times."""
-    dof = getattr(traj, "dof", DOF5)
+def trajectory_samples(F: FForm, traj, times) -> TrajectorySamples:
+    """The samples at ``times`` of a free or an integrated trajectory, in its
+    chart ``traj.dof``, from one batched ``traj.jets`` query per CHUNK times."""
+    dof = traj.dof
     parts = []
     for ts in _chunks(times):
         x, k = traj.jets(ts)
@@ -546,45 +539,6 @@ def speed_to_Q(phidot: float, ell: float = 1.0) -> float:
         raise DomainError(f"phase speed {phidot} outside (0, {2.0 / ell})")
     s = 2.0 * w * ell / (2.0 - w * ell)
     return s**2
-
-
-# -- one initial state, many solutions ---------------------------------------
-
-
-def indeterminacy_demo(phases, base: SolutionParams, times, F: FForm) -> dict:
-    """Several admissible phases sharing (phi(0), phidot(0)): same initial
-    lab-time state, residual-clean trajectories, divergent subsequent motion.
-
-    Each trajectory is one ``trajectory_samples`` record, returned under
-    ``samples``; its EL residuals, initial chart state and positions all come
-    from that record.
-    """
-    ref_j = None
-    samples = []
-    for phase in phases:
-        p = SolutionParams(P=base.P, W=base.W, N=base.N, phase=phase,
-                           x0=base.x0, M=base.M, ell=base.ell)
-        s = trajectory_samples(F, free_motion(p), times)
-        ph = p.phase_jet(s.t[0])
-        if ref_j is None:
-            ref_j = (ph.f, ph.g[0])
-        elif abs(ph.f - ref_j[0]) > MATCH_TOL or abs(ph.g[0] - ref_j[1]) > MATCH_TOL:
-            raise DomainError("phase functions do not share initial data")
-        samples.append(s)
-    s0 = samples[0]
-    for s in samples[1:]:
-        state_gap = max(np.max(np.abs(s.q[:, 0] - s0.q[:, 0])),
-                        np.max(np.abs(s.qd[:, 0] - s0.qd[:, 0])))
-        if state_gap > 1e-10:
-            raise DomainError(f"initial chart states differ by {state_gap}")
-    # numpy maxima, so that a NaN is the max
-    divergence = float(np.max([np.max(np.abs(s.x - s0.x)) for s in samples[1:]],
-                              initial=0.0))
-    return {
-        "samples": samples,
-        "max_el_residual": float(np.max([np.max(s.el.max_relative) for s in samples])),
-        "divergence": divergence,
-    }
 
 
 # -- trajectory export --------------------------------------------------------

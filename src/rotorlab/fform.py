@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -150,8 +151,9 @@ class ParseError(ValueError):
 _FUNCTIONS = {"sqrt": jets.sqrt, "sin": jets.sin, "cos": jets.cos, "exp": jets.exp}
 # a character outside the language, or two *s in a row: Python's power, not ours
 _FOREIGN = re.compile(r"[^\sA-Za-z0-9.+\-*/^()]|\*\s*\*")
-# the zeros that lead an integer literal: Python refuses 01, read here as 1
-_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=[0-9]+(?![\w.]))")
+# an integer literal: the zeros that lead it (Python refuses 01, read here as
+# 1), then its digits
+_INTEGER = re.compile(r"(?<![\w.])(?<![eE][+-])(0*)([0-9]+)(?![\w.])")
 _NUMBER = re.compile(r"(?:[0-9]+\.?|[0-9]*\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
@@ -162,9 +164,13 @@ def _parse(text: str, names):
     bad = _FOREIGN.search(text)
     if bad:
         raise ParseError(f"unexpected {text[bad.end() - 1]!r}", bad.end() - 1)
+    limit = sys.get_int_max_str_digits()  # Python's, past which it reads no integer
+    for m in _INTEGER.finditer(text):
+        if limit and len(m[2]) > limit:
+            raise ParseError("number too long", m.start())
     # one line, blanks for whitespace and leading zeros, then without its
     # leading blanks and with ^ as **: column c of src is text[origin[c]]
-    src = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), re.sub(r"\s", " ", text))
+    src = _INTEGER.sub(lambda m: " " * len(m[1]) + m[2], re.sub(r"\s", " ", text))
     lead = len(src) - len(src.lstrip())
     origin = [i for i, c in enumerate(src) for _ in ("**" if c == "^" else c)]
     origin = origin[lead:] + [len(text)]

@@ -16,13 +16,11 @@ from rotorlab.degeneracy import (
 from rotorlab.dynamics import (
     SingularHessianError,
     SolutionParams,
-    Trajectory,
     angular_speed,
     casimir_drift,
     charge_drift,
     export_trajectory,
     free_motion,
-    indeterminacy_demo,
     integrate,
     rest_frame_params,
     speed_to_Q,
@@ -433,27 +431,34 @@ def test_indeterminacy_demo(monkeypatch):
         bent_phase,
         lambda t: t + 0.2 * jets.sin(0.5 * t) * jets.sin(0.5 * t),
     ]
-    queries = []
+    queries, phase_jets = [], []
     real = dynamics.FreeMotionTrajectory.jets
     monkeypatch.setattr(dynamics.FreeMotionTrajectory, "jets",
                         lambda self, t: queries.append(t) or real(self, t))
-    base = rest_frame_params(phases[0])
+    real_phase = SolutionParams.phase_jet
+    monkeypatch.setattr(SolutionParams, "phase_jet",
+                        lambda self, t: phase_jets.append(t) or real_phase(self, t))
     times = np.linspace(0.0, 5.0, 40)
-    rep = indeterminacy_demo(phases, base, times, ROT)
-    assert rep["max_el_residual"] < 1e-8
-    assert rep["divergence"] > 0.05
+    el, _, divergence, samples = cli.free_motion_residuals(ROT, phases, times)
+    assert el < 1e-8
+    assert divergence > 0.05
     # one batched query per phase: the 40 times fit in one chunk
-    assert len(queries) == len(phases)
+    assert len(queries) == len(samples) == len(phases)
     assert all(np.array_equal(q, times) for q in queries)
+    # one phase: the trajectory's own phase jet per chunk, and no other
+    queries.clear(), phase_jets.clear()
+    times = np.linspace(0.0, 5.0, dynamics.CHUNK + 1)
+    _, _, divergence, (s,) = cli.free_motion_residuals(ROT, phases[:1], times)
+    assert divergence == 0.0 and np.array_equal(s.t, times)
+    assert [len(t) for t in phase_jets] == [len(t) for t in queries] == [dynamics.CHUNK, 1]
 
 
 def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
-    base = rest_frame_params(lambda t: t)
     times = np.linspace(0.0, 5.0, 10)
-    with pytest.raises(DomainError):
-        indeterminacy_demo([lambda t: t, lambda t: 1.5 * t], base, times, ROT)
-    with pytest.raises(DomainError):
-        indeterminacy_demo([lambda t: 3.0 * t, lambda t: 3.0 * t], base, times, ROT)
+    with pytest.raises(DomainError, match="phase functions do not share initial data"):
+        cli.free_motion_residuals(ROT, [lambda t: t, lambda t: 1.5 * t], times)
+    with pytest.raises(DomainError, match="phase speed"):
+        cli.free_motion_residuals(ROT, [lambda t: 3.0 * t, lambda t: 3.0 * t], times)
 
 
 def per_time_samples(F, traj, times, dof=DOF5):
@@ -488,7 +493,9 @@ def test_export_trajectory(tmp_path):
     times = np.linspace(0.0, 2.0, 5)
     traj, queries = free_motion(p), []
 
-    class Counting(Trajectory):
+    class Counting:
+        dof = DOF5
+
         def jets(self, t):
             queries.append(t)
             return traj.jets(t)
@@ -510,7 +517,7 @@ def test_export_trajectory(tmp_path):
     short = integrate(parse_f("Q"), ChartState(theta=1.1, phi=0.3, thetadot=0.4,
                                                phidot=0.7), (0.0, 0.1))
     for sample in (lambda: trajectory_samples(ROT, traj, []),
-                   lambda: indeterminacy_demo([p.phase], p, [], ROT),
+                   lambda: cli.free_motion_residuals(ROT, [p.phase], []),
                    lambda: casimir_drift(short, [])):
         with pytest.raises(ValueError, match="no times to sample"):
             sample()
@@ -742,7 +749,9 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
     for bit, and the gradients and Hessians of ``chart_scalars`` on jets
     seeded in q[3:] and qd to within 8 u of each scalar's largest rate (the
     worst over seeds 0-63 of such draws was 3.0 u); a batch gives each
-    state's jets bit for bit."""
+    state's jets bit for bit.  At DOF6, the entries in K (slot 2) and Kdot
+    (slot 8) are exact floats of the DOF5 scalars (xx, w, u, z), and at K = 1,
+    Kdot = 0 the DOF5 slots hold the values of the DOF5 jets."""
     rng = np.random.default_rng([7, len(dof)])
     batch = [random_chart_state(rng) for _ in range(64)]
     q, qd = stack_states(batch).coords(dof)
@@ -759,6 +768,19 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
         for whole, single in zip(got, chart_scalar_jets(*batch[b].coords(dof), dof)):
             assert whole.f[b] == single.f
             assert same_bits(whole.g[..., b], single.g) and same_bits(whole.h[..., b], single.h)
+    if dof == DOF5:
+        return
+    _, w, u, z = chart_scalars(q, qd, DOF5)
+    K = q[5]
+    for entry, exact in ((got[1].g[2], w), (got[2].g[2], u), (got[2].g[8], w),
+                         (got[3].g[2], 2.0 * K * z), (got[3].h[2, 2], 2.0 * z)):
+        assert np.array_equal(entry, exact)
+    unit = [replace(s, K=1.0, Kdot=0.0) for s in batch]
+    slots = [0, 1, 3, 4, 5, 6, 7]  # the DOF5 variables among DOF6's nine
+    for six, five in zip(chart_scalar_jets(*stack_states(unit).coords(DOF6), DOF6),
+                         chart_scalar_jets(*stack_states(unit).coords(DOF5), DOF5)):
+        assert np.array_equal(six.f, five.f) and np.array_equal(six.g[slots], five.g)
+        assert np.array_equal(six.h[np.ix_(slots, slots)], five.h)
 
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])

@@ -39,6 +39,7 @@ PARSED_VALUES = [
     ("-Q^2", -16.0), ("P*Q^2", 8.0), ("1-2-3", -4.0), ("P/Q*2", 0.25),
     ("01", 1.0), ("007", 7.0), ("1e-01", 0.1), (".5", 0.5), ("5.", 5.0), ("1E+2", 100.0),
     ("sqrt (Q)", 2.0), ("+Q", 4.0), ("\t1 +\n 2*Q\t- Q/4\n", 8.0), (" \n -P", -0.5),
+    ("1." + "9" * 5000, 2.0),  # a fraction has no digit limit
 ]
 
 
@@ -63,7 +64,10 @@ PARSE_ERRORS = [
     "1_000", "1j", "True", "P if Q else 1", "P.real", "(P)(Q)", "(sqrt)(Q)", "sqrt(P, Q)",
     "sqrt(x=P)", "sqrt(Q,)", "sqrt()", "abs(P)", "[P]", "P < Q", "lambda: P", '"P"', "\x00",
     "1or Q", "(" * 300 + "P" + ")" * 300, "-" * 5000 + "P", "Q^" * 5000 + "Q",
+    "9" * 5000, "Q+" + "9" * 5000,
 ]
+# an integer past Python's 4,300 digits, at the literal's first character
+TOO_LONG = {"9" * 5000: 0, "Q+" + "9" * 5000: 2, "Q+0" + "9" * 5000: 2}
 
 
 def test_parser_errors_carry_positions():
@@ -72,6 +76,10 @@ def test_parser_errors_carry_positions():
             parse_f(text)
         assert 0 <= e.value.pos < len(text), text[:20]
         assert str(e.value).endswith(f" (at position {e.value.pos})")
+    for text, pos in TOO_LONG.items():
+        with pytest.raises(ParseError) as e:
+            parse_f(text)
+        assert (str(e.value), e.value.pos) == (f"number too long (at position {pos})", pos)
 
 
 def test_parse_phase_over_t():

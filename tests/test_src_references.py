@@ -1,11 +1,12 @@
-"""No src function exists for the tests alone.
+"""No src name exists for the tests alone.
 
-Every module-level function of ``src/rotorlab``, and every method and
-property of its module-level classes, dunders excepted, must be referenced
-somewhere in ``src/`` or ``perfbench/`` outside its own body, unless it is on
-the allow-list below, each entry with the reason it stays.  Private helpers
-are scanned too, so one left behind by a refactor fails here.  The scan goes
-by name, so a method counts as referenced when any attribute of that name is.
+Every module-level function, class and constant of ``src/rotorlab``, and
+every method and property of its module-level classes, dunders excepted, must
+be referenced somewhere in ``src/`` or ``perfbench/`` outside its own
+definition, unless it is on the allow-list below, each entry with the reason
+it stays.  Private helpers and constants are scanned too, so one left behind
+by a refactor fails here.  The scan goes by name, so a method counts as
+referenced when any attribute of that name is.
 """
 
 import ast
@@ -14,12 +15,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# test-only src functions that stay, and why
+# test-only src names that stay, and why
 ALLOWED_TEST_ONLY = {
     "capital_invariants",  # the paper's reparametrization invariants I0..I4
     "casimirs_special_S",  # a reference closed form for the Casimirs
     "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 7
     "lorentz_matrix",  # the covariance tests, ROADMAP item 15
+    "METRIC",  # the metric the Lorentz tests check against
     "pq_from_vectors",  # (P, Q) from the four-vectors, for the tests' references
 }
 
@@ -38,27 +40,37 @@ def _references(tree):
     return refs
 
 
-def _functions(tree):
-    """The module's functions, and the methods and properties of its classes,
-    dunders excepted."""
+def _definitions(tree):
+    """(name, defining node) of the module's functions, classes and constants,
+    and of the methods and properties of its classes, dunders excepted."""
     for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        yield from (f for f in body if isinstance(f, ast.FunctionDef)
-                    and not (f.name.startswith("__") and f.name.endswith("__")))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found = [(n.id, node) for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        elif isinstance(node, ast.ClassDef):
+            found = [(node.name, node)] + [(f.name, f) for f in node.body
+                                           if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            found = [(node.name, node)]
+        else:
+            found = []
+        yield from ((name, d) for name, d in found
+                    if not (name.startswith("__") and name.endswith("__")))
 
 
-def _test_only_functions():
+def _test_only_names():
     refs, defs = Counter(), []
     for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         tree = ast.parse(path.read_text(), filename=str(path))
         refs += _references(tree)
         if path.parent == ROOT / "src" / "rotorlab":
-            defs += _functions(tree)
-    return {d.name for d in defs if refs[d.name] - _references(d)[d.name] == 0}
+            defs += _definitions(tree)
+    return {name for name, d in defs if refs[name] - _references(d)[name] == 0}
 
 
 def test_no_public_src_function_is_called_only_by_tests():
-    test_only = _test_only_functions()
-    assert test_only - ALLOWED_TEST_ONLY == set(), "src functions that only tests call"
+    test_only = _test_only_names()
+    assert test_only - ALLOWED_TEST_ONLY == set(), "src names that only tests read"
     # an entry that gained a caller, or was deleted, leaves the list
     assert ALLOWED_TEST_ONLY - test_only == set(), "stale allow-list entries"
