@@ -446,7 +446,8 @@ def test_indeterminacy_demo(monkeypatch):
     assert len(queries) == len(samples) == len(phases)
     assert all(np.array_equal(q, times) for q in queries)
     # one phase: the trajectory's own phase jet per chunk, and no other
-    queries.clear(), phase_jets.clear()
+    queries.clear()
+    phase_jets.clear()
     times = np.linspace(0.0, 5.0, dynamics.CHUNK + 1)
     _, _, divergence, (s,) = cli.free_motion_residuals(ROT, phases[:1], times)
     assert divergence == 0.0 and np.array_equal(s.t, times)
