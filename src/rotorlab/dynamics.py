@@ -17,9 +17,10 @@ H qddot = Z at each right-hand-side call, one state at a time, with a
 Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
 arrays of a few entries numpy's per-call overhead is most of a call's cost,
 so each stage of it makes few numpy calls.  The integrator is rotorlab's
-own DOP853 (``dop853``), and scipy is imported only for those LAPACK
-routines, at the first solve, so every query but an integration starts
-without it.
+own DOP853 (``dop853``).  Of scipy only the compiled LAPACK extension is
+loaded, by itself and at the first solve (``_lapack``), so every query but
+an integration starts without scipy, and an integration without
+``scipy.linalg``'s package ``__init__``.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
@@ -37,7 +38,11 @@ the CSV is formatted once from the columns.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -299,9 +304,29 @@ def _active(H, Z, t, q, qd):
 
 @functools.cache
 def _lapack():
-    """The LAPACK routines of ``_qr_solve``, imported once, at the first solve."""
-    from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
-    return dgeqrf, dormqr, dtrtrs
+    """The LAPACK routines of ``_qr_solve``, loaded once, at the first solve.
+
+    They come from scipy's compiled extension ``scipy.linalg._flapack``,
+    loaded by itself, without running ``scipy.linalg``'s package ``__init__``:
+    that imports f2py, numpy.testing and more, none of which the solve uses,
+    and took longer than the whole integration of a ten-period ``simulate``.
+    The module is registered under its real name, so a later ``import
+    scipy.linalg.lapack`` reuses it: these are the very routine objects that
+    scipy exports, and the solve is LAPACK's bit for bit.  Without scipy or
+    its extension this raises a ModuleNotFoundError that names the missing
+    one; there is no other solve to fall back to."""
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        missing = name if scipy else "scipy"
+        raise ModuleNotFoundError(f"No module named {missing!r}", name=missing)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgeqrf, module.dormqr, module.dtrtrs
 
 
 def _qr_solve(H, Z, t, q, qd):
@@ -397,8 +422,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     The integrator is rotorlab's own DOP853 (``dop853.solve``), the explicit
     Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer, Norsett & Wanner,
     Solving ODEs I, 2nd ed., II.10), with its 7th-order dense output.  It
-    takes scipy 1.17.1's steps bit for bit without scipy.integrate; scipy is
-    loaded only for the LAPACK routines of ``_qr_solve``.  At rtol = 1e-10 it
+    takes scipy 1.17.1's steps bit for bit without scipy.integrate; of scipy
+    only the LAPACK extension of ``_qr_solve`` is loaded.  At rtol = 1e-10 it
     takes about a fifth of the steps of a 5(4) pair and half its right-hand-
     side calls, and each call is a velocity Hessian and a QR solve.  A Hessian
     that is singular or not solvable in floating point, at the start or along

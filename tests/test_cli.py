@@ -528,8 +528,9 @@ print(json.dumps({"codes": codes, "before": before, "simulate": simulate,
 
 
 def test_only_simulate_loads_scipy():
-    """The seven other commands load no scipy.  simulate loads scipy.linalg
-    for LAPACK's QR, and no scipy.integrate: the integrator is rotorlab's."""
+    """The seven other commands load no scipy.  simulate loads scipy's LAPACK
+    extension alone, for the QR solve: not scipy.linalg's package, and no
+    scipy.integrate, since the integrator is rotorlab's."""
     commands = [["verify", "--suite", "all", "--seed", "0"], ["freemotion", "--samples", "3"],
                 ["casimir", "--f", "Q"], ["hessian", "--f", "Q"], ["relation", "--states", "1"],
                 ["fundamental-check", "--f", "rotator", "--grid", "3"], ["count-invariants"]]
@@ -538,8 +539,33 @@ def test_only_simulate_loads_scipy():
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * len(commands)
     assert got["before"] == []
-    assert got["simulate"] == 0 and "scipy.linalg" in got["after"]
-    assert [m for m in got["after"] if m.split(".")[:2] == ["scipy", "integrate"]] == []
+    assert got["simulate"] == 0 and got["after"] == ["scipy.linalg._flapack"]
+
+
+LAPACK_PROBE = """
+from rotorlab import dynamics
+ours = dynamics._lapack()
+import scipy.linalg.lapack as lapack
+print([a is b for a, b in zip(ours, (lapack.dgeqrf, lapack.dormqr, lapack.dtrtrs))])
+"""
+
+
+def test_the_solve_uses_scipys_own_lapack_routines():
+    """The extension that the solve loads by itself is the module scipy.linalg
+    imports later: one LAPACK in the process, the same routine objects."""
+    proc = run_fresh("-c", LAPACK_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[True, True, True]\n"
+
+
+@pytest.mark.parametrize("ell", ["0.001", "1.5", "2", "1000"])
+def test_verify_dynamics_passes_in_units_of_ell(capsys, ell):
+    """The dynamics suite draws its phases, angular speeds and divergence
+    target in units of ell, so no valid ell is bad input or a failure."""
+    code, out = run(capsys, "verify", "--suite", "dynamics", "--ell", ell)
+    assert code == 0
+    assert out.count("[check]") == out.count("status = pass") == 4
+    assert f"inputs.target = {0.05 * float(ell):.17g}\n" in out
 
 
 def test_freemotion_writes_trajectory(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import importlib.machinery
+import importlib.util
 from dataclasses import replace
 
 import numpy as np
@@ -423,6 +425,20 @@ def test_qr_solve_freezes_inert_coordinates():
     qdd = dynamics._qr_solve(H, Z, 0.0, q, qd)
     assert same_bits(qdd[3:], [0.0, 0.0])
     assert np.allclose(H[:3, :3] @ qdd[:3], Z[:3], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("missing", ["scipy", "scipy.linalg._flapack"])
+def test_missing_lapack_raises_one_module_not_found_error(monkeypatch, tmp_path, missing):
+    """Without scipy, or with a scipy that lacks its LAPACK extension, the
+    solve's loader names what is missing; it has no second solve to fall to."""
+    scipy = None
+    if missing != "scipy":  # a scipy package whose directory holds no linalg
+        scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: scipy)
+    with pytest.raises(ModuleNotFoundError) as e:
+        dynamics._lapack.__wrapped__()
+    assert e.value.name == missing and str(e.value) == f"No module named {missing!r}"
 
 
 def test_indeterminacy_demo(monkeypatch):
