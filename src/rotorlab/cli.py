@@ -322,9 +322,8 @@ def suite_degeneracy(cfg: RunConfig):
 
 
 def suite_dynamics(cfg: RunConfig):
-    """Every sample is drawn in units of ell: the phases run in t / ell, the
-    speeds are w / ell inside the band (0, 2/ell), and positions, so the
-    divergence and its target, scale with ell."""
+    """Samples in units of ell: phases in t / ell, speeds w / ell inside
+    (0, 2/ell), and a divergence target that scales as the positions do."""
     ell = cfg.ell
     rot = builtin("rotator_f", M=cfg.M, ell=ell)
     times = np.linspace(0.0, 20.0 * ell, 81)

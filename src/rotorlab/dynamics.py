@@ -17,10 +17,9 @@ H qddot = Z at each right-hand-side call, one state at a time, with a
 Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
 arrays of a few entries numpy's per-call overhead is most of a call's cost,
 so each stage of it makes few numpy calls.  The integrator is rotorlab's
-own DOP853 (``dop853``).  Of scipy only the compiled LAPACK extension is
-loaded, by itself and at the first solve (``_lapack``), so every query but
-an integration starts without scipy, and an integration without
-``scipy.linalg``'s package ``__init__``.
+own DOP853 (``dop853``); of scipy only the LAPACK extension is loaded, by
+itself, at the first solve (``_lapack``), so every query but an integration
+starts without scipy, and an integration without ``scipy.linalg``.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
@@ -304,17 +303,11 @@ def _active(H, Z, t, q, qd):
 
 @functools.cache
 def _lapack():
-    """The LAPACK routines of ``_qr_solve``, loaded once, at the first solve.
-
-    They come from scipy's compiled extension ``scipy.linalg._flapack``,
-    loaded by itself, without running ``scipy.linalg``'s package ``__init__``:
-    that imports f2py, numpy.testing and more, none of which the solve uses,
-    and took longer than the whole integration of a ten-period ``simulate``.
-    The module is registered under its real name, so a later ``import
-    scipy.linalg.lapack`` reuses it: these are the very routine objects that
-    scipy exports, and the solve is LAPACK's bit for bit.  Without scipy or
-    its extension this raises a ModuleNotFoundError that names the missing
-    one; there is no other solve to fall back to."""
+    """The LAPACK routines of ``_qr_solve``, loaded once, at the first solve,
+    from scipy's extension alone: ``scipy.linalg``'s package ``__init__``
+    imports f2py, numpy.testing and more, and takes longer than a ten-period
+    ``simulate``.  Registered under its real name, the module is the one a
+    later ``import scipy.linalg.lapack`` reuses, with the same routines."""
     name = "scipy.linalg._flapack"
     scipy = importlib.util.find_spec("scipy")
     spec = scipy and importlib.machinery.FileFinder(
