@@ -37,7 +37,7 @@ from .dynamics import (
     trajectory_samples,
 )
 from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
-                    parse_phase, pq_from_scalars, scalar_products)
+                    parse_phase, pq_from_scalars, pq_from_vectors, scalar_products)
 from .invariants import (
     GaugeJet,
     draw_kinematic_path,
@@ -82,7 +82,7 @@ WP_TOL = 1e-10  # |W.P| relative to max(|PP|, 1)
 RELATION_TOL = 1e-7  # relative spread of the kinematical factor over the forms
 EL_TOL = 1e-8  # relative Euler-Lagrange residual of a free motion
 DRIFT_TOL = 1e-9  # relative drift of the Noether P and W along a free motion
-SPEED_TOL = 1e-10  # angular speed against its Q inverse
+SPEED_TOL = 1e-10  # a free motion's angular speed against its Q, both ways
 MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
 CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
@@ -229,8 +229,12 @@ def free_motion_residuals(F: FForm, phases, times):
             _worst([np.max(np.abs(s.x - s0.x)) for s in samples[1:]]), samples)
 
 
-def angular_speed_residual(w: float, Q: float, ell: float) -> float:
-    """Gap of the identity that the null direction turns at speed w at Q."""
+def angular_speed_residual(w: float, ell: float) -> float:
+    """Gap of the identity that the null direction turns at speed w at Q,
+    with Q read from the rest-frame free motion of phase w t."""
+    x, k = free_motion(rest_frame_params(lambda t: w * t, ell=ell)).jets(0.4 * ell)
+    (_, xd), (kv, kd) = jets.split(x), jets.split(k)
+    Q = pq_from_vectors(xd, kv, kd, ell).Q
     return _worst([abs(angular_speed(Q, ell) - w), abs(speed_to_Q(w, ell) - Q)])
 
 
@@ -332,7 +336,7 @@ def suite_dynamics(cfg: RunConfig):
     target = DIVERGENCE_TARGET * ell
     div_gap = _worst([target - divergence])
     speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
-    worst_speed = _worst([angular_speed_residual(w, speed_to_Q(w, ell), ell) for w in speeds])
+    worst_speed = _worst([angular_speed_residual(w, ell) for w in speeds])
     return [
         Report("free-motion-el-residuals", el, EL_TOL, cfg.seed,
                {"phases": len(FREE_MOTION_PHASES)}),

@@ -17,9 +17,9 @@ H qddot = Z at each right-hand-side call, one state at a time, with a
 Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
 arrays of a few entries numpy's per-call overhead is most of a call's cost,
 so each stage of it makes few numpy calls.  The integrator is rotorlab's
-own DOP853 (``dop853``); of scipy only the LAPACK extension is loaded, by
-itself, at the first solve (``_lapack``), so every query but an integration
-starts without scipy, and an integration without ``scipy.linalg``.
+own DOP853 (``dop853``).  Of scipy an integration loads two modules, each
+by itself, at the first solve: the LAPACK extension (``_lapack``) and the
+DOP853 coefficients; every other query starts without scipy.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 They are the closed-form jets of the four chart scalars
@@ -37,11 +37,7 @@ the CSV is formatted once from the columns.
 from __future__ import annotations
 
 import functools
-import importlib.machinery
-import importlib.util
 import math
-import os
-import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -304,21 +300,10 @@ def _active(H, Z, t, q, qd):
 @functools.cache
 def _lapack():
     """The LAPACK routines of ``_qr_solve``, loaded once, at the first solve,
-    from scipy's extension alone: ``scipy.linalg``'s package ``__init__``
-    imports f2py, numpy.testing and more, and takes longer than a ten-period
-    ``simulate``.  Registered under its real name, the module is the one a
-    later ``import scipy.linalg.lapack`` reuses, with the same routines."""
-    name = "scipy.linalg._flapack"
-    scipy = importlib.util.find_spec("scipy")
-    spec = scipy and importlib.machinery.FileFinder(
-        os.path.join(scipy.submodule_search_locations[0], "linalg"),
-        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
-    ).find_spec(name)
-    if spec is None:
-        missing = name if scipy else "scipy"
-        raise ModuleNotFoundError(f"No module named {missing!r}", name=missing)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    from scipy's extension alone (``dop853.scipy_module``): ``scipy.linalg``'s
+    package ``__init__`` imports f2py, numpy.testing and more, and takes
+    longer than a ten-period ``simulate``."""
+    module = dop853.scipy_module("scipy.linalg._flapack")
     return module.dgeqrf, module.dormqr, module.dtrtrs
 
 
@@ -415,8 +400,8 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
     The integrator is rotorlab's own DOP853 (``dop853.solve``), the explicit
     Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer, Norsett & Wanner,
     Solving ODEs I, 2nd ed., II.10), with its 7th-order dense output.  It
-    takes scipy 1.17.1's steps bit for bit without scipy.integrate; of scipy
-    only the LAPACK extension of ``_qr_solve`` is loaded.  At rtol = 1e-10 it
+    takes scipy 1.17.1's steps bit for bit from scipy's own tableau, and of
+    scipy loads only that module and the LAPACK extension of ``_qr_solve``.  At rtol = 1e-10 it
     takes about a fifth of the steps of a 5(4) pair and half its right-hand-
     side calls, and each call is a velocity Hessian and a QR solve.  A Hessian
     that is singular or not solvable in floating point, at the start or along

@@ -528,9 +528,10 @@ print(json.dumps({"codes": codes, "before": before, "simulate": simulate,
 
 
 def test_only_simulate_loads_scipy():
-    """The seven other commands load no scipy.  simulate loads scipy's LAPACK
-    extension alone, for the QR solve: not scipy.linalg's package, and no
-    scipy.integrate, since the integrator is rotorlab's."""
+    """The seven other commands load no scipy.  simulate loads two modules
+    of scipy by themselves: the LAPACK extension, for the QR solve, and the
+    DOP853 coefficients, for rotorlab's integrator; neither the scipy.linalg
+    nor the scipy.integrate package."""
     commands = [["verify", "--suite", "all", "--seed", "0"], ["freemotion", "--samples", "3"],
                 ["casimir", "--f", "Q"], ["hessian", "--f", "Q"], ["relation", "--states", "1"],
                 ["fundamental-check", "--f", "rotator", "--grid", "3"], ["count-invariants"]]
@@ -539,7 +540,8 @@ def test_only_simulate_loads_scipy():
     got = json.loads(proc.stdout)
     assert got["codes"] == [0] * len(commands)
     assert got["before"] == []
-    assert got["simulate"] == 0 and got["after"] == ["scipy.linalg._flapack"]
+    assert got["simulate"] == 0
+    assert got["after"] == ["scipy.integrate._ivp.dop853_coefficients", "scipy.linalg._flapack"]
 
 
 LAPACK_PROBE = """
@@ -556,6 +558,26 @@ def test_the_solve_uses_scipys_own_lapack_routines():
     proc = run_fresh("-c", LAPACK_PROBE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[True, True, True]\n"
+
+
+TABLEAU_PROBE = """
+import sys
+from rotorlab import dop853
+ours = dop853._tableau() if sys.argv[1] == "rotorlab" else None
+from scipy.integrate._ivp import dop853_coefficients, rk
+ours = ours or dop853._tableau()
+print(ours is dop853_coefficients is rk.dop853_coefficients is sys.modules[ours.__name__])
+"""
+
+
+@pytest.mark.parametrize("first", ["rotorlab", "scipy.integrate"])
+def test_one_dop853_tableau_in_either_import_order(first):
+    """Whether rotorlab loads scipy's DOP853 coefficients before scipy.integrate
+    is imported or after, the process holds one such module, the one scipy's
+    own DOP853 reads: the source is not run a second time."""
+    proc = run_fresh("-c", TABLEAU_PROBE, first)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 @pytest.mark.parametrize("ell", ["0.001", "1.5", "2", "1000"])

@@ -1,5 +1,6 @@
 import importlib.machinery
 import importlib.util
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -331,18 +332,16 @@ def test_integration_work_is_pinned(monkeypatch):
 
 @pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
 def test_dop853_takes_the_steps_of_scipys(expr):
-    """rotorlab's DOP853 is a port of scipy's: the same tableau, entry for
-    entry, and for the same right-hand side the same calls, step ends and
-    dense output, bit for bit: at 400 times in the span, at every step end,
-    and outside the span, where both read the nearer end state."""
+    """rotorlab's DOP853 is a port of scipy's: it reads scipy's own tableau
+    module, and for the same right-hand side it takes the same calls, step
+    ends and dense output, bit for bit: at 400 times in the span, at every
+    step end, and outside the span, where both read the nearer end state."""
     import scipy
     from scipy.integrate import solve_ivp
     from scipy.integrate._ivp import dop853_coefficients
 
     why = f"the port follows scipy 1.17.1, and scipy {scipy.__version__} is installed"
-    for name in ("A", "B", "C", "D", "E3", "E5"):
-        assert np.array_equal(getattr(dop853, name), getattr(dop853_coefficients, name)), \
-            f"tableau {name} differs: {why}"
+    assert dop853._tableau() is dop853_coefficients
     F, st = parse_f(expr), ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                                       thetadot=0.4, phidot=0.7)
     calls = {"scipy": [], "rotorlab": []}
@@ -427,18 +426,25 @@ def test_qr_solve_freezes_inert_coordinates():
     assert np.allclose(H[:3, :3] @ qdd[:3], Z[:3], rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("missing", ["scipy", "scipy.linalg._flapack"])
+SCIPY_LOADERS = {"scipy.linalg._flapack": dynamics._lapack.__wrapped__,
+                 "scipy.integrate._ivp.dop853_coefficients": dop853._tableau}
+
+
+@pytest.mark.parametrize("missing", ["scipy", *SCIPY_LOADERS])
 def test_missing_lapack_raises_one_module_not_found_error(monkeypatch, tmp_path, missing):
-    """Without scipy, or with a scipy that lacks its LAPACK extension, the
-    solve's loader names what is missing; it has no second solve to fall to."""
+    """Without scipy, or with a scipy that lacks the LAPACK extension or the
+    DOP853 coefficients, the loader of that module names what is missing; it
+    has no second solve or tableau to fall to."""
     scipy = None
-    if missing != "scipy":  # a scipy package whose directory holds no linalg
+    if missing != "scipy":  # a scipy package whose directory holds neither module
         scipy = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         scipy.submodule_search_locations.append(str(tmp_path))
     monkeypatch.setattr(importlib.util, "find_spec", lambda name, package=None: scipy)
-    with pytest.raises(ModuleNotFoundError) as e:
-        dynamics._lapack.__wrapped__()
-    assert e.value.name == missing and str(e.value) == f"No module named {missing!r}"
+    for name in [name for name in SCIPY_LOADERS if missing in ("scipy", name)]:
+        monkeypatch.delitem(sys.modules, name, raising=False)  # loaded by earlier tests
+        with pytest.raises(ModuleNotFoundError) as e:
+            SCIPY_LOADERS[name]()
+        assert e.value.name == missing and str(e.value) == f"No module named {missing!r}"
 
 
 def test_indeterminacy_demo(monkeypatch):

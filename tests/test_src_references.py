@@ -22,7 +22,6 @@ ALLOWED_TEST_ONLY = {
     "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 7
     "lorentz_matrix",  # the covariance tests, ROADMAP item 15
     "METRIC",  # the metric the Lorentz tests check against
-    "pq_from_vectors",  # (P, Q) from the four-vectors, for the tests' references
 }
 
 
