@@ -6,7 +6,8 @@ scipy 1.17.1's ``solve_ivp(method="DOP853", dense_output=True)`` writes them:
 the same first step, step-size control, 5/3 error norm and interpolant, every
 float operation in the same order, on scipy's own tableau, which the first
 solve loads by itself (``scipy_module``).  So the step ends, the dense output
-and the right-hand-side calls are scipy's, bit for bit, without scipy.integrate.
+and the right-hand-side calls are scipy's, bit for bit, without the
+scipy.integrate package.
 """
 
 from __future__ import annotations

@@ -399,19 +399,19 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
 
     The integrator is rotorlab's own DOP853 (``dop853.solve``), the explicit
     Runge-Kutta 8(5,3) pair of Dormand and Prince (Hairer, Norsett & Wanner,
-    Solving ODEs I, 2nd ed., II.10), with its 7th-order dense output.  It
-    takes scipy 1.17.1's steps bit for bit from scipy's own tableau, and of
-    scipy loads only that module and the LAPACK extension of ``_qr_solve``.  At rtol = 1e-10 it
-    takes about a fifth of the steps of a 5(4) pair and half its right-hand-
-    side calls, and each call is a velocity Hessian and a QR solve.  A Hessian
-    that is singular or not solvable in floating point, at the start or along
-    the path (the first call is at t0), a collapsing step size, or more
-    right-hand-side calls than RHS_CALLS_FLOOR plus RHS_CALLS_PER_TIME per
-    unit of the span raises SingularHessianError; the budget counts calls,
-    not seconds, so whether a run finishes does not depend on the machine.
-    So does a start at which every coordinate is inert (``_active``), as for
-    F = 0: no coordinate is integrated there, and no conserved charge would be
-    checked.
+    Solving ODEs I, 2nd ed., II.10), with its 7th-order dense output.  It takes
+    scipy 1.17.1's steps bit for bit on scipy's own tableau; of scipy it loads
+    only that module and the LAPACK extension of ``_qr_solve``.  At
+    rtol = 1e-10 it takes about a fifth of the steps of a 5(4) pair and half
+    its right-hand-side calls, and each call is a velocity Hessian and a QR
+    solve.  A Hessian that is singular or not solvable in floating point, at
+    the start or along the path (the first call is at t0), a collapsing step
+    size, or more right-hand-side calls than RHS_CALLS_FLOOR plus
+    RHS_CALLS_PER_TIME per unit of the span raises SingularHessianError; the
+    budget counts calls, not seconds, so whether a run finishes does not
+    depend on the machine.  So does a start at which every coordinate is inert
+    (``_active``), as for F = 0: no coordinate is integrated there, and no
+    conserved charge would be checked.
     """
     initial.check_pole()
     q0, qd0 = initial.coords(dof)

@@ -563,9 +563,11 @@ def test_the_solve_uses_scipys_own_lapack_routines():
 TABLEAU_PROBE = """
 import sys
 from rotorlab import dop853
-ours = dop853._tableau() if sys.argv[1] == "rotorlab" else None
+if sys.argv[1] == "rotorlab":
+    ours = dop853._tableau()
 from scipy.integrate._ivp import dop853_coefficients, rk
-ours = ours or dop853._tableau()
+if sys.argv[1] == "scipy.integrate":
+    ours = dop853._tableau()
 print(ours is dop853_coefficients is rk.dop853_coefficients is sys.modules[ours.__name__])
 """
 
