@@ -74,22 +74,34 @@ class FForm:
         if self.domain is None:  # where F's evaluation succeeds, entry by entry
             if isinstance(P, np.ndarray):
                 return np.frompyfunc(self.in_domain, 2, 1)(P, Q).astype(bool)
-            try:
-                self.func(*jets.variables(P, Q))
-            except DomainError:
-                return False
-            return True
+            return self._failure(P, Q) is None
         ok = self.domain(P, Q)
         if isinstance(P, np.ndarray):  # a domain that ignores (P, Q) gives one bool
             return ok if isinstance(ok, np.ndarray) else np.full(P.shape, bool(ok))
         return bool(ok)
 
+    def _failure(self, P, Q):
+        """Why F's evaluation on jets fails at a float (P, Q): the message of
+        its DomainError, or None where it succeeds."""
+        try:
+            self.func(*jets.variables(P, Q))
+        except DomainError as exc:
+            return str(exc)
+        return None
+
     def check_domain(self, P, Q):
         """Raise a DomainError naming (P, Q), and for a batch the first entry
-        outside the domain and its index."""
-        ok = self.in_domain(P, Q)
-        jets.raise_where(~ok if isinstance(ok, np.ndarray) else not ok, DomainError,
-                         f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}", P, Q)
+        outside the domain and its index; for an expression, then why its
+        evaluation fails there."""
+        bad = np.logical_not(self.in_domain(P, Q))
+        try:
+            jets.raise_where(bad, DomainError,
+                             f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}", P, Q)
+        except DomainError as exc:
+            if self.domain is not None:
+                raise
+            at = (np.ravel(v)[np.argmax(bad)].item() for v in (P, Q))
+            raise DomainError(f"{exc}: {self._failure(*at)}") from None
 
     def eval(self, P, Q, order=2) -> FFormValue:
         """F and its partials at (P, Q) from one evaluation of F on jets of the

@@ -9,11 +9,12 @@ the counting argument that fixes the number of independent invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import jets
-from .fform import pq_from_scalars, scalar_products
+from .fform import pq_from_scalars, scalar_products, velocity_scalars
 from .minkowski import DomainError, dot, four
 from .spinor import gauge_transform, tetrad_from_angles, tetrad_relations
 
@@ -38,6 +39,11 @@ class KinematicJet:
     mdot: np.ndarray
     adot: np.ndarray
     bdot: np.ndarray
+
+    @cached_property
+    def velocity_scalars(self):
+        """``fform.velocity_scalars`` of this jet, seeded once for every form's momenta."""
+        return velocity_scalars(self.xdot, self.k, self.kdot)
 
     def entries(self) -> list:
         """The single-instant jets of a batch, in batch order."""

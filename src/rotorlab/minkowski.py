@@ -2,9 +2,9 @@
 
 Conventions fixed here and used everywhere else: metric diag(1, -1, -1, -1)
 and Levi-Civita orientation eps^{0123} = +1.  Vectors are length-4 sequences;
-all kernels are written component-wise so they accept plain floats,
-:class:`rotorlab.jets.Jet` entries, or (B,) float arrays (a batch of B
-vectors stored as a (4, B) array, the batch axis last) alike.
+a batch of B vectors is a (4, B) array, the batch axis last.  ``dot`` accepts
+plain floats, :class:`rotorlab.jets.Jet` entries or (B,) float arrays alike;
+``lower``, ``epsilon_contract`` and ``bivector`` take float arrays only.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 
 from .jets import _NUMBER
 
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
+METRIC = np.diag(SIGNATURE)
 
 
 class DomainError(ValueError):
@@ -41,28 +42,26 @@ def dot(u, v):
 
 
 def lower(u):
-    """Lower the index: (u0, -u1, -u2, -u3)."""
-    return four(u[0], -u[1], -u[2], -u[3])
+    """Lower the index of float components: (u0, -u1, -u2, -u3), per batch
+    entry for a (4, B) array."""
+    u = np.asarray(u, dtype=float)
+    return u * SIGNATURE.reshape((4,) + (1,) * (u.ndim - 1))
 
 
-# (permutation, sign) pairs for eps^{0123} = +1
-_EPS = []
-for _p in itertools.permutations(range(4)):
-    _s = 1
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _p[_i] > _p[_j]:
-                _s = -_s
-    _EPS.append((_p, _s))
+# column mu: the (nu, alpha, beta) of the six terms of v^mu in lexicographic order,
+# and their signs, (-1)^mu times that of (nu, alpha, beta) among the other three
+_EPS = np.array(list(itertools.permutations(range(4))))[:, 1:].reshape(4, 6, 3).T
+_EPS_SIGN = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 
 def epsilon_contract(n, w, p):
-    """v^mu = eps^{mu nu alpha beta} n_nu w_alpha p_beta, indices lowered by the metric."""
+    """v^mu = eps^{mu nu alpha beta} n_nu w_alpha p_beta, indices lowered by the
+    metric, for float (4,) or (4, B) arrays: per v^mu, 0.0 plus its six terms
+    sign n_nu w_alpha p_beta, each multiplied left to right."""
     nl, wl, pl = lower(n), lower(w), lower(p)
-    out = [0.0, 0.0, 0.0, 0.0]
-    for (mu, nu, al, be), sign in _EPS:
-        out[mu] = out[mu] + sign * nl[nu] * wl[al] * pl[be]
-    return four(*out)
+    sign = _EPS_SIGN.reshape((6, 4) + (1,) * (nl.ndim - 1))
+    t = sign * nl[_EPS[0]] * wl[_EPS[1]] * pl[_EPS[2]]
+    return 0.0 + t[0] + t[1] + t[2] + t[3] + t[4] + t[5]
 
 
 def _rotation_matrix(axis_angle):
@@ -105,15 +104,9 @@ def gram_det(k, m, a, b):
     return np.linalg.det(np.moveaxis(G, (0, 1), (-2, -1)))
 
 
-def _outer(u, v):
-    """u^mu v^nu, per batch entry for (4, B) arrays."""
-    return u[:, None] * v
-
-
 def bivector(u, p, k, pi):
     """Angular-momentum style bivector M^{mu nu} = u^p^ - p^u^ + k^pi^ - pi^k^;
     (4, 4, B) for (4, B) vectors."""
     u, p, k, pi = (np.asarray(v, dtype=float) for v in (u, p, k, pi))
-    M = _outer(u, p) - _outer(p, u)
-    M += _outer(k, pi) - _outer(pi, k)
-    return M
+    up, kpi = u[:, None] * p, k[:, None] * pi
+    return up - up.swapaxes(0, 1) + (kpi - kpi.swapaxes(0, 1))

@@ -28,10 +28,12 @@ import numpy as np
 from . import jets
 from .fform import FForm, PQPoint, lagrangian_from_scalars, velocity_scalars
 from .invariants import KinematicJet
-from .minkowski import DomainError, bivector, dot, epsilon_contract, lower
+from .minkowski import SIGNATURE, DomainError, bivector, dot, epsilon_contract
 
 # target values of the fixed mass/spin conditions: PP = M^2, WW = -1/4 M^4 ell^2
 FUNDAMENTAL_WW_FACTOR = -0.25
+
+_RAISE_NEGATED = -np.tile(SIGNATURE, 2)
 
 
 @dataclass(frozen=True)
@@ -57,29 +59,31 @@ class MomentumSet:
                            WW=jets.value(dot(self.W, self.W)))
 
 
-def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None) -> MomentumSet:
+def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
     P and pi are the gradients of L in xdot and kdot, through the four scalar
-    products seeded in closed form (see ``fform.velocity_scalars``).  ``x``
-    defaults to the origin; it shifts the angular momentum by an orbital
-    piece but leaves W unchanged.  (4, B) arrays give the batched charges of
-    B instants in one pass.
+    products seeded in closed form (``fform.velocity_scalars``), or given as
+    ``scalars`` by a caller that holds them.  ``x`` defaults to the origin; it
+    shifts the angular momentum by an orbital piece but leaves W unchanged.
+    (4, B) arrays give the batched charges of B instants in one pass.
     """
     k_v = np.asarray(k_v, dtype=float)
     if x is None:
         x = np.zeros(k_v.shape)
-    L = lagrangian_from_scalars(F, *velocity_scalars(xdot_v, k_v, kdot_v))
-    # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index
-    P, pi = -lower(L.g[:4]), -lower(L.g[4:])
+    if scalars is None:
+        scalars = velocity_scalars(xdot_v, k_v, kdot_v)
+    L = lagrangian_from_scalars(F, *scalars)
+    # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index: raised, and negated
+    P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
     # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out
     W = -epsilon_contract(k_v, pi, P)
     return MomentumSet(P=P, pi=pi, M=bivector(x, P, k_v, pi), W=W)
 
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
-    """Noether charges of the Lagrange density at the jet's instant."""
-    return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
+    """Noether charges at the jet's instant, from its scalar products seeded once."""
+    return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x, scalars=J.velocity_scalars)
 
 
 def legendre_p(P, Fv, FP):

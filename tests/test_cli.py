@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, dynamics, noether
+from rotorlab import cli, dynamics, invariants, noether
 from rotorlab.cli import main
 from rotorlab.fform import FForm, builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
@@ -153,7 +153,29 @@ def test_relation_domain_error_names_its_batch_entry(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert re.fullmatch(r"error: \(P, Q\) = \(-?[0-9.e-]+, [0-9.e-]+\) outside domain of "
-                        r"parsed:sqrt\(0\.03-Q\) \(batch entry 0\)\n", captured.err)
+                        r"parsed:sqrt\(0\.03-Q\) \(batch entry 0\): "
+                        r"sqrt needs a positive argument, got -[0-9.e-]+\n", captured.err)
+
+
+# an expression's domain is where its evaluation succeeds; the error names the
+# point, then the reason the evaluation fails there
+@pytest.mark.parametrize("f, P, reason", [
+    ("Q^P", "1", "an exponent must not depend on the variables"),
+    ("sqrt(P)", "-1", "sqrt needs a positive argument, got -1.0"),
+    ("1/P", "0", "division by zero"),
+], ids=["exponent", "sqrt", "division"])
+def test_a_parsed_domain_error_says_why(capsys, f, P, reason):
+    code = main(["casimir", "--f", f, "--P", P])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: (P, Q) = ({float(P)}, 1.0) outside domain of "
+                            f"parsed:{f}: {reason}\n")
+
+
+def test_a_builtin_domain_error_keeps_its_text(capsys):
+    code = main(["casimir", "--f", "rotator", "--P", "2", "--Q", "0"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: (P, Q) = (2.0, 0.0) outside domain of rotator_f\n"
 
 
 @pytest.mark.parametrize("argv, owner, name", [
@@ -263,6 +285,24 @@ def test_casimir_suite_takes_momenta_one_jet_at_a_time(capsys, monkeypatch, seed
         assert J.k.shape == (4,) and name == want_name
         for f in dataclasses.fields(J):
             assert np.array_equal(getattr(J, f.name), getattr(want_J, f.name))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_casimir_suite_seeds_each_jets_velocity_scalars_once(capsys, monkeypatch, seed):
+    # every form's momenta at a jet start from the jet's own scalar products,
+    # seeded at its first momenta call: 25 seeds a run, not one per pair
+    seeded = []
+    original = invariants.velocity_scalars
+
+    def counting(xdot, k, kdot):
+        seeded.append(np.shape(xdot))
+        return original(xdot, k, kdot)
+
+    monkeypatch.setattr(invariants, "velocity_scalars", counting)
+    monkeypatch.setattr(noether, "velocity_scalars", counting)
+    code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
+    assert code == 0
+    assert seeded == [(4,)] * cli.CASIMIR_JETS
 
 
 def _noether_residuals_per_pair(forms, samples):

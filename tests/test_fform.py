@@ -1,4 +1,5 @@
 import ast
+import re
 import warnings
 
 import numpy as np
@@ -155,6 +156,14 @@ def _evaluates(F, P, Q):
     return True
 
 
+def _why(F, P, Q):
+    """The message of the DomainError that F's own evaluation on jets raises
+    at a float (P, Q) outside an expression's domain."""
+    with pytest.raises(DomainError) as info:
+        F.func(*jets.variables(P, Q))
+    return str(info.value)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(F=st.one_of(st.sampled_from(DOMAIN_BUILTINS), _expressions.map(parse_f)),
        points=st.lists(st.tuples(_EDGE, _EDGE), min_size=1, max_size=3))
@@ -167,7 +176,7 @@ def test_domain_is_where_eval_returns(F, points):
     """F.in_domain(P, Q) holds exactly where F.eval(P, Q) returns, for
     builtins and expressions, at P = 0 and Q = 0 too; a batch mask is its
     entries' answers, and a batch evaluates exactly when every entry does,
-    or names the first that does not."""
+    or names the first that does not, and for an expression why it fails."""
     P, Q = (np.array(v) for v in zip(*points))
     with np.errstate(all="ignore"):
         ok = [_evaluates(F, p, q) for p, q in points]
@@ -176,7 +185,9 @@ def test_domain_is_where_eval_returns(F, points):
         if all(ok):
             F.eval(P, Q)
         else:
-            with pytest.raises(DomainError, match=rf"\(batch entry {ok.index(False)}\)$"):
+            i = ok.index(False)
+            why = "" if F.domain is not None else ": " + _why(F, *points[i])
+            with pytest.raises(DomainError, match=rf"\(batch entry {i}\){re.escape(why)}$"):
                 F.eval(P, Q)
 
 

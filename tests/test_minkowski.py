@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,35 @@ def test_epsilon_contract_spin_axis_example():
     W = four(0.0, 0.0, 0.0, 0.5)
     P = four(1.0, 0.0, 0.0, 0.0)
     assert np.allclose(epsilon_contract(N, W, P), [0.0, 0.0, 0.5, 0.0])
+
+
+def _epsilon_by_terms(n, w, p):
+    """eps^{mu nu alpha beta} n_nu w_alpha p_beta as the 24-term loop over the
+    permutations of 0123 in lexicographic order, each v^mu summed from 0.0
+    one term at a time; components may be floats or (B,) arrays."""
+    nl, wl, pl = ([u[0], -u[1], -u[2], -u[3]] for u in (n, w, p))
+    out = [0.0, 0.0, 0.0, 0.0]
+    for perm in itertools.permutations(range(4)):
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        mu, nu, al, be = perm
+        out[mu] = out[mu] + sign * nl[nu] * wl[al] * pl[be]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 7)])
+def test_epsilon_contract_is_the_term_by_term_sum(shape):
+    # zeros of both signs and infinities among the entries: the same values,
+    # signed zeros included, and NaN where the loop gives NaN
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -2.5, 1e300, 5e-324])
+    for _ in range(300):
+        args = np.where(rng.random((3, *shape)) < 0.6,
+                        rng.choice(special, size=(3, *shape)), rng.normal(size=(3, *shape)))
+        with np.errstate(all="ignore"):
+            got, want = epsilon_contract(*args), _epsilon_by_terms(*args)
+        assert got.shape == shape and np.array_equal(got, want, equal_nan=True)
+        real = ~np.isnan(want)
+        assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
 
 
 def test_epsilon_contract_antisymmetry():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from rotorlab import cli, jets
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
-                            pq_from_vectors)
+                            pq_from_scalars, pq_from_vectors, scalar_products,
+                            velocity_scalars)
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
 from rotorlab.minkowski import (DomainError, bivector, dot, epsilon_contract, lorentz_matrix,
                                 lower)
@@ -172,6 +173,57 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
     want = _outcome(_momenta_by_jet_arithmetic, forms[0], xdot, J.k, J.kdot)
     assert "xdot.xdot" in want
     assert _outcome(momenta_from_vectors, forms[0], xdot, J.k, J.kdot) == want
+
+
+def _casimir_forms():
+    """The twelve forms whose momenta the casimir suite takes."""
+    return [*cli.fundamental_forms(RunConfig()), builtin("point_particle"),
+            builtin("fq", f=lambda q: q)]
+
+
+def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
+    """``momenta(F, J)`` starts from the jet's scalar products, seeded at its
+    first call and shared by the forms after it.  For the casimir suite's
+    twelve forms on its jets at seeds 0-7, its P, pi, M and W, signed zeros
+    included, are those of ``momenta_from_vectors`` on the jet's vectors
+    alone, and those of entry j of one batched call over the entries inside
+    the form's domain."""
+    forms = _casimir_forms()
+    assert len(forms) == 12
+    pairs = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+        entries = S.entries()
+        for F in forms:
+            _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
+            inside = np.flatnonzero(F.in_domain(P, Q))
+            batch = momenta_from_vectors(F, S.xdot[:, inside], S.k[:, inside],
+                                         S.kdot[:, inside])
+            for b, j in enumerate(inside):
+                J = entries[j]
+                got = momenta(F, J)
+                _assert_same_bits(got, momenta_from_vectors(F, J.xdot, J.k, J.kdot))
+                _assert_same_bits(got, MomentumSet(batch.P[:, b], batch.pi[:, b],
+                                                   batch.M[:, :, b], batch.W[:, b]))
+                pairs += 1
+    assert pairs >= 8 * 250
+
+
+def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
+    """The twelve forms' momenta share one jet's scalar products, and none of
+    them writes to them."""
+    J, calls = rotator_jet, 0
+    for F in _casimir_forms():
+        at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
+        if F.in_domain(at.P, at.Q):
+            momenta(F, J)
+            calls += 1
+    assert calls == 8  # the rotator point lies outside four forms' domains
+    for got, want in zip(J.velocity_scalars, velocity_scalars(J.xdot, J.k, J.kdot)):
+        assert got.h is None and want.h is None
+        for a, b in ((got.f, want.f), (got.g, want.g)):
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def test_static_point_particle_has_rest_momentum():
