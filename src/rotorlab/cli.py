@@ -146,7 +146,8 @@ def noether_residuals(forms, samples):
 
     ``samples`` is a batch of kinematic jets.  The closed form of each form is
     evaluated once over the batch; the momenta are taken one jet at a time,
-    jet-major and form-minor, each pair's residuals the same as alone."""
+    jet-major and form-minor, each pair's residuals the same as alone; the
+    forms at a jet share its scalar products, seeded once."""
     scalars = scalar_products(samples.xdot, samples.k, samples.kdot)
     closed = []  # per form: the batch entries inside its domain, PP and WW there
     for F in forms:

@@ -81,8 +81,7 @@ class FForm:
         return bool(ok)
 
     def _failure(self, P, Q):
-        """Why F's evaluation on jets fails at a float (P, Q): the message of
-        its DomainError, or None where it succeeds."""
+        """The message of F's DomainError on jets at a float (P, Q), or None."""
         try:
             self.func(*jets.variables(P, Q))
         except DomainError as exc:

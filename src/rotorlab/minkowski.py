@@ -42,8 +42,7 @@ def dot(u, v):
 
 
 def lower(u):
-    """Lower the index of float components: (u0, -u1, -u2, -u3), per batch
-    entry for a (4, B) array."""
+    """Lower the index of a float (4,) or (4, B) array: (u0, -u1, -u2, -u3)."""
     u = np.asarray(u, dtype=float)
     return u * SIGNATURE.reshape((4,) + (1,) * (u.ndim - 1))
 

@@ -6,10 +6,11 @@ particle at rest has positive energy.  L reads the velocities (xdot, kdot)
 only through the four scalar products xdot.xdot, k.xdot, kdot.xdot and
 kdot.kdot, so those are seeded in closed form as first-order jets in the
 eight velocities (``fform.velocity_scalars``), bit for bit the jets that
-seeding the velocities and taking the products by jet arithmetic gives.
+seeding the velocities and taking the products by jet arithmetic gives; a
+kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
-first-order chain step through F's partials at (P, Q).  The closed-form
-expressions
+first-order chain step through F's partials at (P, Q), and P and pi are that
+gradient times a sign vector.  The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2

@@ -47,7 +47,7 @@ def _epsilon_by_terms(n, w, p):
     return np.array(out)
 
 
-@pytest.mark.parametrize("shape", [(4,), (4, 7)])
+@pytest.mark.parametrize("shape", [(4,), (4, 7)], ids=["one", "batch"])
 def test_epsilon_contract_is_the_term_by_term_sum(shape):
     # zeros of both signs and infinities among the entries: the same values,
     # signed zeros included, and NaN where the loop gives NaN
