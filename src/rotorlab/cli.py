@@ -49,9 +49,9 @@ from .invariants import (
 )
 from .minkowski import DomainError, dot, gram_det
 from .noether import (
-    FUNDAMENTAL_WW_FACTOR,
     casimirs_from_partials,
     casimirs_where_defined,
+    fundamental_casimirs,
     momenta,
 )
 from .reports import Report, RunConfig, all_pass, load_config, render_reports
@@ -136,8 +136,8 @@ def fundamental_residual(F: FForm, P, Q) -> float:
     must lie inside the domain of F."""
     v = F.eval(P, Q)
     PP, WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
-    return _worst([np.abs(PP / F.M**2 - 1.0),
-                   np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)])
+    pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
+    return _worst([np.abs(PP / pp_target - 1.0), np.abs(WW / ww_target - 1.0)])
 
 
 def noether_residuals(forms, samples):
@@ -390,8 +390,7 @@ def cmd_casimir(args, cfg: RunConfig):
     at = PQPoint(args.P, args.Q)  # Q >= 0, checked after the domain
     # numpy scalars: an overflow is an inf the check reports, not an OverflowError
     PP, WW = map(float, casimirs_from_partials(F, at.P, at.Q, *map(np.float64, v[:3])))
-    pp_target = cfg.M**2
-    ww_target = FUNDAMENTAL_WW_FACTOR * cfg.M**4 * cfg.ell**2
+    pp_target, ww_target = fundamental_casimirs(cfg.M, cfg.ell)
     inputs = {
         "form": F.name, "P": args.P, "Q": args.Q,
         "F": v.F, "F_P": v.F_P, "F_Q": v.F_Q,
@@ -531,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_hessian")
 
     p = sub.add_parser("relation", parents=[common])
-    p.add_argument("--forms", nargs="*", default=None)
+    p.add_argument("--forms", nargs="+", default=None)
     p.add_argument("--states", type=_positive_int, default=5)
     p.set_defaults(func="cmd_relation")
 

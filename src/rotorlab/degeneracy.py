@@ -17,8 +17,8 @@ L reads a chart state only through four scalar products, ``chart_scalars``.
 Hessians are written out in closed form, and ``fform.lagrangian_from_scalars``
 carries them to L by one chain step through F's partials at (P, Q), so at
 DOF5 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
-products bring in the amplitude K); ``hessian`` takes their velocity block,
-and the integrator's right-hand side (``dynamics``) all of them.
+products bring in the amplitude K).  ``chart_derivatives`` is the one place
+they are formed: ``hessian`` reads its velocity block, ``dynamics`` all of it.
 """
 
 from __future__ import annotations
@@ -204,6 +204,20 @@ def chart_lagrangian(F: FForm, q, qd, dof):
     return lagrangian_from_scalars(F, *chart_scalars(q, qd, dof))
 
 
+def chart_derivatives(F: FForm, q, qd, dof):
+    """dL/dq (n,) and the velocity rows of L's Hessian (n, 2n), with columns
+    (q, qd), and a trailing batch axis for a batch of states.  x1..x3 are
+    cyclic: the chart jets are in q[3:] and qd, and x1..x3's columns are 0."""
+    n = len(dof)
+    L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
+    shape = np.shape(q)[1:]
+    dq = np.zeros((n,) + shape)
+    dq[3:] = L.g[:n - 3]
+    hv = np.zeros((n, 2 * n) + shape)
+    hv[:, 3:] = L.h[n - 3:]
+    return dq, hv
+
+
 @dataclass(frozen=True)
 class HessianReport:
     """The velocity Hessian at one state, or at each state of a batch."""
@@ -228,12 +242,10 @@ class HessianReport:
 
 def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
     """Exact second-derivative matrix of L with respect to the velocities, at
-    one state or at each state of a batch."""
+    one state or at each state of a batch: ``chart_derivatives``' velocity block."""
     state.check_pole()
     q, qd = state.coords(dof)
-    m = len(dof) - 3  # the velocity block of the chart jets starts at m
-    H = lagrangian_from_scalars(F, *(jets.Jet(s.f, s.g[m:], s.h[m:, m:])
-                                     for s in chart_scalar_jets(q, qd, dof))).h
+    H = chart_derivatives(F, q, qd, dof)[1][:, len(dof):]
     stack = np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]  # one state: a batch of one
     # an F that overflows leaves non-finite entries, which the SVD rejects:
     # the singular values of such an H are NaN, and its rank 0

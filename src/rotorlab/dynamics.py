@@ -22,16 +22,18 @@ by itself, at the first solve: the LAPACK extension (``_lapack``) and the
 DOP853 coefficients; every other query starts without scipy.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
-They are the closed-form jets of the four chart scalars
-(``degeneracy.chart_scalar_jets``), carried to L by one chain step through
-F's partials at (P, Q) (``fform.lagrangian_from_scalars``), so at DOF5 no
-jet arithmetic runs from the chart state to L (at DOF6, four ``Jet`` products).
+``degeneracy.chart_derivatives`` forms them, the closed-form jets of the four
+chart scalars carried to L by one chain step, for the right-hand side and the
+EL residuals alike.
 
 Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
 times each, so their memory does not grow with the number of samples.  The
 samples of such a pass stay one batched record, reduced as columns, and
-the CSV is formatted once from the columns.
+the CSV is formatted once from the columns.  Both trajectory kinds answer
+``lab_state``: x and k as jets, and the lab-chart state (q, qd, qdd).  A free
+motion reads that state off second-order four-vector jets; an integrated
+trajectory returns its own chart state, with no round trip through k's angles.
 """
 
 from __future__ import annotations
@@ -43,10 +45,10 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 
 from . import dop853, jets
-from .degeneracy import DOF5, ChartState, chart_scalar_jets, check_off_pole
-from .fform import FForm, lagrangian_from_scalars
+from .degeneracy import DOF5, ChartState, chart_derivatives, check_off_pole
+from .fform import FForm
 from .minkowski import DomainError, dot, epsilon_contract, four
-from .noether import FUNDAMENTAL_WW_FACTOR, MomentumSet, momenta_from_vectors
+from .noether import MomentumSet, fundamental_casimirs, momenta_from_vectors
 from .spinor import angles_from_null, null_from_angles
 
 PARAM_TOL = 1e-12
@@ -117,12 +119,12 @@ class SolutionParams:
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
     def residuals(self) -> dict:
-        M, ell = self.M, self.ell
-        s_P = M**2
-        s_W = 0.25 * M**4 * ell**2
+        M = self.M
+        PP, WW = fundamental_casimirs(M, self.ell)
+        s_W = -WW  # 0.25 M^4 ell^2, exactly
         return {
-            "PP": (dot(self.P, self.P) - M**2) / s_P,
-            "WW": (dot(self.W, self.W) - FUNDAMENTAL_WW_FACTOR * M**4 * ell**2) / s_W,
+            "PP": (dot(self.P, self.P) - PP) / PP,
+            "WW": (dot(self.W, self.W) - WW) / s_W,
             "WP": dot(self.W, self.P) / (M * np.sqrt(s_W)),
             "NN": dot(self.N, self.N) + 1.0,
             "NW": dot(self.N, self.W) / np.sqrt(s_W),
@@ -180,6 +182,11 @@ class FreeMotionTrajectory:
             k[mu] = p.P[mu] / p.M + sgn * (p.N[mu] * c - E[mu] * s)
         return x, k
 
+    def lab_state(self, t):
+        """(x, k) of ``jets`` at t, and the lab-chart state (q, qd, qdd) they give."""
+        x, k = self.jets(t)
+        return (x, k, *_lab_chart_jets(x, k))
+
 
 def free_motion(params: SolutionParams) -> FreeMotionTrajectory:
     """Exact solution of the fundamental system for the given constants."""
@@ -220,22 +227,19 @@ class ELReport:
         return self.max_abs / self.scale
 
 
-def _lab_chart_jets(x, k, dof):
-    """Chart coordinates q(T) as jets in lab time T = x^0.
+def _lab_chart_jets(x, k):
+    """The DOF5 chart state (q, qd, qdd) in lab time T = x^0 of a free motion.
 
     Input components are second-order jets in the trajectory parameter; the
-    chain rule converts their derivatives to lab-time derivatives.  Batched
-    jets give (n, B) arrays.
+    chain rule converts the derivatives of x1..x3 and of k's angles to
+    lab-time derivatives.  Batched jets give (5, B) arrays.
     """
     Td, Tdd = x[0].g[0], x[0].h[0, 0]
     jets.raise_where(Td <= 0.0, DomainError, "lab time not increasing: dx0/dt = {}", Td)
-    theta, phi, K = angles_from_null(k)
+    theta, phi, _ = angles_from_null(k)
     check_off_pole(jets.value(theta))
-    coords = [x[1], x[2], x[3], theta, phi]
-    if len(dof) == 6:
-        coords.append(K)
     q, qd, qdd = [], [], []
-    for c in coords:
+    for c in (x[1], x[2], x[3], theta, phi):
         f, g, h = jets.value(c), c.g[0], c.h[0, 0]
         q.append(f)
         qd.append(g / Td)
@@ -243,30 +247,16 @@ def _lab_chart_jets(x, k, dof):
     return np.array(q), np.array(qd), np.array(qdd)
 
 
-def _chart_derivatives(F: FForm, q, qd, dof):
-    """dL/dq (n,) and the velocity rows of L's Hessian (n, 2n), with columns
-    (q, qd), and a trailing batch axis for a batch of states.  x1..x3 are
-    cyclic: the chart jets are in q[3:] and qd, and x1..x3's columns are 0."""
-    n = len(dof)
-    L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
-    shape = np.shape(q)[1:]
-    dq = np.zeros((n,) + shape)
-    dq[3:] = L.g[:n - 3]
-    hv = np.zeros((n, 2 * n) + shape)
-    hv[:, 3:] = L.h[n - 3:]
-    return dq, hv
-
-
 def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
     """d/dT (dL/dqdot) - dL/dq per chart coordinate, by exact differentiation,
-    at the lab-chart state (q, qd, qdd) of ``_lab_chart_jets``; one batched
-    report for a batch of times.
+    at the lab-chart state (q, qd, qdd) of a trajectory's ``lab_state``; one
+    batched report for a batch of times.
 
     Residual i is sum_j H_{v_i v_j} qdd_j + sum_j H_{v_i q_j} qd_j - dL/dq_i,
     added term by term in that order; its scale is the largest of those
     terms over i."""
     n = len(dof)
-    dq, hv = _chart_derivatives(F, q, qd, dof)
+    dq, hv = chart_derivatives(F, q, qd, dof)
     terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
     res = sum(terms[:n]) + sum(terms[n:]) - dq
     scale = np.max(np.abs(np.stack(terms + [dq])), axis=(0, 1))
@@ -279,7 +269,7 @@ def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:
 def _hessian_and_force(F: FForm, q, qd, dof):
     """Velocity Hessian H and force vector Z with H qddot = Z."""
     n = len(dof)
-    dq, hv = _chart_derivatives(F, q, qd, dof)
+    dq, hv = chart_derivatives(F, q, qd, dof)
     # the product runs over the zero columns of x1..x3 too: over the two
     # nonzero ones alone, BLAS rounds Z differently in most states
     return hv[:, n:], dq - hv[:, :n] @ qd
@@ -369,24 +359,24 @@ class IntegratedTrajectory:
         H, Z = _hessian_and_force(self.F, q, qd, self.dof)
         return _qr_solve(H, Z, t, q, qd)
 
-    def _vectors(self, t, q, qd, qdd=None):
-        """x and k as four-vectors of jets in t, from the chart state with
-        second derivatives qdd; first-order jets without qdd."""
-        qj = [jets.Jet(q[i], qd[i][None], None if qdd is None else qdd[i][None, None])
-              for i in range(len(q))]
-        (tj,) = jets.variables(t, order=1 if qdd is None else 2)
+    def _vectors(self, t, q, qd):
+        """x and k as four-vectors of first-order jets in t, from (q, qd)."""
+        qj = [jets.Jet(q[i], qd[i][None], None) for i in range(len(q))]
+        (tj,) = jets.variables(t, order=1)
         K = qj[5] if len(self.dof) == 6 else 1.0
         return four(tj, *qj[:3]), null_from_angles(qj[3], qj[4], K)
 
-    def jets(self, t):
+    def lab_state(self, t):
+        """(x, k) of ``_vectors`` at t, and the integrated chart state (q, qd)
+        itself, with qdd from H qddot = Z."""
         t = _times(t)
         q, qd = self.chart(t)
-        return self._vectors(t, q, qd, self._accel(t, q, qd))
+        x, k = self._vectors(t, q, qd)
+        return x, k, q, qd, self._accel(t, q, qd)
 
     def momenta(self, F: FForm, t):
-        """Noether momenta of F at t, from the chart state alone: they read
-        only the first derivatives of the ``jets`` vectors, so first-order
-        jets carry them and no acceleration is solved."""
+        """Noether momenta of F at t, from the chart state alone through the
+        first-order ``_vectors``: no acceleration is solved."""
         t = _times(t)
         q, qd = self.chart(t)
         x, k = self._vectors(t, q, qd)
@@ -479,12 +469,12 @@ def _joined(parts):
 
 def trajectory_samples(F: FForm, traj, times) -> TrajectorySamples:
     """The samples at ``times`` of a free or an integrated trajectory, in its
-    chart ``traj.dof``, from one batched ``traj.jets`` query per CHUNK times."""
+    chart ``traj.dof``, from one batched ``traj.lab_state`` query per CHUNK
+    times."""
     dof = traj.dof
     parts = []
     for ts in _chunks(times):
-        x, k = traj.jets(ts)
-        q, qd, qdd = _lab_chart_jets(x, k, dof)
+        x, k, q, qd, qdd = traj.lab_state(ts)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
         parts.append(TrajectorySamples(ts, xv, kv, q, qd, _el_report(F, q, qd, qdd, dof),
                                        momenta_from_vectors(F, xd, kv, kd, x=xv)))

@@ -27,7 +27,8 @@ evaluated entry by entry through ``math``.  The operands of one operation
 share one batch shape.
 
 ``compose`` gives the jet of a function of m jets from the function's first
-and second partials, by one chain step.
+and second partials, by one chain step; it is the one multi-input chain step,
+so ``atan2`` hands it its partials in (x, y).
 
 One rule admits a plain operand of ``+ - * /``, either side: an int, a float
 or a numpy scalar enters as its float, and an array as itself, one number
@@ -295,20 +296,6 @@ def _chain(u, f, f1, f2):
     return Jet(f, f1 * g, h)
 
 
-def _chain2(ux, uy, f, fx, fy, fxx, fyy, fxy):
-    gx, gy = ux.g, uy.g
-    g = fx * gx + fy * gy
-    if ux.h is None or uy.h is None:
-        return Jet(f, g, None)
-    h = fx * ux.h
-    h += fy * uy.h
-    h += fxx * (gx[:, None] * gx)
-    h += fyy * (gy[:, None] * gy)
-    t = gx[:, None] * gy
-    h += fxy * (t + t.swapaxes(0, 1))
-    return Jet(f, g, h)
-
-
 def compose(inner, f, d, D):
     """The jet of a function of the jets ``inner`` = (u_1, ..., u_m), all in
     the same variables, from its value ``f`` and its first and second
@@ -407,16 +394,11 @@ def acos(x):
 def atan2(y, x):
     if not isinstance(y, Jet) and not isinstance(x, Jet):
         return _atan2(y, x)
-    if not isinstance(y, Jet):
-        y = _zero_rate(x, _full(x.f, y))
-    if not isinstance(x, Jet):
-        x = _zero_rate(y, _full(y.f, x))
-    d = x.f * x.f + y.f * y.f
+    yf = y.f if isinstance(y, Jet) else _full(x.f, y)
+    xf = x.f if isinstance(x, Jet) else _full(y.f, x)
+    d = xf * xf + yf * yf
     raise_where(d == 0.0, ValueError, "atan2 undefined at the origin")
-    f = _atan2(y.f, x.f)
-    fx, fy = -y.f / d, x.f / d
     d2 = power(d, 2)
-    fxx = 2.0 * x.f * y.f / d2
-    fyy = -fxx
-    fxy = (y.f * y.f - x.f * x.f) / d2
-    return _chain2(x, y, f, fx, fy, fxx, fyy, fxy)
+    fxx = 2.0 * xf * yf / d2
+    fxy = (yf * yf - xf * xf) / d2
+    return compose((x, y), _atan2(yf, xf), (-yf / d, xf / d), ((fxx, fxy), (fxy, -fxx)))

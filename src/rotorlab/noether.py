@@ -37,6 +37,11 @@ FUNDAMENTAL_WW_FACTOR = -0.25
 _RAISE_NEGATED = -np.tile(SIGNATURE, 2)
 
 
+def fundamental_casimirs(M, ell):
+    """The fixed Casimirs (PP, WW) = (M^2, -1/4 M^4 ell^2) of mass M, length ell."""
+    return M**2, FUNDAMENTAL_WW_FACTOR * M**4 * ell**2
+
+
 @dataclass(frozen=True)
 class CasimirPair:
     PP: float

@@ -718,6 +718,7 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["hessian", "--f", "Q", "--state", "bogus"],
     ["fundamental-check", "--f", "nu_family", "--grid", "0"],
     ["relation", "--states", "0"],
+    ["relation", "--forms"],  # no expression: not the default forms
     ["simulate", "--periods", "0"],
     ["simulate", "--periods", "-1"],
     ["simulate", "--periods", "inf"],

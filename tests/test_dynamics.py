@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotorlab import cli, dop853, dynamics, fform, jets
+from rotorlab import cli, degeneracy, dop853, dynamics, fform, jets
 from rotorlab.degeneracy import (
     DOF5,
     DOF6,
     ChartState,
     chart_scalar_jets,
     chart_scalars,
+    hessian,
     random_chart_state,
     stack_states,
 )
@@ -46,7 +47,8 @@ def bent_phase(t):
 
 def xk(traj, t):
     """((x, xdot), (k, kdot)) of a trajectory at t."""
-    return tuple(map(jets.split, traj.jets(t)))
+    x, k, *_ = traj.lab_state(t)
+    return tuple(map(jets.split, (x, k)))
 
 
 def test_circular_solution_worked_values():
@@ -188,27 +190,35 @@ def test_casimir_drift_floors_at_physical_scale():
 @pytest.mark.parametrize("dof", [DOF5, DOF6])
 def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     """IntegratedTrajectory.momenta reads the chart state only, through
-    first-order jets; its momenta equal, bit for bit, those of
-    ``trajectory_samples``, whose second-order jets carry the acceleration."""
+    first-order jets, and solves no acceleration; its momenta equal, bit for
+    bit, those of ``trajectory_samples``, which reads the same first-order
+    jets and solves the acceleration at each time for its EL residuals."""
     fq = builtin("fq", f=lambda q: q * q)
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
     traj = integrate(fq, st, (0.0, 2.0), dof=dof)
-    orders = []
-    real = dynamics.IntegratedTrajectory._vectors
+    orders, accels = [], [0]
+    real, real_accel = dynamics.IntegratedTrajectory._vectors, dynamics.IntegratedTrajectory._accel
 
     def recorded(*args):
         x, k = real(*args)
         orders.append({1 if c.h is None else 2 for c in (*x, *k) if isinstance(c, jets.Jet)})
         return x, k
 
+    def counted_accel(self, t, q, qd):
+        accels[0] += np.ndim(t) == 0  # one state solved; a batch solves each
+        return real_accel(self, t, q, qd)
+
     monkeypatch.setattr(dynamics.IntegratedTrajectory, "_vectors", recorded)
+    monkeypatch.setattr(dynamics.IntegratedTrajectory, "_accel", counted_accel)
     times = np.linspace(0.0, 2.0, 41)
     for t in (*times[[0, 14, -1]], times):
         got = traj.momenta(fq, t)
+        assert orders == [{1}] and accels == [0]
         want = trajectory_samples(fq, traj, np.atleast_1d(t)).momenta
-        assert orders == [{1}, {2}]
+        assert orders == [{1}, {1}] and accels == [np.size(t)]
         orders.clear()
+        accels[0] = 0
         for name in ("P", "pi", "M", "W"):
             b = getattr(want, name)
             assert np.array_equal(getattr(got, name), b if np.ndim(t) else b[..., 0])
@@ -370,7 +380,7 @@ def test_lagrangian_walks_a_parsed_form_once(monkeypatch):
     """Each Lagrangian of an integration evaluates a parsed form's tree
     once: one walk on jets is both its domain check and its partials."""
     walks, lagrangians = [0], [0]
-    evaluate, lagrangian = fform._evaluate, dynamics.lagrangian_from_scalars
+    evaluate, lagrangian = fform._evaluate, degeneracy.lagrangian_from_scalars
 
     def counted_evaluate(*args):
         walks[0] += 1
@@ -381,7 +391,7 @@ def test_lagrangian_walks_a_parsed_form_once(monkeypatch):
         return lagrangian(*args)
 
     monkeypatch.setattr(fform, "_evaluate", counted_evaluate)
-    monkeypatch.setattr(dynamics, "lagrangian_from_scalars", counted_lagrangian)
+    monkeypatch.setattr(degeneracy, "lagrangian_from_scalars", counted_lagrangian)
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
     integrate(parse_f("Q^2"), st, (0.0, 3.0))
     assert lagrangians[0] > 100 and walks[0] == lagrangians[0]
@@ -396,6 +406,21 @@ def test_samples_take_the_chart_of_the_integration():
     el = trajectory_samples(traj.F, traj, np.linspace(0.0, 2.0, 9)).el
     assert el.dof == DOF6
     assert np.max(el.max_relative) <= 64 * U
+
+
+@pytest.mark.parametrize("expr, seed", [("Q", 1), ("Q", 6), ("sqrt(Q)*(2+Q)", 7)])
+def test_simulate_export_el_residuals_sit_at_rounding(tmp_path, monkeypatch, expr, seed):
+    """The EL residuals that ``simulate --out`` exports are read at the
+    integrated chart state itself, so they sit at rounding level at every
+    sampled time; read back through k's angles they reached 383-1088 u at
+    these seeds."""
+    exported = []
+    monkeypatch.setattr(cli, "export_trajectory", lambda path, s: exported.append(s))
+    cli.main(["simulate", "--f", expr, "--periods", "3", "--seed", str(seed),
+              "--out", str(tmp_path / "traj.csv")])
+    ((samples,),) = [exported]
+    assert samples.t.shape == (50,)
+    assert np.all(samples.el.max_relative <= 64 * U)
 
 
 @pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
@@ -486,12 +511,21 @@ def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
 
 def per_time_samples(F, traj, times, dof=DOF5):
     """(t, x, k, EL report, momenta) per time, one trajectory query per time:
-    the reference for the columns of ``trajectory_samples``."""
+    the reference for the columns of ``trajectory_samples``.  An integrated
+    trajectory gives its chart state, its acceleration and first-order
+    four-vector jets; a free motion its second-order four-vector jets, whose
+    lab-chart state ``_lab_chart_jets`` reads."""
     out = []
-    for t in times:
-        x, k = traj.jets(t)
+    for t in map(float, times):
+        if isinstance(traj, dynamics.IntegratedTrajectory):
+            q, qd = traj.chart(t)
+            x, k = traj._vectors(t, q, qd)
+            qdd = traj._accel(t, q, qd)
+        else:
+            x, k = traj.jets(t)
+            q, qd, qdd = dynamics._lab_chart_jets(x, k)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        rep = dynamics._el_report(F, *dynamics._lab_chart_jets(x, k, dof), dof)
+        rep = dynamics._el_report(F, q, qd, qdd, dof)
         out.append((float(t), xv, kv, rep, momenta_from_vectors(F, xd, kv, kd, x=xv)))
     return out
 
@@ -519,9 +553,9 @@ def test_export_trajectory(tmp_path):
     class Counting:
         dof = DOF5
 
-        def jets(self, t):
+        def lab_state(self, t):
             queries.append(t)
-            return traj.jets(t)
+            return traj.lab_state(t)
 
     export_trajectory(path, trajectory_samples(ROT, Counting(), times))
     # one batched trajectory query for the 5 rows
@@ -734,7 +768,8 @@ def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
     and EL residuals of jets seeded in all 2n chart coordinates to within
     CHART_JET_BOUND u of each row's scale, the largest of its terms in the
     chain from the four scalars (``all_seeded_lagrangian``); a batch gives
-    each state's derivatives and EL report bit for bit."""
+    each state's derivatives (``degeneracy.chart_derivatives``) and EL report
+    bit for bit, and ``hessian``'s matrix is the integrator's H bit for bit."""
     F = ROT if expr == "rotator" else parse_f(expr)
     rng = np.random.default_rng([len(dof), states])
     batch = [random_chart_state(rng) for _ in range(states)]
@@ -761,9 +796,11 @@ def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
                                                             for j in range(n))]))
         one = dynamics._el_report(F, qb, qdb, qdd[:, b], dof)
         assert same_bits(rep.residuals[:, b], one.residuals) and rep.scale[b] == one.scale
-        got = dynamics._chart_derivatives(F, qb, qdb, dof)
-        for whole, single in zip(dynamics._chart_derivatives(F, q, qd, dof), got):
+        got = degeneracy.chart_derivatives(F, qb, qdb, dof)
+        for whole, single in zip(degeneracy.chart_derivatives(F, q, qd, dof), got):
             assert same_bits(whole[..., b], single)
+        # the velocity Hessian of the degeneracy layer is the integrator's H
+        assert same_bits(hessian(F, s, dof).matrix, H)
 
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
