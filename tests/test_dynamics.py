@@ -198,7 +198,8 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
     traj = integrate(fq, st, (0.0, 2.0), dof=dof)
     orders, accels = [], [0]
-    real, real_accel = dynamics.IntegratedTrajectory._vectors, dynamics.IntegratedTrajectory._accel
+    real = dynamics.IntegratedTrajectory._vectors
+    real_accel = dynamics.IntegratedTrajectory._accel
 
     def recorded(*args):
         x, k = real(*args)
@@ -412,13 +413,13 @@ def test_samples_take_the_chart_of_the_integration():
 def test_simulate_export_el_residuals_sit_at_rounding(tmp_path, monkeypatch, expr, seed):
     """The EL residuals that ``simulate --out`` exports are read at the
     integrated chart state itself, so they sit at rounding level at every
-    sampled time; read back through k's angles they reached 383-1088 u at
-    these seeds."""
+    sampled time; read back from x and k through k's angles they would reach
+    383-1088 u at these seeds."""
     exported = []
     monkeypatch.setattr(cli, "export_trajectory", lambda path, s: exported.append(s))
     cli.main(["simulate", "--f", expr, "--periods", "3", "--seed", str(seed),
               "--out", str(tmp_path / "traj.csv")])
-    ((samples,),) = [exported]
+    (samples,) = exported
     assert samples.t.shape == (50,)
     assert np.all(samples.el.max_relative <= 64 * U)
 
