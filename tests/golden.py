@@ -1,0 +1,96 @@
+"""Golden reports: the exact output of a fixed list of ``rotorlab`` commands.
+
+Each command has one file under ``tests/golden/``: a header with the Python,
+numpy and scipy versions it was made under, the command and its exit code,
+and for an ``--out`` command the SHA-256 of the CSV it wrote; then the
+command's stdout and stderr as printed.  ``test_golden.py`` runs every
+command in process and compares its text with the file byte for byte, with
+no tolerance and no excluded line.  A change that moves a report rewrites
+the files, and their diff is its log:
+
+    PYTHONPATH=src python tests/golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import hashlib
+import io
+import platform
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from rotorlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+VERSIONS = f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
+
+# the three phases of the dynamics suite, as ``freemotion --phase`` reads them
+PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
+
+# name: argv; a final "--out" gets a scratch CSV path
+COMMANDS = {
+    **{f"verify-seed-{s}": ["verify", "--suite", "all", "--seed", str(s)] for s in range(8)},
+    **{f"simulate-{name}": ["simulate", "--f", f, "--periods", "3", "--seed", "0", "--out"]
+       for name, f in (("Q", "Q"), ("Q2", "Q^2"), ("sqrtQ-2+Q", "sqrt(Q)*(2+Q)"),
+                       ("point", "point"))},
+    **{f"freemotion-phase-{i}": ["freemotion", "--phase", p, "--seed", "0", "--out"]
+       for i, p in enumerate(PHASES)},
+    **{f"hessian-dof{dof}-{name}": ["hessian", "--f", f, "--dof", str(dof), "--seed", "0"]
+       for dof in (5, 6) for name, f in (("starlike", "starlike"), ("Q+PQ", "Q+P*Q"))},
+    "relation-seed-0": ["relation", "--seed", "0"],
+    "casimir-overflow": ["casimir", "--f", "nu_family", "--nu", "1e200", "--seed", "0"],
+}
+
+
+def path(name: str) -> Path:
+    return GOLDEN / f"{name}.txt"
+
+
+def render(argv) -> str:
+    """The golden text of one command, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "out.csv"
+        full = [*argv, str(csv)] if argv[-1] == "--out" else list(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(full)
+        header = [f"# {VERSIONS}", f"# rotorlab {shlex.join(argv)}", f"# exit {code}"]
+        if csv.exists():
+            header.append(f"# out sha256 {hashlib.sha256(csv.read_bytes()).hexdigest()}")
+    return "\n".join(header) + "\n[stdout]\n" + out.getvalue() + "[stderr]\n" + err.getvalue()
+
+
+def diff(name: str) -> str:
+    """The unified diff from the golden file of ``name`` to its text now, ''
+    if they are the same byte for byte.  A file made under other versions is
+    not compared: AssertionError, with the note to regenerate."""
+    want = path(name).read_text()
+    made = want.split("\n", 1)[0]
+    assert made == f"# {VERSIONS}", (
+        f"{path(name).name} was made under {made[2:]}, this is {VERSIONS}: "
+        "regenerate the golden files with PYTHONPATH=src python tests/golden.py")
+    got = render(COMMANDS[name])
+    if got == want:
+        return ""
+    return "".join(difflib.unified_diff(want.splitlines(True), got.splitlines(True),
+                                        f"golden/{name}.txt", "now"))
+
+
+def write_all() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in set(GOLDEN.glob("*.txt")) - {path(n) for n in COMMANDS}:
+        stale.unlink()
+    for name, argv in COMMANDS.items():
+        path(name).write_text(render(argv))
+
+
+if __name__ == "__main__":
+    write_all()
+    print(f"wrote {len(COMMANDS)} files to {GOLDEN}", file=sys.stderr)
