@@ -13,10 +13,10 @@ amplitude K.  The central check is
 whose kinematical prefactor must come out independent of F.
 
 L reads a chart state only through four scalar products, ``chart_scalars``.
-``chart_scalar_jets`` gives them as second-order jets whose gradients and
-Hessians are written out in closed form, and ``fform.lagrangian_from_scalars``
-carries them to L by one chain step through F's partials at (P, Q), so at
-DOF5 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
+``chart_scalar_jets`` gives them as one stack of values, gradients and
+Hessians written out in closed form, and ``fform.lagrangian_from_scalars``
+carries it to L by one chain step through F's partials at (P, Q), so at DOF5
+no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
 products bring in the amplitude K).  ``chart_derivatives`` is the one place
 they are formed: ``hessian`` reads its velocity block, ``dynamics`` all of it.
 """
@@ -148,8 +148,8 @@ _AT = {w: (_flat(_GRADIENT, w),
 
 
 def chart_scalar_jets(q, qd, dof):
-    """``chart_scalars`` as second-order jets in the variables (q[3:], qd),
-    x1..x3 being cyclic; q and qd are (n,), or (n, B) for a batch.
+    """``chart_scalars`` and their rates in (q[3:], qd), x1..x3 being cyclic,
+    as one ``jets.stack``; q and qd are (n,), or (n, B) for a batch.
 
     The values are ``chart_scalars`` on floats, bit for bit.  The gradients
     and Hessians of the DOF5 scalars are written out in closed form, so no
@@ -193,15 +193,15 @@ def chart_scalar_jets(q, qd, dof):
          -ct * b, st * a, st * sp, -st * cp,
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
     H.reshape((-1,) + shape)[h_at] = h + h + (np.full(shape, -2.0),) * 4
-    xx, w, u, z = map(jets.Jet, base, G, H)
     if len(dof) == 6:
+        xx, w, u, z = map(jets.Jet, base, G, H)
         _, _, K, *_, Kd = jets.variables(*q[3:], *qd)
-        return xx, K * w, Kd * w + K * u, (K * K) * z
-    return xx, w, u, z
+        return jets.stack((xx, K * w, Kd * w + K * u, (K * K) * z))
+    return base, G, H
 
 
 def chart_lagrangian(F: FForm, q, qd, dof):
-    return lagrangian_from_scalars(F, *chart_scalars(q, qd, dof))
+    return lagrangian_from_scalars(F, jets.stack(chart_scalars(q, qd, dof)))
 
 
 def chart_derivatives(F: FForm, q, qd, dof):
@@ -209,7 +209,7 @@ def chart_derivatives(F: FForm, q, qd, dof):
     (q, qd), and a trailing batch axis for a batch of states.  x1..x3 are
     cyclic: the chart jets are in q[3:] and qd, and x1..x3's columns are 0."""
     n = len(dof)
-    L = lagrangian_from_scalars(F, *chart_scalar_jets(q, qd, dof))
+    L = lagrangian_from_scalars(F, chart_scalar_jets(q, qd, dof))
     shape = np.shape(q)[1:]
     dq = np.zeros((n,) + shape)
     dq[3:] = L.g[:n - 3]

@@ -9,9 +9,9 @@ or batch (P, Q), after a builtin's domain predicate; an expression's domain
 is where it is twice differentiable, where that evaluation succeeds.
 ``FForm.in_domain`` masks (P, Q) by the domain.
 The Lagrangian reads the velocities only through four scalar products
-(``scalar_products``), and on jets of those it is differentiated once: F's
-partials at (P, Q), L's partials in the four scalars in closed form, and one
-chain step (``jets.compose``).  It takes batched jets or arrays as well.
+(``scalar_products``), taken as one stack of their values and rates
+(``jets.stack``), and is differentiated once: F's partials at (P, Q), L's
+partials in the four scalars in closed form, and one chain step, batched too.
 
 Builtins cover the point particle, the f(Q) rotator subfamily, the two
 closed-form families satisfying the fixed mass/spin conditions, and the
@@ -365,21 +365,22 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
 
 def lagrangian_from_vectors(F: FForm, xdot, k, kdot):
     """L = -M sqrt(x.x) F(P, Q) from raw (xdot, k, kdot); jet-generic."""
-    return lagrangian_from_scalars(F, *scalar_products(xdot, k, kdot))
+    return lagrangian_from_scalars(F, jets.stack(scalar_products(xdot, k, kdot)))
 
 
-# The rates of the factors of the scalar products u.v = k.x, x.x, kd.x and
+# The rates of the factors of the scalar products u.v = x.x, k.x, kd.x and
 # kd.kd in the eight velocity slots (xdot, kdot), per product and term a:
-# _DV holds dv^a, _DU holds du^a (k is constant, so k.x has no du^a).
+# _DV holds dv^a, _DU du^a of the products _HAS_DU (k is constant: not k.x).
 _RATE_X, _RATE_KD = np.eye(4, 8), np.eye(4, 8, 4)
 _DV = np.array([_RATE_X, _RATE_X, _RATE_X, _RATE_KD])
 _DU = np.array([_RATE_X, _RATE_KD, _RATE_KD])
+_HAS_DU = [0, 2, 3]
 
 
 def velocity_scalars(xdot, k, kdot):
-    """xdot.xdot, k.xdot, kdot.xdot and kdot.kdot as first-order jets in the
-    eight velocities (xdot, kdot), with k held constant; (4, B) arrays give
-    batched jets.
+    """The stack (values, G, None) of xdot.xdot, k.xdot, kdot.xdot and
+    kdot.kdot with their gradients G (4, 8) in the eight velocities
+    (xdot, kdot), k held constant; (4, B) arrays give a batch, G (4, 8, B).
 
     The gradients are seeded in closed form, and bit for bit as jet
     arithmetic on ``variables(*xdot, *kdot, order=1)`` computes them, signed
@@ -388,22 +389,23 @@ def velocity_scalars(xdot, k, kdot):
     The values are the float ``dot``'s products and differences.
     """
     xdot, k, kdot = (np.asarray(v, dtype=float) for v in (xdot, k, kdot))
-    u = np.array([k, xdot, kdot, kdot])
+    u = np.array([xdot, k, kdot, kdot])
     v = np.array([xdot, xdot, xdot, kdot])
     batch = (...,) + (None,) * (u.ndim - 2)  # the selectors take the batch axis
     g = u[:, :, None] * _DV[batch]
-    g[1:] += v[1:, :, None] * _DU[batch]
+    g[_HAS_DU] += v[_HAS_DU, :, None] * _DU[batch]
     # ((t0 - t1) - t2) - t3 over the terms, as dot subtracts them
     f, g = np.subtract.reduce(u * v, axis=1), np.subtract.reduce(g, axis=1)
-    kx, xx, kdx, kdkd = (jets.Jet(f[i], g[i], None) for i in range(4))
-    return xx, kx, kdx, kdkd
+    return (f.tolist() if f.ndim == 1 else f), g, None  # one state: Python floats
 
 
-def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
-    """L = -M sqrt(xx) F(P, Q) from the scalar products xdot.xdot, k.xdot,
-    kdot.xdot and kdot.kdot: floats, batch arrays, or jets.
+def lagrangian_from_scalars(F: FForm, scalars):
+    """L = -M sqrt(xx) F(P, Q) from the stack ``scalars`` of the scalar
+    products (xx, kx, kdx, kdkd) = (xdot.xdot, k.xdot, kdot.xdot, kdot.kdot):
+    their values, floats or batch arrays, and their gradients and Hessians
+    (``jets.stack``); with no gradients, L's value.
 
-    L reads the velocities only through these four scalars, so on jets it is
+    L reads the velocities only through these four scalars, so it is
     differentiated once.  F's value and partials come from ``FForm.eval`` at
     the float (P, Q), the one evaluation of F and of its domain.  With
     c = ell / (kx sqrt(xx)) and e = -ell^2 / kx^2, the partials of P and Q in
@@ -416,16 +418,14 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     P_{kx kdx} = -c / kx, Q_{kx kx} = 6Q / kx^2 and Q_{kx kdkd} = -2e / kx.
     They give L's gradient and Hessian in s entry by entry, and one chain
     step (``jets.compose``) carries those to the scalars' own variables; no
-    jet arithmetic runs through P and Q.  First-order scalars (the momenta)
-    take F's jet to first order and skip L's Hessian.
+    jet arithmetic runs through P and Q.  A stack with no Hessians (the
+    momenta's) takes F's jet to first order and skips L's Hessian.
     """
-    scalars = (xx, kx, kdx, kdkd)
-    inner = [s for s in scalars if isinstance(s, jets.Jet)]
-    xx, kx, _, _ = values = [jets.value(s) for s in scalars] if inner else scalars
+    values, G, H = scalars
+    xx, kx, _, _ = values
     rt, P, Q = pq_from_scalars(*values, F.ell)
-    second = bool(inner) and all(s.h is not None for s in inner)
-    Fv, FP, FQ, FPP, FPQ, FQQ = F.eval(P, Q, order=2 if second else 1)
-    if not inner:
+    Fv, FP, FQ, FPP, FPQ, FQQ = F.eval(P, Q, order=1 if H is None else 2)
+    if G is None:
         return -F.M * rt * Fv
     a = -F.M
     c = F.ell / (kx * rt)
@@ -437,7 +437,7 @@ def lagrangian_from_scalars(F: FForm, xx, kx, kdx, kdkd):
     art, ar1 = a * rt, a * (0.5 / rt)
     d = (art * f0 + ar1 * Fv, art * f1, art * f2, art * f3)
     D = None
-    if second:
+    if H is not None:
         # F's Hessian in s, F_ij = p_i A_j + q_i B_j + F_P P_ij + F_Q Q_ij with
         # A_j = F_PP p_j + F_PQ q_j and B_j = F_PQ p_j + F_QQ q_j; the terms
         # F_P P_ij + F_Q Q_ij are written through the f_i

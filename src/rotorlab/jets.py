@@ -26,9 +26,10 @@ differently from ``math`` (``exp``, ``acos``, ``atan2`` and real powers) are
 evaluated entry by entry through ``math``.  The operands of one operation
 share one batch shape.
 
-``compose`` gives the jet of a function of m jets from the function's first
-and second partials, by one chain step; it is the one multi-input chain step,
-so ``atan2`` hands it its partials in (x, y).
+``compose`` gives the jet of a function of m functions from its first and
+second partials, by one chain step; it is the one multi-input chain step.  It
+reads their gradients and Hessians stacked on a leading axis, as the
+Lagrangian's seeders write them; separate jets, as atan2's, go through ``stack``.
 
 One rule admits a plain operand of ``+ - * /``, either side: an int, a float
 or a numpy scalar enters as its float, and an array as itself, one number
@@ -200,7 +201,7 @@ class Jet:
         if p == int(p) and abs(p) <= 64:
             k = int(p)
             if k == 0:
-                return _zero_rate(self, _full(self.f, 1.0))
+                return constant(_full(self.f, 1.0), self.n, 1 if self.h is None else 2)
             if k < 0:
                 return 1.0 / (self ** (-k))
             out = self
@@ -252,14 +253,6 @@ def constant(v, n, order=2):
     return Jet(v, np.zeros((n,) + shape), np.zeros((n, n) + shape) if order == 2 else None)
 
 
-def _zero_rate(u, v):
-    """A jet of value ``v`` with zero derivatives, of the width and order of
-    the jet ``u``."""
-    shape = np.shape(v)
-    h = None if u.h is None else np.zeros((u.n, u.n) + shape)
-    return Jet(v, np.zeros((u.n,) + shape), h)
-
-
 def _negated(h):
     return None if h is None else -h
 
@@ -296,12 +289,26 @@ def _chain(u, f, f1, f2):
     return Jet(f, f1 * g, h)
 
 
+def stack(items):
+    """The m functions ``items``, jets in the same variables or plain
+    numbers, as one stack ``(f, G, H)``: their values, gradients G (m, n[, B])
+    and Hessians H (m, n, n[, B]); H is None if a jet is first order, G and H
+    if no item is a jet.  A plain number is a constant, whose rates are zero."""
+    rows = [u for u in items if isinstance(u, Jet)]
+    if rows and len(rows) < len(items):
+        zero = constant(rows[0].f, rows[0].n)  # only its rates are read
+        rows = [u if isinstance(u, Jet) else zero for u in items]
+    G = np.array([u.g for u in rows]) if rows else None
+    H = None if not rows or any(u.h is None for u in rows) else np.array([u.h for u in rows])
+    return [value(u) for u in items], G, H
+
+
 def compose(inner, f, d, D):
-    """The jet of a function of the jets ``inner`` = (u_1, ..., u_m), all in
-    the same variables, from its value ``f`` and its first and second
-    partials in the u_i at their values: ``d`` (m entries) and the symmetric
-    ``D`` (m rows of m), each entry a float, or an array of the batch shape
-    for batched jets.
+    """The jet of a function of m functions u_1, ..., u_m of the same
+    variables, from its value ``f`` and its first and second partials in the
+    u_i at their values: ``d`` (m entries) and the symmetric ``D`` (m rows of
+    m), each entry a float, or an array of the batch shape for a batch.
+    ``inner`` is the u_i's stack ``(f, G, H)`` (see ``stack``).
 
     One chain step through the composite (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., SIAM 2008, ch. 13):
@@ -313,28 +320,19 @@ def compose(inner, f, d, D):
     leading axis, which ``np.add.reduce`` adds in index order where a term
     has two or more entries or there are fewer than eight terms (numpy sums
     pairwise only along a contiguous run of eight or more).  The result is
-    first order if any u_i is, and then ``D`` is not read (it may be None).
-    At least one u_i is a jet; a plain-number u_i is a constant, whose rates
-    are zero.
+    first order if H is None, and then ``D`` is not read (it may be None).
     """
-    if not all(isinstance(u, Jet) for u in inner):
-        like = next(u for u in inner if isinstance(u, Jet))
-        zero = _zero_rate(like, like.f)  # only its rates are read
-        inner = [u if isinstance(u, Jet) else zero for u in inner]
-    G = [u.g for u in inner]
-    if any(u.h is None for u in inner):
-        g = d[0] * G[0]
-        for i in range(1, len(G)):
-            g += d[i] * G[i]
-        return Jet(f, g, None)
-    G = np.array(G)
-    # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i, D_i1, ..., D_im)
-    W = np.array([(di, *Di) for di, Di in zip(d, D)])
-    gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0)
+    _, G, H = inner
+    # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i[, D_i1, ..., D_im])
+    W = np.array(list(zip(d)) if H is None else [(di, *Di) for di, Di in zip(d, D)])
+    # a first-order sum keeps a zero's sign that every term has, as a sum of
+    # jets does; numpy's reduce starts from +0.0, as the Hessians' sums did
+    gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0, initial=-0.0 if H is None else 0.0)
+    if H is None:
+        return Jet(f, gt[0], None)
     # sum_i d_i h_i + sum_ij D_ij g_i g_j^T = sum_i (g_i t_i^T + d_i h_i)
     T = G[:, :, None] * gt[1:, None]
-    for di, u, Ti in zip(d, inner, T):
-        Ti += di * u.h
+    T += W[:, 0, None, None] * H
     h = np.add.reduce(T, axis=0)
     # made symmetric bit for bit, halved first so that it overflows only where h does
     h *= 0.5
@@ -401,4 +399,4 @@ def atan2(y, x):
     d2 = power(d, 2)
     fxx = 2.0 * xf * yf / d2
     fxy = (yf * yf - xf * xf) / d2
-    return compose((x, y), _atan2(yf, xf), (-yf / d, xf / d), ((fxx, fxy), (fxy, -fxx)))
+    return compose(stack((x, y)), _atan2(yf, xf), (-yf / d, xf / d), ((fxx, fxy), (fxy, -fxx)))

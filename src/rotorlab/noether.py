@@ -4,10 +4,10 @@ Momenta are velocity-gradients of the Lagrange density computed by
 forward-mode differentiation, with the overall sign fixed so the point
 particle at rest has positive energy.  L reads the velocities (xdot, kdot)
 only through the four scalar products xdot.xdot, k.xdot, kdot.xdot and
-kdot.kdot, so those are seeded in closed form as first-order jets in the
-eight velocities (``fform.velocity_scalars``), bit for bit the jets that
-seeding the velocities and taking the products by jet arithmetic gives; a
-kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
+kdot.kdot, so those are seeded in closed form as one stack of values and
+gradients in the eight velocities (``fform.velocity_scalars``), bit for bit
+what seeding the velocities and taking the products by jet arithmetic gives;
+a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  The closed-form expressions
@@ -79,7 +79,7 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
         x = np.zeros(k_v.shape)
     if scalars is None:
         scalars = velocity_scalars(xdot_v, k_v, kdot_v)
-    L = lagrangian_from_scalars(F, *scalars)
+    L = lagrangian_from_scalars(F, scalars)
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index: raised, and negated
     P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
     # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out

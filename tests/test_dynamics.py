@@ -806,11 +806,11 @@ def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
 def test_chart_scalar_jets_match_jet_arithmetic(dof):
-    """``chart_scalar_jets`` has the values of ``chart_scalars`` on floats bit
-    for bit, and the gradients and Hessians of ``chart_scalars`` on jets
-    seeded in q[3:] and qd to within 8 u of each scalar's largest rate (the
-    worst over seeds 0-63 of such draws was 3.0 u); a batch gives each
-    state's jets bit for bit.  At DOF6, the entries in K (slot 2) and Kdot
+    """``chart_scalar_jets``' stack has the values of ``chart_scalars`` on
+    floats bit for bit, and the gradients and Hessians of ``chart_scalars`` on
+    jets seeded in q[3:] and qd to within 8 u of each scalar's largest rate
+    (the worst over seeds 0-63 of such draws was 3.0 u); a batch gives each
+    state's stack bit for bit.  At DOF6, the entries in K (slot 2) and Kdot
     (slot 8) are exact floats of the DOF5 scalars (xx, w, u, z), and at K = 1,
     Kdot = 0 the DOF5 slots hold the values of the DOF5 jets."""
     rng = np.random.default_rng([7, len(dof)])
@@ -819,29 +819,30 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
     n = len(dof)
     vs = jets.variables(*q[3:], *qd)
     want = chart_scalars([*q[:3], *vs[:n - 3]], vs[n - 3:], dof)
-    got = chart_scalar_jets(q, qd, dof)
-    for g, w, f in zip(got, want, chart_scalars(q, qd, dof), strict=True):
-        assert same_bits(g.f, f)
+    values, G, H = chart_scalar_jets(q, qd, dof)
+    assert G.shape == (4, 2 * n - 3, 64) and H.shape == (4, 2 * n - 3, 2 * n - 3, 64)
+    for f, g, h, w, exact in zip(values, G, H, want, chart_scalars(q, qd, dof), strict=True):
+        assert same_bits(f, exact)
         scale = np.maximum(np.max(np.abs(w.g), axis=0), np.max(np.abs(w.h), axis=(0, 1)))
-        assert np.all(np.abs(g.g - w.g) <= 8 * U * scale)
-        assert np.all(np.abs(g.h - w.h) <= 8 * U * scale)
+        assert np.all(np.abs(g - w.g) <= 8 * U * scale)
+        assert np.all(np.abs(h - w.h) <= 8 * U * scale)
     for b in (0, 17, 63):
-        for whole, single in zip(got, chart_scalar_jets(*batch[b].coords(dof), dof)):
-            assert whole.f[b] == single.f
-            assert same_bits(whole.g[..., b], single.g) and same_bits(whole.h[..., b], single.h)
+        single = chart_scalar_jets(*batch[b].coords(dof), dof)
+        assert [v[b] for v in values] == list(single[0])
+        assert same_bits(G[..., b], single[1]) and same_bits(H[..., b], single[2])
     if dof == DOF5:
         return
     _, w, u, z = chart_scalars(q, qd, DOF5)
     K = q[5]
-    for entry, exact in ((got[1].g[2], w), (got[2].g[2], u), (got[2].g[8], w),
-                         (got[3].g[2], 2.0 * K * z), (got[3].h[2, 2], 2.0 * z)):
+    for entry, exact in ((G[1, 2], w), (G[2, 2], u), (G[2, 8], w),
+                         (G[3, 2], 2.0 * K * z), (H[3, 2, 2], 2.0 * z)):
         assert np.array_equal(entry, exact)
     unit = [replace(s, K=1.0, Kdot=0.0) for s in batch]
     slots = [0, 1, 3, 4, 5, 6, 7]  # the DOF5 variables among DOF6's nine
-    for six, five in zip(chart_scalar_jets(*stack_states(unit).coords(DOF6), DOF6),
-                         chart_scalar_jets(*stack_states(unit).coords(DOF5), DOF5)):
-        assert np.array_equal(six.f, five.f) and np.array_equal(six.g[slots], five.g)
-        assert np.array_equal(six.h[np.ix_(slots, slots)], five.h)
+    six = chart_scalar_jets(*stack_states(unit).coords(DOF6), DOF6)
+    five = chart_scalar_jets(*stack_states(unit).coords(DOF5), DOF5)
+    assert np.array_equal(six[0], five[0]) and np.array_equal(six[1][:, slots], five[1])
+    assert np.array_equal(six[2][:, slots][:, :, slots], five[2])
 
 
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])

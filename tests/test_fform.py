@@ -294,9 +294,16 @@ def reference_lagrangian(F, xx, kx, kdx, kdkd):
     return -F.M * jets.sqrt(xx) * F.func(P, Q)
 
 
-def _entry(u, b):
-    """Batch entry b of the jet u."""
-    return jets.Jet(u.f[b], u.g[..., b], None if u.h is None else u.h[..., b])
+def _entry(stack, b):
+    """Batch entry b of the stack (values, G, H)."""
+    values, G, H = stack
+    return [v[b] for v in values], G[..., b], None if H is None else H[..., b]
+
+
+def _jets(stack):
+    """The stack (values, G, H) as four jets."""
+    values, G, H = stack
+    return [jets.Jet(*s) for s in zip(values, G, [None] * 4 if H is None else H)]
 
 
 def _within(got, want, scale):
@@ -319,26 +326,24 @@ def test_lagrangian_chain_step_matches_jet_arithmetic(name, dof, order):
     F = CHAIN_FORMS[name]
     rng = np.random.default_rng([len(dof), order])
     q, qd = stack_states([random_chart_state(rng) for _ in range(16)]).coords(dof)
-    scalars = chart_scalar_jets(q, qd, dof)
+    values, G, H = scalars = chart_scalar_jets(q, qd, dof)
     if order == 1:
-        scalars = [jets.Jet(s.f, s.g, None) for s in scalars]
-    got = lagrangian_from_scalars(F, *scalars)
-    want = reference_lagrangian(F, *scalars)
-    values = np.array([s.f for s in scalars])
+        scalars = values, G, None
+    got = lagrangian_from_scalars(F, scalars)
+    want = reference_lagrangian(F, *_jets(scalars))
+    values = np.array(values)
     ds = reference_lagrangian(F, *jets.variables(*values))
-    G = np.array([s.g for s in scalars])
     assert _within(got.f, want.f, np.max(np.abs([want.f, *(ds.g[2:] * values[2:])]), axis=0))
     assert _within(got.g, want.g, np.max(np.abs(ds.g[:, None] * G), axis=(0, 1)))
     if order == 1:
         assert got.h is None
     else:
-        H = np.array([s.h for s in scalars])
         first = np.abs(ds.g[:, None, None] * H).max(axis=(0, 2))
         second = np.abs(ds.h[:, :, None, None] * G[:, None, :, None]
                         * G[None, :, None, :]).max(axis=(0, 1, 3))
         assert _within(got.h, want.h, np.maximum(first, second)[:, None])
     for b in (0, 9, 15):
-        one = lagrangian_from_scalars(F, *(_entry(s, b) for s in scalars))
+        one = lagrangian_from_scalars(F, _entry(scalars, b))
         assert one.f == got.f[b] and np.array_equal(one.g, got.g[..., b])
         assert (one.h is None) if order == 1 else np.array_equal(one.h, got.h[..., b])
 
@@ -347,8 +352,8 @@ def test_lagrangian_chain_step_takes_constant_scalars():
     """A plain-number scalar among jets is a constant, as in jet arithmetic."""
     F = CHAIN_FORMS["1+Q+P^2"]
     q, qd = random_chart_state(np.random.default_rng(5)).coords(DOF5)
-    xx, kx, kdx, kdkd = chart_scalar_jets(q, qd, DOF5)
-    got = lagrangian_from_scalars(F, xx, kx, kdx.f, kdkd)
+    xx, kx, kdx, kdkd = _jets(chart_scalar_jets(q, qd, DOF5))
+    got = lagrangian_from_scalars(F, jets.stack((xx, kx, kdx.f, kdkd)))
     want = reference_lagrangian(F, xx, kx, kdx.f, kdkd)
     scale = max(abs(want.f), np.max(np.abs(want.g)), np.max(np.abs(want.h)))
     assert np.allclose(got.g, want.g, rtol=0.0, atol=CHAIN_BOUND * U * scale)

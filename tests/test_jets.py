@@ -419,7 +419,7 @@ def test_compose_is_the_chain_rule(order, batch):
     u, v, w = x[0] * x[1] + x[2], jets.sin(x[0]) * x[2], x[1] * x[1] - x[0]
     want = u * v + jets.sin(w)
     sw, cw, z = jets.sin(w.f), jets.cos(w.f), 0.0 * u.f
-    got = jets.compose([u, v, w], u.f * v.f + sw, (v.f, u.f, cw),
+    got = jets.compose(jets.stack([u, v, w]), u.f * v.f + sw, (v.f, u.f, cw),
                        ((z, 1.0 + z, z), (1.0 + z, z, z), (z, z, -sw)))
     assert np.allclose(got.g, want.g, rtol=0.0, atol=1e-14)
     if order == 1:
@@ -429,7 +429,8 @@ def test_compose_is_the_chain_rule(order, batch):
         assert np.array_equal(got.h, got.h.swapaxes(0, 1))
     if batch is not None:
         one = jets.compose(
-            [jets.Jet(a.f[2], a.g[..., 2], None if a.h is None else a.h[..., 2]) for a in (u, v, w)],
+            jets.stack([jets.Jet(a.f[2], a.g[..., 2], None if a.h is None else a.h[..., 2])
+                        for a in (u, v, w)]),
             got.f[2], (v.f[2], u.f[2], cw[2]),
             ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, -sw[2])))
         assert np.array_equal(one.g, got.g[..., 2])
@@ -469,7 +470,36 @@ def test_compose_sums_in_index_order(n, batch):
         d = [draw()[()] if batch is None else draw() for _ in range(4)]
         D = [[draw()[()] if batch is None else draw() for _ in range(4)] for _ in range(4)]
         g, h = _compose_loop(inner, 1.0, d, D)
-        got = jets.compose(inner, 1.0, d, D)
+        got = jets.compose(jets.stack(inner), 1.0, d, D)
         assert np.array_equal(got.g, g) and np.array_equal(got.h, h)
-        first = jets.compose([jets.Jet(u.f, u.g, None) for u in inner], 1.0, d, None)
+        first = jets.compose(jets.stack([jets.Jet(u.f, u.g, None) for u in inner]), 1.0, d, None)
         assert np.array_equal(first.g, g) and first.h is None
+
+
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_stack_takes_plain_numbers_and_mixed_orders(batch):
+    """``stack`` turns separate jets into ``compose``'s stack: a plain number
+    among jets is a constant, bit for bit a zero-rate jet, and a first-order
+    jet among second-order ones makes the stack, and so the result, first
+    order.  A batched plain-number partial next to a batch of one composes
+    too, and a first-order sum keeps the sign of a zero that every term has,
+    as jet arithmetic does."""
+    rng = np.random.default_rng([3, batch or 0])
+    shape = (2,) if batch is None else (2, batch)
+    x, y = jets.variables(*rng.uniform(0.5, 1.5, shape))
+    u, v = x * y, jets.sin(x)
+    c = 0.75 if batch is None else np.full(batch, 0.75)
+    d = [rng.uniform(-1.0, 1.0, shape[1:])[()] for _ in range(3)]
+    D = [[1.0 + 0.0 * d[0]] * 3 for _ in range(3)]
+    got = jets.compose(jets.stack([u, c, v]), 1.0, d, D)
+    want = jets.compose(jets.stack([u, jets.constant(c, 2), v]), 1.0, d, D)
+    assert np.array_equal(got.g, want.g) and np.array_equal(got.h, want.h)
+    assert jets.stack([u, c, v])[0][1] is c and jets.stack([c, c])[1:] == (None, None)
+    first = jets.stack([u, jets.Jet(v.f, v.g, None), 0.75])
+    assert first[2] is None and jets.compose(first, 1.0, d, None).h is None
+    if batch is not None:  # atan2 of a plain y: its partials are batch arrays
+        assert_entries(jets.atan2(-0.5, u), [
+            jets.atan2(-0.5, jets.Jet(u.f[b], u.g[..., b], u.h[..., b])) for b in range(batch)])
+    zeros = jets.Jet(u.f, np.full(u.g.shape, -0.0), None)
+    assert np.signbit(jets.compose(jets.stack([zeros, zeros]), 1.0,
+                                   [abs(e) for e in d[:2]], None).g).all()
