@@ -575,10 +575,11 @@ def main(argv=None) -> int:
                 fh.write(doc)
     except (DomainError, ParseError, SingularHessianError, ValueError, OSError,
             ArithmeticError, MemoryError) as exc:
-        # an ArithmeticError is a float division by zero or a ** overflow: an
-        # input whose scales leave the floating-point range at some step; a
-        # MemoryError an input whose size cannot be allocated
-        print(f"error: {exc}", file=sys.stderr)
+        # an ArithmeticError (a float division by zero or a ** overflow, whose
+        # message may follow an errno) is an input whose scales leave the float
+        # range at some step; a MemoryError one whose size cannot be allocated
+        print(f"error: {exc.args[-1] if isinstance(exc, ArithmeticError) else exc}",
+              file=sys.stderr)
         return 2
     sys.stdout.write(doc)
     return 0 if all_pass(reports) else 1

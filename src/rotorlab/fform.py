@@ -229,11 +229,11 @@ def _parse(text: str, names):
 
 def _evaluate(tree, env):
     """``_eval_node``, with overflow, a zero divisor inside the jets, or a tree
-    too deep to recurse through reported as a DomainError."""
+    too deep to recurse through reported as a DomainError (by its message)."""
     try:
         return _eval_node(tree, env)
     except (ArithmeticError, RecursionError) as exc:
-        raise DomainError(f"{type(exc).__name__}: {exc}") from exc
+        raise DomainError(f"{type(exc).__name__}: {exc.args[-1]}") from exc
 
 
 def _eval_node(node, env):

@@ -760,6 +760,21 @@ def test_bad_input_exits_2(capsys, argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--f", "nu_family", "--nu", "1e200"]
+      for cmd in ("casimir", "hessian", "fundamental-check", "simulate")),
+    ["relation", "--forms", "nu_family", "Q", "--nu", "1e200"],
+    ["casimir", "--f", "Q^400", "--Q", "1e10"],
+], ids=["casimir", "hessian", "fundamental-check", "simulate", "relation", "casimir-Q^400"])
+def test_an_overflow_exits_2_with_its_message_in_words(capsys, argv):
+    """An OverflowError of a float power holds (errno, message): the report
+    prints the message, not the tuple."""
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith("Numerical result out of range\n")
+    assert "(34," not in err
+
+
 def _expressions_over(*names):
     leaves = st.sampled_from([*names, "0", "1", "2.5", "-1", "6", "1e308", "1e-320", "2398"])
     return st.recursive(leaves, lambda sub: st.one_of(
