@@ -229,7 +229,7 @@ def _parse(text: str, names):
 
 def _evaluate(tree, env):
     """``_eval_node``, with overflow, a zero divisor inside the jets, or a tree
-    too deep to recurse through reported as a DomainError (by its message)."""
+    too deep to recurse through reported as a DomainError: its type, message."""
     try:
         return _eval_node(tree, env)
     except (ArithmeticError, RecursionError) as exc:

@@ -292,8 +292,8 @@ def _chain(u, f, f1, f2):
 def stack(items):
     """The m functions ``items``, jets in the same variables or plain
     numbers, as one stack ``(f, G, H)``: their values, gradients G (m, n[, B])
-    and Hessians H (m, n, n[, B]); H is None if a jet is first order, G and H
-    if no item is a jet.  A plain number is a constant, whose rates are zero."""
+    and Hessians H (m, n, n[, B]); H is None if a jet is first order, both are
+    None if no item is a jet.  A plain number is a constant: its rates are 0."""
     rows = [u for u in items if isinstance(u, Jet)]
     if rows and len(rows) < len(items):
         zero = constant(rows[0].f, rows[0].n)  # only its rates are read
@@ -325,8 +325,8 @@ def compose(inner, f, d, D):
     _, G, H = inner
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i[, D_i1, ..., D_im])
     W = np.array(list(zip(d)) if H is None else [(di, *Di) for di, Di in zip(d, D)])
-    # a first-order sum keeps a zero's sign that every term has, as a sum of
-    # jets does; numpy's reduce starts from +0.0, as the Hessians' sums did
+    # at first order a sum of -0.0 terms stays -0.0, as a sum of jets does;
+    # numpy's reduce starts from +0.0, as the second-order sums always have
     gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0, initial=-0.0 if H is None else 0.0)
     if H is None:
         return Jet(f, gt[0], None)
