@@ -36,7 +36,7 @@ PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
 
 # name: argv; a final "--out" gets a scratch CSV path
 COMMANDS = {
-    **{f"verify-seed-{s}": ["verify", "--suite", "all", "--seed", str(s)] for s in range(8)},
+    **{f"verify-seed-{s}": ["verify", "--suite", "all", "--seed", str(s)] for s in range(16)},
     **{f"simulate-{name}": ["simulate", "--f", f, "--periods", "3", "--seed", "0", "--out"]
        for name, f in (("Q", "Q"), ("Q2", "Q^2"), ("sqrtQ-2+Q", "sqrt(Q)*(2+Q)"),
                        ("point", "point"))},
