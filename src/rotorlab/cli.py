@@ -134,7 +134,7 @@ def domain_grid(F: FForm, n: int):
 def fundamental_residual(F: FForm, P, Q) -> float:
     """Worst relative miss of the fixed PP and WW over (P, Q) arrays, which
     must lie inside the domain of F."""
-    v = F.eval(P, Q)
+    v = F.eval(P, Q, order=1)
     PP, WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
     pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
     return _worst([np.abs(PP / pp_target - 1.0), np.abs(WW / ww_target - 1.0)])

@@ -4,7 +4,8 @@ Conventions fixed here and used everywhere else: metric diag(1, -1, -1, -1)
 and Levi-Civita orientation eps^{0123} = +1.  Vectors are length-4 sequences;
 a batch of B vectors is a (4, B) array, the batch axis last.  ``dot`` accepts
 plain floats, :class:`rotorlab.jets.Jet` entries or (B,) float arrays alike;
-``lower``, ``epsilon_contract`` and ``bivector`` take float arrays only.
+``epsilon_contract``, which reads the metric's signs from its sign table,
+and ``bivector`` take float arrays only.
 """
 
 from __future__ import annotations
@@ -41,26 +42,20 @@ def dot(u, v):
     return u[0] * v[0] - u[1] * v[1] - u[2] * v[2] - u[3] * v[3]
 
 
-def lower(u):
-    """Lower the index of a float (4,) or (4, B) array: (u0, -u1, -u2, -u3)."""
-    u = np.asarray(u, dtype=float)
-    return u * SIGNATURE.reshape((4,) + (1,) * (u.ndim - 1))
-
-
 # column mu: the (nu, alpha, beta) of the six terms of v^mu in lexicographic order,
-# and their signs, (-1)^mu times that of (nu, alpha, beta) among the other three
+# and their signs: (-1)^mu times that of (nu, alpha, beta) among the other three,
+# times the metric's signs of nu, alpha and beta, which lower those indices
 _EPS = np.array(list(itertools.permutations(range(4))))[:, 1:].reshape(4, 6, 3).T
-_EPS_SIGN = np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
+_EPS_SIGN = (np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
+             * SIGNATURE[_EPS[0]] * SIGNATURE[_EPS[1]] * SIGNATURE[_EPS[2]])
 
 
 def epsilon_contract(n, w, p):
-    """v^mu = eps^{mu nu alpha beta} n_nu w_alpha p_beta, indices lowered by the
-    metric, for float (4,) or (4, B) arrays: per v^mu, 0.0 plus its six terms
-    sign n_nu w_alpha p_beta, each multiplied left to right."""
-    nl, wl, pl = lower(n), lower(w), lower(p)
-    sign = _EPS_SIGN.reshape((6, 4) + (1,) * (nl.ndim - 1))
-    t = sign * nl[_EPS[0]] * wl[_EPS[1]] * pl[_EPS[2]]
-    return 0.0 + t[0] + t[1] + t[2] + t[3] + t[4] + t[5]
+    """v^mu = eps^{mu nu alpha beta} n_nu w_alpha p_beta for float (4,) or (4, B)
+    arrays: per v^mu, one reduce from 0.0 over its six terms sign n w p in index
+    order, each multiplied left to right; a sign of +-1 lowers exactly."""
+    sign = _EPS_SIGN.reshape((6, 4) + (1,) * (n.ndim - 1))
+    return np.add.reduce(sign * n[_EPS[0]] * w[_EPS[1]] * p[_EPS[2]], axis=0, initial=0.0)
 
 
 def _rotation_matrix(axis_angle):

@@ -10,14 +10,15 @@ what seeding the velocities and taking the products by jet arithmetic gives;
 a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
-gradient times a sign vector.  The closed-form expressions
+gradient times a sign vector.  W = -eps(k, pi, P) needs no angular momentum
+M, which is formed only when read.  The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2
 
 serve as the analytic side of the dual check against the Noether route:
 at one (P, Q) (``casimirs_closed_form``), or over a batch of (P, Q) with NaN
-outside F's domain (``casimirs_where_defined``).
+outside F's domain (``casimirs_where_defined``, from F's first-order jets).
 """
 
 from __future__ import annotations
@@ -50,13 +51,19 @@ class CasimirPair:
 
 @dataclass(frozen=True)
 class MomentumSet:
-    """Noether charges at one instant, or at a batch of B instants: then each
-    array has a trailing batch axis, (4, B) and (4, 4, B)."""
+    """Noether charges at one instant, or at a batch of B instants (each array
+    with a trailing batch axis); no check reads M, so it is formed when read."""
 
     P: np.ndarray
     pi: np.ndarray
-    M: np.ndarray  # angular momentum bivector M^{mu nu}
     W: np.ndarray  # Pauli-Lubanski vector
+    k: np.ndarray
+    x: np.ndarray | None = None  # M's worldline point; None is the origin
+
+    @property
+    def M(self) -> np.ndarray:  # angular momentum bivector M^{mu nu}
+        x = np.zeros(self.k.shape) if self.x is None else self.x
+        return bivector(x, self.P, self.k, self.pi)
 
     def casimirs(self) -> CasimirPair:
         """PP and WW: floats at one instant, (B,) arrays for a batch, each
@@ -71,12 +78,10 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
     P and pi are the gradients of L in xdot and kdot, through the four scalar
     products seeded in closed form (``fform.velocity_scalars``), or given as
     ``scalars`` by a caller that holds them.  ``x`` defaults to the origin; it
-    shifts the angular momentum by an orbital piece but leaves W unchanged.
-    (4, B) arrays give the batched charges of B instants in one pass.
+    moves only M, by an orbital piece, formed when read.  (4, B) arrays give
+    the batched charges of B instants in one pass.
     """
     k_v = np.asarray(k_v, dtype=float)
-    if x is None:
-        x = np.zeros(k_v.shape)
     if scalars is None:
         scalars = velocity_scalars(xdot_v, k_v, kdot_v)
     L = lagrangian_from_scalars(F, scalars)
@@ -84,7 +89,7 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
     P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
     # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out
     W = -epsilon_contract(k_v, pi, P)
-    return MomentumSet(P=P, pi=pi, M=bivector(x, P, k_v, pi), W=W)
+    return MomentumSet(P=P, pi=pi, W=W, k=k_v, x=x)
 
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
@@ -121,7 +126,7 @@ def casimirs_where_defined(F: FForm, P, Q):
     PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
     if inside.any():
         P, Q = P[inside], Q[inside]
-        v = F.eval(P, Q)
+        v = F.eval(P, Q, order=1)
         PP[inside], WW[inside] = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
     return inside, PP, WW
 

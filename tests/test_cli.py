@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, dynamics, invariants, noether
+from rotorlab import cli, dynamics, invariants, minkowski, noether
 from rotorlab.cli import main
 from rotorlab.fform import FForm, builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
@@ -303,6 +303,27 @@ def test_casimir_suite_seeds_each_jets_velocity_scalars_once(capsys, monkeypatch
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
     assert code == 0
     assert seeded == [(4,)] * cli.CASIMIR_JETS
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_casimir_suite_forms_no_angular_momentum(capsys, monkeypatch, seed):
+    # no check reads M, so the suite forms no bivector: its one epsilon
+    # contraction per momenta call is W's; counted wherever src binds the names
+    counts = dict.fromkeys(("bivector", "epsilon_contract"), 0)
+    for name in counts:
+        original = getattr(minkowski, name)
+
+        def counting(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("rotorlab")
+                    and getattr(module, name, None) is original):
+                monkeypatch.setattr(module, name, counting)
+    code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
+    assert code == 0
+    assert counts == {"bivector": 0, "epsilon_contract": CASIMIR_MOMENTA_CALLS[seed]}
 
 
 def _noether_residuals_per_pair(forms, samples):

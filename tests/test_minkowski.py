@@ -12,7 +12,6 @@ from rotorlab.minkowski import (
     four,
     gram_det,
     lorentz_matrix,
-    lower,
 )
 
 
@@ -20,11 +19,10 @@ def test_metric_signature():
     assert np.array_equal(np.diag(METRIC), [1.0, -1.0, -1.0, -1.0])
 
 
-def test_dot_and_lower():
+def test_dot():
     u = four(1.0, 2.0, 3.0, 4.0)
     v = four(5.0, 6.0, 7.0, 8.0)
     assert dot(u, v) == 5.0 - 12.0 - 21.0 - 32.0
-    assert np.array_equal(lower(u), [1.0, -2.0, -3.0, -4.0])
 
 
 def test_epsilon_contract_spin_axis_example():

@@ -6,19 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorlab import cli, jets
+from rotorlab.dynamics import _joined
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_scalars, pq_from_vectors, scalar_products,
                             velocity_scalars)
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
-from rotorlab.minkowski import (DomainError, bivector, dot, epsilon_contract, lorentz_matrix,
-                                lower)
+from rotorlab.minkowski import (SIGNATURE, DomainError, bivector, dot, epsilon_contract,
+                                lorentz_matrix)
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
     MomentumSet,
     casimirs_closed_form,
+    casimirs_from_partials,
     casimirs_special_S,
     casimirs_where_defined,
+    fundamental_casimirs,
     momenta,
     momenta_from_vectors,
 )
@@ -123,9 +126,9 @@ def _momenta_by_jet_arithmetic(F, xdot, k, kdot):
     four scalar products taken by jet arithmetic."""
     vs = jets.variables(*xdot, *kdot, order=1)
     L = lagrangian_from_vectors(F, vs[:4], k, vs[4:])
-    P, pi = -lower(L.g[:4]), -lower(L.g[4:])
-    return MomentumSet(P=P, pi=pi, M=bivector(np.zeros(k.shape), P, k, pi),
-                       W=-epsilon_contract(k, pi, P))
+    sign = SIGNATURE.reshape((4,) + (1,) * (k.ndim - 1))
+    P, pi = -(L.g[:4] * sign), -(L.g[4:] * sign)
+    return MomentumSet(P=P, pi=pi, W=-epsilon_contract(k, pi, P), k=k)
 
 
 def _outcome(fn, F, xdot, k, kdot):
@@ -205,7 +208,7 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
                 got = momenta(F, J)
                 _assert_same_bits(got, momenta_from_vectors(F, J.xdot, J.k, J.kdot))
                 _assert_same_bits(got, MomentumSet(batch.P[:, b], batch.pi[:, b],
-                                                   batch.M[:, :, b], batch.W[:, b]))
+                                                   batch.W[:, b], batch.k[:, b]))
                 pairs += 1
     assert pairs >= 8 * 250
 
@@ -225,6 +228,72 @@ def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
     assert H is None and want_H is None
     for a, b in ((values, want_values), (G, want_G)):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_same_array(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
+    """``MomentumSet.M``, formed when read, is bit for bit, signed zeros
+    included, ``bivector`` of its P and pi about x: at the origin (x None), at
+    a given x, for each entry of a batch, and for a joined batch."""
+    J = rotator_jet  # exact zeros in xdot, k and kdot
+    rng = np.random.default_rng(3)
+    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    X = np.where(rng.random(S.k.shape) < 0.3, -0.0, rng.normal(size=S.k.shape))
+    x0 = np.array([-0.0, 1.5, 0.0, -2.0])
+    checked = 0
+    for F in _casimir_forms():
+        at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
+        if F.in_domain(at.P, at.Q):
+            for x in (None, x0):
+                ms = momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
+                origin = np.zeros(4) if x is None else x
+                _assert_same_array(ms.M, bivector(origin, ms.P, J.k, ms.pi))
+                checked += 1
+        _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
+        inside = np.flatnonzero(F.in_domain(P, Q))
+        xdot, k, kdot = S.xdot[:, inside], S.k[:, inside], S.kdot[:, inside]
+        for x in (None, X[:, inside]):
+            batch = momenta_from_vectors(F, xdot, k, kdot, x=x)
+            for b in range(inside.size):
+                origin = np.zeros(4) if x is None else x[:, b]
+                _assert_same_array(batch.M[:, :, b],
+                                   bivector(origin, batch.P[:, b], k[:, b], batch.pi[:, b]))
+                checked += 1
+            half = inside.size // 2
+            parts = [momenta_from_vectors(F, xdot[:, s], k[:, s], kdot[:, s],
+                                          x=None if x is None else x[:, s])
+                     for s in (slice(None, half), slice(half, None))]
+            _assert_same_array(_joined(parts).M, batch.M)
+    assert checked >= 2 * 250
+
+
+def test_closed_forms_at_first_order_are_those_at_second_order():
+    """``casimirs_where_defined`` and ``cli.fundamental_residual`` read F,
+    F_P and F_Q from F's first-order jets: PP, WW and the residual are those
+    of the second-order evaluation bit for bit, over the casimir suite's
+    twelve forms on its jet batch at seed 0 and on the 12 x 12 domain grid."""
+    rng = np.random.default_rng(0)
+    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    points = 0
+    for F in _casimir_forms():
+        pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
+        _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
+        for P, Q in ((P, Q), cli.domain_grid(F, 12)):
+            inside, PP, WW = casimirs_where_defined(F, P, Q)
+            P, Q = P[inside], Q[inside]
+            v = F.eval(P, Q)
+            assert v.F_PP is not None and F.eval(P, Q, order=1).F_PP is None
+            want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
+            _assert_same_array(PP[inside], want_PP)
+            _assert_same_array(WW[inside], want_WW)
+            want = cli._worst([np.abs(want_PP / pp_target - 1.0),
+                               np.abs(want_WW / ww_target - 1.0)])
+            assert cli.fundamental_residual(F, P, Q) == want
+            points += P.size
+    assert points >= 1000
 
 
 def test_static_point_particle_has_rest_momentum():
