@@ -52,8 +52,8 @@ _EPS_SIGN = (np.outer([1.0, -1.0, -1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, -1.0])
 
 def epsilon_contract(n, w, p):
     """v^mu = eps^{mu nu alpha beta} n_nu w_alpha p_beta for float (4,) or (4, B)
-    arrays: per v^mu, one reduce from 0.0 over its six terms sign n w p in index
-    order, each multiplied left to right; a sign of +-1 lowers exactly."""
+    arrays: per v^mu, one reduce from 0.0 over its six terms in index order, each
+    sign n^nu w^alpha p^beta left to right, its sign lowering the indices exactly."""
     sign = _EPS_SIGN.reshape((6, 4) + (1,) * (n.ndim - 1))
     return np.add.reduce(sign * n[_EPS[0]] * w[_EPS[1]] * p[_EPS[2]], axis=0, initial=0.0)
 

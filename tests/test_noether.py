@@ -139,13 +139,16 @@ def _outcome(fn, F, xdot, k, kdot):
         return str(exc)
 
 
+def _assert_same_array(a, b, what=""):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), what
+
+
 def _assert_same_bits(got, want):
     if isinstance(want, str):
         assert got == want
         return
     for name in ("P", "pi", "M", "W"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+        _assert_same_array(getattr(got, name), getattr(want, name), name)
 
 
 def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
@@ -230,10 +233,6 @@ def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _assert_same_array(a, b):
-    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
     """``MomentumSet.M``, formed when read, is bit for bit, signed zeros
     included, ``bivector`` of its P and pi about x: at the origin (x None), at
@@ -285,7 +284,6 @@ def test_closed_forms_at_first_order_are_those_at_second_order():
             inside, PP, WW = casimirs_where_defined(F, P, Q)
             P, Q = P[inside], Q[inside]
             v = F.eval(P, Q)
-            assert v.F_PP is not None and F.eval(P, Q, order=1).F_PP is None
             want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
             _assert_same_array(PP[inside], want_PP)
             _assert_same_array(WW[inside], want_WW)
