@@ -46,6 +46,23 @@ COMMANDS = {
        for dof in (5, 6) for name, f in (("starlike", "starlike"), ("Q+PQ", "Q+P*Q"))},
     "relation-seed-0": ["relation", "--seed", "0"],
     "casimir-overflow": ["casimir", "--f", "nu_family", "--nu", "1e200", "--seed", "0"],
+    # one exit-2 run per family of error message; the integrator's step collapse and
+    # spent budget (0.3 and 0.6 s) stay out, to keep the golden test near 1 s
+    **{f"error-{name}": [*argv, "--seed", "0"] for name, argv in (
+        ("parse", ["casimir", "--f", "Q+"]),
+        ("unknown-name", ["casimir", "--f", "R*Q"]),
+        ("parsed-domain", ["casimir", "--f", "sqrt(P)", "--P", "-1"]),
+        ("builtin-domain", ["casimir", "--f", "rotator", "--Q", "0"]),
+        ("builtin-callable", ["casimir", "--f", "sqrtS"]),
+        ("batch-domain", ["relation", "--forms", "sqrt(P)", "Q"]),
+        ("unknown-suite", ["verify", "--suite", "nope"]),
+        ("singular-hessian", ["simulate", "--f", "rotator", "--periods", "0.1"]),
+        ("inert", ["simulate", "--f", "0", "--periods", "0.1"]),
+        ("acceleration", ["simulate", "--f", "1e308", "--periods", "0.05"]),
+        ("phase-speed", ["freemotion", "--phase", "3*t"]),
+        ("run-scales", ["hessian", "--f", "Q", "--M", "1e300"]),
+        ("oserror", ["verify", "--suite", "tetrad", "--report-out", "/nonexistent/dir/r.txt"]),
+    )},
 }
 
 
