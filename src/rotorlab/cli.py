@@ -93,7 +93,7 @@ CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
 
 def _worst(residuals) -> float:
-    """The largest residual, NaN if any is NaN, and 0 for no residuals."""
+    """The largest residual, NaN if any is NaN; floored at 0, so 0 for none or all negative."""
     return float(np.max(residuals, initial=0.0))
 
 
@@ -189,7 +189,7 @@ def relation_spread(forms, states):
     """Largest relative spread of the kinematical factor K over the admissible
     forms at each state (inf if no state has two), and the number of
     admissible forms per state."""
-    admissible, K = relation_check(forms, stack_states(states), DOF6)
+    admissible, K = relation_check(forms, stack_states(states))
     counts = admissible.sum(axis=0)
     K0 = K[np.argmax(admissible, axis=0), np.arange(len(states))]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)

@@ -272,16 +272,16 @@ def jacobian_pq(F: FForm, P, Q, v):
     return PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0]
 
 
-def relation_check(forms, state: ChartState, dof=DOF6):
+def relation_check(forms, state: ChartState):
     """The kinematical factor K = det H / (middle * jacobian) of each form at
-    each state of a batch: (admissible, K), each of shape (len(forms), B).
+    each DOF6 state of a batch: (admissible, K), each of shape (len(forms), B).
 
     Where the middle ratio or the Casimir Jacobian of a form degenerates at a
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
     (F-independence).
     """
-    scalars = chart_scalars(*state.coords(dof), dof)
+    scalars = chart_scalars(*state.coords(DOF6), DOF6)
     out = []
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
@@ -289,7 +289,7 @@ def relation_check(forms, state: ChartState, dof=DOF6):
         num = legendre_p(P, v.F, v.F_P)
         den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
         jac = jacobian_pq(F, P, Q, v)
-        det = hessian(F, state, dof).det
+        det = hessian(F, state, DOF6).det
         tol = ADMISSIBLE_TOL * np.maximum(abs(v.F), 1.0)
         # a NaN factor leaves the form admissible, so that K shows it
         ok = ~((abs(den) <= tol) | (abs(num) <= tol)

@@ -238,13 +238,9 @@ def _lab_chart_jets(x, k):
     jets.raise_where(Td <= 0.0, DomainError, "lab time not increasing: dx0/dt = {}", Td)
     theta, phi, _ = angles_from_null(k)
     check_off_pole(jets.value(theta))
-    q, qd, qdd = [], [], []
-    for c in (x[1], x[2], x[3], theta, phi):
-        f, g, h = jets.value(c), c.g[0], c.h[0, 0]
-        q.append(f)
-        qd.append(g / Td)
-        qdd.append((h * Td - g * Tdd) / jets.power(Td, 3))
-    return np.array(q), np.array(qd), np.array(qdd)
+    q, G, H = jets.stack((x[1], x[2], x[3], theta, phi))
+    g, h = G[:, 0], H[:, 0, 0]
+    return np.array(q), g / Td, (h * Td - g * Tdd) / jets.power(Td, 3)
 
 
 def _el_report(F: FForm, q, qd, qdd, dof) -> ELReport:

@@ -335,18 +335,18 @@ def draw_kinematic_path(rng) -> KinematicPath:
     return KinematicPath(np.array(angles), random_timelike(rng))
 
 
-def kinematic_jets(paths, tau: float = 0.0) -> KinematicJet:
-    """The kinematic jets of drawn paths at parameter ``tau``, in one pass of
-    first-order jets in tau batched over the paths: one validated batch, in
-    the order of the paths."""
+def kinematic_jets(paths) -> KinematicJet:
+    """The kinematic jets of drawn paths at parameter 0 (the draw spans each
+    angle path's offset over [0, 2 pi)), in one pass of first-order jets batched
+    over the paths: one validated batch, in the order of the paths."""
     rows = np.stack([p.angles for p in paths], axis=-1)  # (4, 4, B)
-    (t,) = jets.variables(np.full(len(paths), float(tau)), order=1)
+    (t,) = jets.variables(np.zeros(len(paths)), order=1)
     angles = [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
     xdot = np.stack([p.xdot for p in paths], axis=-1)
     return _unlift(xdot, *tetrad_from_angles(*angles)).validate()
 
 
-def random_kinematic_jet(rng, tau: float = 0.0) -> KinematicJet:
-    """Consistent random jet from a random analytic spinor path."""
-    return kinematic_jets([draw_kinematic_path(rng)], tau).entries()[0]
+def random_kinematic_jet(rng) -> KinematicJet:
+    """Consistent random jet from a random analytic spinor path, at parameter 0."""
+    return kinematic_jets([draw_kinematic_path(rng)]).entries()[0]
 

@@ -11,9 +11,9 @@ A jet may also be first order: ``variables(..., order=1)`` seeds jets whose
 order among its jet operands, so every operation on a first-order jet skips
 its Hessian terms (Taylor propagation to a chosen degree, Griewank & Walther,
 *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  The value and
-gradient formulas do not depend on the order, so ``f`` and ``g`` are the
-same bit for bit at either order.  A first-order Hessian was never formed:
-reading an entry of ``None`` raises, it never reads as zero.
+gradient formulas do not depend on the order, so ``f`` and ``g`` are the same
+bit for bit at either order, signed zeros included.  A first-order Hessian
+was never formed: reading an entry of ``None`` raises, it never reads as zero.
 
 A jet may also carry a batch of B expansions in the same variables (the
 vector forward mode of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
@@ -319,21 +319,20 @@ def compose(inner, f, d, D):
     entry is bit-identical to the unbatched call: the terms are stacked on a
     leading axis, which ``np.add.reduce`` adds in index order where a term
     has two or more entries or there are fewer than eight terms (numpy sums
-    pairwise only along a contiguous run of eight or more).  The result is
+    pairwise only along a contiguous run of eight or more).  Each sum starts
+    from -0.0, so a sum of -0.0 terms is -0.0, as for jets.  The result is
     first order if H is None, and then ``D`` is not read (it may be None).
     """
     _, G, H = inner
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i[, D_i1, ..., D_im])
     W = np.array(list(zip(d)) if H is None else [(di, *Di) for di, Di in zip(d, D)])
-    # at first order a sum of -0.0 terms stays -0.0, as a sum of jets does;
-    # numpy's reduce starts from +0.0, as the second-order sums always have
-    gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0, initial=-0.0 if H is None else 0.0)
+    gt = np.add.reduce(W[:, :, None] * G[:, None], axis=0, initial=-0.0)
     if H is None:
         return Jet(f, gt[0], None)
     # sum_i d_i h_i + sum_ij D_ij g_i g_j^T = sum_i (g_i t_i^T + d_i h_i)
     T = G[:, :, None] * gt[1:, None]
     T += W[:, 0, None, None] * H
-    h = np.add.reduce(T, axis=0)
+    h = np.add.reduce(T, axis=0, initial=-0.0)
     # made symmetric bit for bit, halved first so that it overflows only where h does
     h *= 0.5
     return Jet(f, gt[0], h + h.swapaxes(0, 1))

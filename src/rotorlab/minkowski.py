@@ -17,7 +17,6 @@ import numpy as np
 from .jets import _NUMBER
 
 SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])
-METRIC = np.diag(SIGNATURE)
 
 
 class DomainError(ValueError):

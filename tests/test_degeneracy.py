@@ -140,7 +140,7 @@ def test_jacobian_pq_matches_finite_differences():
 def test_relation_flags_degenerate_jacobian():
     rng = np.random.default_rng(5)
     st = random_chart_state(rng)
-    admissible, K = relation_check([parse_f("Q")], stack_states([st]), DOF6)
+    admissible, K = relation_check([parse_f("Q")], stack_states([st]))
     assert admissible.shape == K.shape == (1, 1)
     assert not admissible[0, 0] and np.isnan(K[0, 0])
 
@@ -270,7 +270,7 @@ def test_batched_relation_check_matches_the_per_state_loop(seed):
     forms = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
     rng = np.random.default_rng(seed)
     states = [random_chart_state(rng) for _ in range(5)]
-    admissible, K = relation_check(forms, stack_states(states), DOF6)
+    admissible, K = relation_check(forms, stack_states(states))
     want = [_relation_per_state(forms, st) for st in states]
     assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
     assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)

@@ -482,8 +482,7 @@ def test_stack_takes_plain_numbers_and_mixed_orders(batch):
     among jets is a constant, bit for bit a zero-rate jet, and a first-order
     jet among second-order ones makes the stack, and so the result, first
     order.  A batched plain-number partial next to a batch of one composes
-    too, and a first-order sum keeps the sign of a zero that every term has,
-    as jet arithmetic does."""
+    too."""
     rng = np.random.default_rng([3, batch or 0])
     shape = (2,) if batch is None else (2, batch)
     x, y = jets.variables(*rng.uniform(0.5, 1.5, shape))
@@ -500,6 +499,19 @@ def test_stack_takes_plain_numbers_and_mixed_orders(batch):
     if batch is not None:  # atan2 of a plain y: its partials are batch arrays
         assert_entries(jets.atan2(-0.5, u), [
             jets.atan2(-0.5, jets.Jet(u.f[b], u.g[..., b], u.h[..., b])) for b in range(batch)])
-    zeros = jets.Jet(u.f, np.full(u.g.shape, -0.0), None)
-    assert np.signbit(jets.compose(jets.stack([zeros, zeros]), 1.0,
-                                   [abs(e) for e in d[:2]], None).g).all()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_compose_keeps_the_sign_of_a_zero_sum_at_either_order(order, batch):
+    """Where every chain term is -0.0, ``compose`` reads -0.0 in g and h, as
+    the jet arithmetic of (-0.0) x + (-0.0) y does, at either order."""
+    shape = (2,) if batch is None else (2, batch)
+    x, y = jets.variables(*np.full(shape, 0.5), order=order)
+    want = (-0.0) * x + (-0.0) * y
+    zero = -0.0 if batch is None else np.full(batch, -0.0)
+    got = jets.compose(jets.stack([x, y]), want.f, (zero, zero),
+                       ((zero, zero), (zero, zero)))
+    assert bits(got) == bits(want)
+    assert np.signbit(got.g).all()
+    assert got.h is None if order == 1 else np.signbit(got.h).all()

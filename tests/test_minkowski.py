@@ -5,7 +5,7 @@ import pytest
 
 from rotorlab.minkowski import (
     DomainError,
-    METRIC,
+    SIGNATURE,
     bivector,
     dot,
     epsilon_contract,
@@ -13,6 +13,8 @@ from rotorlab.minkowski import (
     gram_det,
     lorentz_matrix,
 )
+
+METRIC = np.diag(SIGNATURE)
 
 
 def test_metric_signature():

@@ -121,20 +121,20 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
     assert pairs >= 200
 
 
-def _momenta_by_jet_arithmetic(F, xdot, k, kdot):
-    """The momenta with the eight velocities seeded as jet variables and the
-    four scalar products taken by jet arithmetic."""
-    vs = jets.variables(*xdot, *kdot, order=1)
+def _momenta_by_jet_arithmetic(F, xdot, k, kdot, order=1):
+    """The momenta with the eight velocities seeded as jet variables of the
+    given order and the four scalar products taken by jet arithmetic."""
+    vs = jets.variables(*xdot, *kdot, order=order)
     L = lagrangian_from_vectors(F, vs[:4], k, vs[4:])
     sign = SIGNATURE.reshape((4,) + (1,) * (k.ndim - 1))
     P, pi = -(L.g[:4] * sign), -(L.g[4:] * sign)
     return MomentumSet(P=P, pi=pi, W=-epsilon_contract(k, pi, P), k=k)
 
 
-def _outcome(fn, F, xdot, k, kdot):
+def _outcome(fn, F, xdot, k, kdot, **kw):
     """The momenta, or the message of the DomainError raised instead."""
     try:
-        return fn(F, xdot, k, kdot)
+        return fn(F, xdot, k, kdot, **kw)
     except DomainError as exc:
         return str(exc)
 
@@ -214,6 +214,22 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
                                                    batch.W[:, b], batch.k[:, b]))
                 pairs += 1
     assert pairs >= 8 * 250
+
+
+def test_second_order_pass_gives_the_momenta_bit_for_bit(rotator_jet):
+    """The gradient of a second-order pass is the first-order momenta, signed
+    zeros included: P, pi, M and W of ``momenta_from_vectors`` for the casimir
+    suite's twelve forms, at the rotator point and on seed 0's jets."""
+    rng = np.random.default_rng(0)
+    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    pairs = 0
+    for J in [rotator_jet, *S.entries()]:
+        for F in _casimir_forms():
+            want = _outcome(momenta_from_vectors, F, J.xdot, J.k, J.kdot)
+            got = _outcome(_momenta_by_jet_arithmetic, F, J.xdot, J.k, J.kdot, order=2)
+            _assert_same_bits(got, want)
+            pairs += not isinstance(want, str)
+    assert pairs >= 250
 
 
 def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):

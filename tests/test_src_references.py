@@ -21,7 +21,6 @@ ALLOWED_TEST_ONLY = {
     "casimirs_special_S",  # a reference closed form for the Casimirs
     "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 7
     "lorentz_matrix",  # the covariance tests, ROADMAP item 15
-    "METRIC",  # the metric the Lorentz tests check against
 }
 
 
