@@ -49,6 +49,7 @@ from .invariants import (
 )
 from .minkowski import DomainError, dot, gram_det
 from .noether import (
+    MomentumSet,
     casimirs_from_partials,
     casimirs_where_defined,
     fundamental_casimirs,
@@ -145,24 +146,30 @@ def noether_residuals(forms, samples):
     relative W.P, over the (kinematic jet, form) pairs inside the form's domain.
 
     ``samples`` is a batch of kinematic jets.  The closed form of each form is
-    evaluated once over the batch; the momenta are taken one jet at a time,
-    jet-major and form-minor, each pair's residuals the same as alone; the
-    forms at a jet share its scalar products, seeded once."""
+    evaluated once over the batch.  Per pair only the momenta are taken, one
+    jet at a time, jet-major and form-minor; the forms at a jet share its
+    scalar products, seeded once.  Then one batched pass over the pairs'
+    stacked P, pi and k forms W, the Casimirs, W.P and both residuals, each
+    entry the pair's float result."""
     scalars = scalar_products(samples.xdot, samples.k, samples.kdot)
     closed = []  # per form: the batch entries inside its domain, PP and WW there
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars, F.ell)
         closed.append(casimirs_where_defined(F, P, Q))
-    cross, wp = [], []
+    records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):
-            if not inside[j]:
-                continue
-            ms = momenta(F, J)
-            got = ms.casimirs()
-            cross += [abs(got.PP - PP[j]) / max(abs(PP[j]), 1.0),
-                      abs(got.WW - WW[j]) / max(abs(WW[j]), 1.0)]
-            wp.append(abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
+            if inside[j]:
+                records.append(momenta(F, J))
+                closed_at.append((PP[j], WW[j]))
+    # the B pairs as (4, B) and (B,) arrays; B = 0 if no pair is in a domain
+    ms = MomentumSet(*(np.reshape([getattr(r, name) for r in records], (-1, 4)).T
+                       for name in ("P", "pi", "k")))
+    PP, WW = np.reshape(closed_at, (-1, 2)).T
+    got = ms.casimirs()
+    cross = [np.abs(got.PP - PP) / np.maximum(np.abs(PP), 1.0),
+             np.abs(got.WW - WW) / np.maximum(np.abs(WW), 1.0)]
+    wp = np.abs(dot(ms.W, ms.P)) / np.maximum(np.abs(got.PP), 1.0)
     return _worst(cross), _worst(wp)
 
 

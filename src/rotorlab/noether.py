@@ -10,8 +10,10 @@ what seeding the velocities and taking the products by jet arithmetic gives;
 a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
-gradient times a sign vector.  W = -eps(k, pi, P) needs no angular momentum
-M, which is formed only when read.  The closed-form expressions
+gradient times a sign vector.  The Pauli-Lubanski vector W = -eps(k, pi, P)
+needs no angular momentum M; a record forms each of them when it is read,
+W at most once, so a caller that stacks many records' P, pi and k contracts
+epsilon once for all of them.  The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2
@@ -24,6 +26,7 @@ outside F's domain (``casimirs_where_defined``, from F's first-order jets).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,13 +55,19 @@ class CasimirPair:
 @dataclass(frozen=True)
 class MomentumSet:
     """Noether charges at one instant, or at a batch of B instants (each array
-    with a trailing batch axis); no check reads M, so it is formed when read."""
+    with a trailing batch axis).  W is formed when first read and kept, so a
+    record contracts epsilon at most once; no check reads M, which is formed
+    at each read."""
 
     P: np.ndarray
     pi: np.ndarray
-    W: np.ndarray  # Pauli-Lubanski vector
     k: np.ndarray
     x: np.ndarray | None = None  # M's worldline point; None is the origin
+
+    @cached_property
+    def W(self) -> np.ndarray:  # Pauli-Lubanski vector
+        # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out
+        return -epsilon_contract(self.k, self.pi, self.P)
 
     @property
     def M(self) -> np.ndarray:  # angular momentum bivector M^{mu nu}
@@ -78,8 +87,8 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
     P and pi are the gradients of L in xdot and kdot, through the four scalar
     products seeded in closed form (``fform.velocity_scalars``), or given as
     ``scalars`` by a caller that holds them.  ``x`` defaults to the origin; it
-    moves only M, by an orbital piece, formed when read.  (4, B) arrays give
-    the batched charges of B instants in one pass.
+    moves only M, by an orbital piece.  W and M are formed when read.  (4, B)
+    arrays give the batched charges of B instants in one pass.
     """
     k_v = np.asarray(k_v, dtype=float)
     if scalars is None:
@@ -87,9 +96,7 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
     L = lagrangian_from_scalars(F, scalars)
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index: raised, and negated
     P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
-    # W^mu = -1/2 eps^{mu a b c} M_ab P_c; the orbital x^P part of M drops out
-    W = -epsilon_contract(k_v, pi, P)
-    return MomentumSet(P=P, pi=pi, W=W, k=k_v, x=x)
+    return MomentumSet(P=P, pi=pi, k=k_v, x=x)
 
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:

@@ -307,8 +307,9 @@ def test_casimir_suite_seeds_each_jets_velocity_scalars_once(capsys, monkeypatch
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_casimir_suite_forms_no_angular_momentum(capsys, monkeypatch, seed):
-    # no check reads M, so the suite forms no bivector: its one epsilon
-    # contraction per momenta call is W's; counted wherever src binds the names
+    # no check reads M, so the suite forms no bivector, and it reads W only on
+    # the batch of all its pairs: one epsilon contraction per run, not one per
+    # momenta call; counted wherever src binds the names
     counts = dict.fromkeys(("bivector", "epsilon_contract"), 0)
     for name in counts:
         original = getattr(minkowski, name)
@@ -323,7 +324,7 @@ def test_casimir_suite_forms_no_angular_momentum(capsys, monkeypatch, seed):
                 monkeypatch.setattr(module, name, counting)
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
     assert code == 0
-    assert counts == {"bivector": 0, "epsilon_contract": CASIMIR_MOMENTA_CALLS[seed]}
+    assert counts == {"bivector": 0, "epsilon_contract": 1}
 
 
 def _noether_residuals_per_pair(forms, samples):
@@ -348,6 +349,63 @@ def test_batched_noether_residuals_match_the_per_pair_loop(seed):
                                              parse_f("sqrt(0.03 - Q)")))
     got = cli.noether_residuals(forms, samples)
     assert got == _noether_residuals_per_pair(forms, samples)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
+    """The suite reads W only on its batch of all pairs.  Each pair's own
+    record, which perfbench's oracle reads, has that batch entry's W bit for
+    bit, signed zeros included; a record contracts epsilon once however often
+    W is read; and a joined record's W is the concatenation of its parts'."""
+    forms, samples = _casimir_samples(seed, (builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q),
+                                             parse_f("sqrt(0.03 - Q)")))
+    records, batches, contractions = [], [], []
+    original_momenta, original_contract = cli.momenta, noether.epsilon_contract
+
+    def recording(F, J):
+        records.append(original_momenta(F, J))
+        return records[-1]
+
+    class Recorded(noether.MomentumSet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
+
+    def counting(*args):
+        contractions.append(np.shape(args[0]))
+        return original_contract(*args)
+
+    monkeypatch.setattr(cli, "momenta", recording)
+    monkeypatch.setattr(cli, "MomentumSet", Recorded)
+    monkeypatch.setattr(noether, "epsilon_contract", counting)
+    cli.noether_residuals(forms, samples)
+    (batch,) = batches
+    assert contractions == [(4, len(records))]
+    assert batch.W is batch.W and len(contractions) == 1
+    for b, ms in enumerate(records):
+        assert _same_bits(ms.W, batch.W[:, b])
+        assert ms.W is ms.W
+    assert len(contractions) == 1 + len(records)
+    half = len(records) // 2
+    parts = [noether.MomentumSet(batch.P[:, s], batch.pi[:, s], batch.k[:, s])
+             for s in (slice(None, half), slice(half, None))]
+    joined = dynamics._joined(parts)
+    assert _same_bits(joined.W, np.concatenate([p.W for p in parts], axis=-1))
+    assert _same_bits(joined.W, batch.W)
+
+
+def test_noether_residuals_with_no_pair_in_a_domain_are_zero():
+    # sqrt(-1 - Q) is defined at no jet, so no momenta are taken and the
+    # batch is empty; both worst residuals read 0, as the per-pair loop's
+    forms, samples = _casimir_samples(0)
+    nowhere = [parse_f("sqrt(-1 - Q)")]
+    assert not list(_in_domain_pairs(nowhere, samples))
+    got = cli.noether_residuals(nowhere, samples)
+    assert got == _noether_residuals_per_pair(nowhere, samples) == (0.0, 0.0)
 
 
 def _with_nan(x):
@@ -381,7 +439,7 @@ NAN_PLANTS = [
     ("casimir", "noether-crosscheck", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "wp-orthogonality", cli, "momenta",
-     lambda ms: dataclasses.replace(ms, W=_with_nan(ms.W))),
+     lambda ms: dataclasses.replace(ms, pi=_with_nan(ms.pi))),
     ("degeneracy", "degenerate-hessians", cli, "hessian", _nan_singular_values),
     ("degeneracy", "nondegenerate-dets", cli, "hessian", _nan_singular_values),
     ("degeneracy", "relation-consistency", cli, "relation_check",
@@ -394,7 +452,8 @@ NAN_PLANTS = [
 # batch of states, then those of the nondegenerate ones: the fourth call is
 # the first nondegenerate form; it calls relation_check once, and the NaN
 # lands in the first form's K at the first state; the noether-crosscheck NaN
-# lands in the second form's closed form on the jets
+# lands in the second form's closed form on the jets; the wp-orthogonality NaN
+# lands in pi of the second pair's momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
                  "nondegenerate-dets": 4, "relation-consistency": 1}
 

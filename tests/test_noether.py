@@ -11,8 +11,7 @@ from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_scalars, pq_from_vectors, scalar_products,
                             velocity_scalars)
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
-from rotorlab.minkowski import (SIGNATURE, DomainError, bivector, dot, epsilon_contract,
-                                lorentz_matrix)
+from rotorlab.minkowski import SIGNATURE, DomainError, bivector, dot, lorentz_matrix
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
     FUNDAMENTAL_WW_FACTOR,
@@ -128,7 +127,7 @@ def _momenta_by_jet_arithmetic(F, xdot, k, kdot, order=1):
     L = lagrangian_from_vectors(F, vs[:4], k, vs[4:])
     sign = SIGNATURE.reshape((4,) + (1,) * (k.ndim - 1))
     P, pi = -(L.g[:4] * sign), -(L.g[4:] * sign)
-    return MomentumSet(P=P, pi=pi, W=-epsilon_contract(k, pi, P), k=k)
+    return MomentumSet(P=P, pi=pi, k=k)
 
 
 def _outcome(fn, F, xdot, k, kdot, **kw):
@@ -211,7 +210,7 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
                 got = momenta(F, J)
                 _assert_same_bits(got, momenta_from_vectors(F, J.xdot, J.k, J.kdot))
                 _assert_same_bits(got, MomentumSet(batch.P[:, b], batch.pi[:, b],
-                                                   batch.W[:, b], batch.k[:, b]))
+                                                   batch.k[:, b]))
                 pairs += 1
     assert pairs >= 8 * 250
 
