@@ -21,6 +21,7 @@ from .degeneracy import (
     ChartState,
     hessian,
     random_chart_state,
+    random_chart_states,
     relation_check,
     stack_states,
 )
@@ -263,12 +264,24 @@ INVARIANT_JETS = 60
 CASIMIR_JETS = 25
 DEGENERACY_STATES = 4
 
+# Each table of uniform numbers is one ``rng.random`` call scaled to
+# lo + span * u, entry by entry from these (lo, span) arrays: numpy's
+# ``uniform`` arithmetic, so the bits and the generator state after are those
+# of drawing the numbers one at a time in C order.
+# a spinor's angles theta, phi, psi and Phi
+_TETRAD_LO = np.array([0.05, 0.0, 0.2, 0.0])
+_TETRAD_SPAN = np.array([np.pi - 0.05, 2 * np.pi, 5.0, 4 * np.pi]) - _TETRAD_LO
+# a jet's gauge shift alpha, beta and their rates
+_GAUGE_LO = np.array([-2.0, -2.0, -1.0, -1.0])
+_GAUGE_SPAN = np.array([2.0, 2.0, 1.0, 1.0]) - _GAUGE_LO
+# simulate's start state theta, phi, v (3), thetadot, phidot
+_START_LO = np.array([0.8, 0.0, -0.1, -0.1, -0.1, 0.2, 0.5])
+_START_SPAN = np.array([np.pi - 0.8, 2 * np.pi, 0.1, 0.1, 0.1, 0.5, 0.9]) - _START_LO
+
 
 def suite_tetrad(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    angles = np.array([(rng.uniform(0.05, np.pi - 0.05), rng.uniform(0, 2 * np.pi),
-                        rng.uniform(0.2, 5.0), rng.uniform(0, 4 * np.pi))
-                       for _ in range(TETRAD_SPINORS)])
+    angles = _TETRAD_LO + _TETRAD_SPAN * rng.random((TETRAD_SPINORS, 4))
     worst_rel, worst_gram = tetrad_residuals(*tetrad_from_angles(*angles.T))
     return [
         Report("tetrad-relations", worst_rel, TETRAD_TOL, cfg.seed,
@@ -283,8 +296,7 @@ def suite_invariants(cfg: RunConfig):
     paths, gauges = [], []
     for _ in range(INVARIANT_JETS):  # the draws of a jet, then of its gauge shift
         paths.append(draw_kinematic_path(rng))
-        gauges.append((rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-1, 1),
-                       rng.uniform(-1, 1)))
+        gauges.append(_GAUGE_LO + _GAUGE_SPAN * rng.random(4))
     samples = kinematic_jets(paths)
     worst_gauge = gauge_residual(samples, GaugeJet(*np.array(gauges).T))
     worst_ident = _worst(np.abs(list(identity_checks(samples).values())))
@@ -317,7 +329,7 @@ def suite_casimir(cfg: RunConfig):
 
 def suite_degeneracy(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    states = [random_chart_state(rng) for _ in range(DEGENERACY_STATES)]
+    states = random_chart_states(rng, DEGENERACY_STATES)
     worst_singular, rank_gap, nondeg = hessian_margins(states)
     forms = [parse_f(e) for e in RELATION_FORMS[:5]]
     spread, _ = relation_spread(forms, states)
@@ -437,8 +449,8 @@ def cmd_hessian(args, cfg: RunConfig):
 def cmd_relation(args, cfg: RunConfig):
     forms = [resolve_form(e, cfg) for e in args.forms or RELATION_FORMS]
     rng = np.random.default_rng(cfg.seed)
-    spread, admissible = relation_spread(
-        forms, [random_chart_state(rng) for _ in range(args.states)])
+    # one table: a size numpy cannot allocate exits 2 before any draw
+    spread, admissible = relation_spread(forms, random_chart_states(rng, args.states))
     return [Report("relation-consistency", spread, RELATION_TOL,
                    cfg.seed, {"forms": len(forms), "states": args.states,
                               "admissible": max(admissible)})]
@@ -447,10 +459,10 @@ def cmd_relation(args, cfg: RunConfig):
 def cmd_simulate(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
     rng = np.random.default_rng(cfg.seed)
-    state = ChartState(
-        theta=rng.uniform(0.8, np.pi - 0.8), phi=rng.uniform(0, 2 * np.pi),
-        v=tuple(rng.uniform(-0.1, 0.1, 3)),
-        thetadot=rng.uniform(0.2, 0.5), phidot=rng.uniform(0.5, 0.9))
+    start = _START_LO + _START_SPAN * rng.random(7)
+    theta, phi, thetadot, phidot = start[[0, 1, 5, 6]].tolist()
+    state = ChartState(theta=theta, phi=phi, v=tuple(start[2:5]),
+                       thetadot=thetadot, phidot=phidot)
     period = 2.0 * np.pi / max(abs(state.phidot), 0.1)
     t_end = args.periods * period
     traj = integrate(F, state, (0.0, t_end))

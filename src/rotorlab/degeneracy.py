@@ -331,16 +331,29 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0,
     return FqDetResult(Q=Q, bracket=bracket, formula=formula, direct_det=direct, K=K)
 
 
+# (lo, hi) of the twelve numbers of a random chart state, in the order drawn:
+# v (3, then divided by sqrt 3), theta, phi, thetadot, phidot, K, Kdot, x (3)
+_CHART_LO = np.array([-MAX_SPEED] * 3 + [0.4, 0.0, -1.0, -1.0, 0.5, -0.5] + [-1.0] * 3)
+_CHART_SPAN = np.array([MAX_SPEED] * 3 + [np.pi - 0.4, 2 * np.pi, 1.0, 1.0, 2.0, 0.5]
+                       + [1.0] * 3) - _CHART_LO
+
+
+def random_chart_states(rng, n: int) -> list:
+    """n generic states away from chart poles, with subluminal xdot, drawn as
+    one (n, 12) table lo + span * ``rng.random``: the bits, and the generator
+    state after, of n ``random_chart_state`` calls.  That is numpy's
+    ``uniform`` arithmetic, number by number in the order above."""
+    rows = _CHART_LO + _CHART_SPAN * rng.random((n, 12))
+    states = []
+    for row in rows:
+        theta, phi, thetadot, phidot, K, Kdot = row[3:9].tolist()
+        states.append(ChartState(theta=theta, phi=phi, v=tuple(row[:3] / np.sqrt(3.0)),
+                                 thetadot=thetadot, phidot=phidot, K=K, Kdot=Kdot,
+                                 x=tuple(row[9:])).check_pole())
+    return states
+
+
 def random_chart_state(rng) -> ChartState:
-    """Generic state away from chart poles, with subluminal xdot."""
-    v = rng.uniform(-MAX_SPEED, MAX_SPEED, 3) / np.sqrt(3.0)
-    return ChartState(
-        theta=rng.uniform(0.4, np.pi - 0.4),
-        phi=rng.uniform(0.0, 2 * np.pi),
-        v=tuple(v),
-        thetadot=rng.uniform(-1.0, 1.0),
-        phidot=rng.uniform(-1.0, 1.0),
-        K=rng.uniform(0.5, 2.0),
-        Kdot=rng.uniform(-0.5, 0.5),
-        x=tuple(rng.uniform(-1.0, 1.0, 3)),
-    ).check_pole()
+    """Generic state away from chart poles, with subluminal xdot: its twelve
+    numbers in one generator call."""
+    return random_chart_states(rng, 1)[0]

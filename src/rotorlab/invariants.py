@@ -326,13 +326,23 @@ def random_timelike(rng):
     return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
 
 
+# (lo, hi) of the (4, 4) table of a random path's angle rows (base, amp / rate,
+# freq, off), one row per angle of KINEMATIC_RANGES
+_PATH_LO = np.array([(lo, 0.05, 0.5, 0.0) for lo, _, _ in KINEMATIC_RANGES])
+_PATH_SPAN = np.array([(hi, 0.4, 2.0, 2 * np.pi) for _, hi, _ in KINEMATIC_RANGES]) - _PATH_LO
+_PATH_RATE = np.array([rate for _, _, rate in KINEMATIC_RANGES])
+
+
 def draw_kinematic_path(rng) -> KinematicPath:
     """Random angle paths within ``KINEMATIC_RANGES``, then a random timelike
-    xdot."""
-    angles = [(rng.uniform(lo, hi), rate * rng.uniform(0.05, 0.4),
-               rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * np.pi))
-              for lo, hi, rate in KINEMATIC_RANGES]
-    return KinematicPath(np.array(angles), random_timelike(rng))
+    xdot.  The angle table is one ``rng.random`` call scaled to lo + span * u,
+    row by row, with each amplitude then times its angle's rate: numpy's
+    ``uniform`` arithmetic, so the bits and the generator state after are
+    those of drawing the 16 numbers one at a time.  The timelike xdot draws
+    on its own, because its normal draw takes a variable number of words."""
+    angles = _PATH_LO + _PATH_SPAN * rng.random((4, 4))
+    angles[:, 1] *= _PATH_RATE
+    return KinematicPath(angles, random_timelike(rng))
 
 
 def kinematic_jets(paths) -> KinematicJet:

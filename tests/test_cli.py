@@ -200,6 +200,19 @@ def test_an_input_too_large_to_allocate_exits_2(capsys, monkeypatch, argv, owner
     assert captured.err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
+@pytest.mark.parametrize("states, why", [
+    ("100000000000000000000", "Maximum allowed dimension exceeded"),
+    ("100000000000000000", "array is too big; `arr.size * arr.dtype.itemsize` is larger "
+                           "than the maximum possible size."),
+], ids=["dimension", "bytes"])
+def test_relation_with_more_states_than_numpy_can_hold_exits_2(states, why):
+    # the states are one (n, 12) table, which numpy refuses before allocating;
+    # drawn one state at a time, they used to loop until killed
+    proc = run_fresh("-m", "rotorlab.cli", "relation", "--states", states)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: {why}\n"
+
+
 def test_hessian_rank_four(capsys):
     code, out = run(capsys, "hessian", "--f", "nu_family", "--nu", "0.3",
                     "--seed", "3")
