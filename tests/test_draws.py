@@ -116,6 +116,10 @@ class _Drawn(Exception):
     """Raised by a capture once a run has drawn all its samples."""
 
 
+def _raise():
+    raise _Drawn
+
+
 def test_tetrad_angles_are_the_per_number_draws(monkeypatch, made):
     drawn = []
     monkeypatch.setattr(cli, "tetrad_from_angles",
@@ -125,10 +129,6 @@ def test_tetrad_angles_are_the_per_number_draws(monkeypatch, made):
             cli.suite_tetrad(RunConfig(seed=seed))
         ref = _default_rng(seed)
         assert same_draws([drawn[-1]], [ref_tetrad_angles(ref)], made[-1], ref), seed
-
-
-def _raise():
-    raise _Drawn
 
 
 def test_kinematic_paths_are_the_per_number_draws():
