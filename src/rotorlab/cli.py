@@ -20,6 +20,7 @@ from .degeneracy import (
     DOF6,
     ChartState,
     hessian,
+    hessians,
     random_chart_state,
     random_chart_states,
     relation_check,
@@ -178,12 +179,12 @@ def hessian_margins(states):
     """Worst Hessian margin of the fundamental families, gap of the nu-family
     rank from 4, and inverse least margin of four generic f(Q) members."""
     batch = stack_states(states)
-    singular = [hessian(F, batch, dof) for F, dof in (
-        (builtin("rotator_f"), DOF5), (builtin("nu_family", nu=0.4), DOF5),
-        (builtin("starlike"), DOF6))]
-    margins = [hessian(parse_f(e), batch, DOF5).margin
-               for e in ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)")]
-    rank_gap = int(np.max(np.abs(singular[1].rank - 4), initial=0))
+    forms = [builtin("rotator_f"), builtin("nu_family", nu=0.4),
+             *map(parse_f, ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)"))]
+    rot, nu, *generic = hessians(forms, batch, DOF5)
+    singular = [rot, nu, *hessians([builtin("starlike")], batch, DOF6)]
+    margins = [r.margin for r in generic]
+    rank_gap = int(np.max(np.abs(nu.rank - 4), initial=0))
     min_margin = np.min(margins, initial=np.inf)
     return (_worst([r.margin for r in singular]), rank_gap,
             float(1.0 / np.maximum(min_margin, 1e-300)))

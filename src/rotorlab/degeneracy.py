@@ -1,7 +1,7 @@
 """Velocity Hessians of the Lagrange density and the Casimir-Jacobian link.
 
 The layer takes a batch of chart states (``stack_states``) in one pass of
-batched jets, each entry bit-identical to the state on its own; ``hessian``
+batched jets, each entry bit-identical to the state on its own; ``hessians``
 also takes a single state.  Degrees of freedom are counted in the lab-time
 gauge (worldline parameter = x^0), with the null direction in spherical
 angles.  The five-coordinate chart (x1, x2, x3, theta, phi) gauge-fixes the
@@ -17,8 +17,9 @@ L reads a chart state only through four scalar products, ``chart_scalars``.
 Hessians written out in closed form, and ``fform.lagrangian_from_scalars``
 carries it to L by one chain step through F's partials at (P, Q), so at DOF5
 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
-products bring in the amplitude K).  ``chart_derivatives`` is the one place
-they are formed: ``hessian`` reads its velocity block, ``dynamics`` all of it.
+products bring in the amplitude K).  The stack does not depend on F, so
+``hessians`` forms it once for all its forms, and ``chart_derivatives``, the
+rest of L's derivatives for ``dynamics``, once for its one form.
 """
 
 from __future__ import annotations
@@ -240,24 +241,31 @@ class HessianReport:
         return m if m.ndim else float(m)
 
 
-def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
-    """Exact second-derivative matrix of L with respect to the velocities, at
-    one state or at each state of a batch: ``chart_derivatives``' velocity block."""
+def hessians(forms, state: ChartState, dof=DOF5) -> list:
+    """The exact velocity Hessian of L, one ``HessianReport`` per form, at one
+    state or at each state of a batch: the velocity block of L's Hessian from
+    one chart-jet stack for all the forms, then one SVD and one determinant
+    over their stacked matrices, each matrix's result that of a call of its
+    own.  An F that overflows leaves non-finite entries, which the SVD
+    rejects: the singular values of such a matrix are NaN, and its rank 0."""
     state.check_pole()
     q, qd = state.coords(dof)
-    H = chart_derivatives(F, q, qd, dof)[1][:, len(dof):]
-    stack = np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]  # one state: a batch of one
-    # an F that overflows leaves non-finite entries, which the SVD rejects:
-    # the singular values of such an H are NaN, and its rank 0
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    sv = np.full(stack.shape[:2], np.nan)
+    n, scalars = len(dof), chart_scalar_jets(q, qd, dof)
+    H = np.array([lagrangian_from_scalars(F, scalars).h[n - 3:, n - 3:] for F in forms])
+    stack = np.moveaxis(H, -1, 1) if q.ndim == 2 else H[:, None]  # (forms, states, n, n)
+    finite = np.isfinite(stack).all(axis=(2, 3))
+    sv = np.full(stack.shape[:3], np.nan)
     sv[finite] = np.linalg.svd(stack[finite], compute_uv=False)
-    rank = np.sum(sv > RANK_TOL * np.maximum(sv[:, :1], 1e-300), axis=1)
+    rank = np.sum(sv > RANK_TOL * np.maximum(sv[..., :1], 1e-300), axis=2)
     det = np.linalg.det(stack)
     if q.ndim == 1:
-        stack, sv, rank, det = H, sv[0], int(rank[0]), float(det[0])
-    return HessianReport(matrix=stack, singular_values=sv, rank=rank, det=det,
-                         dof=tuple(dof))
+        stack, sv, rank, det = stack[:, 0], sv[:, 0], rank[:, 0].tolist(), det[:, 0].tolist()
+    return [HessianReport(*r, dof=tuple(dof)) for r in zip(stack, sv, rank, det)]
+
+
+def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
+    """``hessians`` of the one form F."""
+    return hessians([F], state, dof)[0]
 
 
 def jacobian_pq(F: FForm, P, Q, v):
@@ -279,17 +287,17 @@ def relation_check(forms, state: ChartState):
     Where the middle ratio or the Casimir Jacobian of a form degenerates at a
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
-    (F-independence).
+    (F-independence).  Every form's det H comes from one ``hessians`` call.
     """
     scalars = chart_scalars(*state.coords(DOF6), DOF6)
     out = []
-    for F in forms:
+    dets = [rep.det for rep in hessians(forms, state, DOF6)]
+    for F, det in zip(forms, dets):
         _, P, Q = pq_from_scalars(*scalars, F.ell)
         v = F.eval(P, Q)
         num = legendre_p(P, v.F, v.F_P)
         den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
         jac = jacobian_pq(F, P, Q, v)
-        det = hessian(F, state, DOF6).det
         tol = ADMISSIBLE_TOL * np.maximum(abs(v.F), 1.0)
         # a NaN factor leaves the form admissible, so that K shows it
         ok = ~((abs(den) <= tol) | (abs(num) <= tol)

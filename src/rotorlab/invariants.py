@@ -46,9 +46,14 @@ class KinematicJet:
         return velocity_scalars(self.xdot, self.k, self.kdot)
 
     def entries(self) -> list:
-        """The single-instant jets of a batch, in batch order."""
+        """The single-instant jets of a batch, in batch order, each holding its
+        ``velocity_scalars`` as its entry of the batch's one seeding, bit for bit."""
         vs = [getattr(self, f.name) for f in fields(self)]
-        return [KinematicJet(*(v[:, i] for v in vs)) for i in range(self.k.shape[1])]
+        f, G, _ = self.velocity_scalars
+        out = [KinematicJet(*(v[:, i] for v in vs)) for i in range(self.k.shape[1])]
+        for i, J in enumerate(out):  # kept where the cached property keeps it
+            J.__dict__["velocity_scalars"] = (f[:, i].tolist(), G[..., i], None)
+        return out
 
     def scale(self):
         """Magnitude reference for residual tolerances, one per entry of a
@@ -242,14 +247,10 @@ def reproduce_invariant_count(seed: int) -> CountReport:
     new information and are excluded from the count).
     """
     rng = np.random.default_rng(seed)
-
-    def sample_point():
-        while True:
-            s = rng.uniform(-2.0, 2.0, 8)
-            if abs(s[2]) > 0.3:  # keep k.xdot away from degeneracy
-                return s
-
-    points = np.array([sample_point() for _ in range(COUNT_SAMPLES)])
+    points = np.empty((0, 8))  # tables of the rows still missing: one draw per point's bits
+    while len(points) < COUNT_SAMPLES:
+        s = rng.uniform(-2.0, 2.0, (COUNT_SAMPLES - len(points), 8))
+        points = np.concatenate([points, s[abs(s[:, 2]) > 0.3]])  # k.xdot away from 0
     A = _condition_matrices(points)
     ranks = {_rank(M) for M in A[:10]}
     if len(ranks) != 1:

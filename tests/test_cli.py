@@ -17,7 +17,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, dynamics, invariants, minkowski, noether
+from rotorlab import cli, degeneracy, dynamics, fform, minkowski, noether
 from rotorlab.cli import main
 from rotorlab.fform import FForm, builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
@@ -300,22 +300,45 @@ def test_casimir_suite_takes_momenta_one_jet_at_a_time(capsys, monkeypatch, seed
             assert np.array_equal(getattr(J, f.name), getattr(want_J, f.name))
 
 
+def _src_calls(monkeypatch, owner, name, record=lambda *args: None):
+    """The calls of ``owner.name``, one ``record(*args)`` each, counted on
+    owner and wherever src binds the name."""
+    original, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    for module in [owner, *sys.modules.values()]:
+        if ((module is owner or getattr(module, "__name__", "").startswith("rotorlab"))
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_casimir_suite_seeds_each_jets_velocity_scalars_once(capsys, monkeypatch, seed):
-    # every form's momenta at a jet start from the jet's own scalar products,
-    # seeded at its first momenta call: 25 seeds a run, not one per pair
-    seeded = []
-    original = invariants.velocity_scalars
-
-    def counting(xdot, k, kdot):
-        seeded.append(np.shape(xdot))
-        return original(xdot, k, kdot)
-
-    monkeypatch.setattr(invariants, "velocity_scalars", counting)
-    monkeypatch.setattr(noether, "velocity_scalars", counting)
+def test_casimir_suite_seeds_the_jets_velocity_scalars_in_one_call(capsys, monkeypatch,
+                                                                   seed):
+    # every form's momenta at a jet start from the jet's scalar products, its
+    # entry of one seeding of the whole batch: one call a run, not one per jet
+    seeded = _src_calls(monkeypatch, fform, "velocity_scalars",
+                        lambda xdot, k, kdot: np.shape(xdot))
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
     assert code == 0
-    assert seeded == [(4,)] * cli.CASIMIR_JETS
+    assert seeded == [(4, cli.CASIMIR_JETS)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degeneracy_suite_forms_one_chart_stack_per_hessians_call(capsys, monkeypatch,
+                                                                  seed):
+    # the chart jets and the SVD do not depend on F: one of each for the six
+    # DOF5 margin forms, the DOF6 starlike and the five relation forms, not
+    # one per form (12 and 12 a run when each form took its own)
+    stacks = _src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
+    svds = _src_calls(monkeypatch, np.linalg, "svd")
+    code, _ = run(capsys, "verify", "--suite", "degeneracy", "--seed", str(seed))
+    assert code == 0
+    assert len(stacks) <= 3 and len(svds) <= 3
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -433,6 +456,11 @@ def _nan_singular_values(rep):
     return dataclasses.replace(rep, singular_values=_with_nan(rep.singular_values))
 
 
+def _nan_report(i):
+    """A poison for a list of Hessian reports: report i's margin is NaN."""
+    return lambda reps: [*reps[:i], _nan_singular_values(reps[i]), *reps[i + 1:]]
+
+
 # (suite, check, owner, function, poison): the second call of the function
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
 # sample of the check; the tetrad suite calls its two functions once, on the
@@ -453,22 +481,24 @@ NAN_PLANTS = [
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "wp-orthogonality", cli, "momenta",
      lambda ms: dataclasses.replace(ms, pi=_with_nan(ms.pi))),
-    ("degeneracy", "degenerate-hessians", cli, "hessian", _nan_singular_values),
-    ("degeneracy", "nondegenerate-dets", cli, "hessian", _nan_singular_values),
+    ("degeneracy", "degenerate-hessians", cli, "hessians", _nan_report(0)),
+    ("degeneracy", "nondegenerate-dets", cli, "hessians", _nan_report(2)),
     ("degeneracy", "relation-consistency", cli, "relation_check",
      lambda r: (r[0], _with_nan(r[1]))),
     ("dynamics", "free-motion-conservation", cli, "charge_drift",
      lambda d: {**d, "W_drift": np.nan}),
     ("dynamics", "angular-speed-identity", cli, "angular_speed", _with_nan),
 ]
-# the degeneracy suite takes the Hessians of three singular forms over its
-# batch of states, then those of the nondegenerate ones: the fourth call is
-# the first nondegenerate form; it calls relation_check once, and the NaN
-# lands in the first form's K at the first state; the noether-crosscheck NaN
+# the degeneracy suite takes the Hessians of its six DOF5 forms over its batch
+# of states in one call, two singular forms then four nondegenerate ones, and
+# those of the DOF6 starlike in a second: the NaN lands in the first
+# nondegenerate form's report of the first call, or in the starlike's; it
+# calls relation_check once, and the NaN lands in the first form's K at the
+# first state; the noether-crosscheck NaN
 # lands in the second form's closed form on the jets; the wp-orthogonality NaN
 # lands in pi of the second pair's momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "nondegenerate-dets": 4, "relation-consistency": 1}
+                 "nondegenerate-dets": 1, "relation-consistency": 1}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,

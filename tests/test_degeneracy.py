@@ -8,10 +8,13 @@ from rotorlab.degeneracy import (
     ADMISSIBLE_TOL,
     DOF5,
     DOF6,
+    RANK_TOL,
     ChartState,
+    chart_derivatives,
     chart_scalars,
     fq_det_formula,
     hessian,
+    hessians,
     jacobian_pq,
     random_chart_state,
     relation_check,
@@ -223,6 +226,60 @@ def test_batched_hessian_isolates_an_overflowing_entry():
         assert np.isfinite(one.singular_values).all()
         assert np.array_equal(rep.singular_values[i], one.singular_values)
         assert rep.rank[i] == one.rank == 5
+
+
+def _hessian_of_each_matrix(F, state, dof):
+    """Reference for ``hessians``: F's velocity block of ``chart_derivatives``
+    alone, then each state's matrix through an SVD and a determinant of its
+    own; (matrices, singular values, ranks, dets) over the states."""
+    q, qd = state.coords(dof)
+    n = len(dof)
+    H = chart_derivatives(F, q, qd, dof)[1][:, n:]
+    out = []
+    for M in (np.moveaxis(H, -1, 0) if q.ndim == 2 else H[None]):
+        sv = (np.linalg.svd(M, compute_uv=False) if np.isfinite(M).all()
+              else np.full(n, np.nan))
+        out.append((M, sv, np.sum(sv > RANK_TOL * np.maximum(sv[0], 1e-300)),
+                    np.linalg.det(M)))
+    return [np.array(x) for x in zip(*out)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+@pytest.mark.parametrize("batch", [False, True], ids=["one", "batch4"])
+def test_hessians_are_each_forms_own_bit_for_bit(dof, batch):
+    # 1e290 Q^4 overflows at state 1 only (Q ~ 1e5), and sits between forms
+    # whose Hessians stay finite there: it must leave them untouched
+    rng = np.random.default_rng(14)
+    states = [random_chart_state(rng) for _ in range(4)]
+    states[1] = dataclasses.replace(states[1], thetadot=300.0)
+    forms = [builtin("rotator_f"), parse_f("Q^2"), parse_f("1e290*Q^4"),
+             builtin("starlike"), parse_f("sqrt(1+P^2+Q)")]
+    state = stack_states(states) if batch else states[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = hessians(forms, state, dof)
+        want = [_hessian_of_each_matrix(F, state, dof) for F in forms]
+    assert len(got) == len(forms)
+    n, shape = len(dof), ((4,) if batch else ())
+    for i, (rep, (M, sv, rank, det)) in enumerate(zip(got, want)):
+        assert rep.matrix.shape == shape + (n, n) and rep.dof == tuple(dof)
+        for a, b in ((rep.matrix, M), (rep.singular_values, sv), (rep.det, det)):
+            assert np.array_equal(_bits(a), _bits(b).reshape(np.shape(a))), forms[i].name
+        assert np.array_equal(rep.rank, rank.reshape(np.shape(rep.rank)))
+        # the rows of state 1 and of the others
+        k, rows, ranks = int(batch), rep.singular_values.reshape(-1, n), np.ravel(rep.rank)
+        finite = np.isfinite(rows).all(axis=1)
+        if i == 2:  # non-finite at state 1: NaN singular values and rank 0 there only
+            assert not np.isfinite(rep.matrix.reshape(-1, n, n)[k]).all()
+            assert np.isnan(rows[k]).all() and ranks[k] == 0
+            assert finite.sum() == len(rows) - 1
+        else:
+            assert finite.all() and ranks.min() > 0
+    if not batch:
+        assert all(type(r.rank) is int and type(r.det) is float for r in got)
 
 
 def test_pole_state_in_a_batch_names_its_entry():
