@@ -85,6 +85,20 @@ def check_off_pole(theta) -> None:
                      DomainError, "theta = {} too close to a chart pole", theta)
 
 
+def _dof5_terms(q, qd):
+    """(sin th, cos th, sin ph, cos ph, a, b, n.v, c1) and (xx, w, ndot.v,
+    ndot.ndot): the DOF5 chart scalars' products and terms, written once for
+    ``chart_scalars`` and ``chart_scalar_jets``.  With n = (sin th cos ph,
+    sin th sin ph, cos th): a = cos ph v1 + sin ph v2, b = da/dph, c1 =
+    d(n.v)/dth, and ndot = thd dn/dth + phd dn/dph."""
+    v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
+    st, ct, sp, cp = jets.sin(q[3]), jets.cos(q[3]), jets.sin(q[4]), jets.cos(q[4])
+    a, b = cp * v1 + sp * v2, cp * v2 - sp * v1
+    nv, c1, s = st * a + ct * v3, ct * a - st * v3, st * phd
+    return (st, ct, sp, cp, a, b, nv, c1), (1.0 - (v1 * v1 + v2 * v2 + v3 * v3), 1.0 - nv,
+                                           thd * c1 + s * b, thd * thd + s * s)
+
+
 def chart_scalars(q, qd, dof):
     """(xdot.xdot, k.xdot, kdot.xdot, kdot.kdot) from chart coordinates in
     closed form; generic over floats, jets and batches of either.
@@ -95,17 +109,7 @@ def chart_scalars(q, qd, dof):
         kdot.xdot = Kdot (1 - n.v) - K ndot.v,
         kdot.kdot = -K^2 (thetadot^2 + sin^2(theta) phidot^2).
     """
-    theta, phi = q[3], q[4]
-    v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
-    st, ct = jets.sin(theta), jets.cos(theta)
-    sp, cp = jets.sin(phi), jets.cos(phi)
-    a = cp * v1 + sp * v2
-    s = st * phd
-    # ndot = thetadot d n/d theta + phidot d n/d phi
-    ndv = thd * (ct * a - st * v3) + s * (cp * v2 - sp * v1)
-    w = 1.0 - (st * a + ct * v3)
-    nd2 = thd * thd + s * s
-    xx = 1.0 - (v1 * v1 + v2 * v2 + v3 * v3)
+    _, (xx, w, ndv, nd2) = _dof5_terms(q, qd)
     if len(dof) == 6:
         K, Kd = q[5], qd[5]
         return xx, K * w, Kd * w - K * ndv, -(K * K) * nd2
@@ -152,28 +156,22 @@ def chart_scalar_jets(q, qd, dof):
     """``chart_scalars`` and their rates in (q[3:], qd), x1..x3 being cyclic,
     as one ``jets.stack``; q and qd are (n,), or (n, B) for a batch.
 
-    The values are ``chart_scalars`` on floats, bit for bit.  The gradients
-    and Hessians of the DOF5 scalars are written out in closed form, so no
-    jet arithmetic runs at DOF5; ``lagrangian_from_scalars`` then takes L's
-    chain step from them.  With n = (sin th cos ph, sin th sin ph, cos th),
-    w = 1 - n.v, and u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5,
-    so the rates of u in thetadot and phidot are those of w in theta and phi.
+    The values, and the products the rates are written in, come from one
+    ``_dof5_terms`` pass, the one ``chart_scalars`` takes: the values are
+    ``chart_scalars``' on floats, bit for bit.  The gradients and Hessians of
+    the DOF5 scalars are written out in closed form, so no jet arithmetic runs
+    at DOF5; ``lagrangian_from_scalars`` then takes L's chain step from them.
+    As w = 1 - n.v and u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5,
+    the rates of u in thetadot and phidot are those of w in theta and phi.
     At DOF6 the scalars are xx, K w, Kdot w + K u and K^2 z: four ``Jet``
-    products of the DOF5 jets, written at width 9, with the jets of K and
-    Kdot.
+    products of the DOF5 jets, written at width 9, with the jets of K and Kdot.
     """
     shape = np.shape(q)[1:]
     if not shape:  # one state: Python floats, faster than numpy scalars
         q, qd = np.asarray(q).tolist(), np.asarray(qd).tolist()
-    th, ph = q[3], q[4]
     v1, v2, v3, thd, phd = qd[0], qd[1], qd[2], qd[3], qd[4]
-    st, ct = jets.sin(th), jets.cos(th)
-    sp, cp = jets.sin(ph), jets.cos(ph)
-    a = cp * v1 + sp * v2
-    b = cp * v2 - sp * v1  # d a / d phi
-    nv = st * a + ct * v3  # n.v
-    c1 = ct * a - st * v3  # d (n.v) / d theta
-    base = chart_scalars(q, qd, DOF5)
+    (st, ct, sp, cp, a, b, nv, c1), (xx, w, ndv, nd2) = _dof5_terms(q, qd)
+    base = xx, w, -ndv, -nd2
     width = 2 * len(dof) - 3
     g_at, h_at = _AT[width]
     G = np.zeros((4, width) + shape)
@@ -193,7 +191,7 @@ def chart_scalar_jets(q, qd, dof):
          nv, -ct * b, -ct * cp, -ct * sp, st,
          -ct * b, st * a, st * sp, -st * cp,
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
-    H.reshape((-1,) + shape)[h_at] = h + h + (np.full(shape, -2.0),) * 4
+    H.reshape((-1,) + shape)[h_at] = h + h + (np.full(shape, -2.0) if shape else -2.0,) * 4
     if len(dof) == 6:
         xx, w, u, z = map(jets.Jet, base, G, H)
         _, _, K, *_, Kd = jets.variables(*q[3:], *qd)

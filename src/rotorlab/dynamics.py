@@ -14,12 +14,12 @@ second-order phase data.
 Euler-Lagrange residuals are evaluated in the lab-time chart (worldline
 parameter = x^0) by exact forward-mode differentiation; integration solves
 H qddot = Z at each right-hand-side call, one state at a time, with a
-Householder QR from LAPACK and condition monitoring (``_qr_solve``).  On
-arrays of a few entries numpy's per-call overhead is most of a call's cost,
-so each stage of it makes few numpy calls.  The integrator is rotorlab's
-own DOP853 (``dop853``).  Of scipy an integration loads two modules, each
-by itself, at the first solve: the LAPACK extension (``_lapack``) and the
-DOP853 coefficients; every other query starts without scipy.
+Householder QR from LAPACK and condition monitoring (``_qr_solve``), which
+factors first and looks for inert coordinates only when the factors refuse.
+Numpy's per-call overhead is most of a call's cost on arrays this small, so
+each stage makes few numpy calls.  The integrator is rotorlab's own DOP853
+(``dop853``).  Of scipy, only the LAPACK extension (``_lapack``) and the DOP853
+coefficients load, each by itself, at an integration's first solve.
 L depends on the worldline only through its velocity, so the positions
 x1..x3 are cyclic: the chart jets are in the coordinates that L reads.
 ``degeneracy.chart_derivatives`` forms them, the closed-form jets of the four
@@ -55,6 +55,7 @@ PARAM_TOL = 1e-12
 SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
 RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
 COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
+INERT_TOL = 1e-14  # largest Hessian row and force of an inert coordinate, relative to max|H|
 CHUNK = 128  # times per batched trajectory query in the passes along a trajectory
 # the integrator's budget of right-hand-side calls: a floor for any span plus a
 # rate per unit of lab time.  Measured runs that finish take at most 600 calls
@@ -273,13 +274,13 @@ def _hessian_and_force(F: FForm, q, qd, dof):
 
 def _active(H, Z, t, q, qd):
     """Which coordinates are not inert, as a list of bools: inert ones have a
-    Hessian row and a force of at most 1e-14 of H's largest entry, like the
-    point particle's angles.  A non-finite H or Z raises the error of
+    Hessian row and a force of at most INERT_TOL of H's largest entry, like
+    the point particle's angles.  A non-finite H or Z raises the error of
     ``_qr_solve`` instead of failing every comparison and reading as inert."""
     rows, force = np.abs(H).max(axis=1).tolist(), Z.tolist()
     if not all(map(math.isfinite, rows + force)):
         raise SingularHessianError(f"{_UNSOLVABLE} (Hessian or force not finite)", t, q, qd)
-    tol = 1e-14 * max(max(rows), 1e-300)
+    tol = INERT_TOL * max(max(rows), 1e-300)
     return [r > tol or abs(z) > tol for r, z in zip(rows, force)]
 
 
@@ -305,25 +306,36 @@ def _qr_solve(H, Z, t, q, qd):
 
     The system is a few coordinates wide, so the solve calls LAPACK directly:
     dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z and dtrtrs
-    solves the triangle, without the wrappers' checks and copies.
+    solves the triangle, without the wrappers' checks and copies.  It factors
+    first, and returns if R's diagonal is finite and well conditioned, each
+    |R_ii| > 2 sqrt(n) INERT_TOL max|H| and qddot finite: no row is inert then,
+    as H is symmetric bit for bit (``compose``) and a Householder QR's backward
+    error is columnwise (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Thm 19.4), |R_ii| <= (1 + gamma) |H e_i| <= (1 + gamma) sqrt(n)
+    INERT_TOL max|H| for an inert column.  Refused, it classifies, then checks.
     """
+    dgeqrf, dormqr, dtrtrs = _lapack()
+    qr, tau, _, _ = dgeqrf(H)
+    diag = [abs(r) for r in qr.diagonal().tolist()]
+    finite = all(map(math.isfinite, diag))
+    solvable = finite and min(diag) > COND_TOL * max(max(diag), 1e-300)
+    if solvable:
+        qdd = dtrtrs(qr, dormqr("L", "T", qr, tau, Z[:, None], 1)[0])[0][:, 0]
+        solved = all(map(math.isfinite, qdd.tolist()))
+        if solved and min(diag) > 2.0 * math.sqrt(len(Z)) * INERT_TOL * np.abs(H).max():
+            return qdd
     active = _active(H, Z, t, q, qd)
     if not all(active):  # the active block alone; the inert rows stay at 0
         qdd, idx = np.zeros(len(Z)), np.flatnonzero(active)
         if len(idx):
             qdd[idx] = _qr_solve(H[np.ix_(idx, idx)], Z[idx], t, q, qd)
         return qdd
-    dgeqrf, dormqr, dtrtrs = _lapack()
-    qr, tau, _, _ = dgeqrf(H)
-    diag = [abs(r) for r in qr.diagonal().tolist()]
-    if not all(map(math.isfinite, diag)):
+    if not finite:
         raise SingularHessianError(f"{_UNSOLVABLE} (R diagonal not finite)", t, q, qd)
-    if not min(diag) > COND_TOL * max(max(diag), 1e-300):
+    if not solvable:
         raise SingularHessianError(f"velocity Hessian singular (R diagonal ratio "
                                    f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
-    qtz, _, _ = dormqr("L", "T", qr, tau, Z[:, None], 1)
-    qdd = dtrtrs(qr, qtz)[0][:, 0]
-    if not all(map(math.isfinite, qdd.tolist())):
+    if not solved:
         raise SingularHessianError(f"{_UNSOLVABLE} (acceleration not finite)", t, q, qd)
     return qdd
 

@@ -319,12 +319,11 @@ class KinematicPath:
     xdot: np.ndarray  # (4,)
 
 
-def random_timelike(rng):
-    eta = rng.uniform(0.0, RAPIDITY_MAX)
+def random_timelike(rng, u):
+    eta = 0.0 + RAPIDITY_MAX * u  # numpy's uniform(0, RAPIDITY_MAX), from a drawn u
     n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
     scale = rng.uniform(0.5, 2.0)
-    return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
+    return scale * four(np.cosh(eta), *(np.sinh(eta) * (n / np.linalg.norm(n))))
 
 
 # (lo, hi) of the (4, 4) table of a random path's angle rows (base, amp / rate,
@@ -336,14 +335,15 @@ _PATH_RATE = np.array([rate for _, _, rate in KINEMATIC_RANGES])
 
 def draw_kinematic_path(rng) -> KinematicPath:
     """Random angle paths within ``KINEMATIC_RANGES``, then a random timelike
-    xdot.  The angle table is one ``rng.random`` call scaled to lo + span * u,
-    row by row, with each amplitude then times its angle's rate: numpy's
-    ``uniform`` arithmetic, so the bits and the generator state after are
-    those of drawing the 16 numbers one at a time.  The timelike xdot draws
-    on its own, because its normal draw takes a variable number of words."""
-    angles = _PATH_LO + _PATH_SPAN * rng.random((4, 4))
+    xdot.  One ``rng.random(17)`` call draws the angle table, scaled row by row
+    to lo + span * u with each amplitude then times its angle's rate, and xdot's
+    rapidity: numpy's ``uniform`` arithmetic, so the bits and the generator
+    state after are those of drawing the 17 numbers one at a time.  xdot's
+    normal draw takes a variable number of words; it and the scale follow."""
+    u = rng.random(17)
+    angles = _PATH_LO + _PATH_SPAN * u[:16].reshape(4, 4)
     angles[:, 1] *= _PATH_RATE
-    return KinematicPath(angles, random_timelike(rng))
+    return KinematicPath(angles, random_timelike(rng, u[16]))
 
 
 def kinematic_jets(paths) -> KinematicJet:

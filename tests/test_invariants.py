@@ -220,7 +220,7 @@ def _reference_kinematic_jet(rng):
     phi = _reference_path(rng, 0.0, 2 * np.pi)
     psi = _reference_path(rng, 0.6, 3.0, rate=0.5)
     Phi = _reference_path(rng, 0.0, 4 * np.pi)
-    xdot = random_timelike(rng)
+    xdot = random_timelike(rng, rng.random())
     (t,) = jets.variables(0.0)
     return _reference_jet(xdot, *tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t)))
 
