@@ -291,7 +291,7 @@ def _lapack():
     package ``__init__`` imports f2py, numpy.testing and more, and takes
     longer than a ten-period ``simulate``."""
     module = dop853.scipy_module("scipy.linalg._flapack")
-    return module.dgeqrf, module.dormqr, module.dtrtrs
+    return module.dgeqrf, module.dormqr, module.dtrtrs, module.dlange
 
 
 def _qr_solve(H, Z, t, q, qd):
@@ -305,16 +305,16 @@ def _qr_solve(H, Z, t, q, qd):
     integrator's step-size loop.
 
     The system is a few coordinates wide, so the solve calls LAPACK directly:
-    dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z and dtrtrs
-    solves the triangle, without the wrappers' checks and copies.  It factors
-    first, and returns if R's diagonal is finite and well conditioned, each
-    |R_ii| > 2 sqrt(n) INERT_TOL max|H| and qddot finite: no row is inert then,
-    as H is symmetric bit for bit (``compose``) and a Householder QR's backward
-    error is columnwise (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., Thm 19.4), |R_ii| <= (1 + gamma) |H e_i| <= (1 + gamma) sqrt(n)
-    INERT_TOL max|H| for an inert column.  Refused, it classifies, then checks.
+    dgeqrf factors H = QR (Householder), dormqr applies Q^T to Z, dtrtrs solves
+    the triangle and dlange reads max|H|, with no wrapper's checks or copies.
+    It returns at once if R's diagonal is finite and well conditioned, each
+    |R_ii| > 2 sqrt(n) INERT_TOL max|H| and qddot finite.  No row is inert
+    then: H is symmetric bit for bit (``compose``), and by the columnwise
+    backward error of Householder QR (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 19.4) an inert column has |R_ii| <=
+    (1 + gamma) |H e_i| <= (1 + gamma) sqrt(n) INERT_TOL max|H|.  Else it classifies.
     """
-    dgeqrf, dormqr, dtrtrs = _lapack()
+    dgeqrf, dormqr, dtrtrs, dlange = _lapack()
     qr, tau, _, _ = dgeqrf(H)
     diag = [abs(r) for r in qr.diagonal().tolist()]
     finite = all(map(math.isfinite, diag))
@@ -322,7 +322,7 @@ def _qr_solve(H, Z, t, q, qd):
     if solvable:
         qdd = dtrtrs(qr, dormqr("L", "T", qr, tau, Z[:, None], 1)[0])[0][:, 0]
         solved = all(map(math.isfinite, qdd.tolist()))
-        if solved and min(diag) > 2.0 * math.sqrt(len(Z)) * INERT_TOL * np.abs(H).max():
+        if solved and min(diag) > 2.0 * math.sqrt(len(Z)) * INERT_TOL * dlange("M", H):
             return qdd
     active = _active(H, Z, t, q, qd)
     if not all(active):  # the active block alone; the inert rows stay at 0

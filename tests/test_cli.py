@@ -711,7 +711,8 @@ LAPACK_PROBE = """
 from rotorlab import dynamics
 ours = dynamics._lapack()
 import scipy.linalg.lapack as lapack
-print([a is b for a, b in zip(ours, (lapack.dgeqrf, lapack.dormqr, lapack.dtrtrs))])
+print([a is b for a, b in zip(ours, (lapack.dgeqrf, lapack.dormqr, lapack.dtrtrs,
+                                    lapack.dlange), strict=True)])
 """
 
 
@@ -720,7 +721,7 @@ def test_the_solve_uses_scipys_own_lapack_routines():
     imports later: one LAPACK in the process, the same routine objects."""
     proc = run_fresh("-c", LAPACK_PROBE)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[True, True, True]\n"
+    assert proc.stdout == "[True, True, True, True]\n"
 
 
 TABLEAU_PROBE = """

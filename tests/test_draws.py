@@ -15,7 +15,8 @@ import pytest
 from rotorlab import cli, invariants
 from rotorlab.degeneracy import ChartState, random_chart_state, random_chart_states
 from rotorlab.invariants import (COUNT_SAMPLES, KINEMATIC_RANGES, RAPIDITY_MAX,
-                                 draw_kinematic_path, reproduce_invariant_count)
+                                 draw_kinematic_path, random_timelike,
+                                 reproduce_invariant_count)
 from rotorlab.minkowski import four
 from rotorlab.reports import RunConfig
 
@@ -44,11 +45,15 @@ def ref_kinematic_path(rng):
     angles = np.array([(rng.uniform(lo, hi), rate * rng.uniform(0.05, 0.4),
                         rng.uniform(0.5, 2.0), rng.uniform(0.0, 2 * np.pi))
                        for lo, hi, rate in KINEMATIC_RANGES])
+    return angles, ref_timelike(rng)
+
+
+def ref_timelike(rng):
     eta = rng.uniform(0.0, RAPIDITY_MAX)
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
     scale = rng.uniform(0.5, 2.0)
-    return angles, scale * four(np.cosh(eta), *(np.sinh(eta) * n))
+    return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
 
 
 def ref_gauge(rng):
@@ -150,6 +155,15 @@ def test_kinematic_paths_are_the_per_number_draws():
                           [a for w in want for a in w], rng, ref), seed
 
 
+def test_a_timelike_xdot_is_the_per_number_draws():
+    # the caller draws the rapidity's number, as the 17th of a path's table
+    for seed in SEEDS:
+        rng, ref = _default_rng(seed), _default_rng(seed)
+        got = [random_timelike(rng, rng.random()) for _ in range(3)]
+        want = [ref_timelike(ref) for _ in range(3)]
+        assert same_draws(got, want, rng, ref), seed
+
+
 def test_invariants_suite_draws_the_per_number_jets_and_gauges(monkeypatch):
     drawn, rngs = [], []
     monkeypatch.setattr(cli, "draw_kinematic_path",
@@ -230,8 +244,8 @@ def test_count_points_are_the_per_point_draws(monkeypatch, made):
 
 def test_verify_draws_by_the_table(made, capsys):
     # 2,760 calls when every number was its own call: 2,675 uniform, 85 normal;
-    # 405 now: 147 random, 173 uniform (170 of them in random_timelike, 3 in
+    # 320 now: 147 random, 88 uniform (85 of them random_timelike's scale, 3 in
     # count-invariants) and 85 normal
     cli.main(["verify", "--suite", "all", "--seed", "0"])
     capsys.readouterr()
-    assert sum(made.calls.values()) <= 410, made.calls
+    assert sum(made.calls.values()) <= 320, made.calls

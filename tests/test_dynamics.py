@@ -316,29 +316,51 @@ def test_qr_solve_raises_on_a_non_finite_system(where, bad):
     assert e.value.state == {"t": 0.5, "q": list(q), "qd": list(qd)}
 
 
-def test_integration_work_is_pinned(monkeypatch):
+@pytest.fixture
+def work(monkeypatch):
+    """Counts of one integration's work: DOP853 right-hand-side calls,
+    evaluations of H and Z, factorizations (dgeqrf) and classifications
+    (``_active``)."""
+    counts = dict.fromkeys(("calls", "evaluations", "factorizations", "classifications"), 0)
+
+    def counter(key, fun):
+        def counted(*args):
+            counts[key] += 1
+            return fun(*args)
+        return counted
+
+    solve, lapack = dop853.solve, dynamics._lapack
+    monkeypatch.setattr(dop853, "solve",
+                        lambda fun, *args: solve(counter("calls", fun), *args))
+    monkeypatch.setattr(dynamics, "_hessian_and_force",
+                        counter("evaluations", dynamics._hessian_and_force))
+    monkeypatch.setattr(dynamics, "_active", counter("classifications", dynamics._active))
+    monkeypatch.setattr(dynamics, "_lapack", lambda: (counter("factorizations",
+                                                              lapack()[0]), *lapack()[1:]))
+    return counts
+
+
+def test_integration_work_is_pinned(work):
     """Q over a lab time of 9 from a fixed state takes 527 right-hand-side
     calls in 35 DOP853 steps, and evaluates H and Z once more, at the start:
     an extra evaluation per call or per step fails here instead of hiding in
-    timing noise."""
-    solve, calls, evaluations = dop853.solve, [0], [0]
-
-    def counted_solve(fun, *args):
-        def counted(t, y):
-            calls[0] += 1
-            return fun(t, y)
-        return solve(counted, *args)
-
-    def counted_evaluation(*args):
-        evaluations[0] += 1
-        return hessian_and_force(*args)
-
-    hessian_and_force = dynamics._hessian_and_force
-    monkeypatch.setattr(dop853, "solve", counted_solve)
-    monkeypatch.setattr(dynamics, "_hessian_and_force", counted_evaluation)
+    timing noise.  Each call factors H once and classifies no coordinate;
+    only the start does, to find inert coordinates."""
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
     traj = integrate(parse_f("Q"), st, (0.0, 9.0))
-    assert (calls[0], evaluations[0], len(traj.sol.ts)) == (527, 528, 36)
+    assert len(traj.sol.ts) == 36
+    assert work == {"calls": 527, "evaluations": 528, "factorizations": 527,
+                    "classifications": 1}
+
+
+def test_point_particle_classifies_at_every_call(work):
+    """The point particle's angle rows are exactly 0, so every factorization
+    of the whole H is refused: each call factors twice (H, then its active
+    block) and classifies once, and the start classifies once more."""
+    st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03), thetadot=0.4, phidot=0.7)
+    integrate(builtin("point_particle"), st, (0.0, 5.0))
+    assert work == {"calls": 62, "evaluations": 63, "factorizations": 124,
+                    "classifications": 63}
 
 
 @pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)"])
@@ -450,6 +472,100 @@ def test_qr_solve_freezes_inert_coordinates():
     qdd = dynamics._qr_solve(H, Z, 0.0, q, qd)
     assert same_bits(qdd[3:], [0.0, 0.0])
     assert np.allclose(H[:3, :3] @ qdd[:3], Z[:3], rtol=0.0, atol=1e-15)
+
+
+def classify_first_qr_solve(H, Z, t, q, qd):
+    """The reference: ``_qr_solve`` in its former order, ``_active`` on every
+    call and a QR of the active block only."""
+    active = dynamics._active(H, Z, t, q, qd)
+    if not all(active):
+        qdd, idx = np.zeros(len(Z)), np.flatnonzero(active)
+        if len(idx):
+            qdd[idx] = classify_first_qr_solve(H[np.ix_(idx, idx)], Z[idx], t, q, qd)
+        return qdd
+    dgeqrf, dormqr, dtrtrs, _ = dynamics._lapack()
+    qr, tau, _, _ = dgeqrf(H)
+    diag = [abs(r) for r in qr.diagonal().tolist()]
+    if not all(map(np.isfinite, diag)):
+        raise SingularHessianError(f"{dynamics._UNSOLVABLE} (R diagonal not finite)", t, q, qd)
+    if not min(diag) > dynamics.COND_TOL * max(max(diag), 1e-300):
+        raise SingularHessianError(f"velocity Hessian singular (R diagonal ratio "
+                                   f"{min(diag) / max(max(diag), 1e-300):.3e})", t, q, qd)
+    qtz, _, _ = dormqr("L", "T", qr, tau, Z[:, None], 1)
+    qdd = dtrtrs(qr, qtz)[0][:, 0]
+    if not all(map(np.isfinite, qdd.tolist())):
+        raise SingularHessianError(f"{dynamics._UNSOLVABLE} (acceleration not finite)",
+                                   t, q, qd)
+    return qdd
+
+
+def planted_system(rng):
+    """A random symmetric 5x5 system (H, Z) with planted hard rows: up to two
+    near-inert rows (10^-2 to 10 times the inert threshold, or exactly 0) with
+    forces at 0, at the threshold or at 1, sometimes a singular or nearly
+    singular active block, often graded rows and columns, and sometimes an
+    inf or a NaN in H or Z."""
+    n = 5
+    A = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.3:  # a rank-deficient or ill-conditioned block
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        lam = rng.normal(size=n)
+        lam[rng.integers(n)] *= rng.choice([0.0, 1e-13, 1e-12, 1e-11])
+        A = (V * lam) @ V.T * 10.0 ** rng.uniform(-3, 3)
+    if rng.random() < 0.5:  # graded: R's diagonal far below the largest entry
+        d = 10.0 ** rng.uniform(-3, 3, n)
+        A = d[:, None] * A * d
+    H = np.triu(A) + np.triu(A, 1).T  # symmetric bit for bit
+    Z = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+    top = np.abs(H).max()
+    tol = dynamics.INERT_TOL * top
+    for i in rng.choice(n, size=rng.integers(3), replace=False):
+        row = rng.normal(size=n)
+        if rng.random() < 0.25:
+            row[:] = 0.0
+        else:
+            row *= 10.0 ** rng.uniform(-2, 1) * tol / np.abs(row).max()
+        H[i, :], H[:, i] = row, row
+        Z[i] = rng.choice([0.0, tol, -tol, np.nextafter(tol, np.inf), 1.0])
+    if rng.random() < 0.05:  # a non-finite entry, of H (kept symmetric) or of Z
+        bad, i, j = rng.choice([np.inf, -np.inf, np.nan]), *rng.integers(n, size=2)
+        if rng.random() < 0.5:
+            H[i, j] = H[j, i] = bad
+        else:
+            Z[i] = bad
+    return H, Z
+
+
+def solve_outcome(solve, H, Z):
+    """The acceleration's bits, or the message of the error raised."""
+    try:
+        return solve(H, Z, 0.25, np.zeros(5), np.ones(5)).tobytes()
+    except SingularHessianError as e:
+        return str(e)
+
+
+def test_factor_first_solve_is_the_classify_first_solve():
+    """Over 12,000 planted symmetric systems, ``_qr_solve`` returns the bits, or
+    raises the message, of the classify-first order it replaced: its fast
+    return never skips an inert row or an error."""
+    rng = np.random.default_rng(42)
+    kinds = set()
+    for _ in range(12_000):
+        H, Z = planted_system(rng)
+        got = solve_outcome(dynamics._qr_solve, H, Z)
+        assert got == solve_outcome(classify_first_qr_solve, H, Z), (H, Z)
+        kinds.add(got.split(" (")[0].split(" at t")[0] if isinstance(got, str) else "solved")
+    assert kinds == {"solved", "velocity Hessian singular", dynamics._UNSOLVABLE}, kinds
+
+
+@pytest.mark.parametrize("dof", [DOF5, DOF6])
+@pytest.mark.parametrize("expr", ["Q", "Q^2", "sqrt(Q)*(2+Q)", "Q+P*Q"])
+def test_velocity_hessian_is_symmetric_bit_for_bit(expr, dof):
+    # the fast return of _qr_solve rests on H == H.T exactly
+    F, rng = parse_f(expr), np.random.default_rng(7)
+    for st in degeneracy.random_chart_states(rng, 100):
+        H, _ = dynamics._hessian_and_force(F, *st.coords(dof), dof)
+        assert same_bits(H, H.T), (expr, st)
 
 
 SCIPY_LOADERS = {"scipy.linalg._flapack": dynamics._lapack.__wrapped__,
