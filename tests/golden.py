@@ -46,8 +46,7 @@ COMMANDS = {
        for dof in (5, 6) for name, f in (("starlike", "starlike"), ("Q+PQ", "Q+P*Q"))},
     "relation-seed-0": ["relation", "--seed", "0"],
     "casimir-overflow": ["casimir", "--f", "nu_family", "--nu", "1e200", "--seed", "0"],
-    # one exit-2 run per family of error message; the integrator's step collapse
-    # (0.3 s) stays out, to keep the golden test under 2 s
+    # one exit-2 run per family of error message
     **{f"error-{name}": [*argv, "--seed", "0"] for name, argv in (
         ("parse", ["casimir", "--f", "Q+"]),
         ("unknown-name", ["casimir", "--f", "R*Q"]),
@@ -60,6 +59,7 @@ COMMANDS = {
         ("inert", ["simulate", "--f", "0", "--periods", "0.1"]),
         ("acceleration", ["simulate", "--f", "1e308", "--periods", "0.05"]),
         ("spent-budget", ["simulate", "--f", "2.5*Q - sin(2398*P)", "--periods", "0.05"]),
+        ("step-collapse", ["simulate", "--f", "1+Q+P^2", "--periods", "0.05"]),
         ("phase-speed", ["freemotion", "--phase", "3*t"]),
         ("run-scales", ["hessian", "--f", "Q", "--M", "1e300"]),
         ("oserror", ["verify", "--suite", "tetrad", "--report-out", "/nonexistent/dir/r.txt"]),
