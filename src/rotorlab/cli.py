@@ -39,7 +39,7 @@ from .dynamics import (
     trajectory_samples,
 )
 from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
-                    parse_phase, pq_from_scalars, pq_from_vectors, scalar_products)
+                    parse_phase, pq_from_scalars, pq_from_vectors)
 from .invariants import (
     GaugeJet,
     draw_kinematic_path,
@@ -147,16 +147,15 @@ def noether_residuals(forms, samples):
     """Worst relative gap between Noether and closed-form Casimirs, and worst
     relative W.P, over the (kinematic jet, form) pairs inside the form's domain.
 
-    ``samples`` is a batch of kinematic jets.  The closed form of each form is
-    evaluated once over the batch.  Per pair only the momenta are taken, one
-    jet at a time, jet-major and form-minor; the forms at a jet share its
-    scalar products, seeded once.  Then one batched pass over the pairs'
-    stacked P, pi and k forms W, the Casimirs, W.P and both residuals, each
-    entry the pair's float result."""
-    scalars = scalar_products(samples.xdot, samples.k, samples.kdot)
+    ``samples`` is a batch of kinematic jets; its scalar products are seeded
+    once (``velocity_scalars``), for the closed form of every form over the
+    batch and for the momenta of every form at a jet.  Per pair only the
+    momenta are taken, one jet at a time, jet-major and form-minor.  Then one
+    batched pass over the pairs' stacked P, pi and k forms W, the Casimirs,
+    W.P and both residuals, each entry the pair's float result."""
     closed = []  # per form: the batch entries inside its domain, PP and WW there
     for F in forms:
-        _, P, Q = pq_from_scalars(*scalars, F.ell)
+        _, P, Q = pq_from_scalars(*samples.velocity_scalars[0], F.ell)
         closed.append(casimirs_where_defined(F, P, Q))
     records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):

@@ -21,6 +21,7 @@ import numpy as np
 
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10  # step-size control
 ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimate + 1)
+RTOL, ATOL = 1e-10, 1e-12  # error tolerances
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -80,10 +81,10 @@ class DenseSolution:
         return y.T
 
 
-def _first_step(fun, t0, y0, f0, span, rtol, atol):
+def _first_step(fun, t0, y0, f0, span):
     """The first step's size, from the RMS scales of the state and the slope
     and one trial Euler step (Hairer, Norsett & Wanner, II.4)."""
-    scale, rms = atol + np.abs(y0) * rtol, len(y0) ** 0.5
+    scale, rms = ATOL + np.abs(y0) * RTOL, len(y0) ** 0.5
     d0, d1 = np.linalg.norm(y0 / scale) / rms, np.linalg.norm(f0 / scale) / rms
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     d2 = np.linalg.norm((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / rms / h0
@@ -101,7 +102,7 @@ def _error_norm(K, h, scale, tableau):
     return np.abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2) * len(scale))
 
 
-def solve(fun, t_span, y0, rtol, atol) -> DenseSolution:
+def solve(fun, t_span, y0) -> DenseSolution:
     """Integrate y' = fun(t, y) from the finite y0 over t_span = (t0, t1),
     t1 > t0; StepSizeError when the step size collapses."""
     t, t_bound = map(float, t_span)
@@ -111,7 +112,7 @@ def solve(fun, t_span, y0, rtol, atol) -> DenseSolution:
     tableau = _tableau()
     C, A, B, D, stages = tableau.C, tableau.A, tableau.B, tableau.D, tableau.N_STAGES
     f = fun(t, y)
-    h_abs = _first_step(fun, t, y, f, t_bound - t, rtol, atol)
+    h_abs = _first_step(fun, t, y, f, t_bound - t)
     K = np.empty((len(C), len(y)))  # the stages, in rows
     ts, y_old, F = [t], [], []
     while t < t_bound:
@@ -130,7 +131,7 @@ def solve(fun, t_span, y0, rtol, atol) -> DenseSolution:
                 K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
             y_new = y + h * np.dot(K[:stages].T, B)
             f_new = K[stages] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
             error_norm = _error_norm(K[:stages + 1], h, scale, tableau)
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else \

@@ -53,7 +53,6 @@ from .spinor import angles_from_null, null_from_angles
 
 PARAM_TOL = 1e-12
 SPEED_FLOOR = 1e-12  # numerical floor of the open bound 0 < |phidot|
-RTOL, ATOL = 1e-10, 1e-12  # DOP853 error tolerances
 COND_TOL = 1e-12  # least R-diagonal ratio of a solvable velocity Hessian
 INERT_TOL = 1e-14  # largest Hessian row and force of an inert coordinate, relative to max|H|
 CHUNK = 128  # times per batched trajectory query in the passes along a trajectory
@@ -437,7 +436,7 @@ def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTraj
         return np.concatenate([qd, _qr_solve(H, Z, t, q, qd)])
 
     try:
-        sol = dop853.solve(rhs, t_span, np.concatenate([q0, qd0]), RTOL, ATOL)
+        sol = dop853.solve(rhs, t_span, np.concatenate([q0, qd0]))
     except dop853.StepSizeError as e:
         why, t, y = e.args
         raise SingularHessianError(f"integration failed ({why.rstrip('.')})",

@@ -90,8 +90,7 @@ def _lift(J: KinematicJet):
 
 
 def _unlift(xdot, k, m, a, b) -> KinematicJet:
-    """The kinematic jet of a tetrad whose entries are jets in one parameter
-    (a plain-number entry has rate 0)."""
+    """The kinematic jet of a tetrad whose entries are jets in one parameter."""
     (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
     return KinematicJet(xdot=xdot, k=kv, m=mv, a=av, b=bv, kdot=kd, mdot=md,
                         adot=ad, bdot=bd)

@@ -2,9 +2,7 @@
 
 A ``Jet`` is a truncated second-order Taylor expansion in ``n`` independent
 variables.  All arithmetic propagates derivatives exactly (to rounding), which
-is what the Hessian, momentum and Euler-Lagrange machinery rely on.  Plain
-floats pass through the module-level math functions unchanged, so numerical
-kernels can be written once and evaluated either on numbers or on jets.
+is what the Hessian, momentum and Euler-Lagrange machinery rely on.
 
 A jet may also be first order: ``variables(..., order=1)`` seeds jets whose
 ``h`` is ``None``, and the result of an operation is truncated to the lowest
@@ -31,16 +29,18 @@ second partials, by one chain step; it is the one multi-input chain step.  It
 reads their gradients and Hessians stacked on a leading axis, as the
 Lagrangian's seeders write them; separate jets, as atan2's, go through ``stack``.
 
-One rule admits a plain operand of ``+ - * /``, either side: an int, a float
-or a numpy scalar enters as its float, and an array as itself, one number
-per batch entry, if it has the jet's batch shape (any other shape raises
-ValueError); any other type is no operand (TypeError).  A plain operand
-shifts the value or scales the whole jet; it is never promoted to a
-zero-derivative jet.  A result may share its ``g`` and ``h`` arrays with an
-operand (``x + 1.0`` keeps ``x.g``), the jets returned by ``variables`` share
-one Hessian array, and unbatched seeds of one width share read-only arrays
-across calls.  This is safe because no jet is ever written in place: treat
-``g`` and ``h`` as read-only.
+A plain number is never promoted to a zero-derivative jet (``constant`` makes
+one).  The math functions take plain floats and arrays as numbers, so kernels
+can be written once for numbers and jets.  A plain operand of ``+ - * /``,
+either side, shifts the value or scales the whole jet: an int, a float or a
+numpy scalar enters as its float, an array of the jet's batch shape as itself,
+one number per entry (any other shape raises ValueError), and any other type
+is no operand (TypeError).  ``stack`` and ``atan2`` take all jets or all plain
+numbers, ``split`` only jets; a mix raises TypeError.  A result may share its
+``g`` and ``h`` arrays with an operand (``x + 1.0`` keeps ``x.g``), the jets
+returned by ``variables`` share one Hessian array, and unbatched seeds of one
+width share read-only arrays across calls.  This is safe because no jet is
+ever written in place: treat ``g`` and ``h`` as read-only.
 """
 
 from __future__ import annotations
@@ -119,10 +119,8 @@ def _plain(x, other):
 class Jet:
     """Second-order jet: value ``f``, gradient ``g`` (n,), Hessian ``h`` (n, n),
     each with a trailing batch axis when batched; a first-order jet has
-    ``h = None``.
-
-    ``g`` and ``h`` must be float arrays (or ``h`` None); they are stored as
-    given.
+    ``h = None``.  ``g`` and ``h`` must be float arrays (or ``h`` None); they
+    are stored as given.
     """
 
     __slots__ = ("f", "g", "h")
@@ -216,10 +214,6 @@ class Jet:
             p * (p - 1.0) * power(self.f, p - 2.0),
         )
 
-    def __abs__(self):
-        raise_where(self.f == 0.0, ValueError, "abs() is not differentiable at 0")
-        return self * np.sign(self.f)
-
     def __float__(self):
         raise TypeError("refusing to silently drop derivatives; use jets.value()")
 
@@ -263,20 +257,26 @@ def _full(like, v):
 
 
 def value(x):
-    """Numeric value of a jet or plain number: a float, or a float array for
-    a batch."""
+    """Numeric value of a jet or plain number: a float, or a float array for a batch."""
     if isinstance(x, Jet):
         return x.f
     return x if isinstance(x, _ARRAY) else float(x)
 
 
+def _all_jets(items):
+    """Whether ``items`` are jets, not plain numbers; a mix raises TypeError."""
+    kinds = {isinstance(u, Jet) for u in items}
+    if len(kinds) == 2:
+        raise TypeError("jets mixed with plain numbers; make the numbers jets.constant")
+    return True in kinds
+
+
 def split(vec):
-    """Values and first derivatives of jets in one parameter, as two float
-    arrays, of shape (len(vec),) or (len(vec), B); a plain-number entry has
-    derivative 0.  The entries share one batch shape."""
-    val = np.array([value(c) for c in vec])
-    der = np.array([c.g[0] if isinstance(c, Jet) else _full(value(c), 0.0) for c in vec])
-    return val, der
+    """Values and first derivatives of jets in one parameter, of one batch
+    shape, as two float arrays of shape (len(vec),) or (len(vec), B)."""
+    if not _all_jets(vec):
+        raise TypeError("split reads the rates of jets, not of plain numbers")
+    return np.array([c.f for c in vec]), np.array([c.g[0] for c in vec])
 
 
 def _chain(u, f, f1, f2):
@@ -290,17 +290,15 @@ def _chain(u, f, f1, f2):
 
 
 def stack(items):
-    """The m functions ``items``, jets in the same variables or plain
+    """The m functions ``items``, all jets in the same variables or all plain
     numbers, as one stack ``(f, G, H)``: their values, gradients G (m, n[, B])
     and Hessians H (m, n, n[, B]); H is None if a jet is first order, both are
-    None if no item is a jet.  A plain number is a constant: its rates are 0."""
-    rows = [u for u in items if isinstance(u, Jet)]
-    if rows and len(rows) < len(items):
-        zero = constant(rows[0].f, rows[0].n)  # only its rates are read
-        rows = [u if isinstance(u, Jet) else zero for u in items]
-    G = np.array([u.g for u in rows]) if rows else None
-    H = None if not rows or any(u.h is None for u in rows) else np.array([u.h for u in rows])
-    return [value(u) for u in items], G, H
+    None for plain numbers."""
+    f = [value(u) for u in items]
+    if not _all_jets(items):
+        return f, None, None
+    H = None if any(u.h is None for u in items) else np.array([u.h for u in items])
+    return f, np.array([u.g for u in items]), H
 
 
 def compose(inner, f, d, D):
@@ -319,9 +317,11 @@ def compose(inner, f, d, D):
     entry is bit-identical to the unbatched call: the terms are stacked on a
     leading axis, which ``np.add.reduce`` adds in index order where a term
     has two or more entries or there are fewer than eight terms (numpy sums
-    pairwise only along a contiguous run of eight or more).  Each sum starts
-    from -0.0, so a sum of -0.0 terms is -0.0, as for jets.  The result is
-    first order if H is None, and then ``D`` is not read (it may be None).
+    pairwise only along a contiguous run of eight or more).  So G and H must
+    be C-ordered, as ``stack`` makes them: on a Fortran-ordered stack numpy
+    can sum in another order.  Each sum starts from -0.0, so a sum of -0.0
+    terms is -0.0, as for jets.  The result is first order if H is None, and
+    then ``D`` is not read (it may be None).
     """
     _, G, H = inner
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i[, D_i1, ..., D_im])
@@ -389,10 +389,9 @@ def acos(x):
 
 
 def atan2(y, x):
-    if not isinstance(y, Jet) and not isinstance(x, Jet):
+    if not _all_jets((y, x)):
         return _atan2(y, x)
-    yf = y.f if isinstance(y, Jet) else _full(x.f, y)
-    xf = x.f if isinstance(x, Jet) else _full(y.f, x)
+    yf, xf = y.f, x.f
     d = xf * xf + yf * yf
     raise_where(d == 0.0, ValueError, "atan2 undefined at the origin")
     d2 = power(d, 2)

@@ -4,6 +4,13 @@ import pytest
 from rotorlab.invariants import KinematicJet
 
 
+def same_bits(a, b):
+    """True if a and b hold the same float64 bits in the same shape: -0.0
+    differs from 0.0, and a NaN equals a NaN of the same payload."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.fixture
 def rotator_jet():
     """Kinematic jet of the circular solution at t=0 (M = ell = 1, phidot = 1).

@@ -24,6 +24,7 @@ from rotorlab.invariants import draw_kinematic_path, kinematic_jets
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
+from conftest import same_bits
 
 
 def run(capsys, *argv):
@@ -387,10 +388,6 @@ def test_batched_noether_residuals_match_the_per_pair_loop(seed):
     assert got == _noether_residuals_per_pair(forms, samples)
 
 
-def _same_bits(a, b):
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     """The suite reads W only on its batch of all pairs.  Each pair's own
@@ -423,15 +420,15 @@ def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     assert contractions == [(4, len(records))]
     assert batch.W is batch.W and len(contractions) == 1
     for b, ms in enumerate(records):
-        assert _same_bits(ms.W, batch.W[:, b])
+        assert same_bits(ms.W, batch.W[:, b])
         assert ms.W is ms.W
     assert len(contractions) == 1 + len(records)
     half = len(records) // 2
     parts = [noether.MomentumSet(batch.P[:, s], batch.pi[:, s], batch.k[:, s])
              for s in (slice(None, half), slice(half, None))]
     joined = dynamics._joined(parts)
-    assert _same_bits(joined.W, np.concatenate([p.W for p in parts], axis=-1))
-    assert _same_bits(joined.W, batch.W)
+    assert same_bits(joined.W, np.concatenate([p.W for p in parts], axis=-1))
+    assert same_bits(joined.W, batch.W)
 
 
 def test_noether_residuals_with_no_pair_in_a_domain_are_zero():

@@ -35,6 +35,7 @@ from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.noether import momenta_from_vectors
 from rotorlab.reports import Report, render_reports
+from conftest import same_bits
 from test_fform import reference_lagrangian
 
 ROT = builtin("rotator_f")
@@ -390,9 +391,9 @@ def test_dop853_takes_the_steps_of_scipys(expr):
         return f
 
     y0, span = np.concatenate(st.coords(DOF5)), (0.0, 9.0)
-    want = solve_ivp(rhs("scipy"), span, y0, method="DOP853", rtol=dynamics.RTOL,
-                     atol=dynamics.ATOL, dense_output=True)
-    got = dop853.solve(rhs("rotorlab"), span, y0, dynamics.RTOL, dynamics.ATOL)
+    want = solve_ivp(rhs("scipy"), span, y0, method="DOP853", rtol=dop853.RTOL,
+                     atol=dop853.ATOL, dense_output=True)
+    got = dop853.solve(rhs("rotorlab"), span, y0)
     assert want.success and len(calls["scipy"]) == want.nfev, why
     assert calls["rotorlab"] == calls["scipy"], f"right-hand-side calls differ: {why}"
     assert np.array_equal(got.ts, want.t), f"step ends differ: {why}"
@@ -840,13 +841,6 @@ def test_batched_queries_check_every_time():
 # the EL residuals; the worst over the test's draws at seeds 0-63, for the
 # rotator, Q^2 and 1+Q+P^2 at DOF5 and DOF6, was 10 (H), 15 (Z) and 19 (EL)
 CHART_JET_BOUND = 32
-
-
-def same_bits(a, b):
-    """True if a and b hold the same float64 bits: -0.0 differs from 0.0, and
-    a NaN equals a NaN of the same payload."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def all_seeded_lagrangian(F, q, qd, dof):

@@ -349,11 +349,12 @@ def test_lagrangian_chain_step_matches_jet_arithmetic(name, dof, order):
 
 
 def test_lagrangian_chain_step_takes_constant_scalars():
-    """A plain-number scalar among jets is a constant, as in jet arithmetic."""
+    """A scalar held constant, as a zero-rate jet, gives the L of jet
+    arithmetic on that scalar as a plain number."""
     F = CHAIN_FORMS["1+Q+P^2"]
     q, qd = random_chart_state(np.random.default_rng(5)).coords(DOF5)
     xx, kx, kdx, kdkd = _jets(chart_scalar_jets(q, qd, DOF5))
-    got = lagrangian_from_scalars(F, jets.stack((xx, kx, kdx.f, kdkd)))
+    got = lagrangian_from_scalars(F, jets.stack((xx, kx, jets.constant(kdx.f, kdx.n), kdkd)))
     want = reference_lagrangian(F, xx, kx, kdx.f, kdkd)
     scale = max(abs(want.f), np.max(np.abs(want.g)), np.max(np.abs(want.h)))
     assert np.allclose(got.g, want.g, rtol=0.0, atol=CHAIN_BOUND * U * scale)

@@ -22,6 +22,7 @@ from rotorlab.invariants import (
 )
 from rotorlab.minkowski import DomainError
 from rotorlab.spinor import tetrad_from_angles
+from conftest import same_bits
 
 
 def test_random_jets_satisfy_constraints():
@@ -230,8 +231,7 @@ def _assert_same_jets(got, want):
     for J, R in zip(got, want):
         for f in fields(KinematicJet):
             a, b = getattr(J, f.name), getattr(R, f.name)
-            assert a.shape == b.shape == (4,), f.name
-            assert np.array_equal(a, b), f.name
+            assert a.shape == (4,) and same_bits(a, b), f.name
 
 
 @pytest.mark.parametrize("size", [1, 2, 25, 60])

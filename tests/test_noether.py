@@ -24,6 +24,7 @@ from rotorlab.noether import (
     momenta,
     momenta_from_vectors,
 )
+from conftest import same_bits
 
 
 def all_forms():
@@ -138,16 +139,12 @@ def _outcome(fn, F, xdot, k, kdot, **kw):
         return str(exc)
 
 
-def _assert_same_array(a, b, what=""):
-    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), what
-
-
 def _assert_same_bits(got, want):
     if isinstance(want, str):
         assert got == want
         return
     for name in ("P", "pi", "M", "W"):
-        _assert_same_array(getattr(got, name), getattr(want, name), name)
+        assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
@@ -264,7 +261,7 @@ def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
             for x in (None, x0):
                 ms = momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
                 origin = np.zeros(4) if x is None else x
-                _assert_same_array(ms.M, bivector(origin, ms.P, J.k, ms.pi))
+                assert same_bits(ms.M, bivector(origin, ms.P, J.k, ms.pi))
                 checked += 1
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
         inside = np.flatnonzero(F.in_domain(P, Q))
@@ -273,14 +270,14 @@ def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
             batch = momenta_from_vectors(F, xdot, k, kdot, x=x)
             for b in range(inside.size):
                 origin = np.zeros(4) if x is None else x[:, b]
-                _assert_same_array(batch.M[:, :, b],
-                                   bivector(origin, batch.P[:, b], k[:, b], batch.pi[:, b]))
+                assert same_bits(batch.M[:, :, b],
+                                 bivector(origin, batch.P[:, b], k[:, b], batch.pi[:, b]))
                 checked += 1
             half = inside.size // 2
             parts = [momenta_from_vectors(F, xdot[:, s], k[:, s], kdot[:, s],
                                           x=None if x is None else x[:, s])
                      for s in (slice(None, half), slice(half, None))]
-            _assert_same_array(_joined(parts).M, batch.M)
+            assert same_bits(_joined(parts).M, batch.M)
     assert checked >= 2 * 250
 
 
@@ -300,8 +297,8 @@ def test_closed_forms_at_first_order_are_those_at_second_order():
             P, Q = P[inside], Q[inside]
             v = F.eval(P, Q)
             want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
-            _assert_same_array(PP[inside], want_PP)
-            _assert_same_array(WW[inside], want_WW)
+            assert same_bits(PP[inside], want_PP)
+            assert same_bits(WW[inside], want_WW)
             want = cli._worst([np.abs(want_PP / pp_target - 1.0),
                                np.abs(want_WW / ww_target - 1.0)])
             assert cli.fundamental_residual(F, P, Q) == want

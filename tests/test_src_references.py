@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED_TEST_ONLY = {
     "capital_invariants",  # the paper's reparametrization invariants I0..I4
     "casimirs_special_S",  # a reference closed form for the Casimirs
-    "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 7
+    "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 26
     "lorentz_matrix",  # the covariance tests, ROADMAP item 15
 }
 
