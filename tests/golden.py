@@ -46,6 +46,16 @@ COMMANDS = {
        for dof in (5, 6) for name, f in (("starlike", "starlike"), ("Q+PQ", "Q+P*Q"))},
     "relation-seed-0": ["relation", "--seed", "0"],
     "casimir-overflow": ["casimir", "--f", "nu_family", "--nu", "1e200", "--seed", "0"],
+    "casimir-rotator": ["casimir", "--f", "rotator", "--Q", "4"],
+    "fundamental-check-nu-family": ["fundamental-check", "--f", "nu_family", "--nu", "0.5"],
+    # a parsed form: its domain is read entry by entry
+    "fundamental-check-sqrt-1+sqrtQ": ["fundamental-check", "--f", "sqrt(1+sqrt(Q))",
+                                       "--grid", "5"],
+    # no grid point inside the domain: nothing is checked, and the check fails
+    "fundamental-check-empty": ["fundamental-check", "--f", "sqrt(-1-Q)"],
+    "count-invariants-seed-5": ["count-invariants", "--seed", "5"],
+    # exp, and the zero, negative and real exponents of a jet power
+    "hessian-exp-pow": ["hessian", "--f", "exp(Q)+Q^-1+Q^0.5+P^0", "--seed", "0"],
     # one exit-2 run per family of error message
     **{f"error-{name}": [*argv, "--seed", "0"] for name, argv in (
         ("parse", ["casimir", "--f", "Q+"]),

@@ -1,5 +1,6 @@
 """Every report of the golden command list is byte-identical to its file."""
 
+import argparse
 import math
 
 import pytest
@@ -12,6 +13,16 @@ def test_golden_reports_are_unchanged():
     assert sorted(golden.GOLDEN.glob("*.txt")) == sorted(map(golden.path, golden.COMMANDS))
     diffs = [d for d in map(golden.diff, golden.COMMANDS) if d]
     assert not diffs, "reports changed:\n" + "".join(diffs)
+
+
+def test_every_subcommand_has_a_passing_golden():
+    """Each subcommand of the parser runs to a result in some golden report
+    that exits 0, so its product path is pinned bit for bit."""
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    passing = {argv[0] for name, argv in golden.COMMANDS.items()
+               if "\n# exit 0\n" in golden.path(name).read_text()}
+    assert sorted(set(sub.choices) - passing) == []
 
 
 def test_a_residual_one_ulp_off_fails(monkeypatch):
