@@ -125,22 +125,17 @@ def fundamental_forms(cfg: RunConfig):
     return forms
 
 
-def domain_grid(F: FForm, n: int):
-    """The P and Q arrays of the points of an n x n (P, Q) grid inside the
-    domain of F, P-major."""
-    P, Q = (g.ravel() for g in np.meshgrid(np.linspace(-0.9, 0.9, n),
-                                           np.linspace(0.05, 4.0, n), indexing="ij"))
-    inside = F.in_domain(P, Q)
-    return P[inside], Q[inside]
-
-
-def fundamental_residual(F: FForm, P, Q) -> float:
-    """Worst relative miss of the fixed PP and WW over (P, Q) arrays, which
-    must lie inside the domain of F."""
-    v = F.eval(P, Q, order=1)
-    PP, WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
+def fundamental_residual(F: FForm, n: int):
+    """Worst relative miss of the fixed PP and WW over the points of an n x n
+    (P, Q) grid inside the domain of F, and the number of those points; with
+    none, nothing was checked and the miss is inf."""
+    P, Q = np.meshgrid(np.linspace(-0.9, 0.9, n), np.linspace(0.05, 4.0, n), indexing="ij")
+    inside, PP, WW = casimirs_where_defined(F, P.ravel(), Q.ravel())
+    if not inside.any():
+        return math.inf, 0
     pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
-    return _worst([np.abs(PP / pp_target - 1.0), np.abs(WW / ww_target - 1.0)])
+    miss = [np.abs(PP[inside] / pp_target - 1.0), np.abs(WW[inside] / ww_target - 1.0)]
+    return _worst(miss), int(inside.sum())
 
 
 def noether_residuals(forms, samples):
@@ -311,8 +306,7 @@ def suite_invariants(cfg: RunConfig):
 def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
-    worst_fund = _worst([fundamental_residual(F, *domain_grid(F, 12))
-                         for F in fundamental])
+    worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
     forms = fundamental + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
                            builtin("fq", f=lambda q: q, M=cfg.M, ell=cfg.ell)]
     worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
@@ -425,11 +419,9 @@ def cmd_casimir(args, cfg: RunConfig):
 
 def cmd_fundamental_check(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
-    P, Q = domain_grid(F, args.grid)
-    # no grid point inside the domain: nothing was checked
-    worst = fundamental_residual(F, P, Q) if P.size else math.inf
+    worst, points = fundamental_residual(F, args.grid)
     return [Report("fundamental-check", worst, FUNDAMENTAL_TOL,
-                   cfg.seed, {"form": F.name, "points": P.size})]
+                   cfg.seed, {"form": F.name, "points": points})]
 
 
 def cmd_hessian(args, cfg: RunConfig):

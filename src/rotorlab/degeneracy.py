@@ -101,7 +101,8 @@ def _dof5_terms(q, qd):
 
 def chart_scalars(q, qd, dof):
     """(xdot.xdot, k.xdot, kdot.xdot, kdot.kdot) from chart coordinates in
-    closed form; generic over floats, jets and batches of either.
+    closed form; generic over floats, jets and batches of either.  At DOF6,
+    the DOF5 ones (K = 1, Kdot = 0) through ``_amplitude``.
 
     With xdot = (1, v), k = K (1, n) and n.n = 1, n.ndot = 0:
 
@@ -110,10 +111,16 @@ def chart_scalars(q, qd, dof):
         kdot.kdot = -K^2 (thetadot^2 + sin^2(theta) phidot^2).
     """
     _, (xx, w, ndv, nd2) = _dof5_terms(q, qd)
-    if len(dof) == 6:
-        K, Kd = q[5], qd[5]
-        return xx, K * w, Kd * w - K * ndv, -(K * K) * nd2
-    return xx, w, -ndv, -nd2
+    base = xx, w, -ndv, -nd2
+    return _amplitude(base, q[5], qd[5]) if len(dof) == 6 else base
+
+
+def _amplitude(base, K, Kd):
+    """xx, K w, Kdot w + K u, K^2 z: the DOF6 chart scalars from the DOF5 ones
+    and the amplitude K and its rate, on floats or jets.  Negation is exact, so
+    K u is -(K ndot.v) and (K K) z is -(K K) ndot.ndot bit for bit."""
+    xx, w, u, z = base
+    return xx, K * w, Kd * w + K * u, (K * K) * z
 
 
 # The DOF5 chart scalars 0: xx, 1: w = k.xdot, 2: u = kdot.xdot, 3: z =
@@ -163,8 +170,8 @@ def chart_scalar_jets(q, qd, dof):
     at DOF5; ``lagrangian_from_scalars`` then takes L's chain step from them.
     As w = 1 - n.v and u = -ndot.v = thetadot dw/dth + phidot dw/dph at DOF5,
     the rates of u in thetadot and phidot are those of w in theta and phi.
-    At DOF6 the scalars are xx, K w, Kdot w + K u and K^2 z: four ``Jet``
-    products of the DOF5 jets, written at width 9, with the jets of K and Kdot.
+    At DOF6 ``_amplitude`` takes the DOF5 jets, written at width 9, and the
+    jets of K and Kdot to xx, K w, Kdot w + K u and K^2 z: four ``Jet`` products.
     """
     shape = np.shape(q)[1:]
     if not shape:  # one state: Python floats, faster than numpy scalars
@@ -193,9 +200,8 @@ def chart_scalar_jets(q, qd, dof):
          -2.0 * (ct * ct - st * st) * phd * phd, -4.0 * st * ct * phd, -2.0 * st * st)
     H.reshape((-1,) + shape)[h_at] = h + h + (np.full(shape, -2.0) if shape else -2.0,) * 4
     if len(dof) == 6:
-        xx, w, u, z = map(jets.Jet, base, G, H)
         _, _, K, *_, Kd = jets.variables(*q[3:], *qd)
-        return jets.stack((xx, K * w, Kd * w + K * u, (K * K) * z))
+        return jets.stack(_amplitude(map(jets.Jet, base, G, H), K, Kd))
     return base, G, H
 
 

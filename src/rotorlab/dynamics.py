@@ -174,13 +174,9 @@ class FreeMotionTrajectory:
         s, c = jets.sin(ph), jets.cos(ph)
         (tj,) = jets.variables(t)
         E = p.axis()
-        x = np.empty(4, dtype=object)
-        k = np.empty(4, dtype=object)
-        for mu in range(4):
-            x[mu] = (p.P[mu] / p.M) * tj + 0.5 * p.ell * (p.N[mu] * s + E[mu] * c) \
-                + p.x0[mu]
-            k[mu] = p.P[mu] / p.M + sgn * (p.N[mu] * c - E[mu] * s)
-        return x, k
+        x = four(*((p.P[mu] / p.M) * tj + 0.5 * p.ell * (p.N[mu] * s + E[mu] * c) + p.x0[mu]
+                   for mu in range(4)))
+        return x, four(*(p.P[mu] / p.M + sgn * (p.N[mu] * c - E[mu] * s) for mu in range(4)))
 
     def lab_state(self, t):
         """(x, k) of ``jets`` at t, and the lab-chart state (q, qd, qdd) they give."""
@@ -381,14 +377,14 @@ class IntegratedTrajectory:
         x, k = self._vectors(t, q, qd)
         return x, k, q, qd, self._accel(t, q, qd)
 
-    def momenta(self, F: FForm, t):
-        """Noether momenta of F at t, from the chart state alone through the
-        first-order ``_vectors``: no acceleration is solved."""
+    def momenta(self, t):
+        """Noether momenta of ``F`` at t, from the chart state alone through
+        the first-order ``_vectors``: no acceleration is solved."""
         t = _times(t)
         q, qd = self.chart(t)
         x, k = self._vectors(t, q, qd)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        return momenta_from_vectors(F, xd, kv, kd, x=xv)
+        return momenta_from_vectors(self.F, xd, kv, kd, x=xv)
 
 
 def integrate(F: FForm, initial: ChartState, t_span, dof=DOF5) -> IntegratedTrajectory:
@@ -507,7 +503,7 @@ def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
     identically zero, like WW of the point particle, does not divide by noise.
     """
     F = traj.F
-    c = _joined([traj.momenta(F, ts) for ts in _chunks(times)]).casimirs()
+    c = _joined([traj.momenta(ts) for ts in _chunks(times)]).casimirs()
     eps = np.finfo(float).eps
 
     def rel_drift(v, scale):

@@ -128,7 +128,8 @@ def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
 def casimirs_where_defined(F: FForm, P, Q):
     """(inside, PP, WW) over a batch of (P, Q) arrays: the entries inside F's
     domain, and the closed-form Casimirs there, NaN elsewhere; each entry the
-    float result."""
+    float result.  The one batched path to the closed form: the Noether
+    cross-check's, and that of ``cli.fundamental_residual``'s grids."""
     inside = F.in_domain(P, Q)
     PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
     if inside.any():

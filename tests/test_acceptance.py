@@ -78,7 +78,7 @@ def test_03_invariant_counting():
 
 
 def test_04_fundamental_conditions():
-    worst = max(cli.fundamental_residual(F, *cli.domain_grid(F, 20))
+    worst = max(cli.fundamental_residual(F, 20)[0]
                 for F in cli.fundamental_forms(RunConfig()))
     report(4, "fixed mass and spin conditions", worst, cli.FUNDAMENTAL_TOL)
 

@@ -129,8 +129,9 @@ def test_fundamental_check_masks_where_the_jets_fail(capsys, expr):
 
 
 def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
-    """One mask builds the grid and one check guards the partials; a point
-    outside the domain is named with its batch entry."""
+    """One mask picks the grid's points inside the domain and one check
+    guards the partials there; a point outside the domain is named with its
+    batch entry."""
     calls = []
     in_domain = FForm.in_domain
 
@@ -140,11 +141,11 @@ def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
 
     monkeypatch.setattr(FForm, "in_domain", counted)
     F = builtin("nu_family", nu=0.5)
-    P, Q = cli.domain_grid(F, 12)
-    assert cli.fundamental_residual(F, P, Q) < 1e-12
-    assert calls == [(144,), P.shape]
+    worst, points = cli.fundamental_residual(F, 12)
+    assert worst < 1e-12
+    assert calls == [(144,), (points,)]
     with pytest.raises(DomainError, match=r"outside domain .* \(batch entry 1\)"):
-        cli.fundamental_residual(F, np.array([0.0, 0.0]), np.array([1.0, 100.0]))
+        F.eval(np.array([0.0, 0.0]), np.array([1.0, 100.0]), order=1)
 
 
 def test_relation_domain_error_names_its_batch_entry(capsys):
@@ -180,7 +181,8 @@ def test_a_builtin_domain_error_keeps_its_text(capsys):
 
 
 @pytest.mark.parametrize("argv, owner, name", [
-    (["fundamental-check", "--f", "rotator", "--grid", "1000000"], cli, "domain_grid"),
+    (["fundamental-check", "--f", "rotator", "--grid", "1000000"], cli,
+     "fundamental_residual"),
     (["freemotion", "--samples", "1000000000000"], np, "linspace"),
 ], ids=["fundamental-check", "freemotion"])
 def test_an_input_too_large_to_allocate_exits_2(capsys, monkeypatch, argv, owner, name):
@@ -462,9 +464,9 @@ def _nan_report(i):
 # (or the call POISONED_CALL names) returns poison(its result), a NaN in one
 # sample of the check; the tetrad suite calls its two functions once, on the
 # whole batch, and so does the invariants suite with identity_checks; the
-# casimir suite takes the closed form once per form, first on the domain grid
-# of each fundamental form (in cli), then on each form's in-domain jets
-# (through noether.casimirs_where_defined)
+# casimir suite takes the closed form once per form through
+# noether.casimirs_where_defined, first on the domain grid of each of the ten
+# fundamental forms, then on each form's in-domain jets
 NAN_PLANTS = [
     ("tetrad", "tetrad-relations", cli, "tetrad_relations",
      lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -472,7 +474,7 @@ NAN_PLANTS = [
     ("invariants", "gauge-invariance", cli, "iota", _with_nan),
     ("invariants", "scalar-identities", cli, "identity_checks",
      lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
-    ("casimir", "fundamental-conditions", cli, "casimirs_from_partials",
+    ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
     ("casimir", "noether-crosscheck", noether, "casimirs_from_partials",
      lambda c: (_with_nan(c[0]), c[1])),
@@ -491,11 +493,13 @@ NAN_PLANTS = [
 # those of the DOF6 starlike in a second: the NaN lands in the first
 # nondegenerate form's report of the first call, or in the starlike's; it
 # calls relation_check once, and the NaN lands in the first form's K at the
-# first state; the noether-crosscheck NaN
-# lands in the second form's closed form on the jets; the wp-orthogonality NaN
+# first state; the fundamental-conditions NaN lands in the second form's
+# grid, and the noether-crosscheck NaN, twelfth call, in the second form's
+# closed form on the jets; the wp-orthogonality NaN
 # lands in pi of the second pair's momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "nondegenerate-dets": 1, "relation-consistency": 1}
+                 "noether-crosscheck": 12, "nondegenerate-dets": 1,
+                 "relation-consistency": 1}
 
 
 @pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,

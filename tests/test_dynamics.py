@@ -215,7 +215,7 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     monkeypatch.setattr(dynamics.IntegratedTrajectory, "_accel", counted_accel)
     times = np.linspace(0.0, 2.0, 41)
     for t in (*times[[0, 14, -1]], times):
-        got = traj.momenta(fq, t)
+        got = traj.momenta(t)
         assert orders == [{1}] and accels == [0]
         want = trajectory_samples(fq, traj, np.atleast_1d(t)).momenta
         assert orders == [{1}, {1}] and accels == [np.size(t)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -282,27 +283,29 @@ def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
 
 
 def test_closed_forms_at_first_order_are_those_at_second_order():
-    """``casimirs_where_defined`` and ``cli.fundamental_residual`` read F,
-    F_P and F_Q from F's first-order jets: PP, WW and the residual are those
-    of the second-order evaluation bit for bit, over the casimir suite's
-    twelve forms on its jet batch at seed 0 and on the 12 x 12 domain grid."""
+    """``casimirs_where_defined``, and ``cli.fundamental_residual`` through
+    it, read F, F_P and F_Q from F's first-order jets: PP, WW and the
+    residual are those of the second-order evaluation bit for bit, over the
+    casimir suite's twelve forms on its jet batch at seed 0 and on the
+    domain points of the 12 x 12 grid."""
     rng = np.random.default_rng(0)
     S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
     points = 0
     for F in _casimir_forms():
         pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
-        for P, Q in ((P, Q), cli.domain_grid(F, 12)):
+        for P, Q in ((P, Q), _grid_arrays(_reference_domain_grid(F, 12))):
             inside, PP, WW = casimirs_where_defined(F, P, Q)
             P, Q = P[inside], Q[inside]
             v = F.eval(P, Q)
             want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
             assert same_bits(PP[inside], want_PP)
             assert same_bits(WW[inside], want_WW)
-            want = cli._worst([np.abs(want_PP / pp_target - 1.0),
-                               np.abs(want_WW / ww_target - 1.0)])
-            assert cli.fundamental_residual(F, P, Q) == want
             points += P.size
+        # want_PP and want_WW are the grid's, the last batch
+        want = cli._worst([np.abs(want_PP / pp_target - 1.0),
+                           np.abs(want_WW / ww_target - 1.0)])
+        assert cli.fundamental_residual(F, 12) == (want, P.size)
     assert points >= 1000
 
 
@@ -342,22 +345,26 @@ def test_fundamental_residuals_tiny_for_fundamental_forms():
         _, PP, WW = casimirs_where_defined(F, *_grid_arrays(pts))
         assert np.max(np.abs(PP / F.M**2 - 1.0)) < 1e-10
         assert np.max(np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)) < 1e-10
-        assert cli.fundamental_residual(F, *_grid_arrays(pts)) < 1e-10
+        assert cli.fundamental_residual(F, 8)[0] < 1e-10
 
 
 def test_fundamental_residuals_large_for_generic_form():
-    F = parse_f("Q + P^2")
-    assert cli.fundamental_residual(F, *_grid_arrays([(0.3, 1.5)])) > 0.1
+    worst, points = cli.fundamental_residual(parse_f("Q + P^2"), 5)
+    assert worst > 0.1 and points == 25
 
 
 def test_fundamental_residuals_rejects_out_of_domain():
+    """The grid pass checks F only at the grid points inside its domain, and
+    a grid with none there fails, as nothing was checked; outside the domain
+    the evaluation it guards names the first point."""
     F = builtin("starlike", signs=(1, -1))
-    with pytest.raises(DomainError):
-        cli.fundamental_residual(F, *_grid_arrays([(0.0, 9.0)]))
+    worst, points = cli.fundamental_residual(F, 12)
+    assert worst < 1e-10 and points == len(_reference_domain_grid(F, 12)) == 36
+    assert cli.fundamental_residual(parse_f("sqrt(-1-Q)"), 12) == (math.inf, 0)
     grid = _grid_arrays([(0.1, 0.5), (0.2, 9.0), (0.3, 16.0)])
     with pytest.raises(DomainError, match=r"\(P, Q\) = \(0\.2, 9\.0\) outside domain "
                                           r"of starlike\[\+1,-1\] \(batch entry 1\)"):
-        cli.fundamental_residual(F, *grid)
+        F.eval(*grid, order=1)
 
 
 def test_casimirs_where_defined_masks_the_batch():
@@ -389,20 +396,18 @@ def _reference_fundamental_residual(F, grid):
 
 @pytest.mark.parametrize("cfg", [RunConfig(), RunConfig(M=1.3, ell=0.7)])
 def test_fundamental_residuals_equal_per_point_loop(cfg):
-    """The batched grid pass gives the per-point residuals exactly, on the
-    same points in the same order."""
+    """The batched grid pass gives the per-point residual exactly, over the
+    same number of domain points; inf where the grid has none."""
     forms = cli.fundamental_forms(cfg) + [
         builtin("point_particle", M=cfg.M, ell=cfg.ell),
         builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q, M=cfg.M, ell=cfg.ell),
-        parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)")]
+        parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)"),
+        parse_f("sqrt(-1 - Q)")]
     for F in forms:
         for n in (1, 7, 12):
-            P, Q = cli.domain_grid(F, n)
-            grid = list(zip(P.tolist(), Q.tolist()))
-            assert grid == _reference_domain_grid(F, n)
-            assert cli.fundamental_residual(F, P, Q) == _reference_fundamental_residual(F, grid)
-    empty = _grid_arrays([])
-    assert cli.fundamental_residual(forms[0], *empty) == _reference_fundamental_residual(forms[0], [])
+            grid = _reference_domain_grid(F, n)
+            want = _reference_fundamental_residual(F, grid) if grid else math.inf
+            assert cli.fundamental_residual(F, n) == (want, len(grid))
 
 
 def test_special_S_family_matches_closed_form():
