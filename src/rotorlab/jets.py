@@ -206,7 +206,8 @@ class Jet:
             for _ in range(k - 1):
                 out = out * self
             return out
-        raise_where(self.f <= 0.0, ValueError, f"x**{p} needs x > 0, got x={{}}", self.f)
+        if p != int(p):  # a whole power is x^p on the whole line; pow refuses 0 ** -k
+            raise_where(self.f <= 0.0, ValueError, f"x**{p} needs x > 0, got x={{}}", self.f)
         return _chain(
             self,
             power(self.f, p),
@@ -317,11 +318,11 @@ def compose(inner, f, d, D):
     entry is bit-identical to the unbatched call: the terms are stacked on a
     leading axis, which ``np.add.reduce`` adds in index order where a term
     has two or more entries or there are fewer than eight terms (numpy sums
-    pairwise only along a contiguous run of eight or more).  So G and H must
-    be C-ordered, as ``stack`` makes them: on a Fortran-ordered stack numpy
-    can sum in another order.  Each sum starts from -0.0, so a sum of -0.0
-    terms is -0.0, as for jets.  The result is first order if H is None, and
-    then ``D`` is not read (it may be None).
+    pairwise only along a contiguous run of eight or more).  So the weights W
+    are built C-ordered here (a transposed view made numpy sum in another
+    order); the layout of G and H moves no bit.  Each sum starts from -0.0, so
+    a sum of -0.0 terms is -0.0, as for jets.  The result is first order if H
+    is None, and then ``D`` is not read (it may be None).
     """
     _, G, H = inner
     # g and t_j = sum_i D_ij g_i in one sum: row i of W is (d_i[, D_i1, ..., D_im])

@@ -125,6 +125,20 @@ def test_domain_respects_sqrt_and_division():
     assert not F.in_domain(0.0, 1.0)
 
 
+@pytest.mark.parametrize("p", [65, 66, -66])
+def test_a_whole_power_above_64_keeps_the_whole_line(p):
+    """P^p for a whole |p| > 64 is x^p, twice differentiable at P < 0 as at
+    P > 0; P^-66 at P = 0 stays outside the domain, for its zero divisor."""
+    v = parse_f(f"P^{p}").eval(-0.5, 1.0)
+    want = ((-0.5) ** p, p * (-0.5) ** (p - 1), p * (p - 1) * (-0.5) ** (p - 2))
+    assert (v.F, v.F_P, v.F_PP) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
+    assert (v.F_Q, v.F_PQ, v.F_QQ) == (0.0, 0.0, 0.0)
+    F = parse_f("P^-66")
+    assert not F.in_domain(0.0, 1.0)
+    with pytest.raises(DomainError, match="ZeroDivisionError"):
+        F.eval(0.0, 1.0)
+
+
 @pytest.mark.parametrize("F", [parse_f("sqrt(Q - 1)"), builtin("starlike", signs=(1, -1)),
                                builtin("point_particle")], ids=lambda F: F.name)
 def test_domain_mask_takes_the_batch_shape(F):

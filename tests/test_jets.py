@@ -468,6 +468,31 @@ def test_compose_sums_in_index_order(n, batch):
         assert np.array_equal(first.g, g) and first.h is None
 
 
+@pytest.mark.parametrize("batch", [None, 5])
+def test_compose_does_not_read_the_layout_of_its_stack(batch):
+    """``compose`` builds its weights W C-ordered itself, so the layout of
+    the stack it is given moves no bit: a Fortran-ordered G and H, or ones
+    whose leading axis is the contiguous one, give the C-ordered stack's
+    result, at either order, for 2 to 6 inner jets."""
+    rng = np.random.default_rng([11, batch or 0])
+    shape = () if batch is None else (batch,)
+
+    def draw(*dims):  # magnitudes over 16 decades, so that the order shows
+        return rng.normal(size=dims + shape) * 10.0 ** rng.integers(-8, 8, size=dims + shape)
+
+    layouts = (np.asfortranarray, lambda a: np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0))
+    for m in range(2, 7):
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            G, H, d, D = draw(m, n), draw(m, n, n), list(draw(m)), list(map(list, draw(m, m)))
+            want = jets.compose((None, G, H), 1.0, d, D)
+            first = jets.compose((None, G, None), 1.0, d, None)
+            for layout in layouts:
+                assert bits(jets.compose((None, layout(G), layout(H)), 1.0, d, D)) == bits(want)
+                got = jets.compose((None, layout(G), None), 1.0, d, None)
+                assert np.asarray(got.g).tobytes() == np.asarray(first.g).tobytes()
+
+
 @pytest.mark.parametrize("batch", [None, 1, 5])
 def test_stack_takes_plain_numbers_and_mixed_orders(batch):
     """``stack`` turns separate jets into ``compose``'s stack, and plain
