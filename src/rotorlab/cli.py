@@ -143,11 +143,12 @@ def noether_residuals(forms, samples):
     relative W.P, over the (kinematic jet, form) pairs inside the form's domain.
 
     ``samples`` is a batch of kinematic jets; its scalar products are seeded
-    once (``velocity_scalars``), for the closed form of every form over the
-    batch and for the momenta of every form at a jet.  Per pair only the
-    momenta are taken, one jet at a time, jet-major and form-minor.  Then one
-    batched pass over the pairs' stacked P, pi and k forms W, the Casimirs,
-    W.P and both residuals, each entry the pair's float result."""
+    once (``velocity_scalars``), for the closed form and the momenta of every
+    form over the batch.  Per pair only the momenta are asked for, one jet at
+    a time, jet-major and form-minor; ``momenta`` answers each from one pass
+    of its form over the batch.  Then one batched pass over the pairs'
+    stacked P, pi and k forms W, the Casimirs, W.P and both residuals, each
+    entry the pair's float result."""
     closed = []  # per form: the batch entries inside its domain, PP and WW there
     for F in forms:
         _, P, Q = pq_from_scalars(*samples.velocity_scalars[0], F.ell)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jets
-from .fform import FForm, builtin, lagrangian_from_scalars, pq_from_scalars
+from .fform import FForm, FFormValue, builtin, lagrangian_from_scalars, pq_from_scalars
 from .minkowski import DomainError
 from .noether import casimirs_from_partials, legendre_p
 
@@ -231,6 +231,7 @@ class HessianReport:
     singular_values: np.ndarray  # descending; (n,), or (B, n)
     rank: int  # singular values above RANK_TOL * the largest; or (B,)
     det: float  # or (B,)
+    partials: FFormValue  # F and its partials at the (P, Q) of the state(s)
     dof: tuple
 
     @property
@@ -250,12 +251,18 @@ def hessians(forms, state: ChartState, dof=DOF5) -> list:
     state or at each state of a batch: the velocity block of L's Hessian from
     one chart-jet stack for all the forms, then one SVD and one determinant
     over their stacked matrices, each matrix's result that of a call of its
-    own.  An F that overflows leaves non-finite entries, which the SVD
+    own.  Each form's F is evaluated once, and the report keeps its partials.
+    An F that overflows leaves non-finite entries, which the SVD
     rejects: the singular values of such a matrix are NaN, and its rank 0."""
     state.check_pole()
     q, qd = state.coords(dof)
     n, scalars = len(dof), chart_scalar_jets(q, qd, dof)
-    H = np.array([lagrangian_from_scalars(F, scalars).h[n - 3:, n - 3:] for F in forms])
+    H, partials = [], []
+    for F in forms:
+        _, P, Q = pq_from_scalars(*scalars[0], F.ell)
+        partials.append(F.eval(P, Q))
+        H.append(lagrangian_from_scalars(F, scalars, partials[-1]).h[n - 3:, n - 3:])
+    H = np.array(H)
     stack = np.moveaxis(H, -1, 1) if q.ndim == 2 else H[:, None]  # (forms, states, n, n)
     finite = np.isfinite(stack).all(axis=(2, 3))
     sv = np.full(stack.shape[:3], np.nan)
@@ -264,7 +271,7 @@ def hessians(forms, state: ChartState, dof=DOF5) -> list:
     det = np.linalg.det(stack)
     if q.ndim == 1:
         stack, sv, rank, det = stack[:, 0], sv[:, 0], rank[:, 0].tolist(), det[:, 0].tolist()
-    return [HessianReport(*r, dof=tuple(dof)) for r in zip(stack, sv, rank, det)]
+    return [HessianReport(*r, dof=tuple(dof)) for r in zip(stack, sv, rank, det, partials)]
 
 
 def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
@@ -291,14 +298,14 @@ def relation_check(forms, state: ChartState):
     Where the middle ratio or the Casimir Jacobian of a form degenerates at a
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
-    (F-independence).  Every form's det H comes from one ``hessians`` call.
+    (F-independence).  Every form's det H, and F and its partials, come
+    from one ``hessians`` call.
     """
     scalars = chart_scalars(*state.coords(DOF6), DOF6)
     out = []
-    dets = [rep.det for rep in hessians(forms, state, DOF6)]
-    for F, det in zip(forms, dets):
+    for F, rep in zip(forms, hessians(forms, state, DOF6)):
         _, P, Q = pq_from_scalars(*scalars, F.ell)
-        v = F.eval(P, Q)
+        v, det = rep.partials, rep.det
         num = legendre_p(P, v.F, v.F_P)
         den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
         jac = jacobian_pq(F, P, Q, v)

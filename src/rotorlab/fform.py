@@ -399,7 +399,7 @@ def velocity_scalars(xdot, k, kdot):
     return (f.tolist() if f.ndim == 1 else f), g, None  # one state: Python floats
 
 
-def lagrangian_from_scalars(F: FForm, scalars):
+def lagrangian_from_scalars(F: FForm, scalars, partials=None):
     """L = -M sqrt(xx) F(P, Q) from the stack ``scalars`` of the scalar
     products (xx, kx, kdx, kdkd) = (xdot.xdot, k.xdot, kdot.xdot, kdot.kdot):
     their values, floats or batch arrays, and their gradients and Hessians
@@ -407,7 +407,8 @@ def lagrangian_from_scalars(F: FForm, scalars):
 
     L reads the velocities only through these four scalars, so it is
     differentiated once.  F's value and partials come from ``FForm.eval`` at
-    the float (P, Q), the one evaluation of F and of its domain.  With
+    the float (P, Q), the one evaluation of F and of its domain, or are given
+    as ``partials`` by a caller that holds that evaluation.  With
     c = ell / (kx sqrt(xx)) and e = -ell^2 / kx^2, the partials of P and Q in
     s = (xx, kx, kdx, kdkd) are
 
@@ -424,7 +425,7 @@ def lagrangian_from_scalars(F: FForm, scalars):
     values, G, H = scalars
     xx, kx, _, _ = values
     rt, P, Q = pq_from_scalars(*values, F.ell)
-    Fv, FP, FQ, FPP, FPQ, FQQ = F.eval(P, Q, order=1 if H is None else 2)
+    Fv, FP, FQ, FPP, FPQ, FQQ = partials or F.eval(P, Q, order=1 if H is None else 2)
     if G is None:
         return -F.M * rt * Fv
     a = -F.M

@@ -40,19 +40,25 @@ class KinematicJet:
     adot: np.ndarray
     bdot: np.ndarray
 
+    batch = None  # (batch, index) of an entry of ``entries()``; not a field
+
     @cached_property
     def velocity_scalars(self):
         """``fform.velocity_scalars`` of this jet, seeded once for every form's momenta."""
         return velocity_scalars(self.xdot, self.k, self.kdot)
 
+    @cached_property
+    def momenta_by_form(self) -> dict:
+        """``noether.momenta``'s passes over this batch, one per form."""
+        return {}
+
     def entries(self) -> list:
-        """The single-instant jets of a batch, in batch order, each holding its
-        ``velocity_scalars`` as its entry of the batch's one seeding, bit for bit."""
+        """The single-instant jets of a batch, in batch order, each linked to
+        the batch as its ``batch``."""
         vs = [getattr(self, f.name) for f in fields(self)]
-        f, G, _ = self.velocity_scalars
         out = [KinematicJet(*(v[:, i] for v in vs)) for i in range(self.k.shape[1])]
-        for i, J in enumerate(out):  # kept where the cached property keeps it
-            J.__dict__["velocity_scalars"] = (f[:, i].tolist(), G[..., i], None)
+        for i, J in enumerate(out):
+            J.__dict__["batch"] = (self, i)
         return out
 
     def scale(self):

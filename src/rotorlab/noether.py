@@ -10,7 +10,9 @@ what seeding the velocities and taking the products by jet arithmetic gives;
 a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``).
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
-gradient times a sign vector.  The Pauli-Lubanski vector W = -eps(k, pi, P)
+gradient times a sign vector.  Every step runs on a batch as on one jet, so
+``momenta`` answers the entries of a batch from one pass per form, the
+columns bit for bit their own passes.  The Pauli-Lubanski vector W = -eps(k, pi, P)
 needs no angular momentum M; a record forms each of them when it is read,
 W at most once, so a caller that stacks many records' P, pi and k contracts
 epsilon once for all of them.  The closed-form expressions
@@ -31,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, lagrangian_from_scalars, velocity_scalars
+from .fform import FForm, PQPoint, lagrangian_from_scalars, pq_from_scalars, velocity_scalars
 from .invariants import KinematicJet
 from .minkowski import SIGNATURE, DomainError, bivector, dot, epsilon_contract
 
@@ -100,8 +102,35 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
 
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
-    """Noether charges at the jet's instant, from its scalar products seeded once."""
+    """Noether charges at the jet's instant, from its scalar products seeded once.
+    An entry of a batch (``KinematicJet.entries``) inside F's domain reads its
+    column of one pass of F over the batch's entries inside the domain, formed
+    at the first request for F and kept on the batch, bit for bit its own pass.
+    Any other jet, or any entry where that pass raises, takes its own pass."""
+    if J.batch is not None:
+        S, i = J.batch
+        if F not in S.momenta_by_form:
+            S.momenta_by_form[F] = _batch_momenta(F, S)
+        columns, ms = S.momenta_by_form[F]
+        if i in columns:
+            c = columns[i]
+            return MomentumSet(ms.P[:, c].copy(), ms.pi[:, c].copy(), J.k, x)
     return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x, scalars=J.velocity_scalars)
+
+
+def _batch_momenta(F: FForm, S: KinematicJet):
+    """({entry: column}, momenta) of one pass of F over the entries of the batch
+    S inside F's domain; no entry where a DomainError or a float exception
+    stops it, so that each entry's own pass raises or warns as it would."""
+    f, G, _ = S.velocity_scalars
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            inside = np.flatnonzero(F.in_domain(*pq_from_scalars(*f, F.ell)[1:]))
+            ms = momenta_from_vectors(F, S.xdot[:, inside], S.k[:, inside], S.kdot[:, inside],
+                                      scalars=(f[:, inside], G[..., inside], None))
+    except (DomainError, ArithmeticError):
+        return {}, None
+    return {j: c for c, j in enumerate(inside.tolist())}, ms
 
 
 def legendre_p(P, Fv, FP):

@@ -285,22 +285,27 @@ def _in_domain_pairs(forms, samples):
 
 @pytest.mark.parametrize("seed", sorted(CASIMIR_MOMENTA_CALLS))
 def test_casimir_suite_takes_momenta_one_jet_at_a_time(capsys, monkeypatch, seed):
+    # each record holds the bits of the momenta of its jet alone, signed zeros
+    # included, as perfbench's oracle reads them
     calls = []
     original = cli.momenta
 
     def recording(F, J):
-        calls.append((J, F.name))
-        return original(F, J)
+        calls.append((J, F, original(F, J)))
+        return calls[-1][2]
 
     monkeypatch.setattr(cli, "momenta", recording)
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
     assert code == 0
     want = [(J, F.name) for J, F, _ in _in_domain_pairs(*_casimir_samples(seed))]
     assert len(calls) == len(want) == CASIMIR_MOMENTA_CALLS[seed]
-    for (J, name), (want_J, want_name) in zip(calls, want):
-        assert J.k.shape == (4,) and name == want_name
+    for (J, F, ms), (want_J, want_name) in zip(calls, want):
+        assert J.k.shape == (4,) and F.name == want_name
         for f in dataclasses.fields(J):
             assert np.array_equal(getattr(J, f.name), getattr(want_J, f.name))
+        alone = noether.momenta_from_vectors(F, J.xdot, J.k, J.kdot)
+        for name in ("P", "pi", "k", "W"):
+            assert same_bits(getattr(ms, name), getattr(alone, name)), name
 
 
 def _src_calls(monkeypatch, owner, name, record=lambda *args: None):
@@ -521,6 +526,15 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, suite, check, owner, 
     assert code == 1
     block = next(b for b in out.split("\n\n") if f"name = {check}\n" in b)
     assert "status = fail" in block and "residual = nan" in block
+
+
+def test_relation_evaluates_each_form_once(capsys, monkeypatch):
+    # relation_check reads F and its partials from the hessians pass, which
+    # evaluates F once per form: 6 calls for the six relation forms
+    evals = _src_calls(monkeypatch, fform.FForm, "eval")
+    code, _ = run(capsys, "relation", "--seed", "0")
+    assert code == 0
+    assert len(evals) == len(cli.RELATION_FORMS) == 6
 
 
 def test_relation_consistency(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotorlab import cli, jets
+from rotorlab import cli, jets, noether
 from rotorlab.dynamics import _joined
 from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_scalars, pq_from_vectors, scalar_products,
                             velocity_scalars)
-from rotorlab.invariants import draw_kinematic_path, kinematic_jets, random_kinematic_jet
+from rotorlab.invariants import (KinematicJet, draw_kinematic_path, kinematic_jets,
+                                 random_kinematic_jet)
 from rotorlab.minkowski import SIGNATURE, DomainError, bivector, dot, lorentz_matrix
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
@@ -227,6 +229,106 @@ def test_second_order_pass_gives_the_momenta_bit_for_bit(rotator_jet):
             _assert_same_bits(got, want)
             pairs += not isinstance(want, str)
     assert pairs >= 250
+
+
+def _casimir_batch(seed):
+    rng = np.random.default_rng(seed)
+    return kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+
+
+def _momenta_outcome(F, J, x=None):
+    """``momenta(F, J)``, or the message of the DomainError or float error
+    raised instead."""
+    try:
+        return momenta(F, J, x=x)
+    except (DomainError, ArithmeticError) as exc:
+        return str(exc)
+
+
+def _with_first(S, **vectors):
+    """The batch S with the given vectors in its first entry."""
+    return dataclasses.replace(S, **{name: np.column_stack([v, getattr(S, name)[:, 1:]])
+                                     for name, v in vectors.items()})
+
+
+@pytest.mark.parametrize("expr, batch", [
+    ("sqrt(0.03 - Q)", _casimir_batch),  # a domain that masks about half the batch
+    ("sqrt(1+sqrt(Q))+P*Q", _casimir_batch),  # no domain predicate
+    # the batch's pass stops at the first entry: on a spacelike xdot, and on
+    # k.xdot sqrt(xdot.xdot) = 1e-350, which a float division by zero meets
+    ("Q", lambda seed: _with_first(_casimir_batch(seed), xdot=np.array([0.1, 1.0, 0.0, 0.0]))),
+    ("Q", lambda seed: _with_first(_casimir_batch(seed), xdot=1e-150 * np.eye(4)[0],
+                                   k=np.array([1e-50, 1e-50, 0.0, 0.0]))),
+], ids=["masked", "no-predicate", "spacelike", "underflow"])
+def test_an_entry_of_a_batch_has_the_momenta_of_the_jet_alone(expr, batch):
+    """``momenta`` of an entry of a batch is that of the same jet unlinked
+    from it: the same P, pi, M and W, signed zeros included, where the jet
+    has momenta, and the same error text where it raises, at seeds 0-3."""
+    F = parse_f(expr)
+    inside = outside = 0
+    for seed in range(4):
+        for J in batch(seed).entries():
+            alone = KinematicJet(*(getattr(J, f.name) for f in dataclasses.fields(J)))
+            assert J.batch is not None and alone.batch is None
+            got = _momenta_outcome(F, J)
+            _assert_same_bits(got, _momenta_outcome(F, alone))
+            outside += isinstance(got, str)
+            inside += not isinstance(got, str)
+    assert inside > 0 and (outside > 0 or expr == "sqrt(1+sqrt(Q))+P*Q")
+
+
+def test_a_batch_of_one_gives_its_entry_the_momenta_of_its_vectors():
+    """``random_kinematic_jet`` is the entry of a batch of one: its momenta
+    about the origin and about a point x, and its DomainError texts, are
+    those of ``momenta_from_vectors`` on its vectors."""
+    rng = np.random.default_rng(5)
+    x = np.array([-0.0, 1.5, 0.0, -2.0])
+    checked = 0
+    for _ in range(10):
+        J = random_kinematic_jet(rng)
+        S, i = J.batch
+        assert S.k.shape == (4, 1) and i == 0
+        for F in [*_casimir_forms(), parse_f("sqrt(0.03 - Q)")]:
+            for at in (None, x):
+                want = _outcome(momenta_from_vectors, F, J.xdot, J.k, J.kdot, x=at)
+                _assert_same_bits(_momenta_outcome(F, J, x=at), want)
+                checked += not isinstance(want, str)
+    assert checked >= 100
+
+
+def test_writing_into_a_record_leaves_every_other_record_as_it_was():
+    """Records of one batch pass do not share memory: a write into one
+    record's P and pi moves no bit of any other record, nor of a record of
+    the same pair asked for again."""
+    entries = _casimir_batch(0).entries()
+    records = [(F, J, momenta(F, J)) for J in entries for F in _casimir_forms()
+               if not isinstance(_momenta_outcome(F, J), str)]
+    before = [(ms.P.tobytes(), ms.pi.tobytes(), ms.k.tobytes()) for _, _, ms in records]
+    F, J, first = records[0]
+    first.P[:] = np.nan
+    first.pi[:] = np.nan
+    for (_, _, ms), bits in zip(records[1:], before[1:]):
+        assert (ms.P.tobytes(), ms.pi.tobytes(), ms.k.tobytes()) == bits
+    again = momenta(F, J)
+    assert (again.P.tobytes(), again.pi.tobytes(), again.k.tobytes()) == before[0]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_casimir_suite_takes_one_momenta_pass_per_form(capsys, monkeypatch, seed):
+    """The casimir suite's per-pair momenta come from one
+    ``momenta_from_vectors`` pass per form over its jet batch: 12 a run, not
+    one per (jet, form) pair."""
+    passes, original = [], noether.momenta_from_vectors
+
+    def counting(F, *args, **kwargs):
+        passes.append(F.name)
+        return original(F, *args, **kwargs)
+
+    monkeypatch.setattr(noether, "momenta_from_vectors", counting)
+    assert cli.main(["verify", "--suite", "casimir", "--seed", str(seed)]) == 0
+    capsys.readouterr()
+    assert sorted(passes) == sorted(F.name for F in _casimir_forms())
+    assert len(passes) == 12
 
 
 def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
