@@ -11,11 +11,11 @@ a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  Every step runs on a batch as on one jet, so
-``momenta`` answers the entries of a batch from one pass per form, the
-columns bit for bit their own passes.  The Pauli-Lubanski vector W = -eps(k, pi, P)
-needs no angular momentum M; a record forms each of them when it is read,
-W at most once, so a caller that stacks many records' P, pi and k contracts
-epsilon once for all of them.  The closed-form expressions
+``momenta`` answers the entries of a batch from one pass per form, each
+column bit for bit the entry's own pass.  The Pauli-Lubanski vector
+W = -eps(k, pi, P) needs no angular momentum M; a record forms each of them
+when it is read, W at most once, so a caller that stacks many records' P,
+pi and k contracts epsilon once for all of them.  The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
     WW = -M^4 ell^2 Q [F_P^2 + 2 F_Q (F - P F_P)]^2

@@ -327,8 +327,8 @@ def _src_calls(monkeypatch, owner, name, record=lambda *args: None):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_casimir_suite_seeds_the_jets_velocity_scalars_in_one_call(capsys, monkeypatch,
                                                                    seed):
-    # every form's momenta at a jet start from the jet's scalar products, its
-    # entry of one seeding of the whole batch: one call a run, not one per jet
+    # every form's momenta pass over the batch starts from one seeding of the
+    # whole batch's scalar products: one call a run, not one per jet
     seeded = _src_calls(monkeypatch, fform, "velocity_scalars",
                         lambda xdot, k, kdot: np.shape(xdot))
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))

@@ -187,9 +187,9 @@ def _casimir_forms():
 
 
 def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
-    """``momenta(F, J)`` starts from the jet's scalar products, seeded at its
-    first call and shared by the forms after it.  For the casimir suite's
-    twelve forms on its jets at seeds 0-7, its P, pi, M and W, signed zeros
+    """``momenta(F, J)`` of an entry of a batch reads its column of one pass
+    of F over the batch.  For the casimir suite's twelve forms on its jets
+    at seeds 0-7, its P, pi, M and W, signed zeros
     included, are those of ``momenta_from_vectors`` on the jet's vectors
     alone, and those of entry j of one batched call over the entries inside
     the form's domain."""
