@@ -66,8 +66,6 @@ _ALIASES = {"rotator": "rotator_f", "point": "point_particle"}
 def resolve_form(text: str, cfg: RunConfig) -> FForm:
     """A builtin name (with aliases) or an expression over P, Q, nu."""
     name = _ALIASES.get(text, text)
-    if name in ("sqrtS", "fq"):
-        raise DomainError(f"builtin {name!r} needs a callable; pass an expression")
     if name in BUILTIN_NAMES:
         return builtin(name, nu=cfg.nu, M=cfg.M, ell=cfg.ell)
     return parse_f(text, M=cfg.M, ell=cfg.ell, nu=cfg.nu)
@@ -123,6 +121,13 @@ def fundamental_forms(cfg: RunConfig):
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.0):
         forms.append(builtin("nu_family", nu=nu, M=cfg.M, ell=cfg.ell))
     return forms
+
+
+def casimir_forms(cfg: RunConfig):
+    """The forms whose momenta the casimir suite takes: the fundamental ones,
+    the point particle, and the f(Q) member F = Q on its domain Q > 0."""
+    return fundamental_forms(cfg) + [builtin("point_particle", M=cfg.M, ell=cfg.ell), FForm(
+        func=lambda P, Q: Q, name="fq", M=cfg.M, ell=cfg.ell, domain=lambda P, Q: Q > 0.0)]
 
 
 def fundamental_residual(F: FForm, n: int):
@@ -236,11 +241,12 @@ def free_motion_residuals(F: FForm, phases, times):
 
 def angular_speed_residual(w: float, ell: float) -> float:
     """Gap of the identity that the null direction turns at speed w at Q,
-    with Q read from the rest-frame free motion of phase w t."""
+    with Q read from the rest-frame free motion of phase w t: the speed gap
+    in units of 1/ell, as w and ``angular_speed`` scale, and the gap in Q."""
     x, k = free_motion(rest_frame_params(lambda t: w * t, ell=ell)).jets(0.4 * ell)
     (_, xd), (kv, kd) = jets.split(x), jets.split(k)
     Q = pq_from_vectors(xd, kv, kd, ell).Q
-    return _worst([abs(angular_speed(Q, ell) - w), abs(speed_to_Q(w, ell) - Q)])
+    return _worst([abs(angular_speed(Q, ell) - w) * ell, abs(speed_to_Q(w, ell) - Q)])
 
 
 COUNT_EXPECTED = {"rank": 5, "nullity": 10, "zero_combos": 2, "functional_rank": 3,
@@ -308,8 +314,7 @@ def suite_casimir(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     fundamental = fundamental_forms(cfg)
     worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
-    forms = fundamental + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
-                           builtin("fq", f=lambda q: q, M=cfg.M, ell=cfg.ell)]
+    forms = casimir_forms(cfg)
     worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
         [draw_kinematic_path(rng) for _ in range(CASIMIR_JETS)]))
     return [

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import jets
-from .fform import FForm, FFormValue, builtin, lagrangian_from_scalars, pq_from_scalars
+from .fform import FForm, FFormValue, lagrangian_from_scalars, pq_from_scalars
 from .minkowski import DomainError
 from .noether import casimirs_from_partials, legendre_p
 
@@ -334,7 +334,7 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0,
 
     ``f`` is a generic callable with two derivatives (jet-compatible).
     """
-    F = builtin("fq", f=f, M=M, ell=ell)
+    F = FForm(func=lambda P, Q: f(Q), name="fq", M=M, ell=ell, domain=lambda P, Q: Q > 0.0)
     Q = float(pq_from_scalars(*chart_scalars(*state.coords(DOF5), DOF5), ell)[2])
     (qj,) = jets.variables(Q)
     fj = f(qj)

@@ -13,12 +13,13 @@ The Lagrangian reads the velocities only through four scalar products
 (``jets.stack``), and is differentiated once: F's partials at (P, Q), L's
 partials in the four scalars in closed form, and one chain step, batched too.
 
-Builtins cover the point particle, the f(Q) rotator subfamily, the two
-closed-form families satisfying the fixed mass/spin conditions, and the
-distinguished sqrt(1 + P^2/Q) * S(Q) shape.  ``parse_f`` reads an expression
-over P, Q, nu, and ``parse_phase`` one over t, in Python's arithmetic grammar
-with ^ for powers: decimal numbers (read as floats), the names, + - * / ^,
-parentheses, and sqrt, sin, cos, exp; anything else is a ParseError.
+Builtins are the members the paper names: the point particle, the rotator
+sqrt(1 + sqrt(Q)) and the two families with fixed mass and spin, each an
+expression that ``parse_f`` reads with its signs written in.  ``parse_f``
+reads one over P, Q, nu, and ``parse_phase`` one over t, in Python's
+arithmetic grammar with ^ for powers: decimal numbers (read as floats), the
+names, + - * / ^, parentheses, and sqrt, sin, cos, exp; anything else is a
+ParseError.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class FFormValue(NamedTuple):
 @dataclass(frozen=True)
 class FForm:
     """A member of the Lagrangian family with exact partials.  Its ``domain``
-    predicate is checked before F is evaluated; without one (an expression)
+    predicate is checked before F is evaluated; without one (``parse_f``)
     the domain is where F is twice differentiable: where its evaluation on
     jets succeeds."""
 
@@ -276,12 +277,13 @@ def _eval_node(node, env):
 
 def parse_f(expr: str, M: float = 1.0, ell: float = 1.0, nu: float = 0.0) -> FForm:
     """Compile an expression over P, Q, nu into an FForm."""
-    tree = _parse(expr, ("P", "Q", "nu"))
+    return FForm(func=_form_func(_parse(expr, ("P", "Q", "nu")), nu=nu),
+                 name=f"parsed:{expr}", M=M, ell=ell)
 
-    def func(P, Q, _tree=tree):
-        return _evaluate(_tree, {"P": P, "Q": Q, "nu": nu})
 
-    return FForm(func=func, name=f"parsed:{expr}", M=M, ell=ell)
+def _form_func(tree, **params):
+    """F(P, Q) from the ast of an expression, its other names bound to ``params``."""
+    return lambda P, Q: _evaluate(tree, {"P": P, "Q": Q, **params})
 
 
 def parse_phase(expr: str):
@@ -291,73 +293,36 @@ def parse_phase(expr: str):
 
 
 # -- builtins ----------------------------------------------------------------
+# name: (its label, showing the parameters F reads; F as an expression over
+# P, Q, nu and the (outer, inner) signs s1, s2, parsed once below; the domain,
+# a predicate of (P, Q, nu, s2) vectorized over a batch)
 
-BUILTIN_NAMES = ("point_particle", "rotator_f", "starlike", "nu_family", "sqrtS", "fq")
+BUILTINS = {
+    "point_particle": ("point_particle", "1", lambda P, Q, nu, s2: True),
+    "rotator_f": ("rotator_f", "sqrt(1 + sqrt(Q))", lambda P, Q, nu, s2: Q > 0.0),
+    "starlike": ("starlike[{s1:+d},{s2:+d}]", "s1*sqrt((1 + s2*sqrt(Q))*(1 + P*P/Q))",
+                 lambda P, Q, nu, s2: (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) > 0.0)),
+    "nu_family": ("nu_family[{nu},{s1:+d},{s2:+d}]", "nu*P + s1*sqrt(1 + s2*sqrt(Q) - nu^2*Q)",
+                  lambda P, Q, nu, s2: (
+                      (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) - nu**2 * Q > 0.0))),
+}
+BUILTIN_NAMES = tuple(BUILTINS)
+_TREES = {n: _parse(e, ("P", "Q", "nu", "s1", "s2")) for n, (_, e, _) in BUILTINS.items()}
 
 
 def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
-            ell: float = 1.0, S=None, f=None) -> FForm:
-    """Closed-form family members with analytically smooth evaluators.
-
-    ``signs``: for ``starlike`` the (outer, inner) signs of
-    +-sqrt((1 +- sqrt(Q))(1 + P^2/Q)); for ``nu_family`` the (outer, inner)
-    signs of nu P +- sqrt(1 +- sqrt(Q) - nu^2 Q).  ``sqrtS`` takes a generic
-    callable S(Q); ``fq`` a generic callable f(Q).
-    """
+            ell: float = 1.0) -> FForm:
+    """The member ``name`` of ``BUILTINS``, its expression evaluated as
+    ``parse_f`` evaluates one; ``signs`` are (s1, s2): for ``starlike`` the
+    signs of +-sqrt((1 +- sqrt(Q))(1 + P^2/Q)), for ``nu_family`` those of
+    nu P +- sqrt(1 +- sqrt(Q) - nu^2 Q)."""
+    if name not in BUILTINS:
+        raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    label, _, domain = BUILTINS[name]
     s1, s2 = signs
-
-    if name == "point_particle":
-        return FForm(func=lambda P, Q: 1.0, name=name, M=M, ell=ell,
-                     domain=lambda P, Q: True)
-
-    if name == "rotator_f":
-        return FForm(
-            func=lambda P, Q: jets.sqrt(1.0 + jets.sqrt(Q)),
-            name=name, M=M, ell=ell,
-            domain=lambda P, Q: Q > 0.0,
-        )
-
-    if name == "starlike":
-        def func(P, Q):
-            return s1 * jets.sqrt((1.0 + s2 * jets.sqrt(Q)) * (1.0 + P * P / Q))
-
-        def domain(P, Q):
-            return (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) > 0.0)
-
-        return FForm(func=func, name=f"starlike[{s1:+d},{s2:+d}]", M=M, ell=ell,
-                     domain=domain)
-
-    if name == "nu_family":
-        def func(P, Q, _nu=nu):
-            return _nu * P + s1 * jets.sqrt(1.0 + s2 * jets.sqrt(Q) - _nu**2 * Q)
-
-        def domain(P, Q, _nu=nu):
-            return (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) - _nu**2 * Q > 0.0)
-
-        return FForm(func=func, name=f"nu_family[{nu},{s1:+d},{s2:+d}]",
-                     M=M, ell=ell, domain=domain)
-
-    if name == "sqrtS":
-        if S is None:
-            raise ValueError("sqrtS needs the S(Q) callable")
-
-        def func(P, Q, _S=S):
-            return jets.sqrt(1.0 + P * P / Q) * _S(Q)
-
-        return FForm(func=func, name="sqrtS", M=M, ell=ell,
-                     domain=lambda P, Q: Q > 0.0)
-
-    if name == "fq":
-        if f is None:
-            raise ValueError("fq needs the f(Q) callable")
-
-        def func(P, Q, _f=f):
-            return _f(Q)
-
-        return FForm(func=func, name="fq", M=M, ell=ell,
-                     domain=lambda P, Q: Q > 0.0)
-
-    raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
+    return FForm(func=_form_func(_TREES[name], nu=nu, s1=s1, s2=s2),
+                 name=label.format(nu=nu, s1=s1, s2=s2), M=M, ell=ell,
+                 domain=lambda P, Q: domain(P, Q, nu, s2))
 
 
 # -- Lagrangian density ------------------------------------------------------

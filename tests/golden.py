@@ -62,7 +62,6 @@ COMMANDS = {
         ("unknown-name", ["casimir", "--f", "R*Q"]),
         ("parsed-domain", ["casimir", "--f", "sqrt(P)", "--P", "-1"]),
         ("builtin-domain", ["casimir", "--f", "rotator", "--Q", "0"]),
-        ("builtin-callable", ["casimir", "--f", "sqrtS"]),
         ("batch-domain", ["relation", "--forms", "sqrt(P)", "Q"]),
         ("unknown-suite", ["verify", "--suite", "nope"]),
         ("singular-hessian", ["simulate", "--f", "rotator", "--periods", "0.1"]),

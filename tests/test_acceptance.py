@@ -85,9 +85,7 @@ def test_04_fundamental_conditions():
 
 def test_05_noether_crosscheck():
     rng = np.random.default_rng(105)
-    forms = cli.fundamental_forms(RunConfig()) + [
-        builtin("point_particle"), builtin("fq", f=lambda q: q),
-        builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q)]
+    forms = cli.casimir_forms(RunConfig()) + [parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)")]
     worst_cross, worst_wp = cli.noether_residuals(
         forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(100)]))
     report(5, "Noether vs closed-form Casimirs", worst_cross, cli.NOETHER_TOL)
@@ -148,7 +146,7 @@ def test_09_free_motion_indeterminism():
 
 
 def test_10_nondegenerate_integration():
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     st1 = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                      thetadot=0.4, phidot=0.7)
     st2 = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),

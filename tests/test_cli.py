@@ -180,6 +180,16 @@ def test_a_builtin_domain_error_keeps_its_text(capsys):
     assert capsys.readouterr().err == "error: (P, Q) = (2.0, 0.0) outside domain of rotator_f\n"
 
 
+def test_a_builtin_reports_as_its_expression(capsys):
+    keys = ("inputs.F =", "inputs.F_P =", "inputs.F_Q =", "inputs.PP =", "inputs.WW =")
+    lines = []
+    for f in ("nu_family", "nu*P + sqrt(1 + sqrt(Q) - nu^2*Q)"):
+        code, out = run(capsys, "casimir", "--f", f, "--nu", "0.5", "--Q", "2")
+        assert code == 0
+        lines.append([line for line in out.splitlines() if line.startswith(keys)])
+    assert len(lines[0]) == len(keys) and lines[0] == lines[1]
+
+
 @pytest.mark.parametrize("argv, owner, name", [
     (["fundamental-check", "--f", "rotator", "--grid", "1000000"], cli,
      "fundamental_residual"),
@@ -267,8 +277,7 @@ CASIMIR_MOMENTA_CALLS = {0: 299, 1: 297, 2: 299, 3: 300}
 def _casimir_samples(seed, extra_forms=()):
     """The forms and the batch of kinematic jets of the casimir suite at seed."""
     rng = np.random.default_rng(seed)
-    forms = cli.fundamental_forms(RunConfig()) + [
-        builtin("point_particle"), builtin("fq", f=lambda q: q), *extra_forms]
+    forms = cli.casimir_forms(RunConfig()) + list(extra_forms)
     return forms, kinematic_jets([draw_kinematic_path(rng)
                                   for _ in range(cli.CASIMIR_JETS)])
 
@@ -389,7 +398,7 @@ def _noether_residuals_per_pair(forms, samples):
 def test_batched_noether_residuals_match_the_per_pair_loop(seed):
     # two more forms: one S(Q) member, and one defined only for Q <= 0.03,
     # so that a parsed domain masks about half of the batch
-    forms, samples = _casimir_samples(seed, (builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q),
+    forms, samples = _casimir_samples(seed, (parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)"),
                                              parse_f("sqrt(0.03 - Q)")))
     got = cli.noether_residuals(forms, samples)
     assert got == _noether_residuals_per_pair(forms, samples)
@@ -401,7 +410,7 @@ def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     record, which perfbench's oracle reads, has that batch entry's W bit for
     bit, signed zeros included; a record contracts epsilon once however often
     W is read; and a joined record's W is the concatenation of its parts'."""
-    forms, samples = _casimir_samples(seed, (builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q),
+    forms, samples = _casimir_samples(seed, (parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)"),
                                              parse_f("sqrt(0.03 - Q)")))
     records, batches, contractions = [], [], []
     original_momenta, original_contract = cli.momenta, noether.epsilon_contract
@@ -761,7 +770,7 @@ def test_one_dop853_tableau_in_either_import_order(first):
     assert proc.stdout == "True\n"
 
 
-@pytest.mark.parametrize("ell", ["0.001", "1.5", "2", "1000"])
+@pytest.mark.parametrize("ell", ["1e-100", "1e-8", "0.001", "1.5", "2", "1000"])
 def test_verify_dynamics_passes_in_units_of_ell(capsys, ell):
     """The dynamics suite draws its phases, angular speeds and divergence
     target in units of ell, so no valid ell is bad input or a failure."""
@@ -883,6 +892,9 @@ def test_load_config_rejects_bad_lines(tmp_path, capsys, line):
     ["casimir", "--f", "Q#"],  # a character the tokenizer does not know
     ["casimir", "--f", "(" * 2000 + "Q" + ")" * 2000],
     ["casimir", "--f", "+".join(["Q"] * 2000)],
+    # names of no builtin: an unknown name in an expression
+    ["casimir", "--f", "sqrtS"],
+    ["casimir", "--f", "fq"],
     # scales M^2 or M^4 ell^2 outside the floating-point range
     ["freemotion", "--M", "1e160"],
     ["verify", "--suite", "casimir", "--M", "1e200"],

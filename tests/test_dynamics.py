@@ -86,7 +86,7 @@ def test_sampled_el_vanishes_on_free_motion():
 
 def test_sampled_el_nonzero_for_other_system():
     traj = free_motion(rest_frame_params(lambda t: t))
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     assert el_at(fq, traj, 0.3).max_abs[0] > 0.1
 
 
@@ -153,7 +153,7 @@ def test_speed_to_Q_roundtrip():
 
 
 def test_integrated_fq_conserves_casimirs():
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7)
     traj = integrate(fq, st, (0.0, 30.0))
@@ -165,7 +165,7 @@ def test_integrated_fq_conserves_casimirs():
 
 
 def test_integrated_casimirs_depend_on_initial_data():
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     st1 = ChartState(theta=1.1, phi=0.3, thetadot=0.4, phidot=0.7)
     st2 = ChartState(theta=1.1, phi=0.3, thetadot=0.1, phidot=0.3)
     w1 = casimir_drift(integrate(fq, st1, (0.0, 1.0)), [0.0])["WW"][0]
@@ -181,7 +181,7 @@ def test_casimir_drift_floors_at_physical_scale():
     d = casimir_drift(integrate(pp, st, (0.0, 9.0)), np.linspace(0.0, 9.0, 20))
     assert d["PP_drift"] < 1e-6 and d["WW_drift"] < 1e-6
     # Casimirs above rounding keep the plain relative drift, bit for bit
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     d = casimir_drift(integrate(fq, st, (0.0, 3.0)), np.linspace(0.0, 3.0, 10))
     for key in ("PP", "WW"):
         v = d[key]
@@ -194,7 +194,7 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     first-order jets, and solves no acceleration; its momenta equal, bit for
     bit, those of ``trajectory_samples``, which reads the same first-order
     jets and solves the acceleration at each time for its EL residuals."""
-    fq = builtin("fq", f=lambda q: q * q)
+    fq = parse_f("Q*Q")
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
     traj = integrate(fq, st, (0.0, 2.0), dof=dof)
@@ -230,7 +230,7 @@ def test_integrated_trajectory_stays_in_its_span():
     """The dense output holds its end states outside the integrated span
     instead of extrapolating (the DOP853 polynomial of the last step reads
     |v|^2 = 1.05 at twice this span); chart queries there raise."""
-    fq = builtin("fq", f=lambda q: q)
+    fq = parse_f("Q")
     st = ChartState(theta=1.2, phi=0.3, v=(0.05, 0.0, -0.04),
                     thetadot=0.3, phidot=0.7)
     t_end = 2 * np.pi / st.phidot

@@ -11,6 +11,7 @@ from rotorlab import fform, jets
 from rotorlab.degeneracy import DOF5, DOF6, chart_scalar_jets, random_chart_state, stack_states
 from rotorlab.fform import (
     BUILTIN_NAMES,
+    BUILTINS,
     ParseError,
     PQPoint,
     builtin,
@@ -23,6 +24,7 @@ from rotorlab.fform import (
 )
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError
+from conftest import same_bits
 from test_cli import _expressions
 
 
@@ -151,13 +153,13 @@ def test_domain_mask_takes_the_batch_shape(F):
     assert all(type(F.in_domain(p, q)) is bool for p, q in zip(P.tolist(), Q.tolist()))
 
 
-# every builtin, with a smooth S and f for sqrtS and fq
+# every builtin, and the expressions of an S(Q) and an f(Q) member
 DOMAIN_BUILTINS = [
     builtin("point_particle"), builtin("rotator_f"),
     *(builtin("starlike", signs=s) for s in ((1, 1), (1, -1), (-1, 1), (-1, -1))),
     *(builtin("nu_family", nu=nu, signs=s)
       for nu in (0.0, 0.5, 2.0) for s in ((1, 1), (1, -1))),
-    builtin("sqrtS", S=lambda q: 1.0 + q), builtin("fq", f=jets.sqrt),
+    parse_f("sqrt(1 + P*P/Q)*(1 + Q)"), parse_f("sqrt(Q)"),
 ]
 _EDGE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))  # 0, -0, subnormals, ...
 
@@ -255,10 +257,26 @@ def test_starlike_sign_branches():
         builtin("starlike", signs=(1, -1)).eval(0.0, 4.0)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_a_builtin_is_its_expression_bit_for_bit(name):
+    """A builtin's F and partials are those of ``parse_f`` of its expression
+    with the signs written in, at each float (P, Q) and on the batch of them,
+    signed zeros included, for every sign pair and nu."""
+    P = np.array([0.0, -0.0, 0.3, -0.7])
+    Q = np.array([0.04, 1e-3, 0.1, 0.01])  # inside every member's domain at nu = 2
+    for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        text = BUILTINS[name][1].replace("s1", str(s1)).replace("s2", str(s2))
+        for nu in (0.0, 0.5, 2.0):
+            F, G = builtin(name, signs=(s1, s2), nu=nu), parse_f(text, nu=nu)
+            for at in (*zip(P.tolist(), Q.tolist()), (P, Q)):
+                for got, want in zip(F.eval(*at), G.eval(*at)):
+                    assert same_bits(got, want), (F.name, text, at)
+
+
 def test_unknown_builtin_rejected():
     with pytest.raises(ValueError):
         builtin("no_such_form")
-    assert len(BUILTIN_NAMES) == 6
+    assert BUILTIN_NAMES == ("point_particle", "rotator_f", "starlike", "nu_family")
 
 
 def test_pq_from_rotator_point(rotator_jet):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rotorlab import cli, jets, noether
 from rotorlab.dynamics import _joined
-from rotorlab.fform import (PQPoint, builtin, lagrangian_from_vectors, parse_f,
+from rotorlab.fform import (FForm, PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_scalars, pq_from_vectors, scalar_products,
                             velocity_scalars)
 from rotorlab.invariants import (KinematicJet, draw_kinematic_path, kinematic_jets,
@@ -32,8 +32,7 @@ from conftest import same_bits
 
 def all_forms():
     forms = [builtin("point_particle"), builtin("rotator_f"),
-             builtin("fq", f=lambda q: q),
-             builtin("sqrtS", S=lambda q: 1.0 + 0.3 * q)]
+             parse_f("Q"), parse_f("sqrt(1 + P*P/Q)*(1 + 0.3*Q)")]
     for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         forms.append(builtin("starlike", signs=signs))
     for nu in (-0.6, 0.0, 0.8):
@@ -60,7 +59,7 @@ def test_noether_casimirs_match_closed_form():
 def test_pauli_lubanski_orthogonal_to_momentum():
     rng = np.random.default_rng(1)
     for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]).entries():
-        for F in (builtin("rotator_f"), builtin("fq", f=lambda q: q * q)):
+        for F in (builtin("rotator_f"), parse_f("Q*Q")):
             ms = momenta(F, J)
             scale = max(abs(dot(ms.P, ms.P)), 1.0)
             assert abs(dot(ms.W, ms.P)) < 1e-10 * scale
@@ -156,8 +155,7 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
     those of the eight velocities seeded as jets, one jet at a time and as a
     batch, for the casimir suite's jets and forms and the relation forms."""
     cfg = RunConfig()
-    forms = [*cli.fundamental_forms(cfg), builtin("point_particle"),
-             builtin("fq", f=lambda q: q), *map(parse_f, cli.RELATION_FORMS)]
+    forms = [*cli.casimir_forms(cfg), *map(parse_f, cli.RELATION_FORMS)]
     # the rotator point has exact zeros in xdot, k and kdot
     J = rotator_jet
     cases = [(J.xdot, J.k, J.kdot), (J.xdot[:, None], J.k[:, None], J.kdot[:, None])]
@@ -182,8 +180,7 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
 
 def _casimir_forms():
     """The twelve forms whose momenta the casimir suite takes."""
-    return [*cli.fundamental_forms(RunConfig()), builtin("point_particle"),
-            builtin("fq", f=lambda q: q)]
+    return cli.casimir_forms(RunConfig())
 
 
 def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
@@ -502,7 +499,7 @@ def test_fundamental_residuals_equal_per_point_loop(cfg):
     same number of domain points; inf where the grid has none."""
     forms = cli.fundamental_forms(cfg) + [
         builtin("point_particle", M=cfg.M, ell=cfg.ell),
-        builtin("sqrtS", S=lambda q: 1.0 + 0.2 * q, M=cfg.M, ell=cfg.ell),
+        parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)", M=cfg.M, ell=cfg.ell),
         parse_f("Q + P^2", M=cfg.M, ell=cfg.ell), parse_f("sqrt(1 - Q)*(1 + P)"),
         parse_f("sqrt(-1 - Q)")]
     for F in forms:
@@ -514,10 +511,11 @@ def test_fundamental_residuals_equal_per_point_loop(cfg):
 
 def test_special_S_family_matches_closed_form():
     S = lambda q: 1.0 + 0.25 * q
-    F = builtin("sqrtS", S=S, M=1.3, ell=0.7)
+    F = FForm(func=lambda P, Q: jets.sqrt(1.0 + P * P / Q) * S(Q), M=1.3, ell=0.7,
+              domain=lambda P, Q: Q > 0.0)
     for Q in (0.2, 1.0, 3.0):
         got = casimirs_special_S(S, Q, M=1.3, ell=0.7)
-        # the sqrtS shape makes PP, WW functions of Q alone
+        # the shape sqrt(1 + P^2/Q) S(Q) makes PP, WW functions of Q alone
         for P in (0.0, 0.4):
             want = casimirs_closed_form(F, PQPoint(P, Q))
             assert got.PP == pytest.approx(want.PP, rel=1e-12)
