@@ -71,31 +71,39 @@ def resolve_form(text: str, cfg: RunConfig) -> FForm:
     return parse_f(text, M=cfg.M, ell=cfg.ell, nu=cfg.nu)
 
 
-# -- gates: the largest residual each check passes with -----------------------
+# -- the verify checks, in report order: name -> (suite, gate).  A suite's checks
+# share one draw of samples; a check passes when its residual is at most its gate
 
-TETRAD_TOL = 1e-12  # tetrad scalar products, relative to max(|k.m|, 1)
-GRAM_TOL = 1e-11  # Gram determinant of the tetrad against -4
-GAUGE_TOL = 1e-10  # relative change of iota_1..iota_6 under a gauge shift
-IDENTITY_TOL = 1e-10  # tetrad-decomposition identities among the basic scalars
-FUNDAMENTAL_TOL = 1e-10  # relative miss of the fixed PP and WW on a (P, Q) grid
-NOETHER_TOL = 1e-9  # relative gap between Noether and closed-form Casimirs
-WP_TOL = 1e-10  # |W.P| relative to max(|PP|, 1)
-RELATION_TOL = 1e-7  # relative spread of the kinematical factor over the forms
-EL_TOL = 1e-8  # relative Euler-Lagrange residual of a free motion
-DRIFT_TOL = 1e-9  # relative drift of the Noether P and W along a free motion
-SPEED_TOL = 1e-10  # a free motion's angular speed against its Q, both ways
+CHECKS = {
+    "tetrad-relations": ("tetrad", 1e-12),  # relative to max(|k.m|, 1)
+    "tetrad-gram-det": ("tetrad", 1e-11),  # the Gram determinant against -4
+    "gauge-invariance": ("invariants", 1e-10),  # relative change of iota_1..iota_6
+    "scalar-identities": ("invariants", 1e-10),  # identities among the basic scalars
+    "fundamental-conditions": ("casimir", 1e-10),  # relative miss of the fixed PP, WW
+    "noether-crosscheck": ("casimir", 1e-9),  # Noether against closed-form Casimirs
+    "wp-orthogonality": ("casimir", 1e-10),  # |W.P| relative to max(|PP|, 1)
+    "degenerate-hessians": ("degeneracy", 1.0),  # margin at most 1: singular
+    "nu-family-rank-4": ("degeneracy", 0.0),
+    "nondegenerate-dets": ("degeneracy", 1.0),  # inverse least margin
+    "relation-consistency": ("degeneracy", 1e-7),  # relative spread of the factor K
+    "free-motion-el-residuals": ("dynamics", 1e-8),  # relative Euler-Lagrange residual
+    "free-motion-conservation": ("dynamics", 1e-9),  # relative drift of P and W
+    "indeterminism-divergence": ("dynamics", 0.0),  # target less the divergence
+    "angular-speed-identity": ("dynamics", 1e-10),  # angular speed against Q, both ways
+    "count-invariants": ("count-invariants", 0.0),
+}
 MATCH_TOL = 1e-12  # phases share initial data if (phi, phidot) at t0 agree to this
 CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
 
 # -- checks: residuals from given samples; the suites below draw the samples
-# from the run's seed, tests/test_acceptance.py draws its own.  Each worst
-# case is a numpy maximum, so a NaN residual is the worst case and fails -----
+# from the run's seed, tests/test_acceptance.py draws its own.  A NaN residual
+# is the worst case and fails, and so does a check with no sample -----------
 
 
 def _worst(residuals) -> float:
-    """The largest residual, NaN if any is NaN; floored at 0, so 0 for none or all negative."""
-    return float(np.max(residuals, initial=0.0))
+    """The largest residual: NaN if any is NaN, and inf if there is none."""
+    return float(np.max(residuals)) if np.size(residuals) else math.inf
 
 
 def tetrad_residuals(k, m, a, b):
@@ -136,8 +144,6 @@ def fundamental_residual(F: FForm, n: int):
     none, nothing was checked and the miss is inf."""
     P, Q = np.meshgrid(np.linspace(-0.9, 0.9, n), np.linspace(0.05, 4.0, n), indexing="ij")
     inside, PP, WW = casimirs_where_defined(F, P.ravel(), Q.ravel())
-    if not inside.any():
-        return math.inf, 0
     pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
     miss = [np.abs(PP[inside] / pp_target - 1.0), np.abs(WW[inside] / ww_target - 1.0)]
     return _worst(miss), int(inside.sum())
@@ -183,11 +189,8 @@ def hessian_margins(states):
              *map(parse_f, ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)"))]
     rot, nu, *generic = hessians(forms, batch, DOF5)
     singular = [rot, nu, *hessians([builtin("starlike")], batch, DOF6)]
-    margins = [r.margin for r in generic]
-    rank_gap = int(np.max(np.abs(nu.rank - 4), initial=0))
-    min_margin = np.min(margins, initial=np.inf)
-    return (_worst([r.margin for r in singular]), rank_gap,
-            float(1.0 / np.maximum(min_margin, 1e-300)))
+    return (_worst([r.margin for r in singular]), _worst(np.abs(nu.rank - 4)),
+            _worst([1.0 / np.maximum(r.margin, 1e-300) for r in generic]))
 
 
 RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
@@ -203,7 +206,7 @@ def relation_spread(forms, states):
     K0 = K[np.argmax(admissible, axis=0), np.arange(len(states))]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
     spreads = (dev / np.maximum(abs(K0), 1e-300))[counts >= 2]
-    return (_worst(spreads) if spreads.size else math.inf), counts.tolist()
+    return _worst(spreads), counts.tolist()
 
 
 FREE_MOTION_PHASES = (
@@ -217,8 +220,9 @@ DIVERGENCE_TARGET = 0.05
 def free_motion_residuals(F: FForm, phases, times):
     """Rest-frame free motions of F, one ``trajectory_samples`` record per
     phase at ``times``: worst EL residual, worst P and W drift, divergence
-    from the first phase's positions, and the records.  The phases must share
-    (phi, phidot) at the first time and so the initial chart state."""
+    from the first phase's positions (a distance, 0 for one phase), and the
+    records.  The phases must share (phi, phidot) at the first time and so
+    the initial chart state."""
     params = [rest_frame_params(phase, M=F.M, ell=F.ell) for phase in phases]
     samples = []
     for p in params:
@@ -234,9 +238,10 @@ def free_motion_residuals(F: FForm, phases, times):
         if state_gap > 1e-10:
             raise DomainError(f"initial chart states differ by {state_gap}")
     drifts = [charge_drift(p, s.momenta) for p, s in zip(params, samples)]
+    divergence = np.max([np.max(np.abs(s.x - s0.x)) for s in samples[1:]], initial=0.0)
     return (_worst([np.max(s.el.max_relative) for s in samples]),
             _worst([d[k] for d in drifts for k in ("P_drift", "W_drift")]),
-            _worst([np.max(np.abs(s.x - s0.x)) for s in samples[1:]]), samples)
+            float(divergence), samples)
 
 
 def angular_speed_residual(w: float, ell: float) -> float:
@@ -285,12 +290,9 @@ def suite_tetrad(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     angles = _TETRAD_LO + _TETRAD_SPAN * rng.random((TETRAD_SPINORS, 4))
     worst_rel, worst_gram = tetrad_residuals(*tetrad_from_angles(*angles.T))
-    return [
-        Report("tetrad-relations", worst_rel, TETRAD_TOL, cfg.seed,
-               {"spinors": TETRAD_SPINORS}),
-        Report("tetrad-gram-det", worst_gram, GRAM_TOL, cfg.seed,
-               {"spinors": TETRAD_SPINORS}),
-    ]
+    inputs = {"spinors": TETRAD_SPINORS}
+    return {"tetrad-relations": (worst_rel, inputs),
+            "tetrad-gram-det": (worst_gram, inputs)}
 
 
 def suite_invariants(cfg: RunConfig):
@@ -302,12 +304,9 @@ def suite_invariants(cfg: RunConfig):
     samples = kinematic_jets(paths)
     worst_gauge = gauge_residual(samples, GaugeJet(*np.array(gauges).T))
     worst_ident = _worst(np.abs(list(identity_checks(samples).values())))
-    return [
-        Report("gauge-invariance", worst_gauge, GAUGE_TOL,
-               cfg.seed, {"jets": INVARIANT_JETS}),
-        Report("scalar-identities", worst_ident, IDENTITY_TOL,
-               cfg.seed, {"jets": INVARIANT_JETS}),
-    ]
+    inputs = {"jets": INVARIANT_JETS}
+    return {"gauge-invariance": (worst_gauge, inputs),
+            "scalar-identities": (worst_ident, inputs)}
 
 
 def suite_casimir(cfg: RunConfig):
@@ -317,14 +316,10 @@ def suite_casimir(cfg: RunConfig):
     forms = casimir_forms(cfg)
     worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
         [draw_kinematic_path(rng) for _ in range(CASIMIR_JETS)]))
-    return [
-        Report("fundamental-conditions", worst_fund, FUNDAMENTAL_TOL, cfg.seed,
-               {"forms": len(fundamental)}),
-        Report("noether-crosscheck", worst_cross, NOETHER_TOL,
-               cfg.seed, {"jets": CASIMIR_JETS}),
-        Report("wp-orthogonality", worst_wp, WP_TOL,
-               cfg.seed, {"jets": CASIMIR_JETS}),
-    ]
+    inputs = {"jets": CASIMIR_JETS}
+    return {"fundamental-conditions": (worst_fund, {"forms": len(fundamental)}),
+            "noether-crosscheck": (worst_cross, inputs),
+            "wp-orthogonality": (worst_wp, inputs)}
 
 
 def suite_degeneracy(cfg: RunConfig):
@@ -333,16 +328,11 @@ def suite_degeneracy(cfg: RunConfig):
     worst_singular, rank_gap, nondeg = hessian_margins(states)
     forms = [parse_f(e) for e in RELATION_FORMS[:5]]
     spread, _ = relation_spread(forms, states)
-    return [
-        Report("degenerate-hessians", worst_singular, 1.0, cfg.seed,
-               {"states": DEGENERACY_STATES, "forms": 3}),
-        Report("nu-family-rank-4", float(rank_gap), 0.0, cfg.seed,
-               {"states": DEGENERACY_STATES}),
-        Report("nondegenerate-dets", nondeg, 1.0, cfg.seed,
-               {"states": DEGENERACY_STATES, "forms": 4}),
-        Report("relation-consistency", spread, RELATION_TOL,
-               cfg.seed, {"states": DEGENERACY_STATES, "forms": len(forms)}),
-    ]
+    inputs = {"states": DEGENERACY_STATES}
+    return {"degenerate-hessians": (worst_singular, {**inputs, "forms": 3}),
+            "nu-family-rank-4": (rank_gap, inputs),
+            "nondegenerate-dets": (nondeg, {**inputs, "forms": 4}),
+            "relation-consistency": (spread, {**inputs, "forms": len(forms)})}
 
 
 def suite_dynamics(cfg: RunConfig):
@@ -354,25 +344,20 @@ def suite_dynamics(cfg: RunConfig):
     phases = [lambda t, f=f: f(t / ell) for f in FREE_MOTION_PHASES]
     el, drift, divergence, _ = free_motion_residuals(rot, phases, times)
     target = DIVERGENCE_TARGET * ell
-    div_gap = _worst([target - divergence])
     speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
     worst_speed = _worst([angular_speed_residual(w, ell) for w in speeds])
-    return [
-        Report("free-motion-el-residuals", el, EL_TOL, cfg.seed,
-               {"phases": len(FREE_MOTION_PHASES)}),
-        Report("free-motion-conservation", drift, DRIFT_TOL,
-               cfg.seed, {"phases": len(FREE_MOTION_PHASES)}),
-        Report("indeterminism-divergence", div_gap, 0.0, cfg.seed,
-               {"divergence": divergence, "target": target}),
-        Report("angular-speed-identity", worst_speed, SPEED_TOL, cfg.seed,
-               {"speeds": len(speeds)}),
-    ]
+    inputs = {"phases": len(FREE_MOTION_PHASES)}
+    return {"free-motion-el-residuals": (el, inputs),
+            "free-motion-conservation": (drift, inputs),
+            "indeterminism-divergence": (target - divergence,
+                                         {"divergence": divergence, "target": target}),
+            "angular-speed-identity": (worst_speed, {"speeds": len(speeds)})}
 
 
 def suite_count(cfg: RunConfig):
     rep = reproduce_invariant_count(cfg.seed)
-    inputs = {k: getattr(rep, k) for k in COUNT_EXPECTED}
-    return [Report("count-invariants", float(count_gap(rep)), 0.0, cfg.seed, inputs)]
+    return {"count-invariants": (float(count_gap(rep)),
+                                 {k: getattr(rep, k) for k in COUNT_EXPECTED})}
 
 
 _SUITE_FUNCS = {
@@ -386,21 +371,21 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
+def verify_reports(suites, cfg: RunConfig):
+    """The reports of the checks of ``suites``, in table order, each with its
+    gate: every suite returns {check name: (residual, inputs)}."""
+    results = {k: v for suite in suites for k, v in _SUITE_FUNCS[suite](cfg).items()}
+    return [Report(name, results[name][0], gate, cfg.seed, results[name][1])
+            for name, (suite, gate) in CHECKS.items() if suite in suites]
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
 def cmd_verify(args, cfg: RunConfig):
-    if args.suite == "all":
-        names = SUITES
-    elif args.suite in _SUITE_FUNCS:
-        names = (args.suite,)
-    else:
-        raise DomainError(f"unknown suite {args.suite!r}; choose from "
-                          f"{SUITES + ('all',)}")
-    reports = []
-    for name in names:
-        reports.extend(_SUITE_FUNCS[name](cfg))
-    return reports
+    if args.suite != "all" and args.suite not in _SUITE_FUNCS:
+        raise DomainError(f"unknown suite {args.suite!r}; choose from {SUITES + ('all',)}")
+    return verify_reports(SUITES if args.suite == "all" else (args.suite,), cfg)
 
 
 def cmd_casimir(args, cfg: RunConfig):
@@ -426,7 +411,7 @@ def cmd_casimir(args, cfg: RunConfig):
 def cmd_fundamental_check(args, cfg: RunConfig):
     F = resolve_form(args.f, cfg)
     worst, points = fundamental_residual(F, args.grid)
-    return [Report("fundamental-check", worst, FUNDAMENTAL_TOL,
+    return [Report("fundamental-check", worst, CHECKS["fundamental-conditions"][1],
                    cfg.seed, {"form": F.name, "points": points})]
 
 
@@ -449,7 +434,7 @@ def cmd_relation(args, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     # one table: a size numpy cannot allocate exits 2 before any draw
     spread, admissible = relation_spread(forms, random_chart_states(rng, args.states))
-    return [Report("relation-consistency", spread, RELATION_TOL,
+    return [Report("relation-consistency", spread, CHECKS["relation-consistency"][1],
                    cfg.seed, {"forms": len(forms), "states": args.states,
                               "admissible": max(admissible)})]
 
@@ -483,15 +468,15 @@ def cmd_freemotion(args, cfg: RunConfig):
     if args.out:
         export_trajectory(args.out, samples)
     return [
-        Report("freemotion-el-residuals", el, EL_TOL,
+        Report("freemotion-el-residuals", el, CHECKS["free-motion-el-residuals"][1],
                cfg.seed, {"phase": args.phase, "tmax": args.tmax}),
-        Report("freemotion-conservation", drift, DRIFT_TOL, cfg.seed,
-               {"phase": args.phase}),
+        Report("freemotion-conservation", drift, CHECKS["free-motion-conservation"][1],
+               cfg.seed, {"phase": args.phase}),
     ]
 
 
 def cmd_count(args, cfg: RunConfig):
-    return suite_count(cfg)
+    return verify_reports(("count-invariants",), cfg)
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -40,25 +42,40 @@ def exit_code(argv):
         return exc.code
 
 
-# the checks of ``verify --suite all``, suite by suite in registry order
-VERIFY_CHECKS = (
-    "tetrad-relations", "tetrad-gram-det",
-    "gauge-invariance", "scalar-identities",
-    "fundamental-conditions", "noether-crosscheck", "wp-orthogonality",
-    "degenerate-hessians", "nu-family-rank-4", "nondegenerate-dets", "relation-consistency",
-    "free-motion-el-residuals", "free-motion-conservation", "indeterminism-divergence",
-    "angular-speed-identity",
-    "count-invariants",
-)
+def table_checks(suite):
+    """The names of ``cli.CHECKS`` in ``suite``, or all of them for "all", in
+    table order."""
+    return [name for name, (s, _) in cli.CHECKS.items() if suite in (s, "all")]
 
 
-@pytest.mark.parametrize("suite, count", [("tetrad", 2), ("all", 16)])
-def test_verify_tetrad_passes(capsys, suite, count):
+@pytest.mark.parametrize("suite", ["tetrad", "all"])
+def test_verify_tetrad_passes(capsys, suite):
     code, out = run(capsys, "verify", "--suite", suite, "--seed", "7")
     assert code == 0
-    assert out.count("[check]") == count
-    assert re.findall(r"^name = (.*)$", out, re.M) == list(VERIFY_CHECKS[:count])
+    assert out.count("[check]") == len(table_checks(suite))
+    assert re.findall(r"^name = (.*)$", out, re.M) == table_checks(suite)
     assert "status = fail" not in out
+
+
+def test_the_table_names_the_checks_perfbench_expects():
+    """perfbench's verify-sweep compares the check names of each report, in
+    order, with its own ``VERIFY_CHECKS``: a check renamed, added or moved in
+    the table fails here before it fails the benchmark's check."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "workloads.py").read_text())
+    (names,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and len(node.targets) == 1
+                and getattr(node.targets[0], "id", None) == "VERIFY_CHECKS"]
+    assert tuple(cli.CHECKS) == names
+
+
+def test_each_suite_returns_exactly_its_table_checks_in_order():
+    assert {suite for suite, _ in cli.CHECKS.values()} == set(cli.SUITES)
+    cfg = RunConfig(seed=0)
+    for suite in cli.SUITES:
+        results = cli._SUITE_FUNCS[suite](cfg)
+        assert list(results) == table_checks(suite), suite
+        assert all(isinstance(r, float) and isinstance(inputs, dict)
+                   for r, inputs in results.values()), suite
 
 
 def test_verify_unknown_suite(capsys):
@@ -391,7 +408,7 @@ def _noether_residuals_per_pair(forms, samples):
         cross += [abs(got.PP - want.PP) / max(abs(want.PP), 1.0),
                   abs(got.WW - want.WW) / max(abs(want.WW), 1.0)]
         wp.append(abs(dot(ms.W, ms.P)) / max(abs(got.PP), 1.0))
-    return float(np.max(cross, initial=0.0)), float(np.max(wp, initial=0.0))
+    return tuple(float(np.max(r)) if r else math.inf for r in (cross, wp))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -447,14 +464,15 @@ def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     assert same_bits(joined.W, batch.W)
 
 
-def test_noether_residuals_with_no_pair_in_a_domain_are_zero():
+def test_noether_residuals_with_no_pair_in_a_domain_fail():
     # sqrt(-1 - Q) is defined at no jet, so no momenta are taken and the
-    # batch is empty; both worst residuals read 0, as the per-pair loop's
+    # batch is empty; nothing was checked, so both worst residuals read inf,
+    # as the per-pair loop's
     forms, samples = _casimir_samples(0)
     nowhere = [parse_f("sqrt(-1 - Q)")]
     assert not list(_in_domain_pairs(nowhere, samples))
     got = cli.noether_residuals(nowhere, samples)
-    assert got == _noether_residuals_per_pair(nowhere, samples) == (0.0, 0.0)
+    assert got == _noether_residuals_per_pair(nowhere, samples) == (math.inf, math.inf)
 
 
 def _with_nan(x):
@@ -474,52 +492,74 @@ def _nan_report(i):
     return lambda reps: [*reps[:i], _nan_singular_values(reps[i]), *reps[i + 1:]]
 
 
-# (suite, check, owner, function, poison): the second call of the function
-# (or the call POISONED_CALL names) returns poison(its result), a NaN in one
-# sample of the check; the tetrad suite calls its two functions once, on the
-# whole batch, and so does the invariants suite with identity_checks; the
-# casimir suite takes the closed form once per form through
-# noether.casimirs_where_defined, first on the domain grid of each of the ten
-# fundamental forms, then on each form's in-domain jets
-NAN_PLANTS = [
-    ("tetrad", "tetrad-relations", cli, "tetrad_relations",
-     lambda d: {**d, "kk": _with_nan(d["kk"])}),
-    ("tetrad", "tetrad-gram-det", cli, "gram_det", _with_nan),
-    ("invariants", "gauge-invariance", cli, "iota", _with_nan),
-    ("invariants", "scalar-identities", cli, "identity_checks",
-     lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
-    ("casimir", "fundamental-conditions", noether, "casimirs_from_partials",
-     lambda c: (_with_nan(c[0]), c[1])),
-    ("casimir", "noether-crosscheck", noether, "casimirs_from_partials",
-     lambda c: (_with_nan(c[0]), c[1])),
-    ("casimir", "wp-orthogonality", cli, "momenta",
-     lambda ms: dataclasses.replace(ms, pi=_with_nan(ms.pi))),
-    ("degeneracy", "degenerate-hessians", cli, "hessians", _nan_report(0)),
-    ("degeneracy", "nondegenerate-dets", cli, "hessians", _nan_report(2)),
-    ("degeneracy", "relation-consistency", cli, "relation_check",
-     lambda r: (r[0], _with_nan(r[1]))),
-    ("dynamics", "free-motion-conservation", cli, "charge_drift",
-     lambda d: {**d, "W_drift": np.nan}),
-    ("dynamics", "angular-speed-identity", cli, "angular_speed", _with_nan),
-]
+def _nan_rank(reps):
+    """A poison for a list of Hessian reports: a NaN in the rank of report 1."""
+    return [reps[0], dataclasses.replace(reps[1], rank=_with_nan(reps[1].rank)), *reps[2:]]
+
+
+# check: (owner, function, poison), in table order: the second call of the
+# function (or the call POISONED_CALL names) in the check's suite returns
+# poison(its result), a NaN in one sample of the check; the tetrad suite
+# calls its two functions once, on the whole batch, and so does the
+# invariants suite with identity_checks; the casimir suite takes the closed
+# form once per form through noether.casimirs_where_defined, first on the
+# domain grid of each of the ten fundamental forms, then on each form's
+# in-domain jets; the dynamics suite takes one trajectory_samples record per
+# phase, and the NaN lands in the second phase's
+NAN_PLANTS = {
+    "tetrad-relations": (cli, "tetrad_relations",
+                         lambda d: {**d, "kk": _with_nan(d["kk"])}),
+    "tetrad-gram-det": (cli, "gram_det", _with_nan),
+    "gauge-invariance": (cli, "iota", _with_nan),
+    "scalar-identities": (cli, "identity_checks",
+                          lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
+    "fundamental-conditions": (noether, "casimirs_from_partials",
+                               lambda c: (_with_nan(c[0]), c[1])),
+    "noether-crosscheck": (noether, "casimirs_from_partials",
+                           lambda c: (_with_nan(c[0]), c[1])),
+    "wp-orthogonality": (cli, "momenta",
+                         lambda ms: dataclasses.replace(ms, pi=_with_nan(ms.pi))),
+    "degenerate-hessians": (cli, "hessians", _nan_report(0)),
+    "nu-family-rank-4": (cli, "hessians", _nan_rank),
+    "nondegenerate-dets": (cli, "hessians", _nan_report(2)),
+    "relation-consistency": (cli, "relation_check", lambda r: (r[0], _with_nan(r[1]))),
+    "free-motion-el-residuals": (cli, "trajectory_samples", lambda s: dataclasses.replace(
+        s, el=dataclasses.replace(s.el, residuals=_with_nan(s.el.residuals)))),
+    "free-motion-conservation": (cli, "charge_drift", lambda d: {**d, "W_drift": np.nan}),
+    "indeterminism-divergence": (cli, "trajectory_samples",
+                                 lambda s: dataclasses.replace(s, x=_with_nan(s.x))),
+    "angular-speed-identity": (cli, "angular_speed", _with_nan),
+}
 # the degeneracy suite takes the Hessians of its six DOF5 forms over its batch
-# of states in one call, two singular forms then four nondegenerate ones, and
-# those of the DOF6 starlike in a second: the NaN lands in the first
-# nondegenerate form's report of the first call, or in the starlike's; it
-# calls relation_check once, and the NaN lands in the first form's K at the
-# first state; the fundamental-conditions NaN lands in the second form's
-# grid, and the noether-crosscheck NaN, twelfth call, in the second form's
-# closed form on the jets; the wp-orthogonality NaN
-# lands in pi of the second pair's momenta, and so in its W and W.P
+# of states in one call, two singular forms (the rotator, then the nu-family)
+# then four nondegenerate ones, and those of the DOF6 starlike in a second:
+# the NaN lands in the first nondegenerate form's report of the first call,
+# in the starlike's, or in the nu-family's rank; a rank counts singular
+# values, so a NaN Hessian has rank 0 and fails with a gap of 4, and the
+# NaN planted in the count checks that the gap's maximum keeps it; it calls
+# relation_check once, and the NaN lands in the first form's K at the first
+# state; the fundamental-conditions NaN lands in the second form's grid, and
+# the noether-crosscheck NaN, twelfth call, in the second form's closed form
+# on the jets; the wp-orthogonality NaN lands in pi of the second pair's
+# momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "noether-crosscheck": 12, "nondegenerate-dets": 1,
+                 "noether-crosscheck": 12, "nu-family-rank-4": 1, "nondegenerate-dets": 1,
                  "relation-consistency": 1}
+# the checks no NaN can reach, and why
+NO_NAN_PLANT = {
+    "count-invariants": "its residual is a sum of integer gaps of matrix ranks from the "
+                        "expected counts; a rank is a count, which no NaN sample makes NaN",
+}
 
 
-@pytest.mark.parametrize("suite, check, owner, name, poison", NAN_PLANTS,
-                         ids=[p[1] for p in NAN_PLANTS])
-def test_a_nan_sample_fails_its_check(capsys, monkeypatch, suite, check, owner, name,
-                                      poison):
+def test_every_check_has_a_nan_plant_or_a_reason():
+    assert [c for c in cli.CHECKS if c not in NO_NAN_PLANT] == list(NAN_PLANTS)
+    assert set(NO_NAN_PLANT) <= set(cli.CHECKS)
+
+
+@pytest.mark.parametrize("check", NAN_PLANTS)
+def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
+    owner, name, poison = NAN_PLANTS[check]
     original = getattr(owner, name)
     calls = []
     at = POISONED_CALL.get(check, 2)
@@ -530,6 +570,7 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, suite, check, owner, 
         return poison(out) if len(calls) == at else out
 
     monkeypatch.setattr(owner, name, planted)
+    suite, _ = cli.CHECKS[check]
     code, out = run(capsys, "verify", "--suite", suite, "--seed", "0")
     assert len(calls) >= at
     assert code == 1

@@ -742,10 +742,12 @@ def test_freemotion_export_equals_per_row_reference(tmp_path, capsys, phase, opt
         dP = max(dP, float(np.max(np.abs(ms.P - p.P))) / max(np.max(np.abs(p.P)), 1e-300))
         dW = max(dW, float(np.max(np.abs(ms.W - p.W))) / max(np.max(np.abs(p.W)), 1e-300))
     worst_el = max(rep.max_relative for *_, rep, _ in samples)
+    _, el_gate = cli.CHECKS["free-motion-el-residuals"]
+    _, drift_gate = cli.CHECKS["free-motion-conservation"]
     want = render_reports([
-        Report("freemotion-el-residuals", worst_el, cli.EL_TOL, 0,
+        Report("freemotion-el-residuals", worst_el, el_gate, 0,
                {"phase": expr, "tmax": 20.0}),
-        Report("freemotion-conservation", max(dP, dW), cli.DRIFT_TOL, 0, {"phase": expr}),
+        Report("freemotion-conservation", max(dP, dW), drift_gate, 0, {"phase": expr}),
     ])
     assert code == 0 and doc == want
     assert path.read_bytes() == ref.read_bytes()
