@@ -143,8 +143,8 @@ class SolutionParams:
 
     def phase_jet(self, t) -> jets.Jet:
         """The phase at t as a jet in t, its speed |phidot| checked against the
-        admissibility band (0, 2/ell); batched, and checked at every time, for
-        an array of times."""
+        admissibility band (0, 2/ell), floored at SPEED_FLOOR 2/ell; batched,
+        and checked at every time, for an array of times."""
         t = _times(t)
         (tj,) = jets.variables(t)
         ph = self.phase(tj)
@@ -152,8 +152,9 @@ class SolutionParams:
             ph = jets.constant(float(ph) + 0.0 * t, 1)
         pd = ph.g[0]
         hi = 2.0 / self.ell
-        jets.raise_where(np.logical_not((SPEED_FLOOR * hi < abs(pd)) & (abs(pd) < hi)),
-                         DomainError, f"phase speed {{}} at t = {{}} outside (0, {hi})",
+        lo = SPEED_FLOOR * hi
+        jets.raise_where(np.logical_not((lo < abs(pd)) & (abs(pd) < hi)),
+                         DomainError, f"phase speed {{}} at t = {{}} outside ({lo}, {hi})",
                          pd, t)
         return ph
 

@@ -26,13 +26,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from rotorlab.cli import main
+from rotorlab.cli import FREE_MOTION_PHASES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 VERSIONS = f"python {platform.python_version()} numpy {np.__version__} scipy {scipy.__version__}"
-
-# the three phases of the dynamics suite, as ``freemotion --phase`` reads them
-PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
 
 # name: argv; a final "--out" gets a scratch CSV path
 COMMANDS = {
@@ -41,7 +38,7 @@ COMMANDS = {
        for name, f in (("Q", "Q"), ("Q2", "Q^2"), ("sqrtQ-2+Q", "sqrt(Q)*(2+Q)"),
                        ("point", "point"))},
     **{f"freemotion-phase-{i}": ["freemotion", "--phase", p, "--seed", "0", "--out"]
-       for i, p in enumerate(PHASES)},
+       for i, p in enumerate(FREE_MOTION_PHASES)},
     **{f"hessian-dof{dof}-{name}": ["hessian", "--f", f, "--dof", str(dof), "--seed", "0"]
        for dof in (5, 6) for name, f in (("starlike", "starlike"), ("Q+PQ", "Q+P*Q"))},
     "relation-seed-0": ["relation", "--seed", "0"],
@@ -94,16 +91,17 @@ def render(argv) -> str:
     return "\n".join(header) + "\n[stdout]\n" + out.getvalue() + "[stderr]\n" + err.getvalue()
 
 
-def diff(name: str) -> str:
-    """The unified diff from the golden file of ``name`` to its text now, ''
-    if they are the same byte for byte.  A file made under other versions is
-    not compared: AssertionError, with the note to regenerate."""
+def diff(name: str, got: str | None = None) -> str:
+    """The unified diff from the golden file of ``name`` to its text now
+    (``got``, or a new render), '' if they are the same byte for byte.  A
+    file made under other versions is not compared: AssertionError, with the
+    note to regenerate."""
     want = path(name).read_text()
     made = want.split("\n", 1)[0]
     assert made == f"# {VERSIONS}", (
         f"{path(name).name} was made under {made[2:]}, this is {VERSIONS}: "
         "regenerate the golden files with PYTHONPATH=src python tests/golden.py")
-    got = render(COMMANDS[name])
+    got = render(COMMANDS[name]) if got is None else got
     if got == want:
         return ""
     return "".join(difflib.unified_diff(want.splitlines(True), got.splitlines(True),

@@ -10,7 +10,7 @@ import numpy as np
 from rotorlab import cli, jets
 from rotorlab.degeneracy import ChartState, fq_det_formula, random_chart_state
 from rotorlab.dynamics import casimir_drift, integrate
-from rotorlab.fform import builtin, parse_f
+from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.invariants import (
     GaugeJet,
     basic_scalars,
@@ -142,8 +142,8 @@ def test_08_fq_determinant_formula():
 
 def test_09_free_motion_indeterminism():
     times = np.linspace(0.0, 5.0, 60)
-    el, drift, divergence, _ = cli.free_motion_residuals(
-        builtin("rotator_f"), cli.FREE_MOTION_PHASES, times)
+    phases = [parse_phase(e) for e in cli.FREE_MOTION_PHASES]
+    el, drift, divergence, _ = cli.free_motion_residuals(builtin("rotator_f"), phases, times)
     report(9, "Euler-Lagrange residuals on exact solutions", el,
            gate("free-motion-el-residuals"))
     report(9, "conserved charge drift", drift, gate("free-motion-conservation"))

@@ -832,6 +832,36 @@ def test_freemotion_writes_trajectory(tmp_path, capsys):
     assert len(lines) == 22
 
 
+def residuals(doc):
+    """The residual of each report of a document, by check name."""
+    return {re.search(r"^name = (.*)$", block, re.M)[1]:
+            float(re.search(r"^residual = (.*)$", block, re.M)[1])
+            for block in doc.split("[check]")[1:]}
+
+
+def test_each_suite_phase_reruns_as_a_freemotion_command(capsys):
+    """At ell = M = 1, ``freemotion --phase E`` at its defaults (``--tmax 20
+    --samples 81``) reruns the dynamics suite's phase E bit for bit: each of
+    the suite's free-motion residuals is the largest of the three commands'."""
+    suite = residuals(run(capsys, "verify", "--suite", "dynamics")[1])
+    commands = [residuals(run(capsys, "freemotion", "--phase", e)[1])
+                for e in cli.FREE_MOTION_PHASES]
+    for check, command in (("free-motion-el-residuals", "freemotion-el-residuals"),
+                           ("free-motion-conservation", "freemotion-conservation")):
+        assert suite[check] == max(r[command] for r in commands) > 0.0
+
+
+@pytest.mark.parametrize("argv, band", [
+    (["--phase", "1e-13*t"], "(2e-12, 2.0)"),  # under the speed floor
+    (["--phase", "t", "--ell", "1e-150"], "(2e+138, 2e+150)"),
+], ids=["slow-phase", "small-ell"])
+def test_phase_speed_error_names_the_band_it_checks(capsys, argv, band):
+    """The band in the message is the one checked: from the speed floor
+    SPEED_FLOOR 2/ell, not from 0, up to 2/ell."""
+    assert exit_code(["freemotion", *argv]) == 2
+    assert f" outside {band} (batch entry 0)\n" in capsys.readouterr().err
+
+
 def test_parser_is_built_once_and_dispatches_at_call_time(capsys, monkeypatch):
     """One parser per process; each call looks up the current ``cmd_*``
     function, so a replacement made between calls is the one that runs."""

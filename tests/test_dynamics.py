@@ -40,10 +40,7 @@ from test_fform import reference_lagrangian
 
 ROT = builtin("rotator_f")
 U = np.finfo(float).eps / 2  # the unit roundoff
-
-
-def bent_phase(t):
-    return t + 0.1 * (t - jets.sin(t))
+bent_phase = parse_phase(FREE_MOTION_PHASES[1])  # the dynamics suite's second phase
 
 
 def xk(traj, t):
@@ -594,11 +591,7 @@ def test_missing_lapack_raises_one_module_not_found_error(monkeypatch, tmp_path,
 
 
 def test_indeterminacy_demo(monkeypatch):
-    phases = [
-        lambda t: t,
-        bent_phase,
-        lambda t: t + 0.2 * jets.sin(0.5 * t) * jets.sin(0.5 * t),
-    ]
+    phases = [parse_phase(e) for e in FREE_MOTION_PHASES]
     queries, phase_jets = [], []
     real = dynamics.FreeMotionTrajectory.jets
     monkeypatch.setattr(dynamics.FreeMotionTrajectory, "jets",
@@ -624,10 +617,14 @@ def test_indeterminacy_demo(monkeypatch):
 
 def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
     times = np.linspace(0.0, 5.0, 10)
-    with pytest.raises(DomainError, match="phase functions do not share initial data"):
+    with pytest.raises(DomainError, match=r"initial chart states differ by 0\.5$"):
         cli.free_motion_residuals(ROT, [lambda t: t, lambda t: 1.5 * t], times)
     with pytest.raises(DomainError, match="phase speed"):
         cli.free_motion_residuals(ROT, [lambda t: 3.0 * t, lambda t: 3.0 * t], times)
+    # phases a whole turn apart give one chart state, and so one motion
+    phases = [parse_phase("t"), parse_phase("t + 6.283185307179586")]
+    _, _, divergence, _ = cli.free_motion_residuals(ROT, phases, times)
+    assert divergence < 1e-15
 
 
 def per_time_samples(F, traj, times, dof=DOF5):
@@ -713,10 +710,6 @@ def test_export_trajectory(tmp_path):
     assert path.read_text() == ref.read_text()
 
 
-# the phases of the dynamics suite, as ``--phase`` expressions
-EXPORT_PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
-
-
 # 300 samples span three chunks of CHUNK = 128, so the chunks are joined
 @pytest.mark.parametrize("opts", [(), ("--M", "1.3", "--ell", "0.7"),
                                   ("--samples", "1"), ("--samples", "300")],
@@ -725,7 +718,7 @@ EXPORT_PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
 def test_freemotion_export_equals_per_row_reference(tmp_path, capsys, phase, opts):
     """``freemotion --out`` writes, byte for byte, the report and the CSV of
     one query per time, per-row reductions and the per-row writer."""
-    expr = EXPORT_PHASES[phase]
+    expr = FREE_MOTION_PHASES[phase]
     path, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
     code = cli.main(["freemotion", "--phase", expr, "--seed", "0", "--out", str(path),
                      *opts])
@@ -800,13 +793,14 @@ def test_batched_samples_equal_per_time_samples(case):
         F, traj, t_end = _integrated_q()
     elif case == "boosted":
         L = lorentz_matrix(boost=(0.3, -0.1, 0.2), rotation=(0.0, 0.0, 0.7))
-        p0 = rest_frame_params(FREE_MOTION_PHASES[1])
+        p0 = rest_frame_params(parse_phase(FREE_MOTION_PHASES[1]))
         F, t_end = ROT, 20.0
         traj = free_motion(SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N,
                                           phase=p0.phase))
     else:
         F, t_end = ROT, 20.0
-        traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[int(case[-1])]))
+        phase = parse_phase(FREE_MOTION_PHASES[int(case[-1])])
+        traj = free_motion(rest_frame_params(phase))
     times = np.linspace(0.0, t_end, 100)
     got, want = trajectory_samples(F, traj, times), per_time_samples(F, traj, times)
     assert got.t.shape == (len(want),) == (100,)
@@ -984,7 +978,7 @@ def test_chart_scalars_do_not_read_the_positions(dof):
 def test_export_writes_nonfinite_and_signed_zero_as_the_per_row_writer(tmp_path):
     """NaN, +-inf and -0.0 planted in the times and in residual columns are
     written as ``per_row_export`` writes them."""
-    traj = free_motion(rest_frame_params(FREE_MOTION_PHASES[1]))
+    traj = free_motion(rest_frame_params(parse_phase(FREE_MOTION_PHASES[1])))
     times = np.linspace(0.0, 20.0, 10)
     s = trajectory_samples(ROT, traj, times)
     t = s.t.copy()

@@ -1,18 +1,100 @@
-"""Every report of the golden command list is byte-identical to its file."""
+"""Every report of the golden command list is byte-identical to its file,
+and every src function runs in some golden command."""
 
 import argparse
+import ast
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden
-from rotorlab import cli
+import rotorlab
+from rotorlab import cli, dynamics, jets
+
+# src functions that no golden command enters, and why each stays
+NOT_ENTERED = {
+    "cli._checked": "builds the argparse types, at import",
+    "degeneracy._flat": "builds the chart-jet slot tables, at import",
+    "jets._each": "wraps the entry-by-entry math functions, at import",
+    "jets._vectorized": "wraps the numpy-or-math functions, at import",
+    "degeneracy.chart_lagrangian": "perfbench's reference, ROADMAP items 1 and 22",
+    "fform.lagrangian_from_vectors": "perfbench's and the tests' reference, items 1 and 22",
+    "invariants.random_kinematic_jet": "perfbench's sampler, items 1 and 22",
+    "noether.casimirs_closed_form": "perfbench's oracle, items 1 and 22",
+    "degeneracy.fq_det_formula": "the f(Q) Hessian determinant, item 26",
+    "minkowski.lorentz_matrix": "the covariance tests' frames, items 15 and 27",
+    "minkowski._rotation_matrix": "the rotation part of lorentz_matrix",
+    "invariants.capital_invariants": "the reparametrization invariants, item 34",
+    "noether.casimirs_special_S": "the closed-form Casimirs of any S, item 34",
+    "minkowski.bivector": "the angular momentum of MomentumSet.M, items 15 and 34",
+    "noether.MomentumSet.M": "the angular momentum, read by tests, items 15 and 34",
+    "jets.Jet.__repr__": "a jet as text, for a failing test's message",
+    "jets.Jet.__float__": "refuses to drop a jet's derivatives",
+}
 
 
-def test_golden_reports_are_unchanged():
+@pytest.fixture(scope="module")
+def renders():
+    """Each golden command's text, rendered once in this process under
+    ``sys.setprofile``, and the code objects of the functions it entered.
+    The per-process caches are cleared first, so their builders run again."""
+    for cached in (cli._parser, dynamics._lapack, jets._unbatched_seeds):
+        cached.cache_clear()
+    entered = set()
+
+    def enter(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(enter)
+    try:
+        texts = {name: golden.render(argv) for name, argv in golden.COMMANDS.items()}
+    finally:
+        sys.setprofile(None)
+    return texts, entered
+
+
+def src_functions():
+    """(file, first line) -> dotted name of every function and method in
+    src, nested ones too; the first line is a decorator's, if any, as in the
+    function's code object."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found[path, first] = name
+                walk(child, path, name)
+            else:
+                walk(child, path, prefix)
+
+    for path in sorted(Path(rotorlab.__file__).resolve().parent.glob("*.py")):
+        walk(ast.parse(path.read_text()), path, path.stem)
+    return found
+
+
+def test_golden_reports_are_unchanged(renders):
+    texts, _ = renders
     assert sorted(golden.GOLDEN.glob("*.txt")) == sorted(map(golden.path, golden.COMMANDS))
-    diffs = [d for d in map(golden.diff, golden.COMMANDS) if d]
+    diffs = [d for d in (golden.diff(name, got) for name, got in texts.items()) if d]
     assert not diffs, "reports changed:\n" + "".join(diffs)
+
+
+def test_every_src_function_runs_in_a_golden_command(renders):
+    """The dynamic half of ``test_src_references``: a src function that no
+    golden command enters is on NOT_ENTERED with its reason, and an entry
+    that a command now enters, or that no longer exists, leaves the list."""
+    _, entered = renders
+    functions = src_functions()
+    hit = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in entered}
+    missed = {name for key, name in functions.items() if key not in hit}
+    assert missed - set(NOT_ENTERED) == set(), "src functions no golden command enters"
+    assert set(NOT_ENTERED) - missed == set(), "stale entries"
 
 
 def test_every_subcommand_has_a_passing_golden():
