@@ -39,7 +39,6 @@ DOF6 = ("x1", "x2", "x3", "theta", "phi", "K")
 RANK_TOL = 1e-10
 POLE_MARGIN = 1e-3
 ADMISSIBLE_TOL = 1e-8  # relative size below which a relation factor is degenerate
-BRACKET_TOL = 1e-10  # |B(Q)| below which the f(Q) formula gives no K
 MAX_SPEED = 0.4  # a random chart state has |v_i| <= MAX_SPEED / sqrt(3)
 
 
@@ -317,37 +316,6 @@ def relation_check(forms, state: ChartState):
         K[ok] = det[ok] / ((num[ok] / den[ok]) * jac[ok])
         out.append((ok, K))
     return tuple(map(np.array, zip(*out)))
-
-
-@dataclass(frozen=True)
-class FqDetResult:
-    Q: float
-    bracket: float          # B(Q) = 1 + 2Q (f'/f + f''/f')
-    formula: float          # f^3 f'^2 B(Q)
-    direct_det: float       # det of the 5-dof Hessian
-    K: float                # direct / formula, when B != 0
-
-
-def fq_det_formula(f, state: ChartState, ell: float = 1.0,
-                   M: float = 1.0) -> FqDetResult:
-    """Closed-form 5-dof determinant structure for F = f(Q).
-
-    ``f`` is a generic callable with two derivatives (jet-compatible).
-    """
-    F = FForm(func=lambda P, Q: f(Q), name="fq", M=M, ell=ell, domain=lambda P, Q: Q > 0.0)
-    Q = float(pq_from_scalars(*chart_scalars(*state.coords(DOF5), DOF5), ell)[2])
-    (qj,) = jets.variables(Q)
-    fj = f(qj)
-    if not isinstance(fj, jets.Jet):
-        raise DomainError("constant f(Q) has no Hessian-determinant formula")
-    fv, fp, fpp = fj.f, fj.g[0], fj.h[0, 0]
-    if fp == 0.0:
-        raise DomainError(f"f'(Q) = 0 at Q = {Q}")
-    bracket = 1.0 + 2.0 * Q * (fp / fv + fpp / fp)
-    formula = fv**3 * fp**2 * bracket
-    direct = hessian(F, state, DOF5).det
-    K = direct / formula if abs(bracket) > BRACKET_TOL else float("nan")
-    return FqDetResult(Q=Q, bracket=bracket, formula=formula, direct_det=direct, K=K)
 
 
 # (lo, hi) of the twelve numbers of a random chart state, in the order drawn:

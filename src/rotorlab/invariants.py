@@ -2,8 +2,8 @@
 
 Covers the ten basic scalars, their behaviour under (possibly time-dependent)
 gauge transformations, the six gauge-invariant combinations iota_1..iota_6,
-the reparametrization-invariant set I0..I4, and a numerical reproduction of
-the counting argument that fixes the number of independent invariants.
+and a numerical reproduction of the counting argument that fixes the number
+of independent invariants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .fform import pq_from_scalars, scalar_products, velocity_scalars
+from .fform import velocity_scalars
 from .minkowski import DomainError, dot, four
 from .spinor import gauge_transform, tetrad_from_angles, tetrad_relations
 
@@ -159,14 +159,6 @@ def iota(J: KinematicJet) -> np.ndarray:
     i5 = 0.5 * s.k_xdot * s.m_kdot - s.a_kdot * s.a_xdot - s.b_kdot * s.b_xdot
     i6 = s.a_xdot * s.b_kdot - s.a_kdot * s.b_xdot + s.a_bdot * s.k_xdot
     return np.array([i1, i2, i3, i4, i5, i6])
-
-
-def capital_invariants(J: KinematicJet) -> np.ndarray:
-    """Reparametrization-invariant set (I0, I1, I2, I3, I4); I1 and I3 are
-    Q and P at ell = 1."""
-    xx, kx, kdx, kdkd = scalar_products(J.xdot, J.k, J.kdot)
-    rt, I3, I1 = pq_from_scalars(xx, kx, kdx, kdkd, 1.0)
-    return np.array([xx, I1, iota(J)[5] / (kx * rt), I3, kx / rt])
 
 
 def identity_checks(J: KinematicJet) -> dict:

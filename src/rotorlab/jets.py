@@ -137,9 +137,6 @@ class Jet:
     def n(self):
         return self.g.shape[0]
 
-    def __repr__(self):
-        return f"Jet({self.f!r}, grad={self.g!r})"
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -214,9 +211,6 @@ class Jet:
             p * power(self.f, p - 1.0),
             p * (p - 1.0) * power(self.f, p - 2.0),
         )
-
-    def __float__(self):
-        raise TypeError("refusing to silently drop derivatives; use jets.value()")
 
 
 def variables(*vals, order=2):

@@ -172,18 +172,3 @@ def casimirs_closed_form(F: FForm, at: PQPoint) -> CasimirPair:
     v = F.eval(at.P, at.Q)
     PP, WW = casimirs_from_partials(F, at.P, at.Q, v.F, v.F_P, v.F_Q)
     return CasimirPair(PP=float(PP), WW=float(WW))
-
-
-def casimirs_special_S(S, Q: float, M: float = 1.0, ell: float = 1.0) -> CasimirPair:
-    """Casimirs of the distinguished family F = sqrt(1 + P^2/Q) S(Q).
-
-    ``S`` is a generic callable (jet-compatible); only S and S' enter.
-    """
-    if Q <= 0.0:
-        raise DomainError(f"Q = {Q} must be positive")
-    (qj,) = jets.variables(Q)
-    sj = S(qj)
-    s, sp = (sj.f, sj.g[0]) if isinstance(sj, jets.Jet) else (float(sj), 0.0)
-    PP = M**2 * s * (s - 4.0 * Q * sp)
-    WW = -((2.0 * M**2 * ell * s * np.sqrt(Q) * sp) ** 2)
-    return CasimirPair(PP=float(PP), WW=float(WW))

@@ -8,7 +8,7 @@ and their tolerance from the check's gate in ``cli.CHECKS``.
 import numpy as np
 
 from rotorlab import cli, jets
-from rotorlab.degeneracy import ChartState, fq_det_formula, random_chart_state
+from rotorlab.degeneracy import ChartState, random_chart_state
 from rotorlab.dynamics import casimir_drift, integrate
 from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.invariants import (
@@ -21,6 +21,7 @@ from rotorlab.invariants import (
 )
 from rotorlab.reports import RunConfig
 from rotorlab.spinor import tetrad_from_angles
+from references import fq_det_formula
 
 
 def gate(check):

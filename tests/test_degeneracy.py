@@ -12,7 +12,6 @@ from rotorlab.degeneracy import (
     ChartState,
     chart_derivatives,
     chart_scalars,
-    fq_det_formula,
     hessian,
     hessians,
     jacobian_pq,
@@ -25,6 +24,7 @@ from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_scalars
 from rotorlab.minkowski import DomainError, dot, four
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.spinor import null_from_angles
+from references import fq_det_formula
 
 
 def chart_vectors(q, qd, dof):

@@ -11,7 +11,7 @@ import pytest
 
 import golden
 import rotorlab
-from rotorlab import cli, dynamics, jets
+from rotorlab import cli
 
 # src functions that no golden command enters, and why each stays
 NOT_ENTERED = {
@@ -23,15 +23,10 @@ NOT_ENTERED = {
     "fform.lagrangian_from_vectors": "perfbench's and the tests' reference, items 1 and 22",
     "invariants.random_kinematic_jet": "perfbench's sampler, items 1 and 22",
     "noether.casimirs_closed_form": "perfbench's oracle, items 1 and 22",
-    "degeneracy.fq_det_formula": "the f(Q) Hessian determinant, item 26",
-    "minkowski.lorentz_matrix": "the covariance tests' frames, items 15 and 27",
-    "minkowski._rotation_matrix": "the rotation part of lorentz_matrix",
-    "invariants.capital_invariants": "the reparametrization invariants, item 34",
-    "noether.casimirs_special_S": "the closed-form Casimirs of any S, item 34",
-    "minkowski.bivector": "the angular momentum of MomentumSet.M, items 15 and 34",
-    "noether.MomentumSet.M": "the angular momentum, read by tests, items 15 and 34",
-    "jets.Jet.__repr__": "a jet as text, for a failing test's message",
-    "jets.Jet.__float__": "refuses to drop a jet's derivatives",
+    "minkowski.lorentz_matrix": "the covariance tests' frames, item 27",
+    "minkowski._rotation_matrix": "the rotation part of lorentz_matrix, item 27",
+    "minkowski.bivector": "the angular momentum of MomentumSet.M, item 15",
+    "noether.MomentumSet.M": "the angular momentum, read by tests, item 15",
 }
 
 
@@ -39,9 +34,13 @@ NOT_ENTERED = {
 def renders():
     """Each golden command's text, rendered once in this process under
     ``sys.setprofile``, and the code objects of the functions it entered.
-    The per-process caches are cleared first, so their builders run again."""
-    for cached in (cli._parser, dynamics._lapack, jets._unbatched_seeds):
-        cached.cache_clear()
+    Every ``functools.cache`` of rotorlab's modules is cleared first, so its
+    builder runs again whatever an earlier test in this process filled."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("rotorlab."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
     entered = set()
 
     def enter(frame, event, arg):

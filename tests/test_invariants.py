@@ -11,7 +11,6 @@ from rotorlab.invariants import (
     KinematicJet,
     _condition_matrices,
     _features,
-    capital_invariants,
     draw_kinematic_path,
     gauge_jet_transform,
     identity_checks,
@@ -23,6 +22,7 @@ from rotorlab.invariants import (
 from rotorlab.minkowski import DomainError
 from rotorlab.spinor import tetrad_from_angles
 from conftest import same_bits
+from references import capital_invariants
 
 
 def test_random_jets_satisfy_constraints():

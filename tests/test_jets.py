@@ -106,8 +106,18 @@ def test_integer_and_real_powers():
     assert frac.f == pytest.approx(np.sqrt(1.7))
     assert frac.g[0] == pytest.approx(0.5 / np.sqrt(1.7))
     # a jet exponent would lose its derivatives: refused, not taken as a number
-    with pytest.raises(TypeError, match="derivatives"):
+    with pytest.raises(TypeError, match="not 'Jet'"):
         x ** jets.constant(2.0, 1)
+
+
+@pytest.mark.parametrize("convert", [float, lambda x: np.asarray([x], dtype=float)],
+                         ids=["float", "asarray"])
+def test_a_jet_is_not_taken_as_a_float(convert):
+    # Python and numpy refuse a Jet as a number, as a jet exponent is refused
+    # above, so its derivatives cannot drop silently: a Jet has no __float__
+    (x,) = jets.variables(1.7)
+    with pytest.raises(TypeError, match="not 'Jet'"):
+        convert(x)
 
 
 def test_functions_pass_floats_through():

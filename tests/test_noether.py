@@ -21,13 +21,13 @@ from rotorlab.noether import (
     MomentumSet,
     casimirs_closed_form,
     casimirs_from_partials,
-    casimirs_special_S,
     casimirs_where_defined,
     fundamental_casimirs,
     momenta,
     momenta_from_vectors,
 )
 from conftest import same_bits
+from references import casimirs_special_S
 
 
 def all_forms():

@@ -17,10 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # test-only src names that stay, and why
 ALLOWED_TEST_ONLY = {
-    "capital_invariants",  # the paper's reparametrization invariants I0..I4
-    "casimirs_special_S",  # the closed-form Casimirs of sqrt(1 + P^2/Q) S(Q), any S
-    "fq_det_formula",  # the f(Q) Hessian determinant, ROADMAP item 26
-    "lorentz_matrix",  # the covariance tests, ROADMAP item 15
+    "lorentz_matrix",  # the covariance tests' frames, ROADMAP item 27
 }
 
 
