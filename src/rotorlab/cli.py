@@ -34,7 +34,6 @@ from .dynamics import (
     export_trajectory,
     free_motion,
     integrate,
-    momenta_drift,
     rest_frame_params,
     speed_to_Q,
     trajectory_samples,
@@ -440,13 +439,9 @@ def cmd_simulate(args, cfg: RunConfig):
     t_end = args.periods * period
     traj = integrate(F, state, (0.0, t_end))
     times = np.linspace(0.0, t_end, 50)
+    d = casimir_drift(traj, times)
     if args.out:
-        # the export's momenta are casimir_drift's, bit for bit: one pass
-        samples = trajectory_samples(F, traj, times)
-        d = momenta_drift(F, samples.momenta)
-        export_trajectory(args.out, samples)
-    else:
-        d = casimir_drift(traj, times)
+        export_trajectory(args.out, trajectory_samples(F, traj, times))
     worst = _worst([d["PP_drift"], d["WW_drift"]])
     inputs = {"form": F.name, "periods": args.periods,
               "PP0": float(d["PP"][0]), "WW0": float(d["WW"][0]),

@@ -496,19 +496,15 @@ def charge_drift(p: SolutionParams, momenta: MomentumSet) -> dict:
 
 
 def casimir_drift(traj: IntegratedTrajectory, times) -> dict:
-    """``momenta_drift`` of traj.F along an integrated trajectory at
-    ``times``, from one batched momenta query per CHUNK times."""
-    return momenta_drift(traj.F, _joined([traj.momenta(ts) for ts in _chunks(times)]))
-
-
-def momenta_drift(F: FForm, momenta: MomentumSet) -> dict:
-    """PP and WW of batched momenta of F, with max relative drift.
+    """PP and WW of traj.F along an integrated trajectory at ``times``, one
+    batched momenta query per CHUNK times, with max relative drift.
 
     The drift is relative to the initial value, floored at rounding of the
     physical scale (M^2 for PP, M^4 ell^2 for WW), so that a Casimir that is
     identically zero, like WW of the point particle, does not divide by noise.
     """
-    c = momenta.casimirs()
+    F = traj.F
+    c = _joined([traj.momenta(ts) for ts in _chunks(times)]).casimirs()
     eps = np.finfo(float).eps
 
     def rel_drift(v, scale):

@@ -37,8 +37,6 @@ COMMANDS = {
     **{f"simulate-{name}": ["simulate", "--f", f, "--periods", "3", "--seed", "0", "--out"]
        for name, f in (("Q", "Q"), ("Q2", "Q^2"), ("sqrtQ-2+Q", "sqrt(Q)*(2+Q)"),
                        ("point", "point"))},
-    # without --out the drift takes its own momenta pass, casimir_drift's
-    "simulate-Q-no-out": ["simulate", "--f", "Q", "--periods", "3", "--seed", "0"],
     **{f"freemotion-phase-{i}": ["freemotion", "--phase", p, "--seed", "0", "--out"]
        for i, p in enumerate(FREE_MOTION_PHASES)},
     **{f"hessian-dof{dof}-{name}": ["hessian", "--f", f, "--dof", str(dof), "--seed", "0"]

@@ -619,16 +619,6 @@ def test_simulate_report_does_not_depend_on_out(tmp_path, capsys, form, seed):
     assert plain[0] == 0 and path.read_text().count("\n") == 51
 
 
-@pytest.mark.parametrize("out", [False, True], ids=["report", "out"])
-def test_simulate_forms_the_momenta_in_one_pass(tmp_path, capsys, monkeypatch, out):
-    # the drift and the CSV read the same momenta: one pass over the 50 times
-    passes = _src_calls(monkeypatch, noether, "momenta_from_vectors",
-                        lambda F, xdot, k, kdot: np.shape(xdot))
-    argv = ["simulate", "--f", "Q", "--periods", "1"]
-    code, _ = run(capsys, *argv, *(["--out", str(tmp_path / "traj.csv")] if out else []))
-    assert code == 0 and passes == [(4, 50)]
-
-
 @pytest.mark.parametrize("argv", [
     pytest.param(["casimir", "--f", "Q*1e308*10"], id="Q*1e308*10"),
     pytest.param(["casimir", "--f", "1e200*Q^2"], id="1e200*Q^2"),
