@@ -132,9 +132,9 @@ def fundamental_forms(cfg: RunConfig):
 
 def casimir_forms(cfg: RunConfig):
     """The forms whose momenta the casimir suite takes: the fundamental ones,
-    the point particle, and the f(Q) member F = Q on its domain Q > 0."""
-    return fundamental_forms(cfg) + [builtin("point_particle", M=cfg.M, ell=cfg.ell), FForm(
-        func=lambda P, Q: Q, name="fq", M=cfg.M, ell=cfg.ell, domain=lambda P, Q: Q > 0.0)]
+    the point particle, and the f(Q) member F = Q."""
+    return fundamental_forms(cfg) + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
+                                     FForm(func=lambda P, Q: Q, name="fq", M=cfg.M, ell=cfg.ell)]
 
 
 def fundamental_residual(F: FForm, n: int):

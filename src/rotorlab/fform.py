@@ -5,8 +5,8 @@ null vector's motion relative to its worldline.  An ``FForm`` wraps a generic
 evaluator F(P, Q) (floats or jets) together with the dimensional parameters
 (M, ell); a parameter nu of F is bound into F itself.  ``FForm.eval`` gives
 F and its partials, exact to rounding, from one evaluation on jets at a float
-or batch (P, Q), after a builtin's domain predicate; an expression's domain
-is where it is twice differentiable, where that evaluation succeeds.
+or batch (P, Q).  F's domain, a builtin's too, is where that evaluation
+succeeds, found over a batch in one pass per refusing step (``eval_inside``).
 ``FForm.in_domain`` masks (P, Q) by the domain.
 The Lagrangian reads the velocities only through four scalar products
 (``scalar_products``), taken as one stack of their values and rates
@@ -58,63 +58,71 @@ class FFormValue(NamedTuple):
 
 @dataclass(frozen=True)
 class FForm:
-    """A member of the Lagrangian family with exact partials.  Its ``domain``
-    predicate is checked before F is evaluated; without one (``parse_f``)
-    the domain is where F is twice differentiable: where its evaluation on
-    jets succeeds."""
+    """A member of the Lagrangian family with exact partials.  Its domain is
+    where F is twice differentiable: where its evaluation on jets succeeds."""
 
     func: Callable  # (P, Q) -> scalar, generic over floats and jets
     name: str = "custom"
     M: float = 1.0
     ell: float = 1.0
-    domain: Callable | None = None  # (P, Q) -> a bool, or a bool array for arrays
 
     def in_domain(self, P, Q):
         """Whether (P, Q) lies in the domain: a bool at a float (P, Q), and a
         bool array of the batch shape when P is a batch array."""
-        if self.domain is None:  # where F's evaluation succeeds, entry by entry
-            if isinstance(P, np.ndarray):
-                return np.frompyfunc(self.in_domain, 2, 1)(P, Q).astype(bool)
-            return self._failure(P, Q) is None
-        ok = self.domain(P, Q)
-        if isinstance(P, np.ndarray):  # a domain that ignores (P, Q) gives one bool
-            return ok if isinstance(ok, np.ndarray) else np.full(P.shape, bool(ok))
-        return bool(ok)
-
-    def _failure(self, P, Q):
-        """The message of F's DomainError on jets at a float (P, Q), or None."""
-        try:
-            self.func(*jets.variables(P, Q))
-        except DomainError as exc:
-            return str(exc)
-        return None
-
-    def check_domain(self, P, Q):
-        """Raise a DomainError naming (P, Q), and for a batch the first entry
-        outside the domain and its index; for an expression, then why its
-        evaluation fails there."""
-        bad = np.logical_not(self.in_domain(P, Q))
-        try:
-            jets.raise_where(bad, DomainError,
-                             f"(P, Q) = ({{}}, {{}}) outside domain of {self.name}", P, Q)
-        except DomainError as exc:
-            if self.domain is not None:
-                raise
-            at = (np.ravel(v)[np.argmax(bad)].item() for v in (P, Q))
-            raise DomainError(f"{exc}: {self._failure(*at)}") from None
+        if isinstance(P, np.ndarray):
+            return self.eval_inside(P, Q, order=1)[0]
+        return not isinstance(self._try(P, Q), DomainError)
 
     def eval(self, P, Q, order=2) -> FFormValue:
         """F and its partials at (P, Q) from one evaluation of F on jets of the
         given order (at order 1 the second partials are None): floats, or
-        arrays for batch arrays.  Outside the domain it raises as
-        ``check_domain`` does."""
-        if self.domain is not None:
-            self.check_domain(P, Q)
+        arrays for batch arrays.  Outside the domain its DomainError names
+        (P, Q), for a batch the first entry outside and its index, and why."""
+        where = ""
+        if isinstance(P, np.ndarray):
+            inside, v = self.eval_inside(P, Q, order)
+            if inside.all():
+                return v
+            i = int(np.argmin(inside))
+            P, Q, where = P[i].item(), Q[i].item(), f" (batch entry {i})"
+        v = self._try(P, Q, order)
+        if isinstance(v, DomainError):
+            raise DomainError(f"(P, Q) = ({P}, {Q}) outside domain of {self.name}{where}: {v}")
+        return v
+
+    def eval_inside(self, P, Q, order=2):
+        """(inside, value) over a batch of (P, Q) arrays: the domain's mask,
+        and F and its partials on the entries inside (None if there are none).
+        F runs on jets over the entries still inside, once per refusing step
+        plus one: the step names its entries (``jets.raise_where``'s ``bad``,
+        down the ``__cause__`` chain), which are dropped.  A refusal that
+        names none, as an overflow that Python raises, is settled entry by entry;
+        if no entry refuses alone, the batch's refusal is raised."""
+        inside = np.ones(P.shape, dtype=bool)
+        while True:
+            at = P[inside], Q[inside]
+            v = cause = self._try(*at, order)
+            if not isinstance(v, DomainError):
+                return inside, v
+            while cause is not None and not hasattr(cause, "bad"):
+                cause = cause.__cause__
+            bad = getattr(cause, "bad", None)
+            if bad is None:
+                bad = [isinstance(self._try(p, q, order), DomainError)
+                       for p, q in zip(*(a.tolist() for a in at))]
+                if not any(bad):
+                    raise v
+            inside[inside] = np.logical_not(bad)
+            if not inside.any():
+                return inside, None
+
+    def _try(self, P, Q, order=2):
+        """F and its partials at (P, Q) from one evaluation of F on jets, or
+        the DomainError that the evaluation raises."""
         try:
             out = self.func(*jets.variables(P, Q, order=order))
-        except DomainError:
-            self.check_domain(P, Q)  # names (P, Q), or the first batch entry outside
-            raise
+        except DomainError as exc:
+            return exc
         if not isinstance(out, jets.Jet):  # F does not depend on P or Q
             c = np.full(np.shape(P), float(out)) if np.ndim(P) else float(out)
             out = jets.constant(c, 2, order)
@@ -229,10 +237,13 @@ def _parse(text: str, names):
 
 
 def _evaluate(tree, env):
-    """``_eval_node``, with overflow, a zero divisor inside the jets, or a tree
-    too deep to recurse through reported as a DomainError: its type, message."""
+    """``_eval_node``, with a step's refusal (a ValueError: its message) or an
+    overflow, a zero divisor inside the jets or a tree too deep to recurse
+    through (its type, message) reported as a DomainError."""
     try:
         return _eval_node(tree, env)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
     except (ArithmeticError, RecursionError) as exc:
         raise DomainError(f"{type(exc).__name__}: {exc.args[-1]}") from exc
 
@@ -247,10 +258,7 @@ def _eval_node(node, env):
         x = _eval_node(node.operand, env)
         return -x if type(node.op) is ast.USub else x  # a Jet has no __pos__
     if kind is ast.Call:
-        try:
-            return _FUNCTIONS[node.func.id](_eval_node(node.args[0], env))
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        return _FUNCTIONS[node.func.id](_eval_node(node.args[0], env))
     a = _eval_node(node.left, env)
     b = _eval_node(node.right, env)
     op = type(node.op)
@@ -258,10 +266,7 @@ def _eval_node(node, env):
         if isinstance(b, jets.Jet):
             # its derivatives would be dropped: a^b is differentiated in a only
             raise DomainError("an exponent must not depend on the variables")
-        try:
-            out = a**b
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+        out = a**b
         if isinstance(out, complex):
             raise DomainError(f"{a} ^ {b} is not real")
         return out
@@ -294,20 +299,16 @@ def parse_phase(expr: str):
 
 # -- builtins ----------------------------------------------------------------
 # name: (its label, showing the parameters F reads; F as an expression over
-# P, Q, nu and the (outer, inner) signs s1, s2, parsed once below; the domain,
-# a predicate of (P, Q, nu, s2) vectorized over a batch)
+# P, Q, nu and the (outer, inner) signs s1, s2, which alone gives its domain)
 
 BUILTINS = {
-    "point_particle": ("point_particle", "1", lambda P, Q, nu, s2: True),
-    "rotator_f": ("rotator_f", "sqrt(1 + sqrt(Q))", lambda P, Q, nu, s2: Q > 0.0),
-    "starlike": ("starlike[{s1:+d},{s2:+d}]", "s1*sqrt((1 + s2*sqrt(Q))*(1 + P*P/Q))",
-                 lambda P, Q, nu, s2: (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) > 0.0)),
-    "nu_family": ("nu_family[{nu},{s1:+d},{s2:+d}]", "nu*P + s1*sqrt(1 + s2*sqrt(Q) - nu^2*Q)",
-                  lambda P, Q, nu, s2: (
-                      (Q > 0.0) & (1.0 + s2 * np.sqrt(np.abs(Q)) - nu**2 * Q > 0.0))),
+    "point_particle": ("point_particle", "1"),
+    "rotator_f": ("rotator_f", "sqrt(1 + sqrt(Q))"),
+    "starlike": ("starlike[{s1:+d},{s2:+d}]", "s1*sqrt((1 + s2*sqrt(Q))*(1 + P*P/Q))"),
+    "nu_family": ("nu_family[{nu},{s1:+d},{s2:+d}]", "nu*P + s1*sqrt(1 + s2*sqrt(Q) - nu^2*Q)"),
 }
 BUILTIN_NAMES = tuple(BUILTINS)
-_TREES = {n: _parse(e, ("P", "Q", "nu", "s1", "s2")) for n, (_, e, _) in BUILTINS.items()}
+_TREES = {n: _parse(e, ("P", "Q", "nu", "s1", "s2")) for n, (_, e) in BUILTINS.items()}
 
 
 def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
@@ -318,11 +319,9 @@ def builtin(name: str, *, signs=(1, 1), nu: float = 0.0, M: float = 1.0,
     nu P +- sqrt(1 +- sqrt(Q) - nu^2 Q)."""
     if name not in BUILTINS:
         raise ValueError(f"unknown builtin {name!r}; choose from {BUILTIN_NAMES}")
-    label, _, domain = BUILTINS[name]
     s1, s2 = signs
     return FForm(func=_form_func(_TREES[name], nu=nu, s1=s1, s2=s2),
-                 name=label.format(nu=nu, s1=s1, s2=s2), M=M, ell=ell,
-                 domain=lambda P, Q: domain(P, Q, nu, s2))
+                 name=BUILTINS[name][0].format(nu=nu, s1=s1, s2=s2), M=M, ell=ell)
 
 
 # -- Lagrangian density ------------------------------------------------------

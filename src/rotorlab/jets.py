@@ -90,16 +90,17 @@ _atan2 = _each(math.atan2, 2)
 def raise_where(bad, error, message, *values):
     """Raise ``error(message.format(*values))`` where ``bad`` holds.
 
-    ``bad`` is a bool, or a bool array of the batch shape; then each of
-    ``values`` is an array of that shape, the message names the values at
-    the first entry where ``bad`` holds, and ends with that entry's index.
+    ``bad`` is a bool, or a bool array of the batch shape, kept as the
+    error's ``bad``; then ``values`` are arrays of that shape, and the message
+    names their values at the first entry where ``bad`` holds and its index.
     """
     if isinstance(bad, _ARRAY):
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-        raise error(message.format(*(v[i] for v in values)) + f" (batch entry {i})")
-    if bad:
+        if bad.any():
+            i = int(np.argmax(bad))
+            exc = error(message.format(*(v[i] for v in values)) + f" (batch entry {i})")
+            exc.bad = bad
+            raise exc
+    elif bad:
         raise error(message.format(*values))
 
 

@@ -22,7 +22,8 @@ pi and k contracts epsilon once for all of them.  The closed-form expressions
 
 serve as the analytic side of the dual check against the Noether route:
 at one (P, Q) (``casimirs_closed_form``), or over a batch of (P, Q) with NaN
-outside F's domain (``casimirs_where_defined``, from F's first-order jets).
+outside F's domain (``casimirs_where_defined``: mask and partials from one
+last pass of F's first-order jets).
 """
 
 from __future__ import annotations
@@ -155,15 +156,14 @@ def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
 
 
 def casimirs_where_defined(F: FForm, P, Q):
-    """(inside, PP, WW) over a batch of (P, Q) arrays: the entries inside F's
-    domain, and the closed-form Casimirs there, NaN elsewhere; each entry the
-    float result.  The one batched path to the closed form: the Noether
-    cross-check's, and that of ``cli.fundamental_residual``'s grids."""
-    inside = F.in_domain(P, Q)
+    """(inside, PP, WW) over a batch of (P, Q) arrays: F's domain and the
+    closed-form Casimirs there, NaN elsewhere, each entry the float result,
+    from one last pass of F (``FForm.eval_inside``).  The one batched path to
+    the closed form: the Noether cross-check's, and ``cli.fundamental_residual``'s."""
+    inside, v = F.eval_inside(P, Q, order=1)
     PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
-    if inside.any():
+    if v is not None:
         P, Q = P[inside], Q[inside]
-        v = F.eval(P, Q, order=1)
         PP[inside], WW[inside] = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
     return inside, PP, WW
 

@@ -45,7 +45,7 @@ COMMANDS = {
     "casimir-overflow": ["casimir", "--f", "nu_family", "--nu", "1e200", "--seed", "0"],
     "casimir-rotator": ["casimir", "--f", "rotator", "--Q", "4"],
     "fundamental-check-nu-family": ["fundamental-check", "--f", "nu_family", "--nu", "0.5"],
-    # a parsed form: its domain is read entry by entry
+    # a parsed form: its domain is found over the batch, as a builtin's
     "fundamental-check-sqrt-1+sqrtQ": ["fundamental-check", "--f", "sqrt(1+sqrt(Q))",
                                        "--grid", "5"],
     # no grid point inside the domain: nothing is checked, and the check fails

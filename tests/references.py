@@ -37,7 +37,7 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0,
 
     ``f`` is a generic callable with two derivatives (jet-compatible).
     """
-    F = FForm(func=lambda P, Q: f(Q), name="fq", M=M, ell=ell, domain=lambda P, Q: Q > 0.0)
+    F = FForm(func=lambda P, Q: f(Q), name="fq", M=M, ell=ell)
     Q = float(pq_from_scalars(*chart_scalars(*state.coords(DOF5), DOF5), ell)[2])
     (qj,) = jets.variables(Q)
     fj = f(qj)

@@ -21,7 +21,7 @@ import numpy as np
 import rotorlab
 from rotorlab import cli, degeneracy, dynamics, fform, minkowski, noether
 from rotorlab.cli import main
-from rotorlab.fform import FForm, builtin, parse_f, pq_from_vectors
+from rotorlab.fform import builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
@@ -145,24 +145,24 @@ def test_fundamental_check_masks_where_the_jets_fail(capsys, expr):
         assert "inputs.points = 3" in out
 
 
-def test_a_fundamental_pass_reads_the_domain_twice(monkeypatch):
-    """One mask picks the grid's points inside the domain and one check
-    guards the partials there; a point outside the domain is named with its
-    batch entry."""
-    calls = []
-    in_domain = FForm.in_domain
+def test_a_fundamental_pass_runs_f_once_per_refusing_step_plus_one():
+    """The grid's domain and F's partials there come from passes of F over
+    the batch: each drops the entries its refusing step names, and the last
+    one succeeds; no pass runs entry by entry.  A point outside the domain
+    is named with its batch entry."""
+    # the outer sqrt of the first refuses at Q >= 1; no step of starlike does
+    for F, calls in ((parse_f("sqrt(1 - sqrt(Q))"), 2), (builtin("starlike"), 1)):
+        runs = []
 
-    def counted(self, P, Q):
-        calls.append(np.shape(P))
-        return in_domain(self, P, Q)
+        def counted(P, Q, F=F):
+            runs.append(np.shape(P.f))
+            return F.func(P, Q)
 
-    monkeypatch.setattr(FForm, "in_domain", counted)
-    F = builtin("nu_family", nu=0.5)
-    worst, points = cli.fundamental_residual(F, 12)
-    assert worst < 1e-12
-    assert calls == [(144,), (points,)]
-    with pytest.raises(DomainError, match=r"outside domain .* \(batch entry 1\)"):
-        F.eval(np.array([0.0, 0.0]), np.array([1.0, 100.0]), order=1)
+        worst, points = cli.fundamental_residual(dataclasses.replace(F, func=counted), 12)
+        assert len(runs) == calls and runs[-1] == (points,), F.name
+        assert cli.fundamental_residual(F, 12) == (worst, points)
+        with pytest.raises(DomainError, match=r"outside domain .* \(batch entry 1\)"):
+            F.eval(np.array([0.3, 0.0]), np.array([0.25, 0.0]), order=1)
 
 
 def test_relation_domain_error_names_its_batch_entry(capsys):
@@ -192,19 +192,39 @@ def test_a_parsed_domain_error_says_why(capsys, f, P, reason):
 
 
 def test_a_builtin_domain_error_keeps_its_text(capsys):
+    # a builtin's domain is its expression's, and its error names the
+    # failing step as a parsed form's does
     code = main(["casimir", "--f", "rotator", "--P", "2", "--Q", "0"])
     assert code == 2
-    assert capsys.readouterr().err == "error: (P, Q) = (2.0, 0.0) outside domain of rotator_f\n"
+    assert capsys.readouterr().err == ("error: (P, Q) = (2.0, 0.0) outside domain of rotator_f: "
+                                       "sqrt needs a positive argument, got 0.0\n")
 
 
 def test_a_builtin_reports_as_its_expression(capsys):
-    keys = ("inputs.F =", "inputs.F_P =", "inputs.F_Q =", "inputs.PP =", "inputs.WW =")
-    lines = []
-    for f in ("nu_family", "nu*P + sqrt(1 + sqrt(Q) - nu^2*Q)"):
-        code, out = run(capsys, "casimir", "--f", f, "--nu", "0.5", "--Q", "2")
-        assert code == 0
-        lines.append([line for line in out.splitlines() if line.startswith(keys)])
-    assert len(lines[0]) == len(keys) and lines[0] == lines[1]
+    casimir = ("inputs.F =", "inputs.F_P =", "inputs.F_Q =", "inputs.PP =", "inputs.WW =")
+    grid = ("residual =", "inputs.points =")
+    for argv, keys, want in (
+        (["casimir", "--nu", "0.5", "--Q", "2"], casimir, 0),
+        (["fundamental-check", "--nu", "0.5"], grid, 0),
+    ):
+        lines = []
+        for f in ("nu_family", "nu*P + sqrt(1 + sqrt(Q) - nu^2*Q)"):
+            code, out = run(capsys, *argv, "--f", f)
+            assert code == want, argv
+            lines.append([line for line in out.splitlines() if line.startswith(keys)])
+        assert len(lines[0]) == len(keys) and lines[0] == lines[1], argv
+
+
+@pytest.mark.parametrize("f", ["nu_family", "nu*P + sqrt(1 + sqrt(Q) - nu^2*Q)"])
+def test_an_overflow_in_f_leaves_the_fundamental_grid_unchecked(capsys, f):
+    """nu^2 overflows at nu = 1e200, at every grid point: the overflow is F's
+    refusing step, as any other, so no point is checked and the check fails
+    with exit 1; the builtin reads as its expression, not as an error."""
+    code = main(["fundamental-check", "--f", f, "--nu", "1e200"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "status = fail" in out and "residual = inf" in out
+    assert "inputs.points = 0" in out
 
 
 @pytest.mark.parametrize("argv, owner, name", [
@@ -983,11 +1003,10 @@ def test_bad_input_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    *([cmd, "--f", "nu_family", "--nu", "1e200"]
-      for cmd in ("casimir", "hessian", "fundamental-check", "simulate")),
+    *([cmd, "--f", "nu_family", "--nu", "1e200"] for cmd in ("casimir", "hessian", "simulate")),
     ["relation", "--forms", "nu_family", "Q", "--nu", "1e200"],
     ["casimir", "--f", "Q^400", "--Q", "1e10"],
-], ids=["casimir", "hessian", "fundamental-check", "simulate", "relation", "casimir-Q^400"])
+], ids=["casimir", "hessian", "simulate", "relation", "casimir-Q^400"])
 def test_an_overflow_exits_2_with_its_message_in_words(capsys, argv):
     """An OverflowError of a float power holds (errno, message): the report
     prints the message, not the tuple."""

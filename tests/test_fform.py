@@ -174,7 +174,7 @@ def _evaluates(F, P, Q):
 
 def _why(F, P, Q):
     """The message of the DomainError that F's own evaluation on jets raises
-    at a float (P, Q) outside an expression's domain."""
+    at a float (P, Q) outside its domain."""
     with pytest.raises(DomainError) as info:
         F.func(*jets.variables(P, Q))
     return str(info.value)
@@ -192,7 +192,7 @@ def test_domain_is_where_eval_returns(F, points):
     """F.in_domain(P, Q) holds exactly where F.eval(P, Q) returns, for
     builtins and expressions, at P = 0 and Q = 0 too; a batch mask is its
     entries' answers, and a batch evaluates exactly when every entry does,
-    or names the first that does not, and for an expression why it fails."""
+    or names the first that does not and why it fails."""
     P, Q = (np.array(v) for v in zip(*points))
     with np.errstate(all="ignore"):
         ok = [_evaluates(F, p, q) for p, q in points]
@@ -202,19 +202,43 @@ def test_domain_is_where_eval_returns(F, points):
             F.eval(P, Q)
         else:
             i = ok.index(False)
-            why = "" if F.domain is not None else ": " + _why(F, *points[i])
-            with pytest.raises(DomainError, match=rf"\(batch entry {i}\){re.escape(why)}$"):
+            why = re.escape(_why(F, *points[i]))
+            with pytest.raises(DomainError, match=rf"\(batch entry {i}\): {why}$"):
                 F.eval(P, Q)
 
 
+def test_a_refusal_that_names_no_entry_is_settled_entry_by_entry():
+    """math.exp overflows inside one batch entry and names none: each entry is
+    evaluated alone, the one that refuses is dropped and the rest run once
+    more.  An exponent that depends on P refuses at every entry.  A refusal
+    of the batch that no entry makes alone (here numpy's overflow of Q*Q,
+    raised under errstate, while a float's Q*Q is inf) is raised."""
+    F, runs = parse_f("exp(Q)"), []
+
+    def counted(P, Q):
+        runs.append(np.shape(P.f))
+        return F.func(P, Q)
+
+    P, Q = np.array([0.5, 0.0, -1.0]), np.array([1.0, 1000.0, 2.0])
+    inside, v = fform.FForm(counted).eval_inside(P, Q, order=1)
+    assert inside.tolist() == [True, False, True] and runs == [(3,), (), (), (), (2,)]
+    assert same_bits(v.F_Q, np.array([F.eval(0.5, 1.0).F_Q, F.eval(-1.0, 2.0).F_Q]))
+    inside, v = parse_f("Q^P").eval_inside(P[:2], Q[:2])
+    assert inside.tolist() == [False, False] and v is None
+    with np.errstate(over="raise"), pytest.raises(DomainError, match="^FloatingPointError"):
+        parse_f("Q*Q").eval_inside(P[:2], np.array([1e200, 2.0]))
+
+
 def test_batch_eval_names_the_entry_outside_the_domain():
+    # a builtin's error, as an expression's, ends with its failing step
     F = builtin("starlike", signs=(1, -1))
     P, Q = np.array([0.1, 0.2, 0.3]), np.array([0.5, 9.0, 16.0])
+    why = r": sqrt needs a positive argument, got -2\.008888888888889$"
     with pytest.raises(DomainError, match=r"^\(P, Q\) = \(0\.2, 9\.0\) outside domain "
-                                          r"of starlike\[\+1,-1\] \(batch entry 1\)$"):
+                                          r"of starlike\[\+1,-1\] \(batch entry 1\)" + why):
         F.eval(P, Q)
     with pytest.raises(DomainError, match=r"^\(P, Q\) = \(0\.2, 9\.0\) outside domain "
-                                          r"of starlike\[\+1,-1\]$"):
+                                          r"of starlike\[\+1,-1\]" + why):
         F.eval(0.2, 9.0)
 
 

@@ -140,6 +140,18 @@ def test_sqrt_of_negative_rejected():
         jets.sqrt(x)
 
 
+def test_a_batch_refusal_keeps_its_mask():
+    # the error of a refusing step over a batch names all its entries as
+    # ``bad``, which ``FForm.eval_inside`` drops; a float refusal has none
+    (x,) = jets.variables(np.array([1.0, -1.0, 0.0, 4.0]))
+    with pytest.raises(ValueError, match=r"got -1\.0 \(batch entry 1\)$") as info:
+        jets.sqrt(x)
+    assert info.value.bad.tolist() == [False, True, True, False]
+    with pytest.raises(ValueError) as info:
+        jets.sqrt(jets.variables(-1.0)[0])
+    assert not hasattr(info.value, "bad")
+
+
 # -- the number fast paths and the in-place product, against the generic path --
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)

@@ -511,8 +511,7 @@ def test_fundamental_residuals_equal_per_point_loop(cfg):
 
 def test_special_S_family_matches_closed_form():
     S = lambda q: 1.0 + 0.25 * q
-    F = FForm(func=lambda P, Q: jets.sqrt(1.0 + P * P / Q) * S(Q), M=1.3, ell=0.7,
-              domain=lambda P, Q: Q > 0.0)
+    F = FForm(func=lambda P, Q: jets.sqrt(1.0 + P * P / Q) * S(Q), M=1.3, ell=0.7)
     for Q in (0.2, 1.0, 3.0):
         got = casimirs_special_S(S, Q, M=1.3, ell=0.7)
         # the shape sqrt(1 + P^2/Q) S(Q) makes PP, WW functions of Q alone
