@@ -39,7 +39,7 @@ from .dynamics import (
     trajectory_samples,
 )
 from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
-                    parse_phase, pq_from_scalars, pq_from_vectors)
+                    parse_phase, pq_from_vectors)
 from .invariants import (
     GaugeJet,
     draw_kinematic_path,
@@ -52,6 +52,7 @@ from .invariants import (
 from .minkowski import DomainError, dot, gram_det
 from .noether import (
     MomentumSet,
+    batch_casimirs,
     casimirs_from_partials,
     casimirs_where_defined,
     fundamental_casimirs,
@@ -142,7 +143,7 @@ def fundamental_residual(F: FForm, n: int):
     (P, Q) grid inside the domain of F, and the number of those points; with
     none, nothing was checked and the miss is inf."""
     P, Q = np.meshgrid(np.linspace(-0.9, 0.9, n), np.linspace(0.05, 4.0, n), indexing="ij")
-    inside, PP, WW = casimirs_where_defined(F, P.ravel(), Q.ravel())
+    inside, PP, WW, _ = casimirs_where_defined(F, P.ravel(), Q.ravel())
     pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
     miss = [np.abs(PP[inside] / pp_target - 1.0), np.abs(WW[inside] / ww_target - 1.0)]
     return _worst(miss), int(inside.sum())
@@ -152,17 +153,14 @@ def noether_residuals(forms, samples):
     """Worst relative gap between Noether and closed-form Casimirs, and worst
     relative W.P, over the (kinematic jet, form) pairs inside the form's domain.
 
-    ``samples`` is a batch of kinematic jets; its scalar products are seeded
-    once (``velocity_scalars``), for the closed form and the momenta of every
-    form over the batch.  Per pair only the momenta are asked for, one jet at
-    a time, jet-major and form-minor; ``momenta`` answers each from one pass
-    of its form over the batch.  Then one batched pass over the pairs'
-    stacked P, pi and k forms W, the Casimirs, W.P and both residuals, each
-    entry the pair's float result."""
-    closed = []  # per form: the batch entries inside its domain, PP and WW there
-    for F in forms:
-        _, P, Q = pq_from_scalars(*samples.velocity_scalars[0], F.ell)
-        closed.append(casimirs_where_defined(F, P, Q))
+    ``samples`` is a batch of kinematic jets, its scalar products seeded once
+    (``velocity_scalars``); per form one pass of F over it (``batch_casimirs``)
+    gives the domain, the closed form and the momenta there.  Per pair only the
+    momenta are asked for, one jet at a time, jet-major and form-minor, each
+    read from its form's pass.  Then one batched pass over the pairs' stacked
+    P, pi and k forms W, the Casimirs, W.P and both residuals, each entry the
+    pair's float result."""
+    closed = [batch_casimirs(F, samples) for F in forms]  # per form: inside, PP, WW
     records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):

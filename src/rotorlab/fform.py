@@ -6,8 +6,8 @@ evaluator F(P, Q) (floats or jets) together with the dimensional parameters
 (M, ell); a parameter nu of F is bound into F itself.  ``FForm.eval`` gives
 F and its partials, exact to rounding, from one evaluation on jets at a float
 or batch (P, Q).  F's domain, a builtin's too, is where that evaluation
-succeeds, found over a batch in one pass per refusing step (``eval_inside``).
-``FForm.in_domain`` masks (P, Q) by the domain.
+succeeds, found over a batch in one pass per refusing step (``eval_inside``),
+whose last pass also gives F and its partials on the entries inside.
 The Lagrangian reads the velocities only through four scalar products
 (``scalar_products``), taken as one stack of their values and rates
 (``jets.stack``), and is differentiated once: F's partials at (P, Q), L's
@@ -65,13 +65,6 @@ class FForm:
     name: str = "custom"
     M: float = 1.0
     ell: float = 1.0
-
-    def in_domain(self, P, Q):
-        """Whether (P, Q) lies in the domain: a bool at a float (P, Q), and a
-        bool array of the batch shape when P is a batch array."""
-        if isinstance(P, np.ndarray):
-            return self.eval_inside(P, Q, order=1)[0]
-        return not isinstance(self._try(P, Q), DomainError)
 
     def eval(self, P, Q, order=2) -> FFormValue:
         """F and its partials at (P, Q) from one evaluation of F on jets of the

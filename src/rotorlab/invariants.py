@@ -49,7 +49,7 @@ class KinematicJet:
 
     @cached_property
     def momenta_by_form(self) -> dict:
-        """``noether.momenta``'s passes over this batch, one per form."""
+        """The momenta passes of ``noether.batch_casimirs`` over this batch, one per form."""
         return {}
 
     def entries(self) -> list:

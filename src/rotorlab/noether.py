@@ -11,8 +11,8 @@ a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  Every step runs on a batch as on one jet, so
-``momenta`` answers the entries of a batch from one pass per form, each
-column bit for bit the entry's own pass.  The Pauli-Lubanski vector
+``momenta`` answers a batch's entries from one pass per form (``batch_casimirs``),
+each column bit for bit the entry's own pass.  The Pauli-Lubanski vector
 W = -eps(k, pi, P) needs no angular momentum M; a record forms each of them
 when it is read, W at most once, so a caller that stacks many records' P,
 pi and k contracts epsilon once for all of them.  The closed-form expressions
@@ -23,7 +23,7 @@ pi and k contracts epsilon once for all of them.  The closed-form expressions
 serve as the analytic side of the dual check against the Noether route:
 at one (P, Q) (``casimirs_closed_form``), or over a batch of (P, Q) with NaN
 outside F's domain (``casimirs_where_defined``: mask and partials from one
-last pass of F's first-order jets).
+last pass of F's first-order jets, which give a batch of jets its momenta too).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from . import jets
 from .fform import FForm, PQPoint, lagrangian_from_scalars, pq_from_scalars, velocity_scalars
 from .invariants import KinematicJet
-from .minkowski import SIGNATURE, DomainError, bivector, dot, epsilon_contract
+from .minkowski import SIGNATURE, bivector, dot, epsilon_contract
 
 # target values of the fixed mass/spin conditions: PP = M^2, WW = -1/4 M^4 ell^2
 FUNDAMENTAL_WW_FACTOR = -0.25
@@ -84,19 +84,20 @@ class MomentumSet:
                            WW=jets.value(dot(self.W, self.W)))
 
 
-def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) -> MomentumSet:
+def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None,
+                         partials=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
     P and pi are the gradients of L in xdot and kdot, through the four scalar
-    products seeded in closed form (``fform.velocity_scalars``), or given as
-    ``scalars`` by a caller that holds them.  ``x`` defaults to the origin; it
-    moves only M, by an orbital piece.  W and M are formed when read.  (4, B)
-    arrays give the batched charges of B instants in one pass.
+    products seeded in closed form (``fform.velocity_scalars``) and F's partials,
+    or ``scalars`` and ``partials`` given by a caller that holds them.  ``x``
+    defaults to the origin; it moves only M, by an orbital piece.  W and M are
+    formed when read.  (4, B) arrays give the batched charges of B instants.
     """
     k_v = np.asarray(k_v, dtype=float)
     if scalars is None:
         scalars = velocity_scalars(xdot_v, k_v, kdot_v)
-    L = lagrangian_from_scalars(F, scalars)
+    L = lagrangian_from_scalars(F, scalars, partials)
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index: raised, and negated
     P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
     return MomentumSet(P=P, pi=pi, k=k_v, x=x)
@@ -104,34 +105,16 @@ def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None) ->
 
 def momenta(F: FForm, J: KinematicJet, x=None) -> MomentumSet:
     """Noether charges at the jet's instant, from its scalar products seeded once.
-    An entry of a batch (``KinematicJet.entries``) inside F's domain reads its
-    column of one pass of F over the batch's entries inside the domain, formed
-    at the first request for F and kept on the batch, bit for bit its own pass.
-    Any other jet, or any entry where that pass raises, takes its own pass."""
+    An entry of a batch (``KinematicJet.entries``) reads its column of the
+    batch's pass of F that ``batch_casimirs`` kept, bit for bit its own pass.
+    Any other jet, or an entry with no kept column, takes its own pass."""
     if J.batch is not None:
         S, i = J.batch
-        if F not in S.momenta_by_form:
-            S.momenta_by_form[F] = _batch_momenta(F, S)
-        columns, ms = S.momenta_by_form[F]
+        columns, ms = S.momenta_by_form.get(F, ({}, None))
         if i in columns:
             c = columns[i]
             return MomentumSet(ms.P[:, c].copy(), ms.pi[:, c].copy(), J.k, x)
     return momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x, scalars=J.velocity_scalars)
-
-
-def _batch_momenta(F: FForm, S: KinematicJet):
-    """({entry: column}, momenta) of one pass of F over the entries of the batch
-    S inside F's domain; no entry where a DomainError or a float exception
-    stops it, so that each entry's own pass raises or warns as it would."""
-    f, G, _ = S.velocity_scalars
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            inside = np.flatnonzero(F.in_domain(*pq_from_scalars(*f, F.ell)[1:]))
-            ms = momenta_from_vectors(F, S.xdot[:, inside], S.k[:, inside], S.kdot[:, inside],
-                                      scalars=(f[:, inside], G[..., inside], None))
-    except (DomainError, ArithmeticError):
-        return {}, None
-    return {j: c for c, j in enumerate(inside.tolist())}, ms
 
 
 def legendre_p(P, Fv, FP):
@@ -156,15 +139,34 @@ def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
 
 
 def casimirs_where_defined(F: FForm, P, Q):
-    """(inside, PP, WW) over a batch of (P, Q) arrays: F's domain and the
-    closed-form Casimirs there, NaN elsewhere, each entry the float result,
-    from one last pass of F (``FForm.eval_inside``).  The one batched path to
-    the closed form: the Noether cross-check's, and ``cli.fundamental_residual``'s."""
+    """(inside, PP, WW, partials) over a batch of (P, Q) arrays: F's domain, the
+    closed-form Casimirs there (NaN elsewhere, each entry the float result) and
+    F's first-order partials there (None if no entry is inside), from one last
+    pass of F (``FForm.eval_inside``).  The one batched path to the closed form."""
     inside, v = F.eval_inside(P, Q, order=1)
     PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
     if v is not None:
         P, Q = P[inside], Q[inside]
         PP[inside], WW[inside] = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
+    return inside, PP, WW, v
+
+
+def batch_casimirs(F: FForm, S: KinematicJet):
+    """(inside, PP, WW) of ``casimirs_where_defined`` at the (P, Q) of the
+    batch of jets S, whose partials give the momenta of the entries inside,
+    kept on S (``KinematicJet.momenta_by_form``) for ``momenta``; none if a
+    float exception meets them, so each entry's own pass warns as alone."""
+    f, G, _ = S.velocity_scalars
+    inside, PP, WW, v = casimirs_where_defined(F, *pq_from_scalars(*f, F.ell)[1:])
+    if v is not None:
+        at = np.flatnonzero(inside)
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                ms = momenta_from_vectors(F, S.xdot[:, at], S.k[:, at], S.kdot[:, at],
+                                          scalars=(f[:, at], G[..., at], None), partials=v)
+            S.momenta_by_form[F] = {j: c for c, j in enumerate(at.tolist())}, ms
+        except ArithmeticError:
+            pass  # nothing kept: each entry takes its own pass
     return inside, PP, WW
 
 

@@ -5,7 +5,8 @@ product computes by another route, and no product path calls it: the f(Q)
 Hessian determinant against ``degeneracy.hessian``, the Casimirs of the
 family sqrt(1 + P^2/Q) S(Q) against ``noether.casimirs_closed_form``, and
 the reparametrization invariants I0..I4 against the known values at the
-rotator's circular solution.
+rotator's circular solution, and the domain at a float point (``evaluates``:
+where ``FForm.eval`` returns) against the batch mask of ``FForm.eval_inside``.
 """
 
 from dataclasses import dataclass
@@ -51,6 +52,15 @@ def fq_det_formula(f, state: ChartState, ell: float = 1.0,
     direct = hessian(F, state, DOF5).det
     K = direct / formula if abs(bracket) > BRACKET_TOL else float("nan")
     return FqDetResult(Q=Q, bracket=bracket, formula=formula, direct_det=direct, K=K)
+
+
+def evaluates(F: FForm, P: float, Q: float) -> bool:
+    """Whether the float (P, Q) lies in F's domain: whether ``F.eval`` returns there."""
+    try:
+        F.eval(P, Q)
+    except DomainError:
+        return False
+    return True
 
 
 def casimirs_special_S(S, Q: float, M: float = 1.0, ell: float = 1.0) -> CasimirPair:

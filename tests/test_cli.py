@@ -19,7 +19,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, degeneracy, dynamics, fform, minkowski, noether
+from rotorlab import cli, degeneracy, dynamics, fform, jets, minkowski, noether
 from rotorlab.cli import main
 from rotorlab.fform import builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_kinematic_path, kinematic_jets
@@ -27,6 +27,7 @@ from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
 from conftest import same_bits
+from references import evaluates
 
 
 def run(capsys, *argv):
@@ -325,7 +326,7 @@ def _in_domain_pairs(forms, samples):
     for J in samples.entries():
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-            if F.in_domain(at.P, at.Q):
+            if evaluates(F, at.P, at.Q):
                 yield J, F, at
 
 
@@ -439,6 +440,22 @@ def test_batched_noether_residuals_match_the_per_pair_loop(seed):
                                              parse_f("sqrt(0.03 - Q)")))
     got = cli.noether_residuals(forms, samples)
     assert got == _noether_residuals_per_pair(forms, samples)
+
+
+# batched passes of F in noether_residuals on the casimir suite's twelve forms
+# and jets: one per form, and one more per refusing step of a domain
+NOETHER_F_PASSES = {0: 13, 1: 15, 2: 13, 3: 12}
+
+
+@pytest.mark.parametrize("seed", sorted(NOETHER_F_PASSES))
+def test_noether_residuals_take_one_pass_of_f_per_form(monkeypatch, seed):
+    # the closed form, the domain mask and the batch momenta read the same
+    # pass of F over the batch, counted as F's jet variables seeded on arrays
+    forms, samples = _casimir_samples(seed)
+    passes = _src_calls(monkeypatch, jets, "variables",
+                        lambda *args: isinstance(args[0], np.ndarray))
+    cli.noether_residuals(forms, samples)
+    assert passes.count(True) == NOETHER_F_PASSES[seed]
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -25,6 +25,7 @@ from rotorlab.fform import (
 from rotorlab.invariants import random_kinematic_jet
 from rotorlab.minkowski import DomainError
 from conftest import same_bits
+from references import evaluates
 from test_cli import _expressions
 
 
@@ -119,12 +120,19 @@ def test_parse_f_returns_a_form_or_raises_a_parse_error(text):
     assert caught == []
 
 
+def _mask(F, points):
+    """The domain mask that ``F.eval_inside`` finds over a batch of float
+    (P, Q) points, at the order the closed-form Casimirs read."""
+    P, Q = (np.array(v, dtype=float) for v in zip(*points))
+    return F.eval_inside(P, Q, order=1)[0].tolist()
+
+
 def test_domain_respects_sqrt_and_division():
     F = parse_f("sqrt(Q - 1)")
-    assert F.in_domain(0.0, 2.0)
-    assert not F.in_domain(0.0, 0.5)
+    points = [(0.0, 2.0), (0.0, 0.5)]
+    assert _mask(F, points) == [evaluates(F, *pt) for pt in points] == [True, False]
     F = parse_f("1/P")
-    assert not F.in_domain(0.0, 1.0)
+    assert _mask(F, [(0.0, 1.0)]) == [evaluates(F, 0.0, 1.0)] == [False]
 
 
 @pytest.mark.parametrize("p", [65, 66, -66])
@@ -136,7 +144,7 @@ def test_a_whole_power_above_64_keeps_the_whole_line(p):
     assert (v.F, v.F_P, v.F_PP) == pytest.approx(want, rel=4 * np.finfo(float).eps, abs=0)
     assert (v.F_Q, v.F_PQ, v.F_QQ) == (0.0, 0.0, 0.0)
     F = parse_f("P^-66")
-    assert not F.in_domain(0.0, 1.0)
+    assert _mask(F, [(0.0, 1.0)]) == [evaluates(F, 0.0, 1.0)] == [False]
     with pytest.raises(DomainError, match="ZeroDivisionError"):
         F.eval(0.0, 1.0)
 
@@ -144,13 +152,15 @@ def test_a_whole_power_above_64_keeps_the_whole_line(p):
 @pytest.mark.parametrize("F", [parse_f("sqrt(Q - 1)"), builtin("starlike", signs=(1, -1)),
                                builtin("point_particle")], ids=lambda F: F.name)
 def test_domain_mask_takes_the_batch_shape(F):
-    # a bool at a float point, a bool array of the batch shape at arrays,
-    # entry by entry the float answer, also for a domain that ignores (P, Q)
+    # a bool array of the batch shape, entry by entry the float answer and
+    # that of the entry as a batch of one, also for a domain that ignores (P, Q)
     P, Q = np.array([0.0, 0.3, -0.2, 0.1]), np.array([2.0, 0.5, 9.0, 1.5])
-    mask = F.in_domain(P, Q)
+    mask = F.eval_inside(P, Q, order=1)[0]
     assert mask.dtype == bool and mask.shape == P.shape
-    assert mask.tolist() == [F.in_domain(p, q) for p, q in zip(P.tolist(), Q.tolist())]
-    assert all(type(F.in_domain(p, q)) is bool for p, q in zip(P.tolist(), Q.tolist()))
+    assert mask.tolist() == [evaluates(F, p, q) for p, q in zip(P.tolist(), Q.tolist())]
+    alone = [F.eval_inside(P[i:i + 1], Q[i:i + 1], order=1)[0] for i in range(P.size)]
+    assert all(m.dtype == bool and m.shape == (1,) for m in alone)
+    assert [m.item() for m in alone] == mask.tolist()
 
 
 # every builtin, and the expressions of an S(Q) and an f(Q) member
@@ -162,14 +172,6 @@ DOMAIN_BUILTINS = [
     parse_f("sqrt(1 + P*P/Q)*(1 + Q)"), parse_f("sqrt(Q)"),
 ]
 _EDGE = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))  # 0, -0, subnormals, ...
-
-
-def _evaluates(F, P, Q):
-    try:
-        F.eval(P, Q)
-    except DomainError:
-        return False
-    return True
 
 
 def _why(F, P, Q):
@@ -189,15 +191,16 @@ def _why(F, P, Q):
 @example(F=parse_f("cos((1e308)*(10)*(P))"), points=[(0.0, 1.0), (0.5, 1.0)])
 @example(F=builtin("starlike"), points=[(0.3, 1.0), (0.3, 1e-200)])
 def test_domain_is_where_eval_returns(F, points):
-    """F.in_domain(P, Q) holds exactly where F.eval(P, Q) returns, for
-    builtins and expressions, at P = 0 and Q = 0 too; a batch mask is its
-    entries' answers, and a batch evaluates exactly when every entry does,
-    or names the first that does not and why it fails."""
+    """The mask of F.eval_inside holds exactly where F.eval(P, Q) returns, for
+    builtins and expressions, at P = 0 and Q = 0 too, for each point as a
+    batch of one; a batch mask is its entries' answers, and a batch evaluates
+    exactly when every entry does, or names the first that does not and why
+    it fails."""
     P, Q = (np.array(v) for v in zip(*points))
     with np.errstate(all="ignore"):
-        ok = [_evaluates(F, p, q) for p, q in points]
-        assert [F.in_domain(p, q) for p, q in points] == ok
-        assert F.in_domain(P, Q).tolist() == ok
+        ok = [evaluates(F, p, q) for p, q in points]
+        assert [_mask(F, [pt]) for pt in points] == [[o] for o in ok]
+        assert _mask(F, points) == ok
         if all(ok):
             F.eval(P, Q)
         else:
@@ -249,7 +252,7 @@ def test_eval_partials_match_finite_differences():
     for F in forms:
         for _ in range(10):
             P, Q = rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0)
-            if not F.in_domain(P, Q):
+            if not evaluates(F, P, Q):
                 continue
             v = F.eval(P, Q)
             FP, FQ = fd_partials(F, P, Q)

@@ -27,7 +27,7 @@ from rotorlab.noether import (
     momenta_from_vectors,
 )
 from conftest import same_bits
-from references import casimirs_special_S
+from references import casimirs_special_S, evaluates
 
 
 def all_forms():
@@ -46,7 +46,7 @@ def test_noether_casimirs_match_closed_form():
     for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(40)]).entries():
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-            if not F.in_domain(at.P, at.Q):
+            if not evaluates(F, at.P, at.Q):
                 continue
             got = momenta(F, J).casimirs()
             want = casimirs_closed_form(F, at)
@@ -95,7 +95,7 @@ def test_pauli_lubanski_is_minus_epsilon_contract():
         x = rng.normal(size=4)
         for F in all_forms():
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-            if not F.in_domain(at.P, at.Q):
+            if not evaluates(F, at.P, at.Q):
                 continue
             ms = momenta(F, J, x=x)
             scale = np.max(np.abs(ms.M)) * np.max(np.abs(ms.P))
@@ -113,7 +113,7 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
         vs = jets.variables(*v)
         for F in all_forms():
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-            if not F.in_domain(at.P, at.Q):
+            if not evaluates(F, at.P, at.Q):
                 continue
             L = lagrangian_from_vectors(F, vs[:4], J.k, vs[4:])
             terms = max(np.max(np.abs(L.g * v)), abs(L.f))
@@ -184,10 +184,11 @@ def _casimir_forms():
 
 
 def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
-    """``momenta(F, J)`` of an entry of a batch reads its column of one pass
-    of F over the batch.  For the casimir suite's twelve forms on its jets
-    at seeds 0-7, its P, pi, M and W, signed zeros
-    included, are those of ``momenta_from_vectors`` on the jet's vectors
+    """``momenta(F, J)`` of an entry of a batch reads its column of the pass
+    of F over the batch that ``batch_casimirs`` keeps.  For the casimir
+    suite's twelve forms on its jets at seeds 0-7, the pass is kept, over the
+    entries of the form's domain, and each entry's P, pi, M and W, signed
+    zeros included, are those of ``momenta_from_vectors`` on the jet's vectors
     alone, and those of entry j of one batched call over the entries inside
     the form's domain."""
     forms = _casimir_forms()
@@ -198,8 +199,11 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
         S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
         entries = S.entries()
         for F in forms:
+            inside = noether.batch_casimirs(F, S)[0]
+            assert F in S.momenta_by_form
             _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
-            inside = np.flatnonzero(F.in_domain(P, Q))
+            assert inside.tolist() == F.eval_inside(P, Q, order=1)[0].tolist()
+            inside = np.flatnonzero(inside)
             batch = momenta_from_vectors(F, S.xdot[:, inside], S.k[:, inside],
                                          S.kdot[:, inside])
             for b, j in enumerate(inside):
@@ -248,23 +252,34 @@ def _with_first(S, **vectors):
                                      for name, v in vectors.items()})
 
 
-@pytest.mark.parametrize("expr, batch", [
-    ("sqrt(0.03 - Q)", _casimir_batch),  # a domain that masks about half the batch
-    ("sqrt(1+sqrt(Q))+P*Q", _casimir_batch),  # no domain predicate
-    # the batch's pass stops at the first entry: on a spacelike xdot, and on
-    # k.xdot sqrt(xdot.xdot) = 1e-350, which a float division by zero meets
-    ("Q", lambda seed: _with_first(_casimir_batch(seed), xdot=np.array([0.1, 1.0, 0.0, 0.0]))),
+@pytest.mark.parametrize("expr, batch, kept", [
+    ("sqrt(0.03 - Q)", _casimir_batch, True),  # a domain that masks about half the batch
+    ("sqrt(1+sqrt(Q))+P*Q", _casimir_batch, True),  # no domain predicate
+    # the batch's pass stops at the first entry: on a spacelike xdot, whose
+    # (P, Q) raises, and on k.xdot sqrt(xdot.xdot) = 1e-350, which a float
+    # division by zero meets in the momenta, so that nothing is kept
+    ("Q", lambda seed: _with_first(_casimir_batch(seed), xdot=np.array([0.1, 1.0, 0.0, 0.0])),
+     DomainError),
     ("Q", lambda seed: _with_first(_casimir_batch(seed), xdot=1e-150 * np.eye(4)[0],
-                                   k=np.array([1e-50, 1e-50, 0.0, 0.0]))),
+                                   k=np.array([1e-50, 1e-50, 0.0, 0.0])), False),
 ], ids=["masked", "no-predicate", "spacelike", "underflow"])
-def test_an_entry_of_a_batch_has_the_momenta_of_the_jet_alone(expr, batch):
-    """``momenta`` of an entry of a batch is that of the same jet unlinked
+def test_an_entry_of_a_batch_has_the_momenta_of_the_jet_alone(expr, batch, kept):
+    """``momenta`` of an entry of a batch, after ``batch_casimirs`` has run
+    over it as the casimir suite runs it, is that of the same jet unlinked
     from it: the same P, pi, M and W, signed zeros included, where the jet
     has momenta, and the same error text where it raises, at seeds 0-3."""
     F = parse_f(expr)
     inside = outside = 0
     for seed in range(4):
-        for J in batch(seed).entries():
+        S = batch(seed)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as cli.main
+            if kept is DomainError:
+                with pytest.raises(DomainError, match="xdot.xdot"):
+                    noether.batch_casimirs(F, S)
+            else:
+                noether.batch_casimirs(F, S)
+        assert (F in S.momenta_by_form) is (kept is True)
+        for J in S.entries():
             alone = KinematicJet(*(getattr(J, f.name) for f in dataclasses.fields(J)))
             assert J.batch is not None and alone.batch is None
             got = _momenta_outcome(F, J)
@@ -297,7 +312,11 @@ def test_writing_into_a_record_leaves_every_other_record_as_it_was():
     """Records of one batch pass do not share memory: a write into one
     record's P and pi moves no bit of any other record, nor of a record of
     the same pair asked for again."""
-    entries = _casimir_batch(0).entries()
+    S = _casimir_batch(0)
+    for F in _casimir_forms():
+        noether.batch_casimirs(F, S)
+        assert F in S.momenta_by_form
+    entries = S.entries()
     records = [(F, J, momenta(F, J)) for J in entries for F in _casimir_forms()
                if not isinstance(_momenta_outcome(F, J), str)]
     before = [(ms.P.tobytes(), ms.pi.tobytes(), ms.k.tobytes()) for _, _, ms in records]
@@ -334,7 +353,7 @@ def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
     J, calls = rotator_jet, 0
     for F in _casimir_forms():
         at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-        if F.in_domain(at.P, at.Q):
+        if evaluates(F, at.P, at.Q):
             momenta(F, J)
             calls += 1
     assert calls == 8  # the rotator point lies outside four forms' domains
@@ -357,14 +376,14 @@ def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
     checked = 0
     for F in _casimir_forms():
         at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-        if F.in_domain(at.P, at.Q):
+        if evaluates(F, at.P, at.Q):
             for x in (None, x0):
                 ms = momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
                 origin = np.zeros(4) if x is None else x
                 assert same_bits(ms.M, bivector(origin, ms.P, J.k, ms.pi))
                 checked += 1
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
-        inside = np.flatnonzero(F.in_domain(P, Q))
+        inside = np.flatnonzero(F.eval_inside(P, Q, order=1)[0])
         xdot, k, kdot = S.xdot[:, inside], S.k[:, inside], S.kdot[:, inside]
         for x in (None, X[:, inside]):
             batch = momenta_from_vectors(F, xdot, k, kdot, x=x)
@@ -394,7 +413,7 @@ def test_closed_forms_at_first_order_are_those_at_second_order():
         pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
         for P, Q in ((P, Q), _grid_arrays(_reference_domain_grid(F, 12))):
-            inside, PP, WW = casimirs_where_defined(F, P, Q)
+            inside, PP, WW, _ = casimirs_where_defined(F, P, Q)
             P, Q = P[inside], Q[inside]
             v = F.eval(P, Q)
             want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
@@ -440,8 +459,8 @@ def test_fundamental_residuals_tiny_for_fundamental_forms():
     for nu in (-1.0, -0.3, 0.0, 0.5, 2.0):
         forms.append(builtin("nu_family", nu=nu))
     for F in forms:
-        pts = [(P, Q) for P, Q in grid if F.in_domain(P, Q)]
-        _, PP, WW = casimirs_where_defined(F, *_grid_arrays(pts))
+        pts = [(P, Q) for P, Q in grid if evaluates(F, P, Q)]
+        _, PP, WW, _ = casimirs_where_defined(F, *_grid_arrays(pts))
         assert np.max(np.abs(PP / F.M**2 - 1.0)) < 1e-10
         assert np.max(np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)) < 1e-10
         assert cli.fundamental_residual(F, 8)[0] < 1e-10
@@ -467,20 +486,28 @@ def test_fundamental_residuals_rejects_out_of_domain():
 
 
 def test_casimirs_where_defined_masks_the_batch():
-    # NaN outside the domain; inside, each entry is the closed form at its point
+    # NaN outside the domain; inside, each entry is the closed form at its
+    # point, and the partials are those of F's first-order pass there, bit
+    # for bit; with no entry inside, there are none
     F = builtin("starlike", signs=(1, -1))
     P, Q = _grid_arrays([(0.1, 0.5), (0.2, 9.0), (-0.3, 0.25)])
-    inside, PP, WW = casimirs_where_defined(F, P, Q)
+    inside, PP, WW, v = casimirs_where_defined(F, P, Q)
     assert inside.tolist() == [True, False, True]
     assert np.isnan(PP[1]) and np.isnan(WW[1])
     for i in (0, 2):
         c = casimirs_closed_form(F, PQPoint(P[i], Q[i]))
         assert (PP[i], WW[i]) == (c.PP, c.WW)
+    want = F.eval(P[inside], Q[inside], order=1)
+    assert all(same_bits(a, b) for a, b in zip(v[:3], want[:3]))
+    assert v[3:] == want[3:] == (None, None, None)
+    inside, PP, WW, v = casimirs_where_defined(F, P[1:2], Q[1:2])
+    assert inside.tolist() == [False] and v is None
+    assert np.isnan(PP[0]) and np.isnan(WW[0])
 
 
 def _reference_domain_grid(F, n):
     return [(float(P), float(Q)) for P in np.linspace(-0.9, 0.9, n)
-            for Q in np.linspace(0.05, 4.0, n) if F.in_domain(P, Q)]
+            for Q in np.linspace(0.05, 4.0, n) if evaluates(F, P, Q)]
 
 
 def _reference_fundamental_residual(F, grid):
@@ -553,7 +580,7 @@ def test_noether_charges_are_lorentz_covariant(seed, boost, rotation):
     x = rng.uniform(-1.0, 1.0, 4)
     for F in all_forms():
         at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
-        if not F.in_domain(at.P, at.Q):
+        if not evaluates(F, at.P, at.Q):
             continue
         ms = momenta_from_vectors(F, J.xdot, J.k, J.kdot, x=x)
         mt = momenta_from_vectors(F, L @ J.xdot, L @ J.k, L @ J.kdot, x=L @ x)
