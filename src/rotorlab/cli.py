@@ -19,10 +19,10 @@ from .degeneracy import (
     DOF5,
     DOF6,
     ChartState,
+    chart_states,
     hessian,
     hessians,
     random_chart_state,
-    random_chart_states,
     relation_check,
     stack_states,
 )
@@ -42,7 +42,8 @@ from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
                     parse_phase, pq_from_vectors)
 from .invariants import (
     GaugeJet,
-    draw_kinematic_path,
+    draw_count_points,
+    draw_path,
     gauge_jet_transform,
     identity_checks,
     iota,
@@ -286,7 +287,7 @@ def suite_invariants(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     paths, gauges = [], []
     for _ in range(INVARIANT_JETS):  # the draws of a jet, then of its gauge shift
-        paths.append(draw_kinematic_path(rng))
+        paths.append(draw_path(rng))
         gauges.append(_GAUGE_LO + _GAUGE_SPAN * rng.random(4))
     samples = kinematic_jets(paths)
     worst_gauge = gauge_residual(samples, GaugeJet(*np.array(gauges).T))
@@ -302,7 +303,7 @@ def suite_casimir(cfg: RunConfig):
     worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
     forms = casimir_forms(cfg)
     worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
-        [draw_kinematic_path(rng) for _ in range(CASIMIR_JETS)]))
+        [draw_path(rng) for _ in range(CASIMIR_JETS)]))
     inputs = {"jets": CASIMIR_JETS}
     return {"fundamental-conditions": (worst_fund, {"forms": len(fundamental)}),
             "noether-crosscheck": (worst_cross, inputs),
@@ -311,7 +312,7 @@ def suite_casimir(cfg: RunConfig):
 
 def suite_degeneracy(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
-    states = random_chart_states(rng, DEGENERACY_STATES)
+    states = chart_states(rng.random((DEGENERACY_STATES, 12)))
     worst_singular, rank_gap, nondeg = hessian_margins(states)
     forms = [parse_f(e) for e in RELATION_FORMS[:5]]
     spread, _ = relation_spread(forms, states)
@@ -342,7 +343,7 @@ def suite_dynamics(cfg: RunConfig):
 
 
 def suite_count(cfg: RunConfig):
-    rep = reproduce_invariant_count(cfg.seed)
+    rep = reproduce_invariant_count(draw_count_points(np.random.default_rng(cfg.seed)))
     return {"count-invariants": (float(count_gap(rep)),
                                  {k: getattr(rep, k) for k in COUNT_EXPECTED})}
 
@@ -420,7 +421,7 @@ def cmd_relation(args, cfg: RunConfig):
     forms = [resolve_form(e, cfg) for e in args.forms or RELATION_FORMS]
     rng = np.random.default_rng(cfg.seed)
     # one table: a size numpy cannot allocate exits 2 before any draw
-    spread, admissible = relation_spread(forms, random_chart_states(rng, args.states))
+    spread, admissible = relation_spread(forms, chart_states(rng.random((args.states, 12))))
     return [Report("relation-consistency", spread, CHECKS["relation-consistency"][1],
                    cfg.seed, {"forms": len(forms), "states": args.states,
                               "admissible": max(admissible)})]

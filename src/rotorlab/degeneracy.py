@@ -325,14 +325,12 @@ _CHART_SPAN = np.array([MAX_SPEED] * 3 + [np.pi - 0.4, 2 * np.pi, 1.0, 1.0, 2.0,
                        + [1.0] * 3) - _CHART_LO
 
 
-def random_chart_states(rng, n: int) -> list:
-    """n generic states away from chart poles, with subluminal xdot, drawn as
-    one (n, 12) table lo + span * ``rng.random``: the bits, and the generator
-    state after, of n ``random_chart_state`` calls.  That is numpy's
-    ``uniform`` arithmetic, number by number in the order above."""
-    rows = _CHART_LO + _CHART_SPAN * rng.random((n, 12))
+def chart_states(table) -> list:
+    """The generic states of an (n, 12) table of uniform numbers, one per row:
+    away from chart poles, with subluminal xdot.  Each number u becomes
+    lo + span * u in the order above, numpy's ``uniform`` arithmetic."""
     states = []
-    for row in rows:
+    for row in _CHART_LO + _CHART_SPAN * table:
         theta, phi, thetadot, phidot, K, Kdot = row[3:9].tolist()
         states.append(ChartState(theta=theta, phi=phi, v=tuple(row[:3] / np.sqrt(3.0)),
                                  thetadot=thetadot, phidot=phidot, K=K, Kdot=Kdot,
@@ -343,4 +341,4 @@ def random_chart_states(rng, n: int) -> list:
 def random_chart_state(rng) -> ChartState:
     """Generic state away from chart poles, with subluminal xdot: its twelve
     numbers in one generator call."""
-    return random_chart_states(rng, 1)[0]
+    return chart_states(rng.random((1, 12)))[0]

@@ -41,6 +41,7 @@ class KinematicJet:
     bdot: np.ndarray
 
     batch = None  # (batch, index) of an entry of ``entries()``; not a field
+    lifted = None  # (t, tetrad) of the jets ``_unlift`` built it from; not a field
 
     @cached_property
     def velocity_scalars(self):
@@ -75,31 +76,35 @@ class KinematicJet:
                 **{f"d({name})": r.g[0] for name, r in rel.items()}}
 
     def validate(self):
-        """This jet, if it satisfies the tetrad relations (a NaN does not) and
-        xdot is timelike with k.xdot > 0; a batch is checked entry by entry."""
+        """This jet, if xdot is timelike with k.xdot > 0 and the tetrad relations
+        hold (a NaN fails each check); a batch is checked entry by entry."""
+        jets.raise_where(np.logical_not(dot(self.xdot, self.xdot) > 0.0), DomainError,
+                         "xdot must be timelike")
+        jets.raise_where(np.logical_not(dot(self.k, self.xdot) > 0.0), DomainError,
+                         "k.xdot must be positive")
         worst = np.max(np.abs(list(self.constraint_residuals().values())), axis=0)
         jets.raise_where(np.logical_not(worst <= JET_TOL * self.scale()), DomainError,
                          "inconsistent kinematic jet, residual {}", worst)
-        jets.raise_where(dot(self.xdot, self.xdot) <= 0.0, DomainError,
-                         "xdot must be timelike")
-        jets.raise_where(dot(self.k, self.xdot) <= 0.0, DomainError,
-                         "k.xdot must be positive")
         return self
 
 
 def _lift(J: KinematicJet):
     """The parameter t, at 0, and the tetrad (k, m, a, b) of J as first-order
-    jets v + vdot t in t, batched as J is."""
+    jets v + vdot t in t, batched as J is: those J was built from, if held."""
+    if J.lifted is not None:
+        return J.lifted
     (t,) = jets.variables(0.0 * J.k[0], order=1)
     pairs = ((J.k, J.kdot), (J.m, J.mdot), (J.a, J.adot), (J.b, J.bdot))
     return t, tuple(four(*(v[i] + vd[i] * t for i in range(4))) for v, vd in pairs)
 
 
-def _unlift(xdot, k, m, a, b) -> KinematicJet:
-    """The kinematic jet of a tetrad whose entries are jets in one parameter."""
-    (kv, kd), (mv, md), (av, ad), (bv, bd) = map(jets.split, (k, m, a, b))
-    return KinematicJet(xdot=xdot, k=kv, m=mv, a=av, b=bv, kdot=kd, mdot=md,
-                        adot=ad, bdot=bd)
+def _unlift(xdot, t, *tetrad) -> KinematicJet:
+    """The kinematic jet of a tetrad whose entries are jets in the one
+    parameter t, holding t and the tetrad for ``_lift``."""
+    values, rates = zip(*map(jets.split, tetrad))
+    J = KinematicJet(xdot, *values, *rates)
+    J.__dict__["lifted"] = (t, tetrad)
+    return J
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,8 @@ def basic_scalars(J: KinematicJet) -> BasicScalars:
 def gauge_jet_transform(J: KinematicJet, G: GaugeJet) -> KinematicJet:
     """Apply the (alpha, beta) gauge shift with parameter-dependent rates."""
     t, T = _lift(J)
-    return _unlift(J.xdot, *gauge_transform(*T, G.alpha + G.alphadot * t,
-                                            G.beta + G.betadot * t))
+    return _unlift(J.xdot, t, *gauge_transform(*T, G.alpha + G.alphadot * t,
+                                               G.beta + G.betadot * t))
 
 
 def iota(J: KinematicJet) -> np.ndarray:
@@ -224,9 +229,18 @@ def _rank(M):
     return int(np.sum(sv > RANK_REL * sv[0]))
 
 
+def draw_count_points(rng) -> np.ndarray:
+    """COUNT_SAMPLES random scalar points with |k.xdot| > 0.3: tables -2 + 4 u
+    (numpy's ``uniform(-2, 2)``) of the rows still missing, 8 numbers a point."""
+    points = np.empty((0, 8))
+    while len(points) < COUNT_SAMPLES:
+        s = -2.0 + 4.0 * rng.random((COUNT_SAMPLES - len(points), 8))
+        points = np.concatenate([points, s[abs(s[:, 2]) > 0.3]])  # k.xdot away from 0
+    return points
+
+
 @dataclass(frozen=True)
 class CountReport:
-    seed: int
     rank: int
     nullity: int
     zero_combos: int
@@ -234,8 +248,9 @@ class CountReport:
     total_independent: int
 
 
-def reproduce_invariant_count(seed: int) -> CountReport:
-    """Reproduce the invariant-counting argument at random scalar points.
+def reproduce_invariant_count(points) -> CountReport:
+    """Reproduce the invariant-counting argument at the scalar points, the rows
+    of a (B, 8) table such as ``draw_count_points`` draws.
 
     Reports the rank/nullity of the condition system, the number of nullspace
     combinations whose invariants vanish identically, and the functional rank
@@ -243,11 +258,6 @@ def reproduce_invariant_count(seed: int) -> CountReport:
     (their gradients along the three manifestly invariant scalars carry no
     new information and are excluded from the count).
     """
-    rng = np.random.default_rng(seed)
-    points = np.empty((0, 8))  # tables of the rows still missing: one draw per point's bits
-    while len(points) < COUNT_SAMPLES:
-        s = rng.uniform(-2.0, 2.0, (COUNT_SAMPLES - len(points), 8))
-        points = np.concatenate([points, s[abs(s[:, 2]) > 0.3]])  # k.xdot away from 0
     A = _condition_matrices(points)
     ranks = {_rank(M) for M in A[:10]}
     if len(ranks) != 1:
@@ -285,43 +295,21 @@ def reproduce_invariant_count(seed: int) -> CountReport:
     dfeat = np.array([F.g for F in _features(jets.variables(*points[0, 3:]))])
     functional_rank = _rank((N[0] @ combos).T @ dfeat)
 
-    return CountReport(
-        seed=seed,
-        rank=rank,
-        nullity=15 - rank,
-        zero_combos=zero_combos,
-        functional_rank=functional_rank,
-        total_independent=functional_rank + 3,
-    )
+    return CountReport(rank=rank, nullity=15 - rank, zero_combos=zero_combos,
+                       functional_rank=functional_rank, total_independent=functional_rank + 3)
 
 
 # -- jet construction -------------------------------------------------------
 #
-# A random jet is drawn first, as a KinematicPath of plain numbers, and built
-# afterwards: ``kinematic_jets`` evaluates the paths of a whole batch in one
-# pass of batched jets, each entry bit-identical to a pass of its own.
+# A random jet is drawn first, as a row of PATH_NUMBERS plain numbers, and
+# built afterwards: ``kinematic_jets`` builds a whole table of rows in one pass
+# of batched jets, each entry bit-identical to its row built alone.
 
 # (lo, hi, rate) of the four angle paths of a random kinematic jet: theta,
 # phi, psi (which stays positive for all t) and Phi
 KINEMATIC_RANGES = ((0.4, np.pi - 0.4, 1.0), (0.0, 2 * np.pi, 1.0),
                     (0.6, 3.0, 0.5), (0.0, 4 * np.pi, 1.0))
-
-
-@dataclass(frozen=True)
-class KinematicPath:
-    """Four angle paths base + amp sin(freq t + off), one row
-    (base, amp, freq, off) each, and a constant timelike xdot."""
-
-    angles: np.ndarray  # (4, 4)
-    xdot: np.ndarray  # (4,)
-
-
-def random_timelike(rng, u):
-    eta = 0.0 + RAPIDITY_MAX * u  # numpy's uniform(0, RAPIDITY_MAX), from a drawn u
-    n = rng.normal(size=3)
-    scale = rng.uniform(0.5, 2.0)
-    return scale * four(np.cosh(eta), *(np.sinh(eta) * (n / np.linalg.norm(n))))
-
+PATH_NUMBERS = 21  # a path's row: its angle table (16), xdot's rapidity, normal triple, scale
 
 # (lo, hi) of the (4, 4) table of a random path's angle rows (base, amp / rate,
 # freq, off), one row per angle of KINEMATIC_RANGES
@@ -330,31 +318,35 @@ _PATH_SPAN = np.array([(hi, 0.4, 2.0, 2 * np.pi) for _, hi, _ in KINEMATIC_RANGE
 _PATH_RATE = np.array([rate for _, _, rate in KINEMATIC_RANGES])
 
 
-def draw_kinematic_path(rng) -> KinematicPath:
-    """Random angle paths within ``KINEMATIC_RANGES``, then a random timelike
-    xdot.  One ``rng.random(17)`` call draws the angle table, scaled row by row
-    to lo + span * u with each amplitude then times its angle's rate, and xdot's
-    rapidity: numpy's ``uniform`` arithmetic, so the bits and the generator
-    state after are those of drawing the 17 numbers one at a time.  xdot's
-    normal draw takes a variable number of words; it and the scale follow."""
-    u = rng.random(17)
-    angles = _PATH_LO + _PATH_SPAN * u[:16].reshape(4, 4)
-    angles[:, 1] *= _PATH_RATE
-    return KinematicPath(angles, random_timelike(rng, u[16]))
+def draw_path(rng) -> np.ndarray:
+    """A random path's row: 17 uniform numbers in one call, xdot's normal
+    triple, which takes a variable number of generator words, and one more
+    uniform number."""
+    return np.concatenate([rng.random(17), rng.normal(size=3), [rng.random()]])
 
 
-def kinematic_jets(paths) -> KinematicJet:
-    """The kinematic jets of drawn paths at parameter 0 (the draw spans each
-    angle path's offset over [0, 2 pi)), in one pass of first-order jets batched
-    over the paths: one validated batch, in the order of the paths."""
-    rows = np.stack([p.angles for p in paths], axis=-1)  # (4, 4, B)
-    (t,) = jets.variables(np.zeros(len(paths)), order=1)
-    angles = [base + amp * jets.sin(freq * t + off) for base, amp, freq, off in rows]
-    xdot = np.stack([p.xdot for p in paths], axis=-1)
-    return _unlift(xdot, *tetrad_from_angles(*angles)).validate()
+def kinematic_jets(table) -> KinematicJet:
+    """The kinematic jets at parameter 0 of the paths of a (B, PATH_NUMBERS)
+    table, in one pass of first-order jets batched over its rows: one validated
+    batch, in row order.
+
+    Each uniform u becomes lo + span * u, numpy's ``uniform`` arithmetic: the
+    angle table row by row over ``KINEMATIC_RANGES``, each amplitude then times
+    its angle's rate (each offset spans [0, 2 pi)), xdot's rapidity
+    RAPIDITY_MAX u and its scale 0.5 + 1.5 u.  xdot's direction is the normal
+    triple over its norm, taken row by row: a batched norm may round otherwise."""
+    table = np.reshape(table, (-1, PATH_NUMBERS))
+    rows = _PATH_LO + _PATH_SPAN * table[:, :16].reshape(-1, 4, 4)
+    rows[:, :, 1] *= _PATH_RATE
+    (t,) = jets.variables(np.zeros(len(table)), order=1)
+    angles = [base + amp * jets.sin(freq * t + off)
+              for base, amp, freq, off in rows.transpose(1, 2, 0)]
+    eta, n, scale = RAPIDITY_MAX * table[:, 16], table[:, 17:20], 0.5 + 1.5 * table[:, 20]
+    n = n / np.array([np.linalg.norm(r) for r in n])[:, None]
+    xdot = scale * four(np.cosh(eta), *(np.sinh(eta) * n.T))
+    return _unlift(xdot, t, *tetrad_from_angles(*angles)).validate()
 
 
 def random_kinematic_jet(rng) -> KinematicJet:
     """Consistent random jet from a random analytic spinor path, at parameter 0."""
-    return kinematic_jets([draw_kinematic_path(rng)]).entries()[0]
-
+    return kinematic_jets(draw_path(rng)).entries()[0]

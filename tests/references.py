@@ -7,6 +7,8 @@ family sqrt(1 + P^2/Q) S(Q) against ``noether.casimirs_closed_form``, and
 the reparametrization invariants I0..I4 against the known values at the
 rotator's circular solution, and the domain at a float point (``evaluates``:
 where ``FForm.eval`` returns) against the batch mask of ``FForm.eval_inside``.
+``ref_timelike`` is a random xdot drawn by numpy's per-number calls, against
+xdot built from a path's table by ``invariants.kinematic_jets``.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,8 @@ import numpy as np
 from rotorlab import jets
 from rotorlab.degeneracy import DOF5, ChartState, chart_scalars, hessian
 from rotorlab.fform import FForm, pq_from_scalars, scalar_products
-from rotorlab.invariants import KinematicJet, iota
-from rotorlab.minkowski import DomainError
+from rotorlab.invariants import RAPIDITY_MAX, KinematicJet, iota
+from rotorlab.minkowski import DomainError, four
 from rotorlab.noether import CasimirPair
 
 BRACKET_TOL = 1e-10  # |B(Q)| below which the f(Q) formula gives no K
@@ -84,3 +86,13 @@ def capital_invariants(J: KinematicJet) -> np.ndarray:
     xx, kx, kdx, kdkd = scalar_products(J.xdot, J.k, J.kdot)
     rt, I3, I1 = pq_from_scalars(xx, kx, kdx, kdkd, 1.0)
     return np.array([xx, I1, iota(J)[5] / (kx * rt), I3, kx / rt])
+
+
+def ref_timelike(rng):
+    """A random timelike xdot by numpy's per-number calls: rapidity, normal
+    triple and scale, in the order ``invariants.draw_path`` draws them."""
+    eta = rng.uniform(0.0, RAPIDITY_MAX)
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    scale = rng.uniform(0.5, 2.0)
+    return scale * four(np.cosh(eta), *(np.sinh(eta) * n))

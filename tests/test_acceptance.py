@@ -14,7 +14,8 @@ from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.invariants import (
     GaugeJet,
     basic_scalars,
-    draw_kinematic_path,
+    draw_count_points,
+    draw_path,
     gauge_jet_transform,
     kinematic_jets,
     reproduce_invariant_count,
@@ -50,7 +51,7 @@ def test_02_gauge_invariance_and_shift_table():
     rng = np.random.default_rng(102)
     paths, gauges = [], []
     for _ in range(1000):
-        paths.append(draw_kinematic_path(rng))
+        paths.append(draw_path(rng))
         gauges.append([*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
     J, G = kinematic_jets(paths), GaugeJet(*np.array(gauges).T)
     al, be, ald, bed = G.alpha, G.beta, G.alphadot, G.betadot
@@ -79,7 +80,8 @@ def test_02_gauge_invariance_and_shift_table():
 
 
 def test_03_invariant_counting():
-    gap = sum(cli.count_gap(reproduce_invariant_count(seed)) for seed in range(6))
+    gap = sum(cli.count_gap(reproduce_invariant_count(
+        draw_count_points(np.random.default_rng(seed)))) for seed in range(6))
     report(3, "invariant counting (5, 10, 2, 3)", float(gap), gate("count-invariants"))
 
 
@@ -93,7 +95,7 @@ def test_05_noether_crosscheck():
     rng = np.random.default_rng(105)
     forms = cli.casimir_forms(RunConfig()) + [parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)")]
     worst_cross, worst_wp = cli.noether_residuals(
-        forms, kinematic_jets([draw_kinematic_path(rng) for _ in range(100)]))
+        forms, kinematic_jets([draw_path(rng) for _ in range(100)]))
     report(5, "Noether vs closed-form Casimirs", worst_cross, gate("noether-crosscheck"))
     report(5, "W.P orthogonality", worst_wp, gate("wp-orthogonality"))
 

@@ -22,7 +22,7 @@ import rotorlab
 from rotorlab import cli, degeneracy, dynamics, fform, jets, minkowski, noether
 from rotorlab.cli import main
 from rotorlab.fform import builtin, parse_f, pq_from_vectors
-from rotorlab.invariants import draw_kinematic_path, kinematic_jets
+from rotorlab.invariants import draw_path, kinematic_jets
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
@@ -316,8 +316,7 @@ def _casimir_samples(seed, extra_forms=()):
     """The forms and the batch of kinematic jets of the casimir suite at seed."""
     rng = np.random.default_rng(seed)
     forms = cli.casimir_forms(RunConfig()) + list(extra_forms)
-    return forms, kinematic_jets([draw_kinematic_path(rng)
-                                  for _ in range(cli.CASIMIR_JETS)])
+    return forms, kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
 
 
 def _in_domain_pairs(forms, samples):

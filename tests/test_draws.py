@@ -3,22 +3,24 @@ call, with the bits of numpy's per-number ``uniform`` calls.
 
 Each sampler is compared, over seeds 0-999, with a reference that makes the
 per-number calls in their order: the samples bit for bit (signed zeros
-count) and the generator's state afterwards.
+count) and the generator's state afterwards.  A builder that takes a table
+is called on a table drawn as its callers draw it.
 """
 
 import argparse
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rotorlab import cli, invariants
-from rotorlab.degeneracy import ChartState, random_chart_state, random_chart_states
-from rotorlab.invariants import (COUNT_SAMPLES, KINEMATIC_RANGES, RAPIDITY_MAX,
-                                 draw_kinematic_path, random_timelike,
-                                 reproduce_invariant_count)
-from rotorlab.minkowski import four
+from rotorlab import cli, jets
+from rotorlab.degeneracy import ChartState, chart_states, random_chart_state
+from rotorlab.invariants import (COUNT_SAMPLES, KINEMATIC_RANGES, draw_count_points,
+                                 draw_path, kinematic_jets)
 from rotorlab.reports import RunConfig
+from rotorlab.spinor import tetrad_from_angles
+from references import ref_timelike
 
 SEEDS = range(1000)
 _default_rng = np.random.default_rng
@@ -48,12 +50,16 @@ def ref_kinematic_path(rng):
     return angles, ref_timelike(rng)
 
 
-def ref_timelike(rng):
-    eta = rng.uniform(0.0, RAPIDITY_MAX)
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    scale = rng.uniform(0.5, 2.0)
-    return scale * four(np.cosh(eta), *(np.sinh(eta) * n))
+def ref_kinematic_jets(paths):
+    """The fields of the kinematic jets of per-number drawn (angles, xdot)
+    paths at parameter 0, from one batched pass of first-order jets over
+    base + amp sin(freq t + off)."""
+    rows = np.stack([angles for angles, _ in paths], axis=-1)  # (4, 4, B)
+    (t,) = jets.variables(np.zeros(len(paths)), order=1)
+    tetrad = tetrad_from_angles(*(base + amp * jets.sin(freq * t + off)
+                                  for base, amp, freq, off in rows))
+    values, rates = zip(*map(jets.split, tetrad))
+    return (np.stack([xdot for _, xdot in paths], axis=-1), *values, *rates)
 
 
 def ref_gauge(rng):
@@ -147,42 +153,47 @@ def test_tetrad_angles_are_the_per_number_draws(monkeypatch, made):
 
 
 def test_kinematic_paths_are_the_per_number_draws():
+    # a path's row, drawn and built, is the jet of the per-number draws of its
+    # angles and of its timelike xdot; two paths per seed, built as one table
+    table, want = [], []
     for seed in SEEDS:
         rng, ref = _default_rng(seed), _default_rng(seed)
-        got = [draw_kinematic_path(rng) for _ in range(2)]
-        want = [ref_kinematic_path(ref) for _ in range(2)]
-        assert same_draws([a for p in got for a in (p.angles, p.xdot)],
-                          [a for w in want for a in w], rng, ref), seed
+        table += [draw_path(rng) for _ in range(2)]
+        want += [ref_kinematic_path(ref) for _ in range(2)]
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+    got = kinematic_jets(table)
+    assert np.array_equal(bits(*(getattr(got, f.name) for f in fields(got))),
+                          bits(*ref_kinematic_jets(want)))
 
 
 def test_a_timelike_xdot_is_the_per_number_draws():
-    # the caller draws the rapidity's number, as the 17th of a path's table
+    # a row's rapidity is the 17th of its numbers; the builder's xdot is the
+    # per-number draws of rapidity, normal triple and scale, after the angles
     for seed in SEEDS:
         rng, ref = _default_rng(seed), _default_rng(seed)
-        got = [random_timelike(rng, rng.random()) for _ in range(3)]
-        want = [ref_timelike(ref) for _ in range(3)]
+        got = kinematic_jets([draw_path(rng) for _ in range(3)]).xdot.T
+        want = [ref_kinematic_path(ref)[1] for _ in range(3)]
         assert same_draws(got, want, rng, ref), seed
 
 
-def test_invariants_suite_draws_the_per_number_jets_and_gauges(monkeypatch):
-    drawn, rngs = [], []
-    monkeypatch.setattr(cli, "draw_kinematic_path",
-                        lambda rng: rngs.append(rng) or draw_kinematic_path(rng))
-    monkeypatch.setattr(cli, "kinematic_jets", lambda paths: drawn.append(paths))
+def test_invariants_suite_draws_the_per_number_jets_and_gauges(monkeypatch, made):
+    # each jet's row, then its gauge shift by the per-number draws: the path
+    # test above ties a row to the per-number draws of its jet
+    drawn = []
+    monkeypatch.setattr(cli, "kinematic_jets", lambda table: drawn.append(table))
     monkeypatch.setattr(cli, "gauge_residual",
                         lambda samples, G: drawn.append(G) or _raise())
     for seed in SEEDS:
         with pytest.raises(_Drawn):
             cli.suite_invariants(RunConfig(seed=seed))
-        paths, G = drawn[-2:]
+        table, G = drawn[-2:]
         ref = _default_rng(seed)
-        want_paths, want_gauges = [], []
+        want_rows, want_gauges = [], []
         for _ in range(cli.INVARIANT_JETS):
-            want_paths.extend(ref_kinematic_path(ref))
+            want_rows.append(draw_path(ref))
             want_gauges.append(ref_gauge(ref))
-        got = [a for p in paths for a in (p.angles, p.xdot)]
-        assert same_draws(got + [np.array([G.alpha, G.beta, G.alphadot, G.betadot]).T],
-                          want_paths + [np.array(want_gauges)], rngs[-1], ref), seed
+        assert same_draws([np.array(table), np.array([G.alpha, G.beta, G.alphadot, G.betadot]).T],
+                          [np.array(want_rows), np.array(want_gauges)], made[-1], ref), seed
 
 
 def test_a_chart_state_is_the_per_number_draws():
@@ -197,7 +208,7 @@ def test_a_table_of_chart_states_is_that_many_single_draws(n):
     # relation and the degeneracy suite draw their states as one (n, 12) table
     for seed in SEEDS:
         rng, ref = _default_rng(seed), _default_rng(seed)
-        got = random_chart_states(rng, n)
+        got = chart_states(rng.random((n, 12)))
         want = [random_chart_state(ref) for _ in range(n)]
         assert same_draws([x for s in got for x in state_numbers(s)],
                           [x for s in want for x in state_numbers(s)], rng, ref), seed
@@ -230,22 +241,18 @@ def test_simulate_draws_the_per_number_start_state(monkeypatch, made):
                           made[-1], ref), seed
 
 
-def test_count_points_are_the_per_point_draws(monkeypatch, made):
+def test_count_points_are_the_per_point_draws():
     # count-invariants draws its points as tables of the rows still missing
-    drawn = []
-    monkeypatch.setattr(invariants, "_condition_matrices",
-                        lambda points: drawn.append(points) or _raise())
     for seed in SEEDS:
-        with pytest.raises(_Drawn):
-            reproduce_invariant_count(seed)
-        ref = _default_rng(seed)
-        assert same_draws([drawn[-1]], [ref_count_points(ref)], made[-1], ref), seed
+        rng, ref = _default_rng(seed), _default_rng(seed)
+        assert same_draws([draw_count_points(rng)], [ref_count_points(ref)], rng, ref), seed
 
 
 def test_verify_draws_by_the_table(made, capsys):
     # 2,760 calls when every number was its own call: 2,675 uniform, 85 normal;
-    # 320 now: 147 random, 88 uniform (85 of them random_timelike's scale, 3 in
-    # count-invariants) and 85 normal
+    # 320 now, all of them random or normal: 235 random (85 of them a path's
+    # last number, 3 in count-invariants) and 85 normal
     cli.main(["verify", "--suite", "all", "--seed", "0"])
     capsys.readouterr()
     assert sum(made.calls.values()) <= 320, made.calls
+    assert made.calls == {"random": 235, "normal": 85}

@@ -11,18 +11,17 @@ from rotorlab.invariants import (
     KinematicJet,
     _condition_matrices,
     _features,
-    draw_kinematic_path,
+    draw_path,
     gauge_jet_transform,
     identity_checks,
     iota,
     kinematic_jets,
     random_kinematic_jet,
-    random_timelike,
 )
 from rotorlab.minkowski import DomainError
 from rotorlab.spinor import tetrad_from_angles
 from conftest import same_bits
-from references import capital_invariants
+from references import capital_invariants, ref_timelike
 
 
 def test_random_jets_satisfy_constraints():
@@ -37,7 +36,7 @@ def test_kinematic_jets_are_in_the_special_gauge(seed):
     """k = K (1, n), m = (1, -n) / K, a = (0, a_) and b = (0, n x a_), with
     a^0 and b^0 constant along the path, for every entry of a batch."""
     rng = np.random.default_rng(seed)
-    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(40)])
+    J = kinematic_jets([draw_path(rng) for _ in range(40)])
     K, n = J.k[0], J.k[1:] / J.k[0]
     for v in (J.a[0], J.b[0], J.adot[0], J.bdot[0]):
         assert np.max(np.abs(v)) <= 1e-15
@@ -46,14 +45,14 @@ def test_kinematic_jets_are_in_the_special_gauge(seed):
 
 
 def _draw(seed, n, draw_more):
-    """n kinematic paths, with draw_more(rng) drawn after each path (the draw
-    order of a loop over single jets)."""
+    """A table of n kinematic paths, with draw_more(rng) drawn after each path
+    (the draw order of a loop over single jets)."""
     rng = np.random.default_rng(seed)
-    paths, more = [], []
+    table, more = [], []
     for _ in range(n):
-        paths.append(draw_kinematic_path(rng))
+        table.append(draw_path(rng))
         more.append(draw_more(rng))
-    return paths, np.array(more).T
+    return table, np.array(more).T
 
 
 def _close(got, want, rel, abs_):
@@ -62,8 +61,8 @@ def _close(got, want, rel, abs_):
 
 
 def test_iota_gauge_invariant():
-    paths, gauges = _draw(1, 50, lambda rng: [*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
-    J = kinematic_jets(paths)
+    table, gauges = _draw(1, 50, lambda rng: [*rng.uniform(-2, 2, 2), *rng.uniform(-1, 1, 2)])
+    J = kinematic_jets(table)
     base = iota(J)
     shifted = iota(gauge_jet_transform(J, GaugeJet(*gauges)))
     # np.allclose(shifted, base, rtol=1e-10, atol=...) for each jet
@@ -71,25 +70,18 @@ def test_iota_gauge_invariant():
     assert np.all(np.abs(shifted - base) <= atol + 1e-10 * np.abs(base))
 
 
-def _phase_shifted(paths, delta, deltadot=0.0):
-    """``kinematic_jets(paths)`` with each spinor phase path Phi(t) shifted
-    to Phi(t) + delta + deltadot t: (a, b) turned through delta at the rate
-    deltadot."""
-    rows = np.stack([p.angles for p in paths], axis=-1)
-    (t,) = jets.variables(np.zeros(len(paths)), order=1)
-    th, ph, psi, Phi = (base + amp * jets.sin(freq * t + off)
-                        for base, amp, freq, off in rows)
-    xdot = np.stack([p.xdot for p in paths], axis=-1)
-    return _reference_jet(xdot, *tetrad_from_angles(th, ph, psi, Phi + delta + deltadot * t))
-
-
 def _draw_shifted(seed, n, draw_more):
-    """n kinematic jets, and the same jets with phases shifted by the
-    (delta, deltadot) of draw_more(rng), drawn after each jet's path."""
-    paths, shift = _draw(seed, n, draw_more)
-    J = kinematic_jets(paths)
-    _assert_same_jets(_phase_shifted(paths, 0.0).entries(), J.entries())
-    return J, _phase_shifted(paths, *shift), shift
+    """n kinematic jets drawn as a table, and the same jets built on their own
+    from the per-number draws with each spinor phase path Phi(t) shifted to
+    Phi(t) + delta + deltadot t, by the (delta, deltadot) of draw_more(rng),
+    drawn after each jet's path: (a, b) turned through delta at the rate
+    deltadot.  A shift by 0 leaves each jet as the table built it."""
+    table, shift = _draw(seed, n, draw_more)
+    J = kinematic_jets(table)
+    ref = np.random.default_rng(seed)
+    drawn = [(_reference_paths(ref), draw_more(ref)) for _ in range(n)]
+    _assert_same_jets(J.entries(), [_reference_kinematic_jet(*p, (0.0, 0.0)) for p, _ in drawn])
+    return J, _stack([_reference_kinematic_jet(*p, more) for p, more in drawn]), shift
 
 
 def test_phase_rotation_acts_as_doublet():
@@ -113,7 +105,7 @@ def test_time_dependent_phase_shifts_iota6():
 
 def test_identity_checks_vanish():
     rng = np.random.default_rng(5)
-    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(30)])
+    J = kinematic_jets([draw_path(rng) for _ in range(30)])
     res = identity_checks(J)
     assert "am.bk-ak.bm" in res
     for name, val in res.items():
@@ -145,12 +137,36 @@ def test_batched_transforms_equal_single_jet_calls():
     """Each entry of a batched gauge shift, with nonzero rates, is
     bit-identical to the call on that entry alone."""
     rng = np.random.default_rng(13)
-    J = kinematic_jets([draw_kinematic_path(rng) for _ in range(8)])
+    J = kinematic_jets([draw_path(rng) for _ in range(8)])
     G = GaugeJet(*rng.uniform(-2, 2, (4, 8)))
     shifted = gauge_jet_transform(J, G).entries()
     for i, Ji in enumerate(J.entries()):
         Gi = GaugeJet(*(float(getattr(G, f.name)[i]) for f in fields(GaugeJet)))
         _assert_same_jets([gauge_jet_transform(Ji, Gi)], [shifted[i]])
+
+
+def test_a_batch_is_lifted_once(monkeypatch):
+    """``kinematic_jets`` seeds one jet variable on arrays, its parameter t:
+    validating the batch and shifting its gauge take the tetrad jets it built,
+    which differ from the tetrad lifted again only in the sign of a zero."""
+    variables, seeded = jets.variables, []
+    monkeypatch.setattr(jets, "variables", lambda *vals, **kw: seeded.append(
+        isinstance(vals[0], np.ndarray)) or variables(*vals, **kw))
+    rng = np.random.default_rng(15)
+    J = kinematic_jets([draw_path(rng) for _ in range(8)])
+    assert seeded.count(True) == 1
+    G = GaugeJet(*rng.uniform(-2, 2, (4, 8)))
+    shifted = gauge_jet_transform(J, G).validate()
+    assert seeded.count(True) == 1
+    relifted = replace(J)  # a copy that holds no tetrad jets
+    assert relifted.lifted is None
+    want = relifted.constraint_residuals()
+    for name, r in J.constraint_residuals().items():
+        assert np.array_equal(r, want[name]), name
+    again = gauge_jet_transform(relifted, G)
+    for f in fields(KinematicJet):
+        assert np.array_equal(getattr(shifted, f.name), getattr(again, f.name)), f.name
+    assert seeded.count(True) == 3
 
 
 def test_capital_invariants_at_rotator_point(rotator_jet):
@@ -215,15 +231,24 @@ def _reference_jet(xdot, k, m, a, b):
                         kdot=kd, mdot=md, adot=ad, bdot=bd)
 
 
-def _reference_kinematic_jet(rng):
-    """One random kinematic jet, built on its own from path closures."""
+def _reference_paths(rng):
+    """The path closures theta, phi, psi and Phi of a random kinematic jet,
+    and its xdot, by the per-number draws."""
     theta = _reference_path(rng, 0.4, np.pi - 0.4)
     phi = _reference_path(rng, 0.0, 2 * np.pi)
     psi = _reference_path(rng, 0.6, 3.0, rate=0.5)
     Phi = _reference_path(rng, 0.0, 4 * np.pi)
-    xdot = random_timelike(rng, rng.random())
+    return (theta, phi, psi, Phi), ref_timelike(rng)
+
+
+def _reference_kinematic_jet(paths, xdot, shift=None):
+    """The kinematic jet of path closures and xdot, built on its own; with a
+    shift (delta, deltadot), Phi(t) shifted to Phi(t) + delta + deltadot t."""
     (t,) = jets.variables(0.0)
-    return _reference_jet(xdot, *tetrad_from_angles(theta(t), phi(t), psi(t), Phi(t)))
+    theta, phi, psi, Phi = (path(t) for path in paths)
+    if shift is not None:
+        Phi = Phi + shift[0] + shift[1] * t
+    return _reference_jet(xdot, *tetrad_from_angles(theta, phi, psi, Phi))
 
 
 def _assert_same_jets(got, want):
@@ -240,12 +265,13 @@ def test_kinematic_jets_equal_per_jet_loop(size):
     its own, and the draws leave the generator in the same state."""
     for seed in range(3):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want = [_reference_kinematic_jet(ref_rng) for _ in range(size)]
-        got = kinematic_jets([draw_kinematic_path(rng) for _ in range(size)]).entries()
+        want = [_reference_kinematic_jet(*_reference_paths(ref_rng)) for _ in range(size)]
+        got = kinematic_jets([draw_path(rng) for _ in range(size)]).entries()
         _assert_same_jets(got, want)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
     rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-    _assert_same_jets([random_kinematic_jet(rng)], [_reference_kinematic_jet(ref_rng)])
+    _assert_same_jets([random_kinematic_jet(rng)],
+                      [_reference_kinematic_jet(*_reference_paths(ref_rng))])
 
 
 def _stack(samples):
@@ -259,7 +285,8 @@ def _stack(samples):
     (lambda J: replace(J, adot=np.full(4, np.nan)), "inconsistent kinematic jet"),
     (lambda J: replace(J, xdot=np.array([0.5, 1.0, 0.0, 0.0])), "xdot must be timelike"),
     (lambda J: replace(J, xdot=-J.xdot), "k.xdot must be positive"),
-], ids=["inconsistent", "inconsistent-rate", "nan", "spacelike", "past-pointing"])
+    (lambda J: replace(J, xdot=np.full(4, np.nan)), "xdot must be timelike"),
+], ids=["inconsistent", "inconsistent-rate", "nan", "spacelike", "past-pointing", "nan-xdot"])
 def test_a_bad_batch_entry_raises(bad, message):
     rng = np.random.default_rng(7)
     samples = [random_kinematic_jet(rng) for _ in range(4)]
@@ -270,8 +297,11 @@ def test_a_bad_batch_entry_raises(bad, message):
 
 
 def test_kinematic_jets_reject_a_path_with_bad_xdot():
+    # a normal triple (0, 0, 0) gives xdot no direction: its NaN fails the
+    # xdot check, not the tetrad relations
     rng = np.random.default_rng(8)
-    paths = [draw_kinematic_path(rng) for _ in range(5)]
-    paths[3] = replace(paths[3], xdot=np.array([0.2, 0.0, 1.0, 0.0]))
-    with pytest.raises(DomainError, match=r"xdot must be timelike \(batch entry 3\)"):
-        kinematic_jets(paths)
+    table = np.array([draw_path(rng) for _ in range(5)])
+    table[3, 17:20] = 0.0
+    with np.errstate(invalid="ignore"), pytest.raises(
+            DomainError, match=r"xdot must be timelike \(batch entry 3\)"):
+        kinematic_jets(table)

@@ -12,8 +12,7 @@ from rotorlab.dynamics import _joined
 from rotorlab.fform import (FForm, PQPoint, builtin, lagrangian_from_vectors, parse_f,
                             pq_from_scalars, pq_from_vectors, scalar_products,
                             velocity_scalars)
-from rotorlab.invariants import (KinematicJet, draw_kinematic_path, kinematic_jets,
-                                 random_kinematic_jet)
+from rotorlab.invariants import KinematicJet, draw_path, kinematic_jets, random_kinematic_jet
 from rotorlab.minkowski import SIGNATURE, DomainError, bivector, dot, lorentz_matrix
 from rotorlab.reports import RunConfig
 from rotorlab.noether import (
@@ -43,7 +42,7 @@ def all_forms():
 def test_noether_casimirs_match_closed_form():
     rng = np.random.default_rng(0)
     forms = all_forms()
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(40)]).entries():
+    for J in kinematic_jets([draw_path(rng) for _ in range(40)]).entries():
         for F in forms:
             at = pq_from_vectors(J.xdot, J.k, J.kdot, F.ell)
             if not evaluates(F, at.P, at.Q):
@@ -58,7 +57,7 @@ def test_noether_casimirs_match_closed_form():
 
 def test_pauli_lubanski_orthogonal_to_momentum():
     rng = np.random.default_rng(1)
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(30)]).entries():
+    for J in kinematic_jets([draw_path(rng) for _ in range(30)]).entries():
         for F in (builtin("rotator_f"), parse_f("Q*Q")):
             ms = momenta(F, J)
             scale = max(abs(dot(ms.P, ms.P)), 1.0)
@@ -108,7 +107,7 @@ def test_lagrangian_is_euler_homogeneous_in_the_velocities():
     # each to rounding of its largest term
     rng = np.random.default_rng(12)
     pairs = 0
-    for J in kinematic_jets([draw_kinematic_path(rng) for _ in range(24)]).entries():
+    for J in kinematic_jets([draw_path(rng) for _ in range(24)]).entries():
         v = np.concatenate([J.xdot, J.kdot])
         vs = jets.variables(*v)
         for F in all_forms():
@@ -161,7 +160,7 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
     cases = [(J.xdot, J.k, J.kdot), (J.xdot[:, None], J.k[:, None], J.kdot[:, None])]
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+        S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
         cases += [(S.xdot, S.k, S.kdot), *((e.xdot, e.k, e.kdot) for e in S.entries())]
     assert len(cases) == 2 + 8 * (1 + cli.CASIMIR_JETS)
     outside = 0
@@ -196,7 +195,7 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
     pairs = 0
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+        S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
         entries = S.entries()
         for F in forms:
             inside = noether.batch_casimirs(F, S)[0]
@@ -221,7 +220,7 @@ def test_second_order_pass_gives_the_momenta_bit_for_bit(rotator_jet):
     zeros included: P, pi, M and W of ``momenta_from_vectors`` for the casimir
     suite's twelve forms, at the rotator point and on seed 0's jets."""
     rng = np.random.default_rng(0)
-    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
     pairs = 0
     for J in [rotator_jet, *S.entries()]:
         for F in _casimir_forms():
@@ -234,7 +233,7 @@ def test_second_order_pass_gives_the_momenta_bit_for_bit(rotator_jet):
 
 def _casimir_batch(seed):
     rng = np.random.default_rng(seed)
-    return kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    return kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
 
 
 def _momenta_outcome(F, J, x=None):
@@ -370,7 +369,7 @@ def test_angular_momentum_formed_when_read_is_the_eager_bivector(rotator_jet):
     a given x, for each entry of a batch, and for a joined batch."""
     J = rotator_jet  # exact zeros in xdot, k and kdot
     rng = np.random.default_rng(3)
-    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
     X = np.where(rng.random(S.k.shape) < 0.3, -0.0, rng.normal(size=S.k.shape))
     x0 = np.array([-0.0, 1.5, 0.0, -2.0])
     checked = 0
@@ -407,7 +406,7 @@ def test_closed_forms_at_first_order_are_those_at_second_order():
     casimir suite's twelve forms on its jet batch at seed 0 and on the
     domain points of the 12 x 12 grid."""
     rng = np.random.default_rng(0)
-    S = kinematic_jets([draw_kinematic_path(rng) for _ in range(cli.CASIMIR_JETS)])
+    S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
     points = 0
     for F in _casimir_forms():
         pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
