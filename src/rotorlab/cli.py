@@ -24,7 +24,6 @@ from .degeneracy import (
     hessians,
     random_chart_state,
     relation_check,
-    stack_states,
 )
 from .dynamics import (
     SingularHessianError,
@@ -97,8 +96,8 @@ CHECKS = {
 CONSERVATION_TOL = 1e-6  # relative drift of PP and WW along an integrated path
 
 
-# -- checks: residuals from given samples; the suites below draw the samples
-# from the run's seed, tests/test_acceptance.py draws its own.  A NaN residual
+# -- checks: residuals from given samples; the suites below build the samples
+# from their tables, tests/test_acceptance.py draws its own.  A NaN residual
 # is the worst case and fails, and so does a check with no sample -----------
 
 
@@ -179,10 +178,10 @@ def noether_residuals(forms, samples):
     return _worst(cross), _worst(wp)
 
 
-def hessian_margins(states):
+def hessian_margins(batch):
     """Worst Hessian margin of the fundamental families, gap of the nu-family
-    rank from 4, and inverse least margin of four generic f(Q) members."""
-    batch = stack_states(states)
+    rank from 4, and inverse least margin of four generic f(Q) members, over a
+    batch of chart states."""
     forms = [builtin("rotator_f"), builtin("nu_family", nu=0.4),
              *map(parse_f, ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)"))]
     rot, nu, *generic = hessians(forms, batch, DOF5)
@@ -195,13 +194,13 @@ RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
                   "(1+Q)*(1+P^2)")
 
 
-def relation_spread(forms, states):
+def relation_spread(forms, batch):
     """Largest relative spread of the kinematical factor K over the admissible
-    forms at each state (inf if no state has two), and the number of
-    admissible forms per state."""
-    admissible, K = relation_check(forms, stack_states(states))
+    forms at each state of a batch (inf if no state has two), and the number
+    of admissible forms per state."""
+    admissible, K = relation_check(forms, batch)
     counts = admissible.sum(axis=0)
-    K0 = K[np.argmax(admissible, axis=0), np.arange(len(states))]  # first admissible
+    K0 = K[np.argmax(admissible, axis=0), np.arange(K.shape[1])]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
     spreads = (dev / np.maximum(abs(K0), 1e-300))[counts >= 2]
     return _worst(spreads), counts.tolist()
@@ -251,7 +250,7 @@ def count_gap(rep) -> int:
     return sum(abs(getattr(rep, k) - v) for k, v in COUNT_EXPECTED.items())
 
 
-# -- verification suites ------------------------------------------------------
+# -- verification suites: pure functions of the run's config and a table -----
 
 # samples drawn per suite from the run's seed
 TETRAD_SPINORS = 200
@@ -274,56 +273,47 @@ _START_LO = np.array([0.8, 0.0, -0.1, -0.1, -0.1, 0.2, 0.5])
 _START_SPAN = np.array([np.pi - 0.8, 2 * np.pi, 0.1, 0.1, 0.1, 0.5, 0.9]) - _START_LO
 
 
-def suite_tetrad(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    angles = _TETRAD_LO + _TETRAD_SPAN * rng.random((TETRAD_SPINORS, 4))
+def suite_tetrad(cfg: RunConfig, table):
+    angles = _TETRAD_LO + _TETRAD_SPAN * table
     worst_rel, worst_gram = tetrad_residuals(*tetrad_from_angles(*angles.T))
-    inputs = {"spinors": TETRAD_SPINORS}
+    inputs = {"spinors": len(table)}
     return {"tetrad-relations": (worst_rel, inputs),
             "tetrad-gram-det": (worst_gram, inputs)}
 
 
-def suite_invariants(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    paths, gauges = [], []
-    for _ in range(INVARIANT_JETS):  # the draws of a jet, then of its gauge shift
-        paths.append(draw_path(rng))
-        gauges.append(_GAUGE_LO + _GAUGE_SPAN * rng.random(4))
-    samples = kinematic_jets(paths)
-    worst_gauge = gauge_residual(samples, GaugeJet(*np.array(gauges).T))
+def suite_invariants(cfg: RunConfig, table):
+    samples = kinematic_jets(table[:, :-4])  # a row: a jet's path, then its gauge shift
+    gauges = _GAUGE_LO + _GAUGE_SPAN * table[:, -4:]
+    worst_gauge = gauge_residual(samples, GaugeJet(*gauges.T))
     worst_ident = _worst(np.abs(list(identity_checks(samples).values())))
-    inputs = {"jets": INVARIANT_JETS}
+    inputs = {"jets": len(table)}
     return {"gauge-invariance": (worst_gauge, inputs),
             "scalar-identities": (worst_ident, inputs)}
 
 
-def suite_casimir(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
+def suite_casimir(cfg: RunConfig, table):
     fundamental = fundamental_forms(cfg)
     worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
-    forms = casimir_forms(cfg)
-    worst_cross, worst_wp = noether_residuals(forms, kinematic_jets(
-        [draw_path(rng) for _ in range(CASIMIR_JETS)]))
-    inputs = {"jets": CASIMIR_JETS}
+    worst_cross, worst_wp = noether_residuals(casimir_forms(cfg), kinematic_jets(table))
+    inputs = {"jets": len(table)}
     return {"fundamental-conditions": (worst_fund, {"forms": len(fundamental)}),
             "noether-crosscheck": (worst_cross, inputs),
             "wp-orthogonality": (worst_wp, inputs)}
 
 
-def suite_degeneracy(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    states = chart_states(rng.random((DEGENERACY_STATES, 12)))
-    worst_singular, rank_gap, nondeg = hessian_margins(states)
+def suite_degeneracy(cfg: RunConfig, table):
+    batch = chart_states(table)
+    worst_singular, rank_gap, nondeg = hessian_margins(batch)
     forms = [parse_f(e) for e in RELATION_FORMS[:5]]
-    spread, _ = relation_spread(forms, states)
-    inputs = {"states": DEGENERACY_STATES}
+    spread, _ = relation_spread(forms, batch)
+    inputs = {"states": len(table)}
     return {"degenerate-hessians": (worst_singular, {**inputs, "forms": 3}),
             "nu-family-rank-4": (rank_gap, inputs),
             "nondegenerate-dets": (nondeg, {**inputs, "forms": 4}),
             "relation-consistency": (spread, {**inputs, "forms": len(forms)})}
 
 
-def suite_dynamics(cfg: RunConfig):
+def suite_dynamics(cfg: RunConfig, table):
     """Samples in units of ell: phases in t / ell, speeds w / ell inside
     (0, 2/ell), and a divergence target that scales as the positions do."""
     ell = cfg.ell
@@ -342,8 +332,8 @@ def suite_dynamics(cfg: RunConfig):
             "angular-speed-identity": (worst_speed, {"speeds": len(speeds)})}
 
 
-def suite_count(cfg: RunConfig):
-    rep = reproduce_invariant_count(draw_count_points(np.random.default_rng(cfg.seed)))
+def suite_count(cfg: RunConfig, table):
+    rep = reproduce_invariant_count(table)
     return {"count-invariants": (float(count_gap(rep)),
                                  {k: getattr(rep, k) for k in COUNT_EXPECTED})}
 
@@ -358,11 +348,24 @@ _SUITE_FUNCS = {
 }
 SUITES = tuple(_SUITE_FUNCS)
 
+# each suite's table, one row per sample, drawn from a generator seeded with the
+# run's seed (the dynamics suite reads none)
+_SUITE_TABLES = {
+    "tetrad": lambda rng: rng.random((TETRAD_SPINORS, 4)),
+    "invariants": lambda rng: np.array([np.append(draw_path(rng), rng.random(4))
+                                        for _ in range(INVARIANT_JETS)]),
+    "casimir": lambda rng: np.array([draw_path(rng) for _ in range(CASIMIR_JETS)]),
+    "degeneracy": lambda rng: rng.random((DEGENERACY_STATES, 12)),
+    "dynamics": lambda rng: None,
+    "count-invariants": draw_count_points,
+}
+
 
 def verify_reports(suites, cfg: RunConfig):
     """The reports of the checks of ``suites``, in table order, each with its
-    gate: every suite returns {check name: (residual, inputs)}."""
-    results = {k: v for suite in suites for k, v in _SUITE_FUNCS[suite](cfg).items()}
+    gate: every suite returns {check name: (residual, inputs)} from its table."""
+    results = {k: v for suite in suites for k, v in _SUITE_FUNCS[suite](
+        cfg, _SUITE_TABLES[suite](np.random.default_rng(cfg.seed))).items()}
     return [Report(name, results[name][0], gate, cfg.seed, results[name][1])
             for name, (suite, gate) in CHECKS.items() if suite in suites]
 

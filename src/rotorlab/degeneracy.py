@@ -1,12 +1,12 @@
 """Velocity Hessians of the Lagrange density and the Casimir-Jacobian link.
 
-The layer takes a batch of chart states (``stack_states``) in one pass of
-batched jets, each entry bit-identical to the state on its own; ``hessians``
-also takes a single state.  Degrees of freedom are counted in the lab-time
-gauge (worldline parameter = x^0), with the null direction in spherical
-angles.  The five-coordinate chart (x1, x2, x3, theta, phi) gauge-fixes the
-null-vector amplitude to k^0 = 1; the six-coordinate chart adds the
-amplitude K.  The central check is
+The layer takes a batch of chart states (``chart_states`` of a table) in one
+pass of batched jets, each entry bit-identical to the state on its own;
+``hessians`` also takes a single state.  Degrees of freedom are counted in
+the lab-time gauge (worldline parameter = x^0), with the null direction in
+spherical angles.  The five-coordinate chart (x1, x2, x3, theta, phi)
+gauge-fixes the null-vector amplitude to k^0 = 1; the six-coordinate chart
+adds the amplitude K.  The central check is
 
     det H = K_factor * (F - P F_P) / (F_P (P^2 + Q) - P F) * d(PP, WW)/d(P, Q)
 
@@ -24,7 +24,7 @@ rest of L's derivatives for ``dynamics``, once for its one form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,13 +68,6 @@ class ChartState:
     def check_pole(self):
         check_off_pole(self.theta)
         return self
-
-
-def stack_states(states) -> ChartState:
-    """The batch of the given states, in order."""
-    cols = (np.array([getattr(s, f.name) for s in states], dtype=float).T
-            for f in fields(ChartState))
-    return ChartState(*(tuple(a) if a.ndim == 2 else a for a in cols))  # v, x: (3, B)
 
 
 def check_off_pole(theta) -> None:
@@ -325,20 +318,16 @@ _CHART_SPAN = np.array([MAX_SPEED] * 3 + [np.pi - 0.4, 2 * np.pi, 1.0, 1.0, 2.0,
                        + [1.0] * 3) - _CHART_LO
 
 
-def chart_states(table) -> list:
-    """The generic states of an (n, 12) table of uniform numbers, one per row:
-    away from chart poles, with subluminal xdot.  Each number u becomes
-    lo + span * u in the order above, numpy's ``uniform`` arithmetic."""
-    states = []
-    for row in _CHART_LO + _CHART_SPAN * table:
-        theta, phi, thetadot, phidot, K, Kdot = row[3:9].tolist()
-        states.append(ChartState(theta=theta, phi=phi, v=tuple(row[:3] / np.sqrt(3.0)),
-                                 thetadot=thetadot, phidot=phidot, K=K, Kdot=Kdot,
-                                 x=tuple(row[9:])).check_pole())
-    return states
+def chart_states(table) -> ChartState:
+    """Generic states, away from chart poles and with subluminal xdot: one batch
+    for an (n, 12) table of uniform numbers, one state for a row of 12.  Each u
+    becomes lo + span * u in the order above, numpy's ``uniform`` arithmetic."""
+    cols = (_CHART_LO + _CHART_SPAN * table).T
+    return ChartState(cols[3], cols[4], tuple(cols[:3] / np.sqrt(3.0)), *cols[5:9],
+                      tuple(cols[9:])).check_pole()
 
 
 def random_chart_state(rng) -> ChartState:
     """Generic state away from chart poles, with subluminal xdot: its twelve
     numbers in one generator call."""
-    return chart_states(rng.random((1, 12)))[0]
+    return chart_states(rng.random(12))

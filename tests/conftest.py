@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from rotorlab.degeneracy import ChartState
 from rotorlab.invariants import KinematicJet
 
 
@@ -9,6 +12,12 @@ def same_bits(a, b):
     differs from 0.0, and a NaN equals a NaN of the same payload."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def chart_entry(batch: ChartState, i: int) -> ChartState:
+    """Entry i of a batch of chart states, as a state: each field's column i."""
+    return ChartState(*(tuple(a[i] for a in v) if isinstance(v, tuple) else v[i]
+                        for v in (getattr(batch, f.name) for f in fields(batch))))
 
 
 @pytest.fixture

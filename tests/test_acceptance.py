@@ -8,7 +8,7 @@ and their tolerance from the check's gate in ``cli.CHECKS``.
 import numpy as np
 
 from rotorlab import cli, jets
-from rotorlab.degeneracy import ChartState, random_chart_state
+from rotorlab.degeneracy import ChartState, chart_states, random_chart_state
 from rotorlab.dynamics import casimir_drift, integrate
 from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.invariants import (
@@ -103,7 +103,7 @@ def test_05_noether_crosscheck():
 def test_06_degeneracy():
     rng = np.random.default_rng(106)
     worst_singular, rank_gap, nondeg = cli.hessian_margins(
-        [random_chart_state(rng) for _ in range(10)])
+        chart_states(rng.random((10, 12))))
     report(6, "fundamental families degenerate", worst_singular, gate("degenerate-hessians"))
     report(6, "nu-family Hessian rank 4", rank_gap, gate("nu-family-rank-4"))
     report(6, "generic f(Q) nondegenerate", nondeg, gate("nondegenerate-dets"))
@@ -112,8 +112,7 @@ def test_06_degeneracy():
 def test_07_hessian_jacobian_relation():
     rng = np.random.default_rng(107)
     worst, admissible = cli.relation_spread(
-        [parse_f(e) for e in cli.RELATION_FORMS],
-        [random_chart_state(rng) for _ in range(10)])
+        [parse_f(e) for e in cli.RELATION_FORMS], chart_states(rng.random((10, 12))))
     assert min(admissible) >= 5
     report(7, "kinematical factor form-independent", worst, gate("relation-consistency"))
 

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -70,13 +71,51 @@ def test_the_table_names_the_checks_perfbench_expects():
 
 
 def test_each_suite_returns_exactly_its_table_checks_in_order():
+    # fed the table of its own seeded draw, a suite gives verify's residuals
+    # and inputs: verify draws each suite's table from a generator of its own
     assert {suite for suite, _ in cli.CHECKS.values()} == set(cli.SUITES)
     cfg = RunConfig(seed=0)
+    reports = {r.name: r for r in cli.verify_reports(cli.SUITES, cfg)}
     for suite in cli.SUITES:
-        results = cli._SUITE_FUNCS[suite](cfg)
+        results = cli._SUITE_FUNCS[suite](cfg, cli._SUITE_TABLES[suite](
+            np.random.default_rng(cfg.seed)))
         assert list(results) == table_checks(suite), suite
         assert all(isinstance(r, float) and isinstance(inputs, dict)
                    for r, inputs in results.values()), suite
+        for name, (residual, inputs) in results.items():
+            assert same_bits(residual, reports[name].residual), name
+            assert inputs == reports[name].inputs, name
+
+
+def test_suites_read_their_tables_and_verify_draws_them():
+    """The suites are pure functions of (cfg, table): no ``suite_*`` function
+    makes or reads a generator, ``verify_reports`` is where ``verify`` makes
+    one, and only ``hessian``, ``relation`` and ``simulate`` make their own.
+    ``_SUITE_FUNCS`` maps each suite to a function (perfbench's tracer times a
+    suite by wrapping the function values of dispatch dicts), and
+    ``_SUITE_TABLES`` draws a table for each suite, in ``SUITES`` order."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    generator = {"default_rng", "random", "normal", "uniform", "rng"}
+    for name, node in funcs.items():
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        if name.startswith("suite_"):
+            assert not (names | attrs) & generator, name
+            assert not {n for n in names if n.startswith(("draw_", "random_"))}, name
+        if "default_rng" in attrs:
+            assert name in ("verify_reports", "cmd_hessian", "cmd_relation",
+                            "cmd_simulate"), name
+    dicts = {node.targets[0].id: node.value for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict)
+             and isinstance(node.targets[0], ast.Name)}
+    suite_funcs, suite_tables = dicts["_SUITE_FUNCS"], dicts["_SUITE_TABLES"]
+    assert all(isinstance(v, ast.Name) and v.id in funcs for v in suite_funcs.values)
+    assert all(inspect.isfunction(f) and f.__name__.startswith("suite_")
+               for f in cli._SUITE_FUNCS.values())
+    assert tuple(ast.literal_eval(k) for k in suite_funcs.keys) == cli.SUITES
+    assert tuple(ast.literal_eval(k) for k in suite_tables.keys) == cli.SUITES
+    assert tuple(cli._SUITE_TABLES) == cli.SUITES
 
 
 def test_verify_unknown_suite(capsys):

@@ -12,18 +12,19 @@ from rotorlab.degeneracy import (
     ChartState,
     chart_derivatives,
     chart_scalars,
+    chart_states,
     hessian,
     hessians,
     jacobian_pq,
     random_chart_state,
     relation_check,
-    stack_states,
 )
 from rotorlab.cli import RELATION_FORMS
 from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_scalars
 from rotorlab.minkowski import DomainError, dot, four
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.spinor import null_from_angles
+from conftest import chart_entry
 from references import evaluates, fq_det_formula
 
 
@@ -142,8 +143,7 @@ def test_jacobian_pq_matches_finite_differences():
 
 def test_relation_flags_degenerate_jacobian():
     rng = np.random.default_rng(5)
-    st = random_chart_state(rng)
-    admissible, K = relation_check([parse_f("Q")], stack_states([st]))
+    admissible, K = relation_check([parse_f("Q")], chart_states(rng.random((1, 12))))
     assert admissible.shape == K.shape == (1, 1)
     assert not admissible[0, 0] and np.isnan(K[0, 0])
 
@@ -197,12 +197,12 @@ HESSIAN_FORMS = [builtin("rotator_f"), builtin("nu_family", nu=0.4), builtin("st
 @pytest.mark.parametrize("F", HESSIAN_FORMS, ids=[F.name for F in HESSIAN_FORMS])
 def test_batched_hessian_matches_each_state(F, dof):
     rng = np.random.default_rng(10)
-    states = [random_chart_state(rng) for _ in range(6)]
-    batch = hessian(F, stack_states(states), dof)
+    table = rng.random((6, 12))
+    batch = hessian(F, chart_states(table), dof)
     n = len(dof)
     assert batch.matrix.shape == (6, n, n) and batch.singular_values.shape == (6, n)
-    for i, st in enumerate(states):
-        one = hessian(F, st, dof)
+    for i, row in enumerate(table):
+        one = hessian(F, chart_states(row), dof)
         assert np.array_equal(batch.matrix[i], one.matrix)
         assert np.array_equal(batch.singular_values[i], one.singular_values)
         assert batch.det[i] == one.det and batch.rank[i] == one.rank
@@ -213,19 +213,25 @@ def test_batched_hessian_matches_each_state(F, dof):
 
 def test_batched_hessian_isolates_an_overflowing_entry():
     rng = np.random.default_rng(11)
-    states = [random_chart_state(rng) for _ in range(3)]
     # F = 1e290 Q^4 overflows at Q ~ 1e5 only
-    states[1] = dataclasses.replace(states[1], thetadot=300.0)
+    batch = _with_thetadot_300_at_1(chart_states(rng.random((3, 12))))
     F = parse_f("1e290*Q^4")
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = hessian(F, stack_states(states), DOF5)
-        alone = [hessian(F, st, DOF5) for st in (states[0], states[2])]
+        rep = hessian(F, batch, DOF5)
+        alone = [hessian(F, chart_entry(batch, i), DOF5) for i in (0, 2)]
     assert not np.isfinite(rep.matrix[1]).all()
     assert np.isnan(rep.singular_values[1]).all() and rep.rank[1] == 0
     for i, one in zip((0, 2), alone):
         assert np.isfinite(one.singular_values).all()
         assert np.array_equal(rep.singular_values[i], one.singular_values)
         assert rep.rank[i] == one.rank == 5
+
+
+def _with_thetadot_300_at_1(batch):
+    """The batch with entry 1's thetadot set to 300."""
+    thetadot = batch.thetadot.copy()
+    thetadot[1] = 300.0
+    return dataclasses.replace(batch, thetadot=thetadot)
 
 
 def _hessian_of_each_matrix(F, state, dof):
@@ -254,11 +260,10 @@ def test_hessians_are_each_forms_own_bit_for_bit(dof, batch):
     # 1e290 Q^4 overflows at state 1 only (Q ~ 1e5), and sits between forms
     # whose Hessians stay finite there: it must leave them untouched
     rng = np.random.default_rng(14)
-    states = [random_chart_state(rng) for _ in range(4)]
-    states[1] = dataclasses.replace(states[1], thetadot=300.0)
+    states = _with_thetadot_300_at_1(chart_states(rng.random((4, 12))))
     forms = [builtin("rotator_f"), parse_f("Q^2"), parse_f("1e290*Q^4"),
              builtin("starlike"), parse_f("sqrt(1+P^2+Q)")]
-    state = stack_states(states) if batch else states[1]
+    state = states if batch else chart_entry(states, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         got = hessians(forms, state, dof)
         want = [_hessian_of_each_matrix(F, state, dof) for F in forms]
@@ -284,21 +289,11 @@ def test_hessians_are_each_forms_own_bit_for_bit(dof, batch):
 
 def test_pole_state_in_a_batch_names_its_entry():
     rng = np.random.default_rng(12)
-    states = [random_chart_state(rng), ChartState(theta=np.pi, phi=0.0),
-              random_chart_state(rng)]
+    batch = chart_states(rng.random((3, 12)))
+    theta = batch.theta.copy()
+    theta[1] = np.pi  # a pole entry, between two drawn states
     with pytest.raises(DomainError, match=r"batch entry 1\)"):
-        hessian(builtin("rotator_f"), stack_states(states), DOF6)
-
-
-def test_stack_states_keeps_each_state():
-    rng = np.random.default_rng(13)
-    states = [random_chart_state(rng) for _ in range(3)]
-    batch = stack_states(states)
-    for dof in (DOF5, DOF6):
-        q, qd = batch.coords(dof)
-        for i, st in enumerate(states):
-            q1, qd1 = st.coords(dof)
-            assert np.array_equal(q[:, i], q1) and np.array_equal(qd[:, i], qd1)
+        hessian(builtin("rotator_f"), dataclasses.replace(batch, theta=theta), DOF6)
 
 
 def _relation_per_state(forms, st):
@@ -326,9 +321,9 @@ def test_batched_relation_check_matches_the_per_state_loop(seed):
     # "Q" and "0" are inadmissible everywhere
     forms = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
     rng = np.random.default_rng(seed)
-    states = [random_chart_state(rng) for _ in range(5)]
-    admissible, K = relation_check(forms, stack_states(states))
-    want = [_relation_per_state(forms, st) for st in states]
+    table = rng.random((5, 12))
+    admissible, K = relation_check(forms, chart_states(table))
+    want = [_relation_per_state(forms, chart_states(row)) for row in table]
     assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
     assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)
-    assert admissible[:-2].sum() >= 2 * len(states) and not admissible[-2:].any()
+    assert admissible[:-2].sum() >= 2 * len(table) and not admissible[-2:].any()

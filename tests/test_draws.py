@@ -4,7 +4,8 @@ call, with the bits of numpy's per-number ``uniform`` calls.
 Each sampler is compared, over seeds 0-999, with a reference that makes the
 per-number calls in their order: the samples bit for bit (signed zeros
 count) and the generator's state afterwards.  A builder that takes a table
-is called on a table drawn as its callers draw it.
+is called on a table drawn as its callers draw it, and a suite's table is
+drawn by ``cli._SUITE_TABLES``, as ``verify`` draws it.
 """
 
 import argparse
@@ -16,10 +17,11 @@ import pytest
 
 from rotorlab import cli, jets
 from rotorlab.degeneracy import ChartState, chart_states, random_chart_state
-from rotorlab.invariants import (COUNT_SAMPLES, KINEMATIC_RANGES, draw_count_points,
-                                 draw_path, kinematic_jets)
+from rotorlab.invariants import (COUNT_SAMPLES, KINEMATIC_RANGES, PATH_NUMBERS,
+                                 draw_count_points, draw_path, kinematic_jets)
 from rotorlab.reports import RunConfig
 from rotorlab.spinor import tetrad_from_angles
+from conftest import chart_entry
 from references import ref_timelike
 
 SEEDS = range(1000)
@@ -93,7 +95,12 @@ def state_numbers(s: ChartState):
     return (s.theta, s.phi, s.v, s.thetadot, s.phidot, s.K, s.Kdot, s.x)
 
 
-# -- capture: the generators the program makes, and what it draws ---------------
+def batch_numbers(batch: ChartState, n: int):
+    """``state_numbers`` of each of the n entries of a batch, in batch order."""
+    return [x for i in range(n) for x in state_numbers(chart_entry(batch, i))]
+
+
+# -- capture: the generators the program makes, and what a command draws -------
 
 class CountingGenerator:
     """A numpy Generator that counts the calls of its methods."""
@@ -141,15 +148,12 @@ def _raise():
     raise _Drawn
 
 
-def test_tetrad_angles_are_the_per_number_draws(monkeypatch, made):
-    drawn = []
-    monkeypatch.setattr(cli, "tetrad_from_angles",
-                        lambda *angles: drawn.append(np.array(angles).T) or _raise())
+def test_tetrad_angles_are_the_per_number_draws():
+    # the suite's table, scaled as the suite scales it
     for seed in SEEDS:
-        with pytest.raises(_Drawn):
-            cli.suite_tetrad(RunConfig(seed=seed))
-        ref = _default_rng(seed)
-        assert same_draws([drawn[-1]], [ref_tetrad_angles(ref)], made[-1], ref), seed
+        rng, ref = _default_rng(seed), _default_rng(seed)
+        angles = cli._TETRAD_LO + cli._TETRAD_SPAN * cli._SUITE_TABLES["tetrad"](rng)
+        assert same_draws([angles], [ref_tetrad_angles(ref)], rng, ref), seed
 
 
 def test_kinematic_paths_are_the_per_number_draws():
@@ -176,24 +180,20 @@ def test_a_timelike_xdot_is_the_per_number_draws():
         assert same_draws(got, want, rng, ref), seed
 
 
-def test_invariants_suite_draws_the_per_number_jets_and_gauges(monkeypatch, made):
-    # each jet's row, then its gauge shift by the per-number draws: the path
-    # test above ties a row to the per-number draws of its jet
-    drawn = []
-    monkeypatch.setattr(cli, "kinematic_jets", lambda table: drawn.append(table))
-    monkeypatch.setattr(cli, "gauge_residual",
-                        lambda samples, G: drawn.append(G) or _raise())
+def test_invariants_suite_draws_the_per_number_jets_and_gauges():
+    # each row of the suite's table: a jet's path, then its gauge shift, scaled
+    # as the suite scales it, by the per-number draws; the path test above ties
+    # a path to the per-number draws of its jet
     for seed in SEEDS:
-        with pytest.raises(_Drawn):
-            cli.suite_invariants(RunConfig(seed=seed))
-        table, G = drawn[-2:]
-        ref = _default_rng(seed)
+        rng, ref = _default_rng(seed), _default_rng(seed)
+        table = cli._SUITE_TABLES["invariants"](rng)
+        gauges = cli._GAUGE_LO + cli._GAUGE_SPAN * table[:, PATH_NUMBERS:]
         want_rows, want_gauges = [], []
         for _ in range(cli.INVARIANT_JETS):
             want_rows.append(draw_path(ref))
             want_gauges.append(ref_gauge(ref))
-        assert same_draws([np.array(table), np.array([G.alpha, G.beta, G.alphadot, G.betadot]).T],
-                          [np.array(want_rows), np.array(want_gauges)], made[-1], ref), seed
+        assert same_draws([table[:, :PATH_NUMBERS], gauges],
+                          [np.array(want_rows), np.array(want_gauges)], rng, ref), seed
 
 
 def test_a_chart_state_is_the_per_number_draws():
@@ -205,26 +205,28 @@ def test_a_chart_state_is_the_per_number_draws():
 
 @pytest.mark.parametrize("n", [1, 4, 7])
 def test_a_table_of_chart_states_is_that_many_single_draws(n):
-    # relation and the degeneracy suite draw their states as one (n, 12) table
+    # relation and the degeneracy suite draw their states as one (n, 12) table,
+    # built as one batch: its columns are n single draws
     for seed in SEEDS:
         rng, ref = _default_rng(seed), _default_rng(seed)
         got = chart_states(rng.random((n, 12)))
         want = [random_chart_state(ref) for _ in range(n)]
-        assert same_draws([x for s in got for x in state_numbers(s)],
+        assert got.theta.shape == (n,)
+        assert same_draws(batch_numbers(got, n),
                           [x for s in want for x in state_numbers(s)], rng, ref), seed
 
 
 def test_relation_draws_its_states_as_sequential_chart_states(monkeypatch, made):
     drawn = []
     monkeypatch.setattr(cli, "relation_spread",
-                        lambda forms, states: drawn.append(states) or _raise())
+                        lambda forms, batch: drawn.append(batch) or _raise())
     args = argparse.Namespace(forms=None, states=5)
     for seed in range(50):
         with pytest.raises(_Drawn):
             cli.cmd_relation(args, RunConfig(seed=seed))
         ref = _default_rng(seed)
         want = [ref_chart_state(ref) for _ in range(args.states)]
-        assert same_draws([x for s in drawn[-1] for x in state_numbers(s)],
+        assert same_draws(batch_numbers(drawn[-1], args.states),
                           [x for s in want for x in state_numbers(s)], made[-1], ref), seed
 
 

@@ -13,9 +13,9 @@ from rotorlab.degeneracy import (
     ChartState,
     chart_scalar_jets,
     chart_scalars,
+    chart_states,
     hessian,
     random_chart_state,
-    stack_states,
 )
 from rotorlab.dynamics import (
     SingularHessianError,
@@ -564,7 +564,8 @@ def test_factor_first_solve_is_the_classify_first_solve():
 def test_velocity_hessian_is_symmetric_bit_for_bit(expr, dof):
     # the fast return of _qr_solve rests on H == H.T exactly
     F, rng = parse_f(expr), np.random.default_rng(7)
-    for st in degeneracy.chart_states(rng.random((100, 12))):
+    for row in rng.random((100, 12)):
+        st = chart_states(row)
         H, _ = dynamics._hessian_and_force(F, *st.coords(dof), dof)
         assert same_bits(H, H.T), (expr, st)
 
@@ -882,10 +883,10 @@ def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
     bit for bit, and ``hessian``'s matrix is the integrator's H bit for bit."""
     F = ROT if expr == "rotator" else parse_f(expr)
     rng = np.random.default_rng([len(dof), states])
-    batch = [random_chart_state(rng) for _ in range(states)]
+    table = rng.random((states, 12))
     n = len(dof)
     qdd = rng.uniform(-1.0, 1.0, (n, states))
-    q, qd = stack_states(batch).coords(dof)
+    q, qd = chart_states(table).coords(dof)
     L, gs, hs = all_seeded_lagrangian(F, q, qd, dof)
     hv, dq = L.h[n:], L.g[:n]
     terms = [hv[:, n + j] * qdd[j] for j in range(n)] + [hv[:, j] * qd[j] for j in range(n)]
@@ -895,7 +896,8 @@ def test_chart_jets_without_the_positions_change_no_bits(expr, dof, states):
     res = sum(terms[:n]) + sum(terms[n:]) - dq
     assert np.isfinite(res).all()
     assert within_rounding(rep.residuals, res, np.stack(chain))
-    for b, s in enumerate(batch):
+    for b, row in enumerate(table):
+        s = chart_states(row)
         qb, qdb = s.coords(dof)
         H, Z = dynamics._hessian_and_force(F, qb, qdb, dof)
         Hb, hvb, dqb = hv[:, n:, b], hv[..., b], dq[:, b]
@@ -923,8 +925,9 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
     (slot 8) are exact floats of the DOF5 scalars (xx, w, u, z), and at K = 1,
     Kdot = 0 the DOF5 slots hold the values of the DOF5 jets."""
     rng = np.random.default_rng([7, len(dof)])
-    batch = [random_chart_state(rng) for _ in range(64)]
-    q, qd = stack_states(batch).coords(dof)
+    table = rng.random((64, 12))
+    batch = chart_states(table)
+    q, qd = batch.coords(dof)
     n = len(dof)
     vs = jets.variables(*q[3:], *qd)
     want = chart_scalars([*q[:3], *vs[:n - 3]], vs[n - 3:], dof)
@@ -936,7 +939,7 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
         assert np.all(np.abs(g - w.g) <= 8 * U * scale)
         assert np.all(np.abs(h - w.h) <= 8 * U * scale)
     for b in (0, 17, 63):
-        single = chart_scalar_jets(*batch[b].coords(dof), dof)
+        single = chart_scalar_jets(*chart_states(table[b]).coords(dof), dof)
         assert [v[b] for v in values] == list(single[0])
         assert same_bits(G[..., b], single[1]) and same_bits(H[..., b], single[2])
     if dof == DOF5:
@@ -946,10 +949,10 @@ def test_chart_scalar_jets_match_jet_arithmetic(dof):
     for entry, exact in ((G[1, 2], w), (G[2, 2], u), (G[2, 8], w),
                          (G[3, 2], 2.0 * K * z), (H[3, 2, 2], 2.0 * z)):
         assert np.array_equal(entry, exact)
-    unit = [replace(s, K=1.0, Kdot=0.0) for s in batch]
+    unit = replace(batch, K=np.ones(64), Kdot=np.zeros(64))
     slots = [0, 1, 3, 4, 5, 6, 7]  # the DOF5 variables among DOF6's nine
-    six = chart_scalar_jets(*stack_states(unit).coords(DOF6), DOF6)
-    five = chart_scalar_jets(*stack_states(unit).coords(DOF5), DOF5)
+    six = chart_scalar_jets(*unit.coords(DOF6), DOF6)
+    five = chart_scalar_jets(*unit.coords(DOF5), DOF5)
     assert np.array_equal(six[0], five[0]) and np.array_equal(six[1][:, slots], five[1])
     assert np.array_equal(six[2][:, slots][:, :, slots], five[2])
 
@@ -959,7 +962,7 @@ def test_chart_scalars_do_not_read_the_positions(dof):
     """L reads the worldline only through its velocity: chart_scalars is the
     same with x1..x3 NaN, on floats and on jets."""
     rng = np.random.default_rng(3)
-    q, qd = stack_states([random_chart_state(rng) for _ in range(3)]).coords(dof)
+    q, qd = chart_states(rng.random((3, 12))).coords(dof)
     blind = q.copy()
     blind[:3] = np.nan
     n = len(dof)
