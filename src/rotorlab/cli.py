@@ -131,36 +131,60 @@ def fundamental_forms(cfg: RunConfig):
     return forms
 
 
-def casimir_forms(cfg: RunConfig):
-    """The forms whose momenta the casimir suite takes: the fundamental ones,
-    the point particle, and the f(Q) member F = Q."""
-    return fundamental_forms(cfg) + [builtin("point_particle", M=cfg.M, ell=cfg.ell),
-                                     FForm(func=lambda P, Q: Q, name="fq", M=cfg.M, ell=cfg.ell)]
+def casimir_forms(cfg: RunConfig, fundamental):
+    """The forms whose momenta the casimir suite takes: the ``fundamental``
+    ones (``fundamental_forms``), the point particle, and the f(Q) member F = Q."""
+    return [*fundamental, builtin("point_particle", M=cfg.M, ell=cfg.ell),
+            FForm(func=lambda P, Q: Q, name="fq", M=cfg.M, ell=cfg.ell)]
 
 
-def fundamental_residual(F: FForm, n: int):
-    """Worst relative miss of the fixed PP and WW over the points of an n x n
-    (P, Q) grid inside the domain of F, and the number of those points; with
-    none, nothing was checked and the miss is inf."""
+FUNDAMENTAL_GRID = 12  # the casimir suite's fundamental-conditions grid is n x n
+
+
+def fundamental_grid(n: int):
+    """The (P, Q) points of an n x n grid over P in [-0.9, 0.9] and Q in
+    [0.05, 4], as two flat arrays."""
     P, Q = np.meshgrid(np.linspace(-0.9, 0.9, n), np.linspace(0.05, 4.0, n), indexing="ij")
-    inside, PP, WW, _ = casimirs_where_defined(F, P.ravel(), Q.ravel())
+    return P.ravel(), Q.ravel()
+
+
+def fundamental_miss(F: FForm, inside, PP, WW):
+    """Worst relative miss of the fixed PP and WW over the grid points inside
+    the domain of F, from the closed form there, and the number of those
+    points; with none, nothing was checked and the miss is inf."""
     pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
     miss = [np.abs(PP[inside] / pp_target - 1.0), np.abs(WW[inside] / ww_target - 1.0)]
     return _worst(miss), int(inside.sum())
 
 
-def noether_residuals(forms, samples):
+def fundamental_residual(F: FForm, n: int):
+    """``fundamental_miss`` of F on the n x n ``fundamental_grid``, from one
+    batched closed form over the grid."""
+    return fundamental_miss(F, *casimirs_where_defined(F, *fundamental_grid(n))[:3])
+
+
+def noether_residuals(forms, samples, grid=None, gridded=0):
     """Worst relative gap between Noether and closed-form Casimirs, and worst
-    relative W.P, over the (kinematic jet, form) pairs inside the form's domain.
+    relative W.P, over the (kinematic jet, form) pairs inside the form's
+    domain; given a ``grid``, a pair of (P, Q) arrays, also the (inside, PP,
+    WW) there of each of the first ``gridded`` forms.
 
     ``samples`` is a batch of kinematic jets, its scalar products seeded once
-    (``velocity_scalars``); per form one pass of F over it (``batch_casimirs``)
-    gives the domain, the closed form and the momenta there.  Per pair only the
-    momenta are asked for, one jet at a time, jet-major and form-minor, each
-    read from its form's pass.  Then one batched pass over the pairs' stacked
-    P, pi and k forms W, the Casimirs, W.P and both residuals, each entry the
-    pair's float result."""
-    closed = [batch_casimirs(F, samples) for F in forms]  # per form: inside, PP, WW
+    (``velocity_scalars``); per form one pass of F (``batch_casimirs``) over
+    the grid's points, for a gridded form, then over the batch gives the
+    closed form at both, and the domain and the momenta at the jets.  Per
+    pair only the momenta are asked for, one jet at a time, jet-major and
+    form-minor, each read from its form's pass.  Then one batched pass over
+    the pairs' stacked P, pi and k forms W, the Casimirs, W.P and both
+    residuals, each entry the pair's float result."""
+    closed, on_grid = [], []  # inside, PP, WW: per form at the jets, per gridded form at the grid
+    for i, F in enumerate(forms):
+        at = grid if i < gridded else None
+        n = 0 if at is None else len(at[0])
+        c = batch_casimirs(F, samples, at)
+        closed.append([a[n:] for a in c])
+        if at is not None:
+            on_grid.append([a[:n] for a in c])
     records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):
@@ -175,7 +199,8 @@ def noether_residuals(forms, samples):
     cross = [np.abs(got.PP - PP) / np.maximum(np.abs(PP), 1.0),
              np.abs(got.WW - WW) / np.maximum(np.abs(WW), 1.0)]
     wp = np.abs(dot(ms.W, ms.P)) / np.maximum(np.abs(got.PP), 1.0)
-    return _worst(cross), _worst(wp)
+    worst = _worst(cross), _worst(wp)
+    return worst if grid is None else (*worst, on_grid)
 
 
 def hessian_margins(batch):
@@ -212,33 +237,40 @@ DIVERGENCE_TARGET = 0.05
 
 
 def free_motion_residuals(F: FForm, phases, times):
-    """Rest-frame free motions of F, one ``trajectory_samples`` record per
-    phase at ``times``: worst EL residual, worst P and W drift, divergence
-    from the first phase's positions (a distance, 0 for one phase), and the
-    records.  The phases' records must share the initial chart state."""
-    params = [rest_frame_params(phase, M=F.M, ell=F.ell) for phase in phases]
-    samples = [trajectory_samples(F, free_motion(p), times) for p in params]
+    """Rest-frame free motions of F, one per phase, as one free motion that
+    carries every phase: one ``trajectory_samples`` pass per CHUNK times over
+    the phases' joined batch, one record per phase at ``times``.  Returns the
+    worst EL residual, worst P and W drift, divergence from the first phase's
+    positions (a distance, 0 for one phase), and the records.  The phases'
+    records must share the initial chart state."""
+    p = rest_frame_params(M=F.M, ell=F.ell)
+    samples = trajectory_samples(F, free_motion(p, phases), times)
     s0 = samples[0]
     for s in samples[1:]:
         state_gap = max(np.max(np.abs(s.q[:, 0] - s0.q[:, 0])),
                         np.max(np.abs(s.qd[:, 0] - s0.qd[:, 0])))
         if state_gap > 1e-10:
             raise DomainError(f"initial chart states differ by {state_gap}")
-    drifts = [charge_drift(p, s.momenta) for p, s in zip(params, samples)]
+    drifts = [charge_drift(p, s.momenta) for s in samples]
     divergence = np.max([np.max(np.abs(s.x - s0.x)) for s in samples[1:]], initial=0.0)
     return (_worst([np.max(s.el.max_relative) for s in samples]),
             _worst([d[k] for d in drifts for k in ("P_drift", "W_drift")]),
             float(divergence), samples)
 
 
-def angular_speed_residual(w: float, ell: float) -> float:
-    """Gap of the identity that the null direction turns at speed w at Q,
-    with Q read from the rest-frame free motion of phase w t: the speed gap
-    in units of 1/ell, as w and ``angular_speed`` scale, and the gap in Q."""
-    x, k = free_motion(rest_frame_params(lambda t: w * t, ell=ell)).jets(0.4 * ell)
+def angular_speed_residual(speeds, ell: float) -> float:
+    """Worst gap of the identity that the null direction turns at speed w at
+    Q, over the speeds w, with Q read from the rest-frame free motion of phase
+    w t at t = 0.4 ell, one query over all the phases: the speed gap in units
+    of 1/ell, as w and ``angular_speed`` scale, and the gap in Q."""
+    phases = [lambda t, w=w: w * t for w in speeds]
+    x, k = free_motion(rest_frame_params(ell=ell), phases).jets(0.4 * ell)
     (_, xd), (kv, kd) = jets.split(x), jets.split(k)
-    Q = pq_from_vectors(xd, kv, kd, ell).Q
-    return _worst([abs(angular_speed(Q, ell) - w) * ell, abs(speed_to_Q(w, ell) - Q)])
+    gaps = []
+    for i, w in enumerate(speeds):
+        Q = pq_from_vectors(xd[:, i], kv[:, i], kd[:, i], ell).Q
+        gaps += [abs(angular_speed(Q, ell) - w) * ell, abs(speed_to_Q(w, ell) - Q)]
+    return _worst(gaps)
 
 
 COUNT_EXPECTED = {"rank": 5, "nullity": 10, "zero_combos": 2, "functional_rank": 3,
@@ -292,9 +324,13 @@ def suite_invariants(cfg: RunConfig, table):
 
 
 def suite_casimir(cfg: RunConfig, table):
+    """Each fundamental form's closed form on the fundamental grid rides in its
+    pass of F over the jets (``noether_residuals``)."""
     fundamental = fundamental_forms(cfg)
-    worst_fund = _worst([fundamental_residual(F, 12)[0] for F in fundamental])
-    worst_cross, worst_wp = noether_residuals(casimir_forms(cfg), kinematic_jets(table))
+    worst_cross, worst_wp, on_grid = noether_residuals(
+        casimir_forms(cfg, fundamental), kinematic_jets(table),
+        fundamental_grid(FUNDAMENTAL_GRID), len(fundamental))
+    worst_fund = _worst([fundamental_miss(F, *c)[0] for F, c in zip(fundamental, on_grid)])
     inputs = {"jets": len(table)}
     return {"fundamental-conditions": (worst_fund, {"forms": len(fundamental)}),
             "noether-crosscheck": (worst_cross, inputs),
@@ -323,7 +359,7 @@ def suite_dynamics(cfg: RunConfig, table):
     el, drift, divergence, _ = free_motion_residuals(rot, phases, times)
     target = DIVERGENCE_TARGET * ell
     speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
-    worst_speed = _worst([angular_speed_residual(w, ell) for w in speeds])
+    worst_speed = angular_speed_residual(speeds, ell)
     inputs = {"phases": len(FREE_MOTION_PHASES)}
     return {"free-motion-el-residuals": (el, inputs),
             "free-motion-conservation": (drift, inputs),
@@ -443,7 +479,8 @@ def cmd_simulate(args, cfg: RunConfig):
     times = np.linspace(0.0, t_end, 50)
     d = casimir_drift(traj, times)
     if args.out:
-        export_trajectory(args.out, trajectory_samples(F, traj, times))
+        (samples,) = trajectory_samples(F, traj, times)
+        export_trajectory(args.out, samples)
     worst = _worst([d["PP_drift"], d["WW_drift"]])
     inputs = {"form": F.name, "periods": args.periods,
               "PP0": float(d["PP"][0]), "WW0": float(d["WW"][0]),

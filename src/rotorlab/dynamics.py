@@ -30,7 +30,12 @@ Trajectory queries accept a time or an array of times.  An array is one pass
 of batched jets (see ``jets``), and the passes along a trajectory take CHUNK
 times each, so their memory does not grow with the number of samples.  The
 samples of such a pass stay one batched record, reduced as columns, and
-the CSV is formatted once from the columns.  Both trajectory kinds answer
+the CSV is formatted once from the columns.  A free motion carries every
+phase that shares its constants: a query takes each phase's jet on its
+times, speed-checked as alone, and joins them phase-major (``jets.join``),
+so the rest of the pass runs once over all the phases, each entry bit for
+bit its own phase's, and ``trajectory_samples`` reads each phase's record
+from its block.  Both trajectory kinds answer
 ``lab_state``: x and k as jets, and the lab-chart state (q, qd, qdd).  A free
 motion reads that state off second-order four-vector jets; an integrated
 trajectory returns its own chart state, with no round trip through k's angles.
@@ -99,15 +104,12 @@ class SingularHessianError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionParams:
-    """Constant vectors and phase function of the exact free-motion solution.
-
-    ``phase`` must be a twice-differentiable scalar callable accepting jets.
-    """
+    """Constant vectors of the exact free-motion solution; its phase is not
+    fixed by them (``free_motion``)."""
 
     P: np.ndarray
     W: np.ndarray
     N: np.ndarray
-    phase: object
     x0: np.ndarray = field(default_factory=lambda: np.zeros(4))
     M: float = 1.0
     ell: float = 1.0
@@ -141,36 +143,45 @@ class SolutionParams:
         """Second rotation axis E, orthonormal mate of N in the spin plane."""
         return epsilon_contract(self.N, self.W, self.P) / (0.5 * self.M**3 * self.ell)
 
-    def phase_jet(self, t) -> jets.Jet:
-        """The phase at t as a jet in t, its speed |phidot| checked against the
-        admissibility band (0, 2/ell), floored at SPEED_FLOOR 2/ell; batched,
-        and checked at every time, for an array of times."""
-        t = _times(t)
-        (tj,) = jets.variables(t)
-        ph = self.phase(tj)
-        if not isinstance(ph, jets.Jet):
-            ph = jets.constant(float(ph) + 0.0 * t, 1)
-        pd = ph.g[0]
-        hi = 2.0 / self.ell
-        lo = SPEED_FLOOR * hi
-        jets.raise_where(np.logical_not((lo < abs(pd)) & (abs(pd) < hi)),
-                         DomainError, f"phase speed {{}} at t = {{}} outside ({lo}, {hi})",
-                         pd, t)
-        return ph
+
+def phase_jet(phase, t, ell) -> jets.Jet:
+    """The phase at t as a jet in t, ``phase`` a twice-differentiable scalar
+    callable accepting jets, its speed |phidot| checked against the
+    admissibility band (0, 2/ell), floored at SPEED_FLOOR 2/ell; batched,
+    and checked at every time, for an array of times."""
+    t = _times(t)
+    (tj,) = jets.variables(t)
+    ph = phase(tj)
+    if not isinstance(ph, jets.Jet):
+        ph = jets.constant(float(ph) + 0.0 * t, 1)
+    pd = ph.g[0]
+    hi = 2.0 / ell
+    lo = SPEED_FLOOR * hi
+    jets.raise_where(np.logical_not((lo < abs(pd)) & (abs(pd) < hi)),
+                     DomainError, f"phase speed {{}} at t = {{}} outside ({lo}, {hi})",
+                     pd, t)
+    return ph
 
 
 @dataclass(frozen=True)
 class FreeMotionTrajectory:
-    """The exact free motion of ``params``, in the DOF5 chart: ``jets`` returns
-    x(t) and k(t) as four-vectors of jets in t, batched over an array of t."""
+    """The exact free motions of the constants ``params``, one per phase of
+    ``phases``, in the DOF5 chart: ``jets`` returns x(t) and k(t) as
+    four-vectors of jets in t, batched over an array of t.  With m phases, a
+    query of B times answers m B entries, phase-major: each phase's jet is
+    taken on the times, and the m jets joined into one batch."""
 
     params: SolutionParams
+    phases: tuple
     dof = DOF5
 
     def jets(self, t):
         p = self.params
         t = _times(t)
-        ph = p.phase_jet(t)
+        phs = [phase_jet(phase, t, p.ell) for phase in self.phases]
+        ph = phs[0]
+        if len(phs) > 1:  # one batch, each phase's entries a block
+            ph, t = jets.join(phs), np.tile(t, len(phs))
         sgn = np.sign(ph.g[0])
         s, c = jets.sin(ph), jets.cos(ph)
         (tj,) = jets.variables(t)
@@ -185,19 +196,19 @@ class FreeMotionTrajectory:
         return (x, k, *_lab_chart_jets(x, k))
 
 
-def free_motion(params: SolutionParams) -> FreeMotionTrajectory:
-    """Exact solution of the fundamental system for the given constants."""
-    return FreeMotionTrajectory(params.validate())
+def free_motion(params: SolutionParams, phases) -> FreeMotionTrajectory:
+    """Exact solutions of the fundamental system for the given constants, one
+    per phase of ``phases``, as one trajectory."""
+    return FreeMotionTrajectory(params.validate(), tuple(phases))
 
 
-def rest_frame_params(phase, M: float = 1.0, ell: float = 1.0) -> SolutionParams:
+def rest_frame_params(M: float = 1.0, ell: float = 1.0) -> SolutionParams:
     """Canonical center-of-momentum parameters: spin along z, N along x, the
     worldline through the origin at t = 0."""
     return SolutionParams(
         P=four(M, 0.0, 0.0, 0.0),
         W=four(0.0, 0.0, 0.0, 0.5 * M**2 * ell),
         N=four(0.0, 1.0, 0.0, 0.0),
-        phase=phase,
         M=M,
         ell=ell,
     )
@@ -459,30 +470,45 @@ class TrajectorySamples:
     momenta: MomentumSet
 
 
+def _mapped(fn, values):
+    """``fn`` of the arrays ``values``; for records of one kind, the record
+    whose array fields are ``fn`` of that field's arrays, nested records
+    likewise, and other fields the first record's."""
+    v = values[0]
+    if isinstance(v, np.ndarray):
+        return fn(values)
+    if not is_dataclass(v):
+        return v
+    return replace(v, **{f.name: _mapped(fn, [getattr(p, f.name) for p in values])
+                         for f in fields(v)})
+
+
 def _joined(parts):
     """One record from the records of consecutive batches: each array field
-    concatenated along its trailing batch axis, other fields from the first."""
-    def join(values):
-        v = values[0]
-        if isinstance(v, np.ndarray):
-            return np.concatenate(values, axis=-1)
-        return _joined(values) if is_dataclass(v) else v
-    return replace(parts[0], **{f.name: join([getattr(p, f.name) for p in parts])
-                                for f in fields(parts[0])})
+    concatenated along its trailing batch axis."""
+    return _mapped(lambda values: np.concatenate(values, axis=-1), parts)
 
 
-def trajectory_samples(F: FForm, traj, times) -> TrajectorySamples:
+def trajectory_samples(F: FForm, traj, times) -> list:
     """The samples at ``times`` of a free or an integrated trajectory, in its
-    chart ``traj.dof``, from one batched ``traj.lab_state`` query per CHUNK
-    times."""
+    chart ``traj.dof``, one record per phase of a free motion (one for an
+    integrated trajectory), from one batched ``traj.lab_state`` query per
+    CHUNK times.  A free motion of m phases answers a query of B times with
+    m B entries, phase-major: the chart state, the EL report and the momenta
+    of all m take one pass each, and each phase's record is read from its
+    block."""
     dof = traj.dof
-    parts = []
+    parts = []  # per chunk, one record per phase
     for ts in _chunks(times):
         x, k, q, qd, qdd = traj.lab_state(ts)
         (xv, xd), (kv, kd) = map(jets.split, (x, k))
-        parts.append(TrajectorySamples(ts, xv, kv, q, qd, _el_report(F, q, qd, qdd, dof),
-                                       momenta_from_vectors(F, xd, kv, kd, x=xv)))
-    return _joined(parts)
+        B = len(ts)
+        values = (xv, kv, q, qd, _el_report(F, q, qd, qdd, dof),
+                  momenta_from_vectors(F, xd, kv, kd, x=xv))
+        blocks = [slice(i * B, (i + 1) * B) for i in range(q.shape[-1] // B)]
+        parts.append([TrajectorySamples(ts, *(_mapped(lambda a, b=b: a[0][..., b], [v])
+                                              for v in values)) for b in blocks])
+    return [_joined(chunks) for chunks in zip(*parts)]
 
 
 def charge_drift(p: SolutionParams, momenta: MomentumSet) -> dict:
@@ -542,7 +568,7 @@ def speed_to_Q(phidot: float, ell: float = 1.0) -> float:
 
 
 def export_trajectory(path, samples: TrajectorySamples) -> None:
-    """Delimited text from ``trajectory_samples``: t, x0..x3, k0..k3, EL
+    """Delimited text from a ``trajectory_samples`` record: t, x0..x3, k0..k3, EL
     residual norm, PP, WW per row."""
     cols = ["t", "x0", "x1", "x2", "x3", "k0", "k1", "k2", "k3",
             "el_residual_norm", "PP", "WW"]

@@ -194,6 +194,8 @@ class Jet:
 
     def __pow__(self, p):
         p = float(p)
+        if not math.isfinite(p):  # int(p) would raise Python's own OverflowError
+            raise ValueError(f"exponent {p} is not finite")
         if p == int(p) and abs(p) <= 64:
             k = int(p)
             if k == 0:
@@ -295,6 +297,18 @@ def stack(items):
         return f, None, None
     H = None if any(u.h is None for u in items) else np.array([u.h for u in items])
     return f, np.array([u.g for u in items]), H
+
+
+def join(items):
+    """Jets of one order in the same variables as one batch: their entries in
+    order along the batch axis, an unbatched jet one entry.  It moves values
+    and derivatives and computes nothing, so each entry keeps its bits."""
+    def batched(a, lead):
+        return np.reshape(a, np.shape(a)[:lead] + (-1,))
+    h = None if any(u.h is None for u in items) else \
+        np.concatenate([batched(u.h, 2) for u in items], axis=-1)
+    return Jet(np.concatenate([batched(u.f, 0) for u in items]),
+               np.concatenate([batched(u.g, 1) for u in items], axis=-1), h)
 
 
 def compose(inner, f, d, D):

@@ -12,7 +12,8 @@ a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  Every step runs on a batch as on one jet, so
 ``momenta`` answers a batch's entries from one pass per form (``batch_casimirs``),
-each column bit for bit the entry's own pass.  The Pauli-Lubanski vector
+each column bit for bit the entry's own pass; (P, Q) points asked for besides
+the batch's ride ahead of it in that pass.  The Pauli-Lubanski vector
 W = -eps(k, pi, P) needs no angular momentum M; a record forms each of them
 when it is read, W at most once, so a caller that stacks many records' P,
 pi and k contracts epsilon once for all of them.  The closed-form expressions
@@ -34,7 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .fform import FForm, PQPoint, lagrangian_from_scalars, pq_from_scalars, velocity_scalars
+from .fform import (FForm, FFormValue, PQPoint, lagrangian_from_scalars, pq_from_scalars,
+                    velocity_scalars)
 from .invariants import KinematicJet
 from .minkowski import SIGNATURE, bivector, dot, epsilon_contract
 
@@ -151,20 +153,29 @@ def casimirs_where_defined(F: FForm, P, Q):
     return inside, PP, WW, v
 
 
-def batch_casimirs(F: FForm, S: KinematicJet):
-    """(inside, PP, WW) of ``casimirs_where_defined`` at the (P, Q) of the
-    batch of jets S, whose partials give the momenta of the entries inside,
-    kept on S (``KinematicJet.momenta_by_form``) for ``momenta``; none if a
-    float exception meets them, so each entry's own pass warns as alone."""
+def batch_casimirs(F: FForm, S: KinematicJet, at=None):
+    """(inside, PP, WW) of ``casimirs_where_defined`` at the points ``at``, a
+    pair of (P, Q) arrays if given, then at the (P, Q) of the batch of jets S,
+    from one pass of F over both.  The partials at S's entries inside give
+    their momenta, kept on S (``KinematicJet.momenta_by_form``) for
+    ``momenta``; none if a float exception meets them, so each entry's own
+    pass warns as alone."""
     f, G, _ = S.velocity_scalars
-    inside, PP, WW, v = casimirs_where_defined(F, *pq_from_scalars(*f, F.ell)[1:])
-    if v is not None:
-        at = np.flatnonzero(inside)
+    P, Q = pq_from_scalars(*f, F.ell)[1:]
+    if at is not None:
+        P, Q = np.concatenate([at[0], P]), np.concatenate([at[1], Q])
+    inside, PP, WW, v = casimirs_where_defined(F, P, Q)
+    n = 0 if at is None else len(at[0])  # the points of ``at``, ahead of S's entries
+    mine = np.flatnonzero(inside[n:])
+    if len(mine):
+        skip = len(v.F) - len(mine)  # the partials at the points of ``at`` inside
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                ms = momenta_from_vectors(F, S.xdot[:, at], S.k[:, at], S.kdot[:, at],
-                                          scalars=(f[:, at], G[..., at], None), partials=v)
-            S.momenta_by_form[F] = {j: c for c, j in enumerate(at.tolist())}, ms
+                ms = momenta_from_vectors(
+                    F, S.xdot[:, mine], S.k[:, mine], S.kdot[:, mine],
+                    scalars=(f[:, mine], G[..., mine], None),
+                    partials=FFormValue(*(a if a is None else a[skip:] for a in v)))
+            S.momenta_by_form[F] = {j: c for c, j in enumerate(mine.tolist())}, ms
         except ArithmeticError:
             pass  # nothing kept: each entry takes its own pass
     return inside, PP, WW

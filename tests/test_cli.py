@@ -231,6 +231,22 @@ def test_a_parsed_domain_error_says_why(capsys, f, P, reason):
                             f"parsed:{f}: {reason}\n")
 
 
+@pytest.mark.parametrize("argv, why", [
+    (["freemotion", "--phase", "t^1e400"], "error: exponent inf is not finite"),
+    (["casimir", "--f", "Q^1e400"], "outside domain of parsed:Q^1e400: exponent inf is not finite"),
+    (["hessian", "--f", "Q^-1e400"],
+     "outside domain of parsed:Q^-1e400: exponent -inf is not finite"),
+], ids=["freemotion", "casimir", "hessian"])
+def test_a_non_finite_exponent_is_refused_in_words(capsys, argv, why):
+    # 1e400 reads as inf, which a power refuses in the language's words, not
+    # with Python's error at converting it to an integer
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.endswith(why + "\n")
+    assert "OverflowError" not in captured.err
+
+
 def test_a_builtin_domain_error_keeps_its_text(capsys):
     # a builtin's domain is its expression's, and its error names the
     # failing step as a parsed form's does
@@ -354,7 +370,8 @@ CASIMIR_MOMENTA_CALLS = {0: 299, 1: 297, 2: 299, 3: 300}
 def _casimir_samples(seed, extra_forms=()):
     """The forms and the batch of kinematic jets of the casimir suite at seed."""
     rng = np.random.default_rng(seed)
-    forms = cli.casimir_forms(RunConfig()) + list(extra_forms)
+    cfg = RunConfig()
+    forms = cli.casimir_forms(cfg, cli.fundamental_forms(cfg)) + list(extra_forms)
     return forms, kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
 
 
@@ -496,6 +513,52 @@ def test_noether_residuals_take_one_pass_of_f_per_form(monkeypatch, seed):
     assert passes.count(True) == NOETHER_F_PASSES[seed]
 
 
+# and with the fundamental grid in each fundamental form's pass
+NOETHER_GRID_F_PASSES = {0: 16, 1: 16}
+
+
+@pytest.mark.parametrize("seed", sorted(NOETHER_GRID_F_PASSES))
+def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
+    """With the fundamental grid given to the fundamental forms, the passes of
+    F are those without it, the closed form on the grid misses as
+    ``fundamental_residual``'s, and the residuals at the jets are the same."""
+    forms, samples = _casimir_samples(seed)
+    plain = cli.noether_residuals(forms, samples)
+    forms, samples = _casimir_samples(seed)
+    fundamental = cli.fundamental_forms(RunConfig())
+    passes = _src_calls(monkeypatch, jets, "variables",
+                        lambda *args: isinstance(args[0], np.ndarray))
+    cross, wp, on_grid = cli.noether_residuals(
+        forms, samples, cli.fundamental_grid(cli.FUNDAMENTAL_GRID), len(fundamental))
+    joined = passes.count(True)
+    for F in fundamental:
+        cli.fundamental_residual(F, cli.FUNDAMENTAL_GRID)
+    apart = NOETHER_F_PASSES[seed] + passes.count(True) - joined
+    # one pass less per fundamental form than apart, and no more refusing steps
+    assert joined == NOETHER_GRID_F_PASSES[seed] <= apart - len(fundamental)
+    assert (cross, wp) == plain and len(on_grid) == len(fundamental)
+    for F, at in zip(fundamental, on_grid):
+        assert (cli.fundamental_miss(F, *at)
+                == cli.fundamental_residual(F, cli.FUNDAMENTAL_GRID)), F.name
+
+
+# passes of ``verify --suite all``: of F over a batch or at a point
+# (``FForm._try``), of free-motion queries and of chart-jet stacks.  Each form
+# takes one pass per suite, plus one per refusing step of its domain, and the
+# dynamics suite one free-motion query for its phases and one for its speeds
+VERIFY_PASSES = {0: (30, 4), 1: (30, 4)}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_PASSES))
+def test_verify_takes_one_pass_per_form_and_free_motion(capsys, monkeypatch, seed):
+    tries = _src_calls(monkeypatch, fform.FForm, "_try")
+    queries = _src_calls(monkeypatch, dynamics.FreeMotionTrajectory, "jets")
+    stacks = _src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
+    code, _ = run(capsys, "verify", "--suite", "all", "--seed", str(seed))
+    assert code == 0
+    assert (len(tries), len(stacks)) == VERIFY_PASSES[seed] and len(queries) <= 2
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     """The suite reads W only on its batch of all pairs.  Each pair's own
@@ -572,15 +635,21 @@ def _nan_rank(reps):
     return [reps[0], dataclasses.replace(reps[1], rank=_with_nan(reps[1].rank)), *reps[2:]]
 
 
+def _in_second_phase(poison):
+    """A plant that poisons the second phase's record of a list of records,
+    one per phase, so that one phase's NaN sits among finite ones."""
+    return lambda records: [records[0], poison(records[1]), *records[2:]]
+
+
 # check: (owner, function, poison), in table order: the second call of the
 # function (or the call POISONED_CALL names) in the check's suite returns
 # poison(its result), a NaN in one sample of the check; the tetrad suite
 # calls its two functions once, on the whole batch, and so does the
 # invariants suite with identity_checks; the casimir suite takes the closed
-# form once per form through noether.casimirs_where_defined, first on the
-# domain grid of each of the ten fundamental forms, then on each form's
-# in-domain jets; the dynamics suite takes one trajectory_samples record per
-# phase, and the NaN lands in the second phase's
+# form once per form through noether.casimirs_where_defined, in one pass over
+# a fundamental form's domain grid and then its jets, and over the jets alone
+# for the other two forms; the dynamics suite takes its phases' records from
+# one trajectory_samples call, and the NaN lands in the second phase's record
 NAN_PLANTS = {
     "tetrad-relations": (cli, "tetrad_relations",
                          lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -598,11 +667,12 @@ NAN_PLANTS = {
     "nu-family-rank-4": (cli, "hessians", _nan_rank),
     "nondegenerate-dets": (cli, "hessians", _nan_report(2)),
     "relation-consistency": (cli, "relation_check", lambda r: (r[0], _with_nan(r[1]))),
-    "free-motion-el-residuals": (cli, "trajectory_samples", lambda s: dataclasses.replace(
-        s, el=dataclasses.replace(s.el, residuals=_with_nan(s.el.residuals)))),
+    "free-motion-el-residuals": (cli, "trajectory_samples", _in_second_phase(
+        lambda s: dataclasses.replace(
+            s, el=dataclasses.replace(s.el, residuals=_with_nan(s.el.residuals))))),
     "free-motion-conservation": (cli, "charge_drift", lambda d: {**d, "W_drift": np.nan}),
-    "indeterminism-divergence": (cli, "trajectory_samples",
-                                 lambda s: dataclasses.replace(s, x=_with_nan(s.x))),
+    "indeterminism-divergence": (cli, "trajectory_samples", _in_second_phase(
+        lambda s: dataclasses.replace(s, x=_with_nan(s.x)))),
     "angular-speed-identity": (cli, "angular_speed", _with_nan),
 }
 # the degeneracy suite takes the Hessians of its six DOF5 forms over its batch
@@ -613,13 +683,14 @@ NAN_PLANTS = {
 # values, so a NaN Hessian has rank 0 and fails with a gap of 4, and the
 # NaN planted in the count checks that the gap's maximum keeps it; it calls
 # relation_check once, and the NaN lands in the first form's K at the first
-# state; the fundamental-conditions NaN lands in the second form's grid, and
-# the noether-crosscheck NaN, twelfth call, in the second form's closed form
-# on the jets; the wp-orthogonality NaN lands in pi of the second pair's
-# momenta, and so in its W and W.P
+# state; the fundamental-conditions NaN lands in the second form's grid, the
+# first points of its pass, and the noether-crosscheck NaN, twelfth call, in
+# the closed form on the jets of F = Q, which has no grid; the wp-orthogonality
+# NaN lands in pi of the second pair's momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
                  "noether-crosscheck": 12, "nu-family-rank-4": 1, "nondegenerate-dets": 1,
-                 "relation-consistency": 1}
+                 "relation-consistency": 1, "free-motion-el-residuals": 1,
+                 "indeterminism-divergence": 1}
 # the checks no NaN can reach, and why
 NO_NAN_PLANT = {
     "count-invariants": "its residual is a sum of integer gaps of matrix ranks from the "

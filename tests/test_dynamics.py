@@ -31,7 +31,7 @@ from rotorlab.dynamics import (
     trajectory_samples,
 )
 from rotorlab.cli import FREE_MOTION_PHASES
-from rotorlab.fform import builtin, parse_f, parse_phase
+from rotorlab.fform import builtin, parse_f, parse_phase, pq_from_vectors
 from rotorlab.minkowski import DomainError, dot, lorentz_matrix
 from rotorlab.noether import momenta_from_vectors
 from rotorlab.reports import Report, render_reports
@@ -50,7 +50,7 @@ def xk(traj, t):
 
 
 def test_circular_solution_worked_values():
-    traj = free_motion(rest_frame_params(lambda t: t))
+    traj = free_motion(rest_frame_params(), [lambda t: t])
     (x, xd), (k, _) = xk(traj, 0.0)
     assert np.allclose(x, [0.0, 0.0, 0.5, 0.0])
     assert np.allclose(k, [1.0, 1.0, 0.0, 0.0])
@@ -63,7 +63,7 @@ def test_circular_solution_worked_values():
 
 def test_k_stays_null():
     for phase in (lambda t: t, bent_phase):
-        traj = free_motion(rest_frame_params(phase))
+        traj = free_motion(rest_frame_params(), [phase])
         for t in np.linspace(0.0, 15.0, 7):
             _, (k, _) = xk(traj, t)
             assert abs(dot(k, k)) < 1e-10
@@ -71,25 +71,27 @@ def test_k_stays_null():
 
 def el_at(F, traj, t):
     """The EL residuals of F along traj at one time t."""
-    return trajectory_samples(F, traj, [t]).el
+    (s,) = trajectory_samples(F, traj, [t])
+    return s.el
 
 
 def test_sampled_el_vanishes_on_free_motion():
     for phase in (lambda t: t, bent_phase):
-        traj = free_motion(rest_frame_params(phase))
-        el = trajectory_samples(ROT, traj, np.linspace(0.0, 20.0, 11)).el
-        assert np.all(el.max_relative < 1e-8)
+        traj = free_motion(rest_frame_params(), [phase])
+        (s,) = trajectory_samples(ROT, traj, np.linspace(0.0, 20.0, 11))
+        assert np.all(s.el.max_relative < 1e-8)
 
 
 def test_sampled_el_nonzero_for_other_system():
-    traj = free_motion(rest_frame_params(lambda t: t))
+    traj = free_motion(rest_frame_params(), [lambda t: t])
     fq = parse_f("Q")
     assert el_at(fq, traj, 0.3).max_abs[0] > 0.1
 
 
 def test_noether_charges_conserved_along_free_motion():
-    p = rest_frame_params(bent_phase)
-    samples = trajectory_samples(ROT, free_motion(p), np.linspace(0.0, 20.0, 21))
+    p = rest_frame_params()
+    (samples,) = trajectory_samples(ROT, free_motion(p, [bent_phase]),
+                                    np.linspace(0.0, 20.0, 21))
     d = charge_drift(p, samples.momenta)
     assert d["points"] == 21
     assert d["P_drift"] < 1e-9
@@ -98,10 +100,9 @@ def test_noether_charges_conserved_along_free_motion():
 
 def test_boosted_params_give_transformed_trajectory():
     L = lorentz_matrix(boost=(0.3, -0.1, 0.2), rotation=(0.0, 0.0, 0.7))
-    p0 = rest_frame_params(lambda t: t)
-    pb = SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N, phase=p0.phase,
-                        x0=L @ p0.x0)
-    t0, tb = free_motion(p0), free_motion(pb)
+    p0 = rest_frame_params()
+    pb = SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N, x0=L @ p0.x0)
+    t0, tb = free_motion(p0, [lambda t: t]), free_motion(pb, [lambda t: t])
     for t in (0.5, 3.0, 11.0):
         (xb, _), (kb, _) = xk(tb, t)
         (x0, _), (k0, _) = xk(t0, t)
@@ -113,19 +114,17 @@ def test_boosted_params_give_transformed_trajectory():
 
 def test_invalid_solution_params_rejected():
     with pytest.raises(DomainError):
-        SolutionParams(P=(1, 0, 0, 0), W=(0, 0, 0, 0.7), N=(0, 1, 0, 0),
-                       phase=lambda t: t).validate()
+        SolutionParams(P=(1, 0, 0, 0), W=(0, 0, 0, 0.7), N=(0, 1, 0, 0)).validate()
     with pytest.raises(DomainError):
-        SolutionParams(P=(1.1, 0, 0, 0), W=(0, 0, 0, 0.5), N=(0, 1, 0, 0),
-                       phase=lambda t: t).validate()
+        SolutionParams(P=(1.1, 0, 0, 0), W=(0, 0, 0, 0.5), N=(0, 1, 0, 0)).validate()
 
 
 def test_phase_speed_bound_enforced():
-    traj = free_motion(rest_frame_params(lambda t: 3.0 * t))
+    traj = free_motion(rest_frame_params(), [lambda t: 3.0 * t])
     with pytest.raises(DomainError):
         traj.jets(1.0)
     # phase speed crossing zero is rejected too
-    traj = free_motion(rest_frame_params(lambda t: jets.sin(t)))
+    traj = free_motion(rest_frame_params(), [lambda t: jets.sin(t)])
     with pytest.raises(DomainError):
         traj.jets(np.pi / 2)
 
@@ -214,7 +213,8 @@ def test_integrated_momenta_need_no_acceleration(monkeypatch, dof):
     for t in (*times[[0, 14, -1]], times):
         got = traj.momenta(t)
         assert orders == [{1}] and accels == [0]
-        want = trajectory_samples(fq, traj, np.atleast_1d(t)).momenta
+        (want,) = trajectory_samples(fq, traj, np.atleast_1d(t))
+        want = want.momenta
         assert orders == [{1}, {1}] and accels == [np.size(t)]
         orders.clear()
         accels[0] = 0
@@ -427,7 +427,8 @@ def test_samples_take_the_chart_of_the_integration():
     st = ChartState(theta=1.1, phi=0.3, v=(0.05, -0.02, 0.03),
                     thetadot=0.4, phidot=0.7, K=1.3, Kdot=0.2)
     traj = integrate(parse_f("Q+P*Q"), st, (0.0, 2.0), dof=DOF6)
-    el = trajectory_samples(traj.F, traj, np.linspace(0.0, 2.0, 9)).el
+    (s,) = trajectory_samples(traj.F, traj, np.linspace(0.0, 2.0, 9))
+    el = s.el
     assert el.dof == DOF6
     assert np.max(el.max_relative) <= 64 * U
 
@@ -597,23 +598,28 @@ def test_indeterminacy_demo(monkeypatch):
     real = dynamics.FreeMotionTrajectory.jets
     monkeypatch.setattr(dynamics.FreeMotionTrajectory, "jets",
                         lambda self, t: queries.append(t) or real(self, t))
-    real_phase = SolutionParams.phase_jet
-    monkeypatch.setattr(SolutionParams, "phase_jet",
-                        lambda self, t: phase_jets.append(t) or real_phase(self, t))
+    real_phase = dynamics.phase_jet
+    monkeypatch.setattr(dynamics, "phase_jet",
+                        lambda phase, t, ell: phase_jets.append(t) or real_phase(phase, t, ell))
     times = np.linspace(0.0, 5.0, 40)
     el, _, divergence, samples = cli.free_motion_residuals(ROT, phases, times)
     assert el < 1e-8
     assert divergence > 0.05
-    # one batched query per phase: the 40 times fit in one chunk
-    assert len(queries) == len(samples) == len(phases)
-    assert all(np.array_equal(q, times) for q in queries)
-    # one phase: the trajectory's own phase jet per chunk, and no other
-    queries.clear()
-    phase_jets.clear()
-    times = np.linspace(0.0, 5.0, dynamics.CHUNK + 1)
-    _, _, divergence, (s,) = cli.free_motion_residuals(ROT, phases[:1], times)
-    assert divergence == 0.0 and np.array_equal(s.t, times)
-    assert [len(t) for t in phase_jets] == [len(t) for t in queries] == [dynamics.CHUNK, 1]
+    # one batched query for all the phases, the 40 times in one chunk, and
+    # each phase's jet taken on those times
+    assert len(queries) == 1 and np.array_equal(queries[0], times)
+    assert len(samples) == len(phase_jets) == len(phases)
+    assert all(np.array_equal(t, times) for t in phase_jets)
+    # past a chunk: one query per chunk, and per chunk each phase's jet
+    for n in (1, 2):
+        queries.clear()
+        phase_jets.clear()
+        times = np.linspace(0.0, 5.0, dynamics.CHUNK + 1)
+        _, _, divergence, records = cli.free_motion_residuals(ROT, phases[:n], times)
+        assert (divergence == 0.0) == (n == 1)
+        assert all(np.array_equal(s.t, times) for s in records) and len(records) == n
+        assert [len(t) for t in queries] == [dynamics.CHUNK, 1]
+        assert [len(t) for t in phase_jets] == [dynamics.CHUNK] * n + [1] * n
 
 
 def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
@@ -626,6 +632,46 @@ def test_indeterminacy_demo_rejects_mismatched_or_fast_phases():
     phases = [parse_phase("t"), parse_phase("t + 6.283185307179586")]
     _, _, divergence, _ = cli.free_motion_residuals(ROT, phases, times)
     assert divergence < 1e-15
+
+
+def _record_fields(s):
+    """The arrays of a ``trajectory_samples`` record, by name."""
+    return {"t": s.t, "x": s.x, "k": s.k, "q": s.q, "qd": s.qd,
+            "el": s.el.residuals, "scale": s.el.scale, "P": s.momenta.P,
+            "pi": s.momenta.pi, "W": s.momenta.W}
+
+
+@pytest.mark.parametrize("M, ell", [(1.0, 1.0), (2.5, 37.5), (1.0, 1e-3)])
+def test_joined_phases_are_each_phase_on_its_own_bit_for_bit(M, ell):
+    """The suite's phases in one free motion: each phase's record is the
+    record of its own one-phase free motion, bit for bit, at the suite's 81
+    times and, for two phases, at CHUNK + 1 times, where the join crosses a
+    chunk boundary; and the angular-speed query over four phases holds each
+    speed's own jets."""
+    F = builtin("rotator_f", M=M, ell=ell)
+    phases = [lambda t, f=parse_phase(e): f(t / ell) for e in FREE_MOTION_PHASES]
+    for some, n in ((phases, 81), (phases[1:], dynamics.CHUNK + 1)):
+        times = np.linspace(0.0, 20.0 * ell, n)
+        *_, records = cli.free_motion_residuals(F, some, times)
+        assert len(records) == len(some)
+        for phase, s in zip(some, records):
+            (own,) = trajectory_samples(F, free_motion(rest_frame_params(M=M, ell=ell), [phase]),
+                                        times)
+            got, want = _record_fields(s), _record_fields(own)
+            assert all(same_bits(got[name], want[name]) for name in want), (n, M, ell)
+    speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
+    speed_phases = [lambda t, w=w: w * t for w in speeds]
+    x, k = free_motion(rest_frame_params(ell=ell), speed_phases).jets(0.4 * ell)
+    gaps = []
+    for i, phase in enumerate(speed_phases):
+        x1, k1 = free_motion(rest_frame_params(ell=ell), [phase]).jets(0.4 * ell)
+        for a, b in zip((*x, *k), (*x1, *k1)):
+            assert same_bits(a.f[i], b.f) and same_bits(a.g[..., i], b.g)
+            assert same_bits(a.h[..., i], b.h)
+        (_, xd), (kv, kd) = jets.split(x1), jets.split(k1)
+        Q = pq_from_vectors(xd, kv, kd, ell).Q
+        gaps += [abs(angular_speed(Q, ell) - speeds[i]) * ell, abs(speed_to_Q(speeds[i], ell) - Q)]
+    assert cli.angular_speed_residual(speeds, ell) == max(gaps)
 
 
 def per_time_samples(F, traj, times, dof=DOF5):
@@ -665,9 +711,9 @@ def per_row_export(path, samples):
 
 def test_export_trajectory(tmp_path):
     path = tmp_path / "traj.csv"
-    p = rest_frame_params(lambda t: t)
+    phases = [lambda t: t]
     times = np.linspace(0.0, 2.0, 5)
-    traj, queries = free_motion(p), []
+    traj, queries = free_motion(rest_frame_params(), phases), []
 
     class Counting:
         dof = DOF5
@@ -676,12 +722,12 @@ def test_export_trajectory(tmp_path):
             queries.append(t)
             return traj.lab_state(t)
 
-    export_trajectory(path, trajectory_samples(ROT, Counting(), times))
+    export_trajectory(path, *trajectory_samples(ROT, Counting(), times))
     # one batched trajectory query for the 5 rows
     assert len(queries) == 1 and np.array_equal(queries[0], times)
     queries.clear()
     B = dynamics.CHUNK + 1
-    samples = trajectory_samples(ROT, Counting(), np.linspace(0.0, 2.0, B))
+    (samples,) = trajectory_samples(ROT, Counting(), np.linspace(0.0, 2.0, B))
     assert [len(q) for q in queries] == [dynamics.CHUNK, 1]  # one query per chunk
     # one record: the chunks joined along the trailing batch axis
     ms, el = samples.momenta, samples.el
@@ -693,7 +739,7 @@ def test_export_trajectory(tmp_path):
     short = integrate(parse_f("Q"), ChartState(theta=1.1, phi=0.3, thetadot=0.4,
                                                phidot=0.7), (0.0, 0.1))
     for sample in (lambda: trajectory_samples(ROT, traj, []),
-                   lambda: cli.free_motion_residuals(ROT, [p.phase], []),
+                   lambda: cli.free_motion_residuals(ROT, phases, []),
                    lambda: casimir_drift(short, [])):
         with pytest.raises(ValueError, match="no times to sample"):
             sample()
@@ -727,8 +773,8 @@ def test_freemotion_export_equals_per_row_reference(tmp_path, capsys, phase, opt
     o = dict(zip(opts[::2], opts[1::2]))
     M, ell = float(o.get("--M", 1.0)), float(o.get("--ell", 1.0))
     F = builtin("rotator_f", M=M, ell=ell)
-    p = rest_frame_params(parse_phase(expr), M=M, ell=ell)
-    samples = per_time_samples(F, free_motion(p),
+    p = rest_frame_params(M=M, ell=ell)
+    samples = per_time_samples(F, free_motion(p, [parse_phase(expr)]),
                                np.linspace(0.0, 20.0, int(o.get("--samples", 81))))
     per_row_export(ref, samples)
     dP = dW = 0.0
@@ -794,16 +840,16 @@ def test_batched_samples_equal_per_time_samples(case):
         F, traj, t_end = _integrated_q()
     elif case == "boosted":
         L = lorentz_matrix(boost=(0.3, -0.1, 0.2), rotation=(0.0, 0.0, 0.7))
-        p0 = rest_frame_params(parse_phase(FREE_MOTION_PHASES[1]))
+        p0 = rest_frame_params()
         F, t_end = ROT, 20.0
-        traj = free_motion(SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N,
-                                          phase=p0.phase))
+        traj = free_motion(SolutionParams(P=L @ p0.P, W=L @ p0.W, N=L @ p0.N),
+                           [parse_phase(FREE_MOTION_PHASES[1])])
     else:
         F, t_end = ROT, 20.0
         phase = parse_phase(FREE_MOTION_PHASES[int(case[-1])])
-        traj = free_motion(rest_frame_params(phase))
+        traj = free_motion(rest_frame_params(), [phase])
     times = np.linspace(0.0, t_end, 100)
-    got, want = trajectory_samples(F, traj, times), per_time_samples(F, traj, times)
+    (got,), want = trajectory_samples(F, traj, times), per_time_samples(F, traj, times)
     assert got.t.shape == (len(want),) == (100,)
     for b, (t0, xv0, kv0, rep0, ms0) in enumerate(want):
         assert got.t[b] == t0
@@ -817,7 +863,7 @@ def test_batched_samples_equal_per_time_samples(case):
 def test_batched_queries_check_every_time():
     """The phase-speed and span checks of a batched query hold at every time,
     and name the first that fails."""
-    traj = free_motion(rest_frame_params(lambda t: 0.5 * t * t))
+    traj = free_motion(rest_frame_params(), [lambda t: 0.5 * t * t])
     with pytest.raises(DomainError, match=r"at t = 2\.0 outside .* \(batch entry 2\)"):
         traj.jets(np.array([0.5, 1.0, 2.0, 3.0]))
     _, traj, t_end = _integrated_q()
@@ -981,9 +1027,9 @@ def test_chart_scalars_do_not_read_the_positions(dof):
 def test_export_writes_nonfinite_and_signed_zero_as_the_per_row_writer(tmp_path):
     """NaN, +-inf and -0.0 planted in the times and in residual columns are
     written as ``per_row_export`` writes them."""
-    traj = free_motion(rest_frame_params(parse_phase(FREE_MOTION_PHASES[1])))
+    traj = free_motion(rest_frame_params(), [parse_phase(FREE_MOTION_PHASES[1])])
     times = np.linspace(0.0, 20.0, 10)
-    s = trajectory_samples(ROT, traj, times)
+    (s,) = trajectory_samples(ROT, traj, times)
     t = s.t.copy()
     t[:4] = [np.nan, np.inf, -np.inf, -0.0]
     res = s.el.residuals.copy()

@@ -154,7 +154,8 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
     those of the eight velocities seeded as jets, one jet at a time and as a
     batch, for the casimir suite's jets and forms and the relation forms."""
     cfg = RunConfig()
-    forms = [*cli.casimir_forms(cfg), *map(parse_f, cli.RELATION_FORMS)]
+    forms = [*cli.casimir_forms(cfg, cli.fundamental_forms(cfg)),
+             *map(parse_f, cli.RELATION_FORMS)]
     # the rotator point has exact zeros in xdot, k and kdot
     J = rotator_jet
     cases = [(J.xdot, J.k, J.kdot), (J.xdot[:, None], J.k[:, None], J.kdot[:, None])]
@@ -179,7 +180,8 @@ def test_seeded_scalar_products_give_the_jet_arithmetic_momenta(rotator_jet):
 
 def _casimir_forms():
     """The twelve forms whose momenta the casimir suite takes."""
-    return cli.casimir_forms(RunConfig())
+    cfg = RunConfig()
+    return cli.casimir_forms(cfg, cli.fundamental_forms(cfg))
 
 
 def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
