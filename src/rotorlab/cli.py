@@ -40,6 +40,7 @@ from .dynamics import (
 from .fform import (BUILTIN_NAMES, FForm, ParseError, PQPoint, builtin, parse_f,
                     parse_phase, pq_from_vectors)
 from .invariants import (
+    PATH_NUMBERS,
     GaugeJet,
     draw_count_points,
     draw_path,
@@ -160,7 +161,7 @@ def fundamental_miss(F: FForm, inside, PP, WW):
 def fundamental_residual(F: FForm, n: int):
     """``fundamental_miss`` of F on the n x n ``fundamental_grid``, from one
     batched closed form over the grid."""
-    return fundamental_miss(F, *casimirs_where_defined(F, *fundamental_grid(n))[:3])
+    return fundamental_miss(F, *casimirs_where_defined([F], [fundamental_grid(n)])[0][:3])
 
 
 def noether_residuals(forms, samples, grid=None, gridded=0):
@@ -170,21 +171,16 @@ def noether_residuals(forms, samples, grid=None, gridded=0):
     WW) there of each of the first ``gridded`` forms.
 
     ``samples`` is a batch of kinematic jets, its scalar products seeded once
-    (``velocity_scalars``); per form one pass of F (``batch_casimirs``) over
-    the grid's points, for a gridded form, then over the batch gives the
-    closed form at both, and the domain and the momenta at the jets.  Per
-    pair only the momenta are asked for, one jet at a time, jet-major and
-    form-minor, each read from its form's pass.  Then one batched pass over
-    the pairs' stacked P, pi and k forms W, the Casimirs, W.P and both
-    residuals, each entry the pair's float result."""
-    closed, on_grid = [], []  # inside, PP, WW: per form at the jets, per gridded form at the grid
-    for i, F in enumerate(forms):
-        at = grid if i < gridded else None
-        n = 0 if at is None else len(at[0])
-        c = batch_casimirs(F, samples, at)
-        closed.append([a[n:] for a in c])
-        if at is not None:
-            on_grid.append([a[:n] for a in c])
+    (``velocity_scalars``); ``batch_casimirs`` takes one pass of F per form
+    over the grid's points, for a gridded form, then over the batch, and one
+    closed form and one momenta pass for all forms.  Per pair only the momenta
+    are asked for, one jet at a time, jet-major and form-minor, each read from
+    that pass.  Then one batched pass over the pairs' stacked P, pi and k forms
+    W, the Casimirs, W.P and both residuals, each entry the pair's float result."""
+    n = 0 if grid is None else len(grid[0])
+    found = batch_casimirs(forms, samples, grid, gridded)
+    closed = [[a[n if i < gridded else 0:] for a in c] for i, c in enumerate(found)]
+    on_grid = [[a[:n] for a in c] for c in found[:gridded]]  # inside, PP, WW
     records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):
@@ -203,27 +199,29 @@ def noether_residuals(forms, samples, grid=None, gridded=0):
     return worst if grid is None else (*worst, on_grid)
 
 
-def hessian_margins(batch):
-    """Worst Hessian margin of the fundamental families, gap of the nu-family
-    rank from 4, and inverse least margin of four generic f(Q) members, over a
-    batch of chart states."""
-    forms = [builtin("rotator_f"), builtin("nu_family", nu=0.4),
-             *map(parse_f, ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)"))]
-    rot, nu, *generic = hessians(forms, batch, DOF5)
-    singular = [rot, nu, *hessians([builtin("starlike")], batch, DOF6)]
-    return (_worst([r.margin for r in singular]), _worst(np.abs(nu.rank - 4)),
-            _worst([1.0 / np.maximum(r.margin, 1e-300) for r in generic]))
-
-
 RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
                   "(1+Q)*(1+P^2)")
+# the degeneracy suite's forms, their expressions parsed once
+_MARGIN_FORMS = (builtin("rotator_f"), builtin("nu_family", nu=0.4),
+                 *map(parse_f, ("Q", "Q^2", "1+Q", "sqrt(Q)*(2+Q)")))
+_RELATION_SUITE_FORMS = tuple(map(parse_f, RELATION_FORMS[:5]))
 
 
-def relation_spread(forms, batch):
+def hessian_margins(batch, relation):
+    """Worst Hessian margin of the fundamental families, gap of the nu-family
+    rank from 4, inverse least margin of four generic f(Q) members, and the
+    DOF6 reports of the ``relation`` forms, over a batch of chart states."""
+    rot, nu, *generic = hessians(_MARGIN_FORMS, batch, DOF5)
+    star, *reports = hessians([builtin("starlike"), *relation], batch, DOF6)
+    return (_worst([r.margin for r in (rot, nu, star)]), _worst(np.abs(nu.rank - 4)),
+            _worst([1.0 / np.maximum(r.margin, 1e-300) for r in generic]), reports)
+
+
+def relation_spread(forms, batch, reports=None):
     """Largest relative spread of the kinematical factor K over the admissible
     forms at each state of a batch (inf if no state has two), and the number
-    of admissible forms per state."""
-    admissible, K = relation_check(forms, batch)
+    of admissible forms per state; ``reports`` as ``relation_check`` reads them."""
+    admissible, K = relation_check(forms, batch, reports)
     counts = admissible.sum(axis=0)
     K0 = K[np.argmax(admissible, axis=0), np.arange(K.shape[1])]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
@@ -231,8 +229,9 @@ def relation_spread(forms, batch):
     return _worst(spreads), counts.tolist()
 
 
-# the dynamics suite's phases, as ``freemotion --phase`` reads them
+# the dynamics suite's phases, as ``freemotion --phase`` reads them, parsed once
 FREE_MOTION_PHASES = ("t", "t + 0.1*(t - sin(t))", "t + 0.2*sin(0.5*t)*sin(0.5*t)")
+_PHASE_FUNCS = tuple(map(parse_phase, FREE_MOTION_PHASES))
 DIVERGENCE_TARGET = 0.05
 
 
@@ -313,9 +312,9 @@ def suite_tetrad(cfg: RunConfig, table):
             "tetrad-gram-det": (worst_gram, inputs)}
 
 
-def suite_invariants(cfg: RunConfig, table):
-    samples = kinematic_jets(table[:, :-4])  # a row: a jet's path, then its gauge shift
-    gauges = _GAUGE_LO + _GAUGE_SPAN * table[:, -4:]
+def suite_invariants(cfg: RunConfig, table, samples=None):
+    samples = kinematic_jets(table[:, :PATH_NUMBERS]) if samples is None else samples
+    gauges = _GAUGE_LO + _GAUGE_SPAN * table[:, -4:]  # a row: a path, then a gauge shift
     worst_gauge = gauge_residual(samples, GaugeJet(*gauges.T))
     worst_ident = _worst(np.abs(list(identity_checks(samples).values())))
     inputs = {"jets": len(table)}
@@ -323,12 +322,12 @@ def suite_invariants(cfg: RunConfig, table):
             "scalar-identities": (worst_ident, inputs)}
 
 
-def suite_casimir(cfg: RunConfig, table):
+def suite_casimir(cfg: RunConfig, table, samples=None):
     """Each fundamental form's closed form on the fundamental grid rides in its
-    pass of F over the jets (``noether_residuals``)."""
+    pass of F over the jets, the rows' ``samples`` if built (``noether_residuals``)."""
     fundamental = fundamental_forms(cfg)
     worst_cross, worst_wp, on_grid = noether_residuals(
-        casimir_forms(cfg, fundamental), kinematic_jets(table),
+        casimir_forms(cfg, fundamental), kinematic_jets(table) if samples is None else samples,
         fundamental_grid(FUNDAMENTAL_GRID), len(fundamental))
     worst_fund = _worst([fundamental_miss(F, *c)[0] for F, c in zip(fundamental, on_grid)])
     inputs = {"jets": len(table)}
@@ -339,9 +338,9 @@ def suite_casimir(cfg: RunConfig, table):
 
 def suite_degeneracy(cfg: RunConfig, table):
     batch = chart_states(table)
-    worst_singular, rank_gap, nondeg = hessian_margins(batch)
-    forms = [parse_f(e) for e in RELATION_FORMS[:5]]
-    spread, _ = relation_spread(forms, batch)
+    forms = _RELATION_SUITE_FORMS
+    worst_singular, rank_gap, nondeg, reports = hessian_margins(batch, forms)
+    spread, _ = relation_spread(forms, batch, reports)
     inputs = {"states": len(table)}
     return {"degenerate-hessians": (worst_singular, {**inputs, "forms": 3}),
             "nu-family-rank-4": (rank_gap, inputs),
@@ -355,7 +354,7 @@ def suite_dynamics(cfg: RunConfig, table):
     ell = cfg.ell
     rot = builtin("rotator_f", M=cfg.M, ell=ell)
     times = np.linspace(0.0, 20.0 * ell, 81)
-    phases = [lambda t, f=parse_phase(e): f(t / ell) for e in FREE_MOTION_PHASES]
+    phases = [lambda t, f=f: f(t / ell) for f in _PHASE_FUNCS]
     el, drift, divergence, _ = free_motion_residuals(rot, phases, times)
     target = DIVERGENCE_TARGET * ell
     speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
@@ -385,7 +384,7 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 # each suite's table, one row per sample, drawn from a generator seeded with the
-# run's seed (the dynamics suite reads none)
+# run's seed (the dynamics suite reads none); verify builds all paths as one batch
 _SUITE_TABLES = {
     "tetrad": lambda rng: rng.random((TETRAD_SPINORS, 4)),
     "invariants": lambda rng: np.array([np.append(draw_path(rng), rng.random(4))
@@ -399,9 +398,20 @@ _SUITE_TABLES = {
 
 def verify_reports(suites, cfg: RunConfig):
     """The reports of the checks of ``suites``, in table order, each with its
-    gate: every suite returns {check name: (residual, inputs)} from its table."""
-    results = {k: v for suite in suites for k, v in _SUITE_FUNCS[suite](
-        cfg, _SUITE_TABLES[suite](np.random.default_rng(cfg.seed))).items()}
+    gate: every suite returns {check name: (residual, inputs)} from its table.
+    The invariants and casimir suites read their rows of one batch of their
+    paths (``KinematicJet.rows``); if a row does not build, each suite builds
+    its own, so that the error names its row in its own table."""
+    tables = {suite: _SUITE_TABLES[suite](np.random.default_rng(cfg.seed)) for suite in suites}
+    paths = [suite for suite in ("invariants", "casimir") if suite in tables]
+    try:  # a ValueError: no path to build
+        joint = kinematic_jets(np.concatenate([tables[s][:, :PATH_NUMBERS] for s in paths]))
+        ends = np.cumsum([len(tables[s]) for s in paths])
+        built = {s: (joint.rows(slice(e - len(tables[s]), e)),) for s, e in zip(paths, ends)}
+    except (DomainError, ValueError):
+        built = {}
+    results = {k: v for suite, table in tables.items()
+               for k, v in _SUITE_FUNCS[suite](cfg, table, *built.get(suite, ())).items()}
     return [Report(name, results[name][0], gate, cfg.seed, results[name][1])
             for name, (suite, gate) in CHECKS.items() if suite in suites]
 

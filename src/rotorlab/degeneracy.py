@@ -283,19 +283,19 @@ def jacobian_pq(F: FForm, P, Q, v):
     return PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0]
 
 
-def relation_check(forms, state: ChartState):
+def relation_check(forms, state: ChartState, reports=None):
     """The kinematical factor K = det H / (middle * jacobian) of each form at
     each DOF6 state of a batch: (admissible, K), each of shape (len(forms), B).
 
     Where the middle ratio or the Casimir Jacobian of a form degenerates at a
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
-    (F-independence).  Every form's det H, and F and its partials, come
-    from one ``hessians`` call.
+    (F-independence).  Every form's det H, and F and its partials, come from
+    one DOF6 ``hessians`` call: the ``reports`` of a caller's, if given.
     """
     scalars = chart_scalars(*state.coords(DOF6), DOF6)
     out = []
-    for F, rep in zip(forms, hessians(forms, state, DOF6)):
+    for F, rep in zip(forms, hessians(forms, state, DOF6) if reports is None else reports):
         _, P, Q = pq_from_scalars(*scalars, F.ell)
         v, det = rep.partials, rep.det
         num = legendre_p(P, v.F, v.F_P)

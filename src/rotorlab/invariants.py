@@ -50,7 +50,7 @@ class KinematicJet:
 
     @cached_property
     def momenta_by_form(self) -> dict:
-        """The momenta passes of ``noether.batch_casimirs`` over this batch, one per form."""
+        """Per form, its entries' columns of a ``noether.batch_casimirs`` pass, and it."""
         return {}
 
     def entries(self) -> list:
@@ -61,6 +61,13 @@ class KinematicJet:
         for i, J in enumerate(out):
             J.__dict__["batch"] = (self, i)
         return out
+
+    def rows(self, s: slice) -> KinematicJet:
+        """Entries ``s`` of a built batch, holding its lift's entries ``s`` (``lifted``)."""
+        def cut(u):  # a first-order jet in t
+            return jets.Jet(u.f[s], u.g[:, s], None)
+        t, tetrad = self.lifted
+        return _unlift(self.xdot[:, s], cut(t), *(four(*map(cut, v)) for v in tetrad))
 
     def scale(self):
         """Magnitude reference for residual tolerances, one per entry of a

@@ -11,9 +11,9 @@ a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``
 ``fform.lagrangian_from_scalars`` carries them to L's gradient by one
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  Every step runs on a batch as on one jet, so
-``momenta`` answers a batch's entries from one pass per form (``batch_casimirs``),
-each column bit for bit the entry's own pass; (P, Q) points asked for besides
-the batch's ride ahead of it in that pass.  The Pauli-Lubanski vector
+``momenta`` answers a batch's entries from one pass for all forms of one M and
+ell (``batch_casimirs``), each column bit for bit the entry's own pass; (P, Q)
+points asked for besides the batch's ride ahead of it.  The Pauli-Lubanski vector
 W = -eps(k, pi, P) needs no angular momentum M; a record forms each of them
 when it is read, W at most once, so a caller that stacks many records' P,
 pi and k contracts epsilon once for all of them.  The closed-form expressions
@@ -23,8 +23,8 @@ pi and k contracts epsilon once for all of them.  The closed-form expressions
 
 serve as the analytic side of the dual check against the Noether route:
 at one (P, Q) (``casimirs_closed_form``), or over a batch of (P, Q) with NaN
-outside F's domain (``casimirs_where_defined``: mask and partials from one
-last pass of F's first-order jets, which give a batch of jets its momenta too).
+outside F's domain (``casimirs_where_defined``: mask and partials from one last
+pass of each F's first-order jets, which give a batch of jets its momenta too).
 """
 
 from __future__ import annotations
@@ -140,45 +140,58 @@ def casimirs_from_partials(F: FForm, P, Q, Fv, FP, FQ):
     return PP, WW
 
 
-def casimirs_where_defined(F: FForm, P, Q):
-    """(inside, PP, WW, partials) over a batch of (P, Q) arrays: F's domain, the
+def casimirs_where_defined(forms, points):
+    """Per form of ``forms``, which share M and ell, (inside, PP, WW, partials)
+    over its batch ``points``, a pair of (P, Q) arrays: F's domain, the
     closed-form Casimirs there (NaN elsewhere, each entry the float result) and
     F's first-order partials there (None if no entry is inside), from one last
-    pass of F (``FForm.eval_inside``).  The one batched path to the closed form."""
-    inside, v = F.eval_inside(P, Q, order=1)
-    PP, WW = np.full(P.shape, np.nan), np.full(P.shape, np.nan)
-    if v is not None:
-        P, Q = P[inside], Q[inside]
-        PP[inside], WW[inside] = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
-    return inside, PP, WW, v
+    pass of each F (``FForm.eval_inside``) and one closed form over all their
+    entries inside (``casimirs_from_partials``): the one batched path to it."""
+    found = [F.eval_inside(P, Q, order=1) for F, (P, Q) in zip(forms, points)]
+    inside = np.concatenate([mask for mask, _ in found])
+    PP, WW = np.full(inside.shape, np.nan), np.full(inside.shape, np.nan)
+    if inside.any():
+        P, Q = (np.concatenate(a)[inside] for a in zip(*points))
+        parts = [np.concatenate(a) for a in zip(*(v[:3] for _, v in found if v is not None))]
+        PP[inside], WW[inside] = casimirs_from_partials(forms[0], P, Q, *parts)
+    PPs, WWs = (np.split(a, np.cumsum([len(P) for P, _ in points])[:-1]) for a in (PP, WW))
+    return [(mask, pp, ww, v) for (mask, v), pp, ww in zip(found, PPs, WWs)]
 
 
-def batch_casimirs(F: FForm, S: KinematicJet, at=None):
-    """(inside, PP, WW) of ``casimirs_where_defined`` at the points ``at``, a
-    pair of (P, Q) arrays if given, then at the (P, Q) of the batch of jets S,
-    from one pass of F over both.  The partials at S's entries inside give
-    their momenta, kept on S (``KinematicJet.momenta_by_form``) for
-    ``momenta``; none if a float exception meets them, so each entry's own
-    pass warns as alone."""
-    f, G, _ = S.velocity_scalars
-    P, Q = pq_from_scalars(*f, F.ell)[1:]
-    if at is not None:
-        P, Q = np.concatenate([at[0], P]), np.concatenate([at[1], Q])
-    inside, PP, WW, v = casimirs_where_defined(F, P, Q)
-    n = 0 if at is None else len(at[0])  # the points of ``at``, ahead of S's entries
-    mine = np.flatnonzero(inside[n:])
-    if len(mine):
-        skip = len(v.F) - len(mine)  # the partials at the points of ``at`` inside
+def batch_casimirs(forms, S: KinematicJet, at=None, gridded=0):
+    """Per form, (inside, PP, WW) of ``casimirs_where_defined`` at the points
+    ``at``, a pair of (P, Q) arrays, for each of the first ``gridded`` forms,
+    then at the (P, Q) of the batch of jets S, per group of forms of one M and
+    ell.  The partials at S's entries inside give their momenta: one pass per
+    group, kept on S (``KinematicJet.momenta_by_form``) for ``momenta``; none
+    if a float exception meets them, so each entry's own pass warns as alone."""
+    (f, G, _), B, out = S.velocity_scalars, S.k.shape[1], {}
+    for key in dict.fromkeys((F.M, F.ell) for F in forms):
+        group = [i for i, F in enumerate(forms) if (F.M, F.ell) == key]
+        PQ = pq_from_scalars(*f, key[1])[1:]
+        ahead = PQ if at is None else tuple(map(np.concatenate, zip(at, PQ)))
+        found = casimirs_where_defined([forms[i] for i in group],
+                                       [ahead if i < gridded else PQ for i in group])
+        out.update(zip(group, found))
+        mine = [np.flatnonzero(c[0][len(c[0]) - B:]) for c in found]  # S's entries, last
+        cols = np.concatenate(mine)
+        if not len(cols):
+            continue
+        # each form's partials at its entries inside, the last of its pass
+        parts = [np.concatenate(a) for a in zip(*([a[len(a) - len(j):] for a in c[3][:3]]
+                                                    for c, j in zip(found, mine) if len(j)))]
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 ms = momenta_from_vectors(
-                    F, S.xdot[:, mine], S.k[:, mine], S.kdot[:, mine],
-                    scalars=(f[:, mine], G[..., mine], None),
-                    partials=FFormValue(*(a if a is None else a[skip:] for a in v)))
-            S.momenta_by_form[F] = {j: c for c, j in enumerate(mine.tolist())}, ms
+                    forms[group[0]], S.xdot[:, cols], S.k[:, cols], S.kdot[:, cols],
+                    scalars=(f[:, cols], G[..., cols], None),
+                    partials=FFormValue(*parts, None, None, None))
         except ArithmeticError:
-            pass  # nothing kept: each entry takes its own pass
-    return inside, PP, WW
+            continue  # nothing kept: each entry takes its own pass
+        column = iter(range(len(cols)))  # each form's entries, to their columns of ms
+        for i, j in zip(group, mine):
+            S.momenta_by_form[forms[i]] = {e: next(column) for e in j.tolist()}, ms
+    return [out[i][:3] for i in range(len(forms))]
 
 
 def casimirs_closed_form(F: FForm, at: PQPoint) -> CasimirPair:

@@ -104,8 +104,8 @@ def test_05_noether_crosscheck():
 
 def test_06_degeneracy():
     rng = np.random.default_rng(106)
-    worst_singular, rank_gap, nondeg = cli.hessian_margins(
-        chart_states(rng.random((10, 12))))
+    worst_singular, rank_gap, nondeg, _ = cli.hessian_margins(
+        chart_states(rng.random((10, 12))), ())
     report(6, "fundamental families degenerate", worst_singular, gate("degenerate-hessians"))
     report(6, "nu-family Hessian rank 4", rank_gap, gate("nu-family-rank-4"))
     report(6, "generic f(Q) nondegenerate", nondeg, gate("nondegenerate-dets"))

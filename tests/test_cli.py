@@ -29,6 +29,7 @@ from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
 from conftest import same_bits
 from references import evaluates
+from work import run_counts, src_calls
 
 
 def run(capsys, *argv):
@@ -410,29 +411,13 @@ def test_casimir_suite_takes_momenta_one_jet_at_a_time(capsys, monkeypatch, seed
             assert same_bits(getattr(ms, name), getattr(alone, name)), name
 
 
-def _src_calls(monkeypatch, owner, name, record=lambda *args: None):
-    """The calls of ``owner.name``, one ``record(*args)`` each, counted on
-    owner and wherever src binds the name."""
-    original, calls = getattr(owner, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(record(*args))
-        return original(*args, **kwargs)
-
-    for module in [owner, *sys.modules.values()]:
-        if ((module is owner or getattr(module, "__name__", "").startswith("rotorlab"))
-                and getattr(module, name, None) is original):
-            monkeypatch.setattr(module, name, counting)
-    return calls
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_casimir_suite_seeds_the_jets_velocity_scalars_in_one_call(capsys, monkeypatch,
                                                                    seed):
     # every form's momenta pass over the batch starts from one seeding of the
     # whole batch's scalar products: one call a run, not one per jet
-    seeded = _src_calls(monkeypatch, fform, "velocity_scalars",
-                        lambda xdot, k, kdot: np.shape(xdot))
+    seeded = src_calls(monkeypatch, fform, "velocity_scalars",
+                       lambda xdot, k, kdot: np.shape(xdot))
     code, _ = run(capsys, "verify", "--suite", "casimir", "--seed", str(seed))
     assert code == 0
     assert seeded == [(4, cli.CASIMIR_JETS)]
@@ -442,13 +427,14 @@ def test_casimir_suite_seeds_the_jets_velocity_scalars_in_one_call(capsys, monke
 def test_degeneracy_suite_forms_one_chart_stack_per_hessians_call(capsys, monkeypatch,
                                                                   seed):
     # the chart jets and the SVD do not depend on F: one of each for the six
-    # DOF5 margin forms, the DOF6 starlike and the five relation forms, not
-    # one per form (12 and 12 a run when each form took its own)
-    stacks = _src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
-    svds = _src_calls(monkeypatch, np.linalg, "svd")
+    # DOF5 margin forms, and one for the DOF6 starlike and the five relation
+    # forms together, not one per form (12 and 12 a run when each form took
+    # its own, 3 and 3 when the starlike and the relation forms took a call each)
+    stacks = src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
+    svds = src_calls(monkeypatch, np.linalg, "svd")
     code, _ = run(capsys, "verify", "--suite", "degeneracy", "--seed", str(seed))
     assert code == 0
-    assert len(stacks) <= 3 and len(svds) <= 3
+    assert len(stacks) == len(svds) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -507,8 +493,8 @@ def test_noether_residuals_take_one_pass_of_f_per_form(monkeypatch, seed):
     # the closed form, the domain mask and the batch momenta read the same
     # pass of F over the batch, counted as F's jet variables seeded on arrays
     forms, samples = _casimir_samples(seed)
-    passes = _src_calls(monkeypatch, jets, "variables",
-                        lambda *args: isinstance(args[0], np.ndarray))
+    passes = src_calls(monkeypatch, jets, "variables",
+                       lambda *args: isinstance(args[0], np.ndarray))
     cli.noether_residuals(forms, samples)
     assert passes.count(True) == NOETHER_F_PASSES[seed]
 
@@ -526,8 +512,8 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
     plain = cli.noether_residuals(forms, samples)
     forms, samples = _casimir_samples(seed)
     fundamental = cli.fundamental_forms(RunConfig())
-    passes = _src_calls(monkeypatch, jets, "variables",
-                        lambda *args: isinstance(args[0], np.ndarray))
+    passes = src_calls(monkeypatch, jets, "variables",
+                       lambda *args: isinstance(args[0], np.ndarray))
     cross, wp, on_grid = cli.noether_residuals(
         forms, samples, cli.fundamental_grid(cli.FUNDAMENTAL_GRID), len(fundamental))
     joined = passes.count(True)
@@ -542,21 +528,24 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
                 == cli.fundamental_residual(F, cli.FUNDAMENTAL_GRID)), F.name
 
 
-# passes of ``verify --suite all``: of F over a batch or at a point
-# (``FForm._try``), of free-motion queries and of chart-jet stacks.  Each form
-# takes one pass per suite, plus one per refusing step of its domain, and the
-# dynamics suite one free-motion query for its phases and one for its speeds
-VERIFY_PASSES = {0: (30, 4), 1: (30, 4)}
+# the work of one ``verify --suite all`` run, counted by ``work.COUNTED``: one
+# pass per kind of sample.  The invariants and casimir suites' paths are one
+# ``kinematic_jets`` batch; the degeneracy suite takes one ``hessians`` call
+# at DOF5 and one at DOF6, the starlike's with the relation forms, each on
+# one chart-jet stack, and the dynamics suite one stack for its free motion;
+# the casimir suite takes one momenta pass for its twelve forms, of one M and
+# ell, and the dynamics suite one; each form takes one pass of F per suite
+# (``FForm._try``), plus one per refusing step of its domain; and the dynamics
+# suite one free-motion query for its phases and one for its speeds
+VERIFY_WORK = {"kinematic_jets": 1, "hessians": 2, "chart_scalar_jets": 3,
+               "momenta_from_vectors": 2, "Jet * Jet": 245, "FForm._try": 30,
+               "FreeMotionTrajectory.jets": 2}
 
 
-@pytest.mark.parametrize("seed", sorted(VERIFY_PASSES))
-def test_verify_takes_one_pass_per_form_and_free_motion(capsys, monkeypatch, seed):
-    tries = _src_calls(monkeypatch, fform.FForm, "_try")
-    queries = _src_calls(monkeypatch, dynamics.FreeMotionTrajectory, "jets")
-    stacks = _src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
-    code, _ = run(capsys, "verify", "--suite", "all", "--seed", str(seed))
-    assert code == 0
-    assert (len(tries), len(stacks)) == VERIFY_PASSES[seed] and len(queries) <= 2
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_takes_one_pass_per_form_and_free_motion(monkeypatch, seed):
+    assert run_counts(monkeypatch, ["verify", "--suite", "all", "--seed", str(seed)]) == (
+        0, VERIFY_WORK)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -613,11 +602,16 @@ def test_noether_residuals_with_no_pair_in_a_domain_fail():
     assert got == _noether_residuals_per_pair(nowhere, samples) == (math.inf, math.inf)
 
 
-def _with_nan(x):
-    """A copy of x with NaN in its first entry, or NaN for a float."""
+def _with_nan(x, at=0):
+    """A copy of x with NaN in its entry ``at`` (flat), or NaN for a float."""
     x = np.array(x, dtype=float)
-    x.flat[0] = np.nan
+    x.flat[at] = np.nan
     return x if x.ndim else float(x)
+
+
+def _nan_closed_form(at):
+    """A poison for the closed-form (PP, WW): NaN in PP's entry ``at``."""
+    return lambda c: (_with_nan(c[0], at), c[1])
 
 
 def _nan_singular_values(rep):
@@ -646,10 +640,11 @@ def _in_second_phase(poison):
 # poison(its result), a NaN in one sample of the check; the tetrad suite
 # calls its two functions once, on the whole batch, and so does the
 # invariants suite with identity_checks; the casimir suite takes the closed
-# form once per form through noether.casimirs_where_defined, in one pass over
-# a fundamental form's domain grid and then its jets, and over the jets alone
-# for the other two forms; the dynamics suite takes its phases' records from
-# one trajectory_samples call, and the NaN lands in the second phase's record
+# form of all its forms in one casimirs_from_partials call, through
+# noether.casimirs_where_defined: form by form, a fundamental form's grid
+# points inside its domain, then its jets inside, and for the other two forms
+# their jets alone; the dynamics suite takes its phases' records from one
+# trajectory_samples call, and the NaN lands in the second phase's record
 NAN_PLANTS = {
     "tetrad-relations": (cli, "tetrad_relations",
                          lambda d: {**d, "kk": _with_nan(d["kk"])}),
@@ -657,10 +652,10 @@ NAN_PLANTS = {
     "gauge-invariance": (cli, "iota", _with_nan),
     "scalar-identities": (cli, "identity_checks",
                           lambda d: {**d, "kdkd+ak2+bk2": _with_nan(d["kdkd+ak2+bk2"])}),
-    "fundamental-conditions": (noether, "casimirs_from_partials",
-                               lambda c: (_with_nan(c[0]), c[1])),
+    "fundamental-conditions": (noether, "casimirs_from_partials", _nan_closed_form(
+        cli.FUNDAMENTAL_GRID**2 + cli.CASIMIR_JETS)),
     "noether-crosscheck": (noether, "casimirs_from_partials",
-                           lambda c: (_with_nan(c[0]), c[1])),
+                           _nan_closed_form(-cli.CASIMIR_JETS)),
     "wp-orthogonality": (cli, "momenta",
                          lambda ms: dataclasses.replace(ms, pi=_with_nan(ms.pi))),
     "degenerate-hessians": (cli, "hessians", _nan_report(0)),
@@ -677,18 +672,22 @@ NAN_PLANTS = {
 }
 # the degeneracy suite takes the Hessians of its six DOF5 forms over its batch
 # of states in one call, two singular forms (the rotator, then the nu-family)
-# then four nondegenerate ones, and those of the DOF6 starlike in a second:
-# the NaN lands in the first nondegenerate form's report of the first call,
-# in the starlike's, or in the nu-family's rank; a rank counts singular
+# then four nondegenerate ones, and those of the DOF6 starlike, then the five
+# relation forms, in a second: the NaN lands in the first nondegenerate
+# form's report of the first call, in the starlike's, or in the nu-family's
+# rank; a rank counts singular
 # values, so a NaN Hessian has rank 0 and fails with a gap of 4, and the
 # NaN planted in the count checks that the gap's maximum keeps it; it calls
 # relation_check once, and the NaN lands in the first form's K at the first
-# state; the fundamental-conditions NaN lands in the second form's grid, the
-# first points of its pass, and the noether-crosscheck NaN, twelfth call, in
-# the closed form on the jets of F = Q, which has no grid; the wp-orthogonality
-# NaN lands in pi of the second pair's momenta, and so in its W and W.P
+# state; the rotator, first, is defined at each of the 144 grid points and 25
+# jets, so the fundamental-conditions NaN lands in the second form's grid, at
+# its first point, and the noether-crosscheck NaN, 25 entries from the end,
+# in the closed form at the first jet of F = Q, which has no grid and is
+# defined at every jet; the wp-orthogonality NaN lands in pi of the second
+# pair's momenta, and so in its W and W.P
 POISONED_CALL = {"tetrad-relations": 1, "tetrad-gram-det": 1, "scalar-identities": 1,
-                 "noether-crosscheck": 12, "nu-family-rank-4": 1, "nondegenerate-dets": 1,
+                 "fundamental-conditions": 1, "noether-crosscheck": 1,
+                 "nu-family-rank-4": 1, "nondegenerate-dets": 1,
                  "relation-consistency": 1, "free-motion-el-residuals": 1,
                  "indeterminism-divergence": 1}
 # the checks no NaN can reach, and why
@@ -727,7 +726,7 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
 def test_relation_evaluates_each_form_once(capsys, monkeypatch):
     # relation_check reads F and its partials from the hessians pass, which
     # evaluates F once per form: 6 calls for the six relation forms
-    evals = _src_calls(monkeypatch, fform.FForm, "eval")
+    evals = src_calls(monkeypatch, fform.FForm, "eval")
     code, _ = run(capsys, "relation", "--seed", "0")
     assert code == 0
     assert len(evals) == len(cli.RELATION_FORMS) == 6

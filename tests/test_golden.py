@@ -12,6 +12,7 @@ import pytest
 import golden
 import rotorlab
 from rotorlab import cli
+from work import clear_caches
 
 # src functions that no golden command enters, and why each stays
 NOT_ENTERED = {
@@ -36,11 +37,7 @@ def renders():
     ``sys.setprofile``, and the code objects of the functions it entered.
     Every ``functools.cache`` of rotorlab's modules is cleared first, so its
     builder runs again whatever an earlier test in this process filled."""
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("rotorlab."):
-            for obj in vars(module).values():
-                if callable(getattr(obj, "cache_clear", None)):
-                    obj.cache_clear()
+    clear_caches()
     entered = set()
 
     def enter(frame, event, arg):

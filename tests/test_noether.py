@@ -27,6 +27,7 @@ from rotorlab.noether import (
 )
 from conftest import same_bits
 from references import casimirs_special_S, evaluates
+from work import run_counts, src_calls
 
 
 def all_forms():
@@ -200,7 +201,7 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
         S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
         entries = S.entries()
         for F in forms:
-            inside = noether.batch_casimirs(F, S)[0]
+            inside = noether.batch_casimirs([F], S)[0][0]
             assert F in S.momenta_by_form
             _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
             assert inside.tolist() == F.eval_inside(P, Q, order=1)[0].tolist()
@@ -276,9 +277,9 @@ def test_an_entry_of_a_batch_has_the_momenta_of_the_jet_alone(expr, batch, kept)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as cli.main
             if kept is DomainError:
                 with pytest.raises(DomainError, match="xdot.xdot"):
-                    noether.batch_casimirs(F, S)
+                    noether.batch_casimirs([F], S)
             else:
-                noether.batch_casimirs(F, S)
+                noether.batch_casimirs([F], S)
         assert (F in S.momenta_by_form) is (kept is True)
         for J in S.entries():
             alone = KinematicJet(*(getattr(J, f.name) for f in dataclasses.fields(J)))
@@ -315,7 +316,7 @@ def test_writing_into_a_record_leaves_every_other_record_as_it_was():
     the same pair asked for again."""
     S = _casimir_batch(0)
     for F in _casimir_forms():
-        noether.batch_casimirs(F, S)
+        noether.batch_casimirs([F], S)
         assert F in S.momenta_by_form
     entries = S.entries()
     records = [(F, J, momenta(F, J)) for J in entries for F in _casimir_forms()
@@ -331,21 +332,22 @@ def test_writing_into_a_record_leaves_every_other_record_as_it_was():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_casimir_suite_takes_one_momenta_pass_per_form(capsys, monkeypatch, seed):
+def test_casimir_suite_takes_one_momenta_pass_for_every_form(monkeypatch, seed):
     """The casimir suite's per-pair momenta come from one
-    ``momenta_from_vectors`` pass per form over its jet batch: 12 a run, not
-    one per (jet, form) pair."""
-    passes, original = [], noether.momenta_from_vectors
-
-    def counting(F, *args, **kwargs):
-        passes.append(F.name)
-        return original(F, *args, **kwargs)
-
-    monkeypatch.setattr(noether, "momenta_from_vectors", counting)
-    assert cli.main(["verify", "--suite", "casimir", "--seed", str(seed)]) == 0
-    capsys.readouterr()
-    assert sorted(passes) == sorted(F.name for F in _casimir_forms())
-    assert len(passes) == 12
+    ``momenta_from_vectors`` pass over its jet batch for its twelve forms, of
+    one M and ell: 1 a run, not one per form (12) or per (jet, form) pair.
+    Each form's entries have their own columns of that pass, and together
+    they fill it."""
+    batches = src_calls(monkeypatch, noether, "batch_casimirs", lambda forms, S, *rest: S)
+    argv = ["verify", "--suite", "casimir", "--seed", str(seed)]
+    assert run_counts(monkeypatch, argv, ["momenta_from_vectors"]) == (
+        0, {"momenta_from_vectors": 1})
+    (S,) = batches
+    kept = S.momenta_by_form
+    assert sorted(F.name for F in kept) == sorted(F.name for F in _casimir_forms())
+    (ms,) = {id(ms): ms for _, ms in kept.values()}.values()
+    columns = sorted(c for cols, _ in kept.values() for c in cols.values())
+    assert columns == list(range(ms.P.shape[1]))
 
 
 def test_momenta_leave_the_jets_scalar_products_as_seeded(rotator_jet):
@@ -414,7 +416,7 @@ def test_closed_forms_at_first_order_are_those_at_second_order():
         pp_target, ww_target = fundamental_casimirs(F.M, F.ell)
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
         for P, Q in ((P, Q), _grid_arrays(_reference_domain_grid(F, 12))):
-            inside, PP, WW, _ = casimirs_where_defined(F, P, Q)
+            inside, PP, WW, _ = casimirs_where_defined([F], [(P, Q)])[0]
             P, Q = P[inside], Q[inside]
             v = F.eval(P, Q)
             want_PP, want_WW = casimirs_from_partials(F, P, Q, v.F, v.F_P, v.F_Q)
@@ -461,7 +463,7 @@ def test_fundamental_residuals_tiny_for_fundamental_forms():
         forms.append(builtin("nu_family", nu=nu))
     for F in forms:
         pts = [(P, Q) for P, Q in grid if evaluates(F, P, Q)]
-        _, PP, WW, _ = casimirs_where_defined(F, *_grid_arrays(pts))
+        _, PP, WW, _ = casimirs_where_defined([F], [_grid_arrays(pts)])[0]
         assert np.max(np.abs(PP / F.M**2 - 1.0)) < 1e-10
         assert np.max(np.abs(WW / (FUNDAMENTAL_WW_FACTOR * F.M**4 * F.ell**2) - 1.0)) < 1e-10
         assert cli.fundamental_residual(F, 8)[0] < 1e-10
@@ -492,7 +494,7 @@ def test_casimirs_where_defined_masks_the_batch():
     # for bit; with no entry inside, there are none
     F = builtin("starlike", signs=(1, -1))
     P, Q = _grid_arrays([(0.1, 0.5), (0.2, 9.0), (-0.3, 0.25)])
-    inside, PP, WW, v = casimirs_where_defined(F, P, Q)
+    inside, PP, WW, v = casimirs_where_defined([F], [(P, Q)])[0]
     assert inside.tolist() == [True, False, True]
     assert np.isnan(PP[1]) and np.isnan(WW[1])
     for i in (0, 2):
@@ -501,7 +503,7 @@ def test_casimirs_where_defined_masks_the_batch():
     want = F.eval(P[inside], Q[inside], order=1)
     assert all(same_bits(a, b) for a, b in zip(v[:3], want[:3]))
     assert v[3:] == want[3:] == (None, None, None)
-    inside, PP, WW, v = casimirs_where_defined(F, P[1:2], Q[1:2])
+    inside, PP, WW, v = casimirs_where_defined([F], [(P[1:2], Q[1:2])])[0]
     assert inside.tolist() == [False] and v is None
     assert np.isnan(PP[0]) and np.isnan(WW[0])
 
