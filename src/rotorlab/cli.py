@@ -164,23 +164,21 @@ def fundamental_residual(F: FForm, n: int):
     return fundamental_miss(F, *casimirs_where_defined([F], [fundamental_grid(n)])[0][:3])
 
 
-def noether_residuals(forms, samples, grid=None, gridded=0):
+def noether_residuals(forms, samples, ahead):
     """Worst relative gap between Noether and closed-form Casimirs, and worst
     relative W.P, over the (kinematic jet, form) pairs inside the form's
-    domain; given a ``grid``, a pair of (P, Q) arrays, also the (inside, PP,
-    WW) there of each of the first ``gridded`` forms.
+    domain; and per form its (inside, PP, WW) at its (P, Q) arrays ``ahead``.
 
     ``samples`` is a batch of kinematic jets, its scalar products seeded once
     (``velocity_scalars``); ``batch_casimirs`` takes one pass of F per form
-    over the grid's points, for a gridded form, then over the batch, and one
-    closed form and one momenta pass for all forms.  Per pair only the momenta
-    are asked for, one jet at a time, jet-major and form-minor, each read from
-    that pass.  Then one batched pass over the pairs' stacked P, pi and k forms
-    W, the Casimirs, W.P and both residuals, each entry the pair's float result."""
-    n = 0 if grid is None else len(grid[0])
-    found = batch_casimirs(forms, samples, grid, gridded)
-    closed = [[a[n if i < gridded else 0:] for a in c] for i, c in enumerate(found)]
-    on_grid = [[a[:n] for a in c] for c in found[:gridded]]  # inside, PP, WW
+    over its points ahead, then over the batch, and one closed form and one
+    momenta pass for all forms.  Per pair only the momenta are asked for, one
+    jet at a time, jet-major and form-minor, each read from that pass.  Then
+    one batched pass over the pairs' stacked P, pi and k forms W, the
+    Casimirs, W.P and both residuals, each entry the pair's float result."""
+    found = batch_casimirs(forms, samples, ahead)
+    at_ahead = [[a[:len(P)] for a in c] for c, (P, _) in zip(found, ahead)]
+    closed = [[a[len(P):] for a in c] for c, (P, _) in zip(found, ahead)]
     records, closed_at = [], []  # per in-domain pair: its momenta, its closed-form PP, WW
     for j, J in enumerate(samples.entries()):
         for F, (inside, PP, WW) in zip(forms, closed):
@@ -195,8 +193,7 @@ def noether_residuals(forms, samples, grid=None, gridded=0):
     cross = [np.abs(got.PP - PP) / np.maximum(np.abs(PP), 1.0),
              np.abs(got.WW - WW) / np.maximum(np.abs(WW), 1.0)]
     wp = np.abs(dot(ms.W, ms.P)) / np.maximum(np.abs(got.PP), 1.0)
-    worst = _worst(cross), _worst(wp)
-    return worst if grid is None else (*worst, on_grid)
+    return _worst(cross), _worst(wp), at_ahead
 
 
 RELATION_FORMS = ("1+Q+P^2", "Q+P*Q", "P+Q+P*Q", "Q+P^2", "sqrt(1+P^2+Q)",
@@ -217,11 +214,11 @@ def hessian_margins(batch, relation):
             _worst([1.0 / np.maximum(r.margin, 1e-300) for r in generic]), reports)
 
 
-def relation_spread(forms, batch, reports=None):
+def relation_spread(forms, reports):
     """Largest relative spread of the kinematical factor K over the admissible
     forms at each state of a batch (inf if no state has two), and the number
-    of admissible forms per state; ``reports`` as ``relation_check`` reads them."""
-    admissible, K = relation_check(forms, batch, reports)
+    of admissible forms per state, from the forms' DOF6 Hessian ``reports``."""
+    admissible, K = relation_check(forms, reports)
     counts = admissible.sum(axis=0)
     K0 = K[np.argmax(admissible, axis=0), np.arange(K.shape[1])]  # first admissible
     dev = np.max(np.abs(np.where(admissible, K, K0) - K0), axis=0)
@@ -323,12 +320,12 @@ def suite_invariants(cfg: RunConfig, table, samples=None):
 
 
 def suite_casimir(cfg: RunConfig, table, samples=None):
-    """Each fundamental form's closed form on the fundamental grid rides in its
-    pass of F over the jets, the rows' ``samples`` if built (``noether_residuals``)."""
-    fundamental = fundamental_forms(cfg)
+    """The fundamental grid rides ahead of each fundamental form's pass of F over
+    the jets (the rows' ``samples`` if built), and no point ahead of the other two."""
+    fundamental, none = fundamental_forms(cfg), (np.empty(0),) * 2
     worst_cross, worst_wp, on_grid = noether_residuals(
         casimir_forms(cfg, fundamental), kinematic_jets(table) if samples is None else samples,
-        fundamental_grid(FUNDAMENTAL_GRID), len(fundamental))
+        [fundamental_grid(FUNDAMENTAL_GRID)] * len(fundamental) + [none, none])
     worst_fund = _worst([fundamental_miss(F, *c)[0] for F, c in zip(fundamental, on_grid)])
     inputs = {"jets": len(table)}
     return {"fundamental-conditions": (worst_fund, {"forms": len(fundamental)}),
@@ -340,7 +337,7 @@ def suite_degeneracy(cfg: RunConfig, table):
     batch = chart_states(table)
     forms = _RELATION_SUITE_FORMS
     worst_singular, rank_gap, nondeg, reports = hessian_margins(batch, forms)
-    spread, _ = relation_spread(forms, batch, reports)
+    spread, _ = relation_spread(forms, reports)
     inputs = {"states": len(table)}
     return {"degenerate-hessians": (worst_singular, {**inputs, "forms": 3}),
             "nu-family-rank-4": (rank_gap, inputs),
@@ -470,7 +467,8 @@ def cmd_relation(args, cfg: RunConfig):
     forms = [resolve_form(e, cfg) for e in args.forms or RELATION_FORMS]
     rng = np.random.default_rng(cfg.seed)
     # one table: a size numpy cannot allocate exits 2 before any draw
-    spread, admissible = relation_spread(forms, chart_states(rng.random((args.states, 12))))
+    batch = chart_states(rng.random((args.states, 12)))
+    spread, admissible = relation_spread(forms, hessians(forms, batch, DOF6))
     return [Report("relation-consistency", spread, CHECKS["relation-consistency"][1],
                    cfg.seed, {"forms": len(forms), "states": args.states,
                               "admissible": max(admissible)})]

@@ -19,7 +19,8 @@ carries it to L by one chain step through F's partials at (P, Q), so at DOF5
 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
 products bring in the amplitude K).  The stack does not depend on F, so
 ``hessians`` forms it once for all its forms, and ``chart_derivatives``, the
-rest of L's derivatives for ``dynamics``, once for its one form.
+rest of L's derivatives for ``dynamics``, once for its one form.  A report
+keeps det H, and F's partials and their (P, Q): all that ``relation_check`` reads.
 """
 
 from __future__ import annotations
@@ -224,6 +225,7 @@ class HessianReport:
     rank: int  # singular values above RANK_TOL * the largest; or (B,)
     det: float  # or (B,)
     partials: FFormValue  # F and its partials at the (P, Q) of the state(s)
+    pq: tuple  # (P, Q) of the state(s), whose F and partials ``partials`` holds
     dof: tuple
 
     @property
@@ -243,17 +245,17 @@ def hessians(forms, state: ChartState, dof=DOF5) -> list:
     state or at each state of a batch: the velocity block of L's Hessian from
     one chart-jet stack for all the forms, then one SVD and one determinant
     over their stacked matrices, each matrix's result that of a call of its
-    own.  Each form's F is evaluated once, and the report keeps its partials.
-    An F that overflows leaves non-finite entries, which the SVD
-    rejects: the singular values of such a matrix are NaN, and its rank 0."""
+    own.  Each form's F is evaluated once, at the (P, Q) of the stack's values,
+    and the report keeps both.  An F that overflows leaves non-finite entries,
+    which the SVD rejects: the singular values of such a matrix are NaN, and its rank 0."""
     state.check_pole()
     q, qd = state.coords(dof)
     n, scalars = len(dof), chart_scalar_jets(q, qd, dof)
-    H, partials = [], []
+    H, found = [], []
     for F in forms:
         _, P, Q = pq_from_scalars(*scalars[0], F.ell)
-        partials.append(F.eval(P, Q))
-        H.append(lagrangian_from_scalars(F, scalars, partials[-1]).h[n - 3:, n - 3:])
+        found.append((F.eval(P, Q), (P, Q)))
+        H.append(lagrangian_from_scalars(F, scalars, found[-1][0]).h[n - 3:, n - 3:])
     H = np.array(H)
     stack = np.moveaxis(H, -1, 1) if q.ndim == 2 else H[:, None]  # (forms, states, n, n)
     finite = np.isfinite(stack).all(axis=(2, 3))
@@ -263,7 +265,7 @@ def hessians(forms, state: ChartState, dof=DOF5) -> list:
     det = np.linalg.det(stack)
     if q.ndim == 1:
         stack, sv, rank, det = stack[:, 0], sv[:, 0], rank[:, 0].tolist(), det[:, 0].tolist()
-    return [HessianReport(*r, dof=tuple(dof)) for r in zip(stack, sv, rank, det, partials)]
+    return [HessianReport(*r, *f, dof=tuple(dof)) for *r, f in zip(stack, sv, rank, det, found)]
 
 
 def hessian(F: FForm, state: ChartState, dof=DOF5) -> HessianReport:
@@ -283,21 +285,19 @@ def jacobian_pq(F: FForm, P, Q, v):
     return PP.g[0] * WW.g[1] - PP.g[1] * WW.g[0]
 
 
-def relation_check(forms, state: ChartState, reports=None):
+def relation_check(forms, reports):
     """The kinematical factor K = det H / (middle * jacobian) of each form at
-    each DOF6 state of a batch: (admissible, K), each of shape (len(forms), B).
+    each state of a batch: (admissible, K), each of shape (len(forms), B).
 
     Where the middle ratio or the Casimir Jacobian of a form degenerates at a
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
-    (F-independence).  Every form's det H, and F and its partials, come from
-    one DOF6 ``hessians`` call: the ``reports`` of a caller's, if given.
+    (F-independence).  Every form's det H, its (P, Q), and F and its partials
+    there are read from its DOF6 report of ``reports`` (``hessians``).
     """
-    scalars = chart_scalars(*state.coords(DOF6), DOF6)
     out = []
-    for F, rep in zip(forms, hessians(forms, state, DOF6) if reports is None else reports):
-        _, P, Q = pq_from_scalars(*scalars, F.ell)
-        v, det = rep.partials, rep.det
+    for F, rep in zip(forms, reports):
+        (P, Q), v, det = rep.pq, rep.partials, rep.det
         num = legendre_p(P, v.F, v.F_P)
         den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
         jac = jacobian_pq(F, P, Q, v)

@@ -99,7 +99,10 @@ def raise_where(bad, error, message, *values):
             i = int(np.argmax(bad))
             exc = error(message.format(*(v[i] for v in values)) + f" (batch entry {i})")
             exc.bad = bad
-            raise exc
+            try:
+                raise exc
+            finally:  # no local keeps exc, so its traceback and this frame form no cycle
+                del exc
     elif bad:
         raise error(message.format(*values))
 

@@ -12,10 +12,10 @@ a kinematic jet seeds them once for all forms (``KinematicJet.velocity_scalars``
 first-order chain step through F's partials at (P, Q), and P and pi are that
 gradient times a sign vector.  Every step runs on a batch as on one jet, so
 ``momenta`` answers a batch's entries from one pass for all forms of one M and
-ell (``batch_casimirs``), each column bit for bit the entry's own pass; (P, Q)
-points asked for besides the batch's ride ahead of it.  The Pauli-Lubanski vector
-W = -eps(k, pi, P) needs no angular momentum M; a record forms each of them
-when it is read, W at most once, so a caller that stacks many records' P,
+ell (``batch_casimirs``), each column bit for bit the entry's own pass; a form's
+other (P, Q) points ride ahead of the batch's in that pass.  The Pauli-Lubanski
+vector W = -eps(k, pi, P) needs no angular momentum M; a record forms each of
+them when it is read, W at most once, so a caller that stacks many records' P,
 pi and k contracts epsilon once for all of them.  The closed-form expressions
 
     PP = M^2 [(F - P F_P)(F - P F_P - 4 Q F_Q) - Q F_P^2]
@@ -158,20 +158,19 @@ def casimirs_where_defined(forms, points):
     return [(mask, pp, ww, v) for (mask, v), pp, ww in zip(found, PPs, WWs)]
 
 
-def batch_casimirs(forms, S: KinematicJet, at=None, gridded=0):
-    """Per form, (inside, PP, WW) of ``casimirs_where_defined`` at the points
-    ``at``, a pair of (P, Q) arrays, for each of the first ``gridded`` forms,
-    then at the (P, Q) of the batch of jets S, per group of forms of one M and
-    ell.  The partials at S's entries inside give their momenta: one pass per
-    group, kept on S (``KinematicJet.momenta_by_form``) for ``momenta``; none
-    if a float exception meets them, so each entry's own pass warns as alone."""
+def batch_casimirs(forms, S: KinematicJet, ahead):
+    """Per form, (inside, PP, WW) of ``casimirs_where_defined`` at its (P, Q)
+    arrays ``ahead``, then at the (P, Q) of the batch of jets S, per group of
+    forms of one M and ell.  The partials at S's entries inside give their
+    momenta: one pass per group, kept on S (``KinematicJet.momenta_by_form``) for
+    ``momenta``; none if a float exception meets them, so each entry's pass warns alone."""
     (f, G, _), B, out = S.velocity_scalars, S.k.shape[1], {}
     for key in dict.fromkeys((F.M, F.ell) for F in forms):
         group = [i for i, F in enumerate(forms) if (F.M, F.ell) == key]
         PQ = pq_from_scalars(*f, key[1])[1:]
-        ahead = PQ if at is None else tuple(map(np.concatenate, zip(at, PQ)))
         found = casimirs_where_defined([forms[i] for i in group],
-                                       [ahead if i < gridded else PQ for i in group])
+                                       [tuple(map(np.concatenate, zip(ahead[i], PQ)))
+                                        for i in group])
         out.update(zip(group, found))
         mine = [np.flatnonzero(c[0][len(c[0]) - B:]) for c in found]  # S's entries, last
         cols = np.concatenate(mine)

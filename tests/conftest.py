@@ -14,6 +14,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def nothing_ahead(forms):
+    """One pair of empty (P, Q) arrays per form: no points ahead of a batch's
+    in ``noether.batch_casimirs`` and ``cli.noether_residuals``."""
+    return [(np.empty(0), np.empty(0))] * len(forms)
+
+
 def chart_entry(batch: ChartState, i: int) -> ChartState:
     """Entry i of a batch of chart states, as a state: each field's column i."""
     return ChartState(*(tuple(a[i] for a in v) if isinstance(v, tuple) else v[i]

@@ -8,7 +8,7 @@ and their tolerance from the check's gate in ``cli.CHECKS``.
 import numpy as np
 
 from rotorlab import cli, jets
-from rotorlab.degeneracy import ChartState, chart_states, random_chart_state
+from rotorlab.degeneracy import DOF6, ChartState, chart_states, hessians, random_chart_state
 from rotorlab.dynamics import casimir_drift, integrate
 from rotorlab.fform import builtin, parse_f, parse_phase
 from rotorlab.invariants import (
@@ -22,6 +22,7 @@ from rotorlab.invariants import (
 )
 from rotorlab.reports import RunConfig
 from rotorlab.spinor import tetrad_from_angles
+from conftest import nothing_ahead
 from references import fq_det_formula
 
 
@@ -96,8 +97,8 @@ def test_05_noether_crosscheck():
     cfg = RunConfig()
     forms = cli.casimir_forms(cfg, cli.fundamental_forms(cfg)) + [
         parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)")]
-    worst_cross, worst_wp = cli.noether_residuals(
-        forms, kinematic_jets([draw_path(rng) for _ in range(100)]))
+    worst_cross, worst_wp, _ = cli.noether_residuals(
+        forms, kinematic_jets([draw_path(rng) for _ in range(100)]), nothing_ahead(forms))
     report(5, "Noether vs closed-form Casimirs", worst_cross, gate("noether-crosscheck"))
     report(5, "W.P orthogonality", worst_wp, gate("wp-orthogonality"))
 
@@ -113,8 +114,9 @@ def test_06_degeneracy():
 
 def test_07_hessian_jacobian_relation():
     rng = np.random.default_rng(107)
+    forms = [parse_f(e) for e in cli.RELATION_FORMS]
     worst, admissible = cli.relation_spread(
-        [parse_f(e) for e in cli.RELATION_FORMS], chart_states(rng.random((10, 12))))
+        forms, hessians(forms, chart_states(rng.random((10, 12))), DOF6))
     assert min(admissible) >= 5
     report(7, "kinematical factor form-independent", worst, gate("relation-consistency"))
 

@@ -27,7 +27,7 @@ from rotorlab.invariants import draw_path, kinematic_jets
 from rotorlab.minkowski import DomainError, dot
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.reports import Report, RunConfig, load_config, render_reports
-from conftest import same_bits
+from conftest import nothing_ahead, same_bits
 from references import evaluates
 from work import run_counts, src_calls
 
@@ -479,8 +479,8 @@ def test_batched_noether_residuals_match_the_per_pair_loop(seed):
     # so that a parsed domain masks about half of the batch
     forms, samples = _casimir_samples(seed, (parse_f("sqrt(1 + P*P/Q)*(1 + 0.2*Q)"),
                                              parse_f("sqrt(0.03 - Q)")))
-    got = cli.noether_residuals(forms, samples)
-    assert got == _noether_residuals_per_pair(forms, samples)
+    got = cli.noether_residuals(forms, samples, nothing_ahead(forms))
+    assert got[:2] == _noether_residuals_per_pair(forms, samples)
 
 
 # batched passes of F in noether_residuals on the casimir suite's twelve forms
@@ -495,7 +495,7 @@ def test_noether_residuals_take_one_pass_of_f_per_form(monkeypatch, seed):
     forms, samples = _casimir_samples(seed)
     passes = src_calls(monkeypatch, jets, "variables",
                        lambda *args: isinstance(args[0], np.ndarray))
-    cli.noether_residuals(forms, samples)
+    cli.noether_residuals(forms, samples, nothing_ahead(forms))
     assert passes.count(True) == NOETHER_F_PASSES[seed]
 
 
@@ -509,20 +509,23 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
     F are those without it, the closed form on the grid misses as
     ``fundamental_residual``'s, and the residuals at the jets are the same."""
     forms, samples = _casimir_samples(seed)
-    plain = cli.noether_residuals(forms, samples)
+    plain = cli.noether_residuals(forms, samples, nothing_ahead(forms))[:2]
     forms, samples = _casimir_samples(seed)
     fundamental = cli.fundamental_forms(RunConfig())
     passes = src_calls(monkeypatch, jets, "variables",
                        lambda *args: isinstance(args[0], np.ndarray))
-    cross, wp, on_grid = cli.noether_residuals(
-        forms, samples, cli.fundamental_grid(cli.FUNDAMENTAL_GRID), len(fundamental))
+    ahead = [cli.fundamental_grid(cli.FUNDAMENTAL_GRID)] * len(fundamental)
+    cross, wp, at_ahead = cli.noether_residuals(
+        forms, samples, ahead + nothing_ahead(forms[len(fundamental):]))
+    on_grid, no_grid = at_ahead[:len(fundamental)], at_ahead[len(fundamental):]
     joined = passes.count(True)
     for F in fundamental:
         cli.fundamental_residual(F, cli.FUNDAMENTAL_GRID)
     apart = NOETHER_F_PASSES[seed] + passes.count(True) - joined
     # one pass less per fundamental form than apart, and no more refusing steps
     assert joined == NOETHER_GRID_F_PASSES[seed] <= apart - len(fundamental)
-    assert (cross, wp) == plain and len(on_grid) == len(fundamental)
+    assert (cross, wp) == plain and len(at_ahead) == len(forms)
+    assert all(len(a) == 0 for c in no_grid for a in c)  # inside, PP, WW at no point
     for F, at in zip(fundamental, on_grid):
         assert (cli.fundamental_miss(F, *at)
                 == cli.fundamental_residual(F, cli.FUNDAMENTAL_GRID)), F.name
@@ -536,16 +539,27 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
 # the casimir suite takes one momenta pass for its twelve forms, of one M and
 # ell, and the dynamics suite one; each form takes one pass of F per suite
 # (``FForm._try``), plus one per refusing step of its domain; and the dynamics
-# suite one free-motion query for its phases and one for its speeds
+# suite one free-motion query for its phases and one for its speeds.  The
+# relation check reads each form's (P, Q) from its DOF6 Hessian report, so
+# no run takes ``chart_scalars`` of a chart state
 VERIFY_WORK = {"kinematic_jets": 1, "hessians": 2, "chart_scalar_jets": 3,
-               "momenta_from_vectors": 2, "Jet * Jet": 245, "FForm._try": 30,
-               "FreeMotionTrajectory.jets": 2}
+               "chart_scalars": 0, "pq_from_scalars": 32, "momenta_from_vectors": 2,
+               "Jet * Jet": 245, "FForm._try": 30, "FreeMotionTrajectory.jets": 2}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_verify_takes_one_pass_per_form_and_free_motion(monkeypatch, seed):
     assert run_counts(monkeypatch, ["verify", "--suite", "all", "--seed", str(seed)]) == (
         0, VERIFY_WORK)
+
+
+def test_relation_reads_each_forms_pq_from_its_hessian_report(monkeypatch):
+    # one DOF6 hessians call for the six forms, which takes each form's
+    # (P, Q) once for its partials and once in its Lagrangian's chain step
+    # (``lagrangian_from_scalars``); relation_check takes none of its own
+    counters = ("hessians", "chart_scalars", "pq_from_scalars")
+    assert run_counts(monkeypatch, ["relation", "--seed", "0"], counters) == (
+        0, {"hessians": 1, "chart_scalars": 0, "pq_from_scalars": 12})
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -575,7 +589,7 @@ def test_batched_w_is_each_pairs_w_formed_once(monkeypatch, seed):
     monkeypatch.setattr(cli, "momenta", recording)
     monkeypatch.setattr(cli, "MomentumSet", Recorded)
     monkeypatch.setattr(noether, "epsilon_contract", counting)
-    cli.noether_residuals(forms, samples)
+    cli.noether_residuals(forms, samples, nothing_ahead(forms))
     (batch,) = batches
     assert contractions == [(4, len(records))]
     assert batch.W is batch.W and len(contractions) == 1
@@ -598,7 +612,7 @@ def test_noether_residuals_with_no_pair_in_a_domain_fail():
     forms, samples = _casimir_samples(0)
     nowhere = [parse_f("sqrt(-1 - Q)")]
     assert not list(_in_domain_pairs(nowhere, samples))
-    got = cli.noether_residuals(nowhere, samples)
+    got = cli.noether_residuals(nowhere, samples, nothing_ahead(nowhere))[:2]
     assert got == _noether_residuals_per_pair(nowhere, samples) == (math.inf, math.inf)
 
 

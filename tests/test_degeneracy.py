@@ -24,7 +24,7 @@ from rotorlab.fform import PQPoint, builtin, parse_f, pq_from_scalars
 from rotorlab.minkowski import DomainError, dot, four
 from rotorlab.noether import casimirs_closed_form
 from rotorlab.spinor import null_from_angles
-from conftest import chart_entry
+from conftest import chart_entry, same_bits
 from references import evaluates, fq_det_formula
 
 
@@ -143,7 +143,8 @@ def test_jacobian_pq_matches_finite_differences():
 
 def test_relation_flags_degenerate_jacobian():
     rng = np.random.default_rng(5)
-    admissible, K = relation_check([parse_f("Q")], chart_states(rng.random((1, 12))))
+    forms = [parse_f("Q")]
+    admissible, K = relation_check(forms, hessians(forms, chart_states(rng.random((1, 12))), DOF6))
     assert admissible.shape == K.shape == (1, 1)
     assert not admissible[0, 0] and np.isnan(K[0, 0])
 
@@ -296,6 +297,22 @@ def test_pole_state_in_a_batch_names_its_entry():
         hessian(builtin("rotator_f"), dataclasses.replace(batch, theta=theta), DOF6)
 
 
+@pytest.mark.parametrize("ell", [1.0, 37.5])
+@pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
+def test_a_hessian_report_keeps_the_pq_of_its_chart_scalars(dof, ell):
+    """Each report's (P, Q) is ``pq_from_scalars`` of ``chart_scalars`` on
+    floats, bit for bit, for one state and for a batch: the (P, Q) that
+    ``relation_check`` reads from the reports."""
+    forms = [builtin("rotator_f", ell=ell), *(parse_f(e, ell=ell) for e in RELATION_FORMS)]
+    for seed in range(20):
+        table = np.random.default_rng(seed).random((5, 12))
+        for state in (chart_states(table), chart_states(table[0])):
+            want = pq_from_scalars(*chart_scalars(*state.coords(dof), dof), ell)[1:]
+            for F, rep in zip(forms, hessians(forms, state, dof), strict=True):
+                assert all(same_bits(a, b) for a, b in zip(rep.pq, want, strict=True)), (
+                    seed, F.name)
+
+
 def _relation_per_state(forms, st):
     """Reference for ``relation_check``: one state and one form at a time, on
     floats."""
@@ -322,7 +339,7 @@ def test_batched_relation_check_matches_the_per_state_loop(seed):
     forms = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
     rng = np.random.default_rng(seed)
     table = rng.random((5, 12))
-    admissible, K = relation_check(forms, chart_states(table))
+    admissible, K = relation_check(forms, hessians(forms, chart_states(table), DOF6))
     want = [_relation_per_state(forms, chart_states(row)) for row in table]
     assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
     assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)

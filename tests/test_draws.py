@@ -218,8 +218,8 @@ def test_a_table_of_chart_states_is_that_many_single_draws(n):
 
 def test_relation_draws_its_states_as_sequential_chart_states(monkeypatch, made):
     drawn = []
-    monkeypatch.setattr(cli, "relation_spread",
-                        lambda forms, batch: drawn.append(batch) or _raise())
+    monkeypatch.setattr(cli, "hessians",
+                        lambda forms, batch, dof: drawn.append(batch) or _raise())
     args = argparse.Namespace(forms=None, states=5)
     for seed in range(50):
         with pytest.raises(_Drawn):

@@ -1,5 +1,7 @@
 import ast
+import gc
 import re
+import types
 import warnings
 
 import numpy as np
@@ -230,6 +232,25 @@ def test_a_refusal_that_names_no_entry_is_settled_entry_by_entry():
     assert inside.tolist() == [False, False] and v is None
     with np.errstate(over="raise"), pytest.raises(DomainError, match="^FloatingPointError"):
         parse_f("Q*Q").eval_inside(P[:2], np.array([1e200, 2.0]))
+
+
+def test_refusing_steps_of_eval_inside_leave_no_frame_in_a_cycle():
+    """A refusal raised by ``jets.raise_where`` is not kept in a local of the
+    raising frame, so each refusing step of ``eval_inside`` leaves no cycle
+    of frames for the cyclic collector: freed as soon as it is handled."""
+    gc.collect()
+    gc.disable()
+    try:
+        inside, _ = parse_f("sqrt(1-P^2)+Q").eval_inside(np.linspace(-2.0, 2.0, 41),
+                                                          np.ones(41), order=1)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        frames = [o for o in gc.garbage if isinstance(o, types.FrameType)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert 0 < inside.sum() < inside.size and frames == []
 
 
 def test_batch_eval_names_the_entry_outside_the_domain():

@@ -21,6 +21,7 @@ NOT_ENTERED = {
     "jets._each": "wraps the entry-by-entry math functions, at import",
     "jets._vectorized": "wraps the numpy-or-math functions, at import",
     "degeneracy.chart_lagrangian": "perfbench's reference, ROADMAP items 1 and 22",
+    "degeneracy.chart_scalars": "perfbench's `chart_lagrangian` reference, items 1 and 22",
     "fform.lagrangian_from_vectors": "perfbench's and the tests' reference, items 1 and 22",
     "invariants.random_kinematic_jet": "perfbench's sampler, items 1 and 22",
     "noether.casimirs_closed_form": "perfbench's oracle, items 1 and 22",

@@ -25,7 +25,7 @@ from rotorlab.noether import (
     momenta,
     momenta_from_vectors,
 )
-from conftest import same_bits
+from conftest import nothing_ahead, same_bits
 from references import casimirs_special_S, evaluates
 from work import run_counts, src_calls
 
@@ -201,7 +201,7 @@ def test_momenta_of_a_jet_are_those_of_its_vectors_alone_and_in_a_batch():
         S = kinematic_jets([draw_path(rng) for _ in range(cli.CASIMIR_JETS)])
         entries = S.entries()
         for F in forms:
-            inside = noether.batch_casimirs([F], S)[0][0]
+            inside = noether.batch_casimirs([F], S, nothing_ahead([F]))[0][0]
             assert F in S.momenta_by_form
             _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)
             assert inside.tolist() == F.eval_inside(P, Q, order=1)[0].tolist()
@@ -277,9 +277,9 @@ def test_an_entry_of_a_batch_has_the_momenta_of_the_jet_alone(expr, batch, kept)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as cli.main
             if kept is DomainError:
                 with pytest.raises(DomainError, match="xdot.xdot"):
-                    noether.batch_casimirs([F], S)
+                    noether.batch_casimirs([F], S, nothing_ahead([F]))
             else:
-                noether.batch_casimirs([F], S)
+                noether.batch_casimirs([F], S, nothing_ahead([F]))
         assert (F in S.momenta_by_form) is (kept is True)
         for J in S.entries():
             alone = KinematicJet(*(getattr(J, f.name) for f in dataclasses.fields(J)))
@@ -316,7 +316,7 @@ def test_writing_into_a_record_leaves_every_other_record_as_it_was():
     the same pair asked for again."""
     S = _casimir_batch(0)
     for F in _casimir_forms():
-        noether.batch_casimirs([F], S)
+        noether.batch_casimirs([F], S, nothing_ahead([F]))
         assert F in S.momenta_by_form
     entries = S.entries()
     records = [(F, J, momenta(F, J)) for J in entries for F in _casimir_forms()

@@ -21,7 +21,7 @@ from rotorlab.invariants import (PATH_NUMBERS, GaugeJet, gauge_jet_transform, ki
                                  reproduce_invariant_count)
 from rotorlab.minkowski import DomainError
 from rotorlab.reports import RunConfig
-from conftest import chart_entry, same_bits
+from conftest import chart_entry, nothing_ahead, same_bits
 
 _UNIT = st.floats(0.0, 1.0, exclude_max=True)
 
@@ -84,12 +84,14 @@ _STACKED_FORMS = (builtin("starlike", signs=(1, -1)), builtin("nu_family", nu=2.
 @given(table=_PATHS)
 def test_the_stacked_casimir_pass_is_each_forms_own_pass(table):
     # batch_casimirs takes one closed form and one momenta pass per (M, ell)
-    # group of forms, the grid ahead of the jets for the first two forms: each
-    # form's mask and closed form are those of its own casimirs_where_defined,
-    # and its entries' columns of the momenta pass are its own
-    # momenta_from_vectors pass over its entries inside, bit for bit
+    # group of forms, the grid ahead of the jets for the first two forms and
+    # no point ahead for the others: each form's mask and closed form are
+    # those of its own casimirs_where_defined, and its entries' columns of the
+    # momenta pass are its own momenta_from_vectors pass over its entries
+    # inside, bit for bit
     S, grid = kinematic_jets(table), cli.fundamental_grid(3)
-    found = noether.batch_casimirs(_STACKED_FORMS, S, grid, 2)
+    found = noether.batch_casimirs(_STACKED_FORMS, S,
+                                   [grid] * 2 + nothing_ahead(_STACKED_FORMS[2:]))
     checked = set()
     for i, (F, got) in enumerate(zip(_STACKED_FORMS, found)):
         _, P, Q = pq_from_scalars(*scalar_products(S.xdot, S.k, S.kdot), F.ell)

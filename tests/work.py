@@ -16,6 +16,8 @@ COUNTED = {
     "kinematic_jets": (invariants, "kinematic_jets", None),
     "hessians": (degeneracy, "hessians", None),
     "chart_scalar_jets": (degeneracy, "chart_scalar_jets", None),
+    "chart_scalars": (degeneracy, "chart_scalars", None),
+    "pq_from_scalars": (fform, "pq_from_scalars", None),
     "momenta_from_vectors": (noether, "momenta_from_vectors", None),
     "Jet * Jet": (jets.Jet, "__mul__", lambda x, y: isinstance(y, jets.Jet)),
     "FForm._try": (fform.FForm, "_try", None),
