@@ -18,9 +18,9 @@ Hessians written out in closed form, and ``fform.lagrangian_from_scalars``
 carries it to L by one chain step through F's partials at (P, Q), so at DOF5
 no jet arithmetic runs from the chart state to L (at DOF6, four ``Jet``
 products bring in the amplitude K).  The stack does not depend on F, so
-``hessians`` forms it once for all its forms, and ``chart_derivatives``, the
-rest of L's derivatives for ``dynamics``, once for its one form.  A report
-keeps det H, and F's partials and their (P, Q): all that ``relation_check`` reads.
+``hessians`` forms it once and takes one chain step per (M, ell) group of its
+forms, and ``chart_derivatives`` (L's derivatives for ``dynamics``) one; a
+report keeps det H, F's partials and (P, Q), all that ``relation_check`` reads.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .fform import FForm, FFormValue, lagrangian_from_scalars, pq_from_scalars
+from .fform import FForm, FFormValue, form_groups, lagrangian_from_scalars, pq_from_scalars
 from .minkowski import DomainError
 from .noether import casimirs_from_partials, legendre_p
 
@@ -242,22 +242,24 @@ class HessianReport:
 
 def hessians(forms, state: ChartState, dof=DOF5) -> list:
     """The exact velocity Hessian of L, one ``HessianReport`` per form, at one
-    state or at each state of a batch: the velocity block of L's Hessian from
-    one chart-jet stack for all the forms, then one SVD and one determinant
-    over their stacked matrices, each matrix's result that of a call of its
-    own.  Each form's F is evaluated once, at the (P, Q) of the stack's values,
-    and the report keeps both.  An F that overflows leaves non-finite entries,
-    which the SVD rejects: the singular values of such a matrix are NaN, and its rank 0."""
+    state or at each state of a batch.  The forms share one chart-jet stack, and
+    each (M, ell) group of them (``form_groups``) one (P, Q) pass and one chain
+    step of L, its forms on an axis ahead of the states'; each form's F is
+    evaluated once and kept on its report.  One SVD and one determinant run over
+    all the blocks, each entry bit for bit its own call's.  An F that overflows leaves
+    non-finite entries, which the SVD rejects: its singular values are NaN, and its rank 0."""
     state.check_pole()
     q, qd = state.coords(dof)
-    n, scalars = len(dof), chart_scalar_jets(q, qd, dof)
-    H, found = [], []
-    for F in forms:
-        _, P, Q = pq_from_scalars(*scalars[0], F.ell)
-        found.append((F.eval(P, Q), (P, Q)))
-        H.append(lagrangian_from_scalars(F, scalars, found[-1][0]).h[n - 3:, n - 3:])
-    H = np.array(H)
-    stack = np.moveaxis(H, -1, 1) if q.ndim == 2 else H[:, None]  # (forms, states, n, n)
+    n, (values, G, H) = len(dof), chart_scalar_jets(q, qd, dof)
+    groups = form_groups(forms)
+    pq = {key: pq_from_scalars(*values, key[1])[1:] for key in groups}
+    found = [(F.eval(*pq[F.M, F.ell]), pq[F.M, F.ell]) for F in forms]
+    scalars = values, np.expand_dims(G, -q.ndim), np.expand_dims(H, -q.ndim)
+    stack = np.empty((len(forms), q[0].size, n, n))  # (forms, states, n, n)
+    for group in groups.values():
+        v = FFormValue(*map(np.array, zip(*(found[i][0] for i in group))))
+        h = lagrangian_from_scalars(forms[group[0]], scalars, v).h[n - 3:, n - 3:]
+        stack[group] = np.moveaxis(h.reshape(n, n, len(group), q[0].size), (0, 1), (2, 3))
     finite = np.isfinite(stack).all(axis=(2, 3))
     sv = np.full(stack.shape[:3], np.nan)
     sv[finite] = np.linalg.svd(stack[finite], compute_uv=False)
@@ -293,22 +295,23 @@ def relation_check(forms, reports):
     state's (P, Q), the form is inadmissible and its K is NaN, instead of a
     quotient by ~0.  All admissible K values at one state must coincide
     (F-independence).  Every form's det H, its (P, Q), and F and its partials
-    there are read from its DOF6 report of ``reports`` (``hessians``).
-    """
-    out = []
-    for F, rep in zip(forms, reports):
-        (P, Q), v, det = rep.pq, rep.partials, rep.det
-        num = legendre_p(P, v.F, v.F_P)
-        den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
-        jac = jacobian_pq(F, P, Q, v)
-        tol = ADMISSIBLE_TOL * np.maximum(abs(v.F), 1.0)
-        # a NaN factor leaves the form admissible, so that K shows it
-        ok = ~((abs(den) <= tol) | (abs(num) <= tol)
-               | (abs(jac) <= ADMISSIBLE_TOL * np.maximum(abs(det), 1.0)))
-        K = np.full(ok.shape, np.nan)
-        K[ok] = det[ok] / ((num[ok] / den[ok]) * jac[ok])
-        out.append((ok, K))
-    return tuple(map(np.array, zip(*out)))
+    there are read from its DOF6 report of ``reports`` (``hessians``), and all
+    the forms' entries go through one pass as (forms, B) arrays, the Casimir
+    Jacobian one per (M, ell) group of forms (``form_groups``)."""
+    (P, Q), det = map(np.array, zip(*(r.pq for r in reports))), np.array([r.det for r in reports])
+    v = FFormValue(*map(np.array, zip(*(r.partials for r in reports))))
+    num = legendre_p(P, v.F, v.F_P)
+    den = v.F_P * (jets.power(P, 2) + Q) - P * v.F
+    jac = np.empty(P.shape)
+    for g in form_groups(forms).values():
+        jac[g] = jacobian_pq(forms[g[0]], P[g], Q[g], FFormValue(*(a[g] for a in v)))
+    tol = ADMISSIBLE_TOL * np.maximum(abs(v.F), 1.0)
+    # a NaN factor leaves the form admissible, so that K shows it
+    ok = ~((abs(den) <= tol) | (abs(num) <= tol)
+           | (abs(jac) <= ADMISSIBLE_TOL * np.maximum(abs(det), 1.0)))
+    K = np.full(ok.shape, np.nan)
+    K[ok] = det[ok] / ((num[ok] / den[ok]) * jac[ok])
+    return ok, K
 
 
 # (lo, hi) of the twelve numbers of a random chart state, in the order drawn:

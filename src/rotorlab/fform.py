@@ -125,6 +125,12 @@ class FForm:
         return FFormValue(out.f, *g, *h[0], h[1][1])
 
 
+def form_groups(forms) -> dict:
+    """The indices of ``forms`` per (M, ell), the pairs in the order they first appear."""
+    keys = [(F.M, F.ell) for F in forms]
+    return {k: [i for i, c in enumerate(keys) if c == k] for k in dict.fromkeys(keys)}
+
+
 def scalar_products(xdot, k, kdot):
     """xdot.xdot, k.xdot, kdot.xdot and kdot.kdot, the four scalar products
     that L reads; jet-generic, and per batch entry for (4, B) arrays."""
@@ -365,9 +371,10 @@ def lagrangian_from_scalars(F: FForm, scalars, partials=None):
     L reads the velocities only through these four scalars, so it is
     differentiated once.  F's value and partials come from ``FForm.eval`` at
     the float (P, Q), the one evaluation of F and of its domain, or are given
-    as ``partials`` by a caller that holds that evaluation.  With
-    c = ell / (kx sqrt(xx)) and e = -ell^2 / kx^2, the partials of P and Q in
-    s = (xx, kx, kdx, kdkd) are
+    as ``partials`` by a caller that holds that evaluation: for several forms
+    of one M and ell on an axis ahead of the batch's, over which a size-1 axis
+    of G and H broadcasts.  With c = ell / (kx sqrt(xx)) and
+    e = -ell^2 / kx^2, the partials of P and Q in s = (xx, kx, kdx, kdkd) are
 
         dP/ds = (-P / 2xx, -P / kx, c, 0),    dQ/ds = (0, -2Q / kx, 0, e),
 
@@ -377,8 +384,7 @@ def lagrangian_from_scalars(F: FForm, scalars, partials=None):
     They give L's gradient and Hessian in s entry by entry, and one chain
     step (``jets.compose``) carries those to the scalars' own variables; no
     jet arithmetic runs through P and Q.  A stack with no Hessians (the
-    momenta's) takes F's jet to first order and skips L's Hessian.
-    """
+    momenta's) takes F's jet to first order and skips L's Hessian."""
     values, G, H = scalars
     xx, kx, _, _ = values
     rt, P, Q = pq_from_scalars(*values, F.ell)

@@ -319,7 +319,8 @@ def compose(inner, f, d, D):
     variables, from its value ``f`` and its first and second partials in the
     u_i at their values: ``d`` (m entries) and the symmetric ``D`` (m rows of
     m), each entry a float, or an array of the batch shape for a batch.
-    ``inner`` is the u_i's stack ``(f, G, H)`` (see ``stack``).
+    ``inner`` is the u_i's stack ``(f, G, H)`` (see ``stack``); a size-1 axis
+    of G and H ahead of the batch's broadcasts over a leading axis of the entries.
 
     One chain step through the composite (Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., SIAM 2008, ch. 13):

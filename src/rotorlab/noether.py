@@ -35,8 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .fform import (FForm, FFormValue, PQPoint, lagrangian_from_scalars, pq_from_scalars,
-                    velocity_scalars)
+from .fform import (FForm, FFormValue, PQPoint, form_groups, lagrangian_from_scalars,
+                    pq_from_scalars, velocity_scalars)
 from .invariants import KinematicJet
 from .minkowski import SIGNATURE, bivector, dot, epsilon_contract
 
@@ -165,9 +165,8 @@ def batch_casimirs(forms, S: KinematicJet, ahead):
     momenta: one pass per group, kept on S (``KinematicJet.momenta_by_form``) for
     ``momenta``; none if a float exception meets them, so each entry's pass warns alone."""
     (f, G, _), B, out = S.velocity_scalars, S.k.shape[1], {}
-    for key in dict.fromkeys((F.M, F.ell) for F in forms):
-        group = [i for i, F in enumerate(forms) if (F.M, F.ell) == key]
-        PQ = pq_from_scalars(*f, key[1])[1:]
+    for (_, ell), group in form_groups(forms).items():
+        PQ = pq_from_scalars(*f, ell)[1:]
         found = casimirs_where_defined([forms[i] for i in group],
                                        [tuple(map(np.concatenate, zip(ahead[i], PQ)))
                                         for i in group])

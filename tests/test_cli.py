@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 import rotorlab
-from rotorlab import cli, degeneracy, dynamics, fform, jets, minkowski, noether
+from rotorlab import cli, dynamics, fform, jets, minkowski, noether
 from rotorlab.cli import main
 from rotorlab.fform import builtin, parse_f, pq_from_vectors
 from rotorlab.invariants import draw_path, kinematic_jets
@@ -424,20 +424,6 @@ def test_casimir_suite_seeds_the_jets_velocity_scalars_in_one_call(capsys, monke
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_degeneracy_suite_forms_one_chart_stack_per_hessians_call(capsys, monkeypatch,
-                                                                  seed):
-    # the chart jets and the SVD do not depend on F: one of each for the six
-    # DOF5 margin forms, and one for the DOF6 starlike and the five relation
-    # forms together, not one per form (12 and 12 a run when each form took
-    # its own, 3 and 3 when the starlike and the relation forms took a call each)
-    stacks = src_calls(monkeypatch, degeneracy, "chart_scalar_jets")
-    svds = src_calls(monkeypatch, np.linalg, "svd")
-    code, _ = run(capsys, "verify", "--suite", "degeneracy", "--seed", str(seed))
-    assert code == 0
-    assert len(stacks) == len(svds) == 2
-
-
-@pytest.mark.parametrize("seed", [0, 1])
 def test_casimir_suite_forms_no_angular_momentum(capsys, monkeypatch, seed):
     # no check reads M, so the suite forms no bivector, and it reads W only on
     # the batch of all its pairs: one epsilon contraction per run, not one per
@@ -536,15 +522,19 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
 # ``kinematic_jets`` batch; the degeneracy suite takes one ``hessians`` call
 # at DOF5 and one at DOF6, the starlike's with the relation forms, each on
 # one chart-jet stack, and the dynamics suite one stack for its free motion;
-# the casimir suite takes one momenta pass for its twelve forms, of one M and
-# ell, and the dynamics suite one; each form takes one pass of F per suite
-# (``FForm._try``), plus one per refusing step of its domain; and the dynamics
-# suite one free-motion query for its phases and one for its speeds.  The
-# relation check reads each form's (P, Q) from its DOF6 Hessian report, so
-# no run takes ``chart_scalars`` of a chart state
+# each ``hessians`` call takes one (P, Q) pass and one Lagrangian chain step
+# for all its forms, of one M and ell, and the relation check one Casimir
+# Jacobian for all of them; the casimir suite takes one momenta pass for its
+# twelve forms, of one M and ell, and the dynamics suite one; each form takes
+# one pass of F per suite (``FForm._try``), plus one per refusing step of its
+# domain; and the dynamics suite one free-motion query for its phases and one
+# for its speeds.  The relation check reads each form's (P, Q) from its DOF6
+# Hessian report, so no run takes ``chart_scalars`` of a chart state
 VERIFY_WORK = {"kinematic_jets": 1, "hessians": 2, "chart_scalar_jets": 3,
-               "chart_scalars": 0, "pq_from_scalars": 32, "momenta_from_vectors": 2,
-               "Jet * Jet": 245, "FForm._try": 30, "FreeMotionTrajectory.jets": 2}
+               "chart_scalars": 0, "pq_from_scalars": 12, "lagrangian_from_scalars": 5,
+               "jacobian_pq": 1, "momenta_from_vectors": 2, "Jet * Jet": 213,
+               "FForm._try": 30, "FForm.eval": 14, "svd": 15,
+               "FreeMotionTrajectory.jets": 2}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -554,12 +544,38 @@ def test_verify_takes_one_pass_per_form_and_free_motion(monkeypatch, seed):
 
 
 def test_relation_reads_each_forms_pq_from_its_hessian_report(monkeypatch):
-    # one DOF6 hessians call for the six forms, which takes each form's
-    # (P, Q) once for its partials and once in its Lagrangian's chain step
-    # (``lagrangian_from_scalars``); relation_check takes none of its own
-    counters = ("hessians", "chart_scalars", "pq_from_scalars")
+    # one DOF6 hessians call for the six forms, of one M and ell, which takes
+    # their (P, Q) once for F's partials and once in their one Lagrangian
+    # chain step (``lagrangian_from_scalars``); relation_check takes no (P, Q)
+    # of its own, and one Casimir Jacobian for the six forms
+    assert len(cli.RELATION_FORMS) == 6
+    counters = ("hessians", "chart_scalars", "pq_from_scalars", "lagrangian_from_scalars",
+                "jacobian_pq")
     assert run_counts(monkeypatch, ["relation", "--seed", "0"], counters) == (
-        0, {"hessians": 1, "chart_scalars": 0, "pq_from_scalars": 12})
+        0, {"hessians": 1, "chart_scalars": 0, "pq_from_scalars": 2,
+            "lagrangian_from_scalars": 1, "jacobian_pq": 1})
+
+
+# rows of the work ledger: a run and the exact counts of ``work.COUNTED`` it pins
+RUN_WORK = {
+    # the chart jets and the SVD do not depend on F: one of each for the six
+    # DOF5 margin forms, and one for the DOF6 starlike and the five relation
+    # forms together, not one per form (12 and 12 a run when each form took
+    # its own, 3 and 3 when the starlike and the relation forms took a call each)
+    "degeneracy-0": (["verify", "--suite", "degeneracy", "--seed", "0"],
+                     {"chart_scalar_jets": 2, "svd": 2}),
+    "degeneracy-1": (["verify", "--suite", "degeneracy", "--seed", "1"],
+                     {"chart_scalar_jets": 2, "svd": 2}),
+    # relation_check reads F and its partials from the hessians pass, which
+    # evaluates F once per form: 6 calls for the six relation forms
+    "relation-0": (["relation", "--seed", "0"], {"FForm.eval": 6}),
+}
+
+
+@pytest.mark.parametrize("row", RUN_WORK)
+def test_a_run_takes_the_work_of_its_ledger_row(monkeypatch, row):
+    argv, counts = RUN_WORK[row]
+    assert run_counts(monkeypatch, argv, tuple(counts)) == (0, counts)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -735,15 +751,6 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
     assert code == 1
     block = next(b for b in out.split("\n\n") if f"name = {check}\n" in b)
     assert "status = fail" in block and "residual = nan" in block
-
-
-def test_relation_evaluates_each_form_once(capsys, monkeypatch):
-    # relation_check reads F and its partials from the hessians pass, which
-    # evaluates F once per form: 6 calls for the six relation forms
-    evals = src_calls(monkeypatch, fform.FForm, "eval")
-    code, _ = run(capsys, "relation", "--seed", "0")
-    assert code == 0
-    assert len(evals) == len(cli.RELATION_FORMS) == 6
 
 
 def test_relation_consistency(capsys):

@@ -255,37 +255,56 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+# form lists for ``hessians``, and the index of the form whose Hessian
+# overflows at state 1 of ``_with_thetadot_300_at_1``'s batch (Q ~ 1e5 at
+# ell = 1, ~ 1.6e8 at ell = 37.5), sitting between forms whose Hessians stay
+# finite there: 1e290 Q^4 in one (M, ell) group; the relation forms at (1, 1)
+# interleaved with two forms at (2.5, 37.5), which take a chain step of their
+# own; and 1e280 Q^4 in the second of two interleaved groups
+_SECOND = {"M": 2.5, "ell": 37.5}
+_HESSIAN_FORMS = {
+    "one-group": ([builtin("rotator_f"), parse_f("Q^2"), parse_f("1e290*Q^4"),
+                   builtin("starlike"), parse_f("sqrt(1+P^2+Q)")], 2),
+    "two-groups": ([parse_f(RELATION_FORMS[0]), parse_f("Q^2", **_SECOND),
+                    *map(parse_f, RELATION_FORMS[1:3]), builtin("rotator_f", **_SECOND),
+                    *map(parse_f, RELATION_FORMS[3:])], None),
+    "overflow-in-second-group": ([parse_f("Q^2", **_SECOND), builtin("rotator_f"),
+                                  parse_f("1e280*Q^4", **_SECOND), parse_f("1+Q+P^2"),
+                                  builtin("starlike", **_SECOND)], 2),
+}
+
+
 @pytest.mark.parametrize("dof", [DOF5, DOF6], ids=["DOF5", "DOF6"])
 @pytest.mark.parametrize("batch", [False, True], ids=["one", "batch4"])
 def test_hessians_are_each_forms_own_bit_for_bit(dof, batch):
-    # 1e290 Q^4 overflows at state 1 only (Q ~ 1e5), and sits between forms
-    # whose Hessians stay finite there: it must leave them untouched
+    # every form's report is its own call's, bit for bit, whatever group it
+    # shares a chain step with; an overflow stays in its own form's block
     rng = np.random.default_rng(14)
     states = _with_thetadot_300_at_1(chart_states(rng.random((4, 12))))
-    forms = [builtin("rotator_f"), parse_f("Q^2"), parse_f("1e290*Q^4"),
-             builtin("starlike"), parse_f("sqrt(1+P^2+Q)")]
     state = states if batch else chart_entry(states, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = hessians(forms, state, dof)
-        want = [_hessian_of_each_matrix(F, state, dof) for F in forms]
-    assert len(got) == len(forms)
-    n, shape = len(dof), ((4,) if batch else ())
-    for i, (rep, (M, sv, rank, det)) in enumerate(zip(got, want)):
-        assert rep.matrix.shape == shape + (n, n) and rep.dof == tuple(dof)
-        for a, b in ((rep.matrix, M), (rep.singular_values, sv), (rep.det, det)):
-            assert np.array_equal(_bits(a), _bits(b).reshape(np.shape(a))), forms[i].name
-        assert np.array_equal(rep.rank, rank.reshape(np.shape(rep.rank)))
-        # the rows of state 1 and of the others
-        k, rows, ranks = int(batch), rep.singular_values.reshape(-1, n), np.ravel(rep.rank)
-        finite = np.isfinite(rows).all(axis=1)
-        if i == 2:  # non-finite at state 1: NaN singular values and rank 0 there only
-            assert not np.isfinite(rep.matrix.reshape(-1, n, n)[k]).all()
-            assert np.isnan(rows[k]).all() and ranks[k] == 0
-            assert finite.sum() == len(rows) - 1
-        else:
-            assert finite.all() and ranks.min() > 0
-    if not batch:
-        assert all(type(r.rank) is int and type(r.det) is float for r in got)
+    for case, (forms, overflowing) in _HESSIAN_FORMS.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = hessians(forms, state, dof)
+            want = [_hessian_of_each_matrix(F, state, dof) for F in forms]
+        assert len(got) == len(forms)
+        n, shape = len(dof), ((4,) if batch else ())
+        for i, (rep, (M, sv, rank, det)) in enumerate(zip(got, want)):
+            name = (case, forms[i].name)
+            assert rep.matrix.shape == shape + (n, n) and rep.dof == tuple(dof)
+            for a, b in ((rep.matrix, M), (rep.singular_values, sv), (rep.det, det)):
+                assert np.array_equal(_bits(a), _bits(b).reshape(np.shape(a))), name
+            assert np.array_equal(rep.rank, rank.reshape(np.shape(rep.rank))), name
+            # the rows of state 1 and of the others
+            k, rows, ranks = int(batch), rep.singular_values.reshape(-1, n), np.ravel(rep.rank)
+            finite = np.isfinite(rows).all(axis=1)
+            if i == overflowing:  # NaN singular values and rank 0 at state 1 only
+                assert not np.isfinite(rep.matrix.reshape(-1, n, n)[k]).all(), name
+                assert np.isnan(rows[k]).all() and ranks[k] == 0, name
+                assert finite.sum() == len(rows) - 1, name
+            else:
+                assert finite.all() and ranks.min() > 0, name
+        if not batch:
+            assert all(type(r.rank) is int and type(r.det) is float for r in got)
 
 
 def test_pole_state_in_a_batch_names_its_entry():
@@ -335,12 +354,17 @@ def _relation_per_state(forms, st):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_batched_relation_check_matches_the_per_state_loop(seed):
-    # "Q" and "0" are inadmissible everywhere
-    forms = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
+    # "Q" and "0" are inadmissible everywhere; the second list interleaves two
+    # forms at (M, ell) = (2.5, 37.5) with those at (1, 1), and ends with "Q"
+    # at (2.5, 37.5)
+    one = [parse_f(e) for e in RELATION_FORMS + ("Q", "0")]
+    mixed = [*one[:1], parse_f("1+Q+P^2", **_SECOND), *one[1:4],
+             parse_f("sqrt(1+P^2+Q)", **_SECOND), *one[4:6], parse_f("Q", **_SECOND), one[7]]
     rng = np.random.default_rng(seed)
     table = rng.random((5, 12))
-    admissible, K = relation_check(forms, hessians(forms, chart_states(table), DOF6))
-    want = [_relation_per_state(forms, chart_states(row)) for row in table]
-    assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
-    assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)
-    assert admissible[:-2].sum() >= 2 * len(table) and not admissible[-2:].any()
+    for forms in (one, mixed):
+        admissible, K = relation_check(forms, hessians(forms, chart_states(table), DOF6))
+        want = [_relation_per_state(forms, chart_states(row)) for row in table]
+        assert np.array_equal(admissible, np.array([w[0] for w in want]).T)
+        assert np.array_equal(K, np.array([w[1] for w in want]).T, equal_nan=True)
+        assert admissible[:-2].sum() >= 2 * len(table) and not admissible[-2:].any()

@@ -9,6 +9,8 @@ import contextlib
 import io
 import sys
 
+import numpy as np
+
 from rotorlab import cli, degeneracy, dynamics, fform, invariants, jets, noether
 
 # counter: (owner, name, which calls count, from their arguments)
@@ -18,9 +20,13 @@ COUNTED = {
     "chart_scalar_jets": (degeneracy, "chart_scalar_jets", None),
     "chart_scalars": (degeneracy, "chart_scalars", None),
     "pq_from_scalars": (fform, "pq_from_scalars", None),
+    "lagrangian_from_scalars": (fform, "lagrangian_from_scalars", None),
+    "jacobian_pq": (degeneracy, "jacobian_pq", None),
     "momenta_from_vectors": (noether, "momenta_from_vectors", None),
     "Jet * Jet": (jets.Jet, "__mul__", lambda x, y: isinstance(y, jets.Jet)),
     "FForm._try": (fform.FForm, "_try", None),
+    "FForm.eval": (fform.FForm, "eval", None),
+    "svd": (np.linalg, "svd", None),
     "FreeMotionTrajectory.jets": (dynamics.FreeMotionTrajectory, "jets", None),
 }
 
