@@ -346,22 +346,32 @@ def suite_degeneracy(cfg: RunConfig, table):
 
 
 def suite_dynamics(cfg: RunConfig, table):
-    """Samples in units of ell: phases in t / ell, speeds w / ell inside
-    (0, 2/ell), and a divergence target that scales as the positions do."""
-    ell = cfg.ell
-    rot = builtin("rotator_f", M=cfg.M, ell=ell)
+    """``_dynamics_checks`` at the run's M and ell, each input a dict of the run's own."""
+    return {name: (residual, dict(inputs))
+            for name, residual, inputs in _dynamics_checks(cfg.M, cfg.ell)}
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _dynamics_checks(M: float, ell: float):
+    """The dynamics suite's (check, residual, input items), once per (M, ell)
+    in a process: it reads no seed and no table, and a ``RunConfig`` admits
+    only positive finite M and ell, so no two keys alias.  Held as tuples, so
+    no run can change what a later one reads.  Samples in units of ell: phases
+    in t / ell, speeds w / ell inside (0, 2/ell), and a divergence target that
+    scales as the positions do."""
+    rot = builtin("rotator_f", M=M, ell=ell)
     times = np.linspace(0.0, 20.0 * ell, 81)
     phases = [lambda t, f=f: f(t / ell) for f in _PHASE_FUNCS]
     el, drift, divergence, _ = free_motion_residuals(rot, phases, times)
     target = DIVERGENCE_TARGET * ell
     speeds = [w / ell for w in (0.2, 0.5, 1.0, 1.5)]
     worst_speed = angular_speed_residual(speeds, ell)
-    inputs = {"phases": len(FREE_MOTION_PHASES)}
-    return {"free-motion-el-residuals": (el, inputs),
-            "free-motion-conservation": (drift, inputs),
-            "indeterminism-divergence": (target - divergence,
-                                         {"divergence": divergence, "target": target}),
-            "angular-speed-identity": (worst_speed, {"speeds": len(speeds)})}
+    inputs = (("phases", len(FREE_MOTION_PHASES)),)
+    return (("free-motion-el-residuals", el, inputs),
+            ("free-motion-conservation", drift, inputs),
+            ("indeterminism-divergence", target - divergence,
+             (("divergence", divergence), ("target", target))),
+            ("angular-speed-identity", worst_speed, (("speeds", len(speeds)),)))
 
 
 def suite_count(cfg: RunConfig, table):

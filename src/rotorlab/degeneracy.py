@@ -243,22 +243,24 @@ class HessianReport:
 def hessians(forms, state: ChartState, dof=DOF5) -> list:
     """The exact velocity Hessian of L, one ``HessianReport`` per form, at one
     state or at each state of a batch.  The forms share one chart-jet stack, and
-    each (M, ell) group of them (``form_groups``) one (P, Q) pass and one chain
-    step of L, its forms on an axis ahead of the states'; each form's F is
-    evaluated once and kept on its report.  One SVD and one determinant run over
-    all the blocks, each entry bit for bit its own call's.  An F that overflows leaves
-    non-finite entries, which the SVD rejects: its singular values are NaN, and its rank 0."""
+    each (M, ell) group of them (``form_groups``) one (P, Q) pass, which F and
+    the group's one chain step of L both read, its forms on an axis ahead of the
+    states'; each form's F is evaluated once and kept on its report.  One SVD and
+    one determinant run over all the blocks, each entry bit for bit its own call's.
+    An F that overflows leaves non-finite entries, which the SVD rejects: its
+    singular values are NaN, and its rank 0."""
     state.check_pole()
     q, qd = state.coords(dof)
     n, (values, G, H) = len(dof), chart_scalar_jets(q, qd, dof)
     groups = form_groups(forms)
-    pq = {key: pq_from_scalars(*values, key[1])[1:] for key in groups}
+    rpq = {key: pq_from_scalars(*values, key[1]) for key in groups}  # (sqrt(xx), P, Q)
+    pq = {key: r[1:] for key, r in rpq.items()}
     found = [(F.eval(*pq[F.M, F.ell]), pq[F.M, F.ell]) for F in forms]
     scalars = values, np.expand_dims(G, -q.ndim), np.expand_dims(H, -q.ndim)
     stack = np.empty((len(forms), q[0].size, n, n))  # (forms, states, n, n)
-    for group in groups.values():
+    for key, group in groups.items():
         v = FFormValue(*map(np.array, zip(*(found[i][0] for i in group))))
-        h = lagrangian_from_scalars(forms[group[0]], scalars, v).h[n - 3:, n - 3:]
+        h = lagrangian_from_scalars(forms[group[0]], scalars, v, rpq[key]).h[n - 3:, n - 3:]
         stack[group] = np.moveaxis(h.reshape(n, n, len(group), q[0].size), (0, 1), (2, 3))
     finite = np.isfinite(stack).all(axis=(2, 3))
     sv = np.full(stack.shape[:3], np.nan)

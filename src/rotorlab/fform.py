@@ -362,7 +362,7 @@ def velocity_scalars(xdot, k, kdot):
     return (f.tolist() if f.ndim == 1 else f), g, None  # one state: Python floats
 
 
-def lagrangian_from_scalars(F: FForm, scalars, partials=None):
+def lagrangian_from_scalars(F: FForm, scalars, partials=None, pq=None):
     """L = -M sqrt(xx) F(P, Q) from the stack ``scalars`` of the scalar
     products (xx, kx, kdx, kdkd) = (xdot.xdot, k.xdot, kdot.xdot, kdot.kdot):
     their values, floats or batch arrays, and their gradients and Hessians
@@ -373,7 +373,9 @@ def lagrangian_from_scalars(F: FForm, scalars, partials=None):
     the float (P, Q), the one evaluation of F and of its domain, or are given
     as ``partials`` by a caller that holds that evaluation: for several forms
     of one M and ell on an axis ahead of the batch's, over which a size-1 axis
-    of G and H broadcasts.  With c = ell / (kx sqrt(xx)) and
+    of G and H broadcasts.  Likewise (sqrt(xx), P, Q) come from
+    ``pq_from_scalars`` of the values, or are given as ``pq`` by a caller that
+    took them there, entry for entry.  With c = ell / (kx sqrt(xx)) and
     e = -ell^2 / kx^2, the partials of P and Q in s = (xx, kx, kdx, kdkd) are
 
         dP/ds = (-P / 2xx, -P / kx, c, 0),    dQ/ds = (0, -2Q / kx, 0, e),
@@ -387,7 +389,7 @@ def lagrangian_from_scalars(F: FForm, scalars, partials=None):
     momenta's) takes F's jet to first order and skips L's Hessian."""
     values, G, H = scalars
     xx, kx, _, _ = values
-    rt, P, Q = pq_from_scalars(*values, F.ell)
+    rt, P, Q = pq or pq_from_scalars(*values, F.ell)
     Fv, FP, FQ, FPP, FPQ, FQQ = partials or F.eval(P, Q, order=1 if H is None else 2)
     if G is None:
         return -F.M * rt * Fv

@@ -20,8 +20,9 @@ array, ``g`` is ``(n,)`` or ``(n, B)`` and ``h`` is ``(n, n)`` or
 ``(n, n, B)``.  Every operation is one formula that broadcasts over the
 trailing axis, and each batch entry is bit-identical to the same operation on
 unbatched jets: the elementary functions whose numpy versions round
-differently from ``math`` (``exp``, ``acos``, ``atan2`` and real powers) are
-evaluated entry by entry through ``math``.  The operands of one operation
+differently from ``math`` (``exp``, ``acos`` and ``atan2``) are evaluated
+entry by entry through ``math``, and real powers through ``np.float_power``,
+which is Python's pow where finite (``power``).  The operands of one operation
 share one batch shape.
 
 ``compose`` gives the jet of a function of m functions from its first and
@@ -67,9 +68,21 @@ def _each(fn, nin):
     return apply
 
 
-# x ** p as Python computes it on floats, on a float or on each entry of an
-# array (numpy's power rounds differently)
-power = _each(pow, 2)
+_pow_each = _each(pow, 2)
+
+
+def power(x, p):
+    """x ** p as Python computes it on floats, on a float or on each entry of
+    an array.  On an array, ``np.float_power`` (C's pow, as Python's; numpy's
+    power rounds differently) stands if every entry is finite; otherwise pow
+    runs entry by entry, so an overflow, 0 to a negative power or a negative
+    base to a fractional one raises as on a float."""
+    if isinstance(x, _ARRAY):
+        with np.errstate(all="ignore"):
+            out = np.float_power(x, p)
+        if np.isfinite(out).all():
+            return out
+    return _pow_each(x, p)
 
 
 def _vectorized(fn, ufunc):

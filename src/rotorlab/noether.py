@@ -87,19 +87,20 @@ class MomentumSet:
 
 
 def momenta_from_vectors(F: FForm, xdot_v, k_v, kdot_v, x=None, scalars=None,
-                         partials=None) -> MomentumSet:
+                         partials=None, pq=None) -> MomentumSet:
     """Noether charges from raw (xdot, k, kdot) at a worldline point ``x``.
 
     P and pi are the gradients of L in xdot and kdot, through the four scalar
     products seeded in closed form (``fform.velocity_scalars``) and F's partials,
-    or ``scalars`` and ``partials`` given by a caller that holds them.  ``x``
-    defaults to the origin; it moves only M, by an orbital piece.  W and M are
-    formed when read.  (4, B) arrays give the batched charges of B instants.
+    or ``scalars``, ``partials`` and (sqrt(xx), P, Q) ``pq`` given by a caller
+    that holds them.  ``x`` defaults to the origin; it moves only M, by an
+    orbital piece.  W and M are formed when read.  (4, B) arrays give the
+    batched charges of B instants.
     """
     k_v = np.asarray(k_v, dtype=float)
     if scalars is None:
         scalars = velocity_scalars(xdot_v, k_v, kdot_v)
-    L = lagrangian_from_scalars(F, scalars, partials)
+    L = lagrangian_from_scalars(F, scalars, partials, pq)
     # dL/d(xdot^mu) and dL/d(kdot^mu) carry a lower index: raised, and negated
     P, pi = (L.g.T * _RAISE_NEGATED).T.reshape((2, 4) + L.g.shape[1:])
     return MomentumSet(P=P, pi=pi, k=k_v, x=x)
@@ -166,9 +167,9 @@ def batch_casimirs(forms, S: KinematicJet, ahead):
     ``momenta``; none if a float exception meets them, so each entry's pass warns alone."""
     (f, G, _), B, out = S.velocity_scalars, S.k.shape[1], {}
     for (_, ell), group in form_groups(forms).items():
-        PQ = pq_from_scalars(*f, ell)[1:]
+        rpq = pq_from_scalars(*f, ell)  # (sqrt(xx), P, Q)
         found = casimirs_where_defined([forms[i] for i in group],
-                                       [tuple(map(np.concatenate, zip(ahead[i], PQ)))
+                                       [tuple(map(np.concatenate, zip(ahead[i], rpq[1:])))
                                         for i in group])
         out.update(zip(group, found))
         mine = [np.flatnonzero(c[0][len(c[0]) - B:]) for c in found]  # S's entries, last
@@ -183,7 +184,8 @@ def batch_casimirs(forms, S: KinematicJet, ahead):
                 ms = momenta_from_vectors(
                     forms[group[0]], S.xdot[:, cols], S.k[:, cols], S.kdot[:, cols],
                     scalars=(f[:, cols], G[..., cols], None),
-                    partials=FFormValue(*parts, None, None, None))
+                    partials=FFormValue(*parts, None, None, None),
+                    pq=tuple(a[cols] for a in rpq))
         except ArithmeticError:
             continue  # nothing kept: each entry takes its own pass
         column = iter(range(len(cols)))  # each form's entries, to their columns of ms

@@ -3,8 +3,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from rotorlab import cli
 from rotorlab.degeneracy import ChartState
 from rotorlab.invariants import KinematicJet
+
+
+@pytest.fixture(autouse=True)
+def fresh_dynamics_memo():
+    """Each test starts with the dynamics suite unmemoized, so that a plant in
+    it or a count of its work sees the suite run, whatever ran before."""
+    cli._dynamics_checks.cache_clear()
 
 
 def same_bits(a, b):

@@ -523,15 +523,17 @@ def test_the_fundamental_grid_rides_in_each_forms_pass(monkeypatch, seed):
 # at DOF5 and one at DOF6, the starlike's with the relation forms, each on
 # one chart-jet stack, and the dynamics suite one stack for its free motion;
 # each ``hessians`` call takes one (P, Q) pass and one Lagrangian chain step
-# for all its forms, of one M and ell, and the relation check one Casimir
-# Jacobian for all of them; the casimir suite takes one momenta pass for its
-# twelve forms, of one M and ell, and the dynamics suite one; each form takes
+# for all its forms, of one M and ell, the chain step reading that pass, and
+# the relation check one Casimir Jacobian for all of them; the casimir suite
+# takes one momenta pass for its twelve forms, of one M and ell, reading the
+# (P, Q) pass of its batch, and the dynamics suite one; each form takes
 # one pass of F per suite (``FForm._try``), plus one per refusing step of its
 # domain; and the dynamics suite one free-motion query for its phases and one
 # for its speeds.  The relation check reads each form's (P, Q) from its DOF6
-# Hessian report, so no run takes ``chart_scalars`` of a chart state
+# Hessian report, so no run takes ``chart_scalars`` of a chart state.  These
+# are a cold run's counts: a warm one reads the dynamics suite's memo
 VERIFY_WORK = {"kinematic_jets": 1, "hessians": 2, "chart_scalar_jets": 3,
-               "chart_scalars": 0, "pq_from_scalars": 12, "lagrangian_from_scalars": 5,
+               "chart_scalars": 0, "pq_from_scalars": 9, "lagrangian_from_scalars": 5,
                "jacobian_pq": 1, "momenta_from_vectors": 2, "Jet * Jet": 213,
                "FForm._try": 30, "FForm.eval": 14, "svd": 15,
                "FreeMotionTrajectory.jets": 2}
@@ -545,14 +547,14 @@ def test_verify_takes_one_pass_per_form_and_free_motion(monkeypatch, seed):
 
 def test_relation_reads_each_forms_pq_from_its_hessian_report(monkeypatch):
     # one DOF6 hessians call for the six forms, of one M and ell, which takes
-    # their (P, Q) once for F's partials and once in their one Lagrangian
-    # chain step (``lagrangian_from_scalars``); relation_check takes no (P, Q)
-    # of its own, and one Casimir Jacobian for the six forms
+    # their (P, Q) once, for F's partials and for their one Lagrangian chain
+    # step (``lagrangian_from_scalars``); relation_check takes no (P, Q) of
+    # its own, and one Casimir Jacobian for the six forms
     assert len(cli.RELATION_FORMS) == 6
     counters = ("hessians", "chart_scalars", "pq_from_scalars", "lagrangian_from_scalars",
                 "jacobian_pq")
     assert run_counts(monkeypatch, ["relation", "--seed", "0"], counters) == (
-        0, {"hessians": 1, "chart_scalars": 0, "pq_from_scalars": 2,
+        0, {"hessians": 1, "chart_scalars": 0, "pq_from_scalars": 1,
             "lagrangian_from_scalars": 1, "jacobian_pq": 1})
 
 
@@ -576,6 +578,43 @@ RUN_WORK = {
 def test_a_run_takes_the_work_of_its_ledger_row(monkeypatch, row):
     argv, counts = RUN_WORK[row]
     assert run_counts(monkeypatch, argv, tuple(counts)) == (0, counts)
+
+
+# the free-motion queries of a cold ``verify --suite all`` run, then of a warm
+# one in the same process, at the same seed and at the next: the dynamics
+# suite reads no seed, so it runs once per (M, ell) in a process
+WARM_FREE_MOTION_QUERIES = {"cold": 2, "warm": 0, "warm, next seed": 0}
+
+
+def test_a_warm_verify_queries_no_free_motion_and_prints_the_same(capsys, monkeypatch):
+    queries = src_calls(monkeypatch, dynamics.FreeMotionTrajectory, "jets")
+    docs, counts = [], {}
+    for row, seed in zip(WARM_FREE_MOTION_QUERIES, ("0", "0", "1")):
+        before = len(queries)
+        docs.append(run(capsys, "verify", "--suite", "all", "--seed", seed))
+        counts[row] = len(queries) - before
+    assert counts == WARM_FREE_MOTION_QUERIES
+    cli._dynamics_checks.cache_clear()
+    assert docs == [docs[0], docs[0], run(capsys, "verify", "--suite", "all", "--seed", "1")]
+
+
+def test_interleaved_scales_each_run_as_a_cold_run(capsys):
+    """Runs that interleave two (M, ell) in one process, a seed each, report
+    what each reports in a process of its own: the memo is keyed on (M, ell)
+    and holds one entry per pair."""
+    runs = [("0",), ("1", "--M", "2.5", "--ell", "37.5"), ("2",)]
+
+    def verify(seed, *scales):
+        return run(capsys, "verify", "--suite", "all", "--seed", seed, *scales)
+
+    cold = []
+    for argv in runs:
+        cli._dynamics_checks.cache_clear()
+        cold.append(verify(*argv))
+    cli._dynamics_checks.cache_clear()
+    assert [verify(*argv) for argv in runs] == cold
+    assert cli._dynamics_checks.cache_info().currsize == 2
+    assert f"inputs.target = {0.05 * 37.5:.17g}\n" in cold[1][1]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -732,8 +771,8 @@ def test_every_check_has_a_nan_plant_or_a_reason():
     assert set(NO_NAN_PLANT) <= set(cli.CHECKS)
 
 
-@pytest.mark.parametrize("check", NAN_PLANTS)
-def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
+def _plant_nan(monkeypatch, check):
+    """Install the NaN plant of ``check``; returns the calls of its function."""
     owner, name, poison = NAN_PLANTS[check]
     original = getattr(owner, name)
     calls = []
@@ -745,12 +784,34 @@ def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
         return poison(out) if len(calls) == at else out
 
     monkeypatch.setattr(owner, name, planted)
-    suite, _ = cli.CHECKS[check]
-    code, out = run(capsys, "verify", "--suite", suite, "--seed", "0")
-    assert len(calls) >= at
+    return calls
+
+
+def _assert_nan_fails(capsys, check, calls):
+    code, out = run(capsys, "verify", "--suite", cli.CHECKS[check][0], "--seed", "0")
+    assert len(calls) >= POISONED_CALL.get(check, 2)
     assert code == 1
     block = next(b for b in out.split("\n\n") if f"name = {check}\n" in b)
     assert "status = fail" in block and "residual = nan" in block
+
+
+@pytest.mark.parametrize("check", NAN_PLANTS)
+def test_a_nan_sample_fails_its_check(capsys, monkeypatch, check):
+    _assert_nan_fails(capsys, check, _plant_nan(monkeypatch, check))
+
+
+@pytest.mark.parametrize("check", [c for c, (suite, _) in cli.CHECKS.items()
+                                   if suite == "dynamics"])
+def test_a_dynamics_nan_plant_fails_after_a_warm_run_once_the_memo_is_cleared(
+        capsys, monkeypatch, check):
+    """After a warm run the memo answers, so a plant installed then is not
+    called and the check passes; cleared, the suite runs and the NaN fails it."""
+    assert run(capsys, "verify", "--suite", "dynamics", "--seed", "0")[0] == 0
+    calls = _plant_nan(monkeypatch, check)
+    code, out = run(capsys, "verify", "--suite", "dynamics", "--seed", "1")
+    assert (code, calls, out.count("status = pass")) == (0, [], 4)
+    cli._dynamics_checks.cache_clear()
+    _assert_nan_fails(capsys, check, calls)
 
 
 def test_relation_consistency(capsys):

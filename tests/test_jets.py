@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotorlab import jets
+from conftest import same_bits
 
 
 def fd_grad(f, x, h=1e-6):
@@ -108,6 +109,55 @@ def test_integer_and_real_powers():
     # a jet exponent would lose its derivatives: refused, not taken as a number
     with pytest.raises(TypeError, match="not 'Jet'"):
         x ** jets.constant(2.0, 1)
+
+
+def _pow_entries(x, p):
+    """Python's pow on each entry of x, as a float array: the reference."""
+    return np.frompyfunc(pow, 2, 1)(x, p).astype(float)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(scale=st.integers(-320, 308), p=st.one_of(
+           st.sampled_from([2, 3, -1, -2, 0.5, -0.5, 1.5, 2.5, 4]),
+           st.floats(-8.0, 8.0, allow_nan=False)),
+       seed=st.integers(0, 2**32 - 1), signed=st.booleans())
+def test_power_on_an_array_is_pow_on_each_entry(scale, p, seed, signed):
+    """On an array, ``jets.power`` is pow entry by entry, bit for bit, at
+    magnitudes from subnormal to overflow, and with zeros of both signs and
+    negative entries if ``signed``; where pow raises at some entry, it raises
+    the same error with the same message."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(150) * 10.0**scale
+    if signed:
+        x[:2] = 0.0, -0.0
+        x[2::5] *= -1.0
+    want = _outcome(_pow_entries, x, p)
+    got = _outcome(jets.power, x, p)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("x, p, error", [
+    ([2.0, 0.0], -1, ZeroDivisionError),
+    ([2.0, 1e300], 2, OverflowError),
+    ([2.0, -2.0], 0.5, TypeError),  # pow's result is complex
+], ids=["zero-to-negative", "overflow", "negative-to-fractional"])
+def test_power_on_an_array_raises_as_pow(x, p, error):
+    x = np.array(x)
+    with pytest.raises(error) as got:
+        jets.power(x, p)
+    with pytest.raises(error) as want:
+        _pow_entries(x, p)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("convert", [float, lambda x: np.asarray([x], dtype=float)],
@@ -308,7 +358,8 @@ def test_batched_arithmetic_matches_entries(batches, c):
 @given(batches=jet_batches(3, (positive, unit, moderate)), p=st.sampled_from([0.5, 1.5, -0.7]))
 def test_batched_functions_match_entries(batches, p):
     """Bit for bit: sin, cos and sqrt use numpy on a batch, which rounds as
-    math does; exp, acos, atan2 and real powers go through math per entry."""
+    math does; exp, acos and atan2 go through math per entry, and real powers
+    through np.float_power, which is pow where finite."""
     pos, uni, mod = batches
     x, u, m = stack(pos), stack(uni), stack(mod)
     assert_entries(x ** p, [a ** p for a in pos])
